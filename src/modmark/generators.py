@@ -6,7 +6,10 @@ conditional expectations onto commuting projections, state-to-scalar maps,
 inner automorphisms by commuting unitaries, frequency twirls, convex mixes).
 `sp_ucp` deliberately produces the other thing: unital completely positive
 state-compatible channels that generically fail the flow condition, which is
-what the negative suites feed on.
+what the negative suites feed on.  It does so in closed form, stepping from
+the strictly interior state-to-scalar Choi collection along a seeded
+direction in the null space of the unital and dual-fixed-point constraints,
+sized so the smallest Choi eigenvalue keeps at least half its gap.
 
 Determinism: each generator is a pure function of its seed; sub-streams are
 derived through SeedSequence so reports reproduce bit-for-bit.
@@ -35,20 +38,18 @@ from .errors import (
     UnitaryDoesntCommuteWithDensity,
 )
 from .gns import ModularData
-from .linalg import PD_FLOOR_RTOL, Tolerance, base_tolerance
+from .linalg import PD_FLOOR_RTOL, Tolerance
 from .markov import (
     Channel,
     ChoiMatrix,
     System,
     choi_to_channel,
     convex_combine,
-    cp_min_eigenvalue,
     identity_channel,
     left_mult_superop,
+    precondition_defects,
     right_mult_superop,
-    state_residual,
     to_choi,
-    unitality_residual,
 )
 
 KINDS = (
@@ -65,8 +66,6 @@ KINDS = (
 
 DEFAULT_MIN_GAP = 0.05
 TWIRL_FREQ_TOL = 1e-9
-SP_UCP_TOL = 1e-10
-SP_UCP_MAX_ITER = 5000
 
 
 def derive_seed(*parts: int) -> int:
@@ -299,16 +298,7 @@ def modular_twirl(ch: Channel, freq_tol: float = TWIRL_FREQ_TOL,
     Idempotent; fixes channels already flow-commuting; preserves unitality,
     complete positivity, and state compatibility.
     """
-    tol = tol or Tolerance(base_tolerance())
-    tau = tol.effective(1.0)
-    mineig, herm = cp_min_eigenvalue(ch)
-    bad = {}
-    if unitality_residual(ch) > tau:
-        bad["unital"] = unitality_residual(ch)
-    if max(0.0, -mineig, herm) > tau:
-        bad["cp"] = max(0.0, -mineig, herm)
-    if state_residual(ch) > tau:
-        bad["state"] = state_residual(ch)
+    bad = precondition_defects(ch, tol)
     if bad:
         raise PreconditionFailed(f"twirl preconditions failed: {bad}")
     md_s, md_t = ch.source.modular, ch.target.modular
@@ -324,7 +314,7 @@ def modular_twirl(ch: Channel, freq_tol: float = TWIRL_FREQ_TOL,
 
 
 # ---------------------------------------------------------------------------
-# sp_ucp: feasibility by alternating projections on the Choi collection
+# sp_ucp: a seeded step from an interior point along the feasible affine set
 # ---------------------------------------------------------------------------
 
 def _choi_pairs(source: BlockAlgebra, target: BlockAlgebra):
@@ -346,117 +336,88 @@ def _choi_unvec(vec: np.ndarray, pairs) -> dict:
     return out
 
 
-def _affine_values(blocks: dict, pairs, target: BlockAlgebra,
-                   source: BlockAlgebra, d_target: AlgebraElement) -> np.ndarray:
-    """Values of the two affine constraint maps: unitality and the dual
-    fixed point.  Linear in the Choi entries on the Hermitian slice."""
-    unital = []
-    for j, m in enumerate(target.block_dims):
-        acc = np.zeros((m, m), dtype=np.complex128)
-        for k, n in enumerate(source.block_dims):
-            c = blocks[(j, k)].reshape(m, n, m, n)
-            acc += np.einsum("iaja->ij", c)
-        unital.append(acc.ravel())
-    dual = []
-    for k, n in enumerate(source.block_dims):
-        acc = np.zeros((n, n), dtype=np.complex128)
-        for j, m in enumerate(target.block_dims):
-            c = blocks[(j, k)].reshape(m, n, m, n)
-            # For Hermitian Choi blocks this equals the trace dual applied to
-            # the target density, written without conjugation so the map
-            # stays complex-linear.
-            acc += np.einsum("ij,jbia->ab", d_target.blocks[j], c)
-        dual.append(acc.ravel())
-    return np.concatenate(unital + dual)
-
-
 def _affine_system(source: System, target: System):
-    """Constraint matrix A, right-hand side b, and the projection pinv(A)."""
+    """Constraint matrix A and right-hand side b of the two affine conditions.
+
+    A @ vec(C) - b stacks Phi(1) - 1 (one row block per target block) and
+    trace_dual(Phi)(D_target) - D_source (one row block per source block)
+    for the channel Phi of a Hermitian Choi collection C.  Block (j, k) read
+    as c[i, a, i', b] = Phi(E_ab)[i, i'] feeds unital rows (i, i') through
+    the trace over a = b, and dual rows (b, a) through D_target[i', i]; the
+    dual rows are written without conjugation so A stays complex-linear.
+    """
     pairs = _choi_pairs(source.algebra, target.algebra)
-    z_dim = sum((m * n) ** 2 for _, _, m, n in pairs)
-    cols = []
-    for idx in range(z_dim):
-        vec = np.zeros(z_dim, dtype=np.complex128)
-        vec[idx] = 1.0
-        blocks = _choi_unvec(vec, pairs)
-        cols.append(_affine_values(blocks, pairs, target.algebra,
-                                   source.algebra, target.state.density))
-    a = np.stack(cols, axis=1)
+    tdims, sdims = target.algebra.block_dims, source.algebra.block_dims
+    row_off = np.cumsum([0] + [m * m for m in tdims] + [n * n for n in sdims])
+    a = np.zeros((row_off[-1], sum((m * n) ** 2 for _, _, m, n in pairs)),
+                 dtype=np.complex128)
+    col = 0
+    for j, k, m, n in pairs:
+        width = (m * n) ** 2
+        eye_m, eye_n = np.eye(m), np.eye(n)
+        a[row_off[j]:row_off[j + 1], col:col + width] = np.einsum(
+            "pi,qj,ab->pqiajb", eye_m, eye_m, eye_n).reshape(m * m, width)
+        u = len(tdims) + k
+        a[row_off[u]:row_off[u + 1], col:col + width] = np.einsum(
+            "zx,yq,wp->pqxyzw", target.state.density.blocks[j], eye_n,
+            eye_n).reshape(n * n, width)
+        col += width
     b = np.concatenate(
-        [np.eye(m, dtype=np.complex128).ravel() for m in target.algebra.block_dims]
+        [np.eye(m, dtype=np.complex128).ravel() for m in tdims]
         + [blk.ravel() for blk in source.state.density.blocks])
-    return pairs, a, np.linalg.pinv(a), b
+    return a, b
 
 
 def sp_ucp(source: System, target: System, seed: int,
-           stop_tol: float = SP_UCP_TOL, max_iter: int = SP_UCP_MAX_ITER,
            start: ChoiMatrix | None = None) -> Channel:
     """Unital cp state-compatible channel that is generically not flow-compatible.
 
-    Alternating projections on the Choi collection between the psd cone
-    (hermitize + eigenvalue clip) and the affine set {unital} intersected
-    with {dual fixed point}, from a seeded random completely positive start.
-    Plain alternating projections (not the distance-realizing variant): any
-    feasible point does.  Once an iterate is nearly feasible it is blended a
-    hair toward the strictly interior feasible point given by the
-    state-to-scalar channel, which lands it exactly inside the cone; the
-    blend weight is tiny (relative to the interior point's spectral gap), so
-    the output stays generic.  Stops when the unital, cp, and state residuals
-    of the candidate all reach stop_tol; raises NoConvergence with the best
-    iterate as payload when the budget runs out.
+    Closed form, no iteration.  The base point is the Choi collection of
+    `state_to_scalar` (or `start`), whose smallest Choi eigenvalue
+    lambda_min is the smallest source density eigenvalue, so it sits strictly
+    inside the psd cone.  A seeded random
+    Hermitian collection Z is projected onto the null space of the unital
+    and dual-fixed-point constraints, and the output is base + eps * Z with
+    eps = lambda_min / (2 |Z|_op): exactly feasible, and completely positive
+    with Choi eigenvalues at least lambda_min / 2.  The base is
+    flow-compatible and a generic null-space direction is not, so the
+    output breaks the flow by an amount of order eps.
+
+    A `start` must be Hermitian, unital, completely positive and state
+    compatible (PreconditionFailed otherwise); one on the cone boundary,
+    lambda_min = 0, comes back unchanged.
     """
-    pairs, a_mat, a_pinv, b = _affine_system(source, target)
-    if start is not None:
-        blocks = {key: np.array(m, dtype=np.complex128)
-                  for key, m in start.blocks.items()}
+    pairs = _choi_pairs(source.algebra, target.algebra)
+    if start is None:
+        start = to_choi(state_to_scalar(source, target))
     else:
-        rng = np.random.default_rng(seed)
-        blocks = {}
-        for j, k, m, n in pairs:
-            g = (rng.standard_normal((m * n, m * n))
-                 + 1j * rng.standard_normal((m * n, m * n))) / np.sqrt(2.0)
-            blocks[(j, k)] = g @ g.conj().T
-    interior = to_choi(state_to_scalar(source, target)).blocks
-    lam_interior = min(float(np.linalg.eigvalsh(
-        (c + c.conj().T) / 2.0)[0]) for c in interior.values())
-    # blend weight stays ~1.5e-3 on the normal path; after 2000 iterations the
-    # gate widens (weight <= ~7%) to rescue slow tangency angles
-    blend_gate = 1e-3 * lam_interior
-    late_gate = 5e-2 * lam_interior
-    best = None
-    best_res = np.inf
-    for it in range(max_iter):
-        # affine step
-        vec = _choi_vec(blocks, pairs)
-        vec = vec - a_pinv @ (a_mat @ vec - b)
-        blocks = _choi_unvec(vec, pairs)
-        for key, c in blocks.items():
-            blocks[key] = (c + c.conj().T) / 2.0
-        mineig = min(float(np.linalg.eigvalsh(c)[0]) for c in blocks.values())
-        neg = max(0.0, -mineig)
-        if neg < best_res:
-            best_res = neg
-            best = {key: c.copy() for key, c in blocks.items()}
-        if neg <= (blend_gate if it < 2000 else late_gate):
-            if neg > 0.0:
-                theta = 1.5 * neg / (neg + lam_interior)
-                blocks = {key: (1.0 - theta) * c + theta * interior[key]
-                          for key, c in blocks.items()}
-            ch = choi_to_channel(
-                ChoiMatrix(source.algebra, target.algebra, blocks), source, target)
-            if (unitality_residual(ch) <= stop_tol
-                    and state_residual(ch) <= stop_tol
-                    and cp_min_eigenvalue(ch)[0] >= -stop_tol):
-                return ch
-        # cone step (eigenvalue clip)
-        for key, c in blocks.items():
-            w, v = np.linalg.eigh(c)
-            blocks[key] = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    ch = choi_to_channel(
-        ChoiMatrix(source.algebra, target.algebra, best), source, target)
-    raise NoConvergence(
-        f"alternating projections stalled with cone defect {best_res:.3e} "
-        f"after {max_iter} iterations", payload=ch)
+        bad = precondition_defects(choi_to_channel(start, source, target))
+        if bad:
+            raise PreconditionFailed(f"sp_ucp start is not feasible: {bad}")
+    a_mat, _ = _affine_system(source, target)
+    rng = np.random.default_rng(seed)
+    z = {}
+    for j, k, m, n in pairs:
+        g = (rng.standard_normal((m * n, m * n))
+             + 1j * rng.standard_normal((m * n, m * n)))
+        z[(j, k)] = g + g.conj().T
+    # Null-space projection through the small Gram matrix.  The rows are
+    # always rank deficient by one (tr(D_t Phi(1)) = tr(Phi^+(D_t)) ties a
+    # unital row combination to a dual one), so the solve drops the
+    # numerically zero Gram eigenvalues.
+    w, v = np.linalg.eigh(a_mat @ a_mat.conj().T)
+    keep = w > 1e-10 * w[-1]
+    v, w = v[:, keep], w[keep]
+    zvec = _choi_vec(z, pairs)
+    zvec = zvec - a_mat.conj().T @ (v @ ((v.conj().T @ (a_mat @ zvec)) / w))
+    z = {key: (c + c.conj().T) / 2.0 for key, c in _choi_unvec(zvec, pairs).items()}
+    z_norm = max(float(np.linalg.norm(c, 2)) for c in z.values())
+    lam = max(start.min_eigenvalue(), 0.0)
+    # full column rank (dims (1,)) leaves a null space of {0}: Z is rounding
+    eps = 0.5 * lam / z_norm if np.count_nonzero(keep) < a_mat.shape[1] else 0.0
+    blocks = {key: start.blocks[key] + eps * z[key] for key in z}
+    return choi_to_channel(
+        ChoiMatrix(source.algebra, target.algebra, blocks), source, target)
 
 
 # ---------------------------------------------------------------------------
@@ -493,23 +454,18 @@ def _source_system(spec: GenSpec) -> System:
 
 
 def build_channel(spec: GenSpec) -> BuildResult:
-    """Materialize a GenSpec.  NoConvergence from sp_ucp is downgraded to a
-    flag on the result (the best iterate is still a usable channel)."""
+    """Materialize a GenSpec.  A generator raising NoConvergence is
+    downgraded to a "no_convergence" flag on the result, its payload (the
+    best iterate) standing in as the channel; the CLI maps flagged builds to
+    exit 3.  No in-tree generator iterates today, so this is the contract
+    for ones that may."""
     flags: tuple[str, ...] = ()
     if spec.kind == "twirl":
         base_params = dict(spec.params.get("base_params", {}))
         base_kind = spec.params.get("base_kind", "sp_ucp")
         base = build_channel(GenSpec(base_kind, spec.dims, spec.seed, base_params))
-        try:
-            return BuildResult(channel=modular_twirl(base.channel), spec=spec,
-                               flags=base.flags)
-        except PreconditionFailed:
-            if not base.flags:
-                raise
-            # a stalled base iterate can sit outside the twirl's contract;
-            # hand it back untwirled, flagged
-            return BuildResult(channel=base.channel, spec=spec,
-                               flags=base.flags + ("twirl_skipped",))
+        return BuildResult(channel=modular_twirl(base.channel), spec=spec,
+                           flags=base.flags)
     sys = _source_system(spec)
     if spec.kind == "identity":
         ch = identity_channel(sys)
@@ -573,6 +529,4 @@ __all__ = [
     "convex_combine",
     "DEFAULT_MIN_GAP",
     "TWIRL_FREQ_TOL",
-    "SP_UCP_TOL",
-    "SP_UCP_MAX_ITER",
 ]

@@ -151,10 +151,6 @@ class Channel:
                 f"{self.target.algebra.block_dims})")
 
 
-def channel_from_superop(superop, source: System, target: System) -> Channel:
-    return Channel(source, target, superop)
-
-
 def identity_channel(sys: System) -> Channel:
     return Channel(sys, sys, np.eye(sys.coord_dim))
 
@@ -285,6 +281,23 @@ def cp_min_eigenvalue(ch: Channel) -> tuple[float, float]:
     """(min Choi eigenvalue, Choi hermiticity defect)."""
     choi = to_choi(ch)
     return choi.min_eigenvalue(), choi.hermiticity_defect()
+
+
+def precondition_defects(ch: Channel,
+                         tol: Tolerance | None = None) -> dict[str, float]:
+    """The unital, cp and state residuals of ch that exceed tolerance.
+
+    These three are the shared precondition of the GNS extension and the
+    twirl; an empty dict means ch meets it.  Each residual is computed once.
+    """
+    tau = (tol or Tolerance(base_tolerance())).effective(1.0)
+    mineig, herm = cp_min_eigenvalue(ch)
+    residuals = {
+        "unital": unitality_residual(ch),
+        "cp": max(0.0, -mineig, herm),
+        "state": state_residual(ch),
+    }
+    return {name: res for name, res in residuals.items() if res > tau}
 
 
 def _log_density_element(md: ModularData) -> AlgebraElement:
@@ -456,16 +469,7 @@ def l2_extension(ch: Channel, tol: Tolerance | None = None) -> L2Extension:
     turns that into a norm bound between the GNS spaces); flow compatibility
     is *not* required for the extension to exist and contract.
     """
-    tol = tol or Tolerance(base_tolerance())
-    tau = tol.effective(1.0)
-    mineig, herm = cp_min_eigenvalue(ch)
-    bad = {}
-    if unitality_residual(ch) > tau:
-        bad["unital"] = unitality_residual(ch)
-    if max(0.0, -mineig, herm) > tau:
-        bad["cp"] = max(0.0, -mineig, herm)
-    if state_residual(ch) > tau:
-        bad["state"] = state_residual(ch)
+    bad = precondition_defects(ch, tol)
     if bad:
         raise NotMarkov(f"extension preconditions failed: {bad}; norm bound void")
     return L2Extension(ch.source, ch.target, _l2_matrix(ch))
@@ -561,7 +565,6 @@ __all__ = [
     "right_mult_superop",
     "sandwich_superop",
     "adjoint_permutation",
-    "channel_from_superop",
     "channel_from_kraus",
     "identity_channel",
     "to_choi",
@@ -570,6 +573,7 @@ __all__ = [
     "unitality_residual",
     "state_residual",
     "cp_min_eigenvalue",
+    "precondition_defects",
     "modular_commutation_residual",
     "check_markov",
     "trace_dual",

@@ -27,7 +27,17 @@ from modmark.generators import (
     spectral_projections,
     state_to_scalar,
 )
-from modmark.markov import System, check_markov, identity_channel, to_choi
+from modmark.generators import _affine_system
+from modmark.markov import (
+    ChoiMatrix,
+    System,
+    check_markov,
+    choi_to_channel,
+    identity_channel,
+    to_choi,
+    trace_dual,
+)
+from modmark.verify import verify_modular_symmetry
 
 M2 = BlockAlgebra((2,))
 
@@ -199,6 +209,86 @@ class TestSpUcp:
         a = sp_ucp(qubit, qubit, 7)
         b = sp_ucp(qubit, qubit, 7)
         assert np.array_equal(a.superop, b.superop)
+
+
+def _system_pair(src_dims, tgt_dims, seed):
+    src = System(random_faithful_state(BlockAlgebra(src_dims), seed, 0.05))
+    if tgt_dims == src_dims:
+        return src, src
+    return src, System(random_faithful_state(BlockAlgebra(tgt_dims), seed + 1, 0.05))
+
+
+class TestAffineSystem:
+    @pytest.mark.parametrize("src_dims,tgt_dims", [
+        ((2,), (2,)), ((3,), (3,)), ((2, 2), (2, 2)), ((3, 1), (3, 1)),
+        ((2,), (3,))])
+    def test_matches_channel_residuals(self, src_dims, tgt_dims):
+        # oracle: the constraint values recomputed through the channel view
+        src, tgt = _system_pair(src_dims, tgt_dims, 40)
+        a_mat, b = _affine_system(src, tgt)
+        rng = np.random.default_rng(41)
+        blocks = {}
+        for j, m in enumerate(tgt_dims):
+            for k, n in enumerate(src_dims):
+                g = (rng.standard_normal((m * n, m * n))
+                     + 1j * rng.standard_normal((m * n, m * n)))
+                blocks[(j, k)] = g + g.conj().T
+        choi = ChoiMatrix(src.algebra, tgt.algebra, blocks)
+        vec = np.concatenate([blocks[(j, k)].ravel()
+                              for j in range(len(tgt_dims))
+                              for k in range(len(src_dims))])
+        ch = choi_to_channel(choi, src, tgt)
+        unital = ch.apply(src.algebra.identity()) - tgt.algebra.identity()
+        dual = trace_dual(ch).apply(tgt.state.density) - src.state.density
+        expected = np.concatenate([blk.ravel() for blk in unital.blocks]
+                                  + [blk.ravel() for blk in dual.blocks])
+        assert np.max(np.abs(a_mat @ vec - b - expected)) <= 1e-12
+
+
+class TestSpUcpLarge:
+    """Sizes where the former alternating-projection solver stalled."""
+
+    CASES = [((6,), (6,)), ((8,), (8,)), ((2, 2, 2), (2, 2, 2)),
+             ((3, 3), (3, 3)), ((2,), (3,))]
+
+    @pytest.mark.parametrize("src_dims,tgt_dims", CASES)
+    def test_interior_feasible_flow_breaking(self, src_dims, tgt_dims):
+        src, tgt = _system_pair(src_dims, tgt_dims, 50)
+        ch = sp_ucp(src, tgt, 51)
+        mc = check_markov(ch)
+        for key in ("unital", "cp", "state"):
+            assert mc.residuals[key] <= 1e-10, key
+        lam_base = to_choi(state_to_scalar(src, tgt)).min_eigenvalue()
+        assert to_choi(ch).min_eigenvalue() >= 0.4 * lam_base
+        assert mc.residuals["modular"] > 1e-3
+        thm_ii, _ = verify_modular_symmetry(ch, require_markov=False)
+        assert thm_ii > 1e-6
+        again = sp_ucp(src, tgt, 51)
+        assert np.array_equal(ch.superop, again.superop)
+
+    @pytest.mark.parametrize("dims", [(6,), (8,), (2, 2, 2), (3, 3)])
+    def test_build_unflagged(self, dims):
+        for kind in ("sp_ucp", "twirl"):
+            assert build_channel(GenSpec(kind, dims, seed=52)).flags == ()
+
+    def test_no_free_direction_returns_base(self):
+        # on C the unique feasible channel is the identity
+        sys = System(random_faithful_state(BlockAlgebra((1,)), 55, 0.05))
+        assert np.linalg.norm(sp_ucp(sys, sys, 56).superop - 1.0) <= 1e-15
+
+    def test_infeasible_start_rejected(self):
+        src, tgt = _system_pair((2,), (3,), 53)
+        base = to_choi(state_to_scalar(src, tgt))
+        with pytest.raises(PreconditionFailed):  # not unital
+            sp_ucp(src, tgt, 0, start=ChoiMatrix(
+                src.algebra, tgt.algebra,
+                {key: 0.5 * c for key, c in base.blocks.items()}))
+        qubit = System(random_faithful_state(M2, 54, 0.05))
+        ident = to_choi(identity_channel(qubit)).blocks
+        scalar = to_choi(state_to_scalar(qubit, qubit)).blocks
+        with pytest.raises(PreconditionFailed):  # unital, state, not cp
+            sp_ucp(qubit, qubit, 0, start=ChoiMatrix(
+                M2, M2, {key: 2.0 * scalar[key] - ident[key] for key in ident}))
 
 
 class TestGenSpecBuild:
