@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (
     AlgebraElement,
@@ -115,16 +114,10 @@ def random_faithful_state(alg: BlockAlgebra, seed: int,
 # channels that land in the compatible class by construction
 # ---------------------------------------------------------------------------
 
-def _eigenframe_superop(md: ModularData) -> np.ndarray:
-    """Coordinate change into the density eigenbasis, blockwise V^T kron V^+."""
-    return scipy.linalg.block_diag(
-        *[np.kron(e.eigenvectors.T, e.eigenvectors.conj().T) for e in md.d_eig])
-
-
 def _eigen_diagonal_channel(sys: System, diag_blocks: list[np.ndarray]) -> Channel:
     """Channel that multiplies entry (a, b) by diag_blocks[k][a, b] in the
     density eigenbasis of block k."""
-    g = _eigenframe_superop(sys.modular)
+    g = sys.modular.frame
     d = np.concatenate([m.flatten(order="F") for m in diag_blocks])
     sup = g.conj().T @ (d[:, None] * g)
     return Channel(sys, sys, sup)
@@ -262,11 +255,7 @@ def random_commuting_unitary(sys: System, seed: int) -> AlgebraElement:
 
 def modular_frequencies(md: ModularData) -> np.ndarray:
     """Per-coordinate flow frequency: log lambda_a - log lambda_b for entry (a, b)."""
-    parts = []
-    for e in md.d_eig:
-        lg = np.log(e.eigenvalues)
-        parts.append(np.subtract.outer(lg, lg).flatten(order="F"))
-    return np.concatenate(parts)
+    return md.frequencies
 
 
 def _bucket_ids(values: np.ndarray, tol: float) -> np.ndarray:
@@ -302,11 +291,9 @@ def modular_twirl(ch: Channel, freq_tol: float = TWIRL_FREQ_TOL,
     if bad:
         raise PreconditionFailed(f"twirl preconditions failed: {bad}")
     md_s, md_t = ch.source.modular, ch.target.modular
-    g_s = _eigenframe_superop(md_s)
-    g_t = _eigenframe_superop(md_t)
+    g_s, g_t = md_s.frame, md_t.frame
     sup_eig = g_t @ ch.superop @ g_s.conj().T
-    w_s = modular_frequencies(md_s)
-    w_t = modular_frequencies(md_t)
+    w_s, w_t = md_s.frequencies, md_t.frequencies
     ids = _bucket_ids(np.concatenate([w_t, w_s]), freq_tol)
     ids_t, ids_s = ids[:len(w_t)], ids[len(w_t):]
     mask = ids_t[:, None] == ids_s[None, :]

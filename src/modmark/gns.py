@@ -11,13 +11,16 @@ is then a closed-form function of the density's eigendecomposition:
     flow          sigma_t(x) = D^{it} x D^{-it}
 
 Complex powers are applied blockwise, never by materializing the
-coordinate-space superoperator (that is left to the verification layer,
-which needs explicit matrices).
+coordinate-space superoperator.  Code that needs Delta^z as a matrix works in
+the density eigenframe instead: there Delta^z is the diagonal exp(z omega),
+omega being the flow frequency log lambda_a - log lambda_b of entry (a, b),
+and `ModularData.frame` is the unitary coordinate change into that frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -127,6 +130,27 @@ class ModularData:
     @property
     def kappa(self) -> float:
         return self.state.kappa
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """Unitary coordinate change into the density eigenbasis,
+        blockwise V^T kron V^+ (coords of x |-> coords of V^+ x V)."""
+        return scipy.linalg.block_diag(
+            *[np.kron(e.eigenvectors.T, e.eigenvectors.conj().T) for e in self.d_eig])
+
+    @cached_property
+    def frequencies(self) -> np.ndarray:
+        """Per-coordinate flow frequency in the eigenframe: log lambda_a -
+        log lambda_b for entry (a, b), column-stacked like the coordinates."""
+        parts = []
+        for e in self.d_eig:
+            lg = np.log(e.eigenvalues)
+            parts.append(np.subtract.outer(lg, lg).flatten(order="F"))
+        return np.concatenate(parts)
+
+    def delta_power_diagonal(self, z: complex) -> np.ndarray:
+        """Delta^z in the eigenframe, the diagonal exp(z omega), |Re z| <= z_max."""
+        return np.exp(self._check_range(z) * self.frequencies)
 
     def d_power_blocks(self, z: complex) -> list[np.ndarray]:
         """Blockwise D**z, cached per exponent."""

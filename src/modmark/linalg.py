@@ -81,6 +81,11 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(as_cmatrix(a), 2))
 
 
+def max_column_norm(a: np.ndarray) -> float:
+    """Largest Euclidean column norm: the worst image of a coordinate unit."""
+    return float(np.max(np.linalg.norm(a, axis=0)))
+
+
 @dataclass(frozen=True)
 class HermEig:
     """Eigendecomposition A = V diag(w) V^+ with w real ascending, V unitary."""

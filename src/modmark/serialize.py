@@ -35,10 +35,6 @@ from .verify import SuiteResult, VerificationReport
 SCHEMA_VERSION = "1"
 
 
-def _entry_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def _entry_from_json(obj) -> complex:
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         return complex(float(obj), 0.0)
@@ -49,9 +45,9 @@ def _entry_from_json(obj) -> complex:
 
 
 def matrix_to_json(m) -> list:
+    """Row-major nested lists of [re, im] pairs of Python floats."""
     arr = np.asarray(m, dtype=np.complex128)
-    return [[_entry_to_pair(arr[i, j]) for j in range(arr.shape[1])]
-            for i in range(arr.shape[0])]
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def matrix_from_json(obj) -> np.ndarray:
