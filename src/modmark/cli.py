@@ -23,6 +23,7 @@ from .markov import check_markov
 from .serialize import (
     dumps_canonical,
     genspec_from_json,
+    genspec_to_json,
     read_instance,
     report_to_json,
     suite_result_to_json,
@@ -150,8 +151,7 @@ def cmd_gen(args) -> int:
     built = build_channel(spec)
     metadata = {
         "seed": args.seed,
-        "genspec": {"kind": spec.kind, "dims": list(spec.dims),
-                    "seed": spec.seed, "params": dict(spec.params)},
+        "genspec": genspec_to_json(spec),
         "flags": list(built.flags),
     }
     write_instance(args.output, built.channel, metadata)

@@ -36,7 +36,6 @@ from .errors import (
     ShapeMismatch,
     UnitaryDoesntCommuteWithDensity,
 )
-from .gns import ModularData
 from .linalg import PD_FLOOR_RTOL, Tolerance
 from .markov import (
     Channel,
@@ -253,11 +252,6 @@ def random_commuting_unitary(sys: System, seed: int) -> AlgebraElement:
 # twirl: projection onto the flow-commuting class
 # ---------------------------------------------------------------------------
 
-def modular_frequencies(md: ModularData) -> np.ndarray:
-    """Per-coordinate flow frequency: log lambda_a - log lambda_b for entry (a, b)."""
-    return md.frequencies
-
-
 def _bucket_ids(values: np.ndarray, tol: float) -> np.ndarray:
     """Cluster reals by chaining gaps <= tol (merging is the conservative
     choice: collisions keep a larger subspace)."""
@@ -291,13 +285,12 @@ def modular_twirl(ch: Channel, freq_tol: float = TWIRL_FREQ_TOL,
     if bad:
         raise PreconditionFailed(f"twirl preconditions failed: {bad}")
     md_s, md_t = ch.source.modular, ch.target.modular
-    g_s, g_t = md_s.frame, md_t.frame
-    sup_eig = g_t @ ch.superop @ g_s.conj().T
     w_s, w_t = md_s.frequencies, md_t.frequencies
     ids = _bucket_ids(np.concatenate([w_t, w_s]), freq_tol)
     ids_t, ids_s = ids[:len(w_t)], ids[len(w_t):]
     mask = ids_t[:, None] == ids_s[None, :]
-    return Channel(ch.source, ch.target, g_t.conj().T @ (sup_eig * mask) @ g_s)
+    return Channel(ch.source, ch.target,
+                   md_t.frame.conj().T @ (ch.eigen_superop * mask) @ md_s.frame)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +502,6 @@ __all__ = [
     "state_to_scalar",
     "automorphism_channel",
     "random_commuting_unitary",
-    "modular_frequencies",
     "modular_twirl",
     "sp_ucp",
     "build_channel",

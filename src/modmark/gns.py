@@ -12,9 +12,10 @@ is then a closed-form function of the density's eigendecomposition:
 
 Complex powers are applied blockwise, never by materializing the
 coordinate-space superoperator.  Code that needs Delta^z as a matrix works in
-the density eigenframe instead: there Delta^z is the diagonal exp(z omega),
-omega being the flow frequency log lambda_a - log lambda_b of entry (a, b),
-and `ModularData.frame` is the unitary coordinate change into that frame.
+the density eigenframe (`ModularData.frame`) instead: there left and right
+multiplication by D^p are the diagonals lambda_a^p and lambda_b^p of entry
+(a, b), and Delta^z is the diagonal exp(z omega), omega = log lambda_a -
+log lambda_b being the flow frequency.
 """
 
 from __future__ import annotations
@@ -139,14 +140,19 @@ class ModularData:
             *[np.kron(e.eigenvectors.T, e.eigenvectors.conj().T) for e in self.d_eig])
 
     @cached_property
+    def lambda_a(self) -> np.ndarray:
+        """lambda_a of eigenframe entry (a, b), column-stacked like coords."""
+        return np.concatenate([np.tile(e.eigenvalues, e.dim) for e in self.d_eig])
+
+    @cached_property
+    def lambda_b(self) -> np.ndarray:
+        """lambda_b of eigenframe entry (a, b)."""
+        return np.concatenate([np.repeat(e.eigenvalues, e.dim) for e in self.d_eig])
+
+    @cached_property
     def frequencies(self) -> np.ndarray:
-        """Per-coordinate flow frequency in the eigenframe: log lambda_a -
-        log lambda_b for entry (a, b), column-stacked like the coordinates."""
-        parts = []
-        for e in self.d_eig:
-            lg = np.log(e.eigenvalues)
-            parts.append(np.subtract.outer(lg, lg).flatten(order="F"))
-        return np.concatenate(parts)
+        """Flow frequency log lambda_a - log lambda_b of entry (a, b)."""
+        return np.log(self.lambda_a) - np.log(self.lambda_b)
 
     def delta_power_diagonal(self, z: complex) -> np.ndarray:
         """Delta^z in the eigenframe, the diagonal exp(z omega), |Re z| <= z_max."""

@@ -4,7 +4,9 @@ A channel is carried as a superoperator matrix on the column-stacked block
 coordinates of `algebra`, with a (algebra, state) pair on each end.  Kraus
 lists and Choi collections are views, convertible both ways; the superoperator
 is canonical because membership checks, twirling, and every verification
-residual are plain linear algebra on it.
+residual are plain linear algebra on it.  Each channel caches it once in the
+density eigenframes, X = G_t S G_s^+ (`Channel.eigen_superop`); the flow
+check, the twirl and the GNS extension are masks and reweightings of X.
 
 Orientation, fixed package-wide: a channel maps its source algebra into its
 target algebra, state compatibility means target_state(ch(x)) = source_state(x),
@@ -96,11 +98,6 @@ def adjoint_index(alg: BlockAlgebra) -> np.ndarray:
                            for off, n in zip(alg.coord_offsets, alg.block_dims)])
 
 
-def adjoint_permutation(alg: BlockAlgebra) -> np.ndarray:
-    """Permutation P with coords(x^+) = P @ conj(coords(x))."""
-    return np.eye(alg.coord_dim)[adjoint_index(alg)]
-
-
 def block_diag_embed(x: AlgebraElement) -> np.ndarray:
     """Element as one block-diagonal matrix on the carrier space."""
     return scipy.linalg.block_diag(*x.blocks)
@@ -136,6 +133,13 @@ class Channel:
         if x.parent != self.source.algebra:
             raise ShapeMismatch("element does not live on the channel's source")
         return element_from_coords(self.target.algebra, self.superop @ to_coords(x))
+
+    @cached_property
+    def eigen_superop(self) -> np.ndarray:
+        """X = G_t superop G_s^+, the channel in the density eigenframes,
+        always computed from `superop` whatever built the channel."""
+        return (self.target.modular.frame @ self.superop
+                @ self.source.modular.frame.conj().T)
 
     @cached_property
     def _unit_images(self) -> list[AlgebraElement]:
@@ -306,23 +310,18 @@ def modular_commutation_residual(ch: Channel,
     Generator route: ch([log D_source, x]) = [log D_target, ch(x)] over the
     unit basis.  Flow route: ch(sigma_t^source(x)) = sigma_t^target(ch(x)) at
     the sampled t.  In finite dimensions the two conditions are equivalent.
-    Both routes share one eigenframe: with X = G_t ch G_s^+ the defect of
-    either is X masked by (w_s - w_t) resp. (exp(it w_s) - exp(it w_t)), and
-    its value on a matrix unit is the matching column of (mask * X) G_s.  The
-    max column norm over both routes is returned.  The per-unit spectral
+    Both routes share one eigenframe: with X = `ch.eigen_superop` the defect
+    of either is X masked by (w_s - w_t) resp. (exp(it w_s) - exp(it w_t)),
+    and its value on a matrix unit is the matching column of (mask * X) G_s.
+    The max column norm over both routes is returned.  The per-unit spectral
     calculus that checks this kernel independently lives in the test oracles.
     """
-    md_s = ch.source.modular
-    md_t = ch.target.modular
-    g_s = md_s.frame
-    x = md_t.frame @ ch.superop @ g_s.conj().T
-    mask = md_s.frequencies[None, :] - md_t.frequencies[:, None]
-    res = max_column_norm((mask * x) @ g_s)
-    for t in t_samples:
-        mask = (md_s.delta_power_diagonal(1j * float(t))[None, :]
-                - md_t.delta_power_diagonal(1j * float(t))[:, None])
-        res = max(res, max_column_norm((mask * x) @ g_s))
-    return res
+    md_s, md_t = ch.source.modular, ch.target.modular
+    pairs = [(md_s.frequencies, md_t.frequencies)] + [
+        (md_s.delta_power_diagonal(1j * float(t)), md_t.delta_power_diagonal(1j * float(t)))
+        for t in t_samples]
+    return max(max_column_norm(((a[None, :] - b[:, None]) * ch.eigen_superop) @ md_s.frame)
+               for a, b in pairs)
 
 
 @dataclass
@@ -355,7 +354,7 @@ class MarkovCheck:
         return all(self.verdicts.values())
 
 
-def _modular_tolerance_scale(ch: Channel) -> float:
+def modular_tolerance_scale(ch: Channel) -> float:
     """|log D| sets the size of the generator commutators being compared."""
     scale = 1.0
     for sys in (ch.source, ch.target):
@@ -380,7 +379,7 @@ def check_markov(ch: Channel, t_samples=DEFAULT_FLOW_SAMPLES,
             "unital": tau,
             "cp": tau,
             "state": tau,
-            "modular": tol.effective(_modular_tolerance_scale(ch)),
+            "modular": tol.effective(modular_tolerance_scale(ch)),
         },
     )
 
@@ -398,13 +397,6 @@ def trace_dual(ch: Channel) -> Channel:
     return Channel(ch.target, ch.source, ch.superop.conj().T)
 
 
-def _ac_adjoint_superop(ch: Channel) -> np.ndarray:
-    d_n_inv = AlgebraElement(ch.source.algebra, ch.source.modular.d_power_blocks(-1.0))
-    return (left_mult_superop(d_n_inv)
-            @ ch.superop.conj().T
-            @ left_mult_superop(ch.target.state.density))
-
-
 def ac_adjoint(ch: Channel, tol: Tolerance | None = None) -> Channel:
     """State-twisted adjoint ch*(y) = D_source^{-1} ch^+(D_target y).
 
@@ -420,7 +412,10 @@ def ac_adjoint(ch: Channel, tol: Tolerance | None = None) -> Channel:
         raise NotStatePreserving(
             f"state residual {res:.3e} exceeds {tol.effective(1.0):.3e}; "
             "the defining pairing has no compatible solution guarantee")
-    return Channel(ch.target, ch.source, _ac_adjoint_superop(ch))
+    d_s_inv = AlgebraElement(ch.source.algebra, ch.source.modular.d_power_blocks(-1.0))
+    return Channel(ch.target, ch.source,
+                   left_mult_superop(d_s_inv) @ ch.superop.conj().T
+                   @ left_mult_superop(ch.target.state.density))
 
 
 def petz_adjoint(ch: Channel) -> Channel:
@@ -444,16 +439,12 @@ class L2Extension:
     target: System
     matrix: np.ndarray
 
-    def apply_coords(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
 
-
-def _l2_matrix(ch: Channel) -> np.ndarray:
-    r_sqrt_t = right_mult_superop(
-        AlgebraElement(ch.target.algebra, ch.target.modular.d_power_blocks(0.5)))
-    r_isqrt_s = right_mult_superop(
-        AlgebraElement(ch.source.algebra, ch.source.modular.d_power_blocks(-0.5)))
-    return r_sqrt_t @ ch.superop @ r_isqrt_s
+def eigen_extension(ch: Channel) -> np.ndarray:
+    """G_t T G_s^+ for T = R(D_t^{1/2}) ch R(D_s^{-1/2}), R the right
+    multiplication (sqrt(lambda_b) in the frame); checks no precondition."""
+    return (np.sqrt(ch.target.modular.lambda_b)[:, None] * ch.eigen_superop
+            / np.sqrt(ch.source.modular.lambda_b)[None, :])
 
 
 def l2_extension(ch: Channel, tol: Tolerance | None = None) -> L2Extension:
@@ -467,7 +458,9 @@ def l2_extension(ch: Channel, tol: Tolerance | None = None) -> L2Extension:
     bad = precondition_defects(ch, tol)
     if bad:
         raise NotMarkov(f"extension preconditions failed: {bad}; norm bound void")
-    return L2Extension(ch.source, ch.target, _l2_matrix(ch))
+    return L2Extension(ch.source, ch.target,
+                       ch.target.modular.frame.conj().T @ eigen_extension(ch)
+                       @ ch.source.modular.frame)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +553,6 @@ __all__ = [
     "right_mult_superop",
     "sandwich_superop",
     "adjoint_index",
-    "adjoint_permutation",
     "channel_from_kraus",
     "identity_channel",
     "to_choi",
@@ -572,10 +564,12 @@ __all__ = [
     "precondition_defects",
     "modular_commutation_residual",
     "check_markov",
+    "modular_tolerance_scale",
     "trace_dual",
     "ac_adjoint",
     "petz_adjoint",
     "l2_extension",
+    "eigen_extension",
     "compose",
     "tensor",
     "tensor_algebra",

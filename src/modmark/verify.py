@@ -21,13 +21,14 @@ Instances that fail the flow condition on purpose (kind sp_ucp) are expected
 to fail exactly the flow-dependent keys; those failures are reported in an
 expected section and do not count against a suite run.
 
-The flow identities are computed in the density eigenframes, where every
-modular power is the diagonal exp(z omega) (`ModularData.frame`,
-`ModularData.frequencies`): with T_eig = G_t T G_s^+, formed once per
-instance, eq32_t, thm_i_s and thm_commute_z are operator norms of masked
-copies of T_eig, and thm_iii is a column-norm maximum of one matrix, with no
-Delta^z superoperator and no per-unit loop.  The explicit kron-product and
-per-unit routes are kept as test oracles.
+Every residual is computed in the density eigenframes (`ModularData.frame`),
+where multiplying by D^p on the left (right) is the diagonal lambda_a^p
+(lambda_b^p) and Delta^z is exp(z omega).  Each channel caches one matrix
+there, X = G_t ch G_s^+ (`Channel.eigen_superop`), and the extension
+T_eig = G_t T G_s^+ is a diagonal reweighting of it (`eigen_extension`).
+The flow keys are norms of masked copies of T_eig, thm_ii permutes its
+indices, and both adjoint keys are norms of X^+ times eigenvalue weights.
+The explicit kron-product and per-unit routes are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -37,19 +38,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import random_element, to_coords
+from .algebra import random_element
 from .errors import NotMarkov
 from .generators import GenSpec, build_channel, derive_seed
 from .gns import GnsVector, ModularData, left_act
 from .linalg import max_column_norm, op_norm, power_condition_scale, tolerance_factor
 from .markov import (
     Channel,
-    _ac_adjoint_superop,
-    _l2_matrix,
-    _modular_tolerance_scale,
     adjoint_index,
     check_markov,
-    petz_adjoint,
+    eigen_extension,
+    modular_tolerance_scale,
 )
 
 DEFAULT_EQ32_T = (1.0, -1.0, 0.37, -0.37, 5.0, -5.0)
@@ -111,26 +110,12 @@ def _ensure_markov(ch: Channel) -> None:
         raise NotMarkov(f"channel fails membership residuals {failing}")
 
 
-def _eigen_extension(t_mat: np.ndarray, ch: Channel) -> np.ndarray:
-    """The extension in the density eigenframes, G_t T G_s^+.
-
-    Both frames are unitary, so operator norms carry over, and every modular
-    power is diagonal there: each flow identity below is a mask on this
-    matrix.
-    """
-    return ch.target.modular.frame @ t_mat @ ch.source.modular.frame.conj().T
-
-
 def verify_crucial(ch: Channel, t_samples=DEFAULT_EQ32_T,
                    require_markov: bool = True) -> float:
     """Max residual of T U_source(t) = U_target(t) T over the sampled t."""
     if require_markov:
         _ensure_markov(ch)
-    return _crucial_residual(_eigen_extension(_l2_matrix(ch), ch), ch, t_samples)
-
-
-def _crucial_residual(t_eig: np.ndarray, ch: Channel, t_samples) -> float:
-    return _commute_residual(t_eig, ch, [1j * float(t) for t in t_samples])
+    return _commute_residual(eigen_extension(ch), ch, [1j * float(t) for t in t_samples])
 
 
 def verify_commute(ch: Channel, z_samples, s_values=DEFAULT_S_VALUES,
@@ -143,7 +128,7 @@ def verify_commute(ch: Channel, z_samples, s_values=DEFAULT_S_VALUES,
     """
     if require_markov:
         _ensure_markov(ch)
-    t_eig = _eigen_extension(_l2_matrix(ch), ch)
+    t_eig = eigen_extension(ch)
     return (_commute_residual(t_eig, ch, z_samples),
             _twist_residual(t_eig, ch, s_values))
 
@@ -181,15 +166,16 @@ def verify_modular_symmetry(ch: Channel,
     """
     if require_markov:
         _ensure_markov(ch)
-    t_mat = _l2_matrix(ch)
-    return (_conjugation_residual(t_mat, ch),
-            _involution_residual(_eigen_extension(t_mat, ch), ch))
+    t_eig = eigen_extension(ch)
+    return _conjugation_residual(t_eig, ch), _involution_residual(t_eig, ch)
 
 
-def _conjugation_residual(t_mat: np.ndarray, ch: Channel) -> float:
+def _conjugation_residual(t_eig: np.ndarray, ch: Channel) -> float:
+    """|P_t conj(T_eig) P_s - T_eig|: the adjoint permutation commutes with
+    the frame, V^+ x^+ V = (V^+ x V)^+, so it applies to T_eig as to T."""
     p_s = adjoint_index(ch.source.algebra)
     p_t = adjoint_index(ch.target.algebra)
-    return op_norm(t_mat.conj()[p_t][:, p_s] - t_mat)
+    return op_norm(t_eig.conj()[p_t][:, p_s] - t_eig)
 
 
 def _involution_residual(t_eig: np.ndarray, ch: Channel) -> float:
@@ -208,7 +194,7 @@ def _involution_residual(t_eig: np.ndarray, ch: Channel) -> float:
     lhs = (md_t.delta_power_diagonal(-0.5)[:, None]
            * t_eig.conj()[p_t][:, p_s]
            * md_s.delta_power_diagonal(0.5)[None, :])
-    r_s = np.concatenate([np.repeat(np.sqrt(e.eigenvalues), e.dim) for e in md_s.d_eig])
+    r_s = np.sqrt(md_s.lambda_b)
     return max_column_norm(((lhs - t_eig) * r_s[None, :]) @ md_s.frame)
 
 
@@ -223,13 +209,35 @@ def verify_adjoint(ch: Channel,
     """
     if require_markov:
         _ensure_markov(ch)
-    t_mat = _l2_matrix(ch)
-    adj_sup = _ac_adjoint_superop(ch)
-    adj_ch = Channel(ch.target, ch.source, adj_sup)
-    adjoint_consistency = op_norm(t_mat.conj().T - _l2_matrix(adj_ch))
-    petz_match = op_norm(adj_sup - petz_adjoint(ch).superop)
-    kadison = max(0.0, op_norm(t_mat) - 1.0)
-    return adjoint_consistency, petz_match, kadison
+    return _adjoint_residuals(eigen_extension(ch), ch)
+
+
+def _adjoint_residuals(t_eig: np.ndarray,
+                       ch: Channel) -> tuple[float, float, float]:
+    """The `verify_adjoint` triple.  In the frame T^+, the adjoint channel
+    ch* = D_s^{-1} ch^+(D_t .), its extension and the Petz form are all
+    X^+ = `ch.eigen_superop`^+ weighted by eigenvalues of row i (source)
+    and column j (target)."""
+    md_s, md_t = ch.source.modular, ch.target.modular
+    x_h = ch.eigen_superop.conj().T
+    la_s, rb_s = md_s.lambda_a[:, None], np.sqrt(md_s.lambda_b)[:, None]
+    la_t, rb_t = md_t.lambda_a[None, :], np.sqrt(md_t.lambda_b)[None, :]
+    # T^+ minus the extension of ch*
+    consistency = rb_t / rb_s - (rb_s / la_s) * (la_t / rb_t)
+    # ch* minus the Petz form D_s^{-1/2} ch^+(D_t^{1/2} y D_t^{1/2}) D_s^{-1/2}
+    petz = la_t / la_s - np.sqrt(la_t) * rb_t / (np.sqrt(la_s) * rb_s)
+    return (op_norm(x_h * consistency), op_norm(x_h * petz),
+            max(0.0, op_norm(t_eig) - 1.0))
+
+
+def _omega_residual(t_eig: np.ndarray, ch: Channel) -> float:
+    """|T Omega_s - Omega_t|; in the frame Omega = D^{1/2} is sqrt(lambda_a)
+    on the diagonal entries (a, a) and 0 elsewhere."""
+    def omega(md: ModularData) -> np.ndarray:
+        diag = np.concatenate([np.eye(e.dim).ravel() for e in md.d_eig])
+        return diag * np.sqrt(md.lambda_a)
+    return float(np.linalg.norm(
+        t_eig @ omega(ch.source.modular) - omega(ch.target.modular)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,23 +389,21 @@ def verify_channel(ch: Channel, *, kind: str | None = None,
     if z_samples is None:
         z_samples = sample_z(sample_seed)
     mc = check_markov(ch, t_samples=[t for t in t_samples if t != 0])
-    t_mat = _l2_matrix(ch)
-    t_eig = _eigen_extension(t_mat, ch)
+    t_eig = eigen_extension(ch)
     md_s, md_t = ch.source.modular, ch.target.modular
 
     residuals: dict[str, float] = {
         "markov_" + k: v for k, v in mc.residuals.items()}
-    residuals["eq32_t"] = _crucial_residual(t_eig, ch, t_samples)
+    residuals["eq32_t"] = _commute_residual(t_eig, ch, [1j * float(t) for t in t_samples])
     residuals["thm_i_s"] = _twist_residual(t_eig, ch, s_values)
-    residuals["thm_ii"] = _conjugation_residual(t_mat, ch)
+    residuals["thm_ii"] = _conjugation_residual(t_eig, ch)
     residuals["thm_iii"] = _involution_residual(t_eig, ch)
     residuals["thm_commute_z"] = _commute_residual(t_eig, ch, z_samples)
-    adjc, petz, kad = verify_adjoint(ch, require_markov=False)
+    adjc, petz, kad = _adjoint_residuals(t_eig, ch)
     residuals["adjoint_consistency"] = adjc
     residuals["petz_match"] = petz
     residuals["kadison_norm"] = kad
-    residuals["omega_map"] = float(np.linalg.norm(
-        t_mat @ to_coords(md_s.omega) - to_coords(md_t.omega)))
+    residuals["omega_map"] = _omega_residual(t_eig, ch)
 
     inv_s = modular_invariants(md_s, seed=gns_seed)
     inv_t = modular_invariants(md_t, seed=derive_seed(gns_seed, 1))
@@ -410,7 +416,7 @@ def verify_channel(ch: Channel, *, kind: str | None = None,
         kappa,
         max_s=max((abs(float(s)) for s in s_values), default=0.0),
         max_re_z=max((abs(complex(z).real) for z in z_samples), default=0.0),
-        modular_scale=_modular_tolerance_scale(ch),
+        modular_scale=modular_tolerance_scale(ch),
         gns_keys=gns_keys,
     )
     verdicts = {k: residuals[k] <= tolerances[k] for k in residuals}

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from modmark.cli import main
-from modmark.serialize import matrix_from_json, read_instance
+from modmark.generators import GenSpec
+from modmark.serialize import genspec_to_json, matrix_from_json, read_instance
 
 
 def run(capsys, *argv):
@@ -24,6 +25,15 @@ class TestGen:
         ch, metadata = read_instance(path)
         assert metadata["genspec"]["kind"] == "schur"
         assert ch.superop.shape == (4, 4)
+
+    def test_genspec_metadata_is_the_serialized_spec(self, tmp_path, capsys):
+        path = tmp_path / "pinch.json"
+        code, _, _ = run(capsys, "gen", "--kind", "pinch", "--dims", "2x2",
+                         "--seed", "5", "--params", '{"min_gap": 0.1}', "-o", str(path))
+        assert code == 0
+        _, metadata = read_instance(path)
+        spec = GenSpec("pinch", (2, 2), seed=5, params={"min_gap": 0.1})
+        assert metadata["genspec"] == genspec_to_json(spec)
 
     def test_identity_instance(self, tmp_path, capsys):
         path = tmp_path / "id.json"

@@ -15,7 +15,6 @@ from modmark.generators import (
     block_expectation,
     build_channel,
     derive_seed,
-    modular_frequencies,
     modular_twirl,
     pinch_channel,
     random_commuting_unitary,
@@ -178,7 +177,7 @@ class TestModularTwirl:
             modular_twirl(Channel(qubit, qubit, bogus))
 
     def test_frequencies_layout(self, qubit):
-        w = modular_frequencies(qubit.modular)
+        w = qubit.modular.frequencies
         # ascending eigenvalues (1/3, 2/3): coordinate (a, b) carries
         # log(lam_a) - log(lam_b), column-stacked
         ln = np.log([1 / 3, 2 / 3])

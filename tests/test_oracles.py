@@ -1,10 +1,13 @@
 """Independent routes for the eigenframe kernels.
 
-The production residuals work on whole matrices in the density eigenframe.
-The routes below are the explicit ones they replaced: kron-product Delta^z
-superoperators, per-matrix-unit loops through the spectral calculus, the
-per-unit Choi accumulation and the per-unit state pairing.  They are kept
-here only, so that a check is never the code it checks.
+The production residuals work on whole matrices in the density eigenframe,
+all read off one cached matrix per channel.  The routes below are the
+explicit ones they replaced: the GNS extension and the adjoint channels
+built from kron-product left, right and sandwich multiplication
+superoperators, kron-product Delta^z superoperators, per-matrix-unit loops
+through the spectral calculus, the per-unit Choi accumulation and the
+per-unit state pairing.  They are kept here only, so that a check is never
+the code it checks.
 """
 
 import numpy as np
@@ -25,7 +28,6 @@ from modmark.errors import PowerRangeExceeded
 from modmark.generators import (
     GenSpec,
     build_channel,
-    modular_frequencies,
     random_faithful_state,
     state_to_scalar,
 )
@@ -34,11 +36,14 @@ from modmark.markov import (
     DEFAULT_FLOW_SAMPLES,
     Channel,
     System,
-    _l2_matrix,
     _state_basis_residual,
-    adjoint_permutation,
+    adjoint_index,
+    eigen_extension,
     l2_extension,
+    left_mult_superop,
     modular_commutation_residual,
+    petz_adjoint,
+    right_mult_superop,
     to_choi,
 )
 from modmark.linalg import op_norm
@@ -47,6 +52,8 @@ from modmark.verify import (
     DEFAULT_S_VALUES,
     POSITIVE_KINDS,
     sample_z,
+    verify_adjoint,
+    verify_channel,
     verify_commute,
     verify_crucial,
     verify_modular_symmetry,
@@ -59,6 +66,40 @@ Z_SAMPLES = sample_z(4)
 # ---------------------------------------------------------------------------
 # the explicit routes
 # ---------------------------------------------------------------------------
+
+def oracle_l2(ch):
+    """GNS extension R(D_t^{1/2}) ch R(D_s^{-1/2}) by kron right multiplication."""
+    r_sqrt_t = right_mult_superop(
+        AlgebraElement(ch.target.algebra, ch.target.modular.d_power_blocks(0.5)))
+    r_isqrt_s = right_mult_superop(
+        AlgebraElement(ch.source.algebra, ch.source.modular.d_power_blocks(-0.5)))
+    return r_sqrt_t @ ch.superop @ r_isqrt_s
+
+
+def oracle_ac_adjoint_superop(ch):
+    """D_s^{-1} ch^+(D_t y) by kron left multiplication."""
+    d_s_inv = AlgebraElement(ch.source.algebra, ch.source.modular.d_power_blocks(-1.0))
+    return (left_mult_superop(d_s_inv) @ ch.superop.conj().T
+            @ left_mult_superop(ch.target.state.density))
+
+
+def oracle_adjoint_consistency(ch):
+    adj = Channel(ch.target, ch.source, oracle_ac_adjoint_superop(ch))
+    return op_norm(oracle_l2(ch).conj().T - oracle_l2(adj))
+
+
+def oracle_petz_match(ch):
+    return op_norm(oracle_ac_adjoint_superop(ch) - petz_adjoint(ch).superop)
+
+
+def oracle_kadison(ch):
+    return max(0.0, op_norm(oracle_l2(ch)) - 1.0)
+
+
+def oracle_omega_map(ch):
+    return float(np.linalg.norm(oracle_l2(ch) @ to_coords(ch.source.modular.omega)
+                                - to_coords(ch.target.modular.omega)))
+
 
 def kron_delta_superop(md, z):
     """Delta^z as blockwise kron(D^{-z}^T, D^z), with the z_max guard."""
@@ -204,7 +245,7 @@ class TestFlowResidualOracles:
     def test_flow_residuals(self, case):
         kind, dims, params = case
         ch = _build(kind, dims, params)
-        t_mat = l2_extension(ch).matrix
+        t_mat = oracle_l2(ch)
         _assert_close(verify_crucial(ch, DEFAULT_EQ32_T, require_markov=False),
                       oracle_crucial(t_mat, ch, DEFAULT_EQ32_T), kind)
         z_res, s_res = verify_commute(ch, Z_SAMPLES, DEFAULT_S_VALUES,
@@ -215,7 +256,7 @@ class TestFlowResidualOracles:
     def test_symmetry_residuals(self, case):
         kind, dims, params = case
         ch = _build(kind, dims, params)
-        t_mat = l2_extension(ch).matrix
+        t_mat = oracle_l2(ch)
         thm_ii, thm_iii = verify_modular_symmetry(ch, require_markov=False)
         _assert_close(thm_ii, oracle_conjugation(t_mat, ch), kind)
         _assert_close(thm_iii, oracle_involution(t_mat, ch), kind)
@@ -225,6 +266,20 @@ class TestFlowResidualOracles:
         ch = _build(kind, dims, params)
         _assert_close(modular_commutation_residual(ch, DEFAULT_FLOW_SAMPLES),
                       oracle_modular(ch, DEFAULT_FLOW_SAMPLES), kind)
+
+    def test_adjoint_residuals(self, case):
+        kind, dims, params = case
+        ch = _build(kind, dims, params)
+        adjc, petz, kad = verify_adjoint(ch, require_markov=False)
+        _assert_close(adjc, oracle_adjoint_consistency(ch), kind)
+        _assert_close(petz, oracle_petz_match(ch), kind)
+        _assert_close(kad, oracle_kadison(ch), kind)
+        _assert_close(verify_channel(ch).residuals["omega_map"], oracle_omega_map(ch), kind)
+
+    def test_l2_extension(self, case):
+        kind, dims, params = case
+        ch = _build(kind, dims, params)
+        assert np.linalg.norm(l2_extension(ch).matrix - oracle_l2(ch)) <= 1e-12
 
 
 @pytest.mark.parametrize("src_dims,tgt_dims", [
@@ -237,9 +292,10 @@ def test_every_residual_off_the_class(src_dims, tgt_dims):
     rng = np.random.default_rng(73)
     shape = (tgt.coord_dim, src.coord_dim)
     ch = Channel(src, tgt, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    t_mat = _l2_matrix(ch)
+    t_mat = oracle_l2(ch)
     z_res, s_res = verify_commute(ch, Z_SAMPLES, DEFAULT_S_VALUES, require_markov=False)
     thm_ii, thm_iii = verify_modular_symmetry(ch, require_markov=False)
+    adjc, petz, kad = verify_adjoint(ch, require_markov=False)
     pairs = [
         (verify_crucial(ch, DEFAULT_EQ32_T, require_markov=False),
          oracle_crucial(t_mat, ch, DEFAULT_EQ32_T)),
@@ -248,10 +304,17 @@ def test_every_residual_off_the_class(src_dims, tgt_dims):
         (thm_ii, oracle_conjugation(t_mat, ch)),
         (thm_iii, oracle_involution(t_mat, ch)),
         (modular_commutation_residual(ch), oracle_modular(ch, DEFAULT_FLOW_SAMPLES)),
+        (adjc, oracle_adjoint_consistency(ch)),
+        (petz, oracle_petz_match(ch)),
+        (kad, oracle_kadison(ch)),
+        (verify_channel(ch).residuals["omega_map"], oracle_omega_map(ch)),
     ]
     for got, ref in pairs:
         assert ref > 0.1
         assert abs(got - ref) <= 1e-10 * ref, (got, ref)
+    # l2_extension refuses this channel; the frame form it is built from does not
+    ref = tgt.modular.frame @ t_mat @ src.modular.frame.conj().T
+    assert np.linalg.norm(eigen_extension(ch) - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("dims", DIMS)
@@ -342,7 +405,8 @@ class TestFrameHelpers:
     @pytest.mark.parametrize("dims", DIMS)
     def test_adjoint_permutation_matches_loop(self, dims):
         alg = BlockAlgebra(dims)
-        assert np.array_equal(adjoint_permutation(alg), loop_adjoint_permutation(alg))
+        perm = np.eye(alg.coord_dim)[adjoint_index(alg)]
+        assert np.array_equal(perm, loop_adjoint_permutation(alg))
 
     @pytest.mark.parametrize("dims", DIMS)
     def test_frame_diagonalizes_delta(self, dims):
@@ -358,7 +422,3 @@ class TestFrameHelpers:
         ref = kron_delta_superop(md, z)
         assert np.linalg.norm(
             g @ ref @ g.conj().T - np.diag(md.delta_power_diagonal(z))) <= 1e-12
-
-    def test_frequencies_have_one_definition(self):
-        md = System(random_faithful_state(BlockAlgebra((3, 1)), 63, 0.05)).modular
-        assert modular_frequencies(md) is md.frequencies
