@@ -88,8 +88,18 @@ def _s_range(text: str) -> tuple[float, ...]:
     return tuple(float(s) for s in np.linspace(lo, hi, 5))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return count
+
+
 def _t_samples(count: int, seed: int) -> tuple[float, ...]:
-    base = list(DEFAULT_EQ32_T[:max(count, 1)])
+    base = list(DEFAULT_EQ32_T[:count])
     rng = np.random.default_rng(derive_seed(seed, 7001))
     while len(base) < count:
         base.append(float(rng.uniform(-5.0, 5.0)))
@@ -113,8 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="verify an instance file")
     p_ver.add_argument("file")
-    p_ver.add_argument("--t-samples", type=int, default=8)
-    p_ver.add_argument("--z-samples", type=int, default=16)
+    p_ver.add_argument("--t-samples", type=_positive_int, default=8)
+    p_ver.add_argument("--z-samples", type=_positive_int, default=16)
     p_ver.add_argument("--s-range", type=_s_range, default="-1:1")
     p_ver.add_argument("--json", action="store_true")
 

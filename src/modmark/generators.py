@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+import scipy.linalg
 
 from .algebra import (
     AlgebraElement,
@@ -41,12 +42,11 @@ from .markov import (
     Channel,
     ChoiMatrix,
     System,
+    channel_from_kraus,
     choi_to_channel,
     convex_combine,
     identity_channel,
-    left_mult_superop,
     precondition_defects,
-    right_mult_superop,
     to_choi,
 )
 
@@ -180,7 +180,8 @@ def spectral_projections(sys: System, parts: list[list[tuple[int, int]]]) -> lis
 
 def block_expectation(sys: System, projections: list[AlgebraElement],
                       atol: float = 1e-12) -> Channel:
-    """Conditional expectation x |-> sum_i P_i x P_i.
+    """Conditional expectation x |-> sum_i P_i x P_i, the Kraus channel of
+    the block-diagonal projections.
 
     The projections must be Hermitian idempotents summing to the identity and
     commuting with the density; commutation is what keeps the expectation
@@ -201,8 +202,8 @@ def block_expectation(sys: System, projections: list[AlgebraElement],
         total = total + p
     if (total - sys.algebra.identity()).norm() > atol:
         raise PreconditionFailed("projections must sum to the identity")
-    sup = sum(left_mult_superop(p) @ right_mult_superop(p) for p in projections)
-    return Channel(sys, sys, sup)
+    return channel_from_kraus(
+        [scipy.linalg.block_diag(*p.blocks) for p in projections], sys, sys)
 
 
 def random_partition_expectation(sys: System, seed: int) -> Channel:
@@ -225,7 +226,8 @@ def state_to_scalar(source: System, target: System) -> Channel:
 
 
 def automorphism_channel(sys: System, u: AlgebraElement, atol: float = 1e-12) -> Channel:
-    """Inner automorphism x |-> u^+ x u for a unitary commuting with the density."""
+    """Inner automorphism x |-> u^+ x u for a unitary commuting with the
+    density, the Kraus channel of u as one block-diagonal operator."""
     if u.parent != sys.algebra:
         raise ShapeMismatch("unitary lives on a different algebra")
     one = sys.algebra.identity()
@@ -235,7 +237,7 @@ def automorphism_channel(sys: System, u: AlgebraElement, atol: float = 1e-12) ->
     if (u @ d - d @ u).norm() > atol:
         raise UnitaryDoesntCommuteWithDensity(
             f"[U, D] has norm {(u @ d - d @ u).norm():.3e}")
-    return Channel(sys, sys, left_mult_superop(u.adjoint()) @ right_mult_superop(u))
+    return channel_from_kraus([scipy.linalg.block_diag(*u.blocks)], sys, sys)
 
 
 def random_commuting_unitary(sys: System, seed: int) -> AlgebraElement:

@@ -2,11 +2,14 @@
 
 A channel is carried as a superoperator matrix on the column-stacked block
 coordinates of `algebra`, with a (algebra, state) pair on each end.  Kraus
-lists and Choi collections are views, convertible both ways; the superoperator
-is canonical because membership checks, twirling, and every verification
-residual are plain linear algebra on it.  Each channel caches it once in the
-density eigenframes, X = G_t S G_s^+ (`Channel.eigen_superop`); the flow
-check, the twirl and the GNS extension are masks and reweightings of X.
+lists and Choi collections are fixed index maps of its blocks: a Kraus list
+enters as a sum of krons per block, the Choi collection and its inverse are
+block reshapes, and the tensor product is an outer product per block pair.
+The superoperator is canonical because membership checks, twirling, and
+every verification residual are plain linear algebra on it.  Each channel
+caches it once in the density eigenframes, X = G_t S G_s^+
+(`Channel.eigen_superop`); the flow check, the twirl and the GNS extension
+are masks and reweightings of X.
 
 Orientation, fixed package-wide: a channel maps its source algebra into its
 target algebra, state compatibility means target_state(ch(x)) = source_state(x),
@@ -29,7 +32,6 @@ from .algebra import (
     BlockAlgebra,
     FaithfulState,
     element_from_coords,
-    matrix_units,
     to_coords,
 )
 from .errors import (
@@ -98,20 +100,6 @@ def adjoint_index(alg: BlockAlgebra) -> np.ndarray:
                            for off, n in zip(alg.coord_offsets, alg.block_dims)])
 
 
-def block_diag_embed(x: AlgebraElement) -> np.ndarray:
-    """Element as one block-diagonal matrix on the carrier space."""
-    return scipy.linalg.block_diag(*x.blocks)
-
-
-def blocks_from_carrier(alg: BlockAlgebra, big: np.ndarray) -> list[np.ndarray]:
-    """Diagonal sub-blocks of a carrier-space matrix (the block expectation)."""
-    out, off = [], 0
-    for n in alg.block_dims:
-        out.append(np.array(big[off:off + n, off:off + n]))
-        off += n
-    return out
-
-
 # ---------------------------------------------------------------------------
 # channels
 # ---------------------------------------------------------------------------
@@ -141,12 +129,6 @@ class Channel:
         return (self.target.modular.frame @ self.superop
                 @ self.source.modular.frame.conj().T)
 
-    @cached_property
-    def _unit_images(self) -> list[AlgebraElement]:
-        """Images of the source matrix units, in coordinate order."""
-        return [element_from_coords(self.target.algebra, col)
-                for col in self.superop.T]
-
     def __repr__(self):
         return (f"Channel({self.source.algebra.block_dims} -> "
                 f"{self.target.algebra.block_dims})")
@@ -164,25 +146,28 @@ def channel_from_kraus(kraus, source: System, target: System) -> Channel:
     target block diagonal is a conditional expectation, itself completely
     positive, so the result is completely positive by construction.  It is
     unital exactly when sum_i K_i^+ K_i = 1.
+
+    Superoperator block (j, k) is sum_i kron(A_i^T, A_i^+), A_i the (source
+    block k rows, target block j columns) piece of K_i, because column
+    stacking gives vec(A^+ x A) = kron(A^T, A^+) vec(x).
     """
     if not kraus:
         raise EmptyKraus("need at least one Kraus operator")
     ns = source.algebra.carrier_dim
     nt = target.algebra.carrier_dim
-    ops = []
-    for k in kraus:
-        m = as_cmatrix(k)
+    ops = [as_cmatrix(k) for k in kraus]
+    for m in ops:
         if m.shape != (ns, nt):
             raise ShapeMismatch(
                 f"Kraus operator of shape {m.shape} does not fit ({ns}, {nt})")
-        ops.append(m)
-    cols = []
-    for unit in matrix_units(source.algebra):
-        big = block_diag_embed(unit)
-        out = sum(k.conj().T @ big @ k for k in ops)
-        el = AlgebraElement(target.algebra, blocks_from_carrier(target.algebra, out))
-        cols.append(to_coords(el))
-    return Channel(source, target, np.stack(cols, axis=1))
+    ops = np.stack(ops)
+    s_cut = np.cumsum((0,) + source.algebra.block_dims)
+    t_cut = np.cumsum((0,) + target.algebra.block_dims)
+    pieces = [[ops[:, s0:s1, t0:t1] for s0, s1 in zip(s_cut, s_cut[1:])]
+              for t0, t1 in zip(t_cut, t_cut[1:])]
+    return Channel(source, target, np.block([
+        [np.einsum("irp,isq->pqrs", a, a.conj()).reshape(a.shape[2] ** 2, -1)
+         for a in row] for row in pieces]))
 
 
 @dataclass
@@ -208,45 +193,51 @@ class ChoiMatrix:
             np.linalg.norm(b - b.conj().T) ** 2 for b in self.blocks.values())))
 
 
-def to_choi(ch: Channel) -> ChoiMatrix:
-    """Choi collection of ch, read off the superoperator blocks.
+def _superop_blocks(ch: Channel) -> list[list[np.ndarray]]:
+    """Superoperator block (j, k) as rows[j][k], reshaped to [i', i, b, a].
 
-    Superoperator block (j, k) indexed [(i, i'), (a, b)] (column-stacked, so
-    it reshapes to [i', i, b, a]) holds ch(E_ab)[i, i'], which is Choi entry
-    [(i, a), (i', b)].
+    Column stacking puts ch(E_ab)[i, i'] (E_ab in source block k, the image
+    in target block j) at row i + m_j i' and column a + n_k b of the block.
     """
-    src = ch.source.algebra
-    tgt = ch.target.algebra
-    blocks = {}
-    for j, (m, r0) in enumerate(zip(tgt.block_dims, tgt.coord_offsets)):
-        for k, (n, c0) in enumerate(zip(src.block_dims, src.coord_offsets)):
-            sub = ch.superop[r0:r0 + m * m, c0:c0 + n * n].reshape(m, m, n, n)
-            blocks[(j, k)] = sub.transpose(1, 3, 0, 2).reshape(m * n, m * n)
-    return ChoiMatrix(src, tgt, blocks)
+    src, tgt = ch.source.algebra, ch.target.algebra
+    return [[ch.superop[r0:r0 + m * m, c0:c0 + n * n].reshape(m, m, n, n)
+             for n, c0 in zip(src.block_dims, src.coord_offsets)]
+            for m, r0 in zip(tgt.block_dims, tgt.coord_offsets)]
+
+
+def to_choi(ch: Channel) -> ChoiMatrix:
+    """Choi collection of ch: superoperator block (j, k) as [i', i, b, a]
+    holds ch(E_ab)[i, i'], which is Choi entry [(i, a), (i', b)]."""
+    blocks = {(j, k): sub.transpose(1, 3, 0, 2).reshape(sub.shape[0] * sub.shape[2], -1)
+              for j, row in enumerate(_superop_blocks(ch)) for k, sub in enumerate(row)}
+    return ChoiMatrix(ch.source.algebra, ch.target.algebra, blocks)
 
 
 def choi_to_channel(choi: ChoiMatrix, source: System, target: System) -> Channel:
+    """Inverse of `to_choi`: Choi block (j, k) as [i, a, i', b] is
+    transposed back to the superoperator block's [i', i, b, a]."""
     if choi.source != source.algebra or choi.target != target.algebra:
         raise ShapeMismatch("Choi collection does not fit the given systems")
-    cols = []
-    for k, n in enumerate(source.algebra.block_dims):
-        resh = {j: choi.blocks[(j, k)].reshape(m, n, m, n)
-                for j, m in enumerate(target.algebra.block_dims)}
-        for b in range(n):
-            for a in range(n):
-                el = AlgebraElement(
-                    target.algebra,
-                    [resh[j][:, a, :, b] for j in range(target.algebra.num_blocks)])
-                cols.append(to_coords(el))
-    return Channel(source, target, np.stack(cols, axis=1))
+    rows = []
+    for j, m in enumerate(target.algebra.block_dims):
+        rows.append([])
+        for k, n in enumerate(source.algebra.block_dims):
+            block = choi.blocks.get((j, k))
+            if block is None or np.shape(block) != (m * n, m * n):
+                raise ShapeMismatch(
+                    f"Choi block {(j, k)} is missing or not of shape {(m * n, m * n)}")
+            rows[-1].append(np.asarray(block, dtype=np.complex128)
+                            .reshape(m, n, m, n).transpose(2, 0, 3, 1).reshape(m * m, -1))
+    return Channel(source, target, np.block(rows))
 
 
 def star_preservation_residual(ch: Channel) -> float:
-    """Max defect of ch(x^+) = ch(x)^+ over the matrix-unit basis."""
-    res = 0.0
-    for unit, img in zip(matrix_units(ch.source.algebra), ch._unit_images):
-        res = max(res, (ch.apply(unit.adjoint()) - img.adjoint()).norm())
-    return res
+    """Max defect of ch(x^+) = ch(x)^+ over the matrix-unit basis: the
+    adjoint of unit c is unit p_s[c] (p = `adjoint_index`), so the defect
+    at unit c is column c of S[:, p_s] - conj(S)[p_t]."""
+    sup = ch.superop
+    return max_column_norm(sup[:, adjoint_index(ch.source.algebra)]
+                           - sup.conj()[adjoint_index(ch.target.algebra)])
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +277,13 @@ def cp_min_eigenvalue(ch: Channel) -> tuple[float, float]:
     return choi.min_eigenvalue(), choi.hermiticity_defect()
 
 
+def _preconditions(ch: Channel) -> tuple[float, float, float, float]:
+    """(unital residual, min Choi eigenvalue, Choi hermiticity defect, state
+    residual): what `check_markov` reports and `precondition_defects` filters."""
+    mineig, herm = cp_min_eigenvalue(ch)
+    return unitality_residual(ch), mineig, herm, state_residual(ch)
+
+
 def precondition_defects(ch: Channel,
                          tol: Tolerance | None = None) -> dict[str, float]:
     """The unital, cp and state residuals of ch that exceed tolerance.
@@ -294,12 +292,8 @@ def precondition_defects(ch: Channel,
     twirl; an empty dict means ch meets it.  Each residual is computed once.
     """
     tau = (tol or Tolerance(base_tolerance())).effective(1.0)
-    mineig, herm = cp_min_eigenvalue(ch)
-    residuals = {
-        "unital": unitality_residual(ch),
-        "cp": max(0.0, -mineig, herm),
-        "state": state_residual(ch),
-    }
+    unital, mineig, herm, state = _preconditions(ch)
+    residuals = {"unital": unital, "cp": max(0.0, -mineig, herm), "state": state}
     return {name: res for name, res in residuals.items() if res > tau}
 
 
@@ -367,13 +361,9 @@ def check_markov(ch: Channel, t_samples=DEFAULT_FLOW_SAMPLES,
                  tol: Tolerance | None = None) -> MarkovCheck:
     """Report the four membership residuals; never raises on failure."""
     tol = tol or Tolerance(base_tolerance())
-    mineig, herm = cp_min_eigenvalue(ch)
     tau = tol.effective(1.0)
     return MarkovCheck(
-        unital_residual=unitality_residual(ch),
-        cp_min_eig=mineig,
-        choi_hermiticity=herm,
-        state_residual=state_residual(ch),
+        *_preconditions(ch),
         modular_residual=modular_commutation_residual(ch, t_samples),
         tolerances={
             "unital": tau,
@@ -496,34 +486,14 @@ def tensor(f: Channel, g: Channel) -> Channel:
     """Blockwise tensor product channel (f tensor g)(x tensor y) = f(x) tensor g(y)."""
     source = tensor_system(f.source, g.source)
     target = tensor_system(f.target, g.target)
-    f_imgs = _unit_image_table(f)
-    g_imgs = _unit_image_table(g)
-    cols = []
-    fdims = f.source.algebra.block_dims
-    gdims = g.source.algebra.block_dims
-    for k, n in enumerate(fdims):
-        for j, m in enumerate(gdims):
-            nm = n * m
-            for col_idx in range(nm):      # tensor-block column index b*m + d
-                b, d = divmod(col_idx, m)
-                for row_idx in range(nm):  # tensor-block row index a*m + c
-                    a, c = divmod(row_idx, m)
-                    img = tensor_element(f_imgs[k][a][b], g_imgs[j][c][d])
-                    cols.append(to_coords(img))
-    return Channel(source, target, np.stack(cols, axis=1))
-
-
-def _unit_image_table(ch: Channel) -> list[list[list[AlgebraElement]]]:
-    """Unit images indexed as table[k][a][b] for unit E_ab in block k."""
-    table = []
-    images = iter(ch._unit_images)
-    for n in ch.source.algebra.block_dims:
-        grid = [[None] * n for _ in range(n)]
-        for b in range(n):
-            for a in range(n):
-                grid[a][b] = next(images)
-        table.append(grid)
-    return table
+    # f(E_ab)[x, y] at [y, x, b, a] times g(E_cd)[X, Y] at [Y, X, d, c] is
+    # entry [(xX), (yY)] of the image of E_(ac),(bd), which column stacking
+    # puts at row (yY, xX) and column (bd, ac) of the tensor block; the
+    # outer product multiplies exactly as np.kron does
+    return Channel(source, target, np.block([
+        [np.multiply.outer(fb, gb).transpose(0, 4, 1, 5, 2, 6, 3, 7)
+         .reshape((len(fb) * len(gb)) ** 2, -1) for fb in f_row for gb in g_row]
+        for f_row in _superop_blocks(f) for g_row in _superop_blocks(g)]))
 
 
 def convex_combine(channels, weights) -> Channel:

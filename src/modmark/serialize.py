@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,7 +31,9 @@ from .algebra import AlgebraElement, BlockAlgebra, FaithfulState
 from .errors import MalformedInstance, ModmarkError, ShapeMismatch
 from .generators import GenSpec
 from .markov import Channel, System, channel_from_kraus
-from .verify import SuiteResult, VerificationReport
+
+if TYPE_CHECKING:
+    from .verify import SuiteResult, VerificationReport
 
 SCHEMA_VERSION = "1"
 

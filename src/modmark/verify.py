@@ -50,6 +50,7 @@ from .markov import (
     eigen_extension,
     modular_tolerance_scale,
 )
+from .serialize import genspec_to_json
 
 DEFAULT_EQ32_T = (1.0, -1.0, 0.37, -0.37, 5.0, -5.0)
 DEFAULT_S_VALUES = (1.0, -1.0, 0.5, -0.5)
@@ -501,8 +502,7 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
             z_samples=sample_z(derive_seed(config.seed, i, 101), config.z_count),
             gns_seed=derive_seed(config.seed, i, 102),
         )
-        report.genspec = {"kind": spec.kind, "dims": list(spec.dims),
-                          "seed": spec.seed, "params": dict(spec.params)}
+        report.genspec = genspec_to_json(spec)
         reports.append(report)
     reports.sort(key=lambda r: r.instance_id)
     return SuiteResult(config, reports, _summarize(reports))

@@ -139,6 +139,26 @@ class TestGenNoConvergence:
         assert metadata["flags"] == ["no_convergence"]
 
 
+class TestSampleCountFlags:
+    @pytest.mark.parametrize("flag", ["--t-samples", "--z-samples"])
+    @pytest.mark.parametrize("count", ["0", "-1", "-2", "two"])
+    def test_non_positive_count_is_usage_error(self, tmp_path, capsys, flag, count):
+        path = tmp_path / "id.json"
+        run(capsys, "gen", "--kind", "identity", "--dims", "2", "-o", str(path))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(path), flag, count])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+    def test_single_samples_verify(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        run(capsys, "gen", "--kind", "schur", "--dims", "3", "--seed", "2",
+            "-o", str(path))
+        code, out, _ = run(capsys, "verify", str(path), "--t-samples", "1",
+                           "--z-samples", "1")
+        assert code == 0 and "verdict: pass" in out
+
+
 class TestSRangeFlag:
     def test_space_separated_negative_range(self, tmp_path, capsys):
         path = tmp_path / "id.json"

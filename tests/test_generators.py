@@ -289,6 +289,12 @@ class TestSpUcpLarge:
             sp_ucp(qubit, qubit, 0, start=ChoiMatrix(
                 M2, M2, {key: 2.0 * scalar[key] - ident[key] for key in ident}))
 
+    def test_start_with_missing_or_misshapen_block_is_a_shape_error(self, qubit):
+        with pytest.raises(ShapeMismatch):
+            sp_ucp(qubit, qubit, 0, start=ChoiMatrix(M2, M2, {}))
+        with pytest.raises(ShapeMismatch):
+            sp_ucp(qubit, qubit, 0, start=ChoiMatrix(M2, M2, {(0, 0): np.eye(3)}))
+
 
 class TestGenSpecBuild:
     def test_unknown_kind(self):

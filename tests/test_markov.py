@@ -23,6 +23,7 @@ from modmark.generators import random_faithful_state, schur_channel, state_to_sc
 from modmark.linalg import op_norm
 from modmark.markov import (
     Channel,
+    ChoiMatrix,
     System,
     ac_adjoint,
     adjoint_index,
@@ -125,6 +126,15 @@ class TestRepresentations:
         ch = Channel(src, tgt, sup)
         back = choi_to_channel(to_choi(ch), src, tgt)
         assert np.linalg.norm(back.superop - ch.superop) <= 1e-12
+
+    def test_choi_block_missing_or_misshapen(self):
+        src, tgt = rand_system((2, 1), 5), rand_system((2,), 6)
+        blocks = to_choi(identity_channel(tgt)).blocks
+        for bad in ({}, {(0, 0): blocks[(0, 0)]},
+                    {(0, 0): np.eye(3), (0, 1): np.eye(2)},
+                    {(0, 0): np.eye(4), (0, 1): np.eye(2).ravel()}):
+            with pytest.raises(ShapeMismatch):
+                choi_to_channel(ChoiMatrix(src.algebra, tgt.algebra, bad), src, tgt)
 
     def test_apply_identity_channel(self, qubit):
         ch = identity_channel(qubit)

@@ -1,13 +1,18 @@
-"""Independent routes for the eigenframe kernels.
+"""Independent routes for the eigenframe kernels and the channel constructions.
 
 The production residuals work on whole matrices in the density eigenframe,
-all read off one cached matrix per channel.  The routes below are the
-explicit ones they replaced: the GNS extension and the adjoint channels
-built from kron-product left, right and sandwich multiplication
+all read off one cached matrix per channel, and every channel construction
+is a block reshape, kron or einsum of the superoperator.  The routes below
+are the explicit ones they replaced: the GNS extension and the adjoint
+channels built from kron-product left, right and sandwich multiplication
 superoperators, kron-product Delta^z superoperators, per-matrix-unit loops
 through the spectral calculus, the per-unit Choi accumulation and the
-per-unit state pairing.  They are kept here only, so that a check is never
-the code it checks.
+per-unit state pairing; and, for the constructions, the per-unit Kraus sum
+on the carrier space with its embed/compress helpers, the per-unit Choi
+inverse, the four-deep tensor loop over unit images, the per-unit star
+check, and the block expectation and automorphism as products of left and
+right multiplication superoperators.  They are kept here only, so that a
+check is never the code it checks.
 """
 
 import numpy as np
@@ -27,23 +32,33 @@ from modmark.algebra import (
 from modmark.errors import PowerRangeExceeded
 from modmark.generators import (
     GenSpec,
+    automorphism_channel,
+    block_expectation,
     build_channel,
+    random_commuting_unitary,
     random_faithful_state,
+    spectral_projections,
     state_to_scalar,
 )
 from modmark.gns import GnsVector
 from modmark.markov import (
     DEFAULT_FLOW_SAMPLES,
     Channel,
+    ChoiMatrix,
     System,
     _state_basis_residual,
     adjoint_index,
+    channel_from_kraus,
+    choi_to_channel,
     eigen_extension,
     l2_extension,
     left_mult_superop,
     modular_commutation_residual,
     petz_adjoint,
     right_mult_superop,
+    star_preservation_residual,
+    tensor,
+    tensor_element,
     to_choi,
 )
 from modmark.linalg import op_norm
@@ -66,6 +81,11 @@ Z_SAMPLES = sample_z(4)
 # ---------------------------------------------------------------------------
 # the explicit routes
 # ---------------------------------------------------------------------------
+
+def unit_images(ch):
+    """Images of the source matrix units, in coordinate order."""
+    return [ch.apply(unit) for unit in matrix_units(ch.source.algebra)]
+
 
 def oracle_l2(ch):
     """GNS extension R(D_t^{1/2}) ch R(D_s^{-1/2}) by kron right multiplication."""
@@ -173,7 +193,7 @@ def oracle_modular(ch, t_samples):
     md_s, md_t = ch.source.modular, ch.target.modular
     log_s, log_t = _log_density(md_s), _log_density(md_t)
     res = 0.0
-    for unit, img in zip(matrix_units(ch.source.algebra), ch._unit_images):
+    for unit, img in zip(matrix_units(ch.source.algebra), unit_images(ch)):
         gen = ch.apply(commutator(log_s, unit)) - commutator(log_t, img)
         res = max(res, gen.norm())
         for t in t_samples:
@@ -187,7 +207,7 @@ def oracle_to_choi(ch):
     blocks = {(j, k): np.zeros((m * n, m * n), dtype=np.complex128)
               for j, m in enumerate(tgt.block_dims)
               for k, n in enumerate(src.block_dims)}
-    images = iter(ch._unit_images)
+    images = iter(unit_images(ch))
     for k, n in enumerate(src.block_dims):
         for b in range(n):
             for a in range(n):
@@ -202,7 +222,71 @@ def oracle_to_choi(ch):
 def oracle_state_basis(ch):
     return max(abs(evaluate_state(ch.target.state, img)
                    - evaluate_state(ch.source.state, unit))
-               for unit, img in zip(matrix_units(ch.source.algebra), ch._unit_images))
+               for unit, img in zip(matrix_units(ch.source.algebra), unit_images(ch)))
+
+
+def embed(x):
+    """Element as one block-diagonal matrix on the carrier space."""
+    return scipy.linalg.block_diag(*x.blocks)
+
+
+def compress(alg, big):
+    """Diagonal sub-blocks of a carrier-space matrix (the block expectation)."""
+    cuts = np.cumsum((0,) + alg.block_dims)
+    return AlgebraElement(alg, [big[a:b, a:b] for a, b in zip(cuts, cuts[1:])])
+
+
+def oracle_kraus_superop(kraus, source, target):
+    """Per unit E: sum_i K_i^+ E K_i on the carrier, compressed to the target."""
+    return np.stack([to_coords(compress(target.algebra, sum(
+        k.conj().T @ embed(unit) @ k for k in kraus)))
+        for unit in matrix_units(source.algebra)], axis=1)
+
+
+def oracle_choi_superop(choi, source, target):
+    """Per unit E_ab of source block k: the image has blocks choi[(j, k)][:, a, :, b]."""
+    cols = []
+    for k, n in enumerate(source.algebra.block_dims):
+        resh = {j: choi.blocks[(j, k)].reshape(m, n, m, n)
+                for j, m in enumerate(target.algebra.block_dims)}
+        for b in range(n):
+            for a in range(n):
+                cols.append(to_coords(AlgebraElement(
+                    target.algebra,
+                    [resh[j][:, a, :, b] for j in range(target.algebra.num_blocks)])))
+    return np.stack(cols, axis=1)
+
+
+def _unit_image_table(ch):
+    """Unit images indexed as table[k][a][b] for unit E_ab in block k."""
+    table = []
+    images = iter(unit_images(ch))
+    for n in ch.source.algebra.block_dims:
+        grid = [[None] * n for _ in range(n)]
+        for b in range(n):
+            for a in range(n):
+                grid[a][b] = next(images)
+        table.append(grid)
+    return table
+
+
+def oracle_tensor_superop(f, g):
+    """Column of unit E_(ac),(bd) = E_ab tensor E_cd is f(E_ab) tensor g(E_cd)."""
+    f_imgs, g_imgs = _unit_image_table(f), _unit_image_table(g)
+    cols = []
+    for k, n in enumerate(f.source.algebra.block_dims):
+        for j, m in enumerate(g.source.algebra.block_dims):
+            for col_idx in range(n * m):      # tensor-block column index b*m + d
+                b, d = divmod(col_idx, m)
+                for row_idx in range(n * m):  # tensor-block row index a*m + c
+                    a, c = divmod(row_idx, m)
+                    cols.append(to_coords(tensor_element(f_imgs[k][a][b], g_imgs[j][c][d])))
+    return np.stack(cols, axis=1)
+
+
+def oracle_star(ch):
+    return max((ch.apply(unit.adjoint()) - img.adjoint()).norm()
+               for unit, img in zip(matrix_units(ch.source.algebra), unit_images(ch)))
 
 
 # ---------------------------------------------------------------------------
@@ -422,3 +506,103 @@ class TestFrameHelpers:
         ref = kron_delta_superop(md, z)
         assert np.linalg.norm(
             g @ ref @ g.conj().T - np.diag(md.delta_power_diagonal(z))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# channel constructions
+# ---------------------------------------------------------------------------
+
+CONSTRUCTION_DIMS = [((2,), (2,)), ((3, 1), (2,)), ((2, 2), (3, 1)), ((1,), (2, 3)),
+                     ((2, 2, 2), (2, 2, 2))]
+
+
+def _dims_id(dims):
+    return "x".join(map(str, dims))
+
+
+def _random_matrix(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _random_systems(src_dims, tgt_dims, seed):
+    return (System(random_faithful_state(BlockAlgebra(src_dims), seed, 0.05)),
+            System(random_faithful_state(BlockAlgebra(tgt_dims), seed + 1, 0.05)))
+
+
+def _random_channel(src_dims, tgt_dims, seed):
+    """A superoperator that is neither unital nor star preserving."""
+    src, tgt = _random_systems(src_dims, tgt_dims, seed)
+    rng = np.random.default_rng(seed + 2)
+    return Channel(src, tgt, _random_matrix(rng, (tgt.coord_dim, src.coord_dim)))
+
+
+@pytest.mark.parametrize("src_dims,tgt_dims", CONSTRUCTION_DIMS,
+                         ids=[f"{_dims_id(s)}->{_dims_id(t)}" for s, t in CONSTRUCTION_DIMS])
+class TestConstructionOracles:
+    def test_kraus_matches_carrier_loop(self, src_dims, tgt_dims):
+        src, tgt = _random_systems(src_dims, tgt_dims, 81)
+        rng = np.random.default_rng(83)
+        shape = (src.algebra.carrier_dim, tgt.algebra.carrier_dim)
+        kraus = [_random_matrix(rng, shape) for _ in range(3)]
+        got = channel_from_kraus(kraus, src, tgt).superop
+        ref = oracle_kraus_superop(kraus, src, tgt)
+        # random Kraus operators give a channel that is not unital
+        assert np.linalg.norm(ref @ to_coords(src.algebra.identity())
+                              - to_coords(tgt.algebra.identity())) > 0.1
+        assert np.max(np.abs(got - ref)) <= 1e-14
+
+    def test_choi_to_channel_is_bit_identical(self, src_dims, tgt_dims):
+        src, tgt = _random_systems(src_dims, tgt_dims, 84)
+        rng = np.random.default_rng(86)
+        choi = ChoiMatrix(src.algebra, tgt.algebra, {
+            (j, k): _random_matrix(rng, (m * n, m * n))
+            for j, m in enumerate(tgt_dims) for k, n in enumerate(src_dims)})
+        got = choi_to_channel(choi, src, tgt).superop
+        assert got.tobytes() == oracle_choi_superop(choi, src, tgt).tobytes()
+
+    def test_star_matches_unit_loop(self, src_dims, tgt_dims):
+        ch = _random_channel(src_dims, tgt_dims, 87)
+        ref = oracle_star(ch)
+        assert ref > 0.1
+        assert abs(star_preservation_residual(ch) - ref) <= 1e-14
+
+    def test_tensor_is_bit_identical(self, src_dims, tgt_dims):
+        f = _random_channel(src_dims, tgt_dims, 88)
+        other = CONSTRUCTION_DIMS[(CONSTRUCTION_DIMS.index((src_dims, tgt_dims)) + 1)
+                                  % len(CONSTRUCTION_DIMS)]
+        g = _random_channel(*other, 91)
+        for a, b in ((f, g), (g, f)):
+            assert tensor(a, b).superop.tobytes() == oracle_tensor_superop(a, b).tobytes()
+
+
+@pytest.mark.parametrize("case", [("sp_ucp", (2, 2), {}), ("convex", (3, 1), {}),
+                                  ("block_expectation", (2,), {}),
+                                  ("automorphism", (3,), {})], ids=_case_id)
+def test_constructions_on_generated_channels(case):
+    ch = _build(*case)
+    assert star_preservation_residual(ch) <= 1e-14
+    assert abs(star_preservation_residual(ch) - oracle_star(ch)) <= 1e-14
+    choi = to_choi(ch)
+    assert (choi_to_channel(choi, ch.source, ch.target).superop.tobytes()
+            == oracle_choi_superop(choi, ch.source, ch.target).tobytes())
+    other = _build("pinch", (2,), {})
+    assert tensor(ch, other).superop.tobytes() == oracle_tensor_superop(ch, other).tobytes()
+
+
+@pytest.mark.parametrize("dims", DIMS)
+class TestGeneratorsAgainstMultiplicationProducts:
+    def test_block_expectation(self, dims):
+        sys = System(random_faithful_state(BlockAlgebra(dims), 93, 0.05))
+        labels = [(k, i) for k, n in enumerate(dims) for i in range(n)]
+        for parts in ([labels], [[lab] for lab in labels], [labels[0::2], labels[1::2]]):
+            projs = spectral_projections(sys, parts)
+            ref = sum(left_mult_superop(p) @ right_mult_superop(p) for p in projs)
+            got = block_expectation(sys, projs).superop
+            assert np.max(np.abs(got - ref)) <= 1e-14
+
+    def test_automorphism(self, dims):
+        sys = System(random_faithful_state(BlockAlgebra(dims), 94, 0.05))
+        u = random_commuting_unitary(sys, 95)
+        ref = left_mult_superop(u.adjoint()) @ right_mult_superop(u)
+        got = automorphism_channel(sys, u).superop
+        assert np.max(np.abs(got - ref)) <= 1e-14

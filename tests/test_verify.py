@@ -4,6 +4,8 @@ import pytest
 from modmark.algebra import AlgebraElement, BlockAlgebra, FaithfulState, to_coords
 from modmark.errors import NotMarkov, PowerRangeExceeded
 from modmark.generators import (
+    GenSpec,
+    derive_seed,
     modular_twirl,
     random_faithful_state,
     schur_channel,
@@ -12,7 +14,7 @@ from modmark.generators import (
 )
 from modmark.gns import GnsVector
 from modmark.markov import System, identity_channel
-from modmark.serialize import suite_result_to_json, dumps_canonical
+from modmark.serialize import genspec_to_json, suite_result_to_json, dumps_canonical
 from modmark.verify import (
     SuiteConfig,
     delta_power_superop,
@@ -176,6 +178,14 @@ class TestRunSuite:
         assert result.exit_ok
         assert result.summary["instances"] == 8
         assert not result.summary["unexpected_failures"]
+
+    def test_genspec_is_the_serialized_spec(self):
+        config = SuiteConfig(trials=2, seed=4, kinds=("pinch",),
+                             dims_list=((2, 2),), min_gap=0.1)
+        for i, report in enumerate(run_suite(config).reports):
+            spec = GenSpec("pinch", (2, 2), seed=derive_seed(4, i),
+                           params={"min_gap": 0.1})
+            assert report.genspec == genspec_to_json(spec)
 
     def test_trials_guard(self):
         with pytest.raises(ValueError):
