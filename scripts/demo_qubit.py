@@ -36,7 +36,7 @@ def main():
     print("density eigenvalues:", md.d_eig[0].eigenvalues)
     print("cyclic vector omega:\n", np.round(md.omega.blocks[0], 6))
     print("positive-operator spectrum (eigenvalue ratios):",
-          np.round(np.sort(md.delta_spectrum[0]), 4))
+          np.round(np.sort(np.exp(md.frequencies)), 4))
 
     banner("entrywise multiplier channel, C = [[1, 1/2], [1/2, 1]]")
     ch = schur_channel(sys, np.array([[1.0, 0.5], [0.5, 1.0]]))

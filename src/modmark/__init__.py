@@ -29,7 +29,7 @@ from .generators import (
     sp_ucp,
     state_to_scalar,
 )
-from .linalg import Tolerance, base_tolerance, herm_eig, matrix_power, op_norm
+from .linalg import base_tolerance, herm_eig, matrix_power, op_norm
 from .markov import (
     Channel,
     System,

@@ -2,10 +2,10 @@
 
 Commands: gen | verify | suite | show.  Exit codes are stable: 0 success /
 all pass, 1 verification failure (for `suite`, only failures that were not
-expected), 2 bad flags or malformed file, 3 generator non-convergence (the
-instance file is still written, flagged in metadata), 4 shape inconsistencies
-in an instance file.  The MODMARK_TOL environment variable overrides the base
-residual tolerance used for every verdict.
+expected), 2 bad flags or malformed file, 3 a numerical routine refused
+(NoConvergence; one error line, no file written), 4 shape inconsistencies
+in an instance file.  The MODMARK_TOL environment variable scales every
+pinned verdict tolerance by MODMARK_TOL / 1e-9.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedInstance, ShapeMismatch
+from .errors import MalformedInstance, NoConvergence, ShapeMismatch
 from .generators import KINDS, GenSpec, build_channel, derive_seed
 from .markov import check_markov
 from .serialize import (
@@ -164,16 +164,13 @@ def cmd_gen(args) -> int:
         "genspec": genspec_to_json(spec),
         "flags": list(built.flags),
     }
-    write_instance(args.output, built.channel, metadata)
     mc = check_markov(built.channel)
+    write_instance(args.output, built.channel, metadata)
     dims = "x".join(map(str, spec.dims))
     print(f"instance kind={spec.kind} dims={dims} seed={args.seed} -> {args.output}")
     for name, value in mc.residuals.items():
         print(f"  markov {name:8s} {value:.3e}  "
               f"({'pass' if mc.verdicts[name] else 'FAIL'})")
-    if built.flags:
-        print(f"  flagged: {', '.join(built.flags)}")
-        return EXIT_NOCONV
     return EXIT_OK
 
 
@@ -274,8 +271,6 @@ def cmd_suite(args) -> int:
             for item in summary["unexpected_failures"]:
                 print(f"  {item['instance']} {item['check']} "
                       f"residual {item['residual']:.3e} tol {item['tolerance']:.1e}")
-        if summary["flagged"]:
-            print(f"flagged (generator non-convergence): {summary['flagged']}")
     return EXIT_OK if result.exit_ok else EXIT_FAIL
 
 
@@ -323,16 +318,13 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_range_flag(list(argv)))
-    if args.command == "gen":
-        return cmd_gen(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "suite":
-        return cmd_suite(args)
-    if args.command == "show":
-        return cmd_show(args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return EXIT_USAGE  # pragma: no cover
+    command = {"gen": cmd_gen, "verify": cmd_verify, "suite": cmd_suite,
+               "show": cmd_show}[args.command]
+    try:
+        return command(args)
+    except NoConvergence as exc:
+        print(f"error: numerical routine refused: {exc}", file=sys.stderr)
+        return EXIT_NOCONV
 
 
 def entry() -> None:  # console-script hook

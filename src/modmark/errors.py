@@ -18,11 +18,7 @@ class NotPositiveDefinite(ModmarkError):
 
 
 class NoConvergence(ModmarkError):
-    """Iteration budget exhausted.  `payload` may carry the best iterate."""
-
-    def __init__(self, message, payload=None):
-        super().__init__(message)
-        self.payload = payload
+    """A numerical routine refused: iteration budget or accuracy contract missed."""
 
 
 class PowerRangeExceeded(ModmarkError):

@@ -31,13 +31,12 @@ from .algebra import (
 )
 from .errors import (
     BadSchurMatrix,
-    NoConvergence,
     PreconditionFailed,
     ProjectionsDontCommuteWithDensity,
     ShapeMismatch,
     UnitaryDoesntCommuteWithDensity,
 )
-from .linalg import PD_FLOOR_RTOL, Tolerance
+from .linalg import PD_FLOOR_RTOL
 from .markov import (
     Channel,
     ChoiMatrix,
@@ -64,6 +63,7 @@ KINDS = (
 
 DEFAULT_MIN_GAP = 0.05
 TWIRL_FREQ_TOL = 1e-9
+INPUT_ATOL = 1e-12  # projections and unitaries handed to the generators
 
 
 def derive_seed(*parts: int) -> int:
@@ -178,8 +178,7 @@ def spectral_projections(sys: System, parts: list[list[tuple[int, int]]]) -> lis
     return out
 
 
-def block_expectation(sys: System, projections: list[AlgebraElement],
-                      atol: float = 1e-12) -> Channel:
+def block_expectation(sys: System, projections: list[AlgebraElement]) -> Channel:
     """Conditional expectation x |-> sum_i P_i x P_i, the Kraus channel of
     the block-diagonal projections.
 
@@ -194,13 +193,13 @@ def block_expectation(sys: System, projections: list[AlgebraElement],
     for p in projections:
         if p.parent != sys.algebra:
             raise ShapeMismatch("projection lives on a different algebra")
-        if (p @ p - p).norm() > atol or (p - p.adjoint()).norm() > atol:
+        if (p @ p - p).norm() > INPUT_ATOL or (p - p.adjoint()).norm() > INPUT_ATOL:
             raise PreconditionFailed("inputs must be Hermitian idempotents")
-        if (p @ d - d @ p).norm() > atol:
+        if (p @ d - d @ p).norm() > INPUT_ATOL:
             raise ProjectionsDontCommuteWithDensity(
                 f"[P, D] has norm {(p @ d - d @ p).norm():.3e}")
         total = total + p
-    if (total - sys.algebra.identity()).norm() > atol:
+    if (total - sys.algebra.identity()).norm() > INPUT_ATOL:
         raise PreconditionFailed("projections must sum to the identity")
     return channel_from_kraus(
         [scipy.linalg.block_diag(*p.blocks) for p in projections], sys, sys)
@@ -225,16 +224,16 @@ def state_to_scalar(source: System, target: System) -> Channel:
     return Channel(source, target, np.outer(col, row))
 
 
-def automorphism_channel(sys: System, u: AlgebraElement, atol: float = 1e-12) -> Channel:
+def automorphism_channel(sys: System, u: AlgebraElement) -> Channel:
     """Inner automorphism x |-> u^+ x u for a unitary commuting with the
     density, the Kraus channel of u as one block-diagonal operator."""
     if u.parent != sys.algebra:
         raise ShapeMismatch("unitary lives on a different algebra")
     one = sys.algebra.identity()
-    if (u.adjoint() @ u - one).norm() > atol:
+    if (u.adjoint() @ u - one).norm() > INPUT_ATOL:
         raise PreconditionFailed("input is not unitary")
     d = sys.state.density
-    if (u @ d - d @ u).norm() > atol:
+    if (u @ d - d @ u).norm() > INPUT_ATOL:
         raise UnitaryDoesntCommuteWithDensity(
             f"[U, D] has norm {(u @ d - d @ u).norm():.3e}")
     return channel_from_kraus([scipy.linalg.block_diag(*u.blocks)], sys, sys)
@@ -270,8 +269,7 @@ def _bucket_ids(values: np.ndarray, tol: float) -> np.ndarray:
     return ids
 
 
-def modular_twirl(ch: Channel, freq_tol: float = TWIRL_FREQ_TOL,
-                  tol: Tolerance | None = None) -> Channel:
+def modular_twirl(ch: Channel) -> Channel:
     """Project a unital cp state-compatible channel onto the flow-commuting class.
 
     In the density eigenbases the flow multiplies coordinate (a, b) by the
@@ -281,14 +279,15 @@ def modular_twirl(ch: Channel, freq_tol: float = TWIRL_FREQ_TOL,
     keeps the rest.  That frequency-matching mask is applied directly (the
     long-time average itself is a test oracle, not the production path).
     Idempotent; fixes channels already flow-commuting; preserves unitality,
-    complete positivity, and state compatibility.
+    complete positivity, and state compatibility.  Frequencies closer than
+    TWIRL_FREQ_TOL count as equal.
     """
-    bad = precondition_defects(ch, tol)
+    bad = precondition_defects(ch)
     if bad:
         raise PreconditionFailed(f"twirl preconditions failed: {bad}")
     md_s, md_t = ch.source.modular, ch.target.modular
     w_s, w_t = md_s.frequencies, md_t.frequencies
-    ids = _bucket_ids(np.concatenate([w_t, w_s]), freq_tol)
+    ids = _bucket_ids(np.concatenate([w_t, w_s]), TWIRL_FREQ_TOL)
     ids_t, ids_s = ids[:len(w_t)], ids[len(w_t):]
     mask = ids_t[:, None] == ids_s[None, :]
     return Channel(ch.source, ch.target,
@@ -436,18 +435,14 @@ def _source_system(spec: GenSpec) -> System:
 
 
 def build_channel(spec: GenSpec) -> BuildResult:
-    """Materialize a GenSpec.  A generator raising NoConvergence is
-    downgraded to a "no_convergence" flag on the result, its payload (the
-    best iterate) standing in as the channel; the CLI maps flagged builds to
-    exit 3.  No in-tree generator iterates today, so this is the contract
-    for ones that may."""
-    flags: tuple[str, ...] = ()
+    """Materialize a GenSpec.  Errors of the generators and of the numerical
+    routines under them (NoConvergence from an eigensolver, say) propagate;
+    no built-in generator sets a flag, so `flags` stays empty."""
     if spec.kind == "twirl":
         base_params = dict(spec.params.get("base_params", {}))
         base_kind = spec.params.get("base_kind", "sp_ucp")
         base = build_channel(GenSpec(base_kind, spec.dims, spec.seed, base_params))
-        return BuildResult(channel=modular_twirl(base.channel), spec=spec,
-                           flags=base.flags)
+        return BuildResult(channel=modular_twirl(base.channel), spec=spec)
     sys = _source_system(spec)
     if spec.kind == "identity":
         ch = identity_channel(sys)
@@ -472,11 +467,7 @@ def build_channel(spec: GenSpec) -> BuildResult:
         ch = automorphism_channel(sys, random_commuting_unitary(
             sys, derive_seed(spec.seed, 5)))
     elif spec.kind == "sp_ucp":
-        try:
-            ch = sp_ucp(sys, sys, derive_seed(spec.seed, 6))
-        except NoConvergence as exc:
-            ch = exc.payload
-            flags = ("no_convergence",)
+        ch = sp_ucp(sys, sys, derive_seed(spec.seed, 6))
     elif spec.kind == "convex":
         u = automorphism_channel(sys, random_commuting_unitary(
             sys, derive_seed(spec.seed, 7)))
@@ -486,7 +477,7 @@ def build_channel(spec: GenSpec) -> BuildResult:
         ch = convex_combine(parts, raw / raw.sum())
     else:  # pragma: no cover - guarded by GenSpec validation
         raise ValueError(f"unhandled kind {spec.kind!r}")
-    return BuildResult(channel=ch, spec=spec, flags=flags)
+    return BuildResult(channel=ch, spec=spec)
 
 
 __all__ = [

@@ -28,7 +28,7 @@ import scipy.linalg
 
 from .algebra import AlgebraElement, BlockAlgebra, FaithfulState
 from .errors import BadQuadrature, PowerRangeExceeded, ShapeMismatch
-from .linalg import Tolerance, base_tolerance, matrix_power_from_eig, power_condition_scale
+from .linalg import base_tolerance, matrix_power_from_eig, power_condition_scale
 
 DEFAULT_Z_MAX = 2.0
 
@@ -110,11 +110,11 @@ class AnalyticVectorReport:
 class ModularData:
     """The full modular package of a faithful state.
 
-    Holds the per-block eigendecomposition of the density, the cyclic vector
-    omega = D^{1/2}, and the multiset of eigenvalue ratios (the spectrum of
-    the positive modular operator, kept for bookkeeping).  Real parts of
-    complex powers are capped at z_max; beyond that the tolerance guarantee
-    of the policy in `linalg` is void, so the call refuses.
+    Holds the per-block eigendecomposition of the density and the cyclic
+    vector omega = D^{1/2}; the spectrum of the positive modular operator is
+    exp(`frequencies`).  Real parts of complex powers are capped at z_max;
+    beyond that no residual tolerance vouches for the result, so the call
+    refuses.
     """
 
     def __init__(self, state: FaithfulState, z_max: float = DEFAULT_Z_MAX):
@@ -124,8 +124,6 @@ class ModularData:
         self.z_max = float(z_max)
         self.omega = GnsVector(
             self.algebra, [matrix_power_from_eig(e, 0.5) for e in self.d_eig])
-        self.delta_spectrum = [
-            np.outer(e.eigenvalues, 1.0 / e.eigenvalues).ravel() for e in self.d_eig]
         self._power_cache: dict[complex, list[np.ndarray]] = {}
 
     @property
@@ -274,13 +272,12 @@ class ModularData:
             ref = GnsVector(self.algebra,
                             [u @ b @ u.conj().T for u, b in zip(flows, xi.blocks)])
             boundary = max(boundary, (self.delta_power(z, xi) - ref).norm())
-        tol = Tolerance(base_tolerance(),
-                        power_condition_scale(self.kappa, max_re))
         return AnalyticVectorReport(
             group_residual=group,
             boundary_residual=boundary,
             pairs_checked=pairs,
-            tolerance=tol.effective(max(1.0, xi.norm())),
+            tolerance=(base_tolerance() * power_condition_scale(self.kappa, max_re)
+                       * max(1.0, xi.norm())),
         )
 
 

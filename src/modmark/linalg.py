@@ -1,9 +1,10 @@
 """Dense complex linear algebra substrate.
 
 Hermitian eigendecomposition, spectral matrix powers A**z = V exp(z ln w) V^+,
-operator norms, and the tolerance policy shared by every residual check in the
-package.  All randomness is forbidden here: identical input bits give
-identical output bits, which is what makes verification reports reproducible.
+operator norms, and the MODMARK_TOL factor that scales every pinned residual
+tolerance in the package.  All randomness is forbidden here: identical input
+bits give identical output bits, which is what makes verification reports
+reproducible.
 """
 
 from __future__ import annotations
@@ -25,35 +26,15 @@ DEFAULT_BASE_TOL = 1e-9
 def base_tolerance() -> float:
     """Base residual tolerance; the MODMARK_TOL env var overrides the default."""
     raw = os.environ.get("MODMARK_TOL", "").strip()
-    return float(raw) if raw else DEFAULT_BASE_TOL
+    base = float(raw) if raw else DEFAULT_BASE_TOL
+    if not base > 0.0:
+        raise ValueError(f"MODMARK_TOL must be positive, got {raw!r}")
+    return base
 
 
 def tolerance_factor() -> float:
     """How much MODMARK_TOL loosens (or tightens) the pinned check tolerances."""
     return base_tolerance() / DEFAULT_BASE_TOL
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Tolerance policy: effective = base * condition_scale * max(1, input norm).
-
-    `condition_scale` carries the eigenvalue-ratio amplification
-    kappa**max(|Re z|, |s|) of the matrix powers in play; it is 1 when no
-    real powers are taken.
-    """
-
-    base: float = DEFAULT_BASE_TOL
-    condition_scale: float = 1.0
-
-    def __post_init__(self):
-        if not self.base > 0.0:
-            raise ValueError(f"tolerance base must be positive, got {self.base}")
-        if not self.condition_scale >= 1.0:
-            raise ValueError(
-                f"condition scale must be >= 1, got {self.condition_scale}")
-
-    def effective(self, input_norm: float = 1.0) -> float:
-        return self.base * self.condition_scale * max(1.0, float(input_norm))
 
 
 def power_condition_scale(kappa: float, max_abs_power: float) -> float:

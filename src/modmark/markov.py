@@ -42,10 +42,11 @@ from .errors import (
     ShapeMismatch,
 )
 from .gns import DEFAULT_Z_MAX, ModularData
-from .linalg import Tolerance, as_cmatrix, base_tolerance, max_column_norm
+from .linalg import as_cmatrix, max_column_norm, tolerance_factor
 
 DEFAULT_FLOW_SAMPLES = (1.0, -1.0, 0.37, -0.37, 5.0)
 STATE_MATCH_ATOL = 1e-12
+MEMBERSHIP_TOL = 1e-9  # pinned, before the MODMARK_TOL factor
 
 
 class System:
@@ -68,9 +69,10 @@ class System:
         return f"System(dims={self.algebra.block_dims}, kappa={self.state.kappa:.3g})"
 
 
-def same_system(a: System, b: System, atol: float = STATE_MATCH_ATOL) -> bool:
-    """Same algebra and same density up to atol (used to gate composition)."""
-    return a.algebra == b.algebra and a.state.density.allclose(b.state.density, atol=atol)
+def same_system(a: System, b: System) -> bool:
+    """Same algebra and same density up to STATE_MATCH_ATOL (gates composition)."""
+    return (a.algebra == b.algebra
+            and a.state.density.allclose(b.state.density, atol=STATE_MATCH_ATOL))
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +151,14 @@ def channel_from_kraus(kraus, source: System, target: System) -> Channel:
 
     Superoperator block (j, k) is sum_i kron(A_i^T, A_i^+), A_i the (source
     block k rows, target block j columns) piece of K_i, because column
-    stacking gives vec(A^+ x A) = kron(A^T, A^+) vec(x).
+    stacking gives vec(A^+ x A) = kron(A^T, A^+) vec(x).  `kraus` is a
+    list of matrices or one stacked (r, ns, nt) array.
     """
-    if not kraus:
+    ops = [as_cmatrix(k) for k in kraus]
+    if not ops:
         raise EmptyKraus("need at least one Kraus operator")
     ns = source.algebra.carrier_dim
     nt = target.algebra.carrier_dim
-    ops = [as_cmatrix(k) for k in kraus]
     for m in ops:
         if m.shape != (ns, nt):
             raise ShapeMismatch(
@@ -277,24 +280,23 @@ def cp_min_eigenvalue(ch: Channel) -> tuple[float, float]:
     return choi.min_eigenvalue(), choi.hermiticity_defect()
 
 
-def _preconditions(ch: Channel) -> tuple[float, float, float, float]:
-    """(unital residual, min Choi eigenvalue, Choi hermiticity defect, state
-    residual): what `check_markov` reports and `precondition_defects` filters."""
+def _preconditions(ch: Channel) -> dict[str, float]:
+    """The unital, cp and state residuals, each computed once: what
+    `check_markov` reports and `precondition_defects` filters."""
     mineig, herm = cp_min_eigenvalue(ch)
-    return unitality_residual(ch), mineig, herm, state_residual(ch)
+    return {"unital": unitality_residual(ch), "cp": max(0.0, -mineig, herm),
+            "state": state_residual(ch)}
 
 
-def precondition_defects(ch: Channel,
-                         tol: Tolerance | None = None) -> dict[str, float]:
-    """The unital, cp and state residuals of ch that exceed tolerance.
+def precondition_defects(ch: Channel) -> dict[str, float]:
+    """The unital, cp and state residuals of ch that exceed their tolerance.
 
     These three are the shared precondition of the GNS extension and the
-    twirl; an empty dict means ch meets it.  Each residual is computed once.
+    twirl; an empty dict means ch meets it.  The flow residual is not
+    computed.
     """
-    tau = (tol or Tolerance(base_tolerance())).effective(1.0)
-    unital, mineig, herm, state = _preconditions(ch)
-    residuals = {"unital": unital, "cp": max(0.0, -mineig, herm), "state": state}
-    return {name: res for name, res in residuals.items() if res > tau}
+    tol = membership_tolerances(ch)
+    return {name: res for name, res in _preconditions(ch).items() if res > tol[name]}
 
 
 def modular_commutation_residual(ch: Channel,
@@ -322,21 +324,8 @@ def modular_commutation_residual(ch: Channel,
 class MarkovCheck:
     """Membership certificate: four residuals with per-item verdicts."""
 
-    unital_residual: float
-    cp_min_eig: float
-    choi_hermiticity: float
-    state_residual: float
-    modular_residual: float
+    residuals: dict[str, float]
     tolerances: dict[str, float]
-
-    @property
-    def residuals(self) -> dict[str, float]:
-        return {
-            "unital": self.unital_residual,
-            "cp": max(0.0, -self.cp_min_eig, self.choi_hermiticity),
-            "state": self.state_residual,
-            "modular": self.modular_residual,
-        }
 
     @property
     def verdicts(self) -> dict[str, bool]:
@@ -357,21 +346,24 @@ def modular_tolerance_scale(ch: Channel) -> float:
     return scale
 
 
-def check_markov(ch: Channel, t_samples=DEFAULT_FLOW_SAMPLES,
-                 tol: Tolerance | None = None) -> MarkovCheck:
-    """Report the four membership residuals; never raises on failure."""
-    tol = tol or Tolerance(base_tolerance())
-    tau = tol.effective(1.0)
-    return MarkovCheck(
-        *_preconditions(ch),
-        modular_residual=modular_commutation_residual(ch, t_samples),
-        tolerances={
-            "unital": tau,
-            "cp": tau,
-            "state": tau,
-            "modular": tol.effective(modular_tolerance_scale(ch)),
-        },
-    )
+def membership_tolerances(ch: Channel) -> dict[str, float]:
+    """The one tolerance policy of the four membership residuals: the pinned
+    MEMBERSHIP_TOL times the MODMARK_TOL factor, and for `modular` also
+    times `modular_tolerance_scale(ch)`.  `check_markov`,
+    `precondition_defects`, `ac_adjoint` and the report's markov_* entries
+    all read it."""
+    tau = MEMBERSHIP_TOL * tolerance_factor()
+    return {"unital": tau, "cp": tau, "state": tau,
+            "modular": tau * modular_tolerance_scale(ch)}
+
+
+def check_markov(ch: Channel, t_samples=DEFAULT_FLOW_SAMPLES) -> MarkovCheck:
+    """Report the four membership residuals (unital, cp = max(0, -min Choi
+    eigenvalue, Choi hermiticity defect), state, modular) against
+    `membership_tolerances`; never raises on failure."""
+    residuals = _preconditions(ch)
+    residuals["modular"] = modular_commutation_residual(ch, t_samples)
+    return MarkovCheck(residuals, membership_tolerances(ch))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +379,7 @@ def trace_dual(ch: Channel) -> Channel:
     return Channel(ch.target, ch.source, ch.superop.conj().T)
 
 
-def ac_adjoint(ch: Channel, tol: Tolerance | None = None) -> Channel:
+def ac_adjoint(ch: Channel) -> Channel:
     """State-twisted adjoint ch*(y) = D_source^{-1} ch^+(D_target y).
 
     This is exactly the linear solution of the defining pairing
@@ -396,11 +388,10 @@ def ac_adjoint(ch: Channel, tol: Tolerance | None = None) -> Channel:
     (including flow compatibility) is what guarantees it is completely
     positive and coincides with the symmetric form `petz_adjoint`.
     """
-    tol = tol or Tolerance(base_tolerance())
-    res = state_residual(ch)
-    if res > tol.effective(1.0):
+    res, tol = state_residual(ch), membership_tolerances(ch)["state"]
+    if res > tol:
         raise NotStatePreserving(
-            f"state residual {res:.3e} exceeds {tol.effective(1.0):.3e}; "
+            f"state residual {res:.3e} exceeds {tol:.3e}; "
             "the defining pairing has no compatible solution guarantee")
     d_s_inv = AlgebraElement(ch.source.algebra, ch.source.modular.d_power_blocks(-1.0))
     return Channel(ch.target, ch.source,
@@ -437,7 +428,7 @@ def eigen_extension(ch: Channel) -> np.ndarray:
             / np.sqrt(ch.source.modular.lambda_b)[None, :])
 
 
-def l2_extension(ch: Channel, tol: Tolerance | None = None) -> L2Extension:
+def l2_extension(ch: Channel) -> L2Extension:
     """Build the extension; requires unital + cp + state residuals to pass.
 
     Those three are what bound the operator norm by one (positivity gives
@@ -445,7 +436,7 @@ def l2_extension(ch: Channel, tol: Tolerance | None = None) -> L2Extension:
     turns that into a norm bound between the GNS spaces); flow compatibility
     is *not* required for the extension to exist and contract.
     """
-    bad = precondition_defects(ch, tol)
+    bad = precondition_defects(ch)
     if bad:
         raise NotMarkov(f"extension preconditions failed: {bad}; norm bound void")
     return L2Extension(ch.source, ch.target,
@@ -534,6 +525,7 @@ __all__ = [
     "precondition_defects",
     "modular_commutation_residual",
     "check_markov",
+    "membership_tolerances",
     "modular_tolerance_scale",
     "trace_dual",
     "ac_adjoint",
@@ -548,4 +540,5 @@ __all__ = [
     "tensor_system",
     "convex_combine",
     "DEFAULT_FLOW_SAMPLES",
+    "MEMBERSHIP_TOL",
 ]

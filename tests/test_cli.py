@@ -122,21 +122,48 @@ class TestVerify:
 
 
 class TestGenNoConvergence:
-    def test_exit_three_with_flagged_file(self, tmp_path, capsys, monkeypatch):
+    @pytest.fixture
+    def refusing(self, monkeypatch):
         import modmark.generators as gens
         from modmark.errors import NoConvergence
 
-        def stall(source, target, seed, **kwargs):
-            raise NoConvergence("stalled", payload=gens.identity_channel(source))
+        def refuse(source, target, seed, **kwargs):
+            raise NoConvergence("eigendecomposition misses its accuracy contract")
 
-        monkeypatch.setattr(gens, "sp_ucp", stall)
-        path = tmp_path / "stalled.json"
-        code, out, _ = run(capsys, "gen", "--kind", "sp_ucp", "--dims", "2",
-                           "-o", str(path))
+        monkeypatch.setattr(gens, "sp_ucp", refuse)
+
+    def test_exit_three_without_file(self, tmp_path, capsys, refusing):
+        for kind in ("sp_ucp", "twirl"):
+            path = tmp_path / f"{kind}.json"
+            code, out, err = run(capsys, "gen", "--kind", kind, "--dims", "2",
+                                 "-o", str(path))
+            assert code == 3
+            assert out == ""
+            assert err.count("\n") == 1 and err.startswith("error:")
+            assert not path.exists()
+
+    def test_suite_exit_three_without_files(self, tmp_path, capsys, refusing):
+        out_dir = tmp_path / "suite"
+        code, out, err = run(capsys, "suite", "--trials", "2", "--dims", "2",
+                             "--kinds", "identity,sp_ucp", "--out", str(out_dir))
         assert code == 3
-        assert "flagged" in out
-        ch, metadata = read_instance(path)  # file still written
-        assert metadata["flags"] == ["no_convergence"]
+        assert out == "" and err.count("\n") == 1
+        assert not out_dir.exists()
+
+    def test_verify_exit_three(self, tmp_path, capsys, monkeypatch):
+        import modmark.cli as cli
+        from modmark.errors import NoConvergence
+
+        path = tmp_path / "id.json"
+        run(capsys, "gen", "--kind", "identity", "--dims", "2", "-o", str(path))
+
+        def refuse(*args, **kwargs):
+            raise NoConvergence("eigensolver iteration budget exhausted")
+
+        monkeypatch.setattr(cli, "verify_channel", refuse)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 3
+        assert out == "" and err.count("\n") == 1
 
 
 class TestSampleCountFlags:

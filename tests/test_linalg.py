@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from modmark.errors import NonHermitian, NotPositiveDefinite
 from modmark.linalg import (
-    Tolerance,
     base_tolerance,
     frob,
     herm_eig,
     matrix_power,
     op_norm,
     power_condition_scale,
+    tolerance_factor,
 )
 
 
@@ -112,8 +112,8 @@ class TestMatrixPower:
         rhs = matrix_power(a, z1 + z2)
         w = np.linalg.eigvalsh(a)
         kappa = float(w[-1] / w[0])
-        tol = Tolerance(1e-9, power_condition_scale(kappa, abs(re1) + abs(re2)))
-        assert frob(lhs - rhs) <= tol.effective(max(frob(lhs), frob(rhs)))
+        tol = 1e-9 * power_condition_scale(kappa, abs(re1) + abs(re2))
+        assert frob(lhs - rhs) <= tol * max(1.0, frob(lhs), frob(rhs))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), t=st.floats(-2, 2))
@@ -122,8 +122,7 @@ class TestMatrixPower:
         prod = matrix_power(a, -t) @ matrix_power(a, t)
         w = np.linalg.eigvalsh(a)
         kappa = float(w[-1] / w[0])
-        tol = Tolerance(1e-9, power_condition_scale(kappa, abs(t)))
-        assert frob(prod - np.eye(3)) <= tol.effective()
+        assert frob(prod - np.eye(3)) <= 1e-9 * power_condition_scale(kappa, abs(t))
 
     def test_real_power_hermitian_pd(self):
         a = random_pd(2, 4)
@@ -144,17 +143,19 @@ class TestOpNorm:
 
 
 class TestTolerance:
-    def test_effective_scales(self):
-        tol = Tolerance(1e-9, 10.0)
-        assert tol.effective() == pytest.approx(1e-8)
-        assert tol.effective(0.5) == pytest.approx(1e-8)
-        assert tol.effective(3.0) == pytest.approx(3e-8)
+    def test_effective_scales(self, monkeypatch):
+        monkeypatch.delenv("MODMARK_TOL", raising=False)
+        assert tolerance_factor() == 1.0
+        monkeypatch.setenv("MODMARK_TOL", "1e-8")
+        assert tolerance_factor() == pytest.approx(10.0)
+        monkeypatch.setenv("MODMARK_TOL", "3e-9")
+        assert 1e-9 * tolerance_factor() == pytest.approx(3e-9)
 
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            Tolerance(0.0)
-        with pytest.raises(ValueError):
-            Tolerance(1e-9, 0.5)
+    def test_rejects_bad_values(self, monkeypatch):
+        for raw in ("0", "-1e-9", "nan", "loose"):
+            monkeypatch.setenv("MODMARK_TOL", raw)
+            with pytest.raises(ValueError):
+                base_tolerance()
 
     def test_env_override(self, monkeypatch):
         monkeypatch.delenv("MODMARK_TOL", raising=False)

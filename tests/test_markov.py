@@ -31,6 +31,7 @@ from modmark.markov import (
     check_markov,
     choi_to_channel,
     compose,
+    cp_min_eigenvalue,
     convex_combine,
     identity_channel,
     l2_extension,
@@ -103,6 +104,19 @@ class TestRepresentations:
     def test_empty_kraus(self, qubit):
         with pytest.raises(EmptyKraus):
             channel_from_kraus([], qubit, qubit)
+        with pytest.raises(EmptyKraus):
+            channel_from_kraus(np.zeros((0, 2, 2)), qubit, qubit)
+
+    def test_kraus_stack_matches_list(self, qubit):
+        src = rand_system((2, 1), 12)
+        tgt = rand_system((1, 2), 13)
+        rng = np.random.default_rng(14)
+        stack = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        from_list = channel_from_kraus(list(stack), src, tgt)
+        from_stack = channel_from_kraus(stack, src, tgt)
+        assert from_stack.superop.tobytes() == from_list.superop.tobytes()
+        ident = channel_from_kraus(np.stack([np.eye(2), np.zeros((2, 2))]), qubit, qubit)
+        assert np.array_equal(ident.superop, np.eye(4))
 
     def test_kraus_shape_guard(self, qubit):
         with pytest.raises(ShapeMismatch):
@@ -180,7 +194,7 @@ class TestCheckMarkov:
 
     def test_schur_member(self, schur):
         mc = check_markov(schur)
-        assert mc.passed and mc.cp_min_eig >= -1e-12
+        assert mc.passed and cp_min_eigenvalue(schur)[0] >= -1e-12
 
 
 class TestTraceDual:

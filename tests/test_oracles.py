@@ -12,7 +12,8 @@ on the carrier space with its embed/compress helpers, the per-unit Choi
 inverse, the four-deep tensor loop over unit images, the per-unit star
 check, and the block expectation and automorphism as products of left and
 right multiplication superoperators.  They are kept here only, so that a
-check is never the code it checks.
+check is never the code it checks.  `delta_power_superop`, Delta^z carried
+back from the eigenframe, lives here too because only tests read it.
 """
 
 import numpy as np
@@ -129,6 +130,12 @@ def kron_delta_superop(md, z):
     dp = md.d_power_blocks(z)
     dm = md.d_power_blocks(-z)
     return scipy.linalg.block_diag(*[np.kron(m.T, p) for p, m in zip(dp, dm)])
+
+
+def delta_power_superop(md, z):
+    """Delta^z as the eigenframe diagonal carried back, G^+ exp(z w) G."""
+    g = md.frame
+    return g.conj().T @ (md.delta_power_diagonal(z)[:, None] * g)
 
 
 def oracle_commute(t_mat, ch, z_samples):
@@ -483,6 +490,22 @@ class TestStateBasisOracle:
         ref = oracle_state_basis(ch)
         assert ref > 0.1
         assert abs(_state_basis_residual(ch) - ref) <= 1e-15 * ref
+
+
+class TestDeltaSuperop:
+    def test_matches_vector_action(self):
+        state = random_faithful_state(BlockAlgebra((2, 2)), 3, 0.05)
+        md = System(state).modular
+        sup = delta_power_superop(md, 0.5 + 2.0j)
+        xi = GnsVector(state.parent, random_element(state.parent, 5).blocks)
+        direct = md.delta_power(0.5 + 2.0j, xi)
+        assert np.linalg.norm(sup @ to_coords(xi) - to_coords(direct)) <= 1e-12
+        assert np.linalg.norm(sup - kron_delta_superop(md, 0.5 + 2.0j)) <= 1e-12
+
+    def test_range_guard(self):
+        md = System(random_faithful_state(BlockAlgebra((2,)), 4, 0.05)).modular
+        with pytest.raises(PowerRangeExceeded):
+            delta_power_superop(md, 3.0)
 
 
 class TestFrameHelpers:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from modmark.algebra import AlgebraElement, BlockAlgebra, FaithfulState, to_coords
-from modmark.errors import NotMarkov, PowerRangeExceeded
+import modmark.generators as gens
+import modmark.markov as markov
+from modmark.algebra import AlgebraElement, BlockAlgebra, FaithfulState
+from modmark.errors import NoConvergence, NotMarkov, PowerRangeExceeded
 from modmark.generators import (
     GenSpec,
+    build_channel,
     derive_seed,
     modular_twirl,
     random_faithful_state,
@@ -12,12 +15,10 @@ from modmark.generators import (
     sp_ucp,
     state_to_scalar,
 )
-from modmark.gns import GnsVector
-from modmark.markov import System, identity_channel
+from modmark.markov import System, check_markov, identity_channel, precondition_defects
 from modmark.serialize import genspec_to_json, suite_result_to_json, dumps_canonical
 from modmark.verify import (
     SuiteConfig,
-    delta_power_superop,
     modular_invariants,
     run_suite,
     sample_z,
@@ -44,21 +45,6 @@ def schur(qubit):
 @pytest.fixture
 def negative(qubit):
     return sp_ucp(qubit, qubit, 11)
-
-
-class TestDeltaSuperop:
-    def test_matches_vector_action(self):
-        state = random_faithful_state(BlockAlgebra((2, 2)), 3, 0.05)
-        md = System(state).modular
-        sup = delta_power_superop(md, 0.5 + 2.0j)
-        from modmark.algebra import random_element
-        xi = GnsVector(state.parent, random_element(state.parent, 5).blocks)
-        direct = md.delta_power(0.5 + 2.0j, xi)
-        assert np.linalg.norm(sup @ to_coords(xi) - to_coords(direct)) <= 1e-12
-
-    def test_range_guard(self, qubit):
-        with pytest.raises(PowerRangeExceeded):
-            delta_power_superop(qubit.modular, 3.0)
 
 
 class TestVerifyCrucial:
@@ -229,18 +215,17 @@ class TestRunSuite:
         b = dumps_canonical(suite_result_to_json(run_suite(config)))
         assert a == b
 
-    def test_generator_stall_is_flagged_not_failed(self, monkeypatch):
-        import modmark.generators as gens
-        from modmark.errors import NoConvergence
+    def test_generator_refusal_propagates(self, monkeypatch):
+        def refuse(source, target, seed, **kwargs):
+            raise NoConvergence("eigendecomposition misses its accuracy contract")
 
-        def stall(source, target, seed, **kwargs):
-            raise NoConvergence("stalled", payload=gens.identity_channel(source))
-
-        monkeypatch.setattr(gens, "sp_ucp", stall)
-        result = run_suite(SuiteConfig(trials=1, seed=0, kinds=("sp_ucp",),
-                                       dims_list=((2,),)))
-        assert result.summary["flagged"] == [result.reports[0].instance_id]
-        assert result.exit_ok
+        monkeypatch.setattr(gens, "sp_ucp", refuse)
+        for kind in ("sp_ucp", "twirl"):
+            with pytest.raises(NoConvergence):
+                build_channel(GenSpec(kind, (2,), seed=0))
+            with pytest.raises(NoConvergence):
+                run_suite(SuiteConfig(trials=1, seed=0, kinds=(kind,),
+                                      dims_list=((2,),)))
 
     def test_cross_state_and_cross_dims_channels(self):
         # feasibility generator and full pipeline on mismatched endpoints
@@ -273,3 +258,28 @@ class TestSampleZ:
         assert zs == sample_z(3, count=32)
         assert all(abs(z.real) <= 1.0 and abs(z.imag) <= 5.0 for z in zs)
         assert len(zs) == 32
+
+
+class TestMembershipTolerances:
+    """check_markov, precondition_defects and the report's markov_* entries
+    read one tolerance per membership residual: the same float, whatever
+    MODMARK_TOL says."""
+
+    @pytest.mark.parametrize("env", [None, "3e-9", "1e3"])
+    def test_one_definition(self, monkeypatch, env):
+        if env is None:
+            monkeypatch.delenv("MODMARK_TOL", raising=False)
+        else:
+            monkeypatch.setenv("MODMARK_TOL", env)
+        ch = build_channel(GenSpec("pinch", (3,), seed=4)).channel
+        tol = check_markov(ch).tolerances
+        report = verify_channel(ch, kind="pinch", instance_id="pinch-3", seed=4)
+        for k in ("unital", "cp", "state", "modular"):
+            assert report.tolerances["markov_" + k] == tol[k]
+        # precondition_defects flags a residual exactly when it exceeds tol[k]
+        keys = ("unital", "cp", "state")
+        monkeypatch.setattr(markov, "_preconditions", lambda c: {k: tol[k] for k in keys})
+        assert precondition_defects(ch) == {}
+        above = {k: float(np.nextafter(tol[k], np.inf)) for k in keys}
+        monkeypatch.setattr(markov, "_preconditions", lambda c: dict(above))
+        assert precondition_defects(ch) == above
