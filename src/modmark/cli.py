@@ -5,20 +5,24 @@ all pass, 1 verification failure (for `suite`, only failures that were not
 expected), 2 bad flags or malformed file, 3 a numerical routine refused
 (NoConvergence; one error line, no file written), 4 shape inconsistencies
 in an instance file.  The MODMARK_TOL environment variable scales every
-pinned verdict tolerance by MODMARK_TOL / 1e-9.
+pinned verdict tolerance by MODMARK_TOL / 1e-9; a value that is not a
+positive number is a usage error (exit 2, no file written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from .errors import MalformedInstance, NoConvergence, ShapeMismatch
 from .generators import KINDS, GenSpec, build_channel, derive_seed
+from .linalg import base_tolerance
 from .markov import check_markov
 from .serialize import (
     dumps_canonical,
@@ -32,6 +36,7 @@ from .serialize import (
 from .verify import (
     DEFAULT_EQ32_T,
     SuiteConfig,
+    SuiteResult,
     run_suite,
     sample_z,
     verify_channel,
@@ -218,6 +223,26 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
+def _run_suite_to_files(config: SuiteConfig, out_dir: Path) -> SuiteResult:
+    """`run_suite`, writing each instance file from the channel the suite
+    built.  Files are staged in a temporary directory and moved into out_dir
+    only after the last trial, so a refusal leaves no file behind."""
+    with tempfile.TemporaryDirectory() as tmp:
+        staging = Path(tmp)
+
+        def persist(built, report):
+            write_instance(
+                staging / f"{report.instance_id}.json", built.channel,
+                {"seed": report.seed, "genspec": report.genspec,
+                 "flags": list(built.flags)})
+
+        result = run_suite(config, persist)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for path in sorted(staging.iterdir()):
+            shutil.move(path, out_dir / path.name)
+    return result
+
+
 def cmd_suite(args) -> int:
     kinds = None
     if args.kinds:
@@ -238,19 +263,10 @@ def cmd_suite(args) -> int:
     if kinds:
         config_kwargs["kinds"] = kinds
     config = SuiteConfig(**config_kwargs)
-    result = run_suite(config)
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for report in result.reports:
-            if not report.genspec:
-                continue
-            spec = genspec_from_json(report.genspec)
-            built = build_channel(spec)
-            write_instance(
-                out_dir / f"{report.instance_id}.json", built.channel,
-                {"seed": spec.seed, "genspec": report.genspec,
-                 "flags": list(built.flags)})
+        result = _run_suite_to_files(config, Path(args.out))
+    else:
+        result = run_suite(config)
     if args.json:
         print(dumps_canonical(suite_result_to_json(result)), end="")
     else:
@@ -320,6 +336,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_range_flag(list(argv)))
     command = {"gen": cmd_gen, "verify": cmd_verify, "suite": cmd_suite,
                "show": cmd_show}[args.command]
+    try:
+        base_tolerance()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return command(args)
     except NoConvergence as exc:

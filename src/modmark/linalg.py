@@ -26,9 +26,14 @@ DEFAULT_BASE_TOL = 1e-9
 def base_tolerance() -> float:
     """Base residual tolerance; the MODMARK_TOL env var overrides the default."""
     raw = os.environ.get("MODMARK_TOL", "").strip()
-    base = float(raw) if raw else DEFAULT_BASE_TOL
-    if not base > 0.0:
-        raise ValueError(f"MODMARK_TOL must be positive, got {raw!r}")
+    if not raw:
+        return DEFAULT_BASE_TOL
+    try:
+        base = float(raw)
+    except ValueError:
+        base = None
+    if base is None or not base > 0.0:
+        raise ValueError(f"MODMARK_TOL must be a positive number, got {raw!r}")
     return base
 
 

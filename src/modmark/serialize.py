@@ -17,11 +17,29 @@ Floats are written with Python's repr (shortest round trip), so files reload
 bit-identically and identical runs produce byte-identical reports.  Parse
 problems raise MalformedInstance; structurally valid files whose matrices do
 not fit together raise ShapeMismatch.
+
+Both directions run at C speed on matrices without changing a byte or a bit.
+`dumps_canonical` writes exactly the text of `json.dumps(obj, sort_keys=True,
+indent=2)`.  It formats each rectangular nested list of at least two levels
+whose leaves are all finite exact floats one outer row at a time, through a
+`%r` template built from the list's shape and indent depth (`%r` is the float
+repr json writes).  Other lists, dicts with str keys, strings, ints, finite
+floats, bools and None it lays out itself by json's rules, so that ints and
+mixed int/float lists keep their text; anything else (NaN/inf, float or
+container subclasses, tuples, empty containers, non-str keys) goes to `json`
+whole.  `matrix_from_json` converts with one `np.asarray` to float64 and views
+the (r, c, 2) result as complex128, after one C-level pass over the leaf types
+(exact int or float only, so a bool among floats is still refused) and a
+finiteness check on the whole array; only a matrix that fails them takes the
+per-entry route, which names the error.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -39,11 +57,15 @@ SCHEMA_VERSION = "1"
 
 
 def _entry_from_json(obj) -> complex:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(float(obj), 0.0)
-    if (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)):
-        return complex(float(obj[0]), float(obj[1]))
+    try:
+        if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+            return complex(float(obj), 0.0)
+        if (isinstance(obj, (list, tuple)) and len(obj) == 2
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                        for v in obj)):
+            return complex(float(obj[0]), float(obj[1]))
+    except OverflowError as exc:
+        raise MalformedInstance("complex entry does not fit in a float") from exc
     raise MalformedInstance(f"complex entry must be [re, im] or a number, got {obj!r}")
 
 
@@ -53,12 +75,39 @@ def matrix_to_json(m) -> list:
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
+def _matrix_from_array(rows: list) -> np.ndarray | None:
+    """The matrix of equally long `rows` through one float64 array, or None
+    when an entry is not a pair or a bare number of exact type int or float,
+    or is not finite (the per-entry route then names the problem)."""
+    try:
+        arr = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if arr.ndim == 3 and arr.shape[2] == 2:
+        pairs = list(chain.from_iterable(rows))
+        if not set(map(type, pairs)) <= {list, tuple}:
+            return None
+        leaves = chain.from_iterable(pairs)
+    elif arr.ndim == 2:
+        leaves = chain.from_iterable(rows)
+    else:
+        return None
+    if not set(map(type, leaves)) <= {int, float} or not np.isfinite(arr).all():
+        return None
+    if arr.ndim == 2:
+        return arr.astype(np.complex128)
+    return arr.view(np.complex128).reshape(arr.shape[:2])
+
+
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise MalformedInstance("matrix must be a nonempty list of rows")
     width = len(obj[0])
     if width < 1 or any(len(r) != width for r in obj):
         raise MalformedInstance("matrix rows must be nonempty and equally long")
+    fast = _matrix_from_array(obj)
+    if fast is not None:
+        return fast
     out = np.empty((len(obj), width), dtype=np.complex128)
     for i, row in enumerate(obj):
         for j, entry in enumerate(row):
@@ -178,9 +227,93 @@ def instance_from_json(obj) -> tuple[Channel, dict]:
     return channel_from_json(obj["channel"]), dict(obj.get("metadata", {}))
 
 
+def _float_array_shape(obj: list) -> tuple[tuple[int, ...], list] | None:
+    """Shape and row-major leaves of a rectangular nested list of at least
+    two levels whose leaves are all finite exact floats, else None."""
+    shape = [len(obj)]
+    level = obj
+    while True:
+        kinds = set(map(type, level))
+        if kinds == {float}:
+            break
+        if kinds != {list}:
+            return None
+        widths = set(map(len, level))
+        if len(widths) != 1 or 0 in widths:
+            return None
+        shape.append(widths.pop())
+        level = list(chain.from_iterable(level))
+    if len(shape) < 2 or not all(map(math.isfinite, level)):
+        return None
+    return tuple(shape), level
+
+
+def _nested_template(shape: tuple[int, ...], depth: int) -> str:
+    """Indented json layout of a nested list of this shape with `%r` leaves,
+    its opening bracket at indent level `depth`."""
+    if not shape:
+        return "%r"
+    inner = "\n" + "  " * (depth + 1)
+    item = _nested_template(shape[1:], depth + 1)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + "\n" + "  " * depth + "]"
+
+
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _encode(obj, depth: int, out: list) -> None:
+    """Append the `json.dumps(obj, sort_keys=True, indent=2)` text of `obj`,
+    nested at indent level `depth`, to `out`.  Float arrays take the template
+    route; other lists, dicts with str keys, strings, ints, finite floats,
+    bools and None are laid out here; everything else is handed to `json`."""
+    kind = type(obj)
+    if kind is str:
+        out.append(encode_basestring_ascii(obj))
+        return
+    if kind is int or (kind is float and math.isfinite(obj)):
+        out.append(repr(obj))
+        return
+    if kind is bool or obj is None:
+        out.append(_LITERALS[obj])
+        return
+    inner = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth
+    if kind is list and obj:
+        array = _float_array_shape(obj)
+        if array is not None:
+            shape, leaves = array
+            row = _nested_template(shape[1:], depth + 1)
+            size = len(leaves) // shape[0]
+            out.append("[")
+            for i in range(shape[0]):
+                out.append(("," if i else "") + inner
+                           + row % tuple(leaves[i * size:(i + 1) * size]))
+            out.append(close + "]")
+            return
+        out.append("[")
+        for i, item in enumerate(obj):
+            out.append(("," if i else "") + inner)
+            _encode(item, depth + 1, out)
+        out.append(close + "]")
+        return
+    if kind is dict and obj and all(type(k) is str for k in obj):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            out.append(("," if i else "") + inner + encode_basestring_ascii(key) + ": ")
+            _encode(obj[key], depth + 1, out)
+        out.append(close + "}")
+        return
+    out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", close))
+
+
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: sorted keys, repr floats, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text: sorted keys, repr floats, trailing newline.
+
+    Byte for byte `json.dumps(obj, sort_keys=True, indent=2) + "\\n"`."""
+    out: list = []
+    _encode(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_instance(path, ch: Channel, metadata: dict | None = None) -> None:
@@ -190,7 +323,7 @@ def write_instance(path, ch: Channel, metadata: dict | None = None) -> None:
 def read_instance(path) -> tuple[Channel, dict]:
     try:
         obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError, bad UTF-8, >4300-digit ints
         raise MalformedInstance(f"cannot read instance file: {exc}") from exc
     return instance_from_json(obj)
 

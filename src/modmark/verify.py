@@ -34,13 +34,14 @@ The explicit kron-product and per-unit routes are kept as test oracles.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import random_element
 from .errors import NotMarkov
-from .generators import GenSpec, build_channel, derive_seed
+from .generators import BuildResult, GenSpec, build_channel, derive_seed
 from .gns import GnsVector, ModularData, left_act
 from .linalg import max_column_norm, op_norm, power_condition_scale, tolerance_factor
 from .markov import Channel, adjoint_index, check_markov, eigen_extension
@@ -454,11 +455,15 @@ def _pick_dims(kind: str, index: int, config: SuiteConfig) -> tuple[int, ...]:
     raise ValueError(f"no dims in {dims_list} compatible with kind {kind!r}")
 
 
-def run_suite(config: SuiteConfig) -> SuiteResult:
+def run_suite(config: SuiteConfig,
+              on_instance: Callable[[BuildResult, VerificationReport], None]
+              | None = None) -> SuiteResult:
     """Generate, verify, and summarize `trials` instances.
 
     Deterministic per (config, seed): instance seeds, sample draws, and
-    report assembly order are all derived from the config seed.
+    report assembly order are all derived from the config seed.  If given,
+    `on_instance(built, report)` sees each built channel with its report,
+    in trial order, before the channel is dropped.
     """
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
@@ -482,6 +487,8 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
             gns_seed=derive_seed(config.seed, i, 102),
         )
         report.genspec = genspec_to_json(spec)
+        if on_instance is not None:
+            on_instance(built, report)
         reports.append(report)
     reports.sort(key=lambda r: r.instance_id)
     return SuiteResult(config, reports, _summarize(reports))

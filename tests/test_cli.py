@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from modmark.cli import main
-from modmark.generators import GenSpec
-from modmark.serialize import genspec_to_json, matrix_from_json, read_instance
+from modmark.generators import GenSpec, build_channel
+from modmark.serialize import (
+    dumps_canonical,
+    genspec_from_json,
+    genspec_to_json,
+    instance_to_json,
+    matrix_from_json,
+    read_instance,
+)
 
 
 def run(capsys, *argv):
@@ -121,6 +128,55 @@ class TestVerify:
         assert code == 0
 
 
+    @pytest.mark.parametrize("big", ["1" + "0" * 400, "[1" + "0" * 400 + ", 0]"])
+    def test_overflowing_integer_exits_two(self, tmp_path, capsys, big):
+        good = tmp_path / "good.json"
+        run(capsys, "gen", "--kind", "identity", "--dims", "1", "-o", str(good))
+        text = good.read_text()
+        doc = json.loads(text)
+        doc["channel"]["superop"] = "BIG"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc).replace('"BIG"', f"[[{big}]]"))
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "malformed instance" in err
+
+    @pytest.mark.parametrize("payload", [b'{"version": "1", "channel": [[' + b"1" * 5000 + b"]]}",
+                                         b"\xff\xfe{}"])
+    def test_unreadable_text_exits_two(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(payload)
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "cannot read instance file" in err
+
+
+@pytest.mark.parametrize("raw", ["loose", "0", "-1e-9", "nan"])
+class TestBadToleranceEnv:
+    def test_gen(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("MODMARK_TOL", raw)
+        path = tmp_path / "inst.json"
+        code, out, err = run(capsys, "gen", "--kind", "pinch", "--dims", "2",
+                             "-o", str(path))
+        assert code == 2 and out == "" and not path.exists()
+        assert err == f"error: MODMARK_TOL must be a positive number, got {raw!r}\n"
+
+    def test_verify(self, tmp_path, capsys, monkeypatch, raw):
+        path = tmp_path / "inst.json"
+        run(capsys, "gen", "--kind", "pinch", "--dims", "2", "-o", str(path))
+        monkeypatch.setenv("MODMARK_TOL", raw)
+        code, out, err = run(capsys, "verify", str(path), "--json")
+        assert code == 2 and out == ""
+        assert err == f"error: MODMARK_TOL must be a positive number, got {raw!r}\n"
+
+    def test_suite(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("MODMARK_TOL", raw)
+        out_dir = tmp_path / "suite"
+        code, out, err = run(capsys, "suite", "--trials", "1", "--out", str(out_dir))
+        assert code == 2 and out == "" and not out_dir.exists()
+        assert err == f"error: MODMARK_TOL must be a positive number, got {raw!r}\n"
+
+
 class TestGenNoConvergence:
     @pytest.fixture
     def refusing(self, monkeypatch):
@@ -227,6 +283,32 @@ class TestSuite:
         for f in files:
             ch, metadata = read_instance(f)
             assert "genspec" in metadata
+
+    def test_out_builds_each_channel_once(self, tmp_path, capsys, monkeypatch):
+        import modmark.cli as cli
+        import modmark.verify as verify
+
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return build_channel(spec)
+
+        monkeypatch.setattr(verify, "build_channel", counting)
+        monkeypatch.setattr(cli, "build_channel", counting)
+        out_dir = tmp_path / "instances"
+        code, _, _ = run(capsys, "suite", "--trials", "5", "--dims", "2,2x2",
+                         "--seed", "6", "--out", str(out_dir))
+        assert code == 0 and len(calls) == 5
+        files = sorted(out_dir.glob("*.json"))
+        assert len(files) == 5
+        for f in files:
+            genspec = json.loads(f.read_text())["metadata"]["genspec"]
+            spec = genspec_from_json(genspec)
+            built = build_channel(spec)
+            rebuilt = instance_to_json(built.channel, {
+                "seed": spec.seed, "genspec": genspec, "flags": list(built.flags)})
+            assert f.read_text() == dumps_canonical(rebuilt)
 
     def test_json_deterministic(self, capsys):
         args = ("suite", "--trials", "4", "--seed", "9", "--dims", "2", "--json")

@@ -154,8 +154,9 @@ class TestTolerance:
     def test_rejects_bad_values(self, monkeypatch):
         for raw in ("0", "-1e-9", "nan", "loose"):
             monkeypatch.setenv("MODMARK_TOL", raw)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as exc:
                 base_tolerance()
+            assert str(exc.value) == f"MODMARK_TOL must be a positive number, got {raw!r}"
 
     def test_env_override(self, monkeypatch):
         monkeypatch.delenv("MODMARK_TOL", raising=False)

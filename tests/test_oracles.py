@@ -13,8 +13,13 @@ inverse, the four-deep tensor loop over unit images, the per-unit star
 check, and the block expectation and automorphism as products of left and
 right multiplication superoperators.  They are kept here only, so that a
 check is never the code it checks.  `delta_power_superop`, Delta^z carried
-back from the eigenframe, lives here too because only tests read it.
+back from the eigenframe, lives here too because only tests read it.  The
+instance files have two more: `json.dumps(..., sort_keys=True, indent=2)` is
+the oracle of the template writer, and the per-entry conversion is the
+oracle of the one-array reader.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -30,7 +35,7 @@ from modmark.algebra import (
     random_element,
     to_coords,
 )
-from modmark.errors import PowerRangeExceeded
+from modmark.errors import MalformedInstance, PowerRangeExceeded
 from modmark.generators import (
     GenSpec,
     automorphism_channel,
@@ -63,10 +68,19 @@ from modmark.markov import (
     to_choi,
 )
 from modmark.linalg import op_norm
+from modmark.serialize import (
+    dumps_canonical,
+    instance_to_json,
+    matrix_from_json,
+    report_to_json,
+    suite_result_to_json,
+)
 from modmark.verify import (
     DEFAULT_EQ32_T,
     DEFAULT_S_VALUES,
     POSITIVE_KINDS,
+    SuiteConfig,
+    run_suite,
     sample_z,
     verify_adjoint,
     verify_channel,
@@ -629,3 +643,166 @@ class TestGeneratorsAgainstMultiplicationProducts:
         ref = left_mult_superop(u.adjoint()) @ right_mult_superop(u)
         got = automorphism_channel(sys, u).superop
         assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# instance files: the json writer and the per-entry reader
+# ---------------------------------------------------------------------------
+
+def oracle_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def oracle_entry(obj):
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return complex(float(obj), 0.0)
+    if (isinstance(obj, (list, tuple)) and len(obj) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)):
+        return complex(float(obj[0]), float(obj[1]))
+    raise MalformedInstance(f"complex entry must be [re, im] or a number, got {obj!r}")
+
+
+def oracle_matrix_from_json(obj):
+    """The per-entry conversion `matrix_from_json` replaced."""
+    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
+        raise MalformedInstance("matrix must be a nonempty list of rows")
+    width = len(obj[0])
+    if width < 1 or any(len(r) != width for r in obj):
+        raise MalformedInstance("matrix rows must be nonempty and equally long")
+    out = np.empty((len(obj), width), dtype=np.complex128)
+    for i, row in enumerate(obj):
+        for j, entry in enumerate(row):
+            out[i, j] = oracle_entry(entry)
+    if not (np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))):
+        raise MalformedInstance("matrix entries must be finite")
+    return out
+
+
+FILE_CASES = [("pinch", (1,), {}), ("schur", (2,), {}), ("convex", (3, 1), {}),
+              ("pinch", (2, 2, 2), {}), ("schur", (8,), {}), ("convex", (6, 4, 2), {}),
+              ("state_to_scalar", (2,), {"target_dims": (3,)})]
+
+
+def _file_doc(kind, dims, params):
+    spec = GenSpec(kind, dims, 21, dict(params, min_gap=0.05))
+    built = build_channel(spec)
+    metadata = {"seed": 21, "genspec": {"kind": kind, "dims": list(dims), "seed": 21,
+                                        "params": {"c": [[1, 0.5], [0.5, 1]]}},
+                "flags": list(built.flags)}
+    return instance_to_json(built.channel, metadata)
+
+
+def _matrices(doc):
+    channel = doc["channel"]
+    return [channel["superop"]] + [m for end in ("source", "target")
+                                   for m in channel[end]["state"]["density"]]
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 2.2250738585072014e-308, 1e-17, 1.0 / 3.0, 1e16]
+
+EDGE_DOCS = {
+    "extreme_floats": [[[x, -x] for x in EDGE_FLOATS]],
+    "non_finite": {"m": [[[float("nan"), 1.0]], [[float("inf"), -float("inf")]]]},
+    "mixed_int_float": {"c": [[1, 0.5], [0.5, 1]], "d": [[[1.0, 0]]]},
+    "bool_in_numbers": [[True, 0.5], [0.5, False]],
+    "empty": {"a": [], "b": {}, "c": [[], []], "d": [[[]]], "e": [{}]},
+    "ragged": [[1.0, 2.0], [3.0]],
+    "ragged_deep": [[[1.0, 2.0]], [[3.0, 4.0], [5.0, 6.0]]],
+    "np_float64": [[np.float64(0.1), 0.2], [0.3, 0.4]],
+    "non_ascii": {"ключ": "wert ä €", "𝔐": [["é", "\u2028"]], "a\nb": "c\"d"},
+    "flat_floats": [0.1, 0.2],
+    "scalars": [None, True, 3, -7, 10 ** 30, "s", 2.5],
+    "tuples": {"t": ((1.0, 2.0), (3.0, 4.0))},
+    "int_keys": {"outer": {2: [[1.0]], 1: [[2.0]]}},
+    "single": [[1.0]],
+    "row_vector": [[[0.5, -0.25, 1e-300]]],
+}
+
+
+class TestWriterOracle:
+    @pytest.mark.parametrize("case", FILE_CASES, ids=_case_id)
+    def test_instance_docs(self, case):
+        doc = _file_doc(*case)
+        assert dumps_canonical(doc) == oracle_dumps(doc)
+
+    def test_report_and_suite_docs(self):
+        config = SuiteConfig(trials=3, seed=5, dims_list=((2,), (2, 2)),
+                             kinds=("schur", "pinch", "sp_ucp"))
+        result = run_suite(config)
+        for report in result.reports:
+            doc = report_to_json(report)
+            assert dumps_canonical(doc) == oracle_dumps(doc)
+        doc = suite_result_to_json(result)
+        assert dumps_canonical(doc) == oracle_dumps(doc)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_DOCS))
+    def test_edge_docs(self, name):
+        doc = EDGE_DOCS[name]
+        assert dumps_canonical(doc) == oracle_dumps(doc)
+        assert dumps_canonical({"k": [doc, {"x": doc}]}) == oracle_dumps({"k": [doc, {"x": doc}]})
+
+    def test_random_arrays_any_depth(self):
+        rng = np.random.default_rng(8)
+        for shape in [(1, 1), (2, 3), (3, 1, 2), (2, 2, 2, 2), (1, 4, 1, 2)]:
+            doc = {"m": rng.standard_normal(shape).tolist()}
+            assert dumps_canonical(doc) == oracle_dumps(doc)
+            assert dumps_canonical(doc["m"]) == oracle_dumps(doc["m"])
+
+
+def _bitwise(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestReaderOracle:
+    @pytest.mark.parametrize("case", FILE_CASES, ids=_case_id)
+    def test_instance_matrices(self, case):
+        doc = json.loads(dumps_canonical(_file_doc(*case)))
+        for m in _matrices(doc):
+            got = matrix_from_json(m)
+            assert got.flags.c_contiguous
+            assert _bitwise(got, oracle_matrix_from_json(m))
+
+    @pytest.mark.parametrize("m", [
+        [[[x, -x] for x in EDGE_FLOATS]],
+        [[x] for x in EDGE_FLOATS],
+        [[1, 0.5], [0.5, 1]],
+        [[[1, 0], [0.5, -2]]],
+        [[[2 ** 53 + 1, 2 ** 60 + 2 ** 7 + 1], [10 ** 300, -(10 ** 20 + 1)]]],
+        [[(1.0, 2.0), [3, 4.5]]],
+        [[0]],
+        [[[0.5, 1.0], 0.5]],
+    ], ids=["pairs", "bare", "bare_int_float", "int_pairs", "big_ints", "tuples", "zero",
+            "pair_and_bare"])
+    def test_edge_matrices(self, m):
+        assert _bitwise(matrix_from_json(m), oracle_matrix_from_json(m))
+
+    @pytest.mark.parametrize("m", [
+        [[[0.5, 1.0], [True, 0.25]]],
+        [[[0.5, 1.0], [0.5, False]]],
+        [[0.5, True]],
+        [[[0.5, "1"]]],
+        [["12"]],
+        [[None]],
+        [[[0.5, None]]],
+        [[[0.5]]],
+        [[[0.5, 1.0, 2.0]]],
+        [[[0.5, float("nan")]]],
+        [[float("inf")]],
+        [[[-float("inf"), 0.0]]],
+        [[[[0.5, 1.0], [0.5, 1.0]]]],
+        [[np.array([0.5, 1.0])]],
+        [[{"re": 1.0, "im": 0.0}]],
+    ], ids=["bool_re", "bool_im", "bool_bare", "str_im", "str_bare", "none_bare",
+            "none_im", "short_pair", "long_pair", "nan", "inf", "minus_inf",
+            "too_deep", "ndarray_pair", "dict"])
+    def test_rejections_keep_type_and_message(self, m):
+        with pytest.raises(MalformedInstance) as want:
+            oracle_matrix_from_json(m)
+        with pytest.raises(MalformedInstance) as got:
+            matrix_from_json(m)
+        assert str(got.value) == str(want.value)
+
+    def test_accepted_number_subclasses_match(self):
+        m = [[[np.float64(0.25), 1]], [[np.float64(-0.0), np.float64(5e-324)]]]
+        assert _bitwise(matrix_from_json(m), oracle_matrix_from_json(m))

@@ -62,6 +62,12 @@ class TestMatrixJson:
         with pytest.raises(MalformedInstance):
             matrix_from_json([])
 
+    @pytest.mark.parametrize("m", [[[10 ** 400]], [[[10 ** 400, 0]]], [[[0.5, -10 ** 400]]],
+                                   [[1.0, 10 ** 309]]])
+    def test_rejects_overflowing_integers(self, m):
+        with pytest.raises(MalformedInstance, match="does not fit in a float"):
+            matrix_from_json(m)
+
 
 class TestStructuredJson:
     def test_algebra_round_trip(self):
