@@ -2,7 +2,8 @@
 
 Commands: gen | verify | suite | show.  Exit codes are stable: 0 success /
 all pass, 1 verification failure (for `suite`, only failures that were not
-expected), 2 bad flags or malformed file, 3 a numerical routine refused
+expected), 2 bad flags, malformed file or a generator refusing its inputs
+(one error line, no file written), 3 a numerical routine refused
 (NoConvergence; one error line, no file written), 4 shape inconsistencies
 in an instance file.  The MODMARK_TOL environment variable scales every
 pinned verdict tolerance by MODMARK_TOL / 1e-9; a value that is not a
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedInstance, NoConvergence, ShapeMismatch
+from .errors import MalformedInstance, ModmarkError, NoConvergence, ShapeMismatch
 from .generators import KINDS, GenSpec, build_channel, derive_seed
 from .linalg import base_tolerance
 from .markov import check_markov
@@ -103,6 +104,16 @@ def _positive_int(text: str) -> int:
     return count
 
 
+def _min_gap(text: str) -> float:
+    try:
+        gap = float(text)
+    except ValueError:
+        gap = -1.0
+    if not 0.0 <= gap < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1), got {text!r}")
+    return gap
+
+
 def _t_samples(count: int, seed: int) -> tuple[float, ...]:
     base = list(DEFAULT_EQ32_T[:count])
     rng = np.random.default_rng(derive_seed(seed, 7001))
@@ -140,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--seed", type=int, default=0)
     p_suite.add_argument("--kinds", default=None,
                          help="comma list of kinds (aliases: scalar, auto, blockexp)")
-    p_suite.add_argument("--min-gap", type=float, default=0.05)
+    p_suite.add_argument("--min-gap", type=_min_gap, default=0.05)
     p_suite.add_argument("--json", action="store_true")
     p_suite.add_argument("--out", metavar="DIR",
                          help="persist per-instance files into DIR")
@@ -160,10 +171,12 @@ def cmd_gen(args) -> int:
         return EXIT_USAGE
     try:
         spec = GenSpec(args.kind, args.dims, seed=args.seed, params=params)
-    except (ValueError, ShapeMismatch) as exc:
+        built = build_channel(spec)
+    except NoConvergence:
+        raise
+    except (ValueError, ModmarkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    built = build_channel(spec)
     metadata = {
         "seed": args.seed,
         "genspec": genspec_to_json(spec),

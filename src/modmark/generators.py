@@ -8,8 +8,13 @@ inner automorphisms by commuting unitaries, frequency twirls, convex mixes).
 state-compatible channels that generically fail the flow condition, which is
 what the negative suites feed on.  It does so in closed form, stepping from
 the strictly interior state-to-scalar Choi collection along a seeded
-direction in the null space of the unital and dual-fixed-point constraints,
-sized so the smallest Choi eigenvalue keeps at least half its gap.
+direction in the null space of the unital and state conditions, sized so
+the smallest Choi eigenvalue keeps at least half its gap.  In superoperator
+coordinates that null space is {Z : Z u = 0, d^+ Z = 0}, u = coords(1_source)
+and d = coords(D_target), and the projection onto it is the two-sided
+rank-one deflation (1 - d d^+/|d|^2) Z (1 - u u^+/|u|^2).  It has dimension
+(T - 1)(S - 1) in the coordinate dims T, S, so an algebra C on either side
+leaves no free direction and the base point is returned.
 
 Determinism: each generator is a pure function of its seed; sub-streams are
 derived through SeedSequence so reports reproduce bit-for-bit.
@@ -255,17 +260,12 @@ def random_commuting_unitary(sys: System, seed: int) -> AlgebraElement:
 
 def _bucket_ids(values: np.ndarray, tol: float) -> np.ndarray:
     """Cluster reals by chaining gaps <= tol (merging is the conservative
-    choice: collisions keep a larger subspace)."""
+    choice: collisions keep a larger subspace): in sorted order a new id
+    starts at every gap above tol."""
     order = np.argsort(values, kind="stable")
+    ranked = values[order]
     ids = np.empty(len(values), dtype=np.int64)
-    current = 0
-    prev = None
-    for pos in order:
-        v = float(values[pos])
-        if prev is not None and v - prev > tol:
-            current += 1
-        ids[pos] = current
-        prev = v
+    ids[order] = np.cumsum(np.diff(ranked, prepend=ranked[:1]) > tol)
     return ids
 
 
@@ -298,55 +298,14 @@ def modular_twirl(ch: Channel) -> Channel:
 # sp_ucp: a seeded step from an interior point along the feasible affine set
 # ---------------------------------------------------------------------------
 
-def _choi_pairs(source: BlockAlgebra, target: BlockAlgebra):
-    return [(j, k, m, n)
-            for j, m in enumerate(target.block_dims)
-            for k, n in enumerate(source.block_dims)]
-
-
-def _choi_vec(blocks: dict, pairs) -> np.ndarray:
-    return np.concatenate([blocks[(j, k)].ravel() for j, k, _, _ in pairs])
-
-
-def _choi_unvec(vec: np.ndarray, pairs) -> dict:
-    out, off = {}, 0
-    for j, k, m, n in pairs:
-        sz = (m * n) ** 2
-        out[(j, k)] = vec[off:off + sz].reshape(m * n, m * n)
-        off += sz
-    return out
-
-
-def _affine_system(source: System, target: System):
-    """Constraint matrix A and right-hand side b of the two affine conditions.
-
-    A @ vec(C) - b stacks Phi(1) - 1 (one row block per target block) and
-    trace_dual(Phi)(D_target) - D_source (one row block per source block)
-    for the channel Phi of a Hermitian Choi collection C.  Block (j, k) read
-    as c[i, a, i', b] = Phi(E_ab)[i, i'] feeds unital rows (i, i') through
-    the trace over a = b, and dual rows (b, a) through D_target[i', i]; the
-    dual rows are written without conjugation so A stays complex-linear.
-    """
-    pairs = _choi_pairs(source.algebra, target.algebra)
-    tdims, sdims = target.algebra.block_dims, source.algebra.block_dims
-    row_off = np.cumsum([0] + [m * m for m in tdims] + [n * n for n in sdims])
-    a = np.zeros((row_off[-1], sum((m * n) ** 2 for _, _, m, n in pairs)),
-                 dtype=np.complex128)
-    col = 0
-    for j, k, m, n in pairs:
-        width = (m * n) ** 2
-        eye_m, eye_n = np.eye(m), np.eye(n)
-        a[row_off[j]:row_off[j + 1], col:col + width] = np.einsum(
-            "pi,qj,ab->pqiajb", eye_m, eye_m, eye_n).reshape(m * m, width)
-        u = len(tdims) + k
-        a[row_off[u]:row_off[u + 1], col:col + width] = np.einsum(
-            "zx,yq,wp->pqxyzw", target.state.density.blocks[j], eye_n,
-            eye_n).reshape(n * n, width)
-        col += width
-    b = np.concatenate(
-        [np.eye(m, dtype=np.complex128).ravel() for m in tdims]
-        + [blk.ravel() for blk in source.state.density.blocks])
-    return a, b
+def _deflate(sup: np.ndarray, source: System, target: System) -> np.ndarray:
+    """Orthogonal projection of a superoperator onto {Z : Z u = 0, d^+ Z = 0},
+    u = coords(1_source), d = coords(D_target): the directions that keep
+    Phi(1) and the target state of Phi(x) fixed."""
+    u = to_coords(source.algebra.identity())
+    d = to_coords(target.state.density)
+    sup = sup - np.outer(sup @ u, u.conj()) / np.vdot(u, u).real
+    return sup - np.outer(d, d.conj() @ sup) / np.vdot(d, d).real
 
 
 def sp_ucp(source: System, target: System, seed: int,
@@ -356,46 +315,47 @@ def sp_ucp(source: System, target: System, seed: int,
     Closed form, no iteration.  The base point is the Choi collection of
     `state_to_scalar` (or `start`), whose smallest Choi eigenvalue
     lambda_min is the smallest source density eigenvalue, so it sits strictly
-    inside the psd cone.  A seeded random
-    Hermitian collection Z is projected onto the null space of the unital
-    and dual-fixed-point constraints, and the output is base + eps * Z with
-    eps = lambda_min / (2 |Z|_op): exactly feasible, and completely positive
-    with Choi eigenvalues at least lambda_min / 2.  The base is
-    flow-compatible and a generic null-space direction is not, so the
-    output breaks the flow by an amount of order eps.
+    inside the psd cone.  A seeded random Hermitian Choi collection Z, taken
+    to its superoperator, is projected onto the null space of the unital and
+    state conditions by the two-sided rank-one deflation
+    Z |-> (1 - d d^+/|d|^2) Z (1 - u u^+/|u|^2), u = coords(1_source) and
+    d = coords(D_target).  The two factors act on opposite sides, so they
+    commute, and the Frobenius metric they are orthogonal in is the Choi
+    metric too (the Choi vector permutes the superoperator's entries).  The
+    output is base + eps * Z with eps = lambda_min / (2 |Z|_op): exactly
+    feasible, and completely positive with Choi eigenvalues at least
+    lambda_min / 2.  The base is flow-compatible and a generic null-space
+    direction is not, so the output breaks the flow by an amount of order
+    eps.  The null space has dimension (T - 1)(S - 1) for coordinate dims
+    T and S, so when either is 1 there is no free direction and the base
+    comes back unchanged (decided by the dims, not by the size of a
+    roundoff-level Z).
 
     A `start` must be Hermitian, unital, completely positive and state
     compatible (PreconditionFailed otherwise); one on the cone boundary,
     lambda_min = 0, comes back unchanged.
     """
-    pairs = _choi_pairs(source.algebra, target.algebra)
     if start is None:
         start = to_choi(state_to_scalar(source, target))
     else:
         bad = precondition_defects(choi_to_channel(start, source, target))
         if bad:
             raise PreconditionFailed(f"sp_ucp start is not feasible: {bad}")
-    a_mat, _ = _affine_system(source, target)
+    if source.coord_dim == 1 or target.coord_dim == 1:
+        return choi_to_channel(start, source, target)
     rng = np.random.default_rng(seed)
     z = {}
-    for j, k, m, n in pairs:
-        g = (rng.standard_normal((m * n, m * n))
-             + 1j * rng.standard_normal((m * n, m * n)))
-        z[(j, k)] = g + g.conj().T
-    # Null-space projection through the small Gram matrix.  The rows are
-    # always rank deficient by one (tr(D_t Phi(1)) = tr(Phi^+(D_t)) ties a
-    # unital row combination to a dual one), so the solve drops the
-    # numerically zero Gram eigenvalues.
-    w, v = np.linalg.eigh(a_mat @ a_mat.conj().T)
-    keep = w > 1e-10 * w[-1]
-    v, w = v[:, keep], w[keep]
-    zvec = _choi_vec(z, pairs)
-    zvec = zvec - a_mat.conj().T @ (v @ ((v.conj().T @ (a_mat @ zvec)) / w))
-    z = {key: (c + c.conj().T) / 2.0 for key, c in _choi_unvec(zvec, pairs).items()}
+    for j, m in enumerate(target.algebra.block_dims):
+        for k, n in enumerate(source.algebra.block_dims):
+            g = (rng.standard_normal((m * n, m * n))
+                 + 1j * rng.standard_normal((m * n, m * n)))
+            z[(j, k)] = g + g.conj().T
+    sup = _deflate(choi_to_channel(ChoiMatrix(source.algebra, target.algebra, z),
+                                   source, target).superop, source, target)
+    z = {key: (c + c.conj().T) / 2.0
+         for key, c in to_choi(Channel(source, target, sup)).blocks.items()}
     z_norm = max(float(np.linalg.norm(c, 2)) for c in z.values())
-    lam = max(start.min_eigenvalue(), 0.0)
-    # full column rank (dims (1,)) leaves a null space of {0}: Z is rounding
-    eps = 0.5 * lam / z_norm if np.count_nonzero(keep) < a_mat.shape[1] else 0.0
+    eps = 0.5 * max(start.min_eigenvalue(), 0.0) / z_norm
     blocks = {key: start.blocks[key] + eps * z[key] for key in z}
     return choi_to_channel(
         ChoiMatrix(source.algebra, target.algebra, blocks), source, target)

@@ -222,6 +222,33 @@ class TestGenNoConvergence:
         assert out == "" and err.count("\n") == 1
 
 
+class TestGenRefusals:
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "schur", "--dims", "2x2"),
+        ("--kind", "schur", "--dims", "3", "--params", '{"c": [[1,0],[0,1]]}'),
+        ("--kind", "pinch", "--dims", "2", "--params", '{"min_gap": 2}'),
+        ("--kind", "state_to_scalar", "--dims", "2", "--params", '{"target_dims": [0]}'),
+    ], ids=["schur-multiblock", "schur-misfit-c", "min-gap", "target-dims"])
+    def test_exit_two_without_file(self, tmp_path, capsys, argv):
+        path = tmp_path / "inst.json"
+        code, out, err = run(capsys, "gen", *argv, "-o", str(path))
+        assert code == 2 and out == "" and not path.exists()
+        assert err.count("\n") == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("gap", ["1.5", "1", "-0.1", "nan", "wide"])
+    def test_suite_min_gap_outside_unit_interval(self, tmp_path, capsys, gap):
+        out_dir = tmp_path / "suite"
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "--trials", "1", "--min-gap", gap, "--out", str(out_dir)])
+        assert exc.value.code == 2 and not out_dir.exists()
+        assert "[0, 1)" in capsys.readouterr().err
+
+    def test_suite_min_gap_zero_accepted(self, capsys):
+        code, _, _ = run(capsys, "suite", "--trials", "2", "--dims", "2",
+                         "--min-gap", "0", "--seed", "3")
+        assert code == 0
+
+
 class TestSampleCountFlags:
     @pytest.mark.parametrize("flag", ["--t-samples", "--z-samples"])
     @pytest.mark.parametrize("count", ["0", "-1", "-2", "two"])

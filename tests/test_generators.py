@@ -26,15 +26,12 @@ from modmark.generators import (
     spectral_projections,
     state_to_scalar,
 )
-from modmark.generators import _affine_system
 from modmark.markov import (
     ChoiMatrix,
     System,
     check_markov,
-    choi_to_channel,
     identity_channel,
     to_choi,
-    trace_dual,
 )
 from modmark.verify import verify_modular_symmetry
 
@@ -217,38 +214,12 @@ def _system_pair(src_dims, tgt_dims, seed):
     return src, System(random_faithful_state(BlockAlgebra(tgt_dims), seed + 1, 0.05))
 
 
-class TestAffineSystem:
-    @pytest.mark.parametrize("src_dims,tgt_dims", [
-        ((2,), (2,)), ((3,), (3,)), ((2, 2), (2, 2)), ((3, 1), (3, 1)),
-        ((2,), (3,))])
-    def test_matches_channel_residuals(self, src_dims, tgt_dims):
-        # oracle: the constraint values recomputed through the channel view
-        src, tgt = _system_pair(src_dims, tgt_dims, 40)
-        a_mat, b = _affine_system(src, tgt)
-        rng = np.random.default_rng(41)
-        blocks = {}
-        for j, m in enumerate(tgt_dims):
-            for k, n in enumerate(src_dims):
-                g = (rng.standard_normal((m * n, m * n))
-                     + 1j * rng.standard_normal((m * n, m * n)))
-                blocks[(j, k)] = g + g.conj().T
-        choi = ChoiMatrix(src.algebra, tgt.algebra, blocks)
-        vec = np.concatenate([blocks[(j, k)].ravel()
-                              for j in range(len(tgt_dims))
-                              for k in range(len(src_dims))])
-        ch = choi_to_channel(choi, src, tgt)
-        unital = ch.apply(src.algebra.identity()) - tgt.algebra.identity()
-        dual = trace_dual(ch).apply(tgt.state.density) - src.state.density
-        expected = np.concatenate([blk.ravel() for blk in unital.blocks]
-                                  + [blk.ravel() for blk in dual.blocks])
-        assert np.max(np.abs(a_mat @ vec - b - expected)) <= 1e-12
-
-
 class TestSpUcpLarge:
-    """Sizes where the former alternating-projection solver stalled."""
+    """Sizes where the former alternating-projection solver stalled, and
+    where the former dense affine-system projection cost seconds."""
 
     CASES = [((6,), (6,)), ((8,), (8,)), ((2, 2, 2), (2, 2, 2)),
-             ((3, 3), (3, 3)), ((2,), (3,))]
+             ((3, 3), (3, 3)), ((2,), (3,)), ((12,), (12,)), ((8, 8), (8, 8))]
 
     @pytest.mark.parametrize("src_dims,tgt_dims", CASES)
     def test_interior_feasible_flow_breaking(self, src_dims, tgt_dims):
@@ -274,6 +245,16 @@ class TestSpUcpLarge:
         # on C the unique feasible channel is the identity
         sys = System(random_faithful_state(BlockAlgebra((1,)), 55, 0.05))
         assert np.linalg.norm(sp_ucp(sys, sys, 56).superop - 1.0) <= 1e-15
+
+    def test_scalar_target_returns_state_to_scalar_exactly(self):
+        # a one-dimensional target leaves no free direction whatever the
+        # roundoff: the target density 1 + 5e-13 passes the trace check
+        # and the output is the base point bit for bit
+        src = System(random_faithful_state(M2, 57, 0.05))
+        tgt = System(FaithfulState(AlgebraElement(
+            BlockAlgebra((1,)), [np.array([[1.0 + 5e-13]])])))
+        ch = sp_ucp(src, tgt, 58)
+        assert np.array_equal(ch.superop, state_to_scalar(src, tgt).superop)
 
     def test_infeasible_start_rejected(self):
         src, tgt = _system_pair((2,), (3,), 53)

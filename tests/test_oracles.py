@@ -11,7 +11,10 @@ per-unit state pairing; and, for the constructions, the per-unit Kraus sum
 on the carrier space with its embed/compress helpers, the per-unit Choi
 inverse, the four-deep tensor loop over unit images, the per-unit star
 check, and the block expectation and automorphism as products of left and
-right multiplication superoperators.  They are kept here only, so that a
+right multiplication superoperators.  For the generators: `sp_ucp`'s step
+projected through the dense affine constraint system and its Gram matrix
+instead of the two rank-one deflations, and the twirl's frequency buckets
+chained by a Python loop.  They are kept here only, so that a
 check is never the code it checks.  `delta_power_superop`, Delta^z carried
 back from the eigenframe, lives here too because only tests read it.  The
 instance files have two more: `json.dumps(..., sort_keys=True, indent=2)` is
@@ -37,12 +40,16 @@ from modmark.algebra import (
 )
 from modmark.errors import MalformedInstance, PowerRangeExceeded
 from modmark.generators import (
+    TWIRL_FREQ_TOL,
     GenSpec,
+    _bucket_ids,
+    _deflate,
     automorphism_channel,
     block_expectation,
     build_channel,
     random_commuting_unitary,
     random_faithful_state,
+    sp_ucp,
     spectral_projections,
     state_to_scalar,
 )
@@ -66,6 +73,7 @@ from modmark.markov import (
     tensor,
     tensor_element,
     to_choi,
+    trace_dual,
 )
 from modmark.linalg import op_norm
 from modmark.serialize import (
@@ -643,6 +651,203 @@ class TestGeneratorsAgainstMultiplicationProducts:
         ref = left_mult_superop(u.adjoint()) @ right_mult_superop(u)
         got = automorphism_channel(sys, u).superop
         assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# sp_ucp: the dense affine system and its Gram projection; twirl buckets
+# ---------------------------------------------------------------------------
+
+def _choi_pairs(source, target):
+    return [(j, k, m, n)
+            for j, m in enumerate(target.block_dims)
+            for k, n in enumerate(source.block_dims)]
+
+
+def oracle_affine_system(source, target):
+    """Constraint matrix A and right-hand side b of the two affine conditions.
+
+    A @ vec(C) - b stacks Phi(1) - 1 (one row block per target block) and
+    trace_dual(Phi)(D_target) - D_source (one row block per source block)
+    for the channel Phi of a Hermitian Choi collection C, vec(C) the
+    concatenated raveled blocks in `_choi_pairs` order.  Block (j, k) read
+    as c[i, a, i', b] = Phi(E_ab)[i, i'] feeds unital rows (i, i') through
+    the trace over a = b, and dual rows (b, a) through D_target[i', i]; the
+    dual rows are written without conjugation so A stays complex-linear.
+    """
+    pairs = _choi_pairs(source.algebra, target.algebra)
+    tdims, sdims = target.algebra.block_dims, source.algebra.block_dims
+    row_off = np.cumsum([0] + [m * m for m in tdims] + [n * n for n in sdims])
+    a = np.zeros((row_off[-1], sum((m * n) ** 2 for _, _, m, n in pairs)),
+                 dtype=np.complex128)
+    col = 0
+    for j, k, m, n in pairs:
+        width = (m * n) ** 2
+        eye_m, eye_n = np.eye(m), np.eye(n)
+        a[row_off[j]:row_off[j + 1], col:col + width] = np.einsum(
+            "pi,qj,ab->pqiajb", eye_m, eye_m, eye_n).reshape(m * m, width)
+        u = len(tdims) + k
+        a[row_off[u]:row_off[u + 1], col:col + width] = np.einsum(
+            "zx,yq,wp->pqxyzw", target.state.density.blocks[j], eye_n,
+            eye_n).reshape(n * n, width)
+        col += width
+    b = np.concatenate(
+        [np.eye(m, dtype=np.complex128).ravel() for m in tdims]
+        + [blk.ravel() for blk in source.state.density.blocks])
+    return a, b
+
+
+def oracle_null_projection(source, target, z):
+    """Project a Choi collection onto the null space of `oracle_affine_system`
+    through its Gram matrix.  The rows are always rank deficient by one
+    (tr(D_t Phi(1)) = tr(Phi^+(D_t)) ties a unital row combination to a dual
+    one), so the solve drops the numerically zero Gram eigenvalues.  Returns
+    the projected collection and whether a null space is left at all."""
+    pairs = _choi_pairs(source.algebra, target.algebra)
+    a_mat, _ = oracle_affine_system(source, target)
+    w, v = np.linalg.eigh(a_mat @ a_mat.conj().T)
+    keep = w > 1e-10 * w[-1]
+    v, w = v[:, keep], w[keep]
+    zvec = np.concatenate([z[(j, k)].ravel() for j, k, _, _ in pairs])
+    zvec = zvec - a_mat.conj().T @ (v @ ((v.conj().T @ (a_mat @ zvec)) / w))
+    out, off = {}, 0
+    for j, k, m, n in pairs:
+        out[(j, k)] = zvec[off:off + (m * n) ** 2].reshape(m * n, m * n)
+        off += (m * n) ** 2
+    return out, np.count_nonzero(keep) < a_mat.shape[1]
+
+
+def _seeded_choi_direction(source, target, seed):
+    rng = np.random.default_rng(seed)
+    z = {}
+    for j, k, m, n in _choi_pairs(source.algebra, target.algebra):
+        g = _random_matrix(rng, (m * n, m * n))
+        z[(j, k)] = g + g.conj().T
+    return z
+
+
+def oracle_sp_ucp(source, target, seed, start=None):
+    """sp_ucp through the dense affine system: the same seeded Z, projected
+    by `oracle_null_projection` instead of the rank-one deflations."""
+    if start is None:
+        start = to_choi(state_to_scalar(source, target))
+    z, free = oracle_null_projection(
+        source, target, _seeded_choi_direction(source, target, seed))
+    z = {key: (c + c.conj().T) / 2.0 for key, c in z.items()}
+    z_norm = max(float(np.linalg.norm(c, 2)) for c in z.values())
+    eps = 0.5 * max(start.min_eigenvalue(), 0.0) / z_norm if free else 0.0
+    blocks = {key: start.blocks[key] + eps * z[key] for key in z}
+    return choi_to_channel(
+        ChoiMatrix(source.algebra, target.algebra, blocks), source, target)
+
+
+def loop_bucket_ids(values, tol):
+    order = np.argsort(values, kind="stable")
+    ids = np.empty(len(values), dtype=np.int64)
+    current = 0
+    prev = None
+    for pos in order:
+        v = float(values[pos])
+        if prev is not None and v - prev > tol:
+            current += 1
+        ids[pos] = current
+        prev = v
+    return ids
+
+
+SP_UCP_DIMS = [((2,), (2,)), ((3,), (3,)), ((6,), (6,)), ((2, 2, 2), (2, 2, 2)),
+               ((3, 3), (3, 3)), ((2,), (3,)), ((3, 1), (2,)), ((1,), (3,)),
+               ((2,), (1,))]
+SP_UCP_IDS = [f"{_dims_id(s)}->{_dims_id(t)}" for s, t in SP_UCP_DIMS]
+
+
+def _sp_ucp_systems(src_dims, tgt_dims, seed):
+    if src_dims == tgt_dims:
+        src = System(random_faithful_state(BlockAlgebra(src_dims), seed, 0.05))
+        return src, src
+    return _random_systems(src_dims, tgt_dims, seed)
+
+
+@pytest.mark.parametrize("src_dims,tgt_dims", SP_UCP_DIMS, ids=SP_UCP_IDS)
+class TestSpUcpOracle:
+    def test_matches_gram_route(self, src_dims, tgt_dims):
+        src, tgt = _sp_ucp_systems(src_dims, tgt_dims, 101)
+        for seed in (102, 103):
+            got = sp_ucp(src, tgt, seed).superop
+            assert np.max(np.abs(got - oracle_sp_ucp(src, tgt, seed).superop)) <= 1e-13
+
+    def test_matches_gram_route_from_a_start(self, src_dims, tgt_dims):
+        # an interior start that is not the state-to-scalar channel
+        src, tgt = _sp_ucp_systems(src_dims, tgt_dims, 104)
+        start = to_choi(sp_ucp(src, tgt, 105))
+        got = sp_ucp(src, tgt, 106, start=start).superop
+        ref = oracle_sp_ucp(src, tgt, 106, start=start).superop
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+    def test_deflation_is_the_null_space_projection(self, src_dims, tgt_dims):
+        src, tgt = _sp_ucp_systems(src_dims, tgt_dims, 107)
+        z = _seeded_choi_direction(src, tgt, 108)
+        sup = choi_to_channel(ChoiMatrix(src.algebra, tgt.algebra, z), src, tgt).superop
+        got = _deflate(sup, src, tgt)
+        u = to_coords(src.algebra.identity())
+        d = to_coords(tgt.state.density)
+        assert np.linalg.norm(got @ u) <= 1e-13
+        assert np.linalg.norm(d.conj() @ got) <= 1e-13
+        assert np.max(np.abs(_deflate(got, src, tgt) - got)) <= 1e-13
+        ref, free = oracle_null_projection(src, tgt, z)
+        ref = choi_to_channel(ChoiMatrix(src.algebra, tgt.algebra, ref), src, tgt).superop
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(sup))
+        assert free == (src.coord_dim > 1 and tgt.coord_dim > 1)
+
+
+class TestAffineSystem:
+    @pytest.mark.parametrize("src_dims,tgt_dims", [
+        ((2,), (2,)), ((3,), (3,)), ((2, 2), (2, 2)), ((3, 1), (3, 1)),
+        ((2,), (3,))])
+    def test_matches_channel_residuals(self, src_dims, tgt_dims):
+        # the constraint values recomputed through the channel view
+        src, tgt = _sp_ucp_systems(src_dims, tgt_dims, 40)
+        a_mat, b = oracle_affine_system(src, tgt)
+        blocks = _seeded_choi_direction(src, tgt, 41)
+        vec = np.concatenate([blocks[(j, k)].ravel() for j, k, _, _
+                              in _choi_pairs(src.algebra, tgt.algebra)])
+        ch = choi_to_channel(ChoiMatrix(src.algebra, tgt.algebra, blocks), src, tgt)
+        unital = ch.apply(src.algebra.identity()) - tgt.algebra.identity()
+        dual = trace_dual(ch).apply(tgt.state.density) - src.state.density
+        expected = np.concatenate([blk.ravel() for blk in unital.blocks]
+                                  + [blk.ravel() for blk in dual.blocks])
+        assert np.max(np.abs(a_mat @ vec - b - expected)) <= 1e-12
+
+
+class TestBucketIds:
+    TOL = TWIRL_FREQ_TOL
+
+    @pytest.mark.parametrize("values", [
+        [0.0, 0.0, 0.0],
+        [1.0, 0.0, 1.0, 0.0],
+        [0.0, 0.9e-9, 1.8e-9, 2.7e-9],
+        [0.0, 1.1e-9, 2.2e-9],
+        [0.0, 0.9e-9, 2.0e-9, 2.9e-9, 4.0e-9],
+        [-3.0, -1.0, -1.0 + 5e-10, -2.0, 0.5],
+        [-0.5e-9, 0.0, 0.5e-9, 1.6e-9],
+        [7.25],
+    ])
+    def test_matches_loop(self, values):
+        v = np.array(values)
+        assert np.array_equal(_bucket_ids(v, self.TOL), loop_bucket_ids(v, self.TOL))
+
+    def test_chains_and_splits(self):
+        under = np.array([0.0, 0.9e-9, 1.8e-9, 2.7e-9])
+        assert _bucket_ids(under, self.TOL).tolist() == [0, 0, 0, 0]
+        over = np.array([2.2e-9, 0.0, 1.1e-9])
+        assert _bucket_ids(over, self.TOL).tolist() == [2, 0, 1]
+
+    def test_random_near_ties(self):
+        rng = np.random.default_rng(111)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            steps = rng.choice([0.0, 0.5, 0.999, 1.001, 2.0, 1e6], size=n) * self.TOL
+            v = rng.permutation(rng.normal() + np.cumsum(steps))
+            assert np.array_equal(_bucket_ids(v, self.TOL), loop_bucket_ids(v, self.TOL))
 
 
 # ---------------------------------------------------------------------------
