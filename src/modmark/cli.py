@@ -174,7 +174,9 @@ def cmd_gen(args) -> int:
         built = build_channel(spec)
     except NoConvergence:
         raise
-    except (ValueError, ModmarkError) as exc:
+    except (ValueError, TypeError, ModmarkError) as exc:
+        # a param of the wrong JSON type fails in the generator's
+        # int/float/dict conversions with TypeError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     metadata = {

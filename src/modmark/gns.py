@@ -165,6 +165,19 @@ class ModularData:
             self._power_cache[z] = hit
         return hit
 
+    def delta_power_factors(self, zs) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per block, D**z and D**(-z) stacked over zs along a leading axis.
+
+        Delta^{z_i} on a stack of vectors is then plus[i] @ V @ minus[i] and
+        Delta^{-z_i} is minus[i] @ V @ plus[i].  Every z must satisfy
+        |Re z| <= z_max; the powers are the cached `d_power_blocks`.
+        """
+        zs = [self._check_range(z) for z in zs]
+        plus = [self.d_power_blocks(z) for z in zs]
+        minus = [self.d_power_blocks(-z) for z in zs]
+        return [(np.stack([p[k] for p in plus]), np.stack([m[k] for m in minus]))
+                for k in range(self.algebra.num_blocks)]
+
     def _check_range(self, z: complex) -> complex:
         z = complex(z)
         if abs(z.real) > self.z_max:

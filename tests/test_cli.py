@@ -228,7 +228,13 @@ class TestGenRefusals:
         ("--kind", "schur", "--dims", "3", "--params", '{"c": [[1,0],[0,1]]}'),
         ("--kind", "pinch", "--dims", "2", "--params", '{"min_gap": 2}'),
         ("--kind", "state_to_scalar", "--dims", "2", "--params", '{"target_dims": [0]}'),
-    ], ids=["schur-multiblock", "schur-misfit-c", "min-gap", "target-dims"])
+        # params of the wrong JSON type
+        ("--kind", "state_to_scalar", "--dims", "2", "--params", '{"target_dims": 3}'),
+        ("--kind", "state_to_scalar", "--dims", "2", "--params", '{"min_gap": null}'),
+        ("--kind", "twirl", "--dims", "2", "--params", '{"base_params": 5}'),
+        ("--kind", "schur", "--dims", "2", "--params", '{"c": {"a": 1}}'),
+    ], ids=["schur-multiblock", "schur-misfit-c", "min-gap", "target-dims",
+            "target-dims-int", "min-gap-null", "twirl-base-params-int", "schur-c-dict"])
     def test_exit_two_without_file(self, tmp_path, capsys, argv):
         path = tmp_path / "inst.json"
         code, out, err = run(capsys, "gen", *argv, "-o", str(path))

@@ -19,7 +19,9 @@ check is never the code it checks.  `delta_power_superop`, Delta^z carried
 back from the eigenframe, lives here too because only tests read it.  The
 instance files have two more: `json.dumps(..., sort_keys=True, indent=2)` is
 the oracle of the template writer, and the per-entry conversion is the
-oracle of the one-array reader.
+oracle of the one-array reader.  The modular axioms of a state keep their
+per-vector `GnsVector` route, one object per operation, as the oracle of the
+stacked `modular_invariants`.
 """
 
 import json
@@ -47,13 +49,15 @@ from modmark.generators import (
     automorphism_channel,
     block_expectation,
     build_channel,
+    derive_seed,
     random_commuting_unitary,
     random_faithful_state,
     sp_ucp,
     spectral_projections,
     state_to_scalar,
 )
-from modmark.gns import GnsVector
+from modmark.gns import GnsVector, ModularData, left_act
+from modmark.linalg import matrix_power_from_eig
 from modmark.markov import (
     DEFAULT_FLOW_SAMPLES,
     Channel,
@@ -88,6 +92,7 @@ from modmark.verify import (
     DEFAULT_S_VALUES,
     POSITIVE_KINDS,
     SuiteConfig,
+    modular_invariants,
     run_suite,
     sample_z,
     verify_adjoint,
@@ -551,6 +556,145 @@ class TestFrameHelpers:
         ref = kron_delta_superop(md, z)
         assert np.linalg.norm(
             g @ ref @ g.conj().T - np.diag(md.delta_power_diagonal(z))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# modular axioms of a state
+# ---------------------------------------------------------------------------
+
+def oracle_modular_invariants(md, seed=0):
+    """The per-vector route: every operation builds a `GnsVector`."""
+    t_samples = (0.7, -1.0, 5.0)
+    alg = md.algebra
+    xs = []
+    for i, kind in ((21, "general"), (22, "hermitian")):
+        x = random_element(alg, derive_seed(seed, i), kind)
+        xs.append(x * (1.0 / x.norm()))
+    vecs = []
+    for i in (23, 24):
+        e = random_element(alg, derive_seed(seed, i), "general")
+        v = GnsVector(alg, e.blocks)
+        vecs.append(v * (1.0 / v.norm()))
+    xi, eta = vecs
+    out = {}
+
+    r = 0.0
+    for v in vecs:  # polar pieces agree: J Delta^{1/2} = Delta^{-1/2} J
+        r = max(r, (md.apply_J(md.delta_power(0.5, v))
+                    - md.delta_power(-0.5, md.apply_J(v))).norm())
+    for x in xs:    # and S sends x Omega to x^+ Omega
+        r = max(r, (md.apply_S(md.embed(x)) - md.embed(x.adjoint())).norm())
+    out["gns_s_polar"] = r
+
+    out["gns_delta_ss"] = abs(md.delta_power(1.0, xi).inner(eta)
+                              - md.apply_S(eta).inner(md.apply_S(xi)))
+
+    out["gns_j_involution"] = max(
+        (md.apply_J(md.apply_J(v)) - v).norm() for v in vecs)
+
+    out["gns_j_antiunitary"] = abs(
+        md.apply_J(xi).inner(md.apply_J(eta)) - eta.inner(xi))
+
+    out["gns_jdj_inverse"] = max(
+        (md.apply_J(md.delta_power(1.0, md.apply_J(v)))
+         - md.delta_power(-1.0, v)).norm() for v in vecs)
+
+    r = (md.apply_J(md.omega) - md.omega).norm()
+    for t in t_samples:
+        r = max(r, (md.delta_power(1j * t, md.omega) - md.omega).norm())
+    out["gns_omega_fixed"] = r
+
+    r = 0.0
+    for t in t_samples:
+        for v in vecs:
+            r = max(r, (md.delta_power(1j * t, md.apply_J(v))
+                        - md.apply_J(md.delta_power(1j * t, v))).norm())
+    out["gns_delta_it_j"] = r
+
+    y = random_element(alg, derive_seed(seed, 25), "general")
+    y = y * (1.0 / y.norm())
+    r = 0.0
+    for x in xs:
+        for v in vecs:  # left action commutes with J y J (the right action)
+            jyj = md.apply_J(left_act(y, md.apply_J(v)))
+            lhs = left_act(x, jyj)
+            rhs = md.apply_J(left_act(y, md.apply_J(left_act(x, v))))
+            r = max(r, (lhs - rhs).norm())
+    out["gns_commutant"] = r
+
+    r = 0.0
+    for t in t_samples:
+        for x in xs:
+            r = max(r, (md.embed(md.modular_flow(t, x))
+                        - md.delta_power(1j * t, md.embed(x))).norm())
+    out["gns_flow_embed"] = r
+    return out
+
+
+class SkewedPowers(ModularData):
+    """Modular data whose powers in the lower half-plane (Re z < 0, or
+    Re z = 0 > Im z) are D'^z U, D' another density and U a fixed unitary.
+    Delta^z = D^z . D'^{-z} U then breaks every axiom that applies Delta,
+    S or the flow by O(1), so a dropped or swapped factor shows as an O(1)
+    disagreement instead of hiding behind roundoff-level residuals."""
+
+    def __init__(self, state, skew_seed):
+        super().__init__(state)
+        self.skew_eig = random_faithful_state(state.parent, skew_seed, 0.05).block_eigs
+        self.twist = random_element(state.parent, skew_seed, "unitary").blocks
+
+    def d_power_blocks(self, z):
+        z = complex(z)
+        if z.real < 0 or (z.real == 0 and z.imag < 0):
+            return [matrix_power_from_eig(e, z) @ u
+                    for e, u in zip(self.skew_eig, self.twist)]
+        return super().d_power_blocks(z)
+
+
+AXIOM_DIMS = [(1,), (2,), (3,), (2, 2), (3, 1), (2, 2, 2), (8,), (16,), (6, 4, 2)]
+
+
+def _axiom_dims_id(dims):
+    return "x".join(map(str, dims))
+
+
+# J, J^2 and the left action never touch a power
+SKEW_BROKEN_KEYS = ("gns_s_polar", "gns_delta_ss", "gns_jdj_inverse", "gns_omega_fixed",
+                    "gns_delta_it_j", "gns_flow_embed")
+
+
+class TestModularAxiomsOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dims", AXIOM_DIMS, ids=_axiom_dims_id)
+    def test_matches_per_vector_route(self, dims, seed):
+        md = ModularData(random_faithful_state(BlockAlgebra(dims), 70 + seed, 0.05))
+        got = modular_invariants(md, seed=seed)
+        ref = oracle_modular_invariants(md, seed=seed)
+        assert got.keys() == ref.keys()
+        for key in ref:
+            assert abs(got[key] - ref[key]) <= 1e-14, (key, got[key], ref[key])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("dims", [(2,), (3,), (3, 1), (2, 2, 2), (8,), (6, 4, 2)],
+                             ids=_axiom_dims_id)
+    def test_matches_on_skewed_powers(self, dims, seed):
+        md = SkewedPowers(random_faithful_state(BlockAlgebra(dims), 80 + seed, 0.05),
+                          skew_seed=90 + seed)
+        got = modular_invariants(md, seed=seed)
+        ref = oracle_modular_invariants(md, seed=seed)
+        for key in SKEW_BROKEN_KEYS:
+            assert ref[key] > 1e-2, (key, ref[key])
+        for key in ref:
+            assert abs(got[key] - ref[key]) <= 1e-10 * ref[key] + 1e-14, (
+                key, got[key], ref[key])
+
+    @pytest.mark.parametrize("route", [modular_invariants, oracle_modular_invariants],
+                             ids=["stacked", "oracle"])
+    def test_range_guard(self, route):
+        # the axioms apply Delta^{+-1}, beyond z_max = 0.5
+        md = ModularData(random_faithful_state(BlockAlgebra((3,)), 4, 0.05), z_max=0.5)
+        with pytest.raises(PowerRangeExceeded):
+            route(md, seed=1)
 
 
 # ---------------------------------------------------------------------------
