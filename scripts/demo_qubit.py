@@ -42,8 +42,8 @@ def main():
     ch = schur_channel(sys, np.array([[1.0, 0.5], [0.5, 1.0]]))
     print_markov(ch, "membership residuals")
     ext = l2_extension(ch)
-    print("extension on unit coordinates:\n", np.round(ext.matrix.real, 6))
-    print(f"operator norm: {op_norm(ext.matrix):.12f}")
+    print("extension on unit coordinates:\n", np.round(ext.real, 6))
+    print(f"operator norm: {op_norm(ext):.12f}")
 
     report = verify_channel(ch, kind="schur", instance_id="demo-schur", seed=0,
                             z_samples=sample_z(0))

@@ -19,7 +19,7 @@ from .algebra import (
     to_coords,
 )
 from .errors import ModmarkError
-from .gns import GnsVector, ModularData, left_act, right_act
+from .gns import ModularData
 from .generators import (
     GenSpec,
     build_channel,

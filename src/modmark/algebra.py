@@ -117,6 +117,11 @@ class AlgebraElement:
     def trace(self) -> complex:
         return complex(sum(np.trace(a) for a in self.blocks))
 
+    def inner(self, other: "AlgebraElement") -> complex:
+        """<self, other> = sum_k Tr(other_k^+ self_k); linear in self."""
+        self._same_parent(other)
+        return complex(sum(np.vdot(b, a) for a, b in zip(self.blocks, other.blocks)))
+
     def norm(self) -> float:
         """Frobenius norm across all blocks."""
         return float(np.sqrt(sum(np.linalg.norm(a) ** 2 for a in self.blocks)))
@@ -249,10 +254,6 @@ def random_element(alg: BlockAlgebra, seed: int, kind: str = "general") -> Algeb
     return AlgebraElement(alg, blocks)
 
 
-def hermiticity_defect(x: AlgebraElement) -> float:
-    return (x - x.adjoint()).norm()
-
-
 __all__ = [
     "BlockAlgebra",
     "AlgebraElement",
@@ -264,6 +265,5 @@ __all__ = [
     "blocks_from_coords",
     "element_from_coords",
     "random_element",
-    "hermiticity_defect",
     "HERMITICITY_RTOL",
 ]

@@ -161,6 +161,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_instance_or_exit_code(path):
+    """`read_instance(path)`, or the exit code after one error line."""
+    try:
+        return read_instance(path)
+    except MalformedInstance as exc:
+        print(f"error: malformed instance: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ShapeMismatch as exc:
+        print(f"error: shape inconsistency: {exc}", file=sys.stderr)
+        return EXIT_SHAPE
+
+
+def _print_markov(mc) -> None:
+    for name, value in mc.residuals.items():
+        print(f"  markov {name:8s} {value:.3e}  "
+              f"({'pass' if mc.verdicts[name] else 'FAIL'})")
+
+
 def cmd_gen(args) -> int:
     try:
         params = json.loads(args.params)
@@ -188,21 +206,15 @@ def cmd_gen(args) -> int:
     write_instance(args.output, built.channel, metadata)
     dims = "x".join(map(str, spec.dims))
     print(f"instance kind={spec.kind} dims={dims} seed={args.seed} -> {args.output}")
-    for name, value in mc.residuals.items():
-        print(f"  markov {name:8s} {value:.3e}  "
-              f"({'pass' if mc.verdicts[name] else 'FAIL'})")
+    _print_markov(mc)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        ch, metadata = read_instance(args.file)
-    except MalformedInstance as exc:
-        print(f"error: malformed instance: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ShapeMismatch as exc:
-        print(f"error: shape inconsistency: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
+    loaded = _read_instance_or_exit_code(args.file)
+    if isinstance(loaded, int):
+        return loaded
+    ch, metadata = loaded
     kind = None
     genspec = metadata.get("genspec")
     if isinstance(genspec, dict):
@@ -306,14 +318,10 @@ def cmd_suite(args) -> int:
 
 
 def cmd_show(args) -> int:
-    try:
-        ch, metadata = read_instance(args.file)
-    except MalformedInstance as exc:
-        print(f"error: malformed instance: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ShapeMismatch as exc:
-        print(f"error: shape inconsistency: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
+    loaded = _read_instance_or_exit_code(args.file)
+    if isinstance(loaded, int):
+        return loaded
+    ch, metadata = loaded
     print(f"instance file {args.file} (version 1)")
     print(f"  source: dims={ch.source.algebra.block_dims} "
           f"kappa={ch.source.state.kappa:.4g}")
@@ -323,10 +331,7 @@ def cmd_show(args) -> int:
           f"norm {np.linalg.norm(ch.superop, 2):.6g}")
     if metadata:
         print(f"  metadata: {json.dumps(metadata, sort_keys=True)}")
-    mc = check_markov(ch)
-    for name, value in mc.residuals.items():
-        print(f"  markov {name:8s} {value:.3e}  "
-              f"({'pass' if mc.verdicts[name] else 'FAIL'})")
+    _print_markov(check_markov(ch))
     return EXIT_OK
 
 

@@ -1,9 +1,11 @@
 """GNS representation of a faithful state in matrix coordinates.
 
-Vectors are block matrices with the inner product
-<xi, eta> = sum_k Tr(eta_k^+ xi_k); an algebra element x embeds as
-x D^{1/2}, so the cyclic unit vector is D^{1/2} itself.  Every modular object
-is then a closed-form function of the density's eigendecomposition:
+A GNS vector is one matrix per block, so it is an `AlgebraElement` with the
+inner product <xi, eta> = sum_k Tr(eta_k^+ xi_k) (`AlgebraElement.inner`);
+the algebra acts on it by `x @ xi` and its commutant by `xi @ y`.  An
+algebra element x embeds as x D^{1/2}, so the cyclic unit vector is D^{1/2}
+itself.  Every modular object is then a closed-form function of the
+density's eigendecomposition:
 
     conjugation   J(xi)      = xi^+              (conjugate-linear involution)
     positive op   Delta(xi)  = D xi D^{-1}, complex powers D^z xi D^{-z}
@@ -26,67 +28,11 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraElement, BlockAlgebra, FaithfulState
+from .algebra import AlgebraElement, FaithfulState
 from .errors import BadQuadrature, PowerRangeExceeded, ShapeMismatch
 from .linalg import base_tolerance, matrix_power_from_eig, power_condition_scale
 
 DEFAULT_Z_MAX = 2.0
-
-
-class GnsVector:
-    """Vector of the GNS space: one matrix per block, Hilbert-space semantics."""
-
-    __slots__ = ("parent", "blocks")
-
-    def __init__(self, parent: BlockAlgebra, blocks):
-        mats = [np.ascontiguousarray(b, dtype=np.complex128) for b in blocks]
-        if len(mats) != parent.num_blocks or any(
-                b.shape != (n, n) for b, n in zip(mats, parent.block_dims)):
-            raise ShapeMismatch("vector blocks do not fit the algebra")
-        self.parent = parent
-        self.blocks = mats
-
-    def _same_parent(self, other: "GnsVector") -> None:
-        if not isinstance(other, GnsVector) or other.parent != self.parent:
-            raise ShapeMismatch("vectors belong to different spaces")
-
-    def __add__(self, other):
-        self._same_parent(other)
-        return GnsVector(self.parent, [a + b for a, b in zip(self.blocks, other.blocks)])
-
-    def __sub__(self, other):
-        self._same_parent(other)
-        return GnsVector(self.parent, [a - b for a, b in zip(self.blocks, other.blocks)])
-
-    def __mul__(self, scalar):
-        return GnsVector(self.parent, [complex(scalar) * a for a in self.blocks])
-
-    __rmul__ = __mul__
-
-    def inner(self, other: "GnsVector") -> complex:
-        """<self, other> = sum_k Tr(other_k^+ self_k); linear in self."""
-        self._same_parent(other)
-        return complex(sum(np.vdot(b, a) for a, b in zip(self.blocks, other.blocks)))
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(np.linalg.norm(a) ** 2 for a in self.blocks)))
-
-    def __repr__(self):
-        return f"GnsVector(dims={self.parent.block_dims}, norm={self.norm():.3e})"
-
-
-def left_act(x: AlgebraElement, xi: GnsVector) -> GnsVector:
-    """xi |-> x xi blockwise (the algebra acting on its GNS space)."""
-    if x.parent != xi.parent:
-        raise ShapeMismatch("element and vector live on different algebras")
-    return GnsVector(xi.parent, [a @ b for a, b in zip(x.blocks, xi.blocks)])
-
-
-def right_act(x: AlgebraElement, xi: GnsVector) -> GnsVector:
-    """xi |-> xi x blockwise; commutes exactly with every left action."""
-    if x.parent != xi.parent:
-        raise ShapeMismatch("element and vector live on different algebras")
-    return GnsVector(xi.parent, [b @ a for a, b in zip(x.blocks, xi.blocks)])
 
 
 @dataclass
@@ -122,9 +68,8 @@ class ModularData:
         self.algebra = state.parent
         self.d_eig = list(state.block_eigs)
         self.z_max = float(z_max)
-        self.omega = GnsVector(
-            self.algebra, [matrix_power_from_eig(e, 0.5) for e in self.d_eig])
         self._power_cache: dict[complex, list[np.ndarray]] = {}
+        self.omega = AlgebraElement(self.algebra, self.d_power_blocks(0.5))
 
     @property
     def kappa(self) -> float:
@@ -185,29 +130,26 @@ class ModularData:
                 f"|Re z| = {abs(z.real)} exceeds z_max = {self.z_max}")
         return z
 
-    def embed(self, x: AlgebraElement) -> GnsVector:
+    def embed(self, x: AlgebraElement) -> AlgebraElement:
         """x |-> x D^{1/2}; the identity embeds to omega."""
-        if x.parent != self.algebra:
-            raise ShapeMismatch("element does not live on the state's algebra")
-        sq = self.d_power_blocks(0.5)
-        return GnsVector(self.algebra, [a @ s for a, s in zip(x.blocks, sq)])
+        return x @ self.omega
 
-    def apply_J(self, xi: GnsVector) -> GnsVector:
+    def apply_J(self, xi: AlgebraElement) -> AlgebraElement:
         """Conjugate-linear involution xi |-> xi^+."""
         if xi.parent != self.algebra:
             raise ShapeMismatch("vector does not live on the state's space")
-        return GnsVector(self.algebra, [b.conj().T for b in xi.blocks])
+        return xi.adjoint()
 
-    def delta_power(self, z: complex, xi: GnsVector) -> GnsVector:
+    def delta_power(self, z: complex, xi: AlgebraElement) -> AlgebraElement:
         """xi |-> D^z xi D^{-z} for |Re z| <= z_max."""
         if xi.parent != self.algebra:
             raise ShapeMismatch("vector does not live on the state's space")
         z = self._check_range(z)
         dp = self.d_power_blocks(z)
         dm = self.d_power_blocks(-z)
-        return GnsVector(self.algebra, [p @ b @ m for p, b, m in zip(dp, xi.blocks, dm)])
+        return AlgebraElement(self.algebra, [p @ b @ m for p, b, m in zip(dp, xi.blocks, dm)])
 
-    def apply_S(self, xi: GnsVector) -> GnsVector:
+    def apply_S(self, xi: AlgebraElement) -> AlgebraElement:
         """S = J o Delta^{1/2}, so S(x D^{1/2}) = x^+ D^{1/2}."""
         return self.apply_J(self.delta_power(0.5, xi))
 
@@ -249,7 +191,7 @@ class ModularData:
             out.append(v @ block @ v.conj().T)
         return AlgebraElement(self.algebra, out)
 
-    def analytic_vector_check(self, xi: GnsVector, z_samples) -> AnalyticVectorReport:
+    def analytic_vector_check(self, xi: AlgebraElement, z_samples) -> AnalyticVectorReport:
         """Check the power group law at sampled exponent pairs.
 
         Every vector of a finite-dimensional GNS space extends analytically
@@ -282,8 +224,8 @@ class ModularData:
                 logs = [scipy.linalg.logm(b) for b in self.state.density.blocks]
             t = z.imag
             flows = [scipy.linalg.expm(1j * t * lg) for lg in logs]
-            ref = GnsVector(self.algebra,
-                            [u @ b @ u.conj().T for u, b in zip(flows, xi.blocks)])
+            ref = AlgebraElement(self.algebra,
+                                 [u @ b @ u.conj().T for u, b in zip(flows, xi.blocks)])
             boundary = max(boundary, (self.delta_power(z, xi) - ref).norm())
         return AnalyticVectorReport(
             group_residual=group,
@@ -295,10 +237,7 @@ class ModularData:
 
 
 __all__ = [
-    "GnsVector",
     "ModularData",
     "AnalyticVectorReport",
-    "left_act",
-    "right_act",
     "DEFAULT_Z_MAX",
 ]

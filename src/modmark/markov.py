@@ -407,20 +407,6 @@ def petz_adjoint(ch: Channel) -> Channel:
                    half_s_inv @ ch.superop.conj().T @ half_t)
 
 
-@dataclass
-class L2Extension:
-    """The GNS-space operator sending x Omega_source to ch(x) Omega_target.
-
-    `matrix` acts on column-stacked coordinates; for a unital completely
-    positive state-compatible channel it is a contraction carrying the source
-    cyclic vector to the target one.
-    """
-
-    source: System
-    target: System
-    matrix: np.ndarray
-
-
 def eigen_extension(ch: Channel) -> np.ndarray:
     """G_t T G_s^+ for T = R(D_t^{1/2}) ch R(D_s^{-1/2}), R the right
     multiplication (sqrt(lambda_b) in the frame); checks no precondition."""
@@ -428,8 +414,10 @@ def eigen_extension(ch: Channel) -> np.ndarray:
             / np.sqrt(ch.source.modular.lambda_b)[None, :])
 
 
-def l2_extension(ch: Channel) -> L2Extension:
-    """Build the extension; requires unital + cp + state residuals to pass.
+def l2_extension(ch: Channel) -> np.ndarray:
+    """The GNS-space operator T sending x Omega_source to ch(x) Omega_target,
+    as a matrix on column-stacked coordinates; requires unital + cp + state
+    residuals to pass.
 
     Those three are what bound the operator norm by one (positivity gives
     ch(x)^+ ch(x) <= ch(x^+ x) for unital cp maps, and state compatibility
@@ -439,9 +427,8 @@ def l2_extension(ch: Channel) -> L2Extension:
     bad = precondition_defects(ch)
     if bad:
         raise NotMarkov(f"extension preconditions failed: {bad}; norm bound void")
-    return L2Extension(ch.source, ch.target,
-                       ch.target.modular.frame.conj().T @ eigen_extension(ch)
-                       @ ch.source.modular.frame)
+    return (ch.target.modular.frame.conj().T @ eigen_extension(ch)
+            @ ch.source.modular.frame)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +495,6 @@ __all__ = [
     "Channel",
     "ChoiMatrix",
     "MarkovCheck",
-    "L2Extension",
     "same_system",
     "left_mult_superop",
     "right_mult_superop",

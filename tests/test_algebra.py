@@ -69,6 +69,15 @@ class TestElementOps:
         with pytest.raises(ShapeMismatch):
             AlgebraElement(M2, [np.eye(3)])
 
+    def test_inner_is_the_coordinate_inner_product(self):
+        alg = BlockAlgebra((2, 3))
+        x, y = random_element(alg, 3), random_element(alg, 4)
+        assert x.inner(y) == pytest.approx(np.vdot(to_coords(y), to_coords(x)), abs=1e-13)
+        assert (2j * x).inner(y) == pytest.approx(2j * x.inner(y), abs=1e-13)
+        assert x.inner(x).real == pytest.approx(x.norm() ** 2, rel=1e-14)
+        with pytest.raises(ShapeMismatch):
+            x.inner(random_element(M2, 5))
+
     def test_coords_round_trip(self):
         alg = BlockAlgebra((2, 3))
         x = random_element(alg, 7)

@@ -284,31 +284,31 @@ class TestAcAdjoint:
 class TestL2Extension:
     def test_identity_channel(self, qubit):
         ext = l2_extension(identity_channel(qubit))
-        assert np.linalg.norm(ext.matrix - np.eye(4)) <= 1e-12
+        assert np.linalg.norm(ext - np.eye(4)) <= 1e-12
 
     def test_schur_is_diagonal_with_multiplier_entries(self, schur):
         # hand computation: on the unit coordinates the extension multiplies
         # E_ab by C[a, b], so the diagonal is (1, 1/2, 1/2, 1)
         ext = l2_extension(schur)
-        assert np.allclose(ext.matrix, np.diag([1.0, 0.5, 0.5, 1.0]), atol=1e-12)
+        assert np.allclose(ext, np.diag([1.0, 0.5, 0.5, 1.0]), atol=1e-12)
 
     def test_scalar_channel_rank_one(self, qubit):
         tgt = rand_system((3,), 30)
         ext = l2_extension(state_to_scalar(qubit, tgt))
         expected = np.outer(to_coords(tgt.modular.omega),
                             np.conj(to_coords(qubit.modular.omega)))
-        assert np.linalg.norm(ext.matrix - expected) <= 1e-12
+        assert np.linalg.norm(ext - expected) <= 1e-12
 
     def test_contraction_and_omega(self):
         src = rand_system((2, 2), 31)
         ch = state_to_scalar(src, src)
         ext = l2_extension(ch)
-        assert op_norm(ext.matrix) <= 1.0 + 1e-10
+        assert op_norm(ext) <= 1.0 + 1e-10
         omega_in = to_coords(src.modular.omega)
-        assert np.linalg.norm(ext.matrix @ omega_in - omega_in) <= 1e-10
+        assert np.linalg.norm(ext @ omega_in - omega_in) <= 1e-10
 
     def test_norm_one_attained(self, schur):
-        assert op_norm(l2_extension(schur).matrix) == pytest.approx(1.0, abs=1e-12)
+        assert op_norm(l2_extension(schur)) == pytest.approx(1.0, abs=1e-12)
 
     def test_gate(self, qubit):
         h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
@@ -318,8 +318,8 @@ class TestL2Extension:
             l2_extension(ch)
 
     def test_adjoint_matrix_is_adjoint_extension(self, schur):
-        lhs = l2_extension(schur).matrix.conj().T
-        rhs = l2_extension(ac_adjoint(schur)).matrix
+        lhs = l2_extension(schur).conj().T
+        rhs = l2_extension(ac_adjoint(schur))
         assert np.linalg.norm(lhs - rhs) <= 1e-12
 
 
@@ -340,8 +340,8 @@ class TestComposeTensor:
         pinch = schur_channel(qubit, np.eye(2))
         both = compose(schur, pinch)
         assert check_markov(both).passed
-        lhs = l2_extension(both).matrix
-        rhs = l2_extension(schur).matrix @ l2_extension(pinch).matrix
+        lhs = l2_extension(both)
+        rhs = l2_extension(schur) @ l2_extension(pinch)
         assert np.linalg.norm(lhs - rhs) <= 1e-10
 
     def test_adjoint_contravariant(self, qubit, schur):
@@ -365,9 +365,9 @@ class TestComposeTensor:
         assert check_markov(prod).passed
         # extension functoriality through the coordinate re-indexing
         perm = _tensor_coord_permutation(schur.source, ch2.source)
-        lhs = l2_extension(prod).matrix
-        rhs = perm @ np.kron(l2_extension(schur).matrix,
-                             l2_extension(ch2).matrix) @ perm.conj().T
+        lhs = l2_extension(prod)
+        rhs = perm @ np.kron(l2_extension(schur),
+                             l2_extension(ch2)) @ perm.conj().T
         assert np.linalg.norm(lhs - rhs) <= 1e-10
 
     def test_tensor_apply_factorizes(self, qubit):
@@ -409,7 +409,7 @@ class TestConvexCombine:
         assert check_markov(mix).passed
         omega = to_coords(qubit.modular.omega)
         expected = 0.5 * np.eye(4) + 0.5 * np.outer(omega, omega.conj())
-        assert np.linalg.norm(l2_extension(mix).matrix - expected) <= 1e-12
+        assert np.linalg.norm(l2_extension(mix) - expected) <= 1e-12
 
     def test_bad_weights(self, qubit, schur):
         with pytest.raises(BadWeights):

@@ -20,7 +20,7 @@ back from the eigenframe, lives here too because only tests read it.  The
 instance files have two more: `json.dumps(..., sort_keys=True, indent=2)` is
 the oracle of the template writer, and the per-entry conversion is the
 oracle of the one-array reader.  The modular axioms of a state keep their
-per-vector `GnsVector` route, one object per operation, as the oracle of the
+per-vector route, one `AlgebraElement` per operation, as the oracle of the
 stacked `modular_invariants`.
 """
 
@@ -33,8 +33,8 @@ import scipy.linalg
 from modmark.algebra import (
     AlgebraElement,
     BlockAlgebra,
-    blocks_from_coords,
     commutator,
+    element_from_coords,
     evaluate_state,
     matrix_units,
     random_element,
@@ -56,7 +56,7 @@ from modmark.generators import (
     spectral_projections,
     state_to_scalar,
 )
-from modmark.gns import GnsVector, ModularData, left_act
+from modmark.gns import ModularData
 from modmark.linalg import matrix_power_from_eig
 from modmark.markov import (
     DEFAULT_FLOW_SAMPLES,
@@ -211,8 +211,8 @@ def oracle_involution(t_mat, ch):
     res = 0.0
     for unit in matrix_units(ch.source.algebra):
         xi = md_s.embed(unit)
-        mid = GnsVector(tgt, blocks_from_coords(tgt, t_mat @ to_coords(md_s.apply_S(xi))))
-        rhs = GnsVector(tgt, blocks_from_coords(tgt, t_mat @ to_coords(xi)))
+        mid = element_from_coords(tgt, t_mat @ to_coords(md_s.apply_S(xi)))
+        rhs = element_from_coords(tgt, t_mat @ to_coords(xi))
         res = max(res, (md_t.apply_S(mid) - rhs).norm())
     return res
 
@@ -397,7 +397,7 @@ class TestFlowResidualOracles:
     def test_l2_extension(self, case):
         kind, dims, params = case
         ch = _build(kind, dims, params)
-        assert np.linalg.norm(l2_extension(ch).matrix - oracle_l2(ch)) <= 1e-12
+        assert np.linalg.norm(l2_extension(ch) - oracle_l2(ch)) <= 1e-12
 
 
 @pytest.mark.parametrize("src_dims,tgt_dims", [
@@ -524,7 +524,7 @@ class TestDeltaSuperop:
         state = random_faithful_state(BlockAlgebra((2, 2)), 3, 0.05)
         md = System(state).modular
         sup = delta_power_superop(md, 0.5 + 2.0j)
-        xi = GnsVector(state.parent, random_element(state.parent, 5).blocks)
+        xi = random_element(state.parent, 5)
         direct = md.delta_power(0.5 + 2.0j, xi)
         assert np.linalg.norm(sup @ to_coords(xi) - to_coords(direct)) <= 1e-12
         assert np.linalg.norm(sup - kron_delta_superop(md, 0.5 + 2.0j)) <= 1e-12
@@ -563,7 +563,7 @@ class TestFrameHelpers:
 # ---------------------------------------------------------------------------
 
 def oracle_modular_invariants(md, seed=0):
-    """The per-vector route: every operation builds a `GnsVector`."""
+    """The per-vector route: every operation builds an `AlgebraElement`."""
     t_samples = (0.7, -1.0, 5.0)
     alg = md.algebra
     xs = []
@@ -572,8 +572,7 @@ def oracle_modular_invariants(md, seed=0):
         xs.append(x * (1.0 / x.norm()))
     vecs = []
     for i in (23, 24):
-        e = random_element(alg, derive_seed(seed, i), "general")
-        v = GnsVector(alg, e.blocks)
+        v = random_element(alg, derive_seed(seed, i), "general")
         vecs.append(v * (1.0 / v.norm()))
     xi, eta = vecs
     out = {}
@@ -616,9 +615,9 @@ def oracle_modular_invariants(md, seed=0):
     r = 0.0
     for x in xs:
         for v in vecs:  # left action commutes with J y J (the right action)
-            jyj = md.apply_J(left_act(y, md.apply_J(v)))
-            lhs = left_act(x, jyj)
-            rhs = md.apply_J(left_act(y, md.apply_J(left_act(x, v))))
+            jyj = md.apply_J(y @ md.apply_J(v))
+            lhs = x @ jyj
+            rhs = md.apply_J(y @ md.apply_J(x @ v))
             r = max(r, (lhs - rhs).norm())
     out["gns_commutant"] = r
 
@@ -651,6 +650,15 @@ class SkewedPowers(ModularData):
         return super().d_power_blocks(z)
 
 
+class MismatchedDensity(SkewedPowers):
+    """`SkewedPowers` without the unitary: Delta^z = D^z . D'^{-z} in the
+    upper half-plane and D'^z . D^{-z} in the lower one."""
+
+    def __init__(self, state, skew_seed):
+        super().__init__(state, skew_seed)
+        self.twist = state.parent.identity().blocks
+
+
 AXIOM_DIMS = [(1,), (2,), (3,), (2, 2), (3, 1), (2, 2, 2), (8,), (16,), (6, 4, 2)]
 
 
@@ -661,6 +669,9 @@ def _axiom_dims_id(dims):
 # J, J^2 and the left action never touch a power
 SKEW_BROKEN_KEYS = ("gns_s_polar", "gns_delta_ss", "gns_jdj_inverse", "gns_omega_fixed",
                     "gns_delta_it_j", "gns_flow_embed")
+
+
+DENSITY_BROKEN_KEYS = ("gns_s_polar", "gns_omega_fixed", "gns_delta_it_j", "gns_flow_embed")
 
 
 class TestModularAxiomsOracle:
@@ -687,6 +698,21 @@ class TestModularAxiomsOracle:
         for key in ref:
             assert abs(got[key] - ref[key]) <= 1e-10 * ref[key] + 1e-14, (
                 key, got[key], ref[key])
+
+    @pytest.mark.parametrize("route", [modular_invariants, oracle_modular_invariants],
+                             ids=["stacked", "oracle"])
+    @pytest.mark.parametrize("dims", [(2,), (3,), (3, 1), (2, 2, 2), (8,)],
+                             ids=_axiom_dims_id)
+    def test_mismatched_density(self, route, dims):
+        # Delta^{1/2} and Delta are powers of the one operator L_D R_D'^{-1},
+        # and J Delta J is the Delta^{-1} formed here, so gns_delta_ss and
+        # gns_jdj_inverse cannot see the second density
+        md = MismatchedDensity(random_faithful_state(BlockAlgebra(dims), 85, 0.05),
+                               skew_seed=95)
+        got = route(md, seed=3)
+        assert {k for k, v in got.items() if v > 1e-2} == set(DENSITY_BROKEN_KEYS)
+        assert got["gns_delta_ss"] <= 1e-12
+        assert got["gns_jdj_inverse"] <= 1e-12
 
     @pytest.mark.parametrize("route", [modular_invariants, oracle_modular_invariants],
                              ids=["stacked", "oracle"])
