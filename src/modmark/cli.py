@@ -2,8 +2,9 @@
 
 Commands: gen | verify | suite | show.  Exit codes are stable: 0 success /
 all pass, 1 verification failure (for `suite`, only failures that were not
-expected), 2 bad flags, malformed file or a generator refusing its inputs
-(one error line, no file written), 3 a numerical routine refused
+expected), 2 bad flags, a suite kind that fits none of its dims, malformed
+file (metadata included) or a generator refusing its inputs (one error
+line, no file written), 3 a numerical routine refused
 (NoConvergence; one error line, no file written), 4 shape inconsistencies
 in an instance file.  The MODMARK_TOL environment variable scales every
 pinned verdict tolerance by MODMARK_TOL / 1e-9; a value that is not a
@@ -38,6 +39,7 @@ from .verify import (
     DEFAULT_EQ32_T,
     SuiteConfig,
     SuiteResult,
+    _compatible_dims,
     run_suite,
     sample_z,
     verify_channel,
@@ -290,6 +292,11 @@ def cmd_suite(args) -> int:
     if kinds:
         config_kwargs["kinds"] = kinds
     config = SuiteConfig(**config_kwargs)
+    for kind in config.kinds[:config.trials]:
+        if not any(_compatible_dims(kind, dims) for dims in config.dims_list):
+            text = ",".join("x".join(map(str, dims)) for dims in config.dims_list)
+            print(f"error: kind {kind} fits none of the dims {text}", file=sys.stderr)
+            return EXIT_USAGE
     if args.out:
         result = _run_suite_to_files(config, Path(args.out))
     else:

@@ -49,6 +49,7 @@ from .markov import (
     channel_from_kraus,
     choi_to_channel,
     convex_combine,
+    from_eigenframe,
     identity_channel,
     precondition_defects,
     to_choi,
@@ -285,13 +286,12 @@ def modular_twirl(ch: Channel) -> Channel:
     bad = precondition_defects(ch)
     if bad:
         raise PreconditionFailed(f"twirl preconditions failed: {bad}")
-    md_s, md_t = ch.source.modular, ch.target.modular
-    w_s, w_t = md_s.frequencies, md_t.frequencies
+    w_s, w_t = ch.source.modular.frequencies, ch.target.modular.frequencies
     ids = _bucket_ids(np.concatenate([w_t, w_s]), TWIRL_FREQ_TOL)
     ids_t, ids_s = ids[:len(w_t)], ids[len(w_t):]
     mask = ids_t[:, None] == ids_s[None, :]
     return Channel(ch.source, ch.target,
-                   md_t.frame.conj().T @ (ch.eigen_superop * mask) @ md_s.frame)
+                   from_eigenframe(ch.eigen_superop * mask, ch.source, ch.target))
 
 
 # ---------------------------------------------------------------------------

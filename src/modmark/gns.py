@@ -32,7 +32,9 @@ from .algebra import AlgebraElement, FaithfulState
 from .errors import BadQuadrature, PowerRangeExceeded, ShapeMismatch
 from .linalg import base_tolerance, matrix_power_from_eig, power_condition_scale
 
-DEFAULT_Z_MAX = 2.0
+# Cap on |Re z| for the complex powers Delta^z and D^z: beyond it no
+# residual tolerance vouches for the result, so the call refuses.
+Z_MAX = 2.0
 
 
 @dataclass
@@ -58,16 +60,13 @@ class ModularData:
 
     Holds the per-block eigendecomposition of the density and the cyclic
     vector omega = D^{1/2}; the spectrum of the positive modular operator is
-    exp(`frequencies`).  Real parts of complex powers are capped at z_max;
-    beyond that no residual tolerance vouches for the result, so the call
-    refuses.
+    exp(`frequencies`).  Real parts of complex powers are capped at Z_MAX.
     """
 
-    def __init__(self, state: FaithfulState, z_max: float = DEFAULT_Z_MAX):
+    def __init__(self, state: FaithfulState):
         self.state = state
         self.algebra = state.parent
         self.d_eig = list(state.block_eigs)
-        self.z_max = float(z_max)
         self._power_cache: dict[complex, list[np.ndarray]] = {}
         self.omega = AlgebraElement(self.algebra, self.d_power_blocks(0.5))
 
@@ -98,7 +97,7 @@ class ModularData:
         return np.log(self.lambda_a) - np.log(self.lambda_b)
 
     def delta_power_diagonal(self, z: complex) -> np.ndarray:
-        """Delta^z in the eigenframe, the diagonal exp(z omega), |Re z| <= z_max."""
+        """Delta^z in the eigenframe, the diagonal exp(z omega), |Re z| <= Z_MAX."""
         return np.exp(self._check_range(z) * self.frequencies)
 
     def d_power_blocks(self, z: complex) -> list[np.ndarray]:
@@ -115,7 +114,7 @@ class ModularData:
 
         Delta^{z_i} on a stack of vectors is then plus[i] @ V @ minus[i] and
         Delta^{-z_i} is minus[i] @ V @ plus[i].  Every z must satisfy
-        |Re z| <= z_max; the powers are the cached `d_power_blocks`.
+        |Re z| <= Z_MAX; the powers are the cached `d_power_blocks`.
         """
         zs = [self._check_range(z) for z in zs]
         plus = [self.d_power_blocks(z) for z in zs]
@@ -125,9 +124,8 @@ class ModularData:
 
     def _check_range(self, z: complex) -> complex:
         z = complex(z)
-        if abs(z.real) > self.z_max:
-            raise PowerRangeExceeded(
-                f"|Re z| = {abs(z.real)} exceeds z_max = {self.z_max}")
+        if abs(z.real) > Z_MAX:
+            raise PowerRangeExceeded(f"|Re z| = {abs(z.real)} exceeds Z_MAX = {Z_MAX}")
         return z
 
     def embed(self, x: AlgebraElement) -> AlgebraElement:
@@ -141,7 +139,7 @@ class ModularData:
         return xi.adjoint()
 
     def delta_power(self, z: complex, xi: AlgebraElement) -> AlgebraElement:
-        """xi |-> D^z xi D^{-z} for |Re z| <= z_max."""
+        """xi |-> D^z xi D^{-z} for |Re z| <= Z_MAX."""
         if xi.parent != self.algebra:
             raise ShapeMismatch("vector does not live on the state's space")
         z = self._check_range(z)
@@ -208,7 +206,7 @@ class ModularData:
         for z1 in zs:
             for z2 in zs:
                 z12 = z1 + z2
-                if abs(z12.real) > self.z_max:
+                if abs(z12.real) > Z_MAX:
                     continue  # out-of-range sums are skipped, not an error
                 lhs = self.delta_power(z1, self.delta_power(z2, xi))
                 rhs = self.delta_power(z12, xi)
@@ -239,5 +237,5 @@ class ModularData:
 __all__ = [
     "ModularData",
     "AnalyticVectorReport",
-    "DEFAULT_Z_MAX",
+    "Z_MAX",
 ]

@@ -8,8 +8,10 @@ block reshapes, and the tensor product is an outer product per block pair.
 The superoperator is canonical because membership checks, twirling, and
 every verification residual are plain linear algebra on it.  Each channel
 caches it once in the density eigenframes, X = G_t S G_s^+
-(`Channel.eigen_superop`); the flow check, the twirl and the GNS extension
-are masks and reweightings of X.
+(`Channel.eigen_superop`); the flow check, the twirl, the GNS extension and
+both adjoints are masks and reweightings of X, carried back to coordinates
+by `from_eigenframe`.  Channels meet the modular data only there: no
+multiplication superoperator is ever built.
 
 Orientation, fixed package-wide: a channel maps its source algebra into its
 target algebra, state compatibility means target_state(ch(x)) = source_state(x),
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (
     AlgebraElement,
@@ -41,7 +42,7 @@ from .errors import (
     NotStatePreserving,
     ShapeMismatch,
 )
-from .gns import DEFAULT_Z_MAX, ModularData
+from .gns import ModularData
 from .linalg import as_cmatrix, max_column_norm, tolerance_factor
 
 DEFAULT_FLOW_SAMPLES = (1.0, -1.0, 0.37, -0.37, 5.0)
@@ -52,14 +53,13 @@ MEMBERSHIP_TOL = 1e-9  # pinned, before the MODMARK_TOL factor
 class System:
     """A block algebra together with a faithful state on it."""
 
-    def __init__(self, state: FaithfulState, z_max: float = DEFAULT_Z_MAX):
+    def __init__(self, state: FaithfulState):
         self.state = state
         self.algebra = state.parent
-        self.z_max = float(z_max)
 
     @cached_property
     def modular(self) -> ModularData:
-        return ModularData(self.state, self.z_max)
+        return ModularData(self.state)
 
     @property
     def coord_dim(self) -> int:
@@ -73,27 +73,6 @@ def same_system(a: System, b: System) -> bool:
     """Same algebra and same density up to STATE_MATCH_ATOL (gates composition)."""
     return (a.algebra == b.algebra
             and a.state.density.allclose(b.state.density, atol=STATE_MATCH_ATOL))
-
-
-# ---------------------------------------------------------------------------
-# superoperator building blocks
-# ---------------------------------------------------------------------------
-
-def left_mult_superop(x: AlgebraElement) -> np.ndarray:
-    """Matrix of v |-> x v on block coordinates (column stacking)."""
-    return scipy.linalg.block_diag(
-        *[np.kron(np.eye(n), b) for b, n in zip(x.blocks, x.parent.block_dims)])
-
-
-def right_mult_superop(x: AlgebraElement) -> np.ndarray:
-    """Matrix of v |-> v x on block coordinates."""
-    return scipy.linalg.block_diag(
-        *[np.kron(b.T, np.eye(n)) for b, n in zip(x.blocks, x.parent.block_dims)])
-
-
-def sandwich_superop(blocks: list[np.ndarray]) -> np.ndarray:
-    """Matrix of v |-> a v a for one square matrix a per block."""
-    return scipy.linalg.block_diag(*[np.kron(b.T, b) for b in blocks])
 
 
 def adjoint_index(alg: BlockAlgebra) -> np.ndarray:
@@ -134,6 +113,12 @@ class Channel:
     def __repr__(self):
         return (f"Channel({self.source.algebra.block_dims} -> "
                 f"{self.target.algebra.block_dims})")
+
+
+def from_eigenframe(m: np.ndarray, source: System, target: System) -> np.ndarray:
+    """G_t^+ m G_s, the inverse of `Channel.eigen_superop`: a matrix on the
+    eigenframe coordinates of source and target back on block coordinates."""
+    return target.modular.frame.conj().T @ m @ source.modular.frame
 
 
 def identity_channel(sys: System) -> Channel:
@@ -338,12 +323,10 @@ class MarkovCheck:
 
 
 def modular_tolerance_scale(ch: Channel) -> float:
-    """|log D| sets the size of the generator commutators being compared."""
-    scale = 1.0
-    for sys in (ch.source, ch.target):
-        for e in sys.state.block_eigs:
-            scale = max(scale, float(np.max(np.abs(np.log(e.eigenvalues)))))
-    return scale
+    """|log D| sets the size of the generator commutators being compared;
+    `lambda_a` holds every eigenvalue of D."""
+    return max(1.0, *(float(np.max(np.abs(np.log(sys.modular.lambda_a))))
+                      for sys in (ch.source, ch.target)))
 
 
 def membership_tolerances(ch: Channel) -> dict[str, float]:
@@ -386,25 +369,29 @@ def ac_adjoint(ch: Channel) -> Channel:
     source_state(ch*(y) x) = target_state(y ch(x)); state preservation is
     required for ch* to stand a chance of being unital, and full membership
     (including flow compatibility) is what guarantees it is completely
-    positive and coincides with the symmetric form `petz_adjoint`.
+    positive and coincides with the symmetric form `petz_adjoint`.  Left
+    multiplication by D^p is lambda_a^p in the eigenframe, so there ch* is
+    X^+ (X = `ch.eigen_superop`) weighted by lambda_a,t[j] / lambda_a,s[i]
+    at row i (a source coordinate) and column j (a target coordinate).
     """
     res, tol = state_residual(ch), membership_tolerances(ch)["state"]
     if res > tol:
         raise NotStatePreserving(
             f"state residual {res:.3e} exceeds {tol:.3e}; "
             "the defining pairing has no compatible solution guarantee")
-    d_s_inv = AlgebraElement(ch.source.algebra, ch.source.modular.d_power_blocks(-1.0))
-    return Channel(ch.target, ch.source,
-                   left_mult_superop(d_s_inv) @ ch.superop.conj().T
-                   @ left_mult_superop(ch.target.state.density))
+    md_s, md_t = ch.source.modular, ch.target.modular
+    x_adj = ch.eigen_superop.conj().T * (md_t.lambda_a[None, :] / md_s.lambda_a[:, None])
+    return Channel(ch.target, ch.source, from_eigenframe(x_adj, ch.target, ch.source))
 
 
 def petz_adjoint(ch: Channel) -> Channel:
-    """Symmetric adjoint y |-> D_s^{-1/2} ch^+(D_t^{1/2} y D_t^{1/2}) D_s^{-1/2}."""
-    half_t = sandwich_superop(ch.target.modular.d_power_blocks(0.5))
-    half_s_inv = sandwich_superop(ch.source.modular.d_power_blocks(-0.5))
-    return Channel(ch.target, ch.source,
-                   half_s_inv @ ch.superop.conj().T @ half_t)
+    """Symmetric adjoint y |-> D_s^{-1/2} ch^+(D_t^{1/2} y D_t^{1/2}) D_s^{-1/2}:
+    the sandwich by D^p is (lambda_a lambda_b)^p in the eigenframe, so this is
+    X^+ weighted by sqrt(lambda_a lambda_b)_t[j] / sqrt(lambda_a lambda_b)_s[i]."""
+    w_s, w_t = (np.sqrt(sys.modular.lambda_a * sys.modular.lambda_b)
+                for sys in (ch.source, ch.target))
+    x_adj = ch.eigen_superop.conj().T * (w_t[None, :] / w_s[:, None])
+    return Channel(ch.target, ch.source, from_eigenframe(x_adj, ch.target, ch.source))
 
 
 def eigen_extension(ch: Channel) -> np.ndarray:
@@ -427,8 +414,7 @@ def l2_extension(ch: Channel) -> np.ndarray:
     bad = precondition_defects(ch)
     if bad:
         raise NotMarkov(f"extension preconditions failed: {bad}; norm bound void")
-    return (ch.target.modular.frame.conj().T @ eigen_extension(ch)
-            @ ch.source.modular.frame)
+    return from_eigenframe(eigen_extension(ch), ch.source, ch.target)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +443,7 @@ def tensor_state(a: FaithfulState, b: FaithfulState) -> FaithfulState:
 
 
 def tensor_system(a: System, b: System) -> System:
-    return System(tensor_state(a.state, b.state), z_max=min(a.z_max, b.z_max))
+    return System(tensor_state(a.state, b.state))
 
 
 def tensor(f: Channel, g: Channel) -> Channel:
@@ -496,12 +482,10 @@ __all__ = [
     "ChoiMatrix",
     "MarkovCheck",
     "same_system",
-    "left_mult_superop",
-    "right_mult_superop",
-    "sandwich_superop",
     "adjoint_index",
     "channel_from_kraus",
     "identity_channel",
+    "from_eigenframe",
     "to_choi",
     "choi_to_channel",
     "star_preservation_residual",

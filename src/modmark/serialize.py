@@ -11,6 +11,7 @@ Schemas (version "1"):
     channel  = {"source": endpoint, "target": endpoint, "superop": matrix}
                or the same with "kraus": [matrix, ...] instead of "superop"
     instance = {"version": "1", "channel": channel, "metadata": {...}}
+               (metadata optional; its optional "flags" a list of strings)
     genspec  = {"kind": str, "dims": [...], "seed": int, "params": {...}}
 
 Floats are written with Python's repr (shortest round trip), so files reload
@@ -224,7 +225,13 @@ def instance_from_json(obj) -> tuple[Channel, dict]:
             f"unsupported instance version {obj.get('version')!r}")
     if "channel" not in obj:
         raise MalformedInstance("instance needs a 'channel'")
-    return channel_from_json(obj["channel"]), dict(obj.get("metadata", {}))
+    metadata = obj.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise MalformedInstance(f"metadata must be an object, got {type(metadata).__name__}")
+    flags = metadata.get("flags", [])
+    if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
+        raise MalformedInstance(f"metadata flags must be a list of strings, got {flags!r}")
+    return channel_from_json(obj["channel"]), dict(metadata)
 
 
 def _float_array_shape(obj: list) -> tuple[tuple[int, ...], list] | None:

@@ -109,6 +109,20 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2 and "malformed" in err
 
+    @pytest.mark.parametrize("metadata", ['"abc"', "[1, 2]", '{"flags": 5}',
+                                          '{"flags": [1]}'])
+    @pytest.mark.parametrize("command", ["verify", "show"])
+    def test_malformed_metadata_exits_two(self, tmp_path, capsys, command, metadata):
+        good = tmp_path / "good.json"
+        run(capsys, "gen", "--kind", "identity", "--dims", "2", "-o", str(good))
+        doc = json.loads(good.read_text())
+        doc["metadata"] = "META"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc).replace('"META"', metadata))
+        code, out, err = run(capsys, command, str(bad))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "error: malformed instance: metadata" in err
+
     def test_shape_error_exits_four(self, tmp_path, capsys):
         good = tmp_path / "good.json"
         run(capsys, "gen", "--kind", "identity", "--dims", "2", "-o", str(good))
@@ -304,6 +318,21 @@ class TestSuite:
     def test_unknown_kind(self, capsys):
         code, _, err = run(capsys, "suite", "--trials", "2", "--kinds", "bogus")
         assert code == 2 and "unknown kind" in err
+
+    @pytest.mark.parametrize("kinds", ["schur", "identity,schur"])
+    def test_kind_without_fitting_dims(self, tmp_path, capsys, kinds):
+        out_dir = tmp_path / "DIR"
+        code, out, err = run(capsys, "suite", "--kinds", kinds, "--dims", "2x2",
+                             "--out", str(out_dir))
+        assert code == 2 and out == ""
+        assert err == "error: kind schur fits none of the dims 2x2\n"
+        assert not out_dir.exists()
+
+    def test_kind_without_fitting_dims_that_never_runs(self, capsys):
+        # one trial runs identity only; the refusal names kinds that would run
+        code, _, _ = run(capsys, "suite", "--trials", "1", "--kinds", "identity,schur",
+                         "--dims", "2x2,3x1")
+        assert code == 0
 
     def test_out_dir_persists_instances(self, tmp_path, capsys):
         out_dir = tmp_path / "instances"

@@ -138,10 +138,11 @@ class TestModularOperators:
 
     def test_power_range_guard(self, md):
         xi = rand_vector(M2, 1)
-        with pytest.raises(PowerRangeExceeded):
-            md.delta_power(2.5, xi)
-        loose = ModularData(md.state, z_max=3.0)
-        loose.delta_power(2.5, xi)  # within the configured range
+        for z in (2.5, -2.5, 2.5 + 0.5j):
+            with pytest.raises(PowerRangeExceeded):
+                md.delta_power(z, xi)
+        for z in (2.0, -2.0, 1.9 + 3j, 5j):  # at and within Z_MAX = 2
+            md.delta_power(z, xi)
 
     def test_shape_guards(self, md):
         other = rand_vector(BlockAlgebra((3,)), 1)

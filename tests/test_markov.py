@@ -35,9 +35,7 @@ from modmark.markov import (
     convex_combine,
     identity_channel,
     l2_extension,
-    left_mult_superop,
     petz_adjoint,
-    right_mult_superop,
     star_preservation_residual,
     to_choi,
     trace_dual,
@@ -70,14 +68,6 @@ def rand_system(dims, seed, min_gap=0.05):
 
 
 class TestSuperopHelpers:
-    def test_left_right_mult(self, qubit):
-        x = random_element(M2, 1)
-        y = random_element(M2, 2)
-        lhs = left_mult_superop(x) @ to_coords(y)
-        assert np.allclose(lhs, to_coords(x @ y))
-        rhs = right_mult_superop(x) @ to_coords(y)
-        assert np.allclose(rhs, to_coords(y @ x))
-
     def test_adjoint_permutation(self):
         alg = BlockAlgebra((2, 3))
         idx = adjoint_index(alg)

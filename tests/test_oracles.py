@@ -3,25 +3,26 @@
 The production residuals work on whole matrices in the density eigenframe,
 all read off one cached matrix per channel, and every channel construction
 is a block reshape, kron or einsum of the superoperator.  The routes below
-are the explicit ones they replaced: the GNS extension and the adjoint
-channels built from kron-product left, right and sandwich multiplication
-superoperators, kron-product Delta^z superoperators, per-matrix-unit loops
-through the spectral calculus, the per-unit Choi accumulation and the
-per-unit state pairing; and, for the constructions, the per-unit Kraus sum
-on the carrier space with its embed/compress helpers, the per-unit Choi
-inverse, the four-deep tensor loop over unit images, the per-unit star
-check, and the block expectation and automorphism as products of left and
-right multiplication superoperators.  For the generators: `sp_ucp`'s step
-projected through the dense affine constraint system and its Gram matrix
-instead of the two rank-one deflations, and the twirl's frequency buckets
-chained by a Python loop.  They are kept here only, so that a
-check is never the code it checks.  `delta_power_superop`, Delta^z carried
-back from the eigenframe, lives here too because only tests read it.  The
-instance files have two more: `json.dumps(..., sort_keys=True, indent=2)` is
-the oracle of the template writer, and the per-entry conversion is the
-oracle of the one-array reader.  The modular axioms of a state keep their
-per-vector route, one `AlgebraElement` per operation, as the oracle of the
-stacked `modular_invariants`.
+are the explicit ones they replaced: the GNS extension, the state-twisted
+adjoint ch* and its Petz form built from kron-product left, right and
+sandwich multiplication superoperators (defined here only: the library reads
+both adjoints off the eigenframe), kron-product Delta^z superoperators,
+per-matrix-unit loops through the spectral calculus, the per-unit Choi
+accumulation and the per-unit state pairing; and, for the constructions, the
+per-unit Kraus sum on the carrier space with its embed/compress helpers, the
+per-unit Choi inverse, the four-deep tensor loop over unit images, the
+per-unit star check, and the block expectation and automorphism as products
+of left and right multiplication superoperators.  For the generators:
+`sp_ucp`'s step projected through the dense affine constraint system and its
+Gram matrix instead of the two rank-one deflations, and the twirl's
+frequency buckets chained by a Python loop.  They are kept here only, so
+that a check is never the code it checks.  `delta_power_superop`, Delta^z
+carried back from the eigenframe, lives here too because only tests read it.
+The instance files have two more: `json.dumps(..., sort_keys=True,
+indent=2)` is the oracle of the template writer, and the per-entry
+conversion is the oracle of the one-array reader.  The modular axioms of a
+state keep their per-vector route, one `AlgebraElement` per operation, as
+the oracle of the stacked `modular_invariants`.
 """
 
 import json
@@ -56,7 +57,8 @@ from modmark.generators import (
     spectral_projections,
     state_to_scalar,
 )
-from modmark.gns import ModularData
+from modmark import gns
+from modmark.gns import Z_MAX, ModularData
 from modmark.linalg import matrix_power_from_eig
 from modmark.markov import (
     DEFAULT_FLOW_SAMPLES,
@@ -64,15 +66,14 @@ from modmark.markov import (
     ChoiMatrix,
     System,
     _state_basis_residual,
+    ac_adjoint,
     adjoint_index,
     channel_from_kraus,
     choi_to_channel,
     eigen_extension,
     l2_extension,
-    left_mult_superop,
     modular_commutation_residual,
     petz_adjoint,
-    right_mult_superop,
     star_preservation_residual,
     tensor,
     tensor_element,
@@ -115,6 +116,36 @@ def unit_images(ch):
     return [ch.apply(unit) for unit in matrix_units(ch.source.algebra)]
 
 
+def left_mult_superop(x):
+    """Matrix of v |-> x v on block coordinates (column stacking)."""
+    return scipy.linalg.block_diag(
+        *[np.kron(np.eye(n), b) for b, n in zip(x.blocks, x.parent.block_dims)])
+
+
+def right_mult_superop(x):
+    """Matrix of v |-> v x on block coordinates."""
+    return scipy.linalg.block_diag(
+        *[np.kron(b.T, np.eye(n)) for b, n in zip(x.blocks, x.parent.block_dims)])
+
+
+def sandwich_superop(blocks):
+    """Matrix of v |-> a v a for one square matrix a per block."""
+    return scipy.linalg.block_diag(*[np.kron(b.T, b) for b in blocks])
+
+
+class TestMultiplicationSuperops:
+    def test_left_right_mult(self):
+        alg = BlockAlgebra((2, 3))
+        x, y = random_element(alg, 1), random_element(alg, 2)
+        assert np.allclose(left_mult_superop(x) @ to_coords(y), to_coords(x @ y))
+        assert np.allclose(right_mult_superop(x) @ to_coords(y), to_coords(y @ x))
+
+    def test_sandwich(self):
+        alg = BlockAlgebra((2, 3))
+        x, y = random_element(alg, 1), random_element(alg, 2)
+        assert np.allclose(sandwich_superop(x.blocks) @ to_coords(y), to_coords(x @ y @ x))
+
+
 def oracle_l2(ch):
     """GNS extension R(D_t^{1/2}) ch R(D_s^{-1/2}) by kron right multiplication."""
     r_sqrt_t = right_mult_superop(
@@ -136,8 +167,14 @@ def oracle_adjoint_consistency(ch):
     return op_norm(oracle_l2(ch).conj().T - oracle_l2(adj))
 
 
+def oracle_petz_superop(ch):
+    """D_s^{-1/2} ch^+(D_t^{1/2} y D_t^{1/2}) D_s^{-1/2} by kron sandwiches."""
+    return (sandwich_superop(ch.source.modular.d_power_blocks(-0.5)) @ ch.superop.conj().T
+            @ sandwich_superop(ch.target.modular.d_power_blocks(0.5)))
+
+
 def oracle_petz_match(ch):
-    return op_norm(oracle_ac_adjoint_superop(ch) - petz_adjoint(ch).superop)
+    return op_norm(oracle_ac_adjoint_superop(ch) - oracle_petz_superop(ch))
 
 
 def oracle_kadison(ch):
@@ -150,10 +187,10 @@ def oracle_omega_map(ch):
 
 
 def kron_delta_superop(md, z):
-    """Delta^z as blockwise kron(D^{-z}^T, D^z), with the z_max guard."""
+    """Delta^z as blockwise kron(D^{-z}^T, D^z), with the Z_MAX guard."""
     z = complex(z)
-    if abs(z.real) > md.z_max:
-        raise PowerRangeExceeded(f"|Re z| = {abs(z.real)} exceeds z_max = {md.z_max}")
+    if abs(z.real) > Z_MAX:
+        raise PowerRangeExceeded(f"|Re z| = {abs(z.real)} exceeds Z_MAX = {Z_MAX}")
     dp = md.d_power_blocks(z)
     dm = md.d_power_blocks(-z)
     return scipy.linalg.block_diag(*[np.kron(m.T, p) for p, m in zip(dp, dm)])
@@ -399,17 +436,31 @@ class TestFlowResidualOracles:
         ch = _build(kind, dims, params)
         assert np.linalg.norm(l2_extension(ch) - oracle_l2(ch)) <= 1e-12
 
+    def test_frame_adjoints(self, case):
+        ch = _build(*case)
+        _assert_close_op(ac_adjoint(ch).superop, oracle_ac_adjoint_superop(ch))
+        _assert_close_op(petz_adjoint(ch).superop, oracle_petz_superop(ch))
 
-@pytest.mark.parametrize("src_dims,tgt_dims", [
-    ((2,), (2,)), ((2, 2), (2, 2)), ((3, 1), (2,)), ((2,), (3,)), ((2, 2, 2), (3, 1))])
-def test_every_residual_off_the_class(src_dims, tgt_dims):
-    # a random superoperator is not star preserving, so unlike every
-    # generated channel it gives thm_iii (and all the others) O(1) values
+
+OFF_CLASS_PAIRS = [((2,), (2,)), ((2, 2), (2, 2)), ((3, 1), (2,)), ((2,), (3,)),
+                   ((2, 2, 2), (3, 1))]
+
+
+def _off_class_channel(src_dims, tgt_dims):
+    """A random complex superoperator: in no membership class at all."""
     src = System(random_faithful_state(BlockAlgebra(src_dims), 71, 0.05))
     tgt = System(random_faithful_state(BlockAlgebra(tgt_dims), 72, 0.05))
     rng = np.random.default_rng(73)
     shape = (tgt.coord_dim, src.coord_dim)
-    ch = Channel(src, tgt, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return Channel(src, tgt, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("src_dims,tgt_dims", OFF_CLASS_PAIRS)
+def test_every_residual_off_the_class(src_dims, tgt_dims):
+    # a random superoperator is not star preserving, so unlike every
+    # generated channel it gives thm_iii (and all the others) O(1) values
+    ch = _off_class_channel(src_dims, tgt_dims)
+    src, tgt = ch.source, ch.target
     t_mat = oracle_l2(ch)
     z_res, s_res = verify_commute(ch, Z_SAMPLES, DEFAULT_S_VALUES, require_markov=False)
     thm_ii, thm_iii = verify_modular_symmetry(ch, require_markov=False)
@@ -435,6 +486,27 @@ def test_every_residual_off_the_class(src_dims, tgt_dims):
     assert np.linalg.norm(eigen_extension(ch) - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
+def _assert_close_op(got, ref):
+    """Relative agreement in operator norm."""
+    assert op_norm(got - ref) <= 1e-12 * op_norm(ref), (op_norm(got - ref), op_norm(ref))
+
+
+@pytest.mark.parametrize("src_dims,tgt_dims", OFF_CLASS_PAIRS)
+def test_frame_adjoints_off_the_class(src_dims, tgt_dims):
+    # the random superoperator shifted onto the state-compatible affine set
+    # c_t S = c_s (c the state's row vector), which is all ac_adjoint gates on;
+    # it stays far from unital, cp and flow compatible
+    ch = _off_class_channel(src_dims, tgt_dims)
+    c_t = to_coords(ch.target.state.density).conj()
+    c_s = to_coords(ch.source.state.density).conj()
+    shift = np.outer(c_t.conj(), c_s - c_t @ ch.superop) / (c_t @ c_t.conj())
+    ch = Channel(ch.source, ch.target, ch.superop + shift)
+    ac_ref, petz_ref = oracle_ac_adjoint_superop(ch), oracle_petz_superop(ch)
+    assert op_norm(ac_ref - petz_ref) > 0.1 * op_norm(ac_ref)
+    _assert_close_op(ac_adjoint(ch).superop, ac_ref)
+    _assert_close_op(petz_adjoint(ch).superop, petz_ref)
+
+
 @pytest.mark.parametrize("dims", DIMS)
 def test_sp_ucp_breaks_the_flow(dims):
     # TestFlowResidualOracles compares sp_ucp relatively, which only bites
@@ -446,30 +518,31 @@ def test_sp_ucp_breaks_the_flow(dims):
 
 class TestPowerRangeGuard:
     @pytest.fixture(params=["source", "target"])
-    def narrow(self, request):
-        """Channel whose source or target has z_max = 0.5, the other 2."""
-        z_max = {"source": 2.0, "target": 2.0, request.param: 0.5}
-        src = System(random_faithful_state(BlockAlgebra((2,)), 31, 0.05), z_max["source"])
-        tgt = System(random_faithful_state(BlockAlgebra((3,)), 32, 0.05), z_max["target"])
+    def channel(self, request):
+        """state_to_scalar with a one-dimensional algebra on the named end:
+        the guard reads the exponent against Z_MAX, not either spectrum."""
+        dims = {"source": (3,), "target": (3,), request.param: (1,)}
+        src = System(random_faithful_state(BlockAlgebra(dims["source"]), 31, 0.05))
+        tgt = System(random_faithful_state(BlockAlgebra(dims["target"]), 32, 0.05))
         return state_to_scalar(src, tgt)
 
-    def test_complex_power_out_of_range(self, narrow):
+    def test_complex_power_out_of_range(self, channel):
         with pytest.raises(PowerRangeExceeded):
-            verify_commute(narrow, z_samples=[1.0 + 0.5j], s_values=(),
+            verify_commute(channel, z_samples=[Z_MAX + 0.5 + 0.5j], s_values=(),
                            require_markov=False)
 
-    def test_real_power_out_of_range(self, narrow):
+    def test_real_power_out_of_range(self, channel):
         with pytest.raises(PowerRangeExceeded):
-            verify_commute(narrow, z_samples=[], s_values=(-1.0,),
+            verify_commute(channel, z_samples=[], s_values=(-Z_MAX - 0.5,),
                            require_markov=False)
 
-    def test_in_range_passes(self, narrow):
-        z_res, s_res = verify_commute(narrow, z_samples=[0.4 + 3j], s_values=(0.5,),
-                                      require_markov=False)
+    def test_in_range_passes(self, channel):
+        z_res, s_res = verify_commute(channel, z_samples=[Z_MAX, Z_MAX - 0.1 + 3j],
+                                      s_values=(Z_MAX, -Z_MAX), require_markov=False)
         assert z_res <= 1e-12 and s_res <= 1e-12
 
-    def test_unitary_flow_has_no_range(self, narrow):
-        assert verify_crucial(narrow, (5.0, -5.0), require_markov=False) <= 1e-12
+    def test_unitary_flow_has_no_range(self, channel):
+        assert verify_crucial(channel, (5.0, -5.0), require_markov=False) <= 1e-12
 
 
 class TestChoiOracle:
@@ -716,11 +789,15 @@ class TestModularAxiomsOracle:
 
     @pytest.mark.parametrize("route", [modular_invariants, oracle_modular_invariants],
                              ids=["stacked", "oracle"])
-    def test_range_guard(self, route):
-        # the axioms apply Delta^{+-1}, beyond z_max = 0.5
-        md = ModularData(random_faithful_state(BlockAlgebra((3,)), 4, 0.05), z_max=0.5)
+    def test_range_guard(self, route, monkeypatch):
+        # the axioms apply Delta^{+-1}: through the guard, which refuses a
+        # cap just below 1 and passes one at 1
+        md = ModularData(random_faithful_state(BlockAlgebra((3,)), 4, 0.05))
+        monkeypatch.setattr(gns, "Z_MAX", 0.99)
         with pytest.raises(PowerRangeExceeded):
             route(md, seed=1)
+        monkeypatch.setattr(gns, "Z_MAX", 1.0)
+        route(md, seed=1)
 
 
 # ---------------------------------------------------------------------------

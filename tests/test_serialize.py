@@ -143,12 +143,12 @@ class TestInstanceFile:
         sys = qubit_system()
         ch = schur_channel(sys, np.array([[1.0, 0.5], [0.5, 1.0]]))
         path = tmp_path / "inst.json"
-        write_instance(path, ch, {"seed": 7})
+        write_instance(path, ch, {"seed": 7, "flags": ["a", "b"]})
         back, metadata = read_instance(path)
         assert np.array_equal(back.superop, ch.superop)
         assert all(np.array_equal(a, b) for a, b in zip(
             back.source.state.density.blocks, ch.source.state.density.blocks))
-        assert metadata == {"seed": 7}
+        assert metadata == {"seed": 7, "flags": ["a", "b"]}
 
     def test_version_gate(self):
         doc = instance_to_json(identity_channel(qubit_system()))
@@ -159,6 +159,19 @@ class TestInstanceFile:
     def test_missing_channel(self):
         with pytest.raises(MalformedInstance):
             instance_from_json({"version": "1"})
+
+    @pytest.mark.parametrize("metadata", ["abc", [1, 2], None, 5])
+    def test_metadata_must_be_an_object(self, metadata):
+        doc = instance_to_json(identity_channel(qubit_system()))
+        doc["metadata"] = metadata
+        with pytest.raises(MalformedInstance, match="metadata must be an object"):
+            instance_from_json(doc)
+
+    @pytest.mark.parametrize("flags", [5, "abc", [1], ["ok", None], {"a": "b"}])
+    def test_metadata_flags_must_be_strings(self, flags):
+        doc = instance_to_json(identity_channel(qubit_system()), {"flags": flags})
+        with pytest.raises(MalformedInstance, match="flags must be a list of strings"):
+            instance_from_json(doc)
 
     def test_unreadable_file(self, tmp_path):
         bad = tmp_path / "bad.json"
