@@ -39,7 +39,7 @@ from .verify import (
     DEFAULT_EQ32_T,
     SuiteConfig,
     SuiteResult,
-    _compatible_dims,
+    compatible_dims,
     run_suite,
     sample_z,
     verify_channel,
@@ -293,7 +293,7 @@ def cmd_suite(args) -> int:
         config_kwargs["kinds"] = kinds
     config = SuiteConfig(**config_kwargs)
     for kind in config.kinds[:config.trials]:
-        if not any(_compatible_dims(kind, dims) for dims in config.dims_list):
+        if not any(compatible_dims(kind, dims) for dims in config.dims_list):
             text = ",".join("x".join(map(str, dims)) for dims in config.dims_list)
             print(f"error: kind {kind} fits none of the dims {text}", file=sys.stderr)
             return EXIT_USAGE

@@ -453,7 +453,8 @@ class SuiteResult:
         return not self.summary.get("unexpected_failures")
 
 
-def _compatible_dims(kind: str, dims: tuple[int, ...]) -> bool:
+def compatible_dims(kind: str, dims: tuple[int, ...]) -> bool:
+    """Whether the suite may draw `dims` for `kind` (schur needs one block)."""
     if kind == "schur":
         return len(dims) == 1
     return True
@@ -464,7 +465,7 @@ def _pick_dims(kind: str, index: int, config: SuiteConfig) -> tuple[int, ...]:
     start = (index // len(config.kinds)) % len(dims_list)
     for step in range(len(dims_list)):
         dims = dims_list[(start + step) % len(dims_list)]
-        if _compatible_dims(kind, dims):
+        if compatible_dims(kind, dims):
             return dims
     raise ValueError(f"no dims in {dims_list} compatible with kind {kind!r}")
 
@@ -545,5 +546,6 @@ __all__ = [
     "verify_channel",
     "SuiteConfig",
     "SuiteResult",
+    "compatible_dims",
     "run_suite",
 ]
