@@ -2,12 +2,14 @@
 
 Commands: gen | verify | suite | show.  Exit codes are stable: 0 success /
 all pass, 1 verification failure (for `suite`, only failures that were not
-expected), 2 bad flags, a suite kind that fits none of its dims, malformed
+expected), 2 bad flags (an --s-range bound that is not finite or exceeds
+Z_MAX among them), a suite kind that fits none of its dims, malformed
 file (metadata included) or a generator refusing its inputs (one error
 line, no file written), 3 a numerical routine refused
 (NoConvergence; one error line, no file written), 4 shape inconsistencies
-in an instance file.  The MODMARK_TOL environment variable scales every
-pinned verdict tolerance by MODMARK_TOL / 1e-9; a value that is not a
+in an instance file, 141 (128 + SIGPIPE) a reader that closed stdout
+early, with nothing on stderr.  The MODMARK_TOL environment variable scales
+every pinned verdict tolerance by MODMARK_TOL / 1e-9; a value that is not a
 positive number is a usage error (exit 2, no file written).
 """
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -24,6 +27,7 @@ import numpy as np
 
 from .errors import MalformedInstance, ModmarkError, NoConvergence, ShapeMismatch
 from .generators import KINDS, GenSpec, build_channel, derive_seed
+from .gns import Z_MAX
 from .linalg import base_tolerance
 from .markov import check_markov
 from .serialize import (
@@ -50,6 +54,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NOCONV = 3
 EXIT_SHAPE = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 KIND_ALIASES = {
     "scalar": "state_to_scalar",
@@ -91,6 +96,9 @@ def _s_range(text: str) -> tuple[float, ...]:
         lo, hi = (float(p) for p in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"s range must be 'a:b', got {text!r}")
+    if not (abs(lo) <= Z_MAX and abs(hi) <= Z_MAX):  # false for nan as well
+        raise argparse.ArgumentTypeError(
+            f"s bounds must be finite with |s| <= {Z_MAX}, got {text!r}")
     if hi < lo:
         lo, hi = hi, lo
     return tuple(float(s) for s in np.linspace(lo, hi, 5))
@@ -369,10 +377,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()  # a closed reader shows up here, not at exit
+        return code
     except NoConvergence as exc:
         print(f"error: numerical routine refused: {exc}", file=sys.stderr)
         return EXIT_NOCONV
+    except BrokenPipeError:  # send what is still buffered to devnull: a quiet exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 def entry() -> None:  # console-script hook

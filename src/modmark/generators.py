@@ -14,7 +14,8 @@ coordinates that null space is {Z : Z u = 0, d^+ Z = 0}, u = coords(1_source)
 and d = coords(D_target), and the projection onto it is the two-sided
 rank-one deflation (1 - d d^+/|d|^2) Z (1 - u u^+/|u|^2).  It has dimension
 (T - 1)(S - 1) in the coordinate dims T, S, so an algebra C on either side
-leaves no free direction and the base point is returned.
+leaves no free direction and the state-to-scalar channel is returned.  The
+`twirl` kind twirls the `sp_ucp` channel of its own spec.
 
 Determinism: each generator is a pure function of its seed; sub-streams are
 derived through SeedSequence so reports reproduce bit-for-bit.
@@ -308,12 +309,11 @@ def _deflate(sup: np.ndarray, source: System, target: System) -> np.ndarray:
     return sup - np.outer(d, d.conj() @ sup) / np.vdot(d, d).real
 
 
-def sp_ucp(source: System, target: System, seed: int,
-           start: ChoiMatrix | None = None) -> Channel:
+def sp_ucp(source: System, target: System, seed: int) -> Channel:
     """Unital cp state-compatible channel that is generically not flow-compatible.
 
     Closed form, no iteration.  The base point is the Choi collection of
-    `state_to_scalar` (or `start`), whose smallest Choi eigenvalue
+    `state_to_scalar(source, target)`, whose smallest Choi eigenvalue
     lambda_min is the smallest source density eigenvalue, so it sits strictly
     inside the psd cone.  A seeded random Hermitian Choi collection Z, taken
     to its superoperator, is projected onto the null space of the unital and
@@ -327,22 +327,14 @@ def sp_ucp(source: System, target: System, seed: int,
     lambda_min / 2.  The base is flow-compatible and a generic null-space
     direction is not, so the output breaks the flow by an amount of order
     eps.  The null space has dimension (T - 1)(S - 1) for coordinate dims
-    T and S, so when either is 1 there is no free direction and the base
-    comes back unchanged (decided by the dims, not by the size of a
-    roundoff-level Z).
-
-    A `start` must be Hermitian, unital, completely positive and state
-    compatible (PreconditionFailed otherwise); one on the cone boundary,
-    lambda_min = 0, comes back unchanged.
+    T and S, so when either is 1 there is no free direction and
+    `state_to_scalar(source, target)` itself is returned (decided by the
+    dims, not by the size of a roundoff-level Z).
     """
-    if start is None:
-        start = to_choi(state_to_scalar(source, target))
-    else:
-        bad = precondition_defects(choi_to_channel(start, source, target))
-        if bad:
-            raise PreconditionFailed(f"sp_ucp start is not feasible: {bad}")
+    base = state_to_scalar(source, target)
     if source.coord_dim == 1 or target.coord_dim == 1:
-        return choi_to_channel(start, source, target)
+        return base
+    base_choi = to_choi(base)
     rng = np.random.default_rng(seed)
     z = {}
     for j, m in enumerate(target.algebra.block_dims):
@@ -355,8 +347,8 @@ def sp_ucp(source: System, target: System, seed: int,
     z = {key: (c + c.conj().T) / 2.0
          for key, c in to_choi(Channel(source, target, sup)).blocks.items()}
     z_norm = max(float(np.linalg.norm(c, 2)) for c in z.values())
-    eps = 0.5 * max(start.min_eigenvalue(), 0.0) / z_norm
-    blocks = {key: start.blocks[key] + eps * z[key] for key in z}
+    eps = 0.5 * max(base_choi.min_eigenvalue(), 0.0) / z_norm
+    blocks = {key: base_choi.blocks[key] + eps * z[key] for key in z}
     return choi_to_channel(
         ChoiMatrix(source.algebra, target.algebra, blocks), source, target)
 
@@ -383,7 +375,6 @@ class GenSpec:
 @dataclass
 class BuildResult:
     channel: Channel
-    spec: GenSpec
     flags: tuple[str, ...] = ()
 
 
@@ -395,20 +386,14 @@ def _source_system(spec: GenSpec) -> System:
 
 
 def build_channel(spec: GenSpec) -> BuildResult:
-    """Materialize a GenSpec.  Errors of the generators and of the numerical
-    routines under them (NoConvergence from an eigensolver, say) propagate;
-    no built-in generator sets a flag, so `flags` stays empty."""
-    if spec.kind == "twirl":
-        base_params = dict(spec.params.get("base_params", {}))
-        base_kind = spec.params.get("base_kind", "sp_ucp")
-        base = build_channel(GenSpec(base_kind, spec.dims, spec.seed, base_params))
-        return BuildResult(channel=modular_twirl(base.channel), spec=spec)
+    """Materialize a GenSpec, each kind one way.  Params: `min_gap` (every
+    kind), `c` (`schur`), `target_dims` (`state_to_scalar`).  Errors of the
+    generators and of the numerical routines under them (NoConvergence from
+    an eigensolver, say) propagate; `flags` stays empty."""
     sys = _source_system(spec)
     if spec.kind == "identity":
         ch = identity_channel(sys)
     elif spec.kind == "schur":
-        if len(spec.dims) != 1:
-            raise ShapeMismatch("kind 'schur' needs a single-block algebra")
         c = spec.params.get("c")
         if c is None:
             c = random_unit_diagonal_psd(spec.dims[0], derive_seed(spec.seed, 2))
@@ -426,18 +411,18 @@ def build_channel(spec: GenSpec) -> BuildResult:
     elif spec.kind == "automorphism":
         ch = automorphism_channel(sys, random_commuting_unitary(
             sys, derive_seed(spec.seed, 5)))
+    elif spec.kind == "twirl":
+        ch = modular_twirl(sp_ucp(sys, sys, derive_seed(spec.seed, 6)))
     elif spec.kind == "sp_ucp":
         ch = sp_ucp(sys, sys, derive_seed(spec.seed, 6))
-    elif spec.kind == "convex":
+    else:  # "convex", the last of KINDS (GenSpec refuses any other)
         u = automorphism_channel(sys, random_commuting_unitary(
             sys, derive_seed(spec.seed, 7)))
         parts = [identity_channel(sys), state_to_scalar(sys, sys), u]
         raw = np.random.default_rng(derive_seed(spec.seed, 8)).uniform(
             0.1, 1.0, size=len(parts))
         ch = convex_combine(parts, raw / raw.sum())
-    else:  # pragma: no cover - guarded by GenSpec validation
-        raise ValueError(f"unhandled kind {spec.kind!r}")
-    return BuildResult(channel=ch, spec=spec)
+    return BuildResult(channel=ch)
 
 
 __all__ = [

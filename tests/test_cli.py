@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modmark
 from modmark.cli import main
 from modmark.generators import GenSpec, build_channel
 from modmark.serialize import (
@@ -245,10 +250,10 @@ class TestGenRefusals:
         # params of the wrong JSON type
         ("--kind", "state_to_scalar", "--dims", "2", "--params", '{"target_dims": 3}'),
         ("--kind", "state_to_scalar", "--dims", "2", "--params", '{"min_gap": null}'),
-        ("--kind", "twirl", "--dims", "2", "--params", '{"base_params": 5}'),
+        ("--kind", "twirl", "--dims", "2", "--params", '{"min_gap": null}'),
         ("--kind", "schur", "--dims", "2", "--params", '{"c": {"a": 1}}'),
     ], ids=["schur-multiblock", "schur-misfit-c", "min-gap", "target-dims",
-            "target-dims-int", "min-gap-null", "twirl-base-params-int", "schur-c-dict"])
+            "target-dims-int", "min-gap-null", "twirl-min-gap-null", "schur-c-dict"])
     def test_exit_two_without_file(self, tmp_path, capsys, argv):
         path = tmp_path / "inst.json"
         code, out, err = run(capsys, "gen", *argv, "-o", str(path))
@@ -295,6 +300,41 @@ class TestSRangeFlag:
         run(capsys, "gen", "--kind", "identity", "--dims", "2", "-o", str(path))
         code, _, _ = run(capsys, "verify", str(path), "--s-range", "-1:1")
         assert code == 0
+
+    def test_full_power_range_verifies(self, tmp_path, capsys):
+        path = tmp_path / "schur.json"
+        run(capsys, "gen", "--kind", "schur", "--dims", "2", "-o", str(path))
+        code, out, _ = run(capsys, "verify", str(path), "--s-range", "-2:2")
+        assert code == 0 and "verdict: pass" in out
+
+    @pytest.mark.parametrize("bounds", ["-3:3", "-2.5:0", "nan:1"])
+    def test_bound_beyond_power_range_is_usage_error(self, tmp_path, capsys, bounds):
+        path = tmp_path / "schur.json"
+        run(capsys, "gen", "--kind", "schur", "--dims", "2", "-o", str(path))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(path), "--s-range", bounds])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "|s| <= 2.0" in err and "Traceback" not in err
+
+
+class TestClosedPipe:
+    def test_reader_closing_after_first_line_exits_141_quietly(self):
+        # the --json report is larger than a pipe holds, so the writer is
+        # still writing when the reader closes; without PYTHONUNBUFFERED the
+        # write goes through a buffered stream, which reports the closed pipe
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        src = str(Path(modmark.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        with subprocess.Popen(
+                [sys.executable, "-m", "modmark", "suite", "--trials", "60",
+                 "--seed", "42", "--json"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 141
+        assert err == b""
 
 
 class TestSuite:

@@ -26,13 +26,7 @@ from modmark.generators import (
     spectral_projections,
     state_to_scalar,
 )
-from modmark.markov import (
-    ChoiMatrix,
-    System,
-    check_markov,
-    identity_channel,
-    to_choi,
-)
+from modmark.markov import System, check_markov, to_choi
 from modmark.verify import verify_modular_symmetry
 
 M2 = BlockAlgebra((2,))
@@ -191,11 +185,6 @@ class TestSpUcp:
         assert mc.residuals["state"] <= 1e-10
         assert mc.residuals["modular"] > 1e-3
 
-    def test_degenerate_start_returns_it(self, qubit):
-        ch = sp_ucp(qubit, qubit, 0, start=to_choi(identity_channel(qubit)))
-        assert np.linalg.norm(ch.superop - np.eye(4)) <= 1e-12
-        assert check_markov(ch).residuals["modular"] <= 1e-12
-
     def test_twirled_output_always_member(self):
         for seed in (1, 2, 3):
             sys = System(random_faithful_state(BlockAlgebra((2, 2)), 20 + seed, 0.05))
@@ -256,26 +245,6 @@ class TestSpUcpLarge:
         ch = sp_ucp(src, tgt, 58)
         assert np.array_equal(ch.superop, state_to_scalar(src, tgt).superop)
 
-    def test_infeasible_start_rejected(self):
-        src, tgt = _system_pair((2,), (3,), 53)
-        base = to_choi(state_to_scalar(src, tgt))
-        with pytest.raises(PreconditionFailed):  # not unital
-            sp_ucp(src, tgt, 0, start=ChoiMatrix(
-                src.algebra, tgt.algebra,
-                {key: 0.5 * c for key, c in base.blocks.items()}))
-        qubit = System(random_faithful_state(M2, 54, 0.05))
-        ident = to_choi(identity_channel(qubit)).blocks
-        scalar = to_choi(state_to_scalar(qubit, qubit)).blocks
-        with pytest.raises(PreconditionFailed):  # unital, state, not cp
-            sp_ucp(qubit, qubit, 0, start=ChoiMatrix(
-                M2, M2, {key: 2.0 * scalar[key] - ident[key] for key in ident}))
-
-    def test_start_with_missing_or_misshapen_block_is_a_shape_error(self, qubit):
-        with pytest.raises(ShapeMismatch):
-            sp_ucp(qubit, qubit, 0, start=ChoiMatrix(M2, M2, {}))
-        with pytest.raises(ShapeMismatch):
-            sp_ucp(qubit, qubit, 0, start=ChoiMatrix(M2, M2, {(0, 0): np.eye(3)}))
-
 
 class TestGenSpecBuild:
     def test_unknown_kind(self):
@@ -299,6 +268,18 @@ class TestGenSpecBuild:
     def test_schur_needs_single_block(self):
         with pytest.raises(ShapeMismatch):
             build_channel(GenSpec("schur", (2, 2), seed=0))
+
+    @pytest.mark.parametrize("dims,seed", [((3,), 4), ((2, 2), 1)])
+    @pytest.mark.parametrize("gap", [0.05, 0.5])
+    def test_twirl_honours_min_gap(self, dims, seed, gap):
+        # twirl and sp_ucp read the same spec: one source state, its
+        # eigenvalue ratio the recorded min_gap (these seeds draw densities
+        # with a ratio below 0.05, so both gaps shift them)
+        twirl = build_channel(GenSpec("twirl", dims, seed, {"min_gap": gap})).channel
+        lams = np.concatenate([e.eigenvalues for e in twirl.source.state.block_eigs])
+        assert lams.min() / lams.max() == pytest.approx(gap, rel=1e-9)
+        base = build_channel(GenSpec("sp_ucp", dims, seed, {"min_gap": gap})).channel
+        assert np.array_equal(twirl.superop, modular_twirl(base).superop)
 
     def test_schur_param_matrix(self):
         res = build_channel(GenSpec("schur", (2,), seed=0,
