@@ -387,9 +387,14 @@ def _source_system(spec: GenSpec) -> System:
 
 def build_channel(spec: GenSpec) -> BuildResult:
     """Materialize a GenSpec, each kind one way.  Params: `min_gap` (every
-    kind), `c` (`schur`), `target_dims` (`state_to_scalar`).  Errors of the
-    generators and of the numerical routines under them (NoConvergence from
-    an eigensolver, say) propagate; `flags` stays empty."""
+    kind), `c` (`schur`), `target_dims` (`state_to_scalar`), no other (a
+    ValueError).  Errors of the generators and of the numerical routines
+    under them (NoConvergence from an eigensolver, say) propagate."""
+    accepted = ("min_gap",) + {"schur": ("c",), "state_to_scalar": ("target_dims",)}.get(
+        spec.kind, ())
+    unknown = [key for key in spec.params if key not in accepted]
+    if unknown:
+        raise ValueError(f"kind {spec.kind!r} takes no param {unknown[0]!r}; accepted: {accepted}")
     sys = _source_system(spec)
     if spec.kind == "identity":
         ch = identity_channel(sys)

@@ -96,9 +96,10 @@ class ModularData:
         """Flow frequency log lambda_a - log lambda_b of entry (a, b)."""
         return np.log(self.lambda_a) - np.log(self.lambda_b)
 
-    def delta_power_diagonal(self, z: complex) -> np.ndarray:
-        """Delta^z in the eigenframe, the diagonal exp(z omega), |Re z| <= Z_MAX."""
-        return np.exp(self._check_range(z) * self.frequencies)
+    def delta_power_diagonals(self, zs) -> np.ndarray:
+        """Eigenframe diagonals of Delta^z, exp(z omega), stacked over zs; |Re z| <= Z_MAX."""
+        zs = np.array([self._check_range(z) for z in zs], dtype=np.complex128)
+        return np.exp(zs[:, None] * self.frequencies)
 
     def d_power_blocks(self, z: complex) -> list[np.ndarray]:
         """Blockwise D**z, cached per exponent."""

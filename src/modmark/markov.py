@@ -298,9 +298,9 @@ def modular_commutation_residual(ch: Channel,
     calculus that checks this kernel independently lives in the test oracles.
     """
     md_s, md_t = ch.source.modular, ch.target.modular
-    pairs = [(md_s.frequencies, md_t.frequencies)] + [
-        (md_s.delta_power_diagonal(1j * float(t)), md_t.delta_power_diagonal(1j * float(t)))
-        for t in t_samples]
+    zs = [1j * float(t) for t in t_samples]
+    pairs = [(md_s.frequencies, md_t.frequencies),
+             *zip(md_s.delta_power_diagonals(zs), md_t.delta_power_diagonals(zs))]
     return max(max_column_norm(((a[None, :] - b[:, None]) * ch.eigen_superop) @ md_s.frame)
                for a, b in pairs)
 

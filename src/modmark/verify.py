@@ -28,7 +28,8 @@ where multiplying by D^p on the left (right) is the diagonal lambda_a^p
 there, X = G_t ch G_s^+ (`Channel.eigen_superop`), and the extension
 T_eig = G_t T G_s^+ is a diagonal reweighting of it (`eigen_extension`).
 The flow keys are norms of masked copies of T_eig, thm_ii permutes its
-indices, and both adjoint keys are norms of X^+ times eigenvalue weights.
+indices, and both adjoint keys are norms of X^+ times eigenvalue weights;
+each family's norms are stacked SVDs under a fixed cap on entries per call.
 The gns_* keys alone stay out of the frame: they use the blockwise spectral
 powers, so they test the modular data the frame is built from.  The
 explicit kron-product, per-unit and per-vector routes are kept as test
@@ -122,26 +123,43 @@ def verify_commute(ch: Channel, z_samples, s_values=DEFAULT_S_VALUES,
             _twist_residual(t_eig, ch, s_values))
 
 
+# Entries one stacked SVD call may hold (one matrix if a single one is more),
+# so the masked copies of a large family are never all held at once.
+_SVD_ENTRIES = 1 << 16
+
+
+def _masked_op_norms(base: np.ndarray, masks: Callable, count: int) -> list[float]:
+    """`op_norm(base * m)` for the count masks m, as stacked SVDs.  masks(sl) is a
+    fresh complex stack of masks sl that the product overwrites, base its left
+    operand: complex products with FMA are not commutative bit for bit."""
+    step = max(1, _SVD_ENTRIES // base.size)
+    norms: list[float] = []
+    for lo in range(0, count, step):
+        prod = masks(slice(lo, lo + step))
+        np.multiply(base, prod, out=prod)
+        if not np.isfinite(prod).all():
+            raise ValueError("matrix entries must be finite")
+        norms += np.linalg.svd(prod, compute_uv=False)[:, 0].tolist()
+        del prod  # freed before the next chunk is built, not after
+    return norms
+
+
 def _commute_residual(t_eig: np.ndarray, ch: Channel, z_samples) -> float:
     """max_z |T_eig * (exp(z w_s)[None, :] - exp(z w_t)[:, None])|."""
-    md_s, md_t = ch.source.modular, ch.target.modular
-    res = 0.0
-    for z in z_samples:
-        mask = (md_s.delta_power_diagonal(z)[None, :]
-                - md_t.delta_power_diagonal(z)[:, None])
-        res = max(res, op_norm(t_eig * mask))
-    return res
+    zs = list(z_samples)
+    d_s = ch.source.modular.delta_power_diagonals(zs)
+    d_t = ch.target.modular.delta_power_diagonals(zs)
+    return max(_masked_op_norms(
+        t_eig, lambda sl: d_s[sl, None, :] - d_t[sl, :, None], len(zs)), default=0.0)
 
 
 def _twist_residual(t_eig: np.ndarray, ch: Channel, s_values) -> float:
     """max_s |T_eig * (exp(-s w_t)[:, None] exp(s w_s)[None, :] - 1)|."""
-    md_s, md_t = ch.source.modular, ch.target.modular
-    res = 0.0
-    for s in s_values:
-        mask = (md_s.delta_power_diagonal(float(s))[None, :]
-                * md_t.delta_power_diagonal(-float(s))[:, None] - 1.0)
-        res = max(res, op_norm(t_eig * mask))
-    return res
+    ss = [float(s) for s in s_values]
+    d_s = ch.source.modular.delta_power_diagonals(ss)
+    d_t = ch.target.modular.delta_power_diagonals([-s for s in ss])
+    return max(_masked_op_norms(
+        t_eig, lambda sl: d_s[sl, None, :] * d_t[sl, :, None] - 1.0, len(ss)), default=0.0)
 
 
 def verify_modular_symmetry(ch: Channel,
@@ -180,9 +198,9 @@ def _involution_residual(t_eig: np.ndarray, ch: Channel) -> float:
     md_s, md_t = ch.source.modular, ch.target.modular
     p_s = adjoint_index(ch.source.algebra)
     p_t = adjoint_index(ch.target.algebra)
-    lhs = (md_t.delta_power_diagonal(-0.5)[:, None]
+    lhs = (md_t.delta_power_diagonals([-0.5]).T
            * t_eig.conj()[p_t][:, p_s]
-           * md_s.delta_power_diagonal(0.5)[None, :])
+           * md_s.delta_power_diagonals([0.5]))
     r_s = np.sqrt(md_s.lambda_b)
     return max_column_norm(((lhs - t_eig) * r_s[None, :]) @ md_s.frame)
 
@@ -215,8 +233,9 @@ def _adjoint_residuals(t_eig: np.ndarray,
     consistency = rb_t / rb_s - (rb_s / la_s) * (la_t / rb_t)
     # ch* minus the Petz form D_s^{-1/2} ch^+(D_t^{1/2} y D_t^{1/2}) D_s^{-1/2}
     petz = la_t / la_s - np.sqrt(la_t) * rb_t / (np.sqrt(la_s) * rb_s)
-    return (op_norm(x_h * consistency), op_norm(x_h * petz),
-            max(0.0, op_norm(t_eig) - 1.0))
+    adjc, petz_norm = _masked_op_norms(
+        x_h, lambda sl: np.array((consistency, petz)[sl], dtype=np.complex128), 2)
+    return adjc, petz_norm, max(0.0, op_norm(t_eig) - 1.0)
 
 
 def _omega_residual(t_eig: np.ndarray, ch: Channel) -> float:

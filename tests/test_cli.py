@@ -252,8 +252,11 @@ class TestGenRefusals:
         ("--kind", "state_to_scalar", "--dims", "2", "--params", '{"min_gap": null}'),
         ("--kind", "twirl", "--dims", "2", "--params", '{"min_gap": null}'),
         ("--kind", "schur", "--dims", "2", "--params", '{"c": {"a": 1}}'),
+        # a key the kind does not read
+        ("--kind", "twirl", "--dims", "3", "--params", '{"min-gap": 0.5}'),
     ], ids=["schur-multiblock", "schur-misfit-c", "min-gap", "target-dims",
-            "target-dims-int", "min-gap-null", "twirl-min-gap-null", "schur-c-dict"])
+            "target-dims-int", "min-gap-null", "twirl-min-gap-null", "schur-c-dict",
+            "twirl-unknown-key"])
     def test_exit_two_without_file(self, tmp_path, capsys, argv):
         path = tmp_path / "inst.json"
         code, out, err = run(capsys, "gen", *argv, "-o", str(path))
@@ -423,6 +426,20 @@ class TestSuite:
 
 
 class TestShow:
+    def test_old_twirl_file_with_base_params_still_reads(self, tmp_path, capsys):
+        # twirl files written before build_channel refused unread keys carry
+        # base_kind/base_params in their genspec; verify and show only read it
+        path = tmp_path / "twirl.json"
+        run(capsys, "gen", "--kind", "twirl", "--dims", "2", "--seed", "4", "-o", str(path))
+        doc = json.loads(path.read_text())
+        doc["metadata"]["genspec"]["params"].update(
+            base_kind="sp_ucp", base_params={"min_gap": 0.05})
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0 and "kind=twirl" in out
+        code, out, _ = run(capsys, "show", str(path))
+        assert code == 0 and "base_params" in out
+
     def test_show_instance(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
         run(capsys, "gen", "--kind", "pinch", "--dims", "2", "-o", str(path))

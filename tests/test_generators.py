@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,18 @@ class TestGenSpecBuild:
         assert lams.min() / lams.max() == pytest.approx(gap, rel=1e-9)
         base = build_channel(GenSpec("sp_ucp", dims, seed, {"min_gap": gap})).channel
         assert np.array_equal(twirl.superop, modular_twirl(base).superop)
+
+    @pytest.mark.parametrize("kind,params,accepted", [
+        ("twirl", {"min-gap": 0.5}, "('min_gap',)"),
+        ("twirl", {"min_gap": 0.5, "base_params": {}}, "('min_gap',)"),
+        ("pinch", {"c": [[1.0]]}, "('min_gap',)"),
+        ("schur", {"target_dims": [2]}, "('min_gap', 'c')"),
+        ("state_to_scalar", {"c": None}, "('min_gap', 'target_dims')")])
+    def test_param_the_kind_does_not_read_is_refused(self, kind, params, accepted):
+        bad = next(key for key in params if key != "min_gap")
+        with pytest.raises(ValueError, match=rf"{kind!r} takes no param {bad!r}; "
+                                             rf"accepted: {re.escape(accepted)}"):
+            build_channel(GenSpec(kind, (2,), seed=0, params=params))
 
     def test_schur_param_matrix(self):
         res = build_channel(GenSpec("schur", (2,), seed=0,

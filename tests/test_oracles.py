@@ -18,6 +18,9 @@ Gram matrix instead of the two rank-one deflations, and the twirl's
 frequency buckets chained by a Python loop.  They are kept here only, so
 that a check is never the code it checks.  `delta_power_superop`, Delta^z
 carried back from the eigenframe, lives here too because only tests read it.
+The flow families and the adjoint pair keep their per-sample `op_norm`
+loops, one mask and one product each, as the bit-for-bit oracles of the
+stacked, chunked SVDs in `verify`.
 The instance files have two more: `json.dumps(..., sort_keys=True,
 indent=2)` is the oracle of the template writer, and the per-entry
 conversion is the oracle of the one-array reader.  The modular axioms of a
@@ -26,6 +29,7 @@ the oracle of the stacked `modular_invariants`.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,7 +61,7 @@ from modmark.generators import (
     spectral_projections,
     state_to_scalar,
 )
-from modmark import gns
+from modmark import gns, verify
 from modmark.gns import Z_MAX, ModularData
 from modmark.linalg import matrix_power_from_eig
 from modmark.markov import (
@@ -199,7 +203,7 @@ def kron_delta_superop(md, z):
 def delta_power_superop(md, z):
     """Delta^z as the eigenframe diagonal carried back, G^+ exp(z w) G."""
     g = md.frame
-    return g.conj().T @ (md.delta_power_diagonal(z)[:, None] * g)
+    return g.conj().T @ (md.delta_power_diagonals([z]).T * g)
 
 
 def oracle_commute(t_mat, ch, z_samples):
@@ -222,6 +226,36 @@ def oracle_twist(t_mat, ch, s_values):
         d_t_inv = kron_delta_superop(ch.target.modular, -float(s))
         res = max(res, op_norm(d_t_inv @ t_mat @ d_s - t_mat))
     return res
+
+
+def oracle_commute_residual(t_eig, ch, z_samples):
+    w_s, w_t = ch.source.modular.frequencies, ch.target.modular.frequencies
+    res = 0.0
+    for z in z_samples:
+        mask = np.exp(complex(z) * w_s)[None, :] - np.exp(complex(z) * w_t)[:, None]
+        res = max(res, op_norm(t_eig * mask))
+    return res
+
+
+def oracle_twist_residual(t_eig, ch, s_values):
+    w_s, w_t = ch.source.modular.frequencies, ch.target.modular.frequencies
+    res = 0.0
+    for s in s_values:
+        mask = (np.exp(complex(float(s)) * w_s)[None, :]
+                * np.exp(complex(-float(s)) * w_t)[:, None] - 1.0)
+        res = max(res, op_norm(t_eig * mask))
+    return res
+
+
+def oracle_adjoint_pair(ch):
+    """(adjoint_consistency, petz_match) as two separate `op_norm` calls."""
+    md_s, md_t = ch.source.modular, ch.target.modular
+    x_h = ch.eigen_superop.conj().T
+    la_s, rb_s = md_s.lambda_a[:, None], np.sqrt(md_s.lambda_b)[:, None]
+    la_t, rb_t = md_t.lambda_a[None, :], np.sqrt(md_t.lambda_b)[None, :]
+    consistency = rb_t / rb_s - (rb_s / la_s) * (la_t / rb_t)
+    petz = la_t / la_s - np.sqrt(la_t) * rb_t / (np.sqrt(la_s) * rb_s)
+    return op_norm(x_h * consistency), op_norm(x_h * petz)
 
 
 def loop_adjoint_permutation(alg):
@@ -516,6 +550,108 @@ def test_sp_ucp_breaks_the_flow(dims):
     assert verify_crucial(ch, DEFAULT_EQ32_T, require_markov=False) > 1e-3
 
 
+# ---------------------------------------------------------------------------
+# the flow families as stacked SVDs
+# ---------------------------------------------------------------------------
+
+FLOW_KEYS = ("eq32_t", "thm_i_s", "thm_commute_z", "adjoint_consistency", "petz_match")
+
+
+def assert_stacked_equals_per_sample(ch):
+    """Every stacked family against its per-sample oracle, compared with ==."""
+    t_eig = eigen_extension(ch)
+    eq32 = [1j * float(t) for t in DEFAULT_EQ32_T]
+    assert (verify_crucial(ch, DEFAULT_EQ32_T, require_markov=False)
+            == oracle_commute_residual(t_eig, ch, eq32))
+    assert verify_commute(ch, Z_SAMPLES, DEFAULT_S_VALUES, require_markov=False) == (
+        oracle_commute_residual(t_eig, ch, Z_SAMPLES),
+        oracle_twist_residual(t_eig, ch, DEFAULT_S_VALUES))
+    assert verify_adjoint(ch, require_markov=False)[:2] == oracle_adjoint_pair(ch)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_stacked_flow_norms_bit_identical(case):
+    assert_stacked_equals_per_sample(_build(*case))
+
+
+@pytest.mark.parametrize("src_dims,tgt_dims", OFF_CLASS_PAIRS)
+def test_stacked_flow_norms_bit_identical_off_the_class(src_dims, tgt_dims):
+    assert_stacked_equals_per_sample(_off_class_channel(src_dims, tgt_dims))
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of the stacks handed to np.linalg.svd (`op_norm` goes through
+    np.linalg.norm, which does not call the patched name)."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
+
+
+class TestStackedNorms:
+    def test_empty_samples_give_zero(self):
+        ch = _build("schur", (3,), {})
+        assert verify_crucial(ch, (), require_markov=False) == 0.0
+        assert verify_commute(ch, [], (), require_markov=False) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+    def test_non_finite_t_eig_refused(self, bad):
+        ch = _build("pinch", (2, 2), {})
+        t_eig = eigen_extension(ch)
+        t_eig[1, 2] = bad
+        # inf times a zero mask entry warns before the refusal, as it did
+        # when each product went through `op_norm`
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                verify._commute_residual(t_eig, ch, Z_SAMPLES)
+            with pytest.raises(ValueError, match="finite"):
+                verify._twist_residual(t_eig, ch, DEFAULT_S_VALUES)
+
+    @pytest.mark.parametrize("case", [
+        ("schur", (3,), {}), ("pinch", (2, 2), {}), ("sp_ucp", (3, 1), {}),
+        ("state_to_scalar", (2,), {"target_dims": (3,)})], ids=_case_id)
+    def test_residuals_do_not_depend_on_the_split(self, monkeypatch, svd_shapes, case):
+        ch = _build(*case)
+        ref = verify_channel(ch)
+        size = eigen_extension(ch).size
+        for per_call in (1, 3, 16):
+            monkeypatch.setattr(verify, "_SVD_ENTRIES", per_call * size)
+            svd_shapes.clear()
+            report = verify_channel(ch)
+            assert max(k for k, _, _ in svd_shapes) == per_call
+            assert {k: report.residuals[k] for k in FLOW_KEYS} == {
+                k: ref.residuals[k] for k in FLOW_KEYS}
+
+    @pytest.mark.parametrize("case,per_call", [
+        (("schur", (16,), {}), 1), (("pinch", (8, 8), {}), 4)],
+        ids=["schur-16", "pinch-8x8"])
+    def test_calls_stay_within_the_entry_budget(self, svd_shapes, case, per_call):
+        ch = _build(*case)
+        verify_channel(ch)
+        for k, rows, cols in svd_shapes:
+            assert k * rows * cols <= verify._SVD_ENTRIES or k == 1
+        assert max(k for k, _, _ in svd_shapes) == per_call
+        # eq32_t, thm_commute_z, thm_i_s and the adjoint pair, one row each
+        assert sum(k for k, _, _ in svd_shapes) == (
+            len(DEFAULT_EQ32_T) + len(sample_z(0)) + len(DEFAULT_S_VALUES) + 2)
+        assert_stacked_equals_per_sample(ch)
+        # the masks of one chunk are alive at a time, not those of the family
+        t_eig = eigen_extension(ch)
+        tracemalloc.start()
+        try:
+            verify._commute_residual(t_eig, ch, sample_z(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * per_call * t_eig.nbytes, peak / t_eig.nbytes
+
+
 class TestPowerRangeGuard:
     @pytest.fixture(params=["source", "target"])
     def channel(self, request):
@@ -628,7 +764,7 @@ class TestFrameHelpers:
         z = 0.7 - 1.3j
         ref = kron_delta_superop(md, z)
         assert np.linalg.norm(
-            g @ ref @ g.conj().T - np.diag(md.delta_power_diagonal(z))) <= 1e-12
+            g @ ref @ g.conj().T - np.diag(md.delta_power_diagonals([z])[0])) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
