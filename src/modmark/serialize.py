@@ -1,46 +1,44 @@
 """JSON formats for instances and verification reports.
 
-Schemas (version "1"):
+Instance schema (version "2"; version "1" is still read):
 
     complex  = [re, im]        (a bare number is accepted on read as re + 0j)
-    matrix   = row-major nested lists of complex entries
+    matrix   = {"dtype": "<c16", "shape": [r, c], "data": base64}
+               (version "2": the row-major little-endian complex128 bytes);
+               or, as read from version "1" files and hand-written Kraus
+               operators, row-major nested lists of complex entries
     algebra  = {"blocks": [n1, ...]}
     element  = [matrix, ...]   (one square matrix per block)
     state    = {"density": element}
     endpoint = {"algebra": algebra, "state": state}
     channel  = {"source": endpoint, "target": endpoint, "superop": matrix}
                or the same with "kraus": [matrix, ...] instead of "superop"
-    instance = {"version": "1", "channel": channel, "metadata": {...}}
+    instance = {"version": "2", "channel": channel, "metadata": {...}}
                (metadata optional; its optional "flags" a list of strings)
     genspec  = {"kind": str, "dims": [...], "seed": int, "params": {...}}
 
-Floats are written with Python's repr (shortest round trip), so files reload
-bit-identically and identical runs produce byte-identical reports.  Parse
+Suite and report documents hold no matrices and stay version "1".  Every
+document is written as `json.dumps(doc, sort_keys=True, indent=2)` plus a
+newline, so identical runs produce byte-identical files and reports.  Binary
+matrices reload bit-identically; nested-list matrices do too, because Python
+writes floats with repr (shortest round trip).
+
+`matrix_from_json` picks the decoder by the matrix's JSON type.  A binary
+object decodes to a writeable C-contiguous complex128 copy once its dtype,
+shape, strict base64, byte length and finiteness are checked.  A nested list
+converts with one `np.asarray` to float64 viewed as complex128, after one
+C-level pass over the leaf types (exact int or float only, so a bool among
+floats is still refused) and a finiteness check on the whole array; only a
+list that fails them takes the per-entry route, which names the error.  Parse
 problems raise MalformedInstance; structurally valid files whose matrices do
 not fit together raise ShapeMismatch.
-
-Both directions run at C speed on matrices without changing a byte or a bit.
-`dumps_canonical` writes exactly the text of `json.dumps(obj, sort_keys=True,
-indent=2)`.  It formats each rectangular nested list of at least two levels
-whose leaves are all finite exact floats one outer row at a time, through a
-`%r` template built from the list's shape and indent depth (`%r` is the float
-repr json writes).  Other lists, dicts with str keys, strings, ints, finite
-floats, bools and None it lays out itself by json's rules, so that ints and
-mixed int/float lists keep their text; anything else (NaN/inf, float or
-container subclasses, tuples, empty containers, non-str keys) goes to `json`
-whole.  `matrix_from_json` converts with one `np.asarray` to float64 and views
-the (r, c, 2) result as complex128, after one C-level pass over the leaf types
-(exact int or float only, so a bool among floats is still refused) and a
-finiteness check on the whole array; only a matrix that fails them takes the
-per-entry route, which names the error.
 """
 
 from __future__ import annotations
 
+import base64
 import json
-import math
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -54,7 +52,9 @@ from .markov import Channel, System, channel_from_kraus
 if TYPE_CHECKING:
     from .verify import SuiteResult, VerificationReport
 
-SCHEMA_VERSION = "1"
+INSTANCE_VERSION = "2"
+SUITE_VERSION = "1"
+MATRIX_DTYPE = "<c16"
 
 
 def _entry_from_json(obj) -> complex:
@@ -71,9 +71,41 @@ def _entry_from_json(obj) -> complex:
 
 
 def matrix_to_json(m) -> list:
-    """Row-major nested lists of [re, im] pairs of Python floats."""
+    """Version "1" matrix: row-major nested lists of [re, im] pairs of floats."""
     arr = np.asarray(m, dtype=np.complex128)
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+
+def matrix_to_binary(m) -> dict:
+    """Version "2" matrix: its row-major little-endian complex128 bytes in base64."""
+    arr = np.ascontiguousarray(m, dtype=MATRIX_DTYPE)
+    return {"dtype": MATRIX_DTYPE, "shape": list(arr.shape),
+            "data": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
+def _matrix_from_binary(obj: dict) -> np.ndarray:
+    if obj.get("dtype") != MATRIX_DTYPE:
+        raise MalformedInstance(
+            f"matrix dtype must be {MATRIX_DTYPE!r}, got {obj.get('dtype')!r}")
+    shape = obj.get("shape")
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(n) is int and n >= 1 for n in shape)):
+        raise MalformedInstance(f"matrix shape must be two positive integers, got {shape!r}")
+    data = obj.get("data")
+    if not isinstance(data, str):
+        raise MalformedInstance("matrix data must be a base64 string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise MalformedInstance(f"matrix data is not base64: {exc}") from exc
+    rows, cols = shape
+    if len(raw) != rows * cols * 16:
+        raise MalformedInstance(
+            f"matrix data holds {len(raw)} bytes, shape {shape} needs {rows * cols * 16}")
+    out = np.frombuffer(raw, dtype=MATRIX_DTYPE).reshape(rows, cols).astype(np.complex128)
+    if not np.isfinite(out).all():
+        raise MalformedInstance("matrix entries must be finite")
+    return out
 
 
 def _matrix_from_array(rows: list) -> np.ndarray | None:
@@ -101,6 +133,9 @@ def _matrix_from_array(rows: list) -> np.ndarray | None:
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    """A matrix of either version: an object is binary, a list nested rows."""
+    if isinstance(obj, dict):
+        return _matrix_from_binary(obj)
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise MalformedInstance("matrix must be a nonempty list of rows")
     width = len(obj[0])
@@ -135,7 +170,7 @@ def algebra_from_json(obj) -> BlockAlgebra:
 
 
 def element_to_json(x: AlgebraElement) -> list:
-    return [matrix_to_json(b) for b in x.blocks]
+    return [matrix_to_binary(b) for b in x.blocks]
 
 
 def element_from_json(alg: BlockAlgebra, obj) -> AlgebraElement:
@@ -177,7 +212,7 @@ def channel_to_json(ch: Channel) -> dict:
     return {
         "source": system_to_json(ch.source),
         "target": system_to_json(ch.target),
-        "superop": matrix_to_json(ch.superop),
+        "superop": matrix_to_binary(ch.superop),
     }
 
 
@@ -211,7 +246,7 @@ def genspec_from_json(obj) -> GenSpec:
 
 
 def instance_to_json(ch: Channel, metadata: dict | None = None) -> dict:
-    doc = {"version": SCHEMA_VERSION, "channel": channel_to_json(ch)}
+    doc = {"version": INSTANCE_VERSION, "channel": channel_to_json(ch)}
     if metadata:
         doc["metadata"] = metadata
     return doc
@@ -220,7 +255,7 @@ def instance_to_json(ch: Channel, metadata: dict | None = None) -> dict:
 def instance_from_json(obj) -> tuple[Channel, dict]:
     if not isinstance(obj, dict):
         raise MalformedInstance("instance must be an object")
-    if obj.get("version") != SCHEMA_VERSION:
+    if obj.get("version") not in ("1", INSTANCE_VERSION):
         raise MalformedInstance(
             f"unsupported instance version {obj.get('version')!r}")
     if "channel" not in obj:
@@ -234,93 +269,9 @@ def instance_from_json(obj) -> tuple[Channel, dict]:
     return channel_from_json(obj["channel"]), dict(metadata)
 
 
-def _float_array_shape(obj: list) -> tuple[tuple[int, ...], list] | None:
-    """Shape and row-major leaves of a rectangular nested list of at least
-    two levels whose leaves are all finite exact floats, else None."""
-    shape = [len(obj)]
-    level = obj
-    while True:
-        kinds = set(map(type, level))
-        if kinds == {float}:
-            break
-        if kinds != {list}:
-            return None
-        widths = set(map(len, level))
-        if len(widths) != 1 or 0 in widths:
-            return None
-        shape.append(widths.pop())
-        level = list(chain.from_iterable(level))
-    if len(shape) < 2 or not all(map(math.isfinite, level)):
-        return None
-    return tuple(shape), level
-
-
-def _nested_template(shape: tuple[int, ...], depth: int) -> str:
-    """Indented json layout of a nested list of this shape with `%r` leaves,
-    its opening bracket at indent level `depth`."""
-    if not shape:
-        return "%r"
-    inner = "\n" + "  " * (depth + 1)
-    item = _nested_template(shape[1:], depth + 1)
-    return "[" + inner + ("," + inner).join([item] * shape[0]) + "\n" + "  " * depth + "]"
-
-
-_LITERALS = {None: "null", True: "true", False: "false"}
-
-
-def _encode(obj, depth: int, out: list) -> None:
-    """Append the `json.dumps(obj, sort_keys=True, indent=2)` text of `obj`,
-    nested at indent level `depth`, to `out`.  Float arrays take the template
-    route; other lists, dicts with str keys, strings, ints, finite floats,
-    bools and None are laid out here; everything else is handed to `json`."""
-    kind = type(obj)
-    if kind is str:
-        out.append(encode_basestring_ascii(obj))
-        return
-    if kind is int or (kind is float and math.isfinite(obj)):
-        out.append(repr(obj))
-        return
-    if kind is bool or obj is None:
-        out.append(_LITERALS[obj])
-        return
-    inner = "\n" + "  " * (depth + 1)
-    close = "\n" + "  " * depth
-    if kind is list and obj:
-        array = _float_array_shape(obj)
-        if array is not None:
-            shape, leaves = array
-            row = _nested_template(shape[1:], depth + 1)
-            size = len(leaves) // shape[0]
-            out.append("[")
-            for i in range(shape[0]):
-                out.append(("," if i else "") + inner
-                           + row % tuple(leaves[i * size:(i + 1) * size]))
-            out.append(close + "]")
-            return
-        out.append("[")
-        for i, item in enumerate(obj):
-            out.append(("," if i else "") + inner)
-            _encode(item, depth + 1, out)
-        out.append(close + "]")
-        return
-    if kind is dict and obj and all(type(k) is str for k in obj):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            out.append(("," if i else "") + inner + encode_basestring_ascii(key) + ": ")
-            _encode(obj[key], depth + 1, out)
-        out.append(close + "}")
-        return
-    out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", close))
-
-
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: sorted keys, repr floats, trailing newline.
-
-    Byte for byte `json.dumps(obj, sort_keys=True, indent=2) + "\\n"`."""
-    out: list = []
-    _encode(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+    """Deterministic JSON text: sorted keys, repr floats, trailing newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def write_instance(path, ch: Channel, metadata: dict | None = None) -> None:
@@ -359,15 +310,18 @@ def report_to_json(report: VerificationReport) -> dict:
 
 def suite_result_to_json(result: SuiteResult) -> dict:
     return {
-        "version": SCHEMA_VERSION,
+        "version": SUITE_VERSION,
         "suite_summary": result.summary,
         "reports": [report_to_json(r) for r in result.reports],
     }
 
 
 __all__ = [
-    "SCHEMA_VERSION",
+    "INSTANCE_VERSION",
+    "SUITE_VERSION",
+    "MATRIX_DTYPE",
     "matrix_to_json",
+    "matrix_to_binary",
     "matrix_from_json",
     "algebra_to_json",
     "algebra_from_json",

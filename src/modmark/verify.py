@@ -132,6 +132,8 @@ def _masked_op_norms(base: np.ndarray, masks: Callable, count: int) -> list[floa
     """`op_norm(base * m)` for the count masks m, as stacked SVDs.  masks(sl) is a
     fresh complex stack of masks sl that the product overwrites, base its left
     operand: complex products with FMA are not commutative bit for bit."""
+    if not np.isfinite(base).all():  # before inf * 0 can warn in a product
+        raise ValueError("matrix entries must be finite")
     step = max(1, _SVD_ENTRIES // base.size)
     norms: list[float] = []
     for lo in range(0, count, step):

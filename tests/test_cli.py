@@ -47,6 +47,14 @@ class TestGen:
         spec = GenSpec("pinch", (2, 2), seed=5, params={"min_gap": 0.1})
         assert metadata["genspec"] == genspec_to_json(spec)
 
+    def test_same_spec_same_bytes(self, tmp_path, capsys):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            code, _, _ = run(capsys, "gen", "--kind", "schur", "--dims", "4",
+                             "--seed", "3", "-o", str(path))
+            assert code == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_identity_instance(self, tmp_path, capsys):
         path = tmp_path / "id.json"
         code, _, _ = run(capsys, "gen", "--kind", "identity", "--dims", "3",
@@ -127,6 +135,16 @@ class TestVerify:
         code, out, err = run(capsys, command, str(bad))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "error: malformed instance: metadata" in err
+
+    def test_truncated_matrix_data_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        run(capsys, "gen", "--kind", "identity", "--dims", "2", "-o", str(path))
+        doc = json.loads(path.read_text())
+        doc["channel"]["superop"]["data"] = doc["channel"]["superop"]["data"][:-4]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "malformed instance: matrix data holds" in err
 
     def test_shape_error_exits_four(self, tmp_path, capsys):
         good = tmp_path / "good.json"

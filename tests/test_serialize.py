@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -152,9 +153,10 @@ class TestInstanceFile:
 
     def test_version_gate(self):
         doc = instance_to_json(identity_channel(qubit_system()))
-        doc["version"] = "2"
-        with pytest.raises(MalformedInstance):
-            instance_from_json(doc)
+        for version in ("3", None):
+            doc["version"] = version
+            with pytest.raises(MalformedInstance, match="unsupported instance version"):
+                instance_from_json(doc)
 
     def test_missing_channel(self):
         with pytest.raises(MalformedInstance):
@@ -178,6 +180,46 @@ class TestInstanceFile:
         bad.write_text("{not json")
         with pytest.raises(MalformedInstance):
             read_instance(bad)
+
+
+def _packed(a):
+    return base64.b64encode(np.asarray(a, "<c16").tobytes()).decode("ascii")
+
+
+def _non_finite(value):
+    a = np.eye(4, dtype=np.complex128)
+    a[1, 2] = value
+    return _packed(a)
+
+
+class TestBinaryMatrix:
+    """Version "2" superoperators that must not load; the qubit's is 4x4."""
+
+    @pytest.mark.parametrize("edit, error, match", [
+        ({"dtype": "<c8"}, MalformedInstance, "dtype"),
+        ({"dtype": ">c16"}, MalformedInstance, "dtype"),
+        ({"shape": [16]}, MalformedInstance, "shape"),
+        ({"shape": [0, 4]}, MalformedInstance, "shape"),
+        ({"shape": [4.0, 4]}, MalformedInstance, "shape"),
+        ({"shape": [True, 16]}, MalformedInstance, "shape"),
+        ({"data": "AAAA*AAA"}, MalformedInstance, "not base64"),
+        ({"data": "AAAA\nAAAA"}, MalformedInstance, "not base64"),
+        ({"data": "\u00e9AAA"}, MalformedInstance, "not base64"),
+        ({"data": None}, MalformedInstance, "base64 string"),
+        (lambda m: {"data": m["data"][:-4]}, MalformedInstance, "holds 255 bytes"),
+        (lambda m: {"data": m["data"][:-1]}, MalformedInstance, "not base64"),
+        ({"data": _non_finite(np.nan)}, MalformedInstance, "finite"),
+        ({"data": _non_finite(complex(0.0, -np.inf))}, MalformedInstance, "finite"),
+        ({"shape": [2, 8]}, ShapeMismatch, "superop"),
+    ], ids=["dtype_c8", "dtype_big_endian", "one_dim", "zero_rows", "float_rows",
+            "bool_rows", "bad_char", "newline", "non_ascii", "no_string", "truncated",
+            "bad_padding", "nan", "inf", "wrong_shape"])
+    def test_refused(self, edit, error, match):
+        doc = instance_to_json(identity_channel(qubit_system()))
+        superop = doc["channel"]["superop"]
+        superop.update(edit(superop) if callable(edit) else edit)
+        with pytest.raises(error, match=match):
+            instance_from_json(doc)
 
 
 class TestReportJson:
