@@ -34,7 +34,8 @@ from .serialize import (
     dumps_canonical,
     genspec_from_json,
     genspec_to_json,
-    read_instance,
+    instance_from_json,
+    read_document,
     report_to_json,
     suite_result_to_json,
     write_instance,
@@ -172,9 +173,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_instance_or_exit_code(path):
-    """`read_instance(path)`, or the exit code after one error line."""
+    """(channel, metadata, file version) of an instance file, or the exit
+    code after one error line."""
     try:
-        return read_instance(path)
+        doc = read_document(path)
+        return (*instance_from_json(doc), doc["version"])
     except MalformedInstance as exc:
         print(f"error: malformed instance: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -224,7 +227,7 @@ def cmd_verify(args) -> int:
     loaded = _read_instance_or_exit_code(args.file)
     if isinstance(loaded, int):
         return loaded
-    ch, metadata = loaded
+    ch, metadata, _ = loaded
     kind = None
     genspec = metadata.get("genspec")
     if isinstance(genspec, dict):
@@ -336,8 +339,8 @@ def cmd_show(args) -> int:
     loaded = _read_instance_or_exit_code(args.file)
     if isinstance(loaded, int):
         return loaded
-    ch, metadata = loaded
-    print(f"instance file {args.file} (version 1)")
+    ch, metadata, version = loaded
+    print(f"instance file {args.file} (version {version})")
     print(f"  source: dims={ch.source.algebra.block_dims} "
           f"kappa={ch.source.state.kappa:.4g}")
     print(f"  target: dims={ch.target.algebra.block_dims} "

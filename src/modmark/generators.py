@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (
     AlgebraElement,
@@ -42,7 +41,7 @@ from .errors import (
     ShapeMismatch,
     UnitaryDoesntCommuteWithDensity,
 )
-from .linalg import PD_FLOOR_RTOL
+from .linalg import PD_FLOOR_RTOL, block_diag
 from .markov import (
     Channel,
     ChoiMatrix,
@@ -209,7 +208,7 @@ def block_expectation(sys: System, projections: list[AlgebraElement]) -> Channel
     if (total - sys.algebra.identity()).norm() > INPUT_ATOL:
         raise PreconditionFailed("projections must sum to the identity")
     return channel_from_kraus(
-        [scipy.linalg.block_diag(*p.blocks) for p in projections], sys, sys)
+        [block_diag(*p.blocks) for p in projections], sys, sys)
 
 
 def random_partition_expectation(sys: System, seed: int) -> Channel:
@@ -243,7 +242,7 @@ def automorphism_channel(sys: System, u: AlgebraElement) -> Channel:
     if (u @ d - d @ u).norm() > INPUT_ATOL:
         raise UnitaryDoesntCommuteWithDensity(
             f"[U, D] has norm {(u @ d - d @ u).norm():.3e}")
-    return channel_from_kraus([scipy.linalg.block_diag(*u.blocks)], sys, sys)
+    return channel_from_kraus([block_diag(*u.blocks)], sys, sys)
 
 
 def random_commuting_unitary(sys: System, seed: int) -> AlgebraElement:

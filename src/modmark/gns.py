@@ -18,41 +18,25 @@ the density eigenframe (`ModularData.frame`) instead: there left and right
 multiplication by D^p are the diagonals lambda_a^p and lambda_b^p of entry
 (a, b), and Delta^z is the diagonal exp(z omega), omega = log lambda_a -
 log lambda_b being the flow frequency.
+
+All of it is numpy: the module imports no scipy.  The independent
+logm/expm route for the unitary flow, the analytic-vector check, is a test
+oracle (tests/test_gns.py), since scipy is a test dependency only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import AlgebraElement, FaithfulState
 from .errors import BadQuadrature, PowerRangeExceeded, ShapeMismatch
-from .linalg import base_tolerance, matrix_power_from_eig, power_condition_scale
+from .linalg import block_diag, matrix_power_from_eig
 
 # Cap on |Re z| for the complex powers Delta^z and D^z: beyond it no
 # residual tolerance vouches for the result, so the call refuses.
 Z_MAX = 2.0
-
-
-@dataclass
-class AnalyticVectorReport:
-    """Residuals of the power group law and the imaginary-axis boundary."""
-
-    group_residual: float
-    boundary_residual: float
-    pairs_checked: int
-    tolerance: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.group_residual, self.boundary_residual)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
 
 
 class ModularData:
@@ -78,7 +62,7 @@ class ModularData:
     def frame(self) -> np.ndarray:
         """Unitary coordinate change into the density eigenbasis,
         blockwise V^T kron V^+ (coords of x |-> coords of V^+ x V)."""
-        return scipy.linalg.block_diag(
+        return block_diag(
             *[np.kron(e.eigenvectors.T, e.eigenvectors.conj().T) for e in self.d_eig])
 
     @cached_property
@@ -190,53 +174,8 @@ class ModularData:
             out.append(v @ block @ v.conj().T)
         return AlgebraElement(self.algebra, out)
 
-    def analytic_vector_check(self, xi: AlgebraElement, z_samples) -> AnalyticVectorReport:
-        """Check the power group law at sampled exponent pairs.
-
-        Every vector of a finite-dimensional GNS space extends analytically
-        to all complex powers; this documents that fact as a contract.  For
-        each ordered pair (z, z') with |Re(z+z')| within range, the residual
-        of D-power composition against the summed exponent is measured; for
-        purely imaginary samples the result is also compared against an
-        independent expm/logm evaluation of the unitary flow.
-        """
-        zs = [self._check_range(z) for z in z_samples]
-        max_re = max((abs(z.real) for z in zs), default=0.0)
-        group = 0.0
-        pairs = 0
-        for z1 in zs:
-            for z2 in zs:
-                z12 = z1 + z2
-                if abs(z12.real) > Z_MAX:
-                    continue  # out-of-range sums are skipped, not an error
-                lhs = self.delta_power(z1, self.delta_power(z2, xi))
-                rhs = self.delta_power(z12, xi)
-                group = max(group, (lhs - rhs).norm())
-                pairs += 1
-                max_re = max(max_re, abs(z12.real))
-        boundary = 0.0
-        logs = None
-        for z in zs:
-            if abs(z.real) > 1e-14:
-                continue
-            if logs is None:  # independent route: Schur-based logm, Pade expm
-                logs = [scipy.linalg.logm(b) for b in self.state.density.blocks]
-            t = z.imag
-            flows = [scipy.linalg.expm(1j * t * lg) for lg in logs]
-            ref = AlgebraElement(self.algebra,
-                                 [u @ b @ u.conj().T for u, b in zip(flows, xi.blocks)])
-            boundary = max(boundary, (self.delta_power(z, xi) - ref).norm())
-        return AnalyticVectorReport(
-            group_residual=group,
-            boundary_residual=boundary,
-            pairs_checked=pairs,
-            tolerance=(base_tolerance() * power_condition_scale(self.kappa, max_re)
-                       * max(1.0, xi.norm())),
-        )
-
 
 __all__ = [
     "ModularData",
-    "AnalyticVectorReport",
     "Z_MAX",
 ]

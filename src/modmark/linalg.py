@@ -1,8 +1,8 @@
 """Dense complex linear algebra substrate.
 
 Hermitian eigendecomposition, spectral matrix powers A**z = V exp(z ln w) V^+,
-operator norms, and the MODMARK_TOL factor that scales every pinned residual
-tolerance in the package.  All randomness is forbidden here: identical input
+operator norms, block-diagonal assembly, and the MODMARK_TOL factor that
+scales every pinned residual tolerance in the package.  All randomness is forbidden here: identical input
 bits give identical output bits, which is what makes verification reports
 reproducible.
 """
@@ -70,6 +70,20 @@ def op_norm(a) -> float:
 def max_column_norm(a: np.ndarray) -> float:
     """Largest Euclidean column norm: the worst image of a coordinate unit."""
     return float(np.max(np.linalg.norm(a, axis=0)))
+
+
+def block_diag(*mats) -> np.ndarray:
+    """Block-diagonal matrix of 2-d blocks, in their `np.result_type`."""
+    mats = [np.asarray(m) for m in mats]
+    if any(m.ndim != 2 for m in mats):
+        raise ValueError("block_diag takes 2-d blocks")
+    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)),
+                   dtype=np.result_type(*[m.dtype for m in mats]))
+    r = c = 0
+    for m in mats:
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
 
 
 @dataclass(frozen=True)

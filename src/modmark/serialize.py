@@ -278,12 +278,16 @@ def write_instance(path, ch: Channel, metadata: dict | None = None) -> None:
     Path(path).write_text(dumps_canonical(instance_to_json(ch, metadata)))
 
 
-def read_instance(path) -> tuple[Channel, dict]:
+def read_document(path):
+    """The parsed JSON of an instance file, not yet checked as an instance."""
     try:
-        obj = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # JSONDecodeError, bad UTF-8, >4300-digit ints
         raise MalformedInstance(f"cannot read instance file: {exc}") from exc
-    return instance_from_json(obj)
+
+
+def read_instance(path) -> tuple[Channel, dict]:
+    return instance_from_json(read_document(path))
 
 
 def report_to_json(report: VerificationReport) -> dict:
@@ -339,6 +343,7 @@ __all__ = [
     "instance_from_json",
     "dumps_canonical",
     "write_instance",
+    "read_document",
     "read_instance",
     "report_to_json",
     "suite_result_to_json",

@@ -9,13 +9,14 @@ import pytest
 
 import modmark
 from modmark.cli import main
-from modmark.generators import GenSpec, build_channel
+from modmark.generators import KINDS, GenSpec, build_channel
 from modmark.serialize import (
     dumps_canonical,
     genspec_from_json,
     genspec_to_json,
     instance_to_json,
     matrix_from_json,
+    matrix_to_json,
     read_instance,
 )
 
@@ -464,3 +465,68 @@ class TestShow:
         code, out, _ = run(capsys, "show", str(path))
         assert code == 0
         assert "source" in out and "superop" in out
+
+    def test_version_line_is_the_files(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        run(capsys, "gen", "--kind", "schur", "--dims", "2", "--seed", "7", "-o", str(path))
+        code, out, _ = run(capsys, "show", str(path))
+        assert code == 0
+        assert out.splitlines()[0] == f"instance file {path} (version 2)"
+        # the same channel as a version "1" file: nested-list matrices
+        ch, _ = read_instance(path)
+        doc = json.loads(path.read_text())
+        doc["version"] = "1"
+        doc["channel"]["superop"] = matrix_to_json(ch.superop)
+        for end, system in (("source", ch.source), ("target", ch.target)):
+            doc["channel"][end]["state"]["density"] = [
+                matrix_to_json(b) for b in system.state.density.blocks]
+        v1 = tmp_path / "v1.json"
+        v1.write_text(json.dumps(doc))
+        code, out_v1, _ = run(capsys, "show", str(v1))
+        assert code == 0
+        assert out_v1.splitlines()[0] == f"instance file {v1} (version 1)"
+        assert out_v1.splitlines()[1:] == out.splitlines()[1:]
+
+
+# Drives every command over every kind in one fresh interpreter, then lists
+# the scipy modules it holds.  The library is numpy only; scipy is for tests.
+CLI_RUN = """
+import json, sys
+from modmark.cli import main
+from modmark.generators import KINDS
+out = sys.argv[1]
+codes = {}
+for kind in KINDS:
+    for dims in ("3", "2x2"):
+        if kind == "schur" and dims == "2x2":
+            continue
+        path = f"{out}/{kind}-{dims}.json"
+        codes[path] = [main(["gen", "--kind", kind, "--dims", dims, "--seed", "3",
+                             "-o", path]),
+                       main(["verify", path]), main(["show", path])]
+codes["suite"] = main(["suite", "--trials", str(2 * len(KINDS)), "--seed", "1",
+                       "--kinds", ",".join(KINDS), "--dims", "3,2x2",
+                       "--out", f"{out}/suite"])
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+class TestRuntimeImports:
+    def test_cli_run_loads_no_scipy(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(modmark.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", CLI_RUN, str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=300,
+                              check=False)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["scipy"] == []
+        codes = result["codes"]
+        assert codes.pop("suite") == 0
+        assert len(codes) == 2 * len(KINDS) - 1
+        for path, (gen, verify, show) in codes.items():
+            negative = Path(path).name.startswith("sp_ucp")
+            assert (gen, verify, show) == (0, 1 if negative else 0, 0), path
+        assert len(list((tmp_path / "suite").glob("*.json"))) == 2 * len(KINDS)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from modmark.errors import NonHermitian, NotPositiveDefinite
 from modmark.linalg import (
     base_tolerance,
+    block_diag,
     frob,
     herm_eig,
     matrix_power,
@@ -140,6 +141,15 @@ class TestOpNorm:
 
     def test_nilpotent_shift(self):
         assert op_norm(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(1.0, rel=1e-10)
+
+
+class TestBlockDiag:
+    # the values are checked bitwise against scipy in test_oracles.py
+    def test_refuses_non_matrices(self):
+        with pytest.raises(ValueError):
+            block_diag(np.ones(3))
+        with pytest.raises(ValueError):
+            block_diag(np.eye(2), np.ones((1, 1, 1)))
 
 
 class TestTolerance:

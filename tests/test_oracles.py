@@ -21,11 +21,14 @@ carried back from the eigenframe, lives here too because only tests read it.
 The flow families and the adjoint pair keep their per-sample `op_norm`
 loops, one mask and one product each, as the bit-for-bit oracles of the
 stacked, chunked SVDs in `verify`.
-The instance files have two more: `json.dumps(..., sort_keys=True,
-indent=2)` is the oracle of the template writer, and the per-entry
+The instance files have two more: a hand-written encoder (sorted keys,
+two-space indent, repr floats, ASCII escapes) is the oracle of
+`dumps_canonical`, which is the json module's, and the per-entry
 conversion is the oracle of the one-array reader.  The modular axioms of a
 state keep their per-vector route, one `AlgebraElement` per operation, as
-the oracle of the stacked `modular_invariants`.
+the oracle of the stacked `modular_invariants`.  scipy is a test dependency
+only: `scipy.linalg.block_diag` assembles the blockwise superoperators here
+and is the bit-for-bit oracle of the library's numpy `linalg.block_diag`.
 """
 
 import json
@@ -84,7 +87,7 @@ from modmark.markov import (
     to_choi,
     trace_dual,
 )
-from modmark.linalg import op_norm
+from modmark.linalg import block_diag, op_norm
 from modmark.serialize import (
     dumps_canonical,
     instance_to_json,
@@ -768,6 +771,32 @@ class TestFrameHelpers:
             g @ ref @ g.conj().T - np.diag(md.delta_power_diagonals([z])[0])) <= 1e-12
 
 
+def _block_diag_cases():
+    rng = np.random.default_rng(5)
+
+    def real(*shape):
+        return rng.standard_normal(shape)
+
+    def cplx(*shape):
+        return real(*shape) + 1j * real(*shape)
+
+    return {
+        "one": [cplx(3, 3)],
+        "several": [cplx(2, 2), cplx(3, 3), cplx(1, 1), cplx(2, 2)],
+        "one_by_one": [real(1, 1), real(1, 1), real(1, 1)],
+        "mixed_real_complex": [real(2, 2), cplx(1, 1), real(3, 3)],
+        "rectangular": [cplx(2, 3), real(1, 2)],
+        "real_only": [real(2, 2), real(2, 2)],
+        "frame_blocks": [np.kron(m.T, m.conj().T) for m in (cplx(2, 2), cplx(3, 3))],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_block_diag_cases()))
+def test_block_diag_matches_scipy(name):
+    mats = _block_diag_cases()[name]
+    assert _bitwise(block_diag(*mats), scipy.linalg.block_diag(*mats))
+
+
 # ---------------------------------------------------------------------------
 # modular axioms of a state
 # ---------------------------------------------------------------------------
@@ -1229,8 +1258,70 @@ class TestBucketIds:
 # instance files: the json writer and the per-entry reader
 # ---------------------------------------------------------------------------
 
+_STR_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+                "\b": "\\b", "\f": "\\f"}
+
+
+def _oracle_str(text):
+    """A JSON string with every character outside printable ASCII escaped."""
+    out = []
+    for ch in text:
+        code = ord(ch)
+        if ch in _STR_ESCAPES:
+            out.append(_STR_ESCAPES[ch])
+        elif 0x20 <= code < 0x7F:
+            out.append(ch)
+        elif code < 0x10000:
+            out.append(f"\\u{code:04x}")
+        else:  # a UTF-16 surrogate pair
+            code -= 0x10000
+            out.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
+    return '"' + "".join(out) + '"'
+
+
+def _oracle_scalar(obj):
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj in (float("inf"), -float("inf")):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    if isinstance(obj, str):
+        return _oracle_str(obj)
+    raise TypeError(f"not a JSON value: {obj!r}")
+
+
+def _oracle_key(key):
+    return _oracle_str(key if isinstance(key, str) else _oracle_scalar(key))
+
+
+def _oracle_lines(obj, depth):
+    """The pretty-printed text of obj, two spaces per level, keys sorted."""
+    pad, inner = "  " * depth, "  " * (depth + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{inner}{_oracle_key(k)}: {_oracle_lines(v, depth + 1)}"
+                 for k, v in sorted(obj.items())]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [inner + _oracle_lines(v, depth + 1) for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    return _oracle_scalar(obj)
+
+
 def oracle_dumps(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """A hand-written encoder of the canonical text `dumps_canonical` makes
+    with the json module: sorted keys, indent 2, repr floats, ASCII only."""
+    return _oracle_lines(obj, 0) + "\n"
 
 
 def oracle_entry(obj):
@@ -1348,6 +1439,56 @@ class TestWriterOracle:
             doc = {"m": rng.standard_normal(shape).tolist()}
             assert dumps_canonical(doc) == oracle_dumps(doc)
             assert dumps_canonical(doc["m"]) == oracle_dumps(doc["m"])
+
+
+CANONICAL_DOC = {
+    "zeta": [1, -2.5, {"b": None, "a": [True, False]}],
+    "alpha": {"y": [], "x": {}, "w": [[0.5, -0.0]]},
+    "floats": [5e-324, 1.7976931348623157e308, 1e16, 1.0 / 3.0, 1e-17,
+               float("nan"), float("inf"), -float("inf")],
+    "text": "\u00e9\n\U0001d510",
+}
+
+CANONICAL_TEXT = r"""{
+  "alpha": {
+    "w": [
+      [
+        0.5,
+        -0.0
+      ]
+    ],
+    "x": {},
+    "y": []
+  },
+  "floats": [
+    5e-324,
+    1.7976931348623157e+308,
+    1e+16,
+    0.3333333333333333,
+    1e-17,
+    NaN,
+    Infinity,
+    -Infinity
+  ],
+  "text": "\u00e9\n\ud835\udd10",
+  "zeta": [
+    1,
+    -2.5,
+    {
+      "a": [
+        true,
+        false
+      ],
+      "b": null
+    }
+  ]
+}
+"""
+
+
+def test_dumps_canonical_contract():
+    assert dumps_canonical(CANONICAL_DOC) == CANONICAL_TEXT
+    assert oracle_dumps(CANONICAL_DOC) == CANONICAL_TEXT
 
 
 def _bitwise(a, b):
