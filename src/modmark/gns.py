@@ -113,10 +113,6 @@ class ModularData:
             raise PowerRangeExceeded(f"|Re z| = {abs(z.real)} exceeds Z_MAX = {Z_MAX}")
         return z
 
-    def embed(self, x: AlgebraElement) -> AlgebraElement:
-        """x |-> x D^{1/2}; the identity embeds to omega."""
-        return x @ self.omega
-
     def apply_J(self, xi: AlgebraElement) -> AlgebraElement:
         """Conjugate-linear involution xi |-> xi^+."""
         if xi.parent != self.algebra:
@@ -131,10 +127,6 @@ class ModularData:
         dp = self.d_power_blocks(z)
         dm = self.d_power_blocks(-z)
         return AlgebraElement(self.algebra, [p @ b @ m for p, b, m in zip(dp, xi.blocks, dm)])
-
-    def apply_S(self, xi: AlgebraElement) -> AlgebraElement:
-        """S = J o Delta^{1/2}, so S(x D^{1/2}) = x^+ D^{1/2}."""
-        return self.apply_J(self.delta_power(0.5, xi))
 
     def modular_flow(self, t: float, x: AlgebraElement) -> AlgebraElement:
         """sigma_t(x) = D^{it} x D^{-it}, a state-preserving *-automorphism."""

@@ -219,15 +219,6 @@ def choi_to_channel(choi: ChoiMatrix, source: System, target: System) -> Channel
     return Channel(source, target, np.block(rows))
 
 
-def star_preservation_residual(ch: Channel) -> float:
-    """Max defect of ch(x^+) = ch(x)^+ over the matrix-unit basis: the
-    adjoint of unit c is unit p_s[c] (p = `adjoint_index`), so the defect
-    at unit c is column c of S[:, p_s] - conj(S)[p_t]."""
-    sup = ch.superop
-    return max_column_norm(sup[:, adjoint_index(ch.source.algebra)]
-                           - sup.conj()[adjoint_index(ch.target.algebra)])
-
-
 # ---------------------------------------------------------------------------
 # membership checks
 # ---------------------------------------------------------------------------
@@ -488,7 +479,6 @@ __all__ = [
     "from_eigenframe",
     "to_choi",
     "choi_to_channel",
-    "star_preservation_residual",
     "unitality_residual",
     "state_residual",
     "cp_min_eigenvalue",

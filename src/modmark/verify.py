@@ -30,6 +30,17 @@ T_eig = G_t T G_s^+ is a diagonal reweighting of it (`eigen_extension`).
 The flow keys are norms of masked copies of T_eig, thm_ii permutes its
 indices, and both adjoint keys are norms of X^+ times eigenvalue weights;
 each family's norms are stacked SVDs under a fixed cap on entries per call.
+
+The sampled flow keys (eq32_t, thm_commute_z, thm_i_s) are maxima over
+their samples, and they bound-and-prune: a first pass brackets each masked
+matrix A by |A|_F >= |A|_op >= |A u|, u one power step from the largest
+column, and only a mask whose Frobenius bound reaches the top lower bound,
+within a relative slack of 1e-6, is SVD'd.  The slack is ~1e7 times the
+SVD's backward error at these sizes, so the mask holding the max always
+survives; LAPACK gives a matrix the same bits whatever its stack holds, so
+the max is the same float as over every mask.  This cuts how many norms
+are taken; a cheaper norm per matrix (ROADMAP item 10) is orthogonal to it.
+
 The gns_* keys alone stay out of the frame: they use the blockwise spectral
 powers, so they test the modular data the frame is built from.  The
 explicit kron-product, per-unit and per-vector routes are kept as test
@@ -127,23 +138,93 @@ def verify_commute(ch: Channel, z_samples, s_values=DEFAULT_S_VALUES,
 # so the masked copies of a large family are never all held at once.
 _SVD_ENTRIES = 1 << 16
 
+# Relative slack of the prune test: ~1e7 times the SVD's backward error
+# (~N eps) and the rounding of the bounds, so the mask holding the max
+# always reaches the SVD.
+_PRUNE_SLACK = 1e-6
+# Below this top lower bound every mask reaches the SVD: |A A^+ c|^2 in the
+# power step scales as the sixth power of the entries and loses bits to
+# underflow near 1e-51, the squared column norms near 1e-154.
+_PRUNE_FLOOR = 1e-40
+_TINY = np.finfo(float).tiny
+
+
+def _chunk_size(base: np.ndarray) -> int:
+    """Masks per stacked product under `_SVD_ENTRIES`.  Refuses a non-finite
+    base, before inf * 0 can warn in a product."""
+    if not np.isfinite(base).all():
+        raise ValueError("matrix entries must be finite")
+    return max(1, _SVD_ENTRIES // base.size)
+
+
+def _masked_product(base: np.ndarray, masks: Callable, sel) -> np.ndarray:
+    """base * masks(sel), formed in the fresh mask stack that masks(sel)
+    returns; refuses non-finite entries.  base is the left operand: complex
+    products with FMA are not commutative bit for bit."""
+    prod = masks(sel)
+    np.multiply(base, prod, out=prod)
+    if not np.isfinite(prod).all():
+        raise ValueError("matrix entries must be finite")
+    return prod
+
 
 def _masked_op_norms(base: np.ndarray, masks: Callable, count: int) -> list[float]:
-    """`op_norm(base * m)` for the count masks m, as stacked SVDs.  masks(sl) is a
-    fresh complex stack of masks sl that the product overwrites, base its left
-    operand: complex products with FMA are not commutative bit for bit."""
-    if not np.isfinite(base).all():  # before inf * 0 can warn in a product
-        raise ValueError("matrix entries must be finite")
-    step = max(1, _SVD_ENTRIES // base.size)
+    """`op_norm(base * m)` for the count masks m, as stacked SVDs.  masks(sel)
+    is a fresh complex stack of the masks sel, a slice of range(count)."""
+    step = _chunk_size(base)
     norms: list[float] = []
     for lo in range(0, count, step):
-        prod = masks(slice(lo, lo + step))
-        np.multiply(base, prod, out=prod)
-        if not np.isfinite(prod).all():
-            raise ValueError("matrix entries must be finite")
+        prod = _masked_product(base, masks, slice(lo, lo + step))
         norms += np.linalg.svd(prod, compute_uv=False)[:, 0].tolist()
         del prod  # freed before the next chunk is built, not after
     return norms
+
+
+def _norm_bounds(prod: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, lower) bounds on the operator norm of each matrix A of a stack:
+    |A|_F, and the larger of the largest column norm |c| and |A u|, u the
+    unit vector along A^+ c, one power step from that column."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan prune nothing
+        sq = np.abs(prod)
+        np.square(sq, out=sq)  # |A|^2 in place: no complex or view copies
+        col_sq = np.ones(prod.shape[-2]) @ sq
+        del sq
+        upper = np.sqrt(col_sq.sum(axis=-1))
+        rows = np.arange(len(prod))
+        best = col_sq.argmax(axis=-1)
+        r = prod[rows, :, best].conj()[:, None, :] @ prod  # (A^+ c)^+, a row each
+        v = r.conj().swapaxes(-1, -2)
+        w = prod @ v                                       # |A u| = |w| / |r|
+        r_sq = (r @ v)[:, 0, 0].real
+        w_sq = (w.conj().swapaxes(-1, -2) @ w)[:, 0, 0].real
+        a_u = np.sqrt(w_sq / np.maximum(r_sq, _TINY))
+    return upper, np.maximum(np.sqrt(col_sq[rows, best]), a_u)
+
+
+def _masked_op_norm_max(base: np.ndarray, masks: Callable, count: int) -> float:
+    """max(`_masked_op_norms`(base, masks, count), default=0.0) bit for bit,
+    with only the masks that can hold the max going through the SVD.
+
+    A bound pass over the chunks brackets each product A = base * m by
+    `_norm_bounds`.  A mask whose upper bound lies below the top lower bound,
+    by more than `_PRUNE_SLACK` of each, cannot hold the max.  The survivors
+    are re-formed and SVD'd in stacks under the same cap, and LAPACK gives a
+    matrix the same bits whatever else its stack holds.  masks(sel) must
+    also take an index array sel."""
+    if count == 0:
+        return 0.0
+    step = _chunk_size(base)
+    upper, lower = np.empty(count), np.empty(count)
+    for lo in range(0, count, step):
+        prod = _masked_product(base, masks, slice(lo, lo + step))
+        upper[lo:lo + step], lower[lo:lo + step] = _norm_bounds(prod)
+        del prod
+    top = lower.max() * (1.0 - _PRUNE_SLACK)
+    if _PRUNE_FLOOR <= top < np.inf:
+        keep = np.flatnonzero(~(upper * (1.0 + _PRUNE_SLACK) < top))
+    else:  # non-finite or underflowing bounds prune nothing
+        keep = np.arange(count)
+    return max(_masked_op_norms(base, lambda sl: masks(keep[sl]), len(keep)))
 
 
 def _commute_residual(t_eig: np.ndarray, ch: Channel, z_samples) -> float:
@@ -151,8 +232,8 @@ def _commute_residual(t_eig: np.ndarray, ch: Channel, z_samples) -> float:
     zs = list(z_samples)
     d_s = ch.source.modular.delta_power_diagonals(zs)
     d_t = ch.target.modular.delta_power_diagonals(zs)
-    return max(_masked_op_norms(
-        t_eig, lambda sl: d_s[sl, None, :] - d_t[sl, :, None], len(zs)), default=0.0)
+    return _masked_op_norm_max(
+        t_eig, lambda sel: d_s[sel, None, :] - d_t[sel, :, None], len(zs))
 
 
 def _twist_residual(t_eig: np.ndarray, ch: Channel, s_values) -> float:
@@ -160,8 +241,8 @@ def _twist_residual(t_eig: np.ndarray, ch: Channel, s_values) -> float:
     ss = [float(s) for s in s_values]
     d_s = ch.source.modular.delta_power_diagonals(ss)
     d_t = ch.target.modular.delta_power_diagonals([-s for s in ss])
-    return max(_masked_op_norms(
-        t_eig, lambda sl: d_s[sl, None, :] * d_t[sl, :, None] - 1.0, len(ss)), default=0.0)
+    return _masked_op_norm_max(
+        t_eig, lambda sel: d_s[sel, None, :] * d_t[sel, :, None] - 1.0, len(ss))
 
 
 def verify_modular_symmetry(ch: Channel,

@@ -36,13 +36,14 @@ from modmark.markov import (
     identity_channel,
     l2_extension,
     petz_adjoint,
-    star_preservation_residual,
     to_choi,
     trace_dual,
     tensor,
     tensor_element,
     tensor_system,
 )
+
+from test_oracles import star_preservation_residual
 
 M2 = BlockAlgebra((2,))
 

@@ -20,7 +20,12 @@ that a check is never the code it checks.  `delta_power_superop`, Delta^z
 carried back from the eigenframe, lives here too because only tests read it.
 The flow families and the adjoint pair keep their per-sample `op_norm`
 loops, one mask and one product each, as the bit-for-bit oracles of the
-stacked, chunked SVDs in `verify`.
+stacked, chunked SVDs in `verify`, and of the bound-and-prune max of the
+sampled families, which synthetic families (ties, zeros, one dominant mask,
+equal norms, the slack boundary, bounds that underflow or overflow) check
+too.  Three one-line compositions that only tests call are helpers here:
+`gns_embed` (x D^{1/2}), `apply_S` (J Delta^{1/2}) and
+`star_preservation_residual`, which the per-unit star loop checks.
 The instance files have two more: a hand-written encoder (sorted keys,
 two-space indent, repr floats, ASCII escapes) is the oracle of
 `dumps_canonical`, which is the json module's, and the per-entry
@@ -81,13 +86,12 @@ from modmark.markov import (
     l2_extension,
     modular_commutation_residual,
     petz_adjoint,
-    star_preservation_residual,
     tensor,
     tensor_element,
     to_choi,
     trace_dual,
 )
-from modmark.linalg import block_diag, op_norm
+from modmark.linalg import block_diag, max_column_norm, op_norm
 from modmark.serialize import (
     dumps_canonical,
     instance_to_json,
@@ -125,6 +129,25 @@ Z_SAMPLES = sample_z(4)
 def unit_images(ch):
     """Images of the source matrix units, in coordinate order."""
     return [ch.apply(unit) for unit in matrix_units(ch.source.algebra)]
+
+
+def gns_embed(md, x):
+    """x |-> x D^{1/2}; the identity embeds to omega."""
+    return x @ md.omega
+
+
+def apply_S(md, xi):
+    """S = J o Delta^{1/2}, so S(x D^{1/2}) = x^+ D^{1/2}."""
+    return md.apply_J(md.delta_power(0.5, xi))
+
+
+def star_preservation_residual(ch):
+    """Max defect of ch(x^+) = ch(x)^+ over the matrix-unit basis: the
+    adjoint of unit c is unit p_s[c] (p = `adjoint_index`), so the defect
+    at unit c is column c of S[:, p_s] - conj(S)[p_t]."""
+    sup = ch.superop
+    return max_column_norm(sup[:, adjoint_index(ch.source.algebra)]
+                           - sup.conj()[adjoint_index(ch.target.algebra)])
 
 
 def left_mult_superop(x):
@@ -288,10 +311,10 @@ def oracle_involution(t_mat, ch):
     tgt = ch.target.algebra
     res = 0.0
     for unit in matrix_units(ch.source.algebra):
-        xi = md_s.embed(unit)
-        mid = element_from_coords(tgt, t_mat @ to_coords(md_s.apply_S(xi)))
+        xi = gns_embed(md_s, unit)
+        mid = element_from_coords(tgt, t_mat @ to_coords(apply_S(md_s, xi)))
         rhs = element_from_coords(tgt, t_mat @ to_coords(xi))
-        res = max(res, (md_t.apply_S(mid) - rhs).norm())
+        res = max(res, (apply_S(md_t, mid) - rhs).norm())
     return res
 
 
@@ -576,6 +599,34 @@ def assert_stacked_equals_per_sample(ch):
     assert verify_adjoint(ch, require_markov=False)[:2] == oracle_adjoint_pair(ch)
 
 
+WIRING_T = (0.3, -2.0, 4.0)
+WIRING_S = (0.25, -0.7, 1.5)
+WIRING_Z = sample_z(7, 5)
+
+
+@pytest.mark.parametrize("case", [("sp_ucp", (3,), {}), ("convex", (2, 2), {})],
+                         ids=_case_id)
+def test_report_takes_the_sampled_keys_over_its_samples(case):
+    """eq32_t, thm_commute_z and thm_i_s in the report are the per-sample
+    maxima over exactly the samples verify_channel was given."""
+    ch = _build(*case)
+    report = verify_channel(ch, t_samples=WIRING_T, s_values=WIRING_S,
+                            z_samples=WIRING_Z).residuals
+    t_eig = eigen_extension(ch)
+    eq32 = [1j * t for t in WIRING_T]
+    assert report["eq32_t"] == oracle_commute_residual(t_eig, ch, eq32)
+    assert report["thm_commute_z"] == oracle_commute_residual(t_eig, ch, WIRING_Z)
+    assert report["thm_i_s"] == oracle_twist_residual(t_eig, ch, WIRING_S)
+    if case[0] == "sp_ucp":
+        # off the class the samples matter: Re z alone, or the first sample
+        # alone, gives another value
+        assert report["thm_commute_z"] != oracle_commute_residual(
+            t_eig, ch, [z.real for z in WIRING_Z])
+        assert report["thm_commute_z"] != oracle_commute_residual(t_eig, ch, WIRING_Z[:1])
+        assert report["eq32_t"] != oracle_commute_residual(t_eig, ch, eq32[:1])
+        assert report["thm_i_s"] != oracle_twist_residual(t_eig, ch, WIRING_S[:1])
+
+
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_stacked_flow_norms_bit_identical(case):
     assert_stacked_equals_per_sample(_build(*case))
@@ -628,7 +679,8 @@ class TestStackedNorms:
             monkeypatch.setattr(verify, "_SVD_ENTRIES", per_call * size)
             svd_shapes.clear()
             report = verify_channel(ch)
-            assert max(k for k, _, _ in svd_shapes) == per_call
+            # the pruned families may leave a chunk short of the cap
+            assert max(k for k, _, _ in svd_shapes) <= per_call
             assert {k: report.residuals[k] for k in FLOW_KEYS} == {
                 k: ref.residuals[k] for k in FLOW_KEYS}
 
@@ -640,10 +692,12 @@ class TestStackedNorms:
         verify_channel(ch)
         for k, rows, cols in svd_shapes:
             assert k * rows * cols <= verify._SVD_ENTRIES or k == 1
-        assert max(k for k, _, _ in svd_shapes) == per_call
-        # eq32_t, thm_commute_z, thm_i_s and the adjoint pair, one row each
-        assert sum(k for k, _, _ in svd_shapes) == (
-            len(DEFAULT_EQ32_T) + len(sample_z(0)) + len(DEFAULT_S_VALUES) + 2)
+        assert max(k for k, _, _ in svd_shapes) <= per_call
+        # eq32_t, thm_commute_z, thm_i_s and the adjoint pair, at most one row
+        # each: the sampled families SVD only the masks that can hold their max
+        rows = sum(k for k, _, _ in svd_shapes)
+        every_mask = len(DEFAULT_EQ32_T) + len(sample_z(0)) + len(DEFAULT_S_VALUES) + 2
+        assert rows < every_mask if case[0] == "schur" else rows <= every_mask
         assert_stacked_equals_per_sample(ch)
         # the masks of one chunk are alive at a time, not those of the family
         t_eig = eigen_extension(ch)
@@ -654,6 +708,115 @@ class TestStackedNorms:
         finally:
             tracemalloc.stop()
         assert peak < 2 * per_call * t_eig.nbytes, peak / t_eig.nbytes
+
+
+def pruned_max(base, stack):
+    """`verify._masked_op_norm_max` over an explicit stack of masks."""
+    return verify._masked_op_norm_max(
+        base, lambda sel: np.array(stack[sel], dtype=np.complex128), len(stack))
+
+
+def _unit_entry(n, i, value):
+    m = np.zeros((n, n), dtype=np.complex128)
+    m[i, i] = value
+    return m
+
+
+def _slack_family(n=6):
+    """Rank-one masks with norm 1, 1 - 1.9 slack and 1 - 2.1 slack: the prune
+    test keeps U (1 + slack) >= top (1 - slack), so the boundary sits near
+    1 - 2 slack and the last one alone is dropped."""
+    slack = verify._PRUNE_SLACK
+    return np.ones((n, n), dtype=np.complex128), np.stack([
+        _unit_entry(n, 0, 1.0), _unit_entry(n, 1, 1.0 - 1.9 * slack),
+        _unit_entry(n, 2, 1.0 - 2.1 * slack)])
+
+
+def _synthetic_families(n=6):
+    rng = np.random.default_rng(29)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    base, m = draw(n, n), draw(n, n)
+    ones = np.ones((n, n), dtype=np.complex128)
+    dominant = 1e-3 * draw(5, n, n)
+    dominant[3] *= 1e3
+    x, y = draw(n), draw(n)
+    unit = np.outer(x, y.conj()) / (np.linalg.norm(x) * np.linalg.norm(y))
+    return {
+        "ties": (base, np.stack([m, m, 0.5 * m, m])),
+        "all_zero": (base, np.zeros((4, n, n), dtype=np.complex128)),
+        "zero_base": (np.zeros((n, n), dtype=np.complex128), draw(3, n, n)),
+        "one_dominant": (base, dominant),
+        # the same singular values, in different matrices
+        "equal_norms": (ones, np.stack([m, m.T, m[::-1], np.exp(0.7j) * m, m.conj()])),
+        "slack_boundary": _slack_family(n),
+        # rank one, a rounding apart: both reach the SVD
+        "ulp_apart": (ones, np.stack([_unit_entry(n, 0, 1.0),
+                                      _unit_entry(n, 1, np.nextafter(1.0, 2.0))])),
+        "dense_rank_one": (ones, np.stack([unit, unit * np.nextafter(1.0, 2.0),
+                                           0.999 * m / np.linalg.norm(m, 2)])),
+        "one_mask": (base, m[None]),
+        # bounds that underflow or overflow prune nothing
+        "below_floor": (base, 1e-50 * draw(3, n, n)),
+        "tiny": (base, 1e-160 * draw(3, n, n)),
+        "huge": (base, 1e200 * draw(3, n, n)),
+        # finite Frobenius bounds, power steps that overflow to inf (real
+        # entries, so no inf - inf turns them into nan)
+        "power_step_overflow": (ones, draw(3, n, n).real
+                                * np.array([1e55, 1e60, 1e58])[:, None, None]),
+    }
+
+
+SYNTHETIC = _synthetic_families()
+
+
+class TestPrunedMax:
+    """The bound-and-prune max equals the max over every per-matrix
+    `op_norm`, compared with ==."""
+
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC))
+    @pytest.mark.parametrize("per_call", [1, 2, None])
+    def test_equals_the_max_of_every_norm(self, monkeypatch, name, per_call):
+        base, stack = SYNTHETIC[name]
+        if per_call is not None:
+            monkeypatch.setattr(verify, "_SVD_ENTRIES", per_call * base.size)
+        assert pruned_max(base, stack) == max(op_norm(base * m) for m in stack)
+
+    def test_bounds_bracket_the_norm(self):
+        for name, (base, stack) in SYNTHETIC.items():
+            if name in ("huge", "tiny", "power_step_overflow"):
+                continue
+            prods = base * stack
+            upper, lower = verify._norm_bounds(prods)
+            norms = np.array([op_norm(p) for p in prods])
+            assert np.all(lower <= norms * (1 + 1e-12)), name
+            assert np.all(norms <= upper * (1 + 1e-12)), name
+
+    def test_power_step_is_exact_on_rank_one(self):
+        # all ones: every column has norm sqrt(n), the operator norm is n
+        n = 6
+        upper, lower = verify._norm_bounds(np.ones((1, n, n), dtype=np.complex128))
+        assert upper[0] == pytest.approx(n, rel=1e-15)
+        assert lower[0] == pytest.approx(n, rel=1e-15)
+
+    def test_slack_boundary_prunes_one_mask(self, svd_shapes):
+        base, stack = _slack_family()
+        assert pruned_max(base, stack) == 1.0
+        assert sum(k for k, _, _ in svd_shapes) == 2
+
+    def test_dominant_mask_alone_reaches_the_svd(self, svd_shapes):
+        base, stack = SYNTHETIC["one_dominant"]
+        pruned_max(base, stack)
+        assert svd_shapes == [(1, *base.shape)]
+
+    @pytest.mark.parametrize("name", ["all_zero", "below_floor", "tiny", "huge",
+                                      "power_step_overflow"])
+    def test_untrusted_bounds_prune_nothing(self, svd_shapes, name):
+        base, stack = SYNTHETIC[name]
+        pruned_max(base, stack)
+        assert sum(k for k, _, _ in svd_shapes) == len(stack)
 
 
 class TestPowerRangeGuard:
@@ -821,11 +984,11 @@ def oracle_modular_invariants(md, seed=0):
         r = max(r, (md.apply_J(md.delta_power(0.5, v))
                     - md.delta_power(-0.5, md.apply_J(v))).norm())
     for x in xs:    # and S sends x Omega to x^+ Omega
-        r = max(r, (md.apply_S(md.embed(x)) - md.embed(x.adjoint())).norm())
+        r = max(r, (apply_S(md, gns_embed(md, x)) - gns_embed(md, x.adjoint())).norm())
     out["gns_s_polar"] = r
 
     out["gns_delta_ss"] = abs(md.delta_power(1.0, xi).inner(eta)
-                              - md.apply_S(eta).inner(md.apply_S(xi)))
+                              - apply_S(md, eta).inner(apply_S(md, xi)))
 
     out["gns_j_involution"] = max(
         (md.apply_J(md.apply_J(v)) - v).norm() for v in vecs)
@@ -863,8 +1026,8 @@ def oracle_modular_invariants(md, seed=0):
     r = 0.0
     for t in t_samples:
         for x in xs:
-            r = max(r, (md.embed(md.modular_flow(t, x))
-                        - md.delta_power(1j * t, md.embed(x))).norm())
+            r = max(r, (gns_embed(md, md.modular_flow(t, x))
+                        - md.delta_power(1j * t, gns_embed(md, x))).norm())
     out["gns_flow_embed"] = r
     return out
 

@@ -15,9 +15,11 @@ from modmark.generators import (
     sp_ucp,
     state_to_scalar,
 )
+from modmark.linalg import power_condition_scale, tolerance_factor
 from modmark.markov import System, check_markov, identity_channel, precondition_defects
 from modmark.serialize import genspec_to_json, suite_result_to_json, dumps_canonical
 from modmark.verify import (
+    PINNED_TOL,
     SuiteConfig,
     modular_invariants,
     run_suite,
@@ -283,3 +285,23 @@ class TestMembershipTolerances:
         above = {k: float(np.nextafter(tol[k], np.inf)) for k in keys}
         monkeypatch.setattr(markov, "_preconditions", lambda c: dict(above))
         assert precondition_defects(ch) == above
+
+
+class TestFlowToleranceWiring:
+    """Each sampled key's tolerance takes the condition scale of its own
+    samples: thm_commute_z kappa**max|Re z|, the real-power keys kappa**max|s|."""
+
+    def test_scales_follow_their_samples(self):
+        qubit = System(FaithfulState(AlgebraElement(M2, [np.diag([0.999, 0.001])])))
+        ch = schur_channel(qubit, np.array([[1.0, 0.5], [0.5, 1.0]]))
+        kappa = qubit.state.kappa
+        report = verify_channel(ch, s_values=(0.5,), z_samples=[0.4 + 2.0j, -1.5 + 0.3j])
+        f = tolerance_factor()
+        scale_z, scale_s = power_condition_scale(kappa, 1.5), power_condition_scale(kappa, 0.5)
+        assert scale_z > 100 * scale_s  # kappa >> 1: a swapped scale shows
+        tol = report.tolerances
+        assert tol["thm_commute_z"] == pytest.approx(
+            PINNED_TOL["thm_commute_z"] * f * scale_z, rel=1e-12)
+        for key in ("thm_i_s", "thm_ii", "thm_iii"):
+            assert tol[key] == pytest.approx(PINNED_TOL[key] * f * scale_s, rel=1e-12)
+        assert tol["eq32_t"] == pytest.approx(PINNED_TOL["eq32_t"] * f, rel=1e-12)
