@@ -138,10 +138,6 @@ class AlgebraElement:
         return f"AlgebraElement(dims={self.parent.block_dims}, norm={self.norm():.3e})"
 
 
-def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x @ y - y @ x
-
-
 class FaithfulState:
     """Faithful state phi(x) = sum_k Tr(D_k x_k).
 
@@ -258,7 +254,6 @@ __all__ = [
     "BlockAlgebra",
     "AlgebraElement",
     "FaithfulState",
-    "commutator",
     "evaluate_state",
     "matrix_units",
     "to_coords",

@@ -45,14 +45,6 @@ class BadSchurMatrix(ModmarkError):
     """Entrywise multiplier must be Hermitian psd with unit diagonal."""
 
 
-class ProjectionsDontCommuteWithDensity(ModmarkError):
-    """Conditional expectation needs projections commuting with the density."""
-
-
-class UnitaryDoesntCommuteWithDensity(ModmarkError):
-    """Inner automorphism needs a unitary commuting with the density."""
-
-
 class PreconditionFailed(ModmarkError):
     """Operation invoked on an input outside its contract."""
 

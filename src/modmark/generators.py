@@ -1,9 +1,14 @@
 """Instance factory: faithful states and channels for the verification suites.
 
 Every generator except `sp_ucp` produces channels passing all four membership
-residuals by construction (entrywise multipliers in the density eigenbasis,
-conditional expectations onto commuting projections, state-to-scalar maps,
-inner automorphisms by commuting unitaries, frequency twirls, convex mixes).
+residuals by construction.  Apart from `identity`, `state_to_scalar` and the
+`convex` mixes, each is an entrywise (Schur) multiplier in the density
+eigenframe, C_k[a, b] on entry (a, b) of block k: a unit-diagonal psd matrix
+(`schur`), the 0/1 mask of a partition of the eigen-indices, which is the
+state-preserving conditional expectation onto the commutant of its spectral
+projections (`pinch`, `block_expectation`), the phases conj(p_a) p_b of a
+unitary diagonal in the eigenbasis, which is a state-preserving inner
+automorphism (`automorphism`), and the equal-frequency mask (`twirl`).
 `sp_ucp` deliberately produces the other thing: unital completely positive
 state-compatible channels that generically fail the flow condition, which is
 what the negative suites feed on.  It does so in closed form, stepping from
@@ -34,19 +39,12 @@ from .algebra import (
     FaithfulState,
     to_coords,
 )
-from .errors import (
-    BadSchurMatrix,
-    PreconditionFailed,
-    ProjectionsDontCommuteWithDensity,
-    ShapeMismatch,
-    UnitaryDoesntCommuteWithDensity,
-)
-from .linalg import PD_FLOOR_RTOL, block_diag
+from .errors import BadSchurMatrix, PreconditionFailed, ShapeMismatch
+from .linalg import PD_FLOOR_RTOL
 from .markov import (
     Channel,
     ChoiMatrix,
     System,
-    channel_from_kraus,
     choi_to_channel,
     convex_combine,
     from_eigenframe,
@@ -69,7 +67,6 @@ KINDS = (
 
 DEFAULT_MIN_GAP = 0.05
 TWIRL_FREQ_TOL = 1e-9
-INPUT_ATOL = 1e-12  # projections and unitaries handed to the generators
 
 
 def derive_seed(*parts: int) -> int:
@@ -165,62 +162,34 @@ def random_unit_diagonal_psd(n: int, seed: int) -> np.ndarray:
     return c
 
 
+def partition_expectation(sys: System, labels) -> Channel:
+    """Conditional expectation onto the eigenframe parts named by `labels`,
+    one label per eigen-index, block after block in ascending-eigenvalue
+    order: entry (a, b) of block k is kept when a and b carry the same label
+    and zeroed otherwise, which is x |-> sum_i P_i x P_i for the spectral
+    projections P_i of the parts."""
+    labels = np.asarray(labels)
+    if labels.shape != (sys.algebra.carrier_dim,):
+        raise ShapeMismatch(f"need {sys.algebra.carrier_dim} labels, one per eigen-index, "
+                            f"got shape {labels.shape}")
+    ends = np.cumsum(sys.algebra.block_dims)
+    return _eigen_diagonal_channel(sys, [
+        (lab[:, None] == lab[None, :]).astype(np.complex128)
+        for lab in np.split(labels, ends[:-1])])
+
+
 def pinch_channel(sys: System) -> Channel:
-    """Full conditional expectation onto the density eigenbasis diagonal."""
-    diags = [np.eye(n, dtype=np.complex128) for n in sys.algebra.block_dims]
-    return _eigen_diagonal_channel(sys, diags)
-
-
-def spectral_projections(sys: System, parts: list[list[tuple[int, int]]]) -> list[AlgebraElement]:
-    """Projections summing eigenvector dyads; parts list (block, eig index) pairs."""
-    md = sys.modular
-    out = []
-    for part in parts:
-        blocks = [np.zeros((n, n), dtype=np.complex128) for n in sys.algebra.block_dims]
-        for k, i in part:
-            v = md.d_eig[k].eigenvectors[:, i]
-            blocks[k] += np.outer(v, v.conj())
-        out.append(AlgebraElement(sys.algebra, blocks))
-    return out
-
-
-def block_expectation(sys: System, projections: list[AlgebraElement]) -> Channel:
-    """Conditional expectation x |-> sum_i P_i x P_i, the Kraus channel of
-    the block-diagonal projections.
-
-    The projections must be Hermitian idempotents summing to the identity and
-    commuting with the density; commutation is what keeps the expectation
-    state-compatible and flow-compatible.
-    """
-    if not projections:
-        raise PreconditionFailed("need at least one projection")
-    d = sys.state.density
-    total = sys.algebra.zero()
-    for p in projections:
-        if p.parent != sys.algebra:
-            raise ShapeMismatch("projection lives on a different algebra")
-        if (p @ p - p).norm() > INPUT_ATOL or (p - p.adjoint()).norm() > INPUT_ATOL:
-            raise PreconditionFailed("inputs must be Hermitian idempotents")
-        if (p @ d - d @ p).norm() > INPUT_ATOL:
-            raise ProjectionsDontCommuteWithDensity(
-                f"[P, D] has norm {(p @ d - d @ p).norm():.3e}")
-        total = total + p
-    if (total - sys.algebra.identity()).norm() > INPUT_ATOL:
-        raise PreconditionFailed("projections must sum to the identity")
-    return channel_from_kraus(
-        [block_diag(*p.blocks) for p in projections], sys, sys)
+    """Full conditional expectation onto the density eigenbasis diagonal, the
+    partition into singletons."""
+    return partition_expectation(sys, np.arange(sys.algebra.carrier_dim))
 
 
 def random_partition_expectation(sys: System, seed: int) -> Channel:
     """Conditional expectation onto a random coarsening of the eigenframe."""
     rng = np.random.default_rng(seed)
-    labels = [(k, i) for k, n in enumerate(sys.algebra.block_dims) for i in range(n)]
-    n_parts = int(rng.integers(1, len(labels) + 1))
-    assignment = rng.integers(0, n_parts, size=len(labels))
-    parts: dict[int, list[tuple[int, int]]] = {}
-    for lab, who in zip(labels, assignment):
-        parts.setdefault(int(who), []).append(lab)
-    return block_expectation(sys, spectral_projections(sys, list(parts.values())))
+    size = sys.algebra.carrier_dim
+    n_parts = int(rng.integers(1, size + 1))
+    return partition_expectation(sys, rng.integers(0, n_parts, size=size))
 
 
 def state_to_scalar(source: System, target: System) -> Channel:
@@ -230,29 +199,14 @@ def state_to_scalar(source: System, target: System) -> Channel:
     return Channel(source, target, np.outer(col, row))
 
 
-def automorphism_channel(sys: System, u: AlgebraElement) -> Channel:
-    """Inner automorphism x |-> u^+ x u for a unitary commuting with the
-    density, the Kraus channel of u as one block-diagonal operator."""
-    if u.parent != sys.algebra:
-        raise ShapeMismatch("unitary lives on a different algebra")
-    one = sys.algebra.identity()
-    if (u.adjoint() @ u - one).norm() > INPUT_ATOL:
-        raise PreconditionFailed("input is not unitary")
-    d = sys.state.density
-    if (u @ d - d @ u).norm() > INPUT_ATOL:
-        raise UnitaryDoesntCommuteWithDensity(
-            f"[U, D] has norm {(u @ d - d @ u).norm():.3e}")
-    return channel_from_kraus([block_diag(*u.blocks)], sys, sys)
-
-
-def random_commuting_unitary(sys: System, seed: int) -> AlgebraElement:
-    """Unitary diagonal in the density eigenbasis (random phases)."""
+def random_automorphism(sys: System, seed: int) -> Channel:
+    """Inner automorphism x |-> u^+ x u by a unitary diagonal in the density
+    eigenbasis, u_k = V_k diag(p_k) V_k^+ with seeded random phases p_k: the
+    multiplier conj(p_a) p_b on entry (a, b) of block k."""
     rng = np.random.default_rng(seed)
-    blocks = []
-    for e in sys.modular.d_eig:
-        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=e.dim))
-        blocks.append((e.eigenvectors * phases) @ e.eigenvectors.conj().T)
-    return AlgebraElement(sys.algebra, blocks)
+    phases = [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
+              for n in sys.algebra.block_dims]
+    return _eigen_diagonal_channel(sys, [np.outer(p.conj(), p) for p in phases])
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +367,14 @@ def build_channel(spec: GenSpec) -> BuildResult:
             float(spec.params.get("min_gap", DEFAULT_MIN_GAP)))
         ch = state_to_scalar(sys, System(tstate))
     elif spec.kind == "automorphism":
-        ch = automorphism_channel(sys, random_commuting_unitary(
-            sys, derive_seed(spec.seed, 5)))
+        ch = random_automorphism(sys, derive_seed(spec.seed, 5))
     elif spec.kind == "twirl":
         ch = modular_twirl(sp_ucp(sys, sys, derive_seed(spec.seed, 6)))
     elif spec.kind == "sp_ucp":
         ch = sp_ucp(sys, sys, derive_seed(spec.seed, 6))
     else:  # "convex", the last of KINDS (GenSpec refuses any other)
-        u = automorphism_channel(sys, random_commuting_unitary(
-            sys, derive_seed(spec.seed, 7)))
-        parts = [identity_channel(sys), state_to_scalar(sys, sys), u]
+        parts = [identity_channel(sys), state_to_scalar(sys, sys),
+                 random_automorphism(sys, derive_seed(spec.seed, 7))]
         raw = np.random.default_rng(derive_seed(spec.seed, 8)).uniform(
             0.1, 1.0, size=len(parts))
         ch = convex_combine(parts, raw / raw.sum())
@@ -438,12 +390,10 @@ __all__ = [
     "schur_channel",
     "random_unit_diagonal_psd",
     "pinch_channel",
-    "spectral_projections",
-    "block_expectation",
+    "partition_expectation",
     "random_partition_expectation",
     "state_to_scalar",
-    "automorphism_channel",
-    "random_commuting_unitary",
+    "random_automorphism",
     "modular_twirl",
     "sp_ucp",
     "build_channel",

@@ -26,19 +26,16 @@ writes floats with repr (shortest round trip).
 `matrix_from_json` picks the decoder by the matrix's JSON type.  A binary
 object decodes to a writeable C-contiguous complex128 copy once its dtype,
 shape, strict base64, byte length and finiteness are checked.  A nested list
-converts with one `np.asarray` to float64 viewed as complex128, after one
-C-level pass over the leaf types (exact int or float only, so a bool among
-floats is still refused) and a finiteness check on the whole array; only a
-list that fails them takes the per-entry route, which names the error.  Parse
-problems raise MalformedInstance; structurally valid files whose matrices do
-not fit together raise ShapeMismatch.
+converts entry by entry (exact int or float only, so a bool is refused), and
+the first bad entry is named in the error.  Parse problems raise
+MalformedInstance; structurally valid files whose matrices do not fit
+together raise ShapeMismatch.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -108,30 +105,6 @@ def _matrix_from_binary(obj: dict) -> np.ndarray:
     return out
 
 
-def _matrix_from_array(rows: list) -> np.ndarray | None:
-    """The matrix of equally long `rows` through one float64 array, or None
-    when an entry is not a pair or a bare number of exact type int or float,
-    or is not finite (the per-entry route then names the problem)."""
-    try:
-        arr = np.asarray(rows, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if arr.ndim == 3 and arr.shape[2] == 2:
-        pairs = list(chain.from_iterable(rows))
-        if not set(map(type, pairs)) <= {list, tuple}:
-            return None
-        leaves = chain.from_iterable(pairs)
-    elif arr.ndim == 2:
-        leaves = chain.from_iterable(rows)
-    else:
-        return None
-    if not set(map(type, leaves)) <= {int, float} or not np.isfinite(arr).all():
-        return None
-    if arr.ndim == 2:
-        return arr.astype(np.complex128)
-    return arr.view(np.complex128).reshape(arr.shape[:2])
-
-
 def matrix_from_json(obj) -> np.ndarray:
     """A matrix of either version: an object is binary, a list nested rows."""
     if isinstance(obj, dict):
@@ -141,9 +114,6 @@ def matrix_from_json(obj) -> np.ndarray:
     width = len(obj[0])
     if width < 1 or any(len(r) != width for r in obj):
         raise MalformedInstance("matrix rows must be nonempty and equally long")
-    fast = _matrix_from_array(obj)
-    if fast is not None:
-        return fast
     out = np.empty((len(obj), width), dtype=np.complex128)
     for i, row in enumerate(obj):
         for j, entry in enumerate(row):

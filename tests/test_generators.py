@@ -4,28 +4,19 @@ import numpy as np
 import pytest
 
 from modmark.algebra import AlgebraElement, BlockAlgebra, FaithfulState
-from modmark.errors import (
-    BadSchurMatrix,
-    PreconditionFailed,
-    ProjectionsDontCommuteWithDensity,
-    ShapeMismatch,
-    UnitaryDoesntCommuteWithDensity,
-)
+from modmark.errors import BadSchurMatrix, PreconditionFailed, ShapeMismatch
 from modmark.generators import (
     GenSpec,
-    automorphism_channel,
-    block_expectation,
     build_channel,
     derive_seed,
     modular_twirl,
+    partition_expectation,
     pinch_channel,
-    random_commuting_unitary,
     random_faithful_state,
     random_partition_expectation,
     random_unit_diagonal_psd,
     schur_channel,
     sp_ucp,
-    spectral_projections,
     state_to_scalar,
 )
 from modmark.markov import System, check_markov, to_choi
@@ -91,28 +82,24 @@ class TestSchur:
 
 class TestBlockExpectation:
     def test_identity_partition(self, qubit):
-        ch = block_expectation(qubit, [M2.identity()])
+        ch = partition_expectation(qubit, [0, 0])
         assert np.linalg.norm(ch.superop - np.eye(4)) <= 1e-14
 
     def test_spectral_partition_is_member(self):
+        # one part spans both blocks, as [[(0, 0), (0, 1)], [(0, 2), (1, 0)]]
         sys = System(random_faithful_state(BlockAlgebra((3, 1)), 5, 0.05))
-        parts = spectral_projections(sys, [[(0, 0), (0, 1)], [(0, 2), (1, 0)]])
-        assert check_markov(block_expectation(sys, parts)).passed
+        assert check_markov(partition_expectation(sys, [0, 0, 1, 1])).passed
+
+    def test_one_label_per_eigen_index(self, qubit):
+        for labels in ([0], [0, 1, 2], [[0, 1]]):
+            with pytest.raises(ShapeMismatch):
+                partition_expectation(qubit, labels)
 
     def test_random_partition_member(self):
+        ch = build_channel(GenSpec("block_expectation", (4,), seed=9)).channel
+        assert check_markov(ch).passed
         sys = System(random_faithful_state(BlockAlgebra((4,)), 6, 0.05))
         assert check_markov(random_partition_expectation(sys, 9)).passed
-
-    def test_noncommuting_projections_rejected(self, qubit):
-        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        parts = [AlgebraElement(M2, [np.outer(h[:, i], h[:, i])]) for i in range(2)]
-        with pytest.raises(ProjectionsDontCommuteWithDensity):
-            block_expectation(qubit, parts)
-
-    def test_incomplete_partition_rejected(self, qubit):
-        p = AlgebraElement(M2, [np.diag([1.0, 0.0])])
-        with pytest.raises(PreconditionFailed):
-            block_expectation(qubit, [p])
 
 
 class TestStateToScalar:
@@ -122,26 +109,17 @@ class TestStateToScalar:
 
 
 class TestAutomorphism:
-    def test_commuting_phase_example(self, qubit):
-        u = AlgebraElement(M2, [np.diag([1.0, np.exp(1.1j)])])
-        mc = check_markov(automorphism_channel(qubit, u))
+    def test_commuting_phase_example(self):
+        mc = check_markov(build_channel(GenSpec("automorphism", (2,), seed=4)).channel)
         assert mc.passed
         assert all(v <= 1e-12 for v in mc.residuals.values())
 
     def test_random_commuting_unitary_member(self):
-        sys = System(random_faithful_state(BlockAlgebra((2, 2)), 8, 0.05))
-        u = random_commuting_unitary(sys, 3)
-        assert (u.adjoint() @ u - sys.algebra.identity()).norm() <= 1e-12
-        assert check_markov(automorphism_channel(sys, u)).passed
-
-    def test_noncommuting_unitary_rejected(self, qubit):
-        h = AlgebraElement(M2, [np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)])
-        with pytest.raises(UnitaryDoesntCommuteWithDensity):
-            automorphism_channel(qubit, h)
-
-    def test_nonunitary_rejected(self, qubit):
-        with pytest.raises(PreconditionFailed):
-            automorphism_channel(qubit, AlgebraElement(M2, [np.diag([1.0, 0.5])]))
+        # x |-> u^+ x u is unitary in the Hilbert-Schmidt coordinates
+        ch = build_channel(GenSpec("automorphism", (2, 2), seed=3)).channel
+        assert check_markov(ch).passed
+        sup = ch.superop
+        assert np.linalg.norm(sup.conj().T @ sup - np.eye(len(sup))) <= 1e-12
 
 
 class TestModularTwirl:

@@ -19,7 +19,13 @@ from modmark.errors import (
     ShapeMismatch,
     BadWeights,
 )
-from modmark.generators import random_faithful_state, schur_channel, state_to_scalar
+from modmark.generators import (
+    GenSpec,
+    build_channel,
+    random_faithful_state,
+    schur_channel,
+    state_to_scalar,
+)
 from modmark.linalg import op_norm
 from modmark.markov import (
     Channel,
@@ -33,6 +39,7 @@ from modmark.markov import (
     compose,
     cp_min_eigenvalue,
     convex_combine,
+    eigen_extension,
     identity_channel,
     l2_extension,
     petz_adjoint,
@@ -312,6 +319,43 @@ class TestL2Extension:
         lhs = l2_extension(schur).conj().T
         rhs = l2_extension(ac_adjoint(schur))
         assert np.linalg.norm(lhs - rhs) <= 1e-12
+
+
+BASE_CASE_DIMS = [(2,), (3,), (4,), (2, 2), (3, 1), (8,), (2, 2, 2), (16,), (8, 8),
+                  (6, 4, 2)]
+
+
+def _defects(kind, dims, seed):
+    """||T^H T - 1||, ||T^2 - T|| and ||T^H - T|| (spectral norms) of the GNS
+    operator of a built instance, in the eigenframe, where T is unitarily
+    equivalent to the coordinate extension."""
+    t = eigen_extension(build_channel(GenSpec(kind, dims, seed)).channel)
+    one = np.eye(len(t))
+    return (np.linalg.norm(t.conj().T @ t - one, 2), np.linalg.norm(t @ t - t, 2),
+            np.linalg.norm(t.conj().T - t, 2))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("dims", BASE_CASE_DIMS, ids=lambda d: "x".join(map(str, d)))
+class TestBaseCase:
+    """The paper's two starting maps: a state-preserving automorphism has a
+    unitary GNS operator, and a state-preserving conditional expectation an
+    orthogonal projection."""
+
+    @pytest.mark.parametrize("kind", ["identity", "automorphism"])
+    def test_automorphism_is_unitary(self, dims, seed, kind):
+        isometry, projection, hermitian = _defects(kind, dims, seed)
+        assert isometry <= 1e-13
+        if kind == "automorphism":
+            assert max(projection, hermitian) >= 1e-3
+
+    @pytest.mark.parametrize("kind", ["pinch", "block_expectation"])
+    def test_conditional_expectation_is_a_projection(self, dims, seed, kind):
+        isometry, projection, hermitian = _defects(kind, dims, seed)
+        assert projection <= 1e-13
+        assert hermitian <= 1e-13
+        if kind == "pinch":
+            assert isometry >= 1e-3
 
 
 class TestComposeTensor:

@@ -12,7 +12,8 @@ accumulation and the per-unit state pairing; and, for the constructions, the
 per-unit Kraus sum on the carrier space with its embed/compress helpers, the
 per-unit Choi inverse, the four-deep tensor loop over unit images, the
 per-unit star check, and the block expectation and automorphism as products
-of left and right multiplication superoperators.  For the generators:
+of left and right multiplication superoperators, from spectral projections
+and a commuting unitary built here.  For the generators:
 `sp_ucp`'s step projected through the dense affine constraint system and its
 Gram matrix instead of the two rank-one deflations, and the twirl's
 frequency buckets chained by a Python loop.  They are kept here only, so
@@ -23,13 +24,13 @@ loops, one mask and one product each, as the bit-for-bit oracles of the
 stacked, chunked SVDs in `verify`, and of the bound-and-prune max of the
 sampled families, which synthetic families (ties, zeros, one dominant mask,
 equal norms, the slack boundary, bounds that underflow or overflow) check
-too.  Three one-line compositions that only tests call are helpers here:
-`gns_embed` (x D^{1/2}), `apply_S` (J Delta^{1/2}) and
+too.  Four one-line compositions that only tests call are helpers here:
+`gns_embed` (x D^{1/2}), `apply_S` (J Delta^{1/2}), `commutator` and
 `star_preservation_residual`, which the per-unit star loop checks.
 The instance files have two more: a hand-written encoder (sorted keys,
 two-space indent, repr floats, ASCII escapes) is the oracle of
-`dumps_canonical`, which is the json module's, and the per-entry
-conversion is the oracle of the one-array reader.  The modular axioms of a
+`dumps_canonical`, which is the json module's, and a per-entry conversion
+written here is the oracle of the nested-list reader.  The modular axioms of a
 state keep their per-vector route, one `AlgebraElement` per operation, as
 the oracle of the stacked `modular_invariants`.  scipy is a test dependency
 only: `scipy.linalg.block_diag` assembles the blockwise superoperators here
@@ -46,7 +47,6 @@ import scipy.linalg
 from modmark.algebra import (
     AlgebraElement,
     BlockAlgebra,
-    commutator,
     element_from_coords,
     evaluate_state,
     matrix_units,
@@ -59,14 +59,12 @@ from modmark.generators import (
     GenSpec,
     _bucket_ids,
     _deflate,
-    automorphism_channel,
-    block_expectation,
     build_channel,
     derive_seed,
-    random_commuting_unitary,
+    partition_expectation,
+    random_automorphism,
     random_faithful_state,
     sp_ucp,
-    spectral_projections,
     state_to_scalar,
 )
 from modmark import gns, verify
@@ -316,6 +314,10 @@ def oracle_involution(t_mat, ch):
         rhs = element_from_coords(tgt, t_mat @ to_coords(xi))
         res = max(res, (apply_S(md_t, mid) - rhs).norm())
     return res
+
+
+def commutator(x, y):
+    return x @ y - y @ x
 
 
 def _log_density(md):
@@ -1210,22 +1212,53 @@ def test_constructions_on_generated_channels(case):
     assert tensor(ch, other).superop.tobytes() == oracle_tensor_superop(ch, other).tobytes()
 
 
-@pytest.mark.parametrize("dims", DIMS)
+def spectral_projections(sys, parts):
+    """Projections summing eigenvector dyads; parts list (block, eig index) pairs."""
+    out = []
+    for part in parts:
+        blocks = [np.zeros((n, n), dtype=np.complex128) for n in sys.algebra.block_dims]
+        for k, i in part:
+            v = sys.modular.d_eig[k].eigenvectors[:, i]
+            blocks[k] += np.outer(v, v.conj())
+        out.append(AlgebraElement(sys.algebra, blocks))
+    return out
+
+
+def seeded_commuting_unitary(sys, seed):
+    """u_k = V_k diag(p_k) V_k^+ from the density eigenvectors, with the
+    phases `random_automorphism` draws from the same seed."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for e in sys.modular.d_eig:
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=e.dim))
+        blocks.append((e.eigenvectors * phases) @ e.eigenvectors.conj().T)
+    return AlgebraElement(sys.algebra, blocks)
+
+
+@pytest.mark.parametrize("dims", DIMS + [(16,), (8, 8), (6, 4, 2)])
 class TestGeneratorsAgainstMultiplicationProducts:
+    """The eigenframe multipliers against x |-> sum_i P_i x P_i and
+    x |-> u^+ x u as products of left and right multiplication
+    superoperators, built from the eigenvectors and not from the frame."""
+
     def test_block_expectation(self, dims):
         sys = System(random_faithful_state(BlockAlgebra(dims), 93, 0.05))
         labels = [(k, i) for k, n in enumerate(dims) for i in range(n)]
-        for parts in ([labels], [[lab] for lab in labels], [labels[0::2], labels[1::2]]):
-            projs = spectral_projections(sys, parts)
-            ref = sum(left_mult_superop(p) @ right_mult_superop(p) for p in projs)
-            got = block_expectation(sys, projs).superop
+        size = len(labels)
+        # one part, all singletons, and alternating across the blocks
+        for names in (np.zeros(size, dtype=int), np.arange(size), np.arange(size) % 2):
+            parts = [[labels[i] for i in np.flatnonzero(names == who)]
+                     for who in np.unique(names)]
+            ref = sum(left_mult_superop(p) @ right_mult_superop(p)
+                      for p in spectral_projections(sys, parts))
+            got = partition_expectation(sys, names).superop
             assert np.max(np.abs(got - ref)) <= 1e-14
 
     def test_automorphism(self, dims):
         sys = System(random_faithful_state(BlockAlgebra(dims), 94, 0.05))
-        u = random_commuting_unitary(sys, 95)
+        u = seeded_commuting_unitary(sys, 95)
         ref = left_mult_superop(u.adjoint()) @ right_mult_superop(u)
-        got = automorphism_channel(sys, u).superop
+        got = random_automorphism(sys, 95).superop
         assert np.max(np.abs(got - ref)) <= 1e-14
 
 
