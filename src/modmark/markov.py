@@ -230,24 +230,14 @@ def unitality_residual(ch: Channel) -> float:
 
 
 def state_residual(ch: Channel) -> float:
-    """State compatibility, measured both ways; the two must agree.
+    """State compatibility: |trace_dual(ch)(D_target) - D_source|_F.
 
-    Dual form: |trace_dual(ch)(D_target) - D_source|_F.  Basis form: max of
-    |target_state(ch(E)) - source_state(E)| over matrix units.  The dual
-    form dominates the basis form entrywise, and the max of the two is
-    returned.
+    With A = trace_dual(ch)(D_target) - D_source, every matrix unit E_ab has
+    target_state(ch(E_ab)) - source_state(E_ab) = conj(A_ab), so this norm
+    bounds the state defect on each unit, and is its l2 norm over all units.
     """
     dual = trace_dual(ch)
-    r_dual = (dual.apply(ch.target.state.density) - ch.source.state.density).norm()
-    return max(r_dual, _state_basis_residual(ch))
-
-
-def _state_basis_residual(ch: Channel) -> float:
-    """All units at once: a state is the row vector coords(D^T), so this is
-    the largest entry of |coords(D_target^T) @ superop - coords(D_source^T)|."""
-    c_t = to_coords(ch.target.state.density.adjoint()).conj()
-    c_s = to_coords(ch.source.state.density.adjoint()).conj()
-    return float(np.max(np.abs(c_t @ ch.superop - c_s)))
+    return (dual.apply(ch.target.state.density) - ch.source.state.density).norm()
 
 
 def cp_min_eigenvalue(ch: Channel) -> tuple[float, float]:

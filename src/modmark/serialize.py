@@ -67,12 +67,6 @@ def _entry_from_json(obj) -> complex:
     raise MalformedInstance(f"complex entry must be [re, im] or a number, got {obj!r}")
 
 
-def matrix_to_json(m) -> list:
-    """Version "1" matrix: row-major nested lists of [re, im] pairs of floats."""
-    arr = np.asarray(m, dtype=np.complex128)
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
-
-
 def matrix_to_binary(m) -> dict:
     """Version "2" matrix: its row-major little-endian complex128 bytes in base64."""
     arr = np.ascontiguousarray(m, dtype=MATRIX_DTYPE)
@@ -294,7 +288,6 @@ __all__ = [
     "INSTANCE_VERSION",
     "SUITE_VERSION",
     "MATRIX_DTYPE",
-    "matrix_to_json",
     "matrix_to_binary",
     "matrix_from_json",
     "algebra_to_json",

@@ -340,15 +340,6 @@ def _adj(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.conj().swapaxes(-1, -2))
 
 
-def _frob_sq(a: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each matrix of an (m, n, n) stack, as
-    `np.linalg.norm(a[i]) ** 2` forms it (real and imaginary dot products)."""
-    flat = a.reshape(len(a), 1, -1)
-    re, im = flat.real, flat.imag
-    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
-    return np.sqrt(sq.ravel()) ** 2
-
-
 def modular_invariants(md: ModularData, seed: int = 0) -> dict[str, float]:
     """Residuals of the modular axioms on seeded unit test vectors.
 
@@ -374,8 +365,8 @@ def modular_invariants(md: ModularData, seed: int = 0) -> dict[str, float]:
     for i, kind in ((21, "general"), (22, "hermitian"), (23, "general"),
                     (24, "general"), (25, "general")):
         e = random_element(alg, derive_seed(seed, i), kind)
-        scale = complex(1.0 / e.norm())  # as `e * (1.0 / e.norm())` scales
-        draws.append([scale * b for b in e.blocks])
+        nrm = e.norm()
+        draws.append([b / nrm for b in e.blocks])
     factors = md.delta_power_factors((0.5, 1.0) + tuple(1j * t for t in t_samples))
     sq = 0
     dss_lhs = dss_rhs = anti_lhs = anti_rhs = 0
@@ -411,7 +402,8 @@ def modular_invariants(md: ModularData, seed: int = 0) -> dict[str, float]:
                                - flow_p @ embedded @ flow_m),
         }
         parts = [d.reshape(-1, *d.shape[-2:]) for d in diffs.values()]
-        sq = sq + _frob_sq(np.concatenate(parts))
+        stack = np.concatenate(parts)
+        sq = sq + (stack.real ** 2 + stack.imag ** 2).sum(axis=(-2, -1))
     # every block stacks the same counts, so the last block's parts give
     # each key's slice of the norms
     offsets = np.cumsum([0] + [len(p) for p in parts[:-1]])

@@ -203,7 +203,7 @@ def _spread_qubit_system(seed):
 
 
 def test_criterion_07_twirl():
-    worst_idem = worst_quad = 0.0
+    worst_idem = worst_quad = worst_ratio = 0.0
     for seed in range(10):
         sys = _spread_qubit_system(700 + seed)
         rough = sp_ucp(sys, sys, seed)
@@ -211,13 +211,24 @@ def test_criterion_07_twirl():
         idem = np.linalg.norm(modular_twirl(tw).superop - tw.superop, 2)
         assert idem <= 1e-12, f"idempotence defect {idem:.3e} (seed {seed})"
         assert check_markov(tw).passed, f"twirl output not a member (seed {seed})"
-        quad = np.linalg.norm(_bohr_mean_superop(rough) - tw.superop, 2)
-        assert quad <= 1e-2, f"quadrature mismatch {quad:.3e} (seed {seed})"
+        # the window-T average damps an entry at frequency gap w by
+        # |sinc(wT)| <= 1 / (|w| T), and a qubit's smallest off-sector gap
+        # is ln kappa, so T * gap <= |rough - twirl|_F / ln kappa
+        bound = np.linalg.norm(rough.superop - tw.superop) / math.log(sys.state.kappa)
+        for window in (25.0, 50.0, 100.0, 200.0):
+            gap = np.linalg.norm(_bohr_mean_superop(rough, window) - tw.superop, 2)
+            assert window * gap <= bound, (
+                f"window {window:g}: window * gap {window * gap:.3e} "
+                f"exceeds {bound:.3e} (seed {seed})")
+            worst_ratio = max(worst_ratio, window * gap / bound)
+        # the last window is 200, `_bohr_mean_superop`'s default span
+        assert gap <= 1e-2, f"quadrature mismatch {gap:.3e} (seed {seed})"
         worst_idem = max(worst_idem, idem)
-        worst_quad = max(worst_quad, quad)
+        worst_quad = max(worst_quad, gap)
     _line(7, True, f"twirl idempotent ({worst_idem:.2e} <= 1e-12), member, and "
                    f"within {worst_quad:.2e} <= 1e-2 of the long-time average "
-                   f"on 10 instances")
+                   f"on 10 instances; window * gap at most {worst_ratio:.3f} "
+                   f"of |rough - twirl|_F / ln kappa at windows 25-200")
 
 
 # --- criterion 8: frozen negative corpus ------------------------------------

@@ -16,9 +16,9 @@ from modmark.serialize import (
     genspec_to_json,
     instance_to_json,
     matrix_from_json,
-    matrix_to_json,
     read_instance,
 )
+from test_oracles import matrix_to_json
 
 
 def run(capsys, *argv):

@@ -27,14 +27,16 @@ equal norms, the slack boundary, bounds that underflow or overflow) check
 too.  Four one-line compositions that only tests call are helpers here:
 `gns_embed` (x D^{1/2}), `apply_S` (J Delta^{1/2}), `commutator` and
 `star_preservation_residual`, which the per-unit star loop checks.
-The instance files have two more: a hand-written encoder (sorted keys,
+The instance files have one more: a hand-written encoder (sorted keys,
 two-space indent, repr floats, ASCII escapes) is the oracle of
-`dumps_canonical`, which is the json module's, and a per-entry conversion
-written here is the oracle of the nested-list reader.  The modular axioms of a
-state keep their per-vector route, one `AlgebraElement` per operation, as
-the oracle of the stacked `modular_invariants`.  scipy is a test dependency
-only: `scipy.linalg.block_diag` assembles the blockwise superoperators here
-and is the bit-for-bit oracle of the library's numpy `linalg.block_diag`.
+`dumps_canonical`, which is the json module's; the nested-list reader is
+checked against literal matrices and messages, and `matrix_to_json`, the
+version "1" writer, lives here because only tests write that format.  The
+modular axioms of a state keep their per-vector route, one `AlgebraElement`
+per operation, as the oracle of the stacked `modular_invariants`.  scipy
+is a test dependency only: `scipy.linalg.block_diag` assembles the blockwise
+superoperators here and is the bit-for-bit oracle of the library's numpy
+`linalg.block_diag`.
 """
 
 import json
@@ -75,7 +77,6 @@ from modmark.markov import (
     Channel,
     ChoiMatrix,
     System,
-    _state_basis_residual,
     ac_adjoint,
     adjoint_index,
     channel_from_kraus,
@@ -84,6 +85,7 @@ from modmark.markov import (
     l2_extension,
     modular_commutation_residual,
     petz_adjoint,
+    state_residual,
     tensor,
     tensor_element,
     to_choi,
@@ -95,7 +97,6 @@ from modmark.serialize import (
     instance_to_json,
     matrix_from_json,
     matrix_to_binary,
-    matrix_to_json,
     read_instance,
     report_to_json,
     suite_result_to_json,
@@ -146,6 +147,13 @@ def star_preservation_residual(ch):
     sup = ch.superop
     return max_column_norm(sup[:, adjoint_index(ch.source.algebra)]
                            - sup.conj()[adjoint_index(ch.target.algebra)])
+
+
+def matrix_to_json(m) -> list:
+    """Version "1" matrix: row-major nested lists of [re, im] pairs of floats
+    (the library reads this format but writes only version "2")."""
+    arr = np.asarray(m, dtype=np.complex128)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def left_mult_superop(x):
@@ -356,10 +364,11 @@ def oracle_to_choi(ch):
     return blocks
 
 
-def oracle_state_basis(ch):
-    return max(abs(evaluate_state(ch.target.state, img)
-                   - evaluate_state(ch.source.state, unit))
-               for unit, img in zip(matrix_units(ch.source.algebra), unit_images(ch)))
+def oracle_state_l2(ch):
+    """sqrt of sum over units E of |target_state(ch(E)) - source_state(E)|^2."""
+    return float(np.sqrt(sum(
+        abs(evaluate_state(ch.target.state, img) - evaluate_state(ch.source.state, unit)) ** 2
+        for unit, img in zip(matrix_units(ch.source.algebra), unit_images(ch)))))
 
 
 def embed(x):
@@ -880,10 +889,14 @@ class TestChoiOracle:
 
 
 class TestStateBasisOracle:
+    """`state_residual` is the l2 norm of the state defect over matrix units:
+    the unit values are the entries of the dual form's matrix, conjugated."""
+
     @pytest.mark.parametrize("case", CASES[::3], ids=_case_id)
     def test_matches_unit_loop(self, case):
         ch = _build(*case)
-        assert abs(_state_basis_residual(ch) - oracle_state_basis(ch)) <= 1e-15
+        ref = oracle_state_l2(ch)
+        assert abs(state_residual(ch) - ref) <= 1e-15 * max(ref, 1.0)
 
     def test_matches_unit_loop_off_the_state(self):
         # a channel far from state compatibility, so the residual is O(1)
@@ -892,9 +905,9 @@ class TestStateBasisOracle:
         rng = np.random.default_rng(53)
         shape = (tgt.coord_dim, src.coord_dim)
         ch = Channel(src, tgt, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        ref = oracle_state_basis(ch)
+        ref = oracle_state_l2(ch)
         assert ref > 0.1
-        assert abs(_state_basis_residual(ch) - ref) <= 1e-15 * ref
+        assert abs(state_residual(ch) - ref) <= 1e-15 * ref
 
 
 class TestDeltaSuperop:
@@ -1520,31 +1533,6 @@ def oracle_dumps(obj):
     return _oracle_lines(obj, 0) + "\n"
 
 
-def oracle_entry(obj):
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(float(obj), 0.0)
-    if (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)):
-        return complex(float(obj[0]), float(obj[1]))
-    raise MalformedInstance(f"complex entry must be [re, im] or a number, got {obj!r}")
-
-
-def oracle_matrix_from_json(obj):
-    """The per-entry conversion `matrix_from_json` replaced."""
-    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
-        raise MalformedInstance("matrix must be a nonempty list of rows")
-    width = len(obj[0])
-    if width < 1 or any(len(r) != width for r in obj):
-        raise MalformedInstance("matrix rows must be nonempty and equally long")
-    out = np.empty((len(obj), width), dtype=np.complex128)
-    for i, row in enumerate(obj):
-        for j, entry in enumerate(row):
-            out[i, j] = oracle_entry(entry)
-    if not (np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))):
-        raise MalformedInstance("matrix entries must be finite")
-    return out
-
-
 FILE_CASES = [("pinch", (1,), {}), ("schur", (2,), {}), ("convex", (3, 1), {}),
               ("pinch", (2, 2, 2), {}), ("schur", (8,), {}), ("convex", (6, 4, 2), {}),
               ("state_to_scalar", (2,), {"target_dims": (3,)})]
@@ -1691,15 +1679,19 @@ def _bitwise(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+ENTRY_ERROR = "complex entry must be [re, im] or a number, got "
+
+
 class TestReaderOracle:
+    """The nested-list reader against literal matrices and literal messages."""
+
     @pytest.mark.parametrize("case", FILE_CASES, ids=_case_id)
     def test_instance_matrices(self, case):
         ch, _ = _file_instance(*case)
         for a in _arrays(ch):
-            m = json.loads(json.dumps(matrix_to_json(a)))
-            got = matrix_from_json(m)
+            got = matrix_from_json(json.loads(json.dumps(matrix_to_json(a))))
             assert got.flags.c_contiguous
-            assert _bitwise(got, oracle_matrix_from_json(m))
+            assert _bitwise(got, a)
 
     @pytest.mark.parametrize("case", FILE_CASES, ids=_case_id)
     def test_instance_binary_matrices(self, case):
@@ -1716,51 +1708,53 @@ class TestReaderOracle:
         got = matrix_from_json(json.loads(json.dumps(matrix_to_binary(a))))
         assert got.flags.writeable
         assert _bitwise(got, a)
-        assert _bitwise(got, oracle_matrix_from_json(matrix_to_json(a)))
+        assert _bitwise(matrix_from_json(matrix_to_json(a)), a)
 
-    @pytest.mark.parametrize("m", [
-        [[[x, -x] for x in EDGE_FLOATS]],
-        [[x] for x in EDGE_FLOATS],
-        [[1, 0.5], [0.5, 1]],
-        [[[1, 0], [0.5, -2]]],
-        [[[2 ** 53 + 1, 2 ** 60 + 2 ** 7 + 1], [10 ** 300, -(10 ** 20 + 1)]]],
-        [[(1.0, 2.0), [3, 4.5]]],
-        [[0]],
-        [[[0.5, 1.0], 0.5]],
+    @pytest.mark.parametrize("m, want", [
+        ([[[x, -x] for x in EDGE_FLOATS]], [[complex(x, -x) for x in EDGE_FLOATS]]),
+        ([[x] for x in EDGE_FLOATS], [[complex(x, 0.0)] for x in EDGE_FLOATS]),
+        ([[1, 0.5], [0.5, 1]], [[1 + 0j, 0.5 + 0j], [0.5 + 0j, 1 + 0j]]),
+        ([[[1, 0], [0.5, -2]]], [[1 + 0j, 0.5 - 2j]]),
+        # exact ints round to the nearest double
+        ([[[2 ** 53 + 1, 2 ** 60 + 2 ** 7 + 1], [10 ** 300, -(10 ** 20 + 1)]]],
+         [[complex(9007199254740992.0, 1152921504606847232.0), complex(1e300, -1e20)]]),
+        ([[(1.0, 2.0), [3, 4.5]]], [[1 + 2j, 3 + 4.5j]]),
+        ([[0]], [[0j]]),
+        ([[[0.5, 1.0], 0.5]], [[0.5 + 1j, 0.5 + 0j]]),
     ], ids=["pairs", "bare", "bare_int_float", "int_pairs", "big_ints", "tuples", "zero",
             "pair_and_bare"])
-    def test_edge_matrices(self, m):
-        assert _bitwise(matrix_from_json(m), oracle_matrix_from_json(m))
+    def test_edge_matrices(self, m, want):
+        assert _bitwise(matrix_from_json(m), np.array(want, dtype=np.complex128))
 
-    @pytest.mark.parametrize("m", [
-        [[[0.5, 1.0], [True, 0.25]]],
-        [[[0.5, 1.0], [0.5, False]]],
-        [[0.5, True]],
-        [[[0.5, "1"]]],
-        [["12"]],
-        [[None]],
-        [[[0.5, None]]],
-        [[[0.5]]],
-        [[[0.5, 1.0, 2.0]]],
-        [[[0.5, float("nan")]]],
-        [[float("inf")]],
-        [[[-float("inf"), 0.0]]],
-        [[[[0.5, 1.0], [0.5, 1.0]]]],
-        [[np.array([0.5, 1.0])]],
-        [[{"re": 1.0, "im": 0.0}]],
+    @pytest.mark.parametrize("m, message", [
+        ([[[0.5, 1.0], [True, 0.25]]], ENTRY_ERROR + "[True, 0.25]"),
+        ([[[0.5, 1.0], [0.5, False]]], ENTRY_ERROR + "[0.5, False]"),
+        ([[0.5, True]], ENTRY_ERROR + "True"),
+        ([[[0.5, "1"]]], ENTRY_ERROR + "[0.5, '1']"),
+        ([["12"]], ENTRY_ERROR + "'12'"),
+        ([[None]], ENTRY_ERROR + "None"),
+        ([[[0.5, None]]], ENTRY_ERROR + "[0.5, None]"),
+        ([[[0.5]]], ENTRY_ERROR + "[0.5]"),
+        ([[[0.5, 1.0, 2.0]]], ENTRY_ERROR + "[0.5, 1.0, 2.0]"),
+        ([[[0.5, float("nan")]]], "matrix entries must be finite"),
+        ([[float("inf")]], "matrix entries must be finite"),
+        ([[[-float("inf"), 0.0]]], "matrix entries must be finite"),
+        ([[[[0.5, 1.0], [0.5, 1.0]]]], ENTRY_ERROR + "[[0.5, 1.0], [0.5, 1.0]]"),
+        ([[np.array([0.5, 1.0])]], ENTRY_ERROR + repr(np.array([0.5, 1.0]))),
+        ([[{"re": 1.0, "im": 0.0}]], ENTRY_ERROR + "{'re': 1.0, 'im': 0.0}"),
     ], ids=["bool_re", "bool_im", "bool_bare", "str_im", "str_bare", "none_bare",
             "none_im", "short_pair", "long_pair", "nan", "inf", "minus_inf",
             "too_deep", "ndarray_pair", "dict"])
-    def test_rejections_keep_type_and_message(self, m):
-        with pytest.raises(MalformedInstance) as want:
-            oracle_matrix_from_json(m)
+    def test_rejections_keep_type_and_message(self, m, message):
         with pytest.raises(MalformedInstance) as got:
             matrix_from_json(m)
-        assert str(got.value) == str(want.value)
+        assert type(got.value) is MalformedInstance
+        assert str(got.value) == message
 
     def test_accepted_number_subclasses_match(self):
         m = [[[np.float64(0.25), 1]], [[np.float64(-0.0), np.float64(5e-324)]]]
-        assert _bitwise(matrix_from_json(m), oracle_matrix_from_json(m))
+        want = np.array([[0.25 + 1j], [complex(-0.0, 5e-324)]])
+        assert _bitwise(matrix_from_json(m), want)
 
 
 class TestInstanceFiles:

