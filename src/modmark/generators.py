@@ -40,7 +40,7 @@ from .algebra import (
     to_coords,
 )
 from .errors import BadSchurMatrix, PreconditionFailed, ShapeMismatch
-from .linalg import PD_FLOOR_RTOL
+from .linalg import PD_FLOOR_RTOL, block_diag
 from .markov import (
     Channel,
     ChoiMatrix,
@@ -118,11 +118,14 @@ def random_faithful_state(alg: BlockAlgebra, seed: int,
 
 def _eigen_diagonal_channel(sys: System, diag_blocks: list[np.ndarray]) -> Channel:
     """Channel that multiplies entry (a, b) by diag_blocks[k][a, b] in the
-    density eigenbasis of block k."""
+    density eigenbasis of block k: G^+ diag(d) G, one product per diagonal
+    block of the frame G."""
     g = sys.modular.frame
-    d = np.concatenate([m.flatten(order="F") for m in diag_blocks])
-    sup = g.conj().T @ (d[:, None] * g)
-    return Channel(sys, sys, sup)
+    parts = []
+    for off, n, m in zip(sys.algebra.coord_offsets, sys.algebra.block_dims, diag_blocks):
+        g_k = g[off:off + n * n, off:off + n * n]
+        parts.append(g_k.conj().T @ (m.flatten(order="F")[:, None] * g_k))
+    return Channel(sys, sys, block_diag(*parts))
 
 
 def schur_channel(sys: System, c) -> Channel:

@@ -28,18 +28,26 @@ where multiplying by D^p on the left (right) is the diagonal lambda_a^p
 there, X = G_t ch G_s^+ (`Channel.eigen_superop`), and the extension
 T_eig = G_t T G_s^+ is a diagonal reweighting of it (`eigen_extension`).
 The flow keys are norms of masked copies of T_eig, thm_ii permutes its
-indices, and both adjoint keys are norms of X^+ times eigenvalue weights;
-each family's norms are stacked SVDs under a fixed cap on entries per call.
+indices, and both adjoint keys are norms of X^+ times eigenvalue weights.
+Below N = 100 (`_LANCZOS_MIN_DIM`) each family's norms are stacked SVDs
+under a fixed cap on entries per call.
+
+From N = 100 on, these norms (not kadison_norm) are taken by Golub-Kahan-
+Lanczos instead, and each is certified against its key's tolerance: the
+Ritz value r is a lower bound on |A|_op and |A|_F an upper bound, so
+r > tol is a certain fail and |A|_F <= tol a certain pass, and a matrix
+whose bracket straddles tol takes the dense SVD.  Verdicts are those of the
+dense route; the residual values match it to rounding, not bit for bit.
 
 The sampled flow keys (eq32_t, thm_commute_z, thm_i_s) are maxima over
 their samples, and they bound-and-prune: a first pass brackets each masked
 matrix A by |A|_F >= |A|_op >= |A u|, u one power step from the largest
 column, and only a mask whose Frobenius bound reaches the top lower bound,
-within a relative slack of 1e-6, is SVD'd.  The slack is ~1e7 times the
-SVD's backward error at these sizes, so the mask holding the max always
-survives; LAPACK gives a matrix the same bits whatever its stack holds, so
-the max is the same float as over every mask.  This cuts how many norms
-are taken; a cheaper norm per matrix (ROADMAP item 10) is orthogonal to it.
+within a relative slack of 1e-6, takes a norm.  The slack is ~1e7 times
+the norm's rounding error at these sizes, so the mask holding the max
+always survives; LAPACK gives a matrix the same bits whatever its stack
+holds, so the max is the same float as over every mask.  Pruning cuts how
+many norms are taken, and the Lanczos route how much each one costs.
 
 The gns_* keys alone stay out of the frame: they use the blockwise spectral
 powers, so they test the modular data the frame is built from.  The
@@ -58,7 +66,15 @@ from .algebra import random_element
 from .errors import NotMarkov
 from .generators import BuildResult, GenSpec, build_channel, derive_seed
 from .gns import ModularData
-from .linalg import max_column_norm, op_norm, power_condition_scale, tolerance_factor
+from .linalg import (
+    _top_singular_value,
+    as_cmatrix,
+    frob,
+    max_column_norm,
+    op_norm,
+    power_condition_scale,
+    tolerance_factor,
+)
 from .markov import Channel, adjoint_index, check_markov, eigen_extension
 from .serialize import genspec_to_json
 
@@ -116,7 +132,8 @@ def verify_crucial(ch: Channel, t_samples=DEFAULT_EQ32_T,
     """Max residual of T U_source(t) = U_target(t) T over the sampled t."""
     if require_markov:
         _ensure_markov(ch)
-    return _commute_residual(eigen_extension(ch), ch, [1j * float(t) for t in t_samples])
+    return _commute_residual(eigen_extension(ch), ch, [1j * float(t) for t in t_samples],
+                             _tolerances(ch)["eq32_t"])
 
 
 def verify_commute(ch: Channel, z_samples, s_values=DEFAULT_S_VALUES,
@@ -129,10 +146,18 @@ def verify_commute(ch: Channel, z_samples, s_values=DEFAULT_S_VALUES,
     """
     if require_markov:
         _ensure_markov(ch)
+    z_samples, s_values = list(z_samples), list(s_values)
+    tol = _tolerances(ch, s_values, z_samples)
     t_eig = eigen_extension(ch)
-    return (_commute_residual(t_eig, ch, z_samples),
-            _twist_residual(t_eig, ch, s_values))
+    return (_commute_residual(t_eig, ch, z_samples, tol["thm_commute_z"]),
+            _twist_residual(t_eig, ch, s_values, tol["thm_i_s"]))
 
+
+# From this size on, in both dimensions, a flow norm is the Lanczos value
+# (`_op_norm`) rather than a dense SVD.  On masked flow products, one BLAS
+# thread, the Lanczos kernel took 0.52-0.62 ms against 0.40-0.48 ms for the
+# SVD at N = 64, and 0.70-1.02 against 1.35-1.46 ms at N = 100.
+_LANCZOS_MIN_DIM = 100
 
 # Entries one stacked SVD call may hold (one matrix if a single one is more),
 # so the masked copies of a large family are never all held at once.
@@ -168,14 +193,34 @@ def _masked_product(base: np.ndarray, masks: Callable, sel) -> np.ndarray:
     return prod
 
 
-def _masked_op_norms(base: np.ndarray, masks: Callable, count: int) -> list[float]:
-    """`op_norm(base * m)` for the count masks m, as stacked SVDs.  masks(sel)
-    is a fresh complex stack of the masks sel, a slice of range(count)."""
+def _op_norm(a: np.ndarray, tol: float) -> float:
+    """`op_norm(a)`, taken for the verdict |a|_op <= tol.
+
+    From `_LANCZOS_MIN_DIM` on it is the Lanczos Ritz value r, a lower bound
+    on |a|_op, when r settles the verdict: r > tol is a certain fail, and
+    |a|_F <= tol, an upper bound, a certain pass.  A matrix whose bracket
+    [r, |a|_F] straddles tol takes the dense SVD."""
+    if min(a.shape) < _LANCZOS_MIN_DIM:
+        return op_norm(a)
+    a = as_cmatrix(a)
+    ritz = _top_singular_value(a)
+    if ritz > tol or frob(a) <= tol:
+        return ritz
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def _masked_op_norms(base: np.ndarray, masks: Callable, tols) -> list[float]:
+    """`_op_norm(base * m, tol)` for the masks m and their tolerances in
+    tols; below `_LANCZOS_MIN_DIM` these are stacked SVDs.  masks(sel) is a
+    fresh complex stack of the masks sel, a slice of range(len(tols))."""
     step = _chunk_size(base)
     norms: list[float] = []
-    for lo in range(0, count, step):
+    for lo in range(0, len(tols), step):
         prod = _masked_product(base, masks, slice(lo, lo + step))
-        norms += np.linalg.svd(prod, compute_uv=False)[:, 0].tolist()
+        if min(base.shape) < _LANCZOS_MIN_DIM:
+            norms += np.linalg.svd(prod, compute_uv=False)[:, 0].tolist()
+        else:
+            norms += [_op_norm(a, tol) for a, tol in zip(prod, tols[lo:lo + step])]
         del prod  # freed before the next chunk is built, not after
     return norms
 
@@ -201,16 +246,17 @@ def _norm_bounds(prod: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return upper, np.maximum(np.sqrt(col_sq[rows, best]), a_u)
 
 
-def _masked_op_norm_max(base: np.ndarray, masks: Callable, count: int) -> float:
-    """max(`_masked_op_norms`(base, masks, count), default=0.0) bit for bit,
-    with only the masks that can hold the max going through the SVD.
+def _masked_op_norm_max(base: np.ndarray, masks: Callable, count: int,
+                        tol: float) -> float:
+    """max(`_masked_op_norms`(base, masks, [tol] * count), default=0.0) bit
+    for bit, with only the masks that can hold the max taking a norm.
 
     A bound pass over the chunks brackets each product A = base * m by
     `_norm_bounds`.  A mask whose upper bound lies below the top lower bound,
     by more than `_PRUNE_SLACK` of each, cannot hold the max.  The survivors
-    are re-formed and SVD'd in stacks under the same cap, and LAPACK gives a
-    matrix the same bits whatever else its stack holds.  masks(sel) must
-    also take an index array sel."""
+    are re-formed and take their norms in stacks under the same cap, and
+    LAPACK gives a matrix the same bits whatever else its stack holds.
+    masks(sel) must also take an index array sel."""
     if count == 0:
         return 0.0
     step = _chunk_size(base)
@@ -224,25 +270,27 @@ def _masked_op_norm_max(base: np.ndarray, masks: Callable, count: int) -> float:
         keep = np.flatnonzero(~(upper * (1.0 + _PRUNE_SLACK) < top))
     else:  # non-finite or underflowing bounds prune nothing
         keep = np.arange(count)
-    return max(_masked_op_norms(base, lambda sl: masks(keep[sl]), len(keep)))
+    return max(_masked_op_norms(base, lambda sl: masks(keep[sl]), [tol] * len(keep)))
 
 
-def _commute_residual(t_eig: np.ndarray, ch: Channel, z_samples) -> float:
-    """max_z |T_eig * (exp(z w_s)[None, :] - exp(z w_t)[:, None])|."""
+def _commute_residual(t_eig: np.ndarray, ch: Channel, z_samples, tol: float) -> float:
+    """max_z |T_eig * (exp(z w_s)[None, :] - exp(z w_t)[:, None])|, taken
+    for the verdict against tol."""
     zs = list(z_samples)
     d_s = ch.source.modular.delta_power_diagonals(zs)
     d_t = ch.target.modular.delta_power_diagonals(zs)
     return _masked_op_norm_max(
-        t_eig, lambda sel: d_s[sel, None, :] - d_t[sel, :, None], len(zs))
+        t_eig, lambda sel: d_s[sel, None, :] - d_t[sel, :, None], len(zs), tol)
 
 
-def _twist_residual(t_eig: np.ndarray, ch: Channel, s_values) -> float:
-    """max_s |T_eig * (exp(-s w_t)[:, None] exp(s w_s)[None, :] - 1)|."""
+def _twist_residual(t_eig: np.ndarray, ch: Channel, s_values, tol: float) -> float:
+    """max_s |T_eig * (exp(-s w_t)[:, None] exp(s w_s)[None, :] - 1)|, taken
+    for the verdict against tol."""
     ss = [float(s) for s in s_values]
     d_s = ch.source.modular.delta_power_diagonals(ss)
     d_t = ch.target.modular.delta_power_diagonals([-s for s in ss])
     return _masked_op_norm_max(
-        t_eig, lambda sel: d_s[sel, None, :] * d_t[sel, :, None] - 1.0, len(ss))
+        t_eig, lambda sel: d_s[sel, None, :] * d_t[sel, :, None] - 1.0, len(ss), tol)
 
 
 def verify_modular_symmetry(ch: Channel,
@@ -252,20 +300,23 @@ def verify_modular_symmetry(ch: Channel,
     The conjugation identity J_t T J_s = T is an operator-norm statement: the
     linear matrix of the conjugate-linear composition is P_t conj(T) P_s.
     The involution identity S_t T S_s = T is checked on the embedded unit
-    basis because S is conjugate-linear and determined there.
+    basis because S is conjugate-linear and determined there.  The
+    conjugation norm is taken for thm_ii's tolerance at `DEFAULT_S_VALUES`.
     """
     if require_markov:
         _ensure_markov(ch)
     t_eig = eigen_extension(ch)
-    return _conjugation_residual(t_eig, ch), _involution_residual(t_eig, ch)
+    return (_conjugation_residual(t_eig, ch, _tolerances(ch)["thm_ii"]),
+            _involution_residual(t_eig, ch))
 
 
-def _conjugation_residual(t_eig: np.ndarray, ch: Channel) -> float:
-    """|P_t conj(T_eig) P_s - T_eig|: the adjoint permutation commutes with
-    the frame, V^+ x^+ V = (V^+ x V)^+, so it applies to T_eig as to T."""
+def _conjugation_residual(t_eig: np.ndarray, ch: Channel, tol: float) -> float:
+    """|P_t conj(T_eig) P_s - T_eig|, taken for the verdict against tol: the
+    adjoint permutation commutes with the frame, V^+ x^+ V = (V^+ x V)^+, so
+    it applies to T_eig as to T."""
     p_s = adjoint_index(ch.source.algebra)
     p_t = adjoint_index(ch.target.algebra)
-    return op_norm(t_eig.conj()[p_t][:, p_s] - t_eig)
+    return _op_norm(t_eig.conj()[p_t][:, p_s] - t_eig, tol)
 
 
 def _involution_residual(t_eig: np.ndarray, ch: Channel) -> float:
@@ -299,15 +350,17 @@ def verify_adjoint(ch: Channel,
     """
     if require_markov:
         _ensure_markov(ch)
-    return _adjoint_residuals(eigen_extension(ch), ch)
+    return _adjoint_residuals(eigen_extension(ch), ch, _tolerances(ch))
 
 
-def _adjoint_residuals(t_eig: np.ndarray,
-                       ch: Channel) -> tuple[float, float, float]:
-    """The `verify_adjoint` triple.  In the frame T^+, the adjoint channel
-    ch* = D_s^{-1} ch^+(D_t .), its extension and the Petz form are all
-    X^+ = `ch.eigen_superop`^+ weighted by eigenvalues of row i (source)
-    and column j (target)."""
+def _adjoint_residuals(t_eig: np.ndarray, ch: Channel,
+                       tol: dict[str, float]) -> tuple[float, float, float]:
+    """The `verify_adjoint` triple, the pair taken for the verdicts against
+    tol.  In the frame T^+, the adjoint channel ch* = D_s^{-1} ch^+(D_t .),
+    its extension and the Petz form are all X^+ = `ch.eigen_superop`^+
+    weighted by eigenvalues of row i (source) and column j (target).
+    kadison_norm stays a dense SVD: |T| is 1 on the class, so |T|_F cannot
+    certify |T| <= 1 + tol."""
     md_s, md_t = ch.source.modular, ch.target.modular
     x_h = ch.eigen_superop.conj().T
     la_s, rb_s = md_s.lambda_a[:, None], np.sqrt(md_s.lambda_b)[:, None]
@@ -317,7 +370,8 @@ def _adjoint_residuals(t_eig: np.ndarray,
     # ch* minus the Petz form D_s^{-1/2} ch^+(D_t^{1/2} y D_t^{1/2}) D_s^{-1/2}
     petz = la_t / la_s - np.sqrt(la_t) * rb_t / (np.sqrt(la_s) * rb_s)
     adjc, petz_norm = _masked_op_norms(
-        x_h, lambda sl: np.array((consistency, petz)[sl], dtype=np.complex128), 2)
+        x_h, lambda sl: np.array((consistency, petz)[sl], dtype=np.complex128),
+        (tol["adjoint_consistency"], tol["petz_match"]))
     return adjc, petz_norm, max(0.0, op_norm(t_eig) - 1.0)
 
 
@@ -451,11 +505,17 @@ class VerificationReport:
         return not self.unexpected_failures
 
 
-def _report_tolerances(kappa: float, max_s: float, max_re_z: float,
-                       gns_keys) -> dict[str, float]:
+def _tolerances(ch: Channel, s_values=DEFAULT_S_VALUES,
+                z_samples=()) -> dict[str, float]:
+    """Verdict tolerances of every key but the markov_* ones, scaled by the
+    larger endpoint kappa to the largest sampled |s| and |Re z|; "gns" is
+    the tolerance of each gns_* key."""
+    kappa = max(ch.source.modular.kappa, ch.target.modular.kappa)
     f = tolerance_factor()
-    kappa_s = power_condition_scale(kappa, max_s)
-    kappa_z = power_condition_scale(kappa, max_re_z)
+    kappa_s = power_condition_scale(
+        kappa, max((abs(float(s)) for s in s_values), default=0.0))
+    kappa_z = power_condition_scale(
+        kappa, max((abs(complex(z).real) for z in z_samples), default=0.0))
     tol = {
         "eq32_t": PINNED_TOL["eq32_t"] * f,
         "thm_i_s": PINNED_TOL["thm_i_s"] * f * kappa_s,
@@ -466,9 +526,8 @@ def _report_tolerances(kappa: float, max_s: float, max_re_z: float,
         "omega_map": PINNED_TOL["omega_map"] * f,
         "adjoint_consistency": PINNED_TOL["adjoint_consistency"] * f,
         "petz_match": PINNED_TOL["petz_match"] * f,
+        "gns": PINNED_TOL["gns"] * f * power_condition_scale(kappa, 1.0),
     }
-    for key in gns_keys:
-        tol[key] = PINNED_TOL["gns"] * f * power_condition_scale(kappa, 1.0)
     return tol
 
 
@@ -485,15 +544,20 @@ def verify_channel(ch: Channel, *, kind: str | None = None,
     mc = check_markov(ch, t_samples=[t for t in t_samples if t != 0])
     t_eig = eigen_extension(ch)
     md_s, md_t = ch.source.modular, ch.target.modular
+    # the flow norms take their tolerances: from _LANCZOS_MIN_DIM on, a
+    # norm's route depends on whether its Lanczos bracket settles the verdict
+    tol = _tolerances(ch, s_values, z_samples)
 
     residuals: dict[str, float] = {
         "markov_" + k: v for k, v in mc.residuals.items()}
-    residuals["eq32_t"] = _commute_residual(t_eig, ch, [1j * float(t) for t in t_samples])
-    residuals["thm_i_s"] = _twist_residual(t_eig, ch, s_values)
-    residuals["thm_ii"] = _conjugation_residual(t_eig, ch)
+    residuals["eq32_t"] = _commute_residual(
+        t_eig, ch, [1j * float(t) for t in t_samples], tol["eq32_t"])
+    residuals["thm_i_s"] = _twist_residual(t_eig, ch, s_values, tol["thm_i_s"])
+    residuals["thm_ii"] = _conjugation_residual(t_eig, ch, tol["thm_ii"])
     residuals["thm_iii"] = _involution_residual(t_eig, ch)
-    residuals["thm_commute_z"] = _commute_residual(t_eig, ch, z_samples)
-    adjc, petz, kad = _adjoint_residuals(t_eig, ch)
+    residuals["thm_commute_z"] = _commute_residual(
+        t_eig, ch, z_samples, tol["thm_commute_z"])
+    adjc, petz, kad = _adjoint_residuals(t_eig, ch, tol)
     residuals["adjoint_consistency"] = adjc
     residuals["petz_match"] = petz
     residuals["kadison_norm"] = kad
@@ -506,12 +570,8 @@ def verify_channel(ch: Channel, *, kind: str | None = None,
         residuals[key] = max(inv_s[key], inv_t[key])
 
     tolerances = {"markov_" + k: v for k, v in mc.tolerances.items()}
-    tolerances.update(_report_tolerances(
-        max(md_s.kappa, md_t.kappa),
-        max_s=max((abs(float(s)) for s in s_values), default=0.0),
-        max_re_z=max((abs(complex(z).real) for z in z_samples), default=0.0),
-        gns_keys=gns_keys,
-    ))
+    tolerances.update((k, v) for k, v in tol.items() if k != "gns")
+    tolerances.update((key, tol["gns"]) for key in gns_keys)
     verdicts = {k: residuals[k] <= tolerances[k] for k in residuals}
     expected = tuple(sorted(EXPECTED_FAIL_BY_KIND.get(kind, frozenset())))
     return VerificationReport(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modmark.algebra import AlgebraElement, BlockAlgebra, FaithfulState
+from modmark import generators
 from modmark.errors import BadSchurMatrix, PreconditionFailed, ShapeMismatch
 from modmark.generators import (
     GenSpec,
@@ -100,6 +101,58 @@ class TestBlockExpectation:
         assert check_markov(ch).passed
         sys = System(random_faithful_state(BlockAlgebra((4,)), 6, 0.05))
         assert check_markov(random_partition_expectation(sys, 9)).passed
+
+
+MULTIPLIER_KINDS = ("pinch", "block_expectation", "automorphism", "convex")
+
+
+def multiplier_calls(monkeypatch, kind, dims, seed):
+    """(system, diagonal blocks, channel) of every `_eigen_diagonal_channel`
+    call that building the kind makes."""
+    calls = []
+    per_block = generators._eigen_diagonal_channel
+
+    def recording(sys, diag_blocks):
+        ch = per_block(sys, diag_blocks)
+        calls.append((sys, diag_blocks, ch))
+        return ch
+
+    monkeypatch.setattr(generators, "_eigen_diagonal_channel", recording)
+    build_channel(GenSpec(kind, dims, seed=seed))
+    assert calls
+    return calls
+
+
+def dense_multiplier(sys, diag_blocks):
+    """G^+ diag(d) G as one product over the whole frame G."""
+    g = sys.modular.frame
+    d = np.concatenate([m.flatten(order="F") for m in diag_blocks])
+    return g.conj().T @ (d[:, None] * g)
+
+
+class TestPerBlockMultiplier:
+    """`_eigen_diagonal_channel` takes G^+ diag(d) G one diagonal block of
+    the frame at a time."""
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 1), (2, 2, 2), (8, 8), (6, 4, 2),
+                                      (16,), (4,)], ids=lambda d: "x".join(map(str, d)))
+    @pytest.mark.parametrize("kind", MULTIPLIER_KINDS)
+    def test_equals_the_dense_product(self, monkeypatch, kind, dims, seed):
+        for sys, blocks, ch in multiplier_calls(monkeypatch, kind, dims, seed):
+            assert np.array_equal(ch.superop, dense_multiplier(sys, blocks))
+
+    @pytest.mark.parametrize("dims", [(3, 3), (3, 2, 1), (5, 3), (10, 6), (12, 12)],
+                             ids=lambda d: "x".join(map(str, d)))
+    @pytest.mark.parametrize("kind", MULTIPLIER_KINDS)
+    def test_other_dims_within_rounding(self, monkeypatch, kind, dims):
+        # on these multi-block dims BLAS sums a block's products in another
+        # order than the whole frame's: the values stay within rounding, and
+        # the entries between blocks are exact zeros
+        for sys, blocks, ch in multiplier_calls(monkeypatch, kind, dims, 1):
+            dense = dense_multiplier(sys, blocks)
+            assert np.max(np.abs(ch.superop - dense)) <= 1e-15
+            assert np.array_equal(ch.superop == 0, dense == 0)
 
 
 class TestStateToScalar:

@@ -91,7 +91,7 @@ from modmark.markov import (
     to_choi,
     trace_dual,
 )
-from modmark.linalg import block_diag, max_column_norm, op_norm
+from modmark.linalg import _top_singular_value, block_diag, frob, max_column_norm, op_norm
 from modmark.serialize import (
     dumps_canonical,
     instance_to_json,
@@ -648,6 +648,10 @@ def test_stacked_flow_norms_bit_identical_off_the_class(src_dims, tgt_dims):
     assert_stacked_equals_per_sample(_off_class_channel(src_dims, tgt_dims))
 
 
+# a `verify._LANCZOS_MIN_DIM` above every size: every flow norm is dense
+DENSE_GATE = 1 << 30
+
+
 @pytest.fixture
 def svd_shapes(monkeypatch):
     """Shapes of the stacks handed to np.linalg.svd (`op_norm` goes through
@@ -675,9 +679,9 @@ class TestStackedNorms:
         t_eig = eigen_extension(ch)
         t_eig[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            verify._commute_residual(t_eig, ch, Z_SAMPLES)
+            verify._commute_residual(t_eig, ch, Z_SAMPLES, 1e-8)
         with pytest.raises(ValueError, match="finite"):
-            verify._twist_residual(t_eig, ch, DEFAULT_S_VALUES)
+            verify._twist_residual(t_eig, ch, DEFAULT_S_VALUES, 1e-8)
 
     @pytest.mark.parametrize("case", [
         ("schur", (3,), {}), ("pinch", (2, 2), {}), ("sp_ucp", (3, 1), {}),
@@ -698,7 +702,11 @@ class TestStackedNorms:
     @pytest.mark.parametrize("case,per_call", [
         (("schur", (16,), {}), 1), (("pinch", (8, 8), {}), 4)],
         ids=["schur-16", "pinch-8x8"])
-    def test_calls_stay_within_the_entry_budget(self, svd_shapes, case, per_call):
+    def test_calls_stay_within_the_entry_budget(self, monkeypatch, svd_shapes, case,
+                                                per_call):
+        # these sizes take the Lanczos route by default; on the dense route
+        # the norms are the stacked SVDs counted here
+        monkeypatch.setattr(verify, "_LANCZOS_MIN_DIM", DENSE_GATE)
         ch = _build(*case)
         verify_channel(ch)
         for k, rows, cols in svd_shapes:
@@ -714,7 +722,7 @@ class TestStackedNorms:
         t_eig = eigen_extension(ch)
         tracemalloc.start()
         try:
-            verify._commute_residual(t_eig, ch, sample_z(0))
+            verify._commute_residual(t_eig, ch, sample_z(0), 1e-8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -724,7 +732,7 @@ class TestStackedNorms:
 def pruned_max(base, stack):
     """`verify._masked_op_norm_max` over an explicit stack of masks."""
     return verify._masked_op_norm_max(
-        base, lambda sel: np.array(stack[sel], dtype=np.complex128), len(stack))
+        base, lambda sel: np.array(stack[sel], dtype=np.complex128), len(stack), 1e-8)
 
 
 def _unit_entry(n, i, value):
@@ -828,6 +836,186 @@ class TestPrunedMax:
         base, stack = SYNTHETIC[name]
         pruned_max(base, stack)
         assert sum(k for k, _, _ in svd_shapes) == len(stack)
+
+
+# ---------------------------------------------------------------------------
+# flow norms from _LANCZOS_MIN_DIM on: the Lanczos kernel, certified verdicts
+# ---------------------------------------------------------------------------
+
+def _masked_flow_product(ch, sample=0):
+    """T_eig times the thm_commute_z mask of one z sample."""
+    z = sample_z(0)[sample]
+    mask = (np.exp(z * ch.source.modular.frequencies)[None, :]
+            - np.exp(z * ch.target.modular.frequencies)[:, None])
+    return eigen_extension(ch) * mask
+
+
+def _lanczos_cases():
+    """Flow products at N = 100-576: roundoff-level ones from positives, O(1)
+    ones from a flow-breaking channel and from random superoperators."""
+    cases = {f"{kind}-{'x'.join(map(str, dims))}": _masked_flow_product(_build(kind, dims, {}))
+             for kind, dims in [("pinch", (12,)), ("schur", (16,)),
+                                ("automorphism", (8, 8)), ("schur", (24,)),
+                                ("sp_ucp", (12,))]}
+    cases["random-10"] = _masked_flow_product(_off_class_channel((10,), (10,)))
+    cases["random-12-to-10"] = _masked_flow_product(_off_class_channel((12,), (10,)))
+    cases["random-24"] = _masked_flow_product(_off_class_channel((24,), (24,)), 3)
+    return cases
+
+
+LANCZOS_CASES = _lanczos_cases()
+
+
+class TestLanczosKernel:
+    """`linalg._top_singular_value` against the dense singular values."""
+
+    @staticmethod
+    def assert_matches(a, got):
+        for ref in (np.linalg.svd(a, compute_uv=False)[0], scipy.linalg.svdvals(a)[0]):
+            assert abs(got - ref) <= 1e-13 * ref, (got, ref)
+
+    @pytest.mark.parametrize("name", sorted(LANCZOS_CASES))
+    def test_matches_the_svd(self, name):
+        a = LANCZOS_CASES[name]
+        got = _top_singular_value(a)
+        self.assert_matches(a, got)
+        # positives give roundoff-level products, the rest O(1) ones
+        assert (got < 1e-12) == (name.split("-")[0] in ("pinch", "schur", "automorphism"))
+        assert _top_singular_value(a) == got
+
+    def test_rank_one(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal(100) + 1j, rng.standard_normal(150) - 2j
+        a = np.outer(x, y.conj())
+        self.assert_matches(a, _top_singular_value(a))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+    def test_tiny_and_huge_entries(self, scale):
+        # squared norms of such steps would under- or overflow unscaled
+        a = scale * LANCZOS_CASES["random-10"]
+        self.assert_matches(a, _top_singular_value(a))
+
+    def test_zero_matrix_breaks_down_at_step_one(self, svd_shapes):
+        assert _top_singular_value(np.zeros((100, 120), dtype=np.complex128)) == 0.0
+        assert svd_shapes == [(1, 1)]
+
+    def test_unitary_repeated_top_value(self):
+        rng = np.random.default_rng(4)
+        q = np.linalg.qr(rng.standard_normal((128, 128))
+                         + 1j * rng.standard_normal((128, 128)))[0]
+        assert abs(_top_singular_value(q) - 1.0) <= 1e-13
+        self.assert_matches(q, _top_singular_value(q))
+
+    @pytest.mark.parametrize("n", [100, 128])
+    def test_reaches_the_step_cap(self, svd_shapes, n):
+        # ones on the diagonal and above: the spectrum of B^T B crowds at its
+        # ends, and the top Ritz value moves at every step up to N
+        a = (np.eye(n) + np.eye(n, k=1)).astype(np.complex128)
+        got = _top_singular_value(a)
+        assert svd_shapes == [(k, k) for k in range(1, n + 1)]
+        self.assert_matches(a, got)
+
+    def test_converges_well_before_the_cap(self, svd_shapes):
+        _top_singular_value(LANCZOS_CASES["schur-24"])
+        assert len(svd_shapes) < 40
+
+    def test_no_full_size_temporaries(self):
+        # the bases grow with the steps, and a^+ u is formed without a^+
+        a = LANCZOS_CASES["random-24"]
+        tracemalloc.start()
+        try:
+            _top_singular_value(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * a.nbytes, peak / a.nbytes
+
+
+def _parity_cases():
+    cases = [(kind, dims, {}) for kind in ("schur", "pinch", "block_expectation",
+                                            "automorphism", "convex", "state_to_scalar")
+             for dims in [(12,), (16,), (8, 8)] if kind != "schur" or len(dims) == 1]
+    return cases + [("sp_ucp", (12,), {})]
+
+
+def _kraus_channel(n, seed=91):
+    """x |-> sum_i p_i u_i^+ x u_i for random unitaries: unital and cp, but
+    it moves the state and breaks the flow."""
+    sys = System(random_faithful_state(BlockAlgebra((n,)), seed, 0.05))
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(3))
+    kraus = [np.sqrt(p) * np.linalg.qr(rng.standard_normal((n, n))
+                                       + 1j * rng.standard_normal((n, n)))[0]
+             for p in weights]
+    return channel_from_kraus(kraus, sys, sys)
+
+
+class TestLanczosRoute:
+    """verify_channel from `_LANCZOS_MIN_DIM` on against the dense route."""
+
+    @staticmethod
+    def assert_same_report(monkeypatch, svd_shapes, ch, kind=None):
+        lanczos = verify_channel(ch, kind=kind)
+        # the flow families make no stacked SVD call: every one is a B_k
+        assert svd_shapes and all(len(sh) == 2 for sh in svd_shapes)
+        monkeypatch.setattr(verify, "_LANCZOS_MIN_DIM", DENSE_GATE)
+        dense = verify_channel(ch, kind=kind)
+        assert lanczos.verdicts == dense.verdicts
+        for key, ref in dense.residuals.items():
+            assert abs(lanczos.residuals[key] - ref) <= 1e-13 * ref, key
+        return dense
+
+    @pytest.mark.parametrize("case", _parity_cases(), ids=_case_id)
+    def test_same_verdicts_and_residuals(self, monkeypatch, svd_shapes, case):
+        report = self.assert_same_report(monkeypatch, svd_shapes, _build(*case), case[0])
+        assert report.acceptable
+
+    def test_flow_breaking_kraus_channel(self, monkeypatch, svd_shapes):
+        report = self.assert_same_report(monkeypatch, svd_shapes, _kraus_channel(12))
+        assert {"eq32_t", "thm_commute_z", "thm_i_s", "thm_ii"} <= set(report.failed_keys)
+
+    def test_bracket_certifies_or_takes_the_svd(self, svd_shapes):
+        a = LANCZOS_CASES["sp_ucp-12"]
+        ritz, upper = _top_singular_value(a), frob(a)
+        assert ritz < upper
+        # a certain fail (ritz > tol) and a certain pass (|a|_F <= tol)
+        for tol in (0.5 * ritz, upper):
+            svd_shapes.clear()
+            assert verify._op_norm(a, tol) == ritz
+            assert a.shape not in svd_shapes
+        # a straddling bracket: one dense SVD, and its value
+        ref = np.linalg.svd(a, compute_uv=False)[0]
+        svd_shapes.clear()
+        assert verify._op_norm(a, np.sqrt(ritz * upper)) == ref
+        assert svd_shapes.count(a.shape) == 1
+
+    def test_only_the_straddling_mask_takes_the_svd(self, svd_shapes):
+        # three masks of one family, their tolerances below the Ritz value,
+        # inside the bracket and at the Frobenius bound
+        a = LANCZOS_CASES["sp_ucp-12"]
+        base = np.ones_like(a)
+        stack = np.stack([a, 0.5 * a, 0.25 * a])
+        ritz, upper = _top_singular_value(a), frob(a)
+        tols = (0.5 * ritz, 0.5 * np.sqrt(ritz * upper), 0.25 * upper)
+        ref = [ritz, np.linalg.svd(0.5 * a, compute_uv=False)[0],
+               _top_singular_value(0.25 * a)]
+        svd_shapes.clear()
+        norms = verify._masked_op_norms(
+            base, lambda sl: np.array(stack[sl], dtype=np.complex128), tols)
+        assert svd_shapes.count(a.shape) == 1
+        assert norms == ref
+
+    def test_chunks_stay_within_the_entry_budget(self, svd_shapes):
+        # on the Lanczos route too, one chunk of masked copies is alive at a time
+        ch = _build("schur", (16,), {})
+        t_eig = eigen_extension(ch)
+        tracemalloc.start()
+        try:
+            verify._commute_residual(t_eig, ch, sample_z(0), 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * t_eig.nbytes, peak / t_eig.nbytes
 
 
 class TestPowerRangeGuard:
