@@ -12,12 +12,15 @@ density's eigendecomposition:
     involution    S          = J o Delta^{1/2},  so S(x D^{1/2}) = x^+ D^{1/2}
     flow          sigma_t(x) = D^{it} x D^{-it}
 
-Complex powers are applied blockwise, never by materializing the
-coordinate-space superoperator.  Code that needs Delta^z as a matrix works in
-the density eigenframe (`ModularData.frame`) instead: there left and right
-multiplication by D^p are the diagonals lambda_a^p and lambda_b^p of entry
-(a, b), and Delta^z is the diagonal exp(z omega), omega = log lambda_a -
-log lambda_b being the flow frequency.
+Complex powers D^z are the spectral ones, V diag(exp(z log w)) V^+, formed
+for a whole tuple of exponents at once as block-diagonal matrices on the
+carrier C^c, c = sum n_k (`d_power_stack`), and applied by multiplying
+blocks, never by materializing the coordinate-space superoperator.  Code
+that needs Delta^z as a matrix works in the density eigenframe
+(`ModularData.frame`) instead: there left and right multiplication by D^p
+are the diagonals lambda_a^p and lambda_b^p of entry (a, b), and Delta^z is
+the diagonal exp(z omega), omega = log lambda_a - log lambda_b being the
+flow frequency.
 
 All of it is numpy: the module imports no scipy.  The independent
 logm/expm route for the unitary flow, the analytic-vector check, is a test
@@ -32,7 +35,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, FaithfulState
 from .errors import BadQuadrature, PowerRangeExceeded, ShapeMismatch
-from .linalg import block_diag, matrix_power_from_eig
+from .linalg import block_diag, require_positive_definite
 
 # Cap on |Re z| for the complex powers Delta^z and D^z: beyond it no
 # residual tolerance vouches for the result, so the call refuses.
@@ -51,12 +54,16 @@ class ModularData:
         self.state = state
         self.algebra = state.parent
         self.d_eig = list(state.block_eigs)
-        self._power_cache: dict[complex, list[np.ndarray]] = {}
-        self.omega = AlgebraElement(self.algebra, self.d_power_blocks(0.5))
+        self._power_cache: dict[tuple[complex, ...], np.ndarray] = {}
 
     @property
     def kappa(self) -> float:
         return self.state.kappa
+
+    @cached_property
+    def omega(self) -> AlgebraElement:
+        """The cyclic vector D^{1/2}."""
+        return AlgebraElement(self.algebra, self.d_power_blocks(0.5))
 
     @cached_property
     def frame(self) -> np.ndarray:
@@ -85,27 +92,44 @@ class ModularData:
         zs = np.array([self._check_range(z) for z in zs], dtype=np.complex128)
         return np.exp(zs[:, None] * self.frequencies)
 
-    def d_power_blocks(self, z: complex) -> list[np.ndarray]:
-        """Blockwise D**z, cached per exponent."""
-        z = complex(z)
-        hit = self._power_cache.get(z)
+    @cached_property
+    def _carrier_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """The density on the carrier C^c (c = sum n_k) as (V, log w): V the
+        block-diagonal eigenvectors, log w the complex logarithms of the
+        eigenvalues.  Refuses, with NotPositiveDefinite, a block whose
+        spectrum is at or below the floor PD_FLOOR_RTOL * w_max."""
+        for e in self.d_eig:
+            require_positive_definite(e.eigenvalues)
+        logw = np.log(np.concatenate([e.eigenvalues for e in self.d_eig]).astype(np.complex128))
+        return block_diag(*[e.eigenvectors for e in self.d_eig]), logw
+
+    def d_power_stack(self, zs) -> np.ndarray:
+        """D**z for each z in zs, as block-diagonal carrier matrices stacked
+        along a leading axis, shape (len(zs), c, c); cached per exponent tuple.
+
+        The spectral powers V diag(exp(z log w)) V^+ of every block and every
+        z in one batched product; z = 0 gives the identity exactly, and every
+        z must satisfy |Re z| <= Z_MAX.  This is the one place the powers are
+        formed: `d_power_blocks`, and through it `omega`, `delta_power` and
+        `modular_flow`, read them from here.
+        """
+        zs = tuple(zs)
+        self._check_range(max(zs, key=lambda z: abs(complex(z).real), default=0))
+        hit = self._power_cache.get(zs)
         if hit is None:
-            hit = [matrix_power_from_eig(e, z) for e in self.d_eig]
-            self._power_cache[z] = hit
+            v, logw = self._carrier_eig
+            z = np.array(zs, dtype=np.complex128)
+            hit = (v * np.exp(z[:, None] * logw)[:, None, :]) @ v.conj().T
+            hit[z == 0] = np.eye(len(logw))
+            hit.flags.writeable = False
+            self._power_cache[zs] = hit
         return hit
 
-    def delta_power_factors(self, zs) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per block, D**z and D**(-z) stacked over zs along a leading axis.
-
-        Delta^{z_i} on a stack of vectors is then plus[i] @ V @ minus[i] and
-        Delta^{-z_i} is minus[i] @ V @ plus[i].  Every z must satisfy
-        |Re z| <= Z_MAX; the powers are the cached `d_power_blocks`.
-        """
-        zs = [self._check_range(z) for z in zs]
-        plus = [self.d_power_blocks(z) for z in zs]
-        minus = [self.d_power_blocks(-z) for z in zs]
-        return [(np.stack([p[k] for p in plus]), np.stack([m[k] for m in minus]))
-                for k in range(self.algebra.num_blocks)]
+    def d_power_blocks(self, z: complex) -> list[np.ndarray]:
+        """Blockwise D**z, the diagonal blocks of `d_power_stack((z,))`."""
+        power = self.d_power_stack((z,))[0]
+        ends = np.cumsum(self.algebra.block_dims)
+        return [power[e - n:e, e - n:e].copy() for e, n in zip(ends, self.algebra.block_dims)]
 
     def _check_range(self, z: complex) -> complex:
         z = complex(z)

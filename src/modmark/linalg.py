@@ -92,11 +92,18 @@ def _top_singular_value(a: np.ndarray) -> float:
     Both Lanczos bases are reorthogonalised in full, twice a step, and the
     start vector comes from a fixed seed, so equal bits in give equal bits
     out.  The value returned, the top singular value of the k x k bidiagonal
-    B_k, is a Ritz value: a lower bound on |a|_op up to rounding.  The
-    iteration stops when it moves by at most `_GKL_RTOL` relative, on
-    breakdown (a zero alpha or beta: the Krylov space is invariant), or after
-    min(m, n) steps.  a^+ u is formed as (u^+ a)^+, with no copy of a^+, and
-    the bases and B grow by doubling.  Entries far from 1 are scaled first
+    B_k, is a Ritz value: a certified lower bound on |a|_op = s_1 up to
+    rounding.  The iteration stops when it moves by at most `_GKL_RTOL`
+    relative, on breakdown (a zero alpha or beta: the Krylov space is
+    invariant), or after min(m, n) steps.  The stop looks at one step's move
+    only, so when the top two singular values lie closer than ~1e-7
+    relative it can fire before they are split: the value then lies in
+    [s_2, s_1], not within rounding of s_1 (at N = 100 and gaps 1e-8 to
+    1e-10 it fell 0.07 to 0.64 of the gap below s_1, by matrix).  It is
+    within rounding of the SVD only when the top gap exceeds ~1e-7
+    relative; a verdict taken from it stays certain either way, since a
+    lower bound above tol is a fail.  a^+ u is formed as (u^+ a)^+, with no
+    copy of a^+, and the bases and B grow by doubling.  Entries far from 1 are scaled first
     (`_GKL_SAFE`).
     """
     top = max(a.real.max(initial=0.0), -a.real.min(initial=0.0),
@@ -202,6 +209,16 @@ def herm_eig(a) -> HermEig:
     return HermEig(w, v)
 
 
+def require_positive_definite(w: np.ndarray) -> None:
+    """Refuse an ascending spectrum whose smallest eigenvalue is at or below
+    the floor PD_FLOOR_RTOL * w_max (NotPositiveDefinite)."""
+    lam_max = float(w[-1])
+    if lam_max <= 0.0 or float(w[0]) <= PD_FLOOR_RTOL * lam_max:
+        raise NotPositiveDefinite(
+            f"eigenvalue {float(w[0]):.3e} at or below the singular floor "
+            f"{PD_FLOOR_RTOL * lam_max:.3e}")
+
+
 def matrix_power_from_eig(eig: HermEig, z: complex) -> np.ndarray:
     """Spectral power V diag(exp(z ln w)) V^+ from a precomputed decomposition.
 
@@ -209,11 +226,7 @@ def matrix_power_from_eig(eig: HermEig, z: complex) -> np.ndarray:
     floor PD_FLOOR_RTOL * w_max.  z = 0 returns the identity exactly.
     """
     w = eig.eigenvalues
-    lam_max = float(w[-1])
-    if lam_max <= 0.0 or float(w[0]) <= PD_FLOOR_RTOL * lam_max:
-        raise NotPositiveDefinite(
-            f"eigenvalue {float(w[0]):.3e} at or below the singular floor "
-            f"{PD_FLOOR_RTOL * lam_max:.3e}")
+    require_positive_definite(w)
     z = complex(z)
     if z == 0:
         return np.eye(eig.dim, dtype=np.complex128)

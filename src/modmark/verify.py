@@ -15,8 +15,8 @@ keys, fixed as the report schema:
     omega_map      |T Omega_source - Omega_target|
     adjoint_consistency  |T^+ - T_{adjoint channel}|
     petz_match     distance between asymmetric and symmetric adjoint forms
-    gns_*          modular axioms of the endpoint states themselves, on
-                   stacked test vectors through the spectral powers D^z
+    gns_*          modular axioms of the endpoint states themselves, both
+                   states in one stacked pass through the spectral powers D^z
 
 Instances that fail the flow condition on purpose (kind sp_ucp) are expected
 to fail exactly the flow-dependent keys; those failures are reported in an
@@ -49,10 +49,18 @@ always survives; LAPACK gives a matrix the same bits whatever its stack
 holds, so the max is the same float as over every mask.  Pruning cuts how
 many norms are taken, and the Lanczos route how much each one costs.
 
-The gns_* keys alone stay out of the frame: they use the blockwise spectral
-powers, so they test the modular data the frame is built from.  The
-explicit kron-product, per-unit and per-vector routes are kept as test
-oracles.
+The gns_* keys alone stay out of the frame: they use the spectral powers,
+so they test the modular data the frame is built from.  Both endpoint
+states go through one stacked pass (`_modular_axioms`).  Each state's
+blocks sit block-diagonally in one carrier matrix (c = sum n_k), and the
+smaller state is zero-padded to the larger carrier; zeros stay zero under
+J, the powers and both actions, so the padding adds nothing to a norm or an
+inner product.  Each state draws its five test elements from one generator,
+default_rng(derive_seed(seed, 21)), for all its blocks at once, and its ten
+powers D^{+-1/2}, D^{+-1} and D^{+-it} come from one batched product
+(`ModularData.d_power_stack`).  A gns_* residual is the larger of the two
+states' values.  The explicit kron-product, per-unit and per-vector routes
+are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -62,7 +70,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import random_element
 from .errors import NotMarkov
 from .generators import BuildResult, GenSpec, build_channel, derive_seed
 from .gns import ModularData
@@ -386,24 +393,139 @@ def _omega_residual(t_eig: np.ndarray, ch: Channel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# modular axioms of a single state
+# modular axioms of the endpoint states
 # ---------------------------------------------------------------------------
 
+_GNS_T = (0.7, -1.0, 5.0)
+# exponents of the precomputed powers: D^{1/2}, D, D^{it} for the three t,
+# then the same five negated
+_GNS_ZS = (0.5, 1.0) + tuple(1j * t for t in _GNS_T)
+_GNS_ZS += tuple(-z for z in _GNS_ZS)
+# each norm key and its number of rows in the stacked differences
+_GNS_NORM_ROWS = {
+    "gns_s_polar": 4,
+    "gns_j_involution": 2,
+    "gns_jdj_inverse": 2,
+    "gns_omega_fixed": 4,
+    "gns_delta_it_j": 6,
+    "gns_commutant": 4,
+    "gns_flow_embed": 6,
+}
+_GNS_KEYS = (*_GNS_NORM_ROWS, "gns_delta_ss", "gns_j_antiunitary")
+_GNS_OFFSETS = np.cumsum([0, *_GNS_NORM_ROWS.values()])[:-1]
+
+
 def _adj(a: np.ndarray) -> np.ndarray:
-    """J on a stack of blocks: each matrix conjugate-transposed, contiguous."""
-    return np.ascontiguousarray(a.conj().swapaxes(-1, -2))
+    """J on a stack of carrier matrices: each conjugate-transposed."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _gns_draws(md: ModularData, seed: int) -> np.ndarray:
+    """The five unit test elements of one state on its carrier, (5, c, c),
+    in the order x1, x2 (embedded as x D^{1/2}), xi, eta (GNS vectors) and
+    y (acting on the right).
+
+    One generator, default_rng(derive_seed(seed, 21)), draws a standard
+    normal array g of shape (2, 5, c, c), c = `carrier_dim`; element i is
+    g[0, i] + 1j g[1, i] with every entry outside the diagonal blocks set to
+    zero.  x2 is then made Hermitian, (e + e^+)/2, and each element is
+    divided by its GNS norm, the Frobenius norm of the carrier matrix (its
+    blocks in quadrature).
+    """
+    alg = md.algebra
+    c = alg.carrier_dim
+    g = np.random.default_rng(derive_seed(seed, 21)).standard_normal((2, 5, c, c))
+    e = g[0] + 1j * g[1]
+    if alg.num_blocks > 1:
+        labels = np.repeat(np.arange(alg.num_blocks), alg.block_dims)
+        e *= labels[:, None] == labels[None, :]
+    e[1] = (e[1] + _adj(e[1])) / 2.0
+    return e / np.sqrt((e.real ** 2 + e.imag ** 2).sum(axis=(-2, -1)))[:, None, None]
+
+
+def _pad(stack: np.ndarray, size: int) -> np.ndarray:
+    """A stack of carrier matrices zero-padded to size x size."""
+    c = stack.shape[-1]
+    if c == size:
+        return stack
+    out = np.zeros(stack.shape[:-2] + (size, size), dtype=np.complex128)
+    out[..., :c, :c] = stack
+    return out
+
+
+def _modular_axioms(mds, seeds) -> np.ndarray:
+    """Residuals of the modular axioms of several states in one stacked
+    pass: row i belongs to mds[i] with test elements drawn from seeds[i],
+    the columns are `_GNS_KEYS`.
+
+    Each state's five test elements and ten powers are block-diagonal
+    carrier matrices, zero-padded to the largest carrier; the padding stays
+    zero under J, the powers and both actions, so it adds nothing to a norm
+    or an inner product and a row equals that state's own one-state pass
+    up to rounding.
+    """
+    size = max(md.algebra.carrier_dim for md in mds)
+    vecs = np.stack([_pad(_gns_draws(md, seed), size) for md, seed in zip(mds, seeds)])
+    pw = np.stack([_pad(md.d_power_stack(_GNS_ZS), size) for md in mds])
+    x, v, y = vecs[:, 0:2], vecs[:, 2:4], vecs[:, 4:5]
+    # D^{1/2} (also Omega and the embedding), D and their inverses, (p, 1, c, c)
+    half, one, m_half, m_one = pw[:, 0:1], pw[:, 1:2], pw[:, 5:6], pw[:, 6:7]
+    flow_p, flow_m = pw[:, 2:5, None], pw[:, 7:10, None]  # D^{+-it}, (p, 3, 1, c, c)
+    jv = _adj(v)
+    s_v = _adj(half @ v @ m_half)  # S = J Delta^{1/2}
+    embedded = x @ half
+    # Delta^{it} = sigma_t for the three t on everything the flow moves, in
+    # one product: Omega, xi and eta, J xi and J eta, the x and x Omega
+    moved = flow_p @ np.concatenate([half, v, jv, x, embedded], axis=1)[:, None] @ flow_m
+    parts = [
+        # gns_s_polar: J Delta^{1/2} = Delta^{-1/2} J, and S sends x Omega
+        # to x^+ Omega
+        s_v - m_half @ jv @ half,
+        _adj(half @ embedded @ m_half) - _adj(x) @ half,
+        # gns_j_involution
+        _adj(jv) - v,
+        # gns_jdj_inverse
+        _adj(one @ jv @ m_one) - m_one @ v @ one,
+        # gns_omega_fixed
+        _adj(half) - half,
+        moved[:, :, 0] - half,
+        # gns_delta_it_j
+        moved[:, :, 3:5] - _adj(moved[:, :, 1:3]),
+        # gns_commutant: the left action commutes with J y J (the right one)
+        (x[:, :, None] @ _adj(y @ jv)[:, None]
+         - _adj(y[:, None] @ _adj(x[:, :, None] @ v[:, None]))),
+        # gns_flow_embed: sigma_t(x) Omega = Delta^{it} (x Omega)
+        moved[:, :, 5:7] @ half[:, None] - moved[:, :, 7:9],
+    ]
+    stack = np.concatenate([d.reshape(len(mds), -1, size, size) for d in parts], axis=1)
+    flat = stack.view(np.float64).reshape(len(mds), stack.shape[1], -1)
+    norms = np.sqrt(np.einsum("pkn,pkn->pk", flat, flat))
+    out = np.empty((len(mds), len(_GNS_KEYS)))
+    out[:, :len(_GNS_OFFSETS)] = np.maximum.reduceat(norms, _GNS_OFFSETS, axis=1)
+
+    def inner(a, b):  # <b, a> per state, summed over the carrier
+        return np.einsum("pij,pij->p", a.conj(), b)
+    # <Delta xi, eta> = <S eta, S xi> and <J xi, J eta> = <eta, xi>
+    out[:, -2] = abs(inner(v[:, 1], one[:, 0] @ v[:, 0] @ m_one[:, 0])
+                     - inner(s_v[:, 0], s_v[:, 1]))
+    out[:, -1] = abs(inner(jv[:, 1], jv[:, 0]) - inner(v[:, 0], v[:, 1]))
+    return out
 
 
 def modular_invariants(md: ModularData, seed: int = 0) -> dict[str, float]:
-    """Residuals of the modular axioms on seeded unit test vectors.
+    """Residuals of the modular axioms of one state on seeded unit test
+    vectors: the one-state case of the stacked pass `verify_channel` runs
+    over both endpoint states.
 
-    The two vectors xi, eta, the two elements x and the three flow samples
-    are stacked along leading axes, and each block applies J (conjugate
-    transpose), Delta^z = D^z . D^{-z} and the left action once to the whole
-    stack.  The powers are the spectral ones of `ModularData.d_power_blocks`,
-    never the eigenframe's, so the axioms do not check the frame against
-    itself.  A norm key is the largest GNS norm over its stack; the blocks
-    of one test vector add in quadrature, as in `AlgebraElement.norm`.
+    The five test elements (two elements x, two vectors xi and eta, and y
+    for the right action) come from one generator per state, as described
+    in `_gns_draws`, and live on the carrier as block-diagonal matrices.
+    J is the conjugate transpose, Delta^z = D^z . D^{-z}, and the powers are
+    the spectral ones of `ModularData.d_power_stack`, all ten exponents in
+    one batched product, never the eigenframe's, so the axioms do not check
+    the frame against itself.  A norm key is the largest GNS norm over its
+    stack (for two states, each is padded with zeros to the larger carrier,
+    which changes no value).
 
     `gns_delta_ss` and `gns_jdj_inverse` detect only non-Hermitian or
     mis-paired powers, not a wrong density: were the powers with Re z < 0
@@ -413,58 +535,7 @@ def modular_invariants(md: ModularData, seed: int = 0) -> dict[str, float]:
     mismatched density is caught by `gns_s_polar`, `gns_omega_fixed`,
     `gns_delta_it_j` and `gns_flow_embed`.
     """
-    t_samples = (0.7, -1.0, 5.0)
-    alg = md.algebra
-    draws = []
-    for i, kind in ((21, "general"), (22, "hermitian"), (23, "general"),
-                    (24, "general"), (25, "general")):
-        e = random_element(alg, derive_seed(seed, i), kind)
-        nrm = e.norm()
-        draws.append([b / nrm for b in e.blocks])
-    factors = md.delta_power_factors((0.5, 1.0) + tuple(1j * t for t in t_samples))
-    sq = 0
-    dss_lhs = dss_rhs = anti_lhs = anti_rhs = 0
-    for k, (plus, minus) in enumerate(factors):
-        x = np.stack([draws[0][k], draws[1][k]])
-        v = np.stack([draws[2][k], draws[3][k]])
-        y, omega = draws[4][k], md.omega.blocks[k]
-        half, one = plus[0], plus[1]  # D^{1/2} (also the embedding) and D
-        flow_p, flow_m = plus[2:, None], minus[2:, None]  # D^{+-it}, (3, 1, n, n)
-        jv = _adj(v)
-        s_v = _adj(half @ v @ minus[0])  # S = J Delta^{1/2}
-        embedded = x @ half
-        dss_lhs += np.vdot(v[1], one @ v[0] @ minus[1])  # <Delta xi, eta>
-        dss_rhs += np.vdot(s_v[0], s_v[1])               # <S eta, S xi>
-        anti_lhs += np.vdot(jv[1], jv[0])                # <J xi, J eta>
-        anti_rhs += np.vdot(v[0], v[1])                  # <eta, xi>
-        diffs = {
-            # polar pieces agree: J Delta^{1/2} = Delta^{-1/2} J, and S sends
-            # x Omega to x^+ Omega
-            "gns_s_polar": np.concatenate([
-                s_v - minus[0] @ jv @ half,
-                _adj(half @ embedded @ minus[0]) - _adj(x) @ half]),
-            "gns_j_involution": _adj(jv) - v,
-            "gns_jdj_inverse": _adj(one @ jv @ minus[1]) - minus[1] @ v @ one,
-            "gns_omega_fixed": np.concatenate([
-                (_adj(omega) - omega)[None],
-                plus[2:] @ omega @ minus[2:] - omega]),
-            "gns_delta_it_j": flow_p @ jv @ flow_m - _adj(flow_p @ v @ flow_m),
-            # left action commutes with J y J (the right action)
-            "gns_commutant": (x[:, None] @ _adj(y @ jv)
-                              - _adj(y @ _adj(x[:, None] @ v))),
-            "gns_flow_embed": ((flow_p @ x @ flow_m) @ half
-                               - flow_p @ embedded @ flow_m),
-        }
-        parts = [d.reshape(-1, *d.shape[-2:]) for d in diffs.values()]
-        stack = np.concatenate(parts)
-        sq = sq + (stack.real ** 2 + stack.imag ** 2).sum(axis=(-2, -1))
-    # every block stacks the same counts, so the last block's parts give
-    # each key's slice of the norms
-    offsets = np.cumsum([0] + [len(p) for p in parts[:-1]])
-    out = dict(zip(diffs, np.maximum.reduceat(np.sqrt(sq), offsets).tolist()))
-    out["gns_delta_ss"] = abs(complex(dss_lhs) - complex(dss_rhs))
-    out["gns_j_antiunitary"] = abs(complex(anti_lhs) - complex(anti_rhs))
-    return out
+    return dict(zip(_GNS_KEYS, _modular_axioms((md,), (seed,))[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +634,10 @@ def verify_channel(ch: Channel, *, kind: str | None = None,
     residuals["kadison_norm"] = kad
     residuals["omega_map"] = _omega_residual(t_eig, ch)
 
-    inv_s = modular_invariants(md_s, seed=gns_seed)
-    inv_t = modular_invariants(md_t, seed=derive_seed(gns_seed, 1))
-    gns_keys = sorted(inv_s)
-    for key in gns_keys:
-        residuals[key] = max(inv_s[key], inv_t[key])
+    # both endpoint states in one pass, each key the worse of the two
+    inv = _modular_axioms((md_s, md_t), (gns_seed, derive_seed(gns_seed, 1))).max(axis=0)
+    gns_keys = sorted(_GNS_KEYS)
+    residuals.update(sorted(zip(_GNS_KEYS, inv.tolist())))
 
     tolerances = {"markov_" + k: v for k, v in mc.tolerances.items()}
     tolerances.update((k, v) for k, v in tol.items() if k != "gns")

@@ -33,7 +33,8 @@ two-space indent, repr floats, ASCII escapes) is the oracle of
 checked against literal matrices and messages, and `matrix_to_json`, the
 version "1" writer, lives here because only tests write that format.  The
 modular axioms of a state keep their per-vector route, one `AlgebraElement`
-per operation, as the oracle of the stacked `modular_invariants`.  scipy
+per operation on test elements drawn here from the documented layout, as
+the oracle of the stacked pass over both endpoint states.  scipy
 is a test dependency only: `scipy.linalg.block_diag` assembles the blockwise
 superoperators here and is the bit-for-bit oracle of the library's numpy
 `linalg.block_diag`.
@@ -919,6 +920,24 @@ class TestLanczosKernel:
         _top_singular_value(LANCZOS_CASES["schur-24"])
         assert len(svd_shapes) < 40
 
+    @pytest.mark.parametrize("gap", [1e-8, 1e-9, 1e-10])
+    def test_near_degenerate_top_pair(self, gap):
+        # s_1 = 1, s_2 = 1 - gap and the rest <= 0.99: the stop test can fire
+        # before the top pair is split, so the value is only bracketed by
+        # [s_2, s_1], and `_op_norm` must still give the dense verdict for a
+        # tolerance inside the gap
+        rng = np.random.default_rng(5)
+        u, v = (np.linalg.qr(rng.standard_normal((100, 100))
+                             + 1j * rng.standard_normal((100, 100)))[0] for _ in range(2))
+        s = np.concatenate([[1.0, 1.0 - gap], rng.uniform(0.0, 0.99, 98)])
+        a = (u * s) @ v.conj().T
+        dense = np.linalg.svd(a, compute_uv=False)
+        got = _top_singular_value(a)
+        assert dense[1] - 1e-14 <= got <= dense[0] + 1e-14, (got, dense[:2])
+        for frac in (0.1, 0.5, 0.9):
+            tol = 1.0 - frac * gap
+            assert (verify._op_norm(a, tol) > tol) == (dense[0] > tol), frac
+
     def test_no_full_size_temporaries(self):
         # the bases grow with the steps, and a^+ u is formed without a^+
         a = LANCZOS_CASES["random-24"]
@@ -1167,19 +1186,34 @@ def test_block_diag_matches_scipy(name):
 # modular axioms of a state
 # ---------------------------------------------------------------------------
 
+def oracle_gns_draws(md, seed):
+    """The five unit test elements of `modular_invariants` as
+    `AlgebraElement`s, read from the documented layout: one generator
+    default_rng(derive_seed(seed, 21)) draws g of shape (2, 5, c, c) on the
+    carrier, element i takes its diagonal blocks of g[0, i] + 1j g[1, i],
+    element 1 is made Hermitian, and each is scaled to GNS norm 1."""
+    alg = md.algebra
+    c = alg.carrier_dim
+    g = np.random.default_rng(derive_seed(seed, 21)).standard_normal((2, 5, c, c))
+    out = []
+    for i in range(5):
+        blocks, start = [], 0
+        for n in alg.block_dims:
+            part = g[:, i, start:start + n, start:start + n]
+            blocks.append(part[0] + 1j * part[1])
+            start += n
+        e = AlgebraElement(alg, blocks)
+        if i == 1:
+            e = (e + e.adjoint()) * 0.5
+        out.append(e * (1.0 / e.norm()))
+    return out
+
+
 def oracle_modular_invariants(md, seed=0):
     """The per-vector route: every operation builds an `AlgebraElement`."""
     t_samples = (0.7, -1.0, 5.0)
-    alg = md.algebra
-    xs = []
-    for i, kind in ((21, "general"), (22, "hermitian")):
-        x = random_element(alg, derive_seed(seed, i), kind)
-        xs.append(x * (1.0 / x.norm()))
-    vecs = []
-    for i in (23, 24):
-        v = random_element(alg, derive_seed(seed, i), "general")
-        vecs.append(v * (1.0 / v.norm()))
-    xi, eta = vecs
+    x1, x2, xi, eta, y = oracle_gns_draws(md, seed)
+    xs, vecs = [x1, x2], [xi, eta]
     out = {}
 
     r = 0.0
@@ -1215,8 +1249,6 @@ def oracle_modular_invariants(md, seed=0):
                         - md.apply_J(md.delta_power(1j * t, v))).norm())
     out["gns_delta_it_j"] = r
 
-    y = random_element(alg, derive_seed(seed, 25), "general")
-    y = y * (1.0 / y.norm())
     r = 0.0
     for x in xs:
         for v in vecs:  # left action commutes with J y J (the right action)
@@ -1247,12 +1279,13 @@ class SkewedPowers(ModularData):
         self.skew_eig = random_faithful_state(state.parent, skew_seed, 0.05).block_eigs
         self.twist = random_element(state.parent, skew_seed, "unitary").blocks
 
-    def d_power_blocks(self, z):
-        z = complex(z)
-        if z.real < 0 or (z.real == 0 and z.imag < 0):
-            return [matrix_power_from_eig(e, z) @ u
-                    for e, u in zip(self.skew_eig, self.twist)]
-        return super().d_power_blocks(z)
+    def d_power_stack(self, zs):
+        out = super().d_power_stack(zs).copy()
+        for i, z in enumerate(map(complex, zs)):
+            if z.real < 0 or (z.real == 0 and z.imag < 0):
+                out[i] = scipy.linalg.block_diag(*[
+                    matrix_power_from_eig(e, z) @ u for e, u in zip(self.skew_eig, self.twist)])
+        return out
 
 
 class MismatchedDensity(SkewedPowers):
@@ -1330,6 +1363,72 @@ class TestModularAxiomsOracle:
             route(md, seed=1)
         monkeypatch.setattr(gns, "Z_MAX", 1.0)
         route(md, seed=1)
+
+
+# endpoint pairs with different carrier dimensions, and 1-dim blocks
+JOINT_PAIRS = [((3,), (1,)), ((6, 4, 2), (2,)), ((1, 1, 1), (2, 1)), ((1,), (3, 1)),
+               ((2, 2), (2, 2))]
+
+
+def _pair_id(pair):
+    return "-".join(_axiom_dims_id(d) for d in pair)
+
+
+def _keyed(row):
+    return dict(zip(verify._GNS_KEYS, row.tolist()))
+
+
+class TestJointModularAxioms:
+    """`verify._modular_axioms` runs both endpoint states in one pass,
+    zero-padded to the larger carrier; each row must be that state's own
+    axioms."""
+
+    @pytest.mark.parametrize("pair", JOINT_PAIRS, ids=_pair_id)
+    def test_rows_match_per_vector_route(self, pair):
+        mds = [ModularData(random_faithful_state(BlockAlgebra(d), 60 + i, 0.05))
+               for i, d in enumerate(pair)]
+        seeds = (4, derive_seed(4, 1))
+        rows = verify._modular_axioms(mds, seeds)
+        assert rows.shape == (2, len(verify._GNS_KEYS))
+        for md, seed, row in zip(mds, seeds, rows):
+            got, ref = _keyed(row), oracle_modular_invariants(md, seed=seed)
+            assert got.keys() == ref.keys()
+            for key in ref:
+                assert abs(got[key] - ref[key]) <= 1e-14, (key, got[key], ref[key])
+
+    @pytest.mark.parametrize("dims,target", [((3,), [1]), ((6, 4, 2), [2]), ((2, 1), [1, 1, 1])],
+                             ids=["3-1", "6x4x2-2", "2x1-1x1x1"])
+    def test_report_takes_the_worse_endpoint(self, dims, target):
+        ch = build_channel(GenSpec("state_to_scalar", dims, 5, {"target_dims": target})).channel
+        rep = verify_channel(ch, gns_seed=2)
+        ref_s = oracle_modular_invariants(ch.source.modular, seed=2)
+        ref_t = oracle_modular_invariants(ch.target.modular, seed=derive_seed(2, 1))
+        for key in ref_s:
+            want = max(ref_s[key], ref_t[key])
+            assert abs(rep.residuals[key] - want) <= 1e-14, (key, rep.residuals[key], want)
+
+    @pytest.mark.parametrize("double,broken", [(SkewedPowers, SKEW_BROKEN_KEYS),
+                                               (MismatchedDensity, DENSITY_BROKEN_KEYS)],
+                             ids=["skewed", "mismatched"])
+    @pytest.mark.parametrize("pair,at", [(((3,), (1,)), 0), (((6, 4, 2), (2,)), 0),
+                                         (((6, 4, 2), (2,)), 1), (((2, 1), (3,)), 0),
+                                         (((1,), (2, 2)), 1)],
+                             ids=["3-1@s", "6x4x2-2@s", "6x4x2-2@t", "2x1-3@s", "1-2x2@t"])
+    def test_broken_endpoint_does_not_leak(self, double, broken, pair, at):
+        states = [random_faithful_state(BlockAlgebra(d), 65 + i, 0.05) for i, d in enumerate(pair)]
+        mds = [ModularData(st) for st in states]
+        mds[at] = double(states[at], skew_seed=97)
+        seeds = (6, derive_seed(6, 1))
+        rows = verify._modular_axioms(mds, seeds)
+        bad = _keyed(rows[at])
+        assert {k for k, v in bad.items() if v > 1e-2} == set(broken), bad
+        ref = oracle_modular_invariants(mds[at], seed=seeds[at])
+        for key in ref:
+            assert abs(bad[key] - ref[key]) <= 1e-10 * ref[key] + 1e-14, (key, bad[key], ref[key])
+        other = 1 - at
+        alone = modular_invariants(mds[other], seed=seeds[other])
+        for key, value in _keyed(rows[other]).items():
+            assert value <= 1e-13 and abs(value - alone[key]) <= 1e-15, (key, value, alone[key])
 
 
 # ---------------------------------------------------------------------------
