@@ -89,7 +89,9 @@ class ModularData:
 
     def delta_power_diagonals(self, zs) -> np.ndarray:
         """Eigenframe diagonals of Delta^z, exp(z omega), stacked over zs; |Re z| <= Z_MAX."""
-        zs = np.array([self._check_range(z) for z in zs], dtype=np.complex128)
+        zs = np.array(zs, dtype=np.complex128)
+        if zs.size:
+            self._check_range(zs[np.abs(zs.real).argmax()])
         return np.exp(zs[:, None] * self.frequencies)
 
     @cached_property

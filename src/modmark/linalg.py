@@ -58,6 +58,17 @@ def as_cmatrix(a) -> np.ndarray:
     return arr
 
 
+# Entries one stacked product or SVD call may hold (one matrix if a single
+# one is more), so the masked copies of a large family are never all held at
+# once: the verifier's flow norms and the flow membership check read it.
+STACK_ENTRIES = 1 << 16
+
+
+def stack_chunk(matrix_entries: int) -> int:
+    """Matrices per stacked call under `STACK_ENTRIES`, at least one."""
+    return max(1, STACK_ENTRIES // matrix_entries)
+
+
 def frob(a: np.ndarray) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(a))
@@ -106,8 +117,8 @@ def _top_singular_value(a: np.ndarray) -> float:
     copy of a^+, and the bases and B grow by doubling.  Entries far from 1 are scaled first
     (`_GKL_SAFE`).
     """
-    top = max(a.real.max(initial=0.0), -a.real.min(initial=0.0),
-              a.imag.max(initial=0.0), -a.imag.min(initial=0.0))
+    parts = a.ravel(order="K").view(np.float64)  # no copy, C or F order
+    top = max(parts.max(initial=0.0), -parts.min(initial=0.0))
     if top and not _GKL_SAFE[0] <= top <= _GKL_SAFE[1]:
         scale = np.ldexp(1.0, -np.frexp(top)[1])  # exact both ways
         return _top_singular_value(a * scale) / scale

@@ -29,8 +29,8 @@ there, X = G_t ch G_s^+ (`Channel.eigen_superop`), and the extension
 T_eig = G_t T G_s^+ is a diagonal reweighting of it (`eigen_extension`).
 The flow keys are norms of masked copies of T_eig, thm_ii permutes its
 indices, and both adjoint keys are norms of X^+ times eigenvalue weights.
-Below N = 100 (`_LANCZOS_MIN_DIM`) each family's norms are stacked SVDs
-under a fixed cap on entries per call.
+Below N = 100 (`_LANCZOS_MIN_DIM`) these norms are stacked SVDs under a
+fixed cap on entries per call (`linalg.STACK_ENTRIES`).
 
 From N = 100 on, these norms (not kadison_norm) are taken by Golub-Kahan-
 Lanczos instead, and each is certified against its key's tolerance: the
@@ -40,14 +40,16 @@ whose bracket straddles tol takes the dense SVD.  Verdicts are those of the
 dense route; the residual values match it to rounding, not bit for bit.
 
 The sampled flow keys (eq32_t, thm_commute_z, thm_i_s) are maxima over
-their samples, and they bound-and-prune: a first pass brackets each masked
-matrix A by |A|_F >= |A|_op >= |A u|, u one power step from the largest
-column, and only a mask whose Frobenius bound reaches the top lower bound,
-within a relative slack of 1e-6, takes a norm.  The slack is ~1e7 times
-the norm's rounding error at these sizes, so the mask holding the max
-always survives; LAPACK gives a matrix the same bits whatever its stack
-holds, so the max is the same float as over every mask.  Pruning cuts how
-many norms are taken, and the Lanczos route how much each one costs.
+their samples, all three from one stack of masks (`_flow_residuals`), and
+they bound-and-prune per family: a first pass brackets each masked matrix
+A by |A|_F >= |A|_op >= |A u|, u one power step from the largest column,
+and only a mask whose Frobenius bound reaches its family's top lower
+bound, within a relative slack of 1e-6, takes a norm.  The slack is ~1e7
+times the norm's rounding error at these sizes, so the mask holding the
+max always survives; LAPACK gives a matrix the same bits whatever its
+stack holds, so each max is the same float as over every mask of its
+family alone.  Pruning cuts how many norms are taken, and the Lanczos
+route how much each one costs.
 
 The gns_* keys alone stay out of the frame: they use the spectral powers,
 so they test the modular data the frame is built from.  Both endpoint
@@ -80,6 +82,7 @@ from .linalg import (
     max_column_norm,
     op_norm,
     power_condition_scale,
+    stack_chunk,
     tolerance_factor,
 )
 from .markov import Channel, adjoint_index, check_markov, eigen_extension
@@ -149,15 +152,15 @@ def verify_commute(ch: Channel, z_samples, s_values=DEFAULT_S_VALUES,
 
     First entry: max over sampled z of |T Delta_s^z - Delta_t^z T|.  Second:
     max over sampled real s of |Delta_t^{-s} T Delta_s^{s} - T|, the
-    twist-invariance form of the same identity.
+    twist-invariance form of the same identity.  Both in one flow pass.
     """
     if require_markov:
         _ensure_markov(ch)
     z_samples, s_values = list(z_samples), list(s_values)
     tol = _tolerances(ch, s_values, z_samples)
-    t_eig = eigen_extension(ch)
-    return (_commute_residual(t_eig, ch, z_samples, tol["thm_commute_z"]),
-            _twist_residual(t_eig, ch, s_values, tol["thm_i_s"]))
+    return tuple(_flow_residuals(eigen_extension(ch), ch,
+                                 commute=[(z_samples, tol["thm_commute_z"])],
+                                 twist=[(s_values, tol["thm_i_s"])]))
 
 
 # From this size on, in both dimensions, a flow norm is the Lanczos value
@@ -165,10 +168,6 @@ def verify_commute(ch: Channel, z_samples, s_values=DEFAULT_S_VALUES,
 # thread, the Lanczos kernel took 0.52-0.62 ms against 0.40-0.48 ms for the
 # SVD at N = 64, and 0.70-1.02 against 1.35-1.46 ms at N = 100.
 _LANCZOS_MIN_DIM = 100
-
-# Entries one stacked SVD call may hold (one matrix if a single one is more),
-# so the masked copies of a large family are never all held at once.
-_SVD_ENTRIES = 1 << 16
 
 # Relative slack of the prune test: ~1e7 times the SVD's backward error
 # (~N eps) and the rounding of the bounds, so the mask holding the max
@@ -182,11 +181,11 @@ _TINY = np.finfo(float).tiny
 
 
 def _chunk_size(base: np.ndarray) -> int:
-    """Masks per stacked product under `_SVD_ENTRIES`.  Refuses a non-finite
-    base, before inf * 0 can warn in a product."""
+    """Masks per stacked product under `linalg.STACK_ENTRIES`.  Refuses a
+    non-finite base, before inf * 0 can warn in a product."""
     if not np.isfinite(base).all():
         raise ValueError("matrix entries must be finite")
-    return max(1, _SVD_ENTRIES // base.size)
+    return stack_chunk(base.size)
 
 
 def _masked_product(base: np.ndarray, masks: Callable, sel) -> np.ndarray:
@@ -216,18 +215,23 @@ def _op_norm(a: np.ndarray, tol: float) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def _stack_norms(prod: np.ndarray, tols) -> list[float]:
+    """`_op_norm(a, tol)` for each matrix a of a stack and its tolerance;
+    below `_LANCZOS_MIN_DIM` one stacked SVD."""
+    if min(prod.shape[-2:]) < _LANCZOS_MIN_DIM:
+        return np.linalg.svd(prod, compute_uv=False)[:, 0].tolist()
+    return [_op_norm(a, tol) for a, tol in zip(prod, tols)]
+
+
 def _masked_op_norms(base: np.ndarray, masks: Callable, tols) -> list[float]:
     """`_op_norm(base * m, tol)` for the masks m and their tolerances in
-    tols; below `_LANCZOS_MIN_DIM` these are stacked SVDs.  masks(sel) is a
-    fresh complex stack of the masks sel, a slice of range(len(tols))."""
+    tols, in stacks under the entry cap.  masks(sel) is a fresh complex
+    stack of the masks sel, a slice of range(len(tols))."""
     step = _chunk_size(base)
     norms: list[float] = []
     for lo in range(0, len(tols), step):
         prod = _masked_product(base, masks, slice(lo, lo + step))
-        if min(base.shape) < _LANCZOS_MIN_DIM:
-            norms += np.linalg.svd(prod, compute_uv=False)[:, 0].tolist()
-        else:
-            norms += [_op_norm(a, tol) for a, tol in zip(prod, tols[lo:lo + step])]
+        norms += _stack_norms(prod, tols[lo:lo + step])
         del prod  # freed before the next chunk is built, not after
     return norms
 
@@ -253,51 +257,85 @@ def _norm_bounds(prod: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return upper, np.maximum(np.sqrt(col_sq[rows, best]), a_u)
 
 
-def _masked_op_norm_max(base: np.ndarray, masks: Callable, count: int,
-                        tol: float) -> float:
-    """max(`_masked_op_norms`(base, masks, [tol] * count), default=0.0) bit
-    for bit, with only the masks that can hold the max taking a norm.
+def _masked_op_norm_maxima(base: np.ndarray, masks: Callable, counts,
+                           tols) -> list[float]:
+    """max(`_op_norm`(base * m, tols[i])) over the masks m of each family i,
+    0.0 for none, bit for bit, with only the masks that can hold a max
+    taking a norm.  Family i is the next counts[i] masks of one stack, and
+    masks(sel) is a fresh complex stack of the masks sel, an ascending
+    index array into range(sum(counts)).
 
-    A bound pass over the chunks brackets each product A = base * m by
-    `_norm_bounds`.  A mask whose upper bound lies below the top lower bound,
-    by more than `_PRUNE_SLACK` of each, cannot hold the max.  The survivors
-    are re-formed and take their norms in stacks under the same cap, and
-    LAPACK gives a matrix the same bits whatever else its stack holds.
-    masks(sel) must also take an index array sel."""
-    if count == 0:
-        return 0.0
+    A bound pass brackets each A = base * m by `_norm_bounds`, one call per
+    chunk.  A mask whose upper bound lies below its family's top lower
+    bound, by more than `_PRUNE_SLACK` of each, cannot hold that max.  The
+    last chunk's survivors move to its front in place and take their norms
+    there; earlier survivors are re-formed under the same cap, so one chunk
+    of masked copies is alive at a time."""
+    family = np.repeat(np.arange(len(counts)), counts)
+    total = len(family)
+    maxima = np.zeros(len(counts))
+    if total == 0:
+        return maxima.tolist()
+    tol = np.asarray(tols, dtype=float)[family]
     step = _chunk_size(base)
-    upper, lower = np.empty(count), np.empty(count)
-    for lo in range(0, count, step):
-        prod = _masked_product(base, masks, slice(lo, lo + step))
+    upper, lower = np.empty(total), np.empty(total)
+    for lo in range(0, total, step):
+        prod = None  # the last chunk is freed before the next one is built
+        prod = _masked_product(base, masks, np.arange(lo, min(lo + step, total)))
         upper[lo:lo + step], lower[lo:lo + step] = _norm_bounds(prod)
-        del prod
-    top = lower.max() * (1.0 - _PRUNE_SLACK)
-    if _PRUNE_FLOOR <= top < np.inf:
-        keep = np.flatnonzero(~(upper * (1.0 + _PRUNE_SLACK) < top))
-    else:  # non-finite or underflowing bounds prune nothing
-        keep = np.arange(count)
-    return max(_masked_op_norms(base, lambda sl: masks(keep[sl]), [tol] * len(keep)))
+    ends = np.cumsum(counts)
+    top = np.array([lower[a:b].max(initial=-np.inf) for a, b in zip(ends - counts, ends)])
+    top = (top * (1.0 - _PRUNE_SLACK))[family]
+    # non-finite or underflowing bounds prune nothing
+    trusted = (_PRUNE_FLOOR <= top) & (top < np.inf)
+    keep = np.flatnonzero(~(trusted & (upper * (1.0 + _PRUNE_SLACK) < top)))
+    held, rest = keep[keep >= lo], keep[keep < lo]
+    for dst, src in enumerate(held - lo):
+        if dst != src:
+            prod[dst] = prod[src]
+    np.maximum.at(maxima, family[held], _stack_norms(prod[:len(held)], tol[held]))
+    del prod
+    np.maximum.at(maxima, family[rest],
+                  _masked_op_norms(base, lambda sl: masks(rest[sl]), tol[rest]))
+    return maxima.tolist()
+
+
+def _flow_residuals(t_eig: np.ndarray, ch: Channel, commute=(), twist=()) -> list[float]:
+    """In one `_masked_op_norm_maxima` pass, each taken for the verdict
+    against its tol: max_z |T_eig * (exp(z w_s)[None, :] - exp(z w_t)[:, None])|
+    for each (z samples, tol) in commute, then
+    max_s |T_eig * (exp(-s w_t)[:, None] exp(s w_s)[None, :] - 1)| for each
+    (s values, tol) in twist.  Each endpoint state gives exp(z w) for every
+    exponent in one `delta_power_diagonals` call."""
+    fams = ([(list(zs), tol) for zs, tol in commute]
+            + [([float(s) for s in ss], tol) for ss, tol in twist])
+    counts = [len(f) for f, _ in fams]
+    n_commute = sum(counts[:len(commute)])
+    exps = [z for f, _ in fams for z in f]
+    d_s = ch.source.modular.delta_power_diagonals(exps)
+    d_t = ch.target.modular.delta_power_diagonals(
+        exps[:n_commute] + [-s for s in exps[n_commute:]])
+
+    def masks(sel: np.ndarray) -> np.ndarray:
+        out = np.empty((len(sel), *t_eig.shape), dtype=np.complex128)
+        cut = np.searchsorted(sel, n_commute)
+        c, t = sel[:cut], sel[cut:]
+        np.subtract(d_s[c, None, :], d_t[c, :, None], out=out[:cut])
+        np.multiply(d_s[t, None, :], d_t[t, :, None], out=out[cut:])
+        np.subtract(out[cut:], 1.0, out=out[cut:])
+        return out
+
+    return _masked_op_norm_maxima(t_eig, masks, counts, [tol for _, tol in fams])
 
 
 def _commute_residual(t_eig: np.ndarray, ch: Channel, z_samples, tol: float) -> float:
-    """max_z |T_eig * (exp(z w_s)[None, :] - exp(z w_t)[:, None])|, taken
-    for the verdict against tol."""
-    zs = list(z_samples)
-    d_s = ch.source.modular.delta_power_diagonals(zs)
-    d_t = ch.target.modular.delta_power_diagonals(zs)
-    return _masked_op_norm_max(
-        t_eig, lambda sel: d_s[sel, None, :] - d_t[sel, :, None], len(zs), tol)
+    """The one-family commute residual of `_flow_residuals`."""
+    return _flow_residuals(t_eig, ch, commute=[(z_samples, tol)])[0]
 
 
 def _twist_residual(t_eig: np.ndarray, ch: Channel, s_values, tol: float) -> float:
-    """max_s |T_eig * (exp(-s w_t)[:, None] exp(s w_s)[None, :] - 1)|, taken
-    for the verdict against tol."""
-    ss = [float(s) for s in s_values]
-    d_s = ch.source.modular.delta_power_diagonals(ss)
-    d_t = ch.target.modular.delta_power_diagonals([-s for s in ss])
-    return _masked_op_norm_max(
-        t_eig, lambda sel: d_s[sel, None, :] * d_t[sel, :, None] - 1.0, len(ss), tol)
+    """The one-family twist residual of `_flow_residuals`."""
+    return _flow_residuals(t_eig, ch, twist=[(s_values, tol)])[0]
 
 
 def verify_modular_symmetry(ch: Channel,
@@ -473,6 +511,10 @@ def _modular_axioms(mds, seeds) -> np.ndarray:
     flow_p, flow_m = pw[:, 2:5, None], pw[:, 7:10, None]  # D^{+-it}, (p, 3, 1, c, c)
     jv = _adj(v)
     s_v = _adj(half @ v @ m_half)  # S = J Delta^{1/2}
+
+    def j_polar(a):  # D^{-1/2} (D^{-1/2} a D^{1/2})^+ D^{1/2}
+        return m_half @ _adj(m_half @ a @ half) @ half
+
     embedded = x @ half
     # Delta^{it} = sigma_t for the three t on everything the flow moves, in
     # one product: Omega, xi and eta, J xi and J eta, the x and x Omega
@@ -482,8 +524,8 @@ def _modular_axioms(mds, seeds) -> np.ndarray:
         # to x^+ Omega
         s_v - m_half @ jv @ half,
         _adj(half @ embedded @ m_half) - _adj(x) @ half,
-        # gns_j_involution
-        _adj(jv) - v,
+        # gns_j_involution: J_p = Delta^{-1/2} J Delta^{-1/2} (S = J Delta^{1/2})
+        j_polar(j_polar(v)) - v,
         # gns_jdj_inverse
         _adj(one @ jv @ m_one) - m_one @ v @ one,
         # gns_omega_fixed
@@ -532,8 +574,12 @@ def modular_invariants(md: ModularData, seed: int = 0) -> dict[str, float]:
     those of another density D', Delta^{1/2} and Delta would still be
     powers of the one positive operator L_D R_D'^{-1} and J Delta J would
     equal the Delta^{-1} so formed, so both keys stay at roundoff.  Such a
-    mismatched density is caught by `gns_s_polar`, `gns_omega_fixed`,
-    `gns_delta_it_j` and `gns_flow_embed`.
+    mismatched density is caught by `gns_s_polar`, `gns_j_involution`,
+    `gns_omega_fixed`, `gns_delta_it_j` and `gns_flow_embed`.
+
+    `gns_j_involution` takes J_p = Delta^{-1/2} J Delta^{-1/2}, the J of
+    the polar decomposition S = J Delta^{1/2}, through the powers: J J xi
+    would return xi's bits whatever the powers.
     """
     return dict(zip(_GNS_KEYS, _modular_axioms((md,), (seed,))[0].tolist()))
 
@@ -621,13 +667,16 @@ def verify_channel(ch: Channel, *, kind: str | None = None,
 
     residuals: dict[str, float] = {
         "markov_" + k: v for k, v in mc.residuals.items()}
-    residuals["eq32_t"] = _commute_residual(
-        t_eig, ch, [1j * float(t) for t in t_samples], tol["eq32_t"])
-    residuals["thm_i_s"] = _twist_residual(t_eig, ch, s_values, tol["thm_i_s"])
+    eq32, commute_z, twist = _flow_residuals(
+        t_eig, ch,
+        commute=[([1j * float(t) for t in t_samples], tol["eq32_t"]),
+                 (z_samples, tol["thm_commute_z"])],
+        twist=[(s_values, tol["thm_i_s"])])
+    residuals["eq32_t"] = eq32
+    residuals["thm_i_s"] = twist
     residuals["thm_ii"] = _conjugation_residual(t_eig, ch, tol["thm_ii"])
     residuals["thm_iii"] = _involution_residual(t_eig, ch)
-    residuals["thm_commute_z"] = _commute_residual(
-        t_eig, ch, z_samples, tol["thm_commute_z"])
+    residuals["thm_commute_z"] = commute_z
     adjc, petz, kad = _adjoint_residuals(t_eig, ch, tol)
     residuals["adjoint_consistency"] = adjc
     residuals["petz_match"] = petz

@@ -74,6 +74,8 @@ class Mutant:
     equivalent: str | None = None
     # the fixed channel's target state carries `SkewedPowers`
     broken_target: bool = False
+    # gns_* keys this mutant must flip, beside whatever else it flips
+    must_flip: tuple[str, ...] = ()
 
 
 MUTANTS = {
@@ -86,6 +88,11 @@ MUTANTS = {
                    "identities at other times"),
     "half_power_as_full": Mutant(
         ModularData, "d_power_stack", _powers_at(lambda z: 2 * z if abs(z) == 0.5 else z)),
+    # D^{1/2} taken as D with D^{-1/2} kept: J_p J_p xi = D xi D.  Replacing
+    # both powers, as above, leaves J_p = J and the involution intact
+    "positive_half_power_as_full": Mutant(
+        ModularData, "d_power_stack", _powers_at(lambda z: 2 * z if z == 0.5 else z),
+        must_flip=("gns_j_involution",)),
     "hermitian_slot_general": Mutant(
         verify, "_gns_draws", _general_draws,
         equivalent="every axiom is an identity over all elements, not only Hermitian ones; "
@@ -115,5 +122,6 @@ def test_mutant(name, monkeypatch):
     flipped = sorted(k for k in before if before[k] != after[k])
     if mutant.equivalent is None:
         assert flipped, f"mutant {name} survives"
+        assert set(mutant.must_flip) <= set(flipped), (name, flipped)
     else:
         assert not flipped, f"'equivalent' mutant {name} flips {flipped}"

@@ -70,7 +70,7 @@ from modmark.generators import (
     sp_ucp,
     state_to_scalar,
 )
-from modmark import gns, verify
+from modmark import gns, linalg, verify
 from modmark.gns import Z_MAX, ModularData
 from modmark.linalg import matrix_power_from_eig
 from modmark.markov import (
@@ -649,6 +649,133 @@ def test_stacked_flow_norms_bit_identical_off_the_class(src_dims, tgt_dims):
     assert_stacked_equals_per_sample(_off_class_channel(src_dims, tgt_dims))
 
 
+# ---------------------------------------------------------------------------
+# the three sampled families in one pass, and markov_modular's stack
+# ---------------------------------------------------------------------------
+
+def fused_flow(ch):
+    """(eq32_t, thm_commute_z, thm_i_s) from one `_flow_residuals` pass at
+    the report's tolerances."""
+    tol = verify._tolerances(ch, DEFAULT_S_VALUES, Z_SAMPLES)
+    return verify._flow_residuals(
+        eigen_extension(ch), ch,
+        commute=[([1j * float(t) for t in DEFAULT_EQ32_T], tol["eq32_t"]),
+                 (Z_SAMPLES, tol["thm_commute_z"])],
+        twist=[(DEFAULT_S_VALUES, tol["thm_i_s"])])
+
+
+def fused_and_alone(ch):
+    """`fused_flow`, and the same three keys from one pass per family."""
+    t_eig = eigen_extension(ch)
+    tol = verify._tolerances(ch, DEFAULT_S_VALUES, Z_SAMPLES)
+    eq32 = [1j * float(t) for t in DEFAULT_EQ32_T]
+    fused = fused_flow(ch)
+    alone = [verify._commute_residual(t_eig, ch, eq32, tol["eq32_t"]),
+             verify._commute_residual(t_eig, ch, Z_SAMPLES, tol["thm_commute_z"]),
+             verify._twist_residual(t_eig, ch, DEFAULT_S_VALUES, tol["thm_i_s"])]
+    return fused, alone
+
+
+def per_mask_modular(ch, t_samples=DEFAULT_FLOW_SAMPLES):
+    """`modular_commutation_residual` one mask at a time: the max over the
+    generator mask and each flow mask of the max column norm of
+    ((a - b) * X) G_s."""
+    md_s, md_t = ch.source.modular, ch.target.modular
+    zs = [1j * float(t) for t in t_samples]
+    pairs = [(md_s.frequencies, md_t.frequencies),
+             *zip(md_s.delta_power_diagonals(zs), md_t.delta_power_diagonals(zs))]
+    return max(max_column_norm(((a[None, :] - b[:, None]) * ch.eigen_superop) @ md_s.frame)
+               for a, b in pairs)
+
+
+# the 26 masks fit one 2^16-entry chunk at n = 7 (N = 49) and spill at n = 8
+# and 6x4x2; from n = 10 (N = 100) the survivors take Lanczos norms
+FUSED_SIZES = [(7,), (8,), (6, 4, 2), (10,), (12,)]
+FUSED_CASES = ([(kind, dims, {}) for kind in ("pinch", "twirl", "sp_ucp")
+                for dims in FUSED_SIZES]
+               + [("schur", (8,), {}), ("state_to_scalar", (7,), {"target_dims": (8,)})])
+FUSED_OFF_CLASS = OFF_CLASS_PAIRS + [((7,), (7,)), ((8,), (6, 4, 2)), ((10,), (10,)),
+                                     ((12,), (10,))]
+
+
+class TestFusedFlowPass:
+    """The families of one `_flow_residuals` pass against one pass each,
+    and against the per-sample oracle below `_LANCZOS_MIN_DIM`, with ==;
+    the entry cap splits the stack anywhere without moving a bit."""
+
+    @staticmethod
+    def assert_fused_equals_alone(monkeypatch, ch):
+        ref = None
+        for per_call in (None, 1, 3, 16):
+            if per_call is not None:
+                monkeypatch.setattr(linalg, "STACK_ENTRIES",
+                                    per_call * eigen_extension(ch).size)
+            fused, alone = fused_and_alone(ch)
+            ref = ref or fused
+            assert fused == alone == ref, per_call
+        if min(eigen_extension(ch).shape) < verify._LANCZOS_MIN_DIM:
+            t_eig = eigen_extension(ch)
+            assert ref == [
+                oracle_commute_residual(t_eig, ch, [1j * float(t) for t in DEFAULT_EQ32_T]),
+                oracle_commute_residual(t_eig, ch, Z_SAMPLES),
+                oracle_twist_residual(t_eig, ch, DEFAULT_S_VALUES)]
+
+    @pytest.mark.parametrize("case", CASES + FUSED_CASES, ids=_case_id)
+    def test_generated(self, monkeypatch, case):
+        self.assert_fused_equals_alone(monkeypatch, _build(*case))
+
+    @pytest.mark.parametrize("src_dims,tgt_dims", FUSED_OFF_CLASS)
+    def test_off_the_class(self, monkeypatch, src_dims, tgt_dims):
+        self.assert_fused_equals_alone(monkeypatch, _off_class_channel(src_dims, tgt_dims))
+
+    def test_report_takes_the_fused_pass(self):
+        ch = _build("sp_ucp", (8,), {})
+        report = verify_channel(ch, z_samples=Z_SAMPLES).residuals
+        assert [report[k] for k in ("eq32_t", "thm_commute_z", "thm_i_s")] == fused_flow(ch)
+
+    @pytest.mark.parametrize("case", [("sp_ucp", (3,), {}), ("pinch", (2, 2), {}),
+                                      ("twirl", (7,), {})], ids=_case_id)
+    def test_one_chunk_takes_one_svd_call(self, monkeypatch, svd_shapes, case):
+        # where the 26 masks fit one chunk, each mask is formed once and the
+        # survivors of every family take one stacked SVD
+        formed = []
+        masked_product = verify._masked_product
+
+        def recording(base, masks, sel):
+            formed.append(len(sel))
+            return masked_product(base, masks, sel)
+
+        ch = _build(*case)
+        monkeypatch.setattr(verify, "_masked_product", recording)
+        fused_flow(ch)
+        assert formed == [26]
+        assert len(svd_shapes) == 1 and svd_shapes[0][0] >= 3
+
+    def test_empty_families_give_zero(self):
+        ch = _build("sp_ucp", (3,), {})
+        t_eig = eigen_extension(ch)
+        got = verify._flow_residuals(t_eig, ch, commute=[([], 1e-8), (Z_SAMPLES, 1e-8)],
+                                     twist=[((), 1e-8), (DEFAULT_S_VALUES, 1e-8)])
+        assert got == [0.0, oracle_commute_residual(t_eig, ch, Z_SAMPLES), 0.0,
+                       oracle_twist_residual(t_eig, ch, DEFAULT_S_VALUES)]
+
+    @pytest.mark.parametrize("case", CASES + FUSED_CASES[:6], ids=_case_id)
+    def test_markov_modular_equals_per_mask(self, monkeypatch, case):
+        ch = _build(*case)
+        ref = per_mask_modular(ch)
+        assert modular_commutation_residual(ch) == ref
+        # chunks of 1, 2, 3 and 5 of the seven masks
+        for per_call in (1, 16, 24, 40):
+            monkeypatch.setattr(linalg, "STACK_ENTRIES", per_call * ch.eigen_superop.size)
+            assert modular_commutation_residual(ch) == ref
+            assert modular_commutation_residual(ch, (0.4,)) == per_mask_modular(ch, (0.4,))
+
+    @pytest.mark.parametrize("src_dims,tgt_dims", FUSED_OFF_CLASS[:7])
+    def test_markov_modular_off_the_class(self, src_dims, tgt_dims):
+        ch = _off_class_channel(src_dims, tgt_dims)
+        assert modular_commutation_residual(ch) == per_mask_modular(ch)
+
+
 # a `verify._LANCZOS_MIN_DIM` above every size: every flow norm is dense
 DENSE_GATE = 1 << 30
 
@@ -692,13 +819,14 @@ class TestStackedNorms:
         ref = verify_channel(ch)
         size = eigen_extension(ch).size
         for per_call in (1, 3, 16):
-            monkeypatch.setattr(verify, "_SVD_ENTRIES", per_call * size)
+            monkeypatch.setattr(linalg, "STACK_ENTRIES", per_call * size)
             svd_shapes.clear()
             report = verify_channel(ch)
             # the pruned families may leave a chunk short of the cap
             assert max(k for k, _, _ in svd_shapes) <= per_call
-            assert {k: report.residuals[k] for k in FLOW_KEYS} == {
-                k: ref.residuals[k] for k in FLOW_KEYS}
+            # markov_modular stacks its masks under the same cap
+            assert {k: report.residuals[k] for k in (*FLOW_KEYS, "markov_modular")} == {
+                k: ref.residuals[k] for k in (*FLOW_KEYS, "markov_modular")}
 
     @pytest.mark.parametrize("case,per_call", [
         (("schur", (16,), {}), 1), (("pinch", (8, 8), {}), 4)],
@@ -711,7 +839,7 @@ class TestStackedNorms:
         ch = _build(*case)
         verify_channel(ch)
         for k, rows, cols in svd_shapes:
-            assert k * rows * cols <= verify._SVD_ENTRIES or k == 1
+            assert k * rows * cols <= linalg.STACK_ENTRIES or k == 1
         assert max(k for k, _, _ in svd_shapes) <= per_call
         # eq32_t, thm_commute_z, thm_i_s and the adjoint pair, at most one row
         # each: the sampled families SVD only the masks that can hold their max
@@ -730,10 +858,18 @@ class TestStackedNorms:
         assert peak < 2 * per_call * t_eig.nbytes, peak / t_eig.nbytes
 
 
+def pruned_maxima(base, stacks):
+    """`verify._masked_op_norm_maxima` over explicit stacks of masks, one
+    family each, formed as one stack."""
+    stack = np.concatenate(stacks)
+    return verify._masked_op_norm_maxima(
+        base, lambda sel: np.array(stack[sel], dtype=np.complex128),
+        [len(m) for m in stacks], [1e-8] * len(stacks))
+
+
 def pruned_max(base, stack):
-    """`verify._masked_op_norm_max` over an explicit stack of masks."""
-    return verify._masked_op_norm_max(
-        base, lambda sel: np.array(stack[sel], dtype=np.complex128), len(stack), 1e-8)
+    """The one-family case of `pruned_maxima`."""
+    return pruned_maxima(base, [stack])[0]
 
 
 def _unit_entry(n, i, value):
@@ -801,8 +937,20 @@ class TestPrunedMax:
     def test_equals_the_max_of_every_norm(self, monkeypatch, name, per_call):
         base, stack = SYNTHETIC[name]
         if per_call is not None:
-            monkeypatch.setattr(verify, "_SVD_ENTRIES", per_call * base.size)
+            monkeypatch.setattr(linalg, "STACK_ENTRIES", per_call * base.size)
         assert pruned_max(base, stack) == max(op_norm(base * m) for m in stack)
+
+    @pytest.mark.parametrize("per_call", [1, 2, None])
+    def test_families_are_pruned_apart(self, monkeypatch, per_call):
+        # every synthetic family on one base in one stack: each keeps its
+        # own max, the huge and all-zero ones beside roundoff-sized ones
+        for base_name in ("ties", "equal_norms"):
+            base = SYNTHETIC[base_name][0]
+            names = sorted(k for k, (b, _) in SYNTHETIC.items() if b is base)
+            if per_call is not None:
+                monkeypatch.setattr(linalg, "STACK_ENTRIES", per_call * base.size)
+            got = pruned_maxima(base, [SYNTHETIC[k][1] for k in names])
+            assert got == [max(op_norm(base * m) for m in SYNTHETIC[k][1]) for k in names]
 
     def test_bounds_bracket_the_norm(self):
         for name, (base, stack) in SYNTHETIC.items():
@@ -906,6 +1054,9 @@ class TestLanczosKernel:
                          + 1j * rng.standard_normal((128, 128)))[0]
         assert abs(_top_singular_value(q) - 1.0) <= 1e-13
         self.assert_matches(q, _top_singular_value(q))
+        # the scale check reads the entries in memory order, C or F
+        self.assert_matches(q, _top_singular_value(np.asfortranarray(q)))
+        self.assert_matches(q[:, ::2], _top_singular_value(q[:, ::2]))
 
     @pytest.mark.parametrize("n", [100, 128])
     def test_reaches_the_step_cap(self, svd_shapes, n):
@@ -1227,8 +1378,9 @@ def oracle_modular_invariants(md, seed=0):
     out["gns_delta_ss"] = abs(md.delta_power(1.0, xi).inner(eta)
                               - apply_S(md, eta).inner(apply_S(md, xi)))
 
-    out["gns_j_involution"] = max(
-        (md.apply_J(md.apply_J(v)) - v).norm() for v in vecs)
+    def j_polar(v):  # Delta^{-1/2} J Delta^{-1/2}, the J of S = J Delta^{1/2}
+        return md.delta_power(-0.5, md.apply_J(md.delta_power(-0.5, v)))
+    out["gns_j_involution"] = max((j_polar(j_polar(v)) - v).norm() for v in vecs)
 
     out["gns_j_antiunitary"] = abs(
         md.apply_J(xi).inner(md.apply_J(eta)) - eta.inner(xi))
@@ -1304,12 +1456,13 @@ def _axiom_dims_id(dims):
     return "x".join(map(str, dims))
 
 
-# J, J^2 and the left action never touch a power
-SKEW_BROKEN_KEYS = ("gns_s_polar", "gns_delta_ss", "gns_jdj_inverse", "gns_omega_fixed",
-                    "gns_delta_it_j", "gns_flow_embed")
+# J and the left action never touch a power
+SKEW_BROKEN_KEYS = ("gns_s_polar", "gns_delta_ss", "gns_j_involution", "gns_jdj_inverse",
+                    "gns_omega_fixed", "gns_delta_it_j", "gns_flow_embed")
 
 
-DENSITY_BROKEN_KEYS = ("gns_s_polar", "gns_omega_fixed", "gns_delta_it_j", "gns_flow_embed")
+DENSITY_BROKEN_KEYS = ("gns_s_polar", "gns_j_involution", "gns_omega_fixed", "gns_delta_it_j",
+                       "gns_flow_embed")
 
 
 class TestModularAxiomsOracle:

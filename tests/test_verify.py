@@ -33,6 +33,15 @@ from modmark.verify import (
 
 M2 = BlockAlgebra((2,))
 
+REPORT_KEY_ORDER = [
+    "markov_unital", "markov_cp", "markov_state", "markov_modular",
+    "eq32_t", "thm_i_s", "thm_ii", "thm_iii", "thm_commute_z",
+    "adjoint_consistency", "petz_match", "kadison_norm", "omega_map",
+    "gns_commutant", "gns_delta_it_j", "gns_delta_ss", "gns_flow_embed",
+    "gns_j_antiunitary", "gns_j_involution", "gns_jdj_inverse",
+    "gns_omega_fixed", "gns_s_polar",
+]
+
 
 @pytest.fixture
 def qubit():
@@ -158,6 +167,23 @@ class TestVerifyChannel:
     def test_unknown_kind_failures_are_unexpected(self, negative):
         rep = verify_channel(negative, kind=None, instance_id="n2", seed=11)
         assert rep.unexpected_failures
+
+    @pytest.mark.parametrize("kind,dims", [("pinch", (2, 2)), ("sp_ucp", (3,))])
+    def test_residual_order_is_pinned(self, kind, dims):
+        # a suite summary lists each report's failures in this order, so a
+        # permutation changes the suite bytes with every value equal
+        ch = build_channel(GenSpec(kind, dims, 11, {"min_gap": 0.05})).channel
+        rep = verify_channel(ch, kind=kind)
+        assert list(rep.residuals) == REPORT_KEY_ORDER
+        # failed_keys, and through it both failure lists, walk the verdicts
+        assert list(rep.verdicts) == REPORT_KEY_ORDER
+        assert rep.tolerances.keys() == rep.residuals.keys()
+        if kind == "sp_ucp":
+            assert rep.expected_failures == [
+                "markov_modular", "eq32_t", "thm_i_s", "thm_ii", "thm_commute_z",
+                "adjoint_consistency", "petz_match"]
+        else:
+            assert rep.passed
 
 
 class TestRunSuite:
