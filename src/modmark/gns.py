@@ -7,7 +7,8 @@ algebra element x embeds as x D^{1/2}, so the cyclic unit vector is D^{1/2}
 itself.  Every modular object is then a closed-form function of the
 density's eigendecomposition:
 
-    conjugation   J(xi)      = xi^+              (conjugate-linear involution)
+    conjugation   J(xi)      = xi^+              (conjugate-linear involution,
+                                                  `AlgebraElement.adjoint`)
     positive op   Delta(xi)  = D xi D^{-1}, complex powers D^z xi D^{-z}
     involution    S          = J o Delta^{1/2},  so S(x D^{1/2}) = x^+ D^{1/2}
     flow          sigma_t(x) = D^{it} x D^{-it}
@@ -55,10 +56,6 @@ class ModularData:
         self.algebra = state.parent
         self.d_eig = list(state.block_eigs)
         self._power_cache: dict[tuple[complex, ...], np.ndarray] = {}
-
-    @property
-    def kappa(self) -> float:
-        return self.state.kappa
 
     @cached_property
     def omega(self) -> AlgebraElement:
@@ -139,12 +136,6 @@ class ModularData:
             raise PowerRangeExceeded(f"|Re z| = {abs(z.real)} exceeds Z_MAX = {Z_MAX}")
         return z
 
-    def apply_J(self, xi: AlgebraElement) -> AlgebraElement:
-        """Conjugate-linear involution xi |-> xi^+."""
-        if xi.parent != self.algebra:
-            raise ShapeMismatch("vector does not live on the state's space")
-        return xi.adjoint()
-
     def delta_power(self, z: complex, xi: AlgebraElement) -> AlgebraElement:
         """xi |-> D^z xi D^{-z} for |Re z| <= Z_MAX."""
         if xi.parent != self.algebra:
@@ -155,12 +146,11 @@ class ModularData:
         return AlgebraElement(self.algebra, [p @ b @ m for p, b, m in zip(dp, xi.blocks, dm)])
 
     def modular_flow(self, t: float, x: AlgebraElement) -> AlgebraElement:
-        """sigma_t(x) = D^{it} x D^{-it}, a state-preserving *-automorphism."""
+        """sigma_t(x) = D^{it} x D^{-it}, a state-preserving *-automorphism:
+        `delta_power` at z = it."""
         if x.parent != self.algebra:
             raise ShapeMismatch("element does not live on the state's algebra")
-        u = self.d_power_blocks(1j * float(t))
-        v = self.d_power_blocks(-1j * float(t))
-        return AlgebraElement(self.algebra, [a @ b @ c for a, b, c in zip(u, x.blocks, v)])
+        return self.delta_power(1j * float(t), x)
 
     def modular_smear(self, x: AlgebraElement, f, half_width: float,
                       step: float) -> AlgebraElement:

@@ -426,22 +426,15 @@ def compose(f: Channel, g: Channel) -> Channel:
     return Channel(g.source, f.target, f.superop @ g.superop)
 
 
-def tensor_algebra(a: BlockAlgebra, b: BlockAlgebra) -> BlockAlgebra:
-    return BlockAlgebra(tuple(n * m for n in a.block_dims for m in b.block_dims))
-
-
 def tensor_element(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    parent = tensor_algebra(x.parent, y.parent)
+    parent = BlockAlgebra(tuple(n * m for n in x.parent.block_dims
+                                for m in y.parent.block_dims))
     return AlgebraElement(
         parent, [np.kron(xb, yb) for xb in x.blocks for yb in y.blocks])
 
 
-def tensor_state(a: FaithfulState, b: FaithfulState) -> FaithfulState:
-    return FaithfulState(tensor_element(a.density, b.density))
-
-
 def tensor_system(a: System, b: System) -> System:
-    return System(tensor_state(a.state, b.state))
+    return System(FaithfulState(tensor_element(a.state.density, b.state.density)))
 
 
 def tensor(f: Channel, g: Channel) -> Channel:
@@ -501,9 +494,7 @@ __all__ = [
     "eigen_extension",
     "compose",
     "tensor",
-    "tensor_algebra",
     "tensor_element",
-    "tensor_state",
     "tensor_system",
     "convex_combine",
     "DEFAULT_FLOW_SAMPLES",

@@ -68,7 +68,7 @@ def test_criterion_01_modular_axioms():
         dims = DIMS_POOL[seed % len(DIMS_POOL)]
         state = random_faithful_state(BlockAlgebra(dims), seed, min_gap=0.05)
         md = ModularData(state)
-        tol = 1e-10 * md.kappa
+        tol = 1e-10 * md.state.kappa
         for key, value in modular_invariants(md, seed=seed).items():
             worst = max(worst, value / tol)
             assert value <= tol, f"{key} residual {value:.3e} over {tol:.1e} (seed {seed})"

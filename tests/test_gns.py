@@ -105,7 +105,7 @@ class TestModularOperators:
         assert (md.delta_power(1.0, e21) - 0.5 * e21).norm() <= 1e-14
 
     def test_omega_fixed_by_flow_and_j(self, md):
-        assert (md.apply_J(md.omega) - md.omega).norm() <= 1e-15
+        assert (md.omega.adjoint() - md.omega).norm() <= 1e-15
         for t in (-1.0, 0.3, 5.0):
             assert (md.delta_power(1j * t, md.omega) - md.omega).norm() <= 1e-14
 
@@ -114,17 +114,17 @@ class TestModularOperators:
         state = random_faithful_state(BlockAlgebra((3,)), 5, 0.05)
         md = ModularData(state)
         xi = rand_vector(state.parent, 17)
-        lhs = md.apply_J(md.delta_power(1.0, md.apply_J(xi)))
+        lhs = md.delta_power(1.0, xi.adjoint()).adjoint()
         rhs = md.delta_power(-1.0, xi)
-        assert (lhs - rhs).norm() <= 1e-10 * md.kappa
+        assert (lhs - rhs).norm() <= 1e-10 * md.state.kappa
 
     def test_s_factorizations_agree(self):
         state = random_faithful_state(BlockAlgebra((2, 2)), 9, 0.05)
         md = ModularData(state)
         xi = rand_vector(state.parent, 21)
-        a = md.apply_J(md.delta_power(0.5, xi))
-        b = md.delta_power(-0.5, md.apply_J(xi))
-        assert (a - b).norm() <= 1e-11 * md.kappa
+        a = md.delta_power(0.5, xi).adjoint()
+        b = md.delta_power(-0.5, xi.adjoint())
+        assert (a - b).norm() <= 1e-11 * md.state.kappa
         assert (apply_S(md, xi) - a).norm() == 0.0
 
     def test_delta_is_s_star_s(self):
@@ -133,12 +133,12 @@ class TestModularOperators:
         xi, eta = rand_vector(state.parent, 31), rand_vector(state.parent, 32)
         lhs = md.delta_power(1.0, xi).inner(eta)
         rhs = apply_S(md, eta).inner(apply_S(md, xi))
-        assert lhs == pytest.approx(rhs, abs=1e-10 * md.kappa)
+        assert lhs == pytest.approx(rhs, abs=1e-10 * md.state.kappa)
 
     def test_j_involution_and_antiunitarity(self, md):
         xi, eta = rand_vector(M2, 41), rand_vector(M2, 42)
-        assert (md.apply_J(md.apply_J(xi)) - xi).norm() == 0.0
-        assert md.apply_J(xi).inner(md.apply_J(eta)) == pytest.approx(
+        assert (xi.adjoint().adjoint() - xi).norm() == 0.0
+        assert xi.adjoint().inner(eta.adjoint()) == pytest.approx(
             eta.inner(xi), abs=1e-13)
 
     def test_power_range_guard(self, md):
@@ -295,7 +295,7 @@ def analytic_vector_check(md, xi, z_samples) -> AnalyticVectorReport:
         group_residual=group,
         boundary_residual=boundary,
         pairs_checked=pairs,
-        tolerance=(base_tolerance() * power_condition_scale(md.kappa, max_re)
+        tolerance=(base_tolerance() * power_condition_scale(md.state.kappa, max_re)
                    * max(1.0, xi.norm())),
     )
 

@@ -1,12 +1,15 @@
-"""Mutants of the gns_* layer: is the stacked pass over both endpoint states
-wired so that a wrong piece shows?
+"""Mutants of the gns_* layer and of the symmetry pass: are the stacked pass
+over both endpoint states and the one permuted conjugate behind thm_ii and
+thm_iii wired so that a wrong piece shows?
 
 Each mutant replaces one private piece of `verify` or `ModularData` by
-monkeypatching, on a fixed channel whose endpoints have different carrier
-dimensions (so the target is zero-padded in the joint pass), and runs
-`verify_channel`.  A mutant either flips at least one gns_* verdict, or it is
-listed as equivalent, with the argument why no gns_* verdict can move, and
-then the test holds it to that: every gns_* verdict stays as it was.
+monkeypatching and runs `verify_channel`.  A gns_* mutant runs on a fixed
+channel whose endpoints have different carrier dimensions (so the target is
+zero-padded in the joint pass); it either flips at least one gns_* verdict,
+or it is listed as equivalent, with the argument why no gns_* verdict can
+move, and then the test holds it to that: every gns_* verdict stays as it
+was.  A symmetry mutant runs on a corpus of positives and two sp_ucp
+channels and must flip each of its `must_flip` keys on some instance.
 """
 
 from dataclasses import dataclass
@@ -125,3 +128,101 @@ def test_mutant(name, monkeypatch):
         assert set(mutant.must_flip) <= set(flipped), (name, flipped)
     else:
         assert not flipped, f"'equivalent' mutant {name} flips {flipped}"
+
+
+# ---------------------------------------------------------------------------
+# the symmetry pass: thm_ii and thm_iii from one permuted conjugate
+# ---------------------------------------------------------------------------
+
+SYMMETRY_KEYS = ("thm_ii", "thm_iii")
+
+
+class _NoConj(np.ndarray):
+    """An array whose `conj()` is itself: T_eig with `.conj()` dropped."""
+
+    def conj(self):
+        return self
+
+
+_diagonals = ModularData.delta_power_diagonals
+_eigen_extension = verify.eigen_extension
+
+
+def _half_powers_swapped(self, zs):
+    """`delta_power_diagonals` with a lone exponent +-1/2, thm_iii's
+    Delta_t^{-1/2} and Delta_s^{1/2} weights, negated."""
+    zs = list(zs)
+    if len(zs) == 1 and zs[0] in (0.5, -0.5):
+        zs = [-zs[0]]
+    return _diagonals(self, zs)
+
+
+@dataclass(frozen=True)
+class SymmetryMutant:
+    target: object
+    attribute: str
+    replacement: object
+    # symmetry keys that must flip on at least one instance of the corpus
+    must_flip: tuple[str, ...]
+    # None, or why no verdict of a positive kind can move: then the test
+    # holds the positives to that and only sp_ucp may flip
+    positive_equivalent: str | None = None
+
+
+SYMMETRY_MUTANTS = {
+    "identity_adjoint_index": SymmetryMutant(
+        verify, "adjoint_index", lambda alg: np.arange(alg.coord_dim),
+        must_flip=SYMMETRY_KEYS),
+    "half_powers_swapped": SymmetryMutant(
+        ModularData, "delta_power_diagonals", _half_powers_swapped,
+        must_flip=("thm_iii",),
+        positive_equivalent="a flow-commuting T pairs equal frequencies, where "
+                            "Delta_t^{-+1/2} Delta_s^{+-1/2} is 1 either way"),
+    "conj_dropped": SymmetryMutant(
+        verify, "eigen_extension", lambda ch: _eigen_extension(ch).view(_NoConj),
+        must_flip=SYMMETRY_KEYS),
+}
+
+# positives of every kind, single- and multi-block, and sp_ucp at 3 and 2x2
+SYMMETRY_CORPUS = [
+    GenSpec(kind, dims, seed, params) for kind, dims, seed, params in [
+        ("identity", (3,), 1, {}),
+        ("schur", (3,), 2, {}),
+        ("schur", (4,), 2, {}),
+        ("pinch", (2, 2), 3, {}),
+        ("block_expectation", (3, 1), 4, {}),
+        ("block_expectation", (2, 2, 2), 5, {}),
+        ("state_to_scalar", (2,), 6, {"target_dims": [3]}),
+        ("automorphism", (4,), 7, {}),
+        ("automorphism", (2, 2), 8, {}),
+        ("twirl", (3,), 9, {}),
+        ("convex", (3, 1), 10, {}),
+        ("sp_ucp", (3,), 11, {}),
+        ("sp_ucp", (2, 2), 12, {}),
+    ]]
+
+
+def _symmetry_verdicts() -> dict[tuple, dict[str, bool]]:
+    out = {}
+    for spec in SYMMETRY_CORPUS:
+        rep = verify_channel(build_channel(spec).channel, kind=spec.kind)
+        out[spec.kind, spec.dims] = {k: rep.verdicts[k] for k in SYMMETRY_KEYS}
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRY_MUTANTS))
+def test_symmetry_mutant(name, monkeypatch):
+    mutant = SYMMETRY_MUTANTS[name]
+    before = _symmetry_verdicts()
+    # only sp_ucp fails a symmetry key, and only thm_ii
+    assert {case: [k for k, ok in v.items() if not ok] for case, v in before.items()
+            if not all(v.values())} == {("sp_ucp", (3,)): ["thm_ii"],
+                                        ("sp_ucp", (2, 2)): ["thm_ii"]}
+    monkeypatch.setattr(mutant.target, mutant.attribute, mutant.replacement)
+    after = _symmetry_verdicts()
+    flipped = {case: {k for k in SYMMETRY_KEYS if before[case][k] != after[case][k]}
+               for case in before}
+    assert set(mutant.must_flip) <= set().union(*flipped.values()), (name, flipped)
+    if mutant.positive_equivalent is not None:
+        assert not any(keys for (kind, _), keys in flipped.items() if kind != "sp_ucp"), (
+            f"'positive-equivalent' mutant {name} flips {flipped}")

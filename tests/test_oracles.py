@@ -138,7 +138,7 @@ def gns_embed(md, x):
 
 def apply_S(md, xi):
     """S = J o Delta^{1/2}, so S(x D^{1/2}) = x^+ D^{1/2}."""
-    return md.apply_J(md.delta_power(0.5, xi))
+    return md.delta_power(0.5, xi).adjoint()
 
 
 def star_preservation_residual(ch):
@@ -670,9 +670,9 @@ def fused_and_alone(ch):
     tol = verify._tolerances(ch, DEFAULT_S_VALUES, Z_SAMPLES)
     eq32 = [1j * float(t) for t in DEFAULT_EQ32_T]
     fused = fused_flow(ch)
-    alone = [verify._commute_residual(t_eig, ch, eq32, tol["eq32_t"]),
-             verify._commute_residual(t_eig, ch, Z_SAMPLES, tol["thm_commute_z"]),
-             verify._twist_residual(t_eig, ch, DEFAULT_S_VALUES, tol["thm_i_s"])]
+    alone = [verify._flow_residuals(t_eig, ch, commute=[(eq32, tol["eq32_t"])])[0],
+             verify._flow_residuals(t_eig, ch, commute=[(Z_SAMPLES, tol["thm_commute_z"])])[0],
+             verify._flow_residuals(t_eig, ch, twist=[(DEFAULT_S_VALUES, tol["thm_i_s"])])[0]]
     return fused, alone
 
 
@@ -807,9 +807,9 @@ class TestStackedNorms:
         t_eig = eigen_extension(ch)
         t_eig[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            verify._commute_residual(t_eig, ch, Z_SAMPLES, 1e-8)
+            verify._flow_residuals(t_eig, ch, commute=[(Z_SAMPLES, 1e-8)])[0]
         with pytest.raises(ValueError, match="finite"):
-            verify._twist_residual(t_eig, ch, DEFAULT_S_VALUES, 1e-8)
+            verify._flow_residuals(t_eig, ch, twist=[(DEFAULT_S_VALUES, 1e-8)])[0]
 
     @pytest.mark.parametrize("case", [
         ("schur", (3,), {}), ("pinch", (2, 2), {}), ("sp_ucp", (3, 1), {}),
@@ -851,7 +851,7 @@ class TestStackedNorms:
         t_eig = eigen_extension(ch)
         tracemalloc.start()
         try:
-            verify._commute_residual(t_eig, ch, sample_z(0), 1e-8)
+            verify._flow_residuals(t_eig, ch, commute=[(sample_z(0), 1e-8)])[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1181,7 +1181,7 @@ class TestLanczosRoute:
         t_eig = eigen_extension(ch)
         tracemalloc.start()
         try:
-            verify._commute_residual(t_eig, ch, sample_z(0), 1e-8)
+            verify._flow_residuals(t_eig, ch, commute=[(sample_z(0), 1e-8)])[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1369,8 +1369,8 @@ def oracle_modular_invariants(md, seed=0):
 
     r = 0.0
     for v in vecs:  # polar pieces agree: J Delta^{1/2} = Delta^{-1/2} J
-        r = max(r, (md.apply_J(md.delta_power(0.5, v))
-                    - md.delta_power(-0.5, md.apply_J(v))).norm())
+        r = max(r, (md.delta_power(0.5, v).adjoint()
+                    - md.delta_power(-0.5, v.adjoint())).norm())
     for x in xs:    # and S sends x Omega to x^+ Omega
         r = max(r, (apply_S(md, gns_embed(md, x)) - gns_embed(md, x.adjoint())).norm())
     out["gns_s_polar"] = r
@@ -1379,17 +1379,17 @@ def oracle_modular_invariants(md, seed=0):
                               - apply_S(md, eta).inner(apply_S(md, xi)))
 
     def j_polar(v):  # Delta^{-1/2} J Delta^{-1/2}, the J of S = J Delta^{1/2}
-        return md.delta_power(-0.5, md.apply_J(md.delta_power(-0.5, v)))
+        return md.delta_power(-0.5, md.delta_power(-0.5, v).adjoint())
     out["gns_j_involution"] = max((j_polar(j_polar(v)) - v).norm() for v in vecs)
 
     out["gns_j_antiunitary"] = abs(
-        md.apply_J(xi).inner(md.apply_J(eta)) - eta.inner(xi))
+        xi.adjoint().inner(eta.adjoint()) - eta.inner(xi))
 
     out["gns_jdj_inverse"] = max(
-        (md.apply_J(md.delta_power(1.0, md.apply_J(v)))
+        (md.delta_power(1.0, v.adjoint()).adjoint()
          - md.delta_power(-1.0, v)).norm() for v in vecs)
 
-    r = (md.apply_J(md.omega) - md.omega).norm()
+    r = (md.omega.adjoint() - md.omega).norm()
     for t in t_samples:
         r = max(r, (md.delta_power(1j * t, md.omega) - md.omega).norm())
     out["gns_omega_fixed"] = r
@@ -1397,16 +1397,16 @@ def oracle_modular_invariants(md, seed=0):
     r = 0.0
     for t in t_samples:
         for v in vecs:
-            r = max(r, (md.delta_power(1j * t, md.apply_J(v))
-                        - md.apply_J(md.delta_power(1j * t, v))).norm())
+            r = max(r, (md.delta_power(1j * t, v.adjoint())
+                        - md.delta_power(1j * t, v).adjoint()).norm())
     out["gns_delta_it_j"] = r
 
     r = 0.0
     for x in xs:
         for v in vecs:  # left action commutes with J y J (the right action)
-            jyj = md.apply_J(y @ md.apply_J(v))
+            jyj = (y @ v.adjoint()).adjoint()
             lhs = x @ jyj
-            rhs = md.apply_J(y @ md.apply_J(x @ v))
+            rhs = (y @ (x @ v).adjoint()).adjoint()
             r = max(r, (lhs - rhs).norm())
     out["gns_commutant"] = r
 

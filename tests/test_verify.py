@@ -135,6 +135,22 @@ class TestVerifyAdjoint:
         adjc, petz, kad = verify_adjoint(ch)
         assert adjc <= 1e-9 and petz <= 1e-9 and kad <= 1e-9
 
+    @pytest.mark.parametrize("suite_seed,index,kind", [(4, 38, "twirl"), (8, 39, "convex")],
+                             ids=["0038-twirl-6", "0039-convex-6"])
+    def test_ill_conditioned_positive_passes(self, suite_seed, index, kind):
+        # instance `index` of `modmark suite --trials 40 --seed <suite_seed>
+        # --dims 6,8,3x3,4x2x1 --min-gap 0`: at kappa ~ 1e5 to 1e6 the
+        # adjoint_consistency roundoff, up to ~50 eps kappa, is above 1e-9
+        spec = GenSpec(kind, (6,), seed=derive_seed(suite_seed, index),
+                       params={"min_gap": 0.0})
+        ch = build_channel(spec).channel
+        assert max(ch.source.state.kappa, ch.target.state.kappa) > 1e5
+        report = verify_channel(ch, kind=kind,
+                                z_samples=sample_z(derive_seed(suite_seed, index, 101)),
+                                gns_seed=derive_seed(suite_seed, index, 102))
+        assert report.residuals["adjoint_consistency"] > PINNED_TOL["adjoint_consistency"]
+        assert report.unexpected_failures == []
+
 
 class TestModularInvariants:
     @pytest.mark.parametrize("dims", [(2,), (4,), (3, 1)])
@@ -315,7 +331,8 @@ class TestMembershipTolerances:
 
 class TestFlowToleranceWiring:
     """Each sampled key's tolerance takes the condition scale of its own
-    samples: thm_commute_z kappa**max|Re z|, the real-power keys kappa**max|s|."""
+    samples: thm_commute_z kappa**max|Re z|, the real-power keys kappa**max|s|;
+    adjoint_consistency takes kappa itself and petz_match no scale."""
 
     def test_scales_follow_their_samples(self):
         qubit = System(FaithfulState(AlgebraElement(M2, [np.diag([0.999, 0.001])])))
@@ -331,3 +348,6 @@ class TestFlowToleranceWiring:
         for key in ("thm_i_s", "thm_ii", "thm_iii"):
             assert tol[key] == pytest.approx(PINNED_TOL[key] * f * scale_s, rel=1e-12)
         assert tol["eq32_t"] == pytest.approx(PINNED_TOL["eq32_t"] * f, rel=1e-12)
+        assert tol["adjoint_consistency"] == pytest.approx(
+            PINNED_TOL["adjoint_consistency"] * f * kappa, rel=1e-12)
+        assert tol["petz_match"] == pytest.approx(PINNED_TOL["petz_match"] * f, rel=1e-12)
