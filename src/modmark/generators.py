@@ -118,8 +118,12 @@ def random_faithful_state(alg: BlockAlgebra, seed: int,
 
 def _eigen_diagonal_channel(sys: System, diag_blocks: list[np.ndarray]) -> Channel:
     """Channel that multiplies entry (a, b) by diag_blocks[k][a, b] in the
-    density eigenbasis of block k: G^+ diag(d) G, one product per diagonal
-    block of the frame G."""
+    density eigenbasis of block k: G^+ diag(d) G, by `from_eigenframe` when
+    the frame is factored (`ModularData.factored`), else one product per
+    diagonal block of the dense frame G."""
+    if sys.modular.factored:
+        d = np.concatenate([m.flatten(order="F") for m in diag_blocks])
+        return Channel(sys, sys, from_eigenframe(np.diag(d), sys, sys))
     g = sys.modular.frame
     parts = []
     for off, n, m in zip(sys.algebra.coord_offsets, sys.algebra.block_dims, diag_blocks):

@@ -17,11 +17,17 @@ Complex powers D^z are the spectral ones, V diag(exp(z log w)) V^+, formed
 for a whole tuple of exponents at once as block-diagonal matrices on the
 carrier C^c, c = sum n_k (`d_power_stack`), and applied by multiplying
 blocks, never by materializing the coordinate-space superoperator.  Code
-that needs Delta^z as a matrix works in the density eigenframe
-(`ModularData.frame`) instead: there left and right multiplication by D^p
-are the diagonals lambda_a^p and lambda_b^p of entry (a, b), and Delta^z is
-the diagonal exp(z omega), omega = log lambda_a - log lambda_b being the
-flow frequency.
+that needs Delta^z as a matrix works in the density eigenframe G = (+)_k
+V_k^T kron V_k^+ instead: there left and right multiplication by D^p are
+the diagonals lambda_a^p and lambda_b^p of entry (a, b), and Delta^z is the
+diagonal exp(z omega), omega = log lambda_a - log lambda_b being the flow
+frequency.  Matrices move into and out of the frame through
+`ModularData.frame_left`, `frame_right` and `frame_column_norms`.  Below
+N = sum n_k^2 = `FRAME_MIN_DIM` these multiply by the dense N x N frame
+(`ModularData.frame`); from it on they apply G by its Kronecker factors,
+vec(A X B) = (B^T kron A) vec(X) (Van Loan 2000, "The ubiquitous Kronecker
+product"): two GEMMs per block on (N n, n) reshapes, O(N n^3) where the
+dense product is O(N^3), and no N x N frame is formed.
 
 All of it is numpy: the module imports no scipy.  The independent
 logm/expm route for the unitary flow, the analytic-vector check, is a test
@@ -41,6 +47,30 @@ from .linalg import block_diag, require_positive_definite
 # Cap on |Re z| for the complex powers Delta^z and D^z: beyond it no
 # residual tolerance vouches for the result, so the call refuses.
 Z_MAX = 2.0
+
+# From this coordinate dimension N = sum n_k^2 on, the frame is applied by
+# its Kronecker factors.  One BLAS thread, a product of an N x N matrix with
+# the frame took 0.49 ms dense against 0.39 ms factored at N = 144, and
+# 2.7 against 1.6 ms at N = 256; below the gate the dense products keep
+# their bits.
+FRAME_MIN_DIM = 100
+
+
+def _sandwich_columns(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(b^T kron a) m: each column of m, read as a column-stacked n x n
+    matrix C, replaced by vec(a C b).  One batched and one plain GEMM."""
+    n, p = len(a), m.shape[1]
+    y = a @ m.reshape(n, n, p)  # [j, i', c] = (a C_c)[i', j]
+    return (b.T @ y.reshape(n, n * p)).reshape(n * n, p)
+
+
+def _sandwich_rows(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """m (b kron a^T) = ((b^T kron a) m^T)^T: each row of m, read as a
+    column-stacked n x n matrix R, replaced by vec(a R b).  One batched and
+    one plain GEMM."""
+    n, p = len(a), m.shape[0]
+    y = b.T @ m.reshape(p, n, n)  # [r, j', i] = (R_r b)[i, j']
+    return (y.reshape(p * n, n) @ a.T).reshape(p, n * n)
 
 
 class ModularData:
@@ -65,9 +95,73 @@ class ModularData:
     @cached_property
     def frame(self) -> np.ndarray:
         """Unitary coordinate change into the density eigenbasis,
-        blockwise V^T kron V^+ (coords of x |-> coords of V^+ x V)."""
+        blockwise V^T kron V^+ (coords of x |-> coords of V^+ x V), as a dense
+        N x N matrix: the products below `FRAME_MIN_DIM` use it, and from
+        there on only tests do."""
         return block_diag(
             *[np.kron(e.eigenvectors.T, e.eigenvectors.conj().T) for e in self.d_eig])
+
+    @property
+    def factored(self) -> bool:
+        """Whether the frame products apply G by its factors (N >= `FRAME_MIN_DIM`)."""
+        return self.algebra.coord_dim >= FRAME_MIN_DIM
+
+    def _by_block(self, m: np.ndarray, axis: int, sandwich, factors) -> np.ndarray:
+        """sandwich(piece, *factors(V_k)) on the slice of each block k along
+        axis of m, assembled in a new array."""
+        out = np.empty(m.shape, dtype=np.complex128)
+        for off, e in zip(self.algebra.coord_offsets, self.d_eig):
+            cut = slice(off, off + e.dim * e.dim)
+            if axis == 0:
+                out[cut] = sandwich(m[cut], *factors(e.eigenvectors))
+            else:
+                out[:, cut] = sandwich(m[:, cut], *factors(e.eigenvectors))
+        return out
+
+    def frame_left(self, m: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """G m, or G^+ m with adjoint: m's rows are this state's coordinates,
+        and each column c of block k becomes vec(V^+ c V) (vec(V c V^+))."""
+        if not self.factored:
+            return (self.frame.conj().T if adjoint else self.frame) @ m
+        factors = (lambda v: (v, v.conj().T)) if adjoint else (lambda v: (v.conj().T, v))
+        return self._by_block(m, 0, _sandwich_columns, factors)
+
+    def frame_right(self, m: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """m G, or m G^+ with adjoint: m's columns are this state's
+        coordinates, and each row r of block k becomes vec(conj(V) r V^T)
+        (vec(V^T r conj(V)))."""
+        if not self.factored:
+            return m @ (self.frame.conj().T if adjoint else self.frame)
+        factors = (lambda v: (v.T, v.conj())) if adjoint else (lambda v: (v.conj(), v.T))
+        return self._by_block(m, 1, _sandwich_rows, factors)
+
+    def frame_column_norms(self, m: np.ndarray) -> np.ndarray:
+        """Euclidean norms of the columns of m G, for a matrix m or a stack
+        of them, shape (..., N).
+
+        Factored, no product by G is formed.  Row r of column (a, c) of
+        block k is (conj(V) R_r V^T)_ac, R_r row r of m's block-k columns
+        read column-stacked.  With Y_a the matrix of the rows
+        e_a^T conj(V) R_r (one GEMM for every a) and H_a = Y_a^T conj(Y_a)
+        its Gram matrix over the rows, the squared norm is (V H_a V^+)_cc.
+        Over c these sum to |Y_a|_F^2 (V is unitary), and their rounding is
+        ~n_k eps |Y_a|_F^2, so the largest column norm is accurate to
+        ~n_k^2 eps relative; rounding can take a small squared norm below
+        zero, which reads 0."""
+        if not self.factored:
+            return np.linalg.norm(m @ self.frame, axis=-2)
+        lead, rows = m.shape[:-2], m.shape[-2]
+        out = np.empty(m.shape[:-2] + m.shape[-1:])
+        for off, e in zip(self.algebra.coord_offsets, self.d_eig):
+            n, v = e.dim, e.eigenvectors
+            piece = m[..., off:off + n * n].reshape(-1, n)  # [(s, r, q), p] = R_r[p, q]
+            y = (piece @ v.conj().T).reshape(-1, rows, n, n)  # [s, r, q, a] = (Y_a)_rq
+            y = np.ascontiguousarray(y.transpose(0, 3, 2, 1))  # [s, a, q, r]
+            gram = y @ y.conj().swapaxes(-1, -2)  # [s, a, q, q'] = H_a
+            sq = np.einsum("sack,ck->sac", v @ gram, v.conj()).real  # [s, a, c]
+            norms = np.sqrt(np.maximum(sq, 0.0))
+            out[..., off:off + n * n] = norms.swapaxes(-1, -2).reshape(*lead, n * n)
+        return out
 
     @cached_property
     def lambda_a(self) -> np.ndarray:

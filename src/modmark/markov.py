@@ -11,7 +11,15 @@ caches it once in the density eigenframes, X = G_t S G_s^+
 (`Channel.eigen_superop`); the flow check, the twirl, the GNS extension and
 both adjoints are masks and reweightings of X, carried back to coordinates
 by `from_eigenframe`.  Channels meet the modular data only there: no
-multiplication superoperator is ever built.
+multiplication superoperator is ever built.  Both apply G through the
+`gns` frame helpers, by its Kronecker factors from N = 100 on.
+
+The cp residual reads each Choi block's smallest eigenvalue for its verdict
+(`cp_min_eigenvalue`).  From `linalg.LANCZOS_MIN_DIM` on that is a
+certified value (`linalg.certified_value`): 0.0 for a block with a Cholesky
+factor, a Lanczos upper bound for one that factors only with the
+tolerance tau added, and eigvalsh otherwise; so the residual is at or below
+the dense one up to rounding, with the dense verdict.
 
 Orientation, fixed package-wide: a channel maps its source algebra into its
 target algebra, state compatibility means target_state(ch(x)) = source_state(x),
@@ -43,7 +51,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .gns import ModularData
-from .linalg import as_cmatrix, stack_chunk, tolerance_factor
+from .linalg import as_cmatrix, certified_value, stack_chunk, tolerance_factor
 
 DEFAULT_FLOW_SAMPLES = (1.0, -1.0, 0.37, -0.37, 5.0)
 STATE_MATCH_ATOL = 1e-12
@@ -107,8 +115,8 @@ class Channel:
     def eigen_superop(self) -> np.ndarray:
         """X = G_t superop G_s^+, the channel in the density eigenframes,
         always computed from `superop` whatever built the channel."""
-        return (self.target.modular.frame @ self.superop
-                @ self.source.modular.frame.conj().T)
+        return self.source.modular.frame_right(
+            self.target.modular.frame_left(self.superop), adjoint=True)
 
     def __repr__(self):
         return (f"Channel({self.source.algebra.block_dims} -> "
@@ -118,7 +126,7 @@ class Channel:
 def from_eigenframe(m: np.ndarray, source: System, target: System) -> np.ndarray:
     """G_t^+ m G_s, the inverse of `Channel.eigen_superop`: a matrix on the
     eigenframe coordinates of source and target back on block coordinates."""
-    return target.modular.frame.conj().T @ m @ source.modular.frame
+    return source.modular.frame_right(target.modular.frame_left(m, adjoint=True))
 
 
 def identity_channel(sys: System) -> Channel:
@@ -172,8 +180,16 @@ class ChoiMatrix:
     target: BlockAlgebra
     blocks: dict[tuple[int, int], np.ndarray]
 
-    def min_eigenvalue(self) -> float:
-        return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2.0)[0])
+    def min_eigenvalue(self, tol: float | None = None) -> float:
+        """Smallest eigenvalue of the blocks' Hermitian parts: eigvalsh, or
+        with tol `linalg.certified_value(h, tol, "min_eig")` for the verdict
+        lambda_min >= -tol, which from `linalg.LANCZOS_MIN_DIM` on reads 0.0
+        for a block with a Cholesky factor and an upper bound for one that
+        factors only with tol added."""
+        if tol is None:
+            return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2.0)[0])
+                       for b in self.blocks.values())
+        return min(certified_value((b + b.conj().T) / 2.0, tol, "min_eig")
                    for b in self.blocks.values())
 
     def hermiticity_defect(self) -> float:
@@ -241,9 +257,11 @@ def state_residual(ch: Channel) -> float:
 
 
 def cp_min_eigenvalue(ch: Channel) -> tuple[float, float]:
-    """(min Choi eigenvalue, Choi hermiticity defect)."""
+    """(min Choi eigenvalue, Choi hermiticity defect), the eigenvalue taken
+    for the cp verdict against its `membership_tolerances` entry: from
+    `linalg.LANCZOS_MIN_DIM` on a certified value (`ChoiMatrix.min_eigenvalue`)."""
     choi = to_choi(ch)
-    return choi.min_eigenvalue(), choi.hermiticity_defect()
+    return choi.min_eigenvalue(_membership_tau()), choi.hermiticity_defect()
 
 
 def _preconditions(ch: Channel) -> dict[str, float]:
@@ -276,8 +294,9 @@ def modular_commutation_residual(ch: Channel,
     of either is X masked by (w_s - w_t) resp. (exp(it w_s) - exp(it w_t)),
     and its value on a matrix unit is the matching column of (mask * X) G_s.
     The masks of both routes form one stack, taken in chunks of an eighth
-    of `linalg.STACK_ENTRIES` entries with one product by G_s and one
-    column-norm reduction per chunk; the max column norm over the stack is
+    of `linalg.STACK_ENTRIES` entries with one `frame_column_norms` call per
+    chunk (a product by G_s below `gns.FRAME_MIN_DIM`, Gram matrices of the
+    factored route from it on); the max column norm over the stack is
     returned.  The per-unit spectral calculus that checks this kernel
     independently lives in the test oracles.
     """
@@ -289,7 +308,8 @@ def modular_commutation_residual(ch: Channel,
     b = np.concatenate([md_t.frequencies[None], md_t.delta_power_diagonals(zs)])
     x = ch.eigen_superop
     # A chunk keeps four stacks alive (the masked copies, their products by
-    # G_s and the norm's two temporaries), so it takes an eighth of the
+    # G_s, or the factored route's once-multiplied rows and their transpose,
+    # and the norm's two temporaries), so it takes an eighth of the
     # shared cap: at the full cap those stacks reach 1 MB at n = 12 and 8x8,
     # where the check then took ~50% longer than one mask at a time.  The
     # seven masks stay one chunk up to n = 5.
@@ -298,7 +318,7 @@ def modular_commutation_residual(ch: Channel,
     for lo in range(0, len(a), step):
         prod = a[lo:lo + step, None, :] - b[lo:lo + step, :, None]
         np.multiply(prod, x, out=prod)  # the mask is the left operand
-        res = max(res, float(np.linalg.norm(prod @ md_s.frame, axis=-2).max()))
+        res = max(res, float(md_s.frame_column_norms(prod).max()))
         del prod
     return res
 
@@ -327,13 +347,18 @@ def modular_tolerance_scale(ch: Channel) -> float:
                       for sys in (ch.source, ch.target)))
 
 
+def _membership_tau() -> float:
+    """The pinned MEMBERSHIP_TOL times the MODMARK_TOL factor."""
+    return MEMBERSHIP_TOL * tolerance_factor()
+
+
 def membership_tolerances(ch: Channel) -> dict[str, float]:
-    """The one tolerance policy of the four membership residuals: the pinned
-    MEMBERSHIP_TOL times the MODMARK_TOL factor, and for `modular` also
-    times `modular_tolerance_scale(ch)`.  `check_markov`,
-    `precondition_defects`, `ac_adjoint` and the report's markov_* entries
-    all read it."""
-    tau = MEMBERSHIP_TOL * tolerance_factor()
+    """The one tolerance policy of the four membership residuals:
+    `_membership_tau()`, and for `modular` also times
+    `modular_tolerance_scale(ch)`.  `check_markov`, `precondition_defects`,
+    `ac_adjoint` and the report's markov_* entries all read it, and
+    `cp_min_eigenvalue` its cp entry, without the modular scale."""
+    tau = _membership_tau()
     return {"unital": tau, "cp": tau, "state": tau,
             "modular": tau * modular_tolerance_scale(ch)}
 

@@ -22,24 +22,34 @@ Instances that fail the flow condition on purpose (kind sp_ucp) are expected
 to fail exactly the flow-dependent keys; those failures are reported in an
 expected section and do not count against a suite run.
 
-Every residual is computed in the density eigenframes (`ModularData.frame`),
-where multiplying by D^p on the left (right) is the diagonal lambda_a^p
+Every residual is computed in the density eigenframes G (`gns`), where
+multiplying by D^p on the left (right) is the diagonal lambda_a^p
 (lambda_b^p) and Delta^z is exp(z omega).  Each channel caches one matrix
 there, X = G_t ch G_s^+ (`Channel.eigen_superop`), and the extension
 T_eig = G_t T G_s^+ is a diagonal reweighting of it (`eigen_extension`).
 The flow keys are norms of masked copies of T_eig, thm_ii and thm_iii
 come from one adjoint-permuted conjugate of it in one symmetry pass
 (`_symmetry_residuals`), and both adjoint keys are norms of X^+ times
-eigenvalue weights.
-Below N = 100 (`_LANCZOS_MIN_DIM`) these norms are stacked SVDs under a
-fixed cap on entries per call (`linalg.STACK_ENTRIES`).
+eigenvalue weights.  From N = 100 (`gns.FRAME_MIN_DIM`) G is applied by
+its Kronecker factors and never formed: X, and thm_iii's and
+markov_modular's column norms, which take Gram matrices instead of a
+product by G_s (`ModularData.frame_column_norms`).
+Below N = 100 (`linalg.LANCZOS_MIN_DIM`) the norms are stacked SVDs under
+a fixed cap on entries per call (`linalg.STACK_ENTRIES`).
 
-From N = 100 on, these norms (not kadison_norm) are taken by Golub-Kahan-
-Lanczos instead, and each is certified against its key's tolerance: the
-Ritz value r is a lower bound on |A|_op and |A|_F an upper bound, so
-r > tol is a certain fail and |A|_F <= tol a certain pass, and a matrix
-whose bracket straddles tol takes the dense SVD.  Verdicts are those of the
-dense route; the residual values match it to rounding, not bit for bit.
+From N = 100 on, every norm, kadison_norm and markov_cp's Choi eigenvalues
+are taken by `linalg.certified_value` instead, each certified against its
+key's tolerance.  A norm's Golub-Kahan-Lanczos Ritz value r is a lower
+bound on |A|_op and |A|_F an upper bound, so r > tol is a certain fail and
+|A|_F <= tol a certain pass.  kadison_norm is max(0, r - 1), r the Ritz
+value of T_eig, and a Cholesky factor of (1 + tol)^2 1 - T^+ T certifies
+its pass.  A Choi block that has a Cholesky factor keeps markov_cp at its
+Hermiticity defect; one that factors only with its tolerance tau added
+gives the Lanczos upper bound |C|_F - r' on lambda_min, r' the Ritz value
+of |C|_F 1 - C.  A verdict no certificate settles takes the dense SVD or
+eigvalsh.  Verdicts are those of the dense route; the residual values
+match it to rounding, not bit for bit, and kadison_norm and markov_cp
+are bounds on the dense values, from below up to rounding.
 
 The sampled flow keys (eq32_t, thm_commute_z, thm_i_s) are maxima over
 their samples, all three from one stack of masks (`_flow_residuals`), and
@@ -75,18 +85,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotMarkov
+from . import linalg
 from .generators import BuildResult, GenSpec, build_channel, derive_seed
 from .gns import ModularData
-from .linalg import (
-    _top_singular_value,
-    as_cmatrix,
-    frob,
-    max_column_norm,
-    op_norm,
-    power_condition_scale,
-    stack_chunk,
-    tolerance_factor,
-)
+from .linalg import certified_value, power_condition_scale, stack_chunk, tolerance_factor
 from .markov import Channel, adjoint_index, check_markov, eigen_extension
 from .serialize import genspec_to_json
 
@@ -166,12 +168,6 @@ def verify_commute(ch: Channel, z_samples, s_values=DEFAULT_S_VALUES,
                                  twist=[(s_values, tol["thm_i_s"])]))
 
 
-# From this size on, in both dimensions, a flow norm is the Lanczos value
-# (`_op_norm`) rather than a dense SVD.  On masked flow products, one BLAS
-# thread, the Lanczos kernel took 0.52-0.62 ms against 0.40-0.48 ms for the
-# SVD at N = 64, and 0.70-1.02 against 1.35-1.46 ms at N = 100.
-_LANCZOS_MIN_DIM = 100
-
 # Relative slack of the prune test: ~1e7 times the SVD's backward error
 # (~N eps) and the rounding of the bounds, so the mask holding the max
 # always reaches the SVD.
@@ -202,32 +198,16 @@ def _masked_product(base: np.ndarray, masks: Callable, sel) -> np.ndarray:
     return prod
 
 
-def _op_norm(a: np.ndarray, tol: float) -> float:
-    """`op_norm(a)`, taken for the verdict |a|_op <= tol.
-
-    From `_LANCZOS_MIN_DIM` on it is the Lanczos Ritz value r, a lower bound
-    on |a|_op, when r settles the verdict: r > tol is a certain fail, and
-    |a|_F <= tol, an upper bound, a certain pass.  A matrix whose bracket
-    [r, |a|_F] straddles tol takes the dense SVD."""
-    if min(a.shape) < _LANCZOS_MIN_DIM:
-        return op_norm(a)
-    a = as_cmatrix(a)
-    ritz = _top_singular_value(a)
-    if ritz > tol or frob(a) <= tol:
-        return ritz
-    return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
 def _stack_norms(prod: np.ndarray, tols) -> list[float]:
-    """`_op_norm(a, tol)` for each matrix a of a stack and its tolerance;
-    below `_LANCZOS_MIN_DIM` one stacked SVD."""
-    if min(prod.shape[-2:]) < _LANCZOS_MIN_DIM:
+    """`certified_value(a, tol)` for each matrix a of a stack and its
+    tolerance; below `linalg.LANCZOS_MIN_DIM` one stacked SVD."""
+    if min(prod.shape[-2:]) < linalg.LANCZOS_MIN_DIM:
         return np.linalg.svd(prod, compute_uv=False)[:, 0].tolist()
-    return [_op_norm(a, tol) for a, tol in zip(prod, tols)]
+    return [certified_value(a, tol) for a, tol in zip(prod, tols)]
 
 
 def _masked_op_norms(base: np.ndarray, masks: Callable, tols) -> list[float]:
-    """`_op_norm(base * m, tol)` for the masks m and their tolerances in
+    """`certified_value(base * m, tol)` for the masks m and their tolerances in
     tols, in stacks under the entry cap.  masks(sel) is a fresh complex
     stack of the masks sel, a slice of range(len(tols))."""
     step = _chunk_size(base)
@@ -262,7 +242,7 @@ def _norm_bounds(prod: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _masked_op_norm_maxima(base: np.ndarray, masks: Callable, counts,
                            tols) -> list[float]:
-    """max(`_op_norm`(base * m, tols[i])) over the masks m of each family i,
+    """max(`certified_value`(base * m, tols[i])) over the masks m of each family i,
     0.0 for none, bit for bit, with only the masks that can hold a max
     taking a norm.  Family i is the next counts[i] masks of one stack, and
     masks(sel) is a fresh complex stack of the masks sel, an ascending
@@ -349,7 +329,7 @@ def _symmetry_residuals(t_eig: np.ndarray, ch: Channel,
     of the conjugate-linear composition is P_t conj(T) P_s, and the adjoint
     permutation P commutes with the frame, V^+ x^+ V = (V^+ x V)^+, so it
     applies to T_eig as to T.  The norm |P_t conj(T_eig) P_s - T_eig| is
-    taken for the verdict against tol.
+    taken for the verdict against tol (`certified_value`).
 
     thm_iii, S_t T S_s = T, is checked on the embedded unit basis because S
     is conjugate-linear and determined there: the max over source matrix
@@ -362,18 +342,19 @@ def _symmetry_residuals(t_eig: np.ndarray, ch: Channel,
     last product leaves the frame.  On a flow-commuting T those weights are
     1 on T's support, which pairs equal frequencies, so swapping the two
     half powers changes nothing there; only a channel off the flow class
-    (kind sp_ucp) tells them apart.
+    (kind sp_ucp) tells them apart.  The column norms through G_s are
+    `ModularData.frame_column_norms`.
     """
     md_s, md_t = ch.source.modular, ch.target.modular
     p_s = adjoint_index(ch.source.algebra)
     p_t = adjoint_index(ch.target.algebra)
     flipped = t_eig.conj()[p_t][:, p_s]
-    conjugation = _op_norm(flipped - t_eig, tol)
+    conjugation = certified_value(flipped - t_eig, tol)
     lhs = (md_t.delta_power_diagonals([-0.5]).T
            * flipped
            * md_s.delta_power_diagonals([0.5]))
     r_s = np.sqrt(md_s.lambda_b)
-    return conjugation, max_column_norm(((lhs - t_eig) * r_s[None, :]) @ md_s.frame)
+    return conjugation, float(md_s.frame_column_norms((lhs - t_eig) * r_s[None, :]).max())
 
 
 def verify_adjoint(ch: Channel,
@@ -392,12 +373,13 @@ def verify_adjoint(ch: Channel,
 
 def _adjoint_residuals(t_eig: np.ndarray, ch: Channel,
                        tol: dict[str, float]) -> tuple[float, float, float]:
-    """The `verify_adjoint` triple, the pair taken for the verdicts against
-    tol.  In the frame T^+, the adjoint channel ch* = D_s^{-1} ch^+(D_t .),
-    its extension and the Petz form are all X^+ = `ch.eigen_superop`^+
-    weighted by eigenvalues of row i (source) and column j (target).
-    kadison_norm stays a dense SVD: |T| is 1 on the class, so |T|_F cannot
-    certify |T| <= 1 + tol."""
+    """The `verify_adjoint` triple, each taken for its verdict against tol.
+    In the frame T^+, the adjoint channel ch* = D_s^{-1} ch^+(D_t .), its
+    extension and the Petz form are all X^+ = `ch.eigen_superop`^+ weighted
+    by eigenvalues of row i (source) and column j (target).  |T| is 1 on the
+    class, so |T|_F cannot certify kadison_norm's |T| <= 1 + tol: from
+    `linalg.LANCZOS_MIN_DIM` on a Cholesky factor does (`certified_value`,
+    kind "excess")."""
     md_s, md_t = ch.source.modular, ch.target.modular
     x_h = ch.eigen_superop.conj().T
     la_s, rb_s = md_s.lambda_a[:, None], np.sqrt(md_s.lambda_b)[:, None]
@@ -409,7 +391,7 @@ def _adjoint_residuals(t_eig: np.ndarray, ch: Channel,
     adjc, petz_norm = _masked_op_norms(
         x_h, lambda sl: np.array((consistency, petz)[sl], dtype=np.complex128),
         (tol["adjoint_consistency"], tol["petz_match"]))
-    return adjc, petz_norm, max(0.0, op_norm(t_eig) - 1.0)
+    return adjc, petz_norm, certified_value(t_eig, tol["kadison_norm"], "excess")
 
 
 def _omega_residual(t_eig: np.ndarray, ch: Channel) -> float:
@@ -657,8 +639,8 @@ def verify_channel(ch: Channel, *, kind: str | None = None,
     mc = check_markov(ch, t_samples=[t for t in t_samples if t != 0])
     t_eig = eigen_extension(ch)
     md_s, md_t = ch.source.modular, ch.target.modular
-    # the flow norms take their tolerances: from _LANCZOS_MIN_DIM on, a
-    # norm's route depends on whether its Lanczos bracket settles the verdict
+    # the norms take their tolerances: from linalg.LANCZOS_MIN_DIM on, a
+    # norm's route depends on whether a certificate settles the verdict
     tol = _tolerances(ch, s_values, z_samples)
 
     residuals: dict[str, float] = {

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modmark import linalg
 from modmark.errors import NonHermitian, NotPositiveDefinite
 from modmark.linalg import (
+    _top_singular_value,
     base_tolerance,
     block_diag,
+    certified_value,
     frob,
     herm_eig,
     matrix_power,
@@ -177,3 +180,129 @@ class TestTolerance:
     def test_condition_scale_floor(self):
         assert power_condition_scale(0.5, 2.0) == 1.0
         assert power_condition_scale(10.0, 2.0) == pytest.approx(100.0)
+
+
+# ---------------------------------------------------------------------------
+# certified_value: the Lanczos value and its certificate, or the dense call
+# ---------------------------------------------------------------------------
+
+def random_unitary(seed, n):
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+
+def hermitian_with_spectrum(seed, w):
+    """U diag(w) U^+ for a seeded unitary U."""
+    u = random_unitary(seed, len(w))
+    h = (u * np.asarray(w)) @ u.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Shapes of the matrices handed to np.linalg.svd, eigvalsh and
+    cholesky, by name: a full-size svd or eigvalsh is the dense fallback."""
+    calls = {"svd": [], "eigvalsh": [], "cholesky": []}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _name=name, _original=original, **kwargs):
+            calls[_name].append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls
+
+
+TOL = 1e-9
+N_CERT = 120  # above linalg.LANCZOS_MIN_DIM
+
+
+class TestCertifiedValue:
+    def test_below_the_gate_the_dense_values(self):
+        a = random_unitary(1, 60) * 1.5
+        h = random_hermitian(2, 60)
+        assert certified_value(a, TOL) == op_norm(a)
+        assert certified_value(a, TOL, "excess") == max(0.0, op_norm(a) - 1.0)
+        assert certified_value(h, TOL, "min_eig") == float(np.linalg.eigvalsh(h)[0])
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind"):
+            certified_value(np.eye(3), TOL, "max_eig")
+
+    def test_excess_pass_certified_by_a_factor(self, dense_calls):
+        # |Q| = 1: the Ritz value is 1 to rounding, and (1 + tol)^2 1 - Q^+ Q
+        # factors
+        q = random_unitary(3, N_CERT)
+        got = certified_value(q, TOL, "excess")
+        assert got == max(0.0, _top_singular_value(q) - 1.0) and got <= 1e-14
+        assert (N_CERT, N_CERT) in dense_calls["cholesky"]
+        assert (N_CERT, N_CERT) not in dense_calls["svd"]
+
+    def test_excess_fail_from_the_ritz_value(self, dense_calls):
+        q = random_unitary(4, N_CERT) * (1.0 + 10 * TOL)
+        got = certified_value(q, TOL, "excess")
+        assert got > TOL and abs(got - 10 * TOL) <= 1e-14
+        assert not dense_calls["cholesky"] and (N_CERT, N_CERT) not in dense_calls["svd"]
+
+    def test_excess_straddle_takes_the_svd(self, dense_calls):
+        # |a| = 1 + 2 tol along a right singular vector orthogonal to the
+        # Lanczos start vector: the Krylov space never meets it, so the Ritz
+        # value settles at s_2 < 1 and the factor fails: the dense SVD decides
+        n = N_CERT
+        start = np.random.default_rng(linalg._GKL_SEED).standard_normal(2 * n).view(np.complex128)
+        rng = np.random.default_rng(5)
+        top = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        top -= start * (np.vdot(start, top) / np.vdot(start, start))
+        basis = np.column_stack([top, rng.standard_normal((n, n - 1))
+                                 + 1j * rng.standard_normal((n, n - 1))])
+        v = np.linalg.qr(basis)[0]
+        s = np.concatenate([[1.0 + 2 * TOL], np.linspace(0.5, 1.0 - 1e-6, n - 1)])
+        a = (random_unitary(6, n) * s) @ v.conj().T
+        assert _top_singular_value(a) <= 1.0
+        dense_calls["svd"].clear()
+        got = certified_value(a, TOL, "excess")
+        assert dense_calls["svd"].count((n, n)) == 1
+        assert got == float(np.linalg.svd(a, compute_uv=False)[0]) - 1.0 and got > TOL
+
+    @pytest.mark.parametrize("tol", [1e-15, 1e-16])
+    def test_tiny_tolerance_goes_dense(self, dense_calls, tol):
+        # below CHOLESKY_MARGIN N eps the factors certify nothing
+        q = random_unitary(7, N_CERT) * (1.0 - 1e-12)
+        assert certified_value(q, tol, "excess") == max(
+            0.0, float(np.linalg.svd(q, compute_uv=False)[0]) - 1.0)
+        assert dense_calls["svd"].count((N_CERT, N_CERT)) == 2
+        h = hermitian_with_spectrum(8, np.linspace(0.1, 1.0, N_CERT))
+        assert certified_value(h, tol, "min_eig") == float(np.linalg.eigvalsh(h)[0])
+        assert dense_calls["eigvalsh"].count((N_CERT, N_CERT)) == 2
+        assert not dense_calls["cholesky"]
+
+    def test_min_eig_of_a_factored_matrix_reads_zero(self, dense_calls):
+        h = hermitian_with_spectrum(9, np.linspace(1e-3, 1.0, N_CERT))
+        assert certified_value(h, TOL, "min_eig") == 0.0
+        assert dense_calls["cholesky"] == [(N_CERT, N_CERT)] and not dense_calls["eigvalsh"]
+
+    @pytest.mark.parametrize("lam", [0.0, -0.25 * TOL, -0.75 * TOL])
+    def test_min_eig_inside_the_shift_is_an_upper_bound(self, dense_calls, lam):
+        # rank-deficient or slightly negative: only h + tol 1 factors, and
+        # the value |h|_F - r bounds lambda_min from above, within rounding
+        w = np.concatenate([[lam] * 5, np.linspace(0.2, 1.0, N_CERT - 5)])
+        h = hermitian_with_spectrum(10, w)
+        got = certified_value(h, TOL, "min_eig")
+        ref = float(np.linalg.eigvalsh(h)[0])
+        dense_calls["eigvalsh"].clear()
+        assert ref - 1e-15 <= got <= ref + 1e-14, (got, ref)
+        assert len(dense_calls["cholesky"]) == 2
+
+    def test_min_eig_below_minus_tol_goes_dense(self, dense_calls):
+        w = np.concatenate([[-2 * TOL], np.linspace(0.2, 1.0, N_CERT - 1)])
+        h = hermitian_with_spectrum(11, w)
+        got = certified_value(h, TOL, "min_eig")
+        assert dense_calls["eigvalsh"] == [(N_CERT, N_CERT)]
+        assert got == float(np.linalg.eigvalsh(h)[0]) and got < -TOL
+
+    def test_gate_is_read_at_call_time(self, monkeypatch, dense_calls):
+        q = random_unitary(12, N_CERT)
+        monkeypatch.setattr(linalg, "LANCZOS_MIN_DIM", 1 << 30)
+        assert certified_value(q, TOL, "excess") == max(0.0, op_norm(q) - 1.0)
+        assert not dense_calls["cholesky"]

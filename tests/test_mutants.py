@@ -1,6 +1,8 @@
-"""Mutants of the gns_* layer and of the symmetry pass: are the stacked pass
-over both endpoint states and the one permuted conjugate behind thm_ii and
-thm_iii wired so that a wrong piece shows?
+"""Mutants of the gns_* layer, of the symmetry pass and of the certificates
+of `linalg.certified_value`: are the stacked pass over both endpoint
+states, the one permuted conjugate behind thm_ii and thm_iii, and the
+Cholesky certificates behind kadison_norm and markov_cp wired so that a
+wrong piece shows?
 
 Each mutant replaces one private piece of `verify` or `ModularData` by
 monkeypatching and runs `verify_channel`.  A gns_* mutant runs on a fixed
@@ -9,7 +11,10 @@ zero-padded in the joint pass); it either flips at least one gns_* verdict,
 or it is listed as equivalent, with the argument why no gns_* verdict can
 move, and then the test holds it to that: every gns_* verdict stays as it
 was.  A symmetry mutant runs on a corpus of positives and two sp_ucp
-channels and must flip each of its `must_flip` keys on some instance.
+channels and must flip each of its `must_flip` keys on some instance.  A
+certificate mutant runs `certified_value` on direct matrix cases above
+`linalg.LANCZOS_MIN_DIM` and must flip a verdict, change a value or change
+the number of dense fallbacks (full-size svd or eigvalsh calls) on one.
 """
 
 from dataclasses import dataclass
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from modmark import verify
+from modmark import linalg, verify
 from modmark.generators import GenSpec, build_channel, derive_seed
 from modmark.gns import ModularData
 from modmark.verify import verify_channel
@@ -226,3 +231,109 @@ def test_symmetry_mutant(name, monkeypatch):
     if mutant.positive_equivalent is not None:
         assert not any(keys for (kind, _), keys in flipped.items() if kind != "sp_ucp"), (
             f"'positive-equivalent' mutant {name} flips {flipped}")
+
+
+# ---------------------------------------------------------------------------
+# the certificates of linalg.certified_value
+# ---------------------------------------------------------------------------
+
+CERT_TOL = 1e-9
+CERT_N = 120  # above linalg.LANCZOS_MIN_DIM
+
+
+def _unitary(seed, n=CERT_N):
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+
+def _hermitian(seed, w):
+    u = _unitary(seed, len(w))
+    h = (u * np.asarray(w)) @ u.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+def _spectrum(lowest, count=5):
+    """count eigenvalues at lowest, the rest spread over [0.2, 1]."""
+    return np.concatenate([[lowest] * count, np.linspace(0.2, 1.0, CERT_N - count)])
+
+
+# (matrix, kind): a contraction whose excess pass a factor certifies, one
+# whose Ritz value fails it, a positive definite, a rank-deficient and a
+# slightly negative Choi-like block (only the tol shift factors these two),
+# and one below -tol (dense)
+CERT_CASES = {
+    "excess-pass": (_unitary(51), "excess"),
+    "excess-fail": (_unitary(52) * (1.0 + 10 * CERT_TOL), "excess"),
+    "min-eig-definite": (_hermitian(53, _spectrum(1e-3)), "min_eig"),
+    "min-eig-rank-deficient": (_hermitian(54, _spectrum(0.0)), "min_eig"),
+    "min-eig-inside-shift": (_hermitian(55, _spectrum(-0.25 * CERT_TOL)), "min_eig"),
+    "min-eig-below-shift": (_hermitian(56, _spectrum(-2 * CERT_TOL)), "min_eig"),
+}
+
+
+def _certified_outcomes() -> dict[str, tuple[bool, float, int]]:
+    """(verdict, value, dense fallbacks) of each case."""
+    dense = []
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("svd", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def recording(a, *args, _original=original, **kwargs):
+                dense.append(np.shape(a) == (CERT_N, CERT_N))
+                return _original(a, *args, **kwargs)
+
+            mp.setattr(np.linalg, name, recording)
+        for case, (a, kind) in CERT_CASES.items():
+            dense.clear()
+            value = linalg.certified_value(a, CERT_TOL, kind)
+            ok = value >= -CERT_TOL if kind == "min_eig" else value <= CERT_TOL
+            out[case] = (ok, value, sum(dense))
+    return out
+
+
+_norm_below = linalg._norm_below
+_eig_above = linalg._eig_above
+_bottom_eigenvalue = linalg._bottom_eigenvalue
+
+
+@dataclass(frozen=True)
+class CertMutant:
+    attribute: str  # of linalg
+    replacement: object
+    # None: the mutant must change an outcome; else why it cannot
+    equivalent: str | None = None
+
+
+CERT_MUTANTS = {
+    # |T| <= 1 - tol asked of a contraction with |T| = 1: its factor fails
+    "shift_one_minus_tol": CertMutant(
+        "_norm_below", lambda a, bound: _norm_below(a, 2.0 - bound)),
+    # the Choi block itself factored twice: a rank-deficient or slightly
+    # negative block goes dense
+    "tau_dropped": CertMutant("_eig_above", lambda h, floor: _eig_above(h, 0.0)),
+    # every factor taken as a success: no fallback, and a block below -tol
+    # reads 0.0
+    "failed_factor_skips_dense": CertMutant("_has_cholesky", lambda h: True),
+    "bottom_sign_flipped": CertMutant(
+        "_bottom_eigenvalue", lambda h: -_bottom_eigenvalue(h)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERT_MUTANTS))
+def test_certificate_mutant(name, monkeypatch):
+    mutant = CERT_MUTANTS[name]
+    before = _certified_outcomes()
+    # the unmutated kernel: only the case below the shift goes dense, and
+    # only it and the Ritz fail fail their verdicts
+    assert {case for case, (_, _, n_dense) in before.items() if n_dense} == {
+        "min-eig-below-shift"}
+    assert {case for case, (ok, _, _) in before.items() if not ok} == {
+        "excess-fail", "min-eig-below-shift"}
+    monkeypatch.setattr(linalg, mutant.attribute, mutant.replacement)
+    after = _certified_outcomes()
+    changed = sorted(case for case in before if before[case] != after[case])
+    if mutant.equivalent is None:
+        assert changed, f"certificate mutant {name} survives"
+    else:
+        assert not changed, f"'equivalent' mutant {name} changes {changed}"
