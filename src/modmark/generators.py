@@ -11,16 +11,17 @@ unitary diagonal in the eigenbasis, which is a state-preserving inner
 automorphism (`automorphism`), and the equal-frequency mask (`twirl`).
 `sp_ucp` deliberately produces the other thing: unital completely positive
 state-compatible channels that generically fail the flow condition, which is
-what the negative suites feed on.  It does so in closed form, stepping from
-the strictly interior state-to-scalar Choi collection along a seeded
-direction in the null space of the unital and state conditions, sized so
-the smallest Choi eigenvalue keeps at least half its gap.  In superoperator
-coordinates that null space is {Z : Z u = 0, d^+ Z = 0}, u = coords(1_source)
-and d = coords(D_target), and the projection onto it is the two-sided
-rank-one deflation (1 - d d^+/|d|^2) Z (1 - u u^+/|u|^2).  It has dimension
-(T - 1)(S - 1) in the coordinate dims T, S, so an algebra C on either side
-leaves no free direction and the state-to-scalar channel is returned.  The
-`twirl` kind twirls the `sp_ucp` channel of its own spec.
+what the negative suites feed on.  It does so in closed form on the Choi
+blocks, stepping from the strictly interior state-to-scalar Choi collection
+1_{m_j} kron D_k^T, whose smallest eigenvalue is the smallest source
+density eigenvalue, along a seeded direction in the null space of the
+unital and state conditions, sized so the smallest Choi eigenvalue keeps at
+least half its gap.  That null space is {Z : Z u = 0, d^+ Z = 0},
+u = coords(1_source) and d = coords(D_target), and the projection onto it
+is two rank-one deflations, each a partial trace and a kron on the blocks.
+It has dimension (T - 1)(S - 1) in the coordinate dims T, S, so an algebra
+C on either side leaves no free direction and the state-to-scalar channel
+is returned.  The `twirl` kind twirls the `sp_ucp` channel of its own spec.
 
 Determinism: each generator is a pure function of its seed; sub-streams are
 derived through SeedSequence so reports reproduce bit-for-bit.
@@ -50,7 +51,6 @@ from .markov import (
     from_eigenframe,
     identity_channel,
     precondition_defects,
-    to_choi,
 )
 
 KINDS = (
@@ -259,42 +259,68 @@ def modular_twirl(ch: Channel) -> Channel:
 # sp_ucp: a seeded step from an interior point along the feasible affine set
 # ---------------------------------------------------------------------------
 
-def _deflate(sup: np.ndarray, source: System, target: System) -> np.ndarray:
-    """Orthogonal projection of a superoperator onto {Z : Z u = 0, d^+ Z = 0},
-    u = coords(1_source), d = coords(D_target): the directions that keep
-    Phi(1) and the target state of Phi(x) fixed."""
-    u = to_coords(source.algebra.identity())
-    d = to_coords(target.state.density)
-    sup = sup - np.outer(sup @ u, u.conj()) / np.vdot(u, u).real
-    return sup - np.outer(d, d.conj() @ sup) / np.vdot(d, d).real
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices by one broadcast product, the same products:
+    on 2 x 2 blocks np.kron took ~24 us a call against ~3.5 us for this
+    (Python 3.11, numpy 2.4), most of a 2x2x2 sp_ucp build's 27 calls."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
+def _null_projection(z: dict, source: System, target: System) -> dict:
+    """Orthogonal projection of a Choi collection onto {Z : Z u = 0,
+    d^+ Z = 0}, u = coords(1_source), d = coords(D_target): the directions
+    that keep Phi(1) and the target state of Phi(x) fixed.
+
+    Two rank-one deflations, with block (j, k) read as [i, a, i', b] for
+    the traces: subtract (Z u)_j kron 1_{n_k} / |u|^2, (Z u)_j = Z(1)_j the
+    sum over k of the partial traces over the source index; then subtract
+    D_j kron (d^+ Z)_k / |d|^2, (d^+ Z)_k the sum over j of the blocks
+    traced against conj(D_j) over the target index (D_j the target density
+    blocks).  In superoperator coordinates these are Z (1 - u u^+/|u|^2) and
+    (1 - d d^+/|d|^2) Z: they act on opposite sides, so they commute, and
+    the Frobenius metric they are orthogonal in is the Choi metric too (the
+    Choi vector permutes the superoperator's entries).  The blocks are
+    returned Hermitian: the Hermitian parts of the projected ones.
+    """
+    sdims, d_t = source.algebra.block_dims, target.state.density.blocks
+    z = dict(z)
+    for j, d in enumerate(d_t):
+        zu = sum(np.einsum("iaja->ij", z[(j, k)].reshape(len(d), n, len(d), n))
+                 for k, n in enumerate(sdims)) / source.algebra.carrier_dim
+        for k, n in enumerate(sdims):
+            z[(j, k)] = z[(j, k)] - _kron(zu, np.eye(n))
+    d_sq = sum(np.vdot(d, d).real for d in d_t)
+    for k, n in enumerate(sdims):
+        dz = sum(np.einsum("ij,iajb->ab", d.conj(), z[(j, k)].reshape(len(d), n, len(d), n))
+                 for j, d in enumerate(d_t)) / d_sq
+        for j, d in enumerate(d_t):
+            z[(j, k)] = z[(j, k)] - _kron(d, dz)
+    return {key: (c + c.conj().T) / 2.0 for key, c in z.items()}
 
 
 def sp_ucp(source: System, target: System, seed: int) -> Channel:
     """Unital cp state-compatible channel that is generically not flow-compatible.
 
-    Closed form, no iteration.  The base point is the Choi collection of
-    `state_to_scalar(source, target)`, whose smallest Choi eigenvalue
-    lambda_min is the smallest source density eigenvalue, so it sits strictly
-    inside the psd cone.  A seeded random Hermitian Choi collection Z, taken
-    to its superoperator, is projected onto the null space of the unital and
-    state conditions by the two-sided rank-one deflation
-    Z |-> (1 - d d^+/|d|^2) Z (1 - u u^+/|u|^2), u = coords(1_source) and
-    d = coords(D_target).  The two factors act on opposite sides, so they
-    commute, and the Frobenius metric they are orthogonal in is the Choi
-    metric too (the Choi vector permutes the superoperator's entries).  The
-    output is base + eps * Z with eps = lambda_min / (2 |Z|_op): exactly
-    feasible, and completely positive with Choi eigenvalues at least
-    lambda_min / 2.  The base is flow-compatible and a generic null-space
-    direction is not, so the output breaks the flow by an amount of order
-    eps.  The null space has dimension (T - 1)(S - 1) for coordinate dims
-    T and S, so when either is 1 there is no free direction and
-    `state_to_scalar(source, target)` itself is returned (decided by the
-    dims, not by the size of a roundoff-level Z).
+    Closed form on the Choi blocks, no iteration.  The base point is the
+    Choi collection of `state_to_scalar(source, target)`, block (j, k) equal
+    to 1_{m_j} kron D_k^T (D_k the source density blocks, m_j the target
+    block dims), whose smallest eigenvalue lambda_min is the smallest source
+    density eigenvalue, read from the state's eigendecomposition: the base
+    sits strictly inside the psd cone.  A seeded random Hermitian Choi
+    collection Z is projected onto the null space of the unital and state
+    conditions (`_null_projection`).  The output is base + eps * Z with
+    eps = lambda_min / (2 |Z|_op), |Z|_op the largest |eigenvalue| of the
+    Hermitian blocks: exactly feasible, and completely positive with Choi
+    eigenvalues at least lambda_min / 2.  The base is flow-compatible and a
+    generic null-space direction is not, so the output breaks the flow by an
+    amount of order eps.  The null space has dimension (T - 1)(S - 1) for
+    coordinate dims T and S, so when either is 1 there is no free direction
+    and `state_to_scalar(source, target)` itself is returned (decided by the
+    dims, not by the size of a roundoff-level Z).  The one change of
+    representation is the final `choi_to_channel`.
     """
-    base = state_to_scalar(source, target)
     if source.coord_dim == 1 or target.coord_dim == 1:
-        return base
-    base_choi = to_choi(base)
+        return state_to_scalar(source, target)
     rng = np.random.default_rng(seed)
     z = {}
     for j, m in enumerate(target.algebra.block_dims):
@@ -302,13 +328,11 @@ def sp_ucp(source: System, target: System, seed: int) -> Channel:
             g = (rng.standard_normal((m * n, m * n))
                  + 1j * rng.standard_normal((m * n, m * n)))
             z[(j, k)] = g + g.conj().T
-    sup = _deflate(choi_to_channel(ChoiMatrix(source.algebra, target.algebra, z),
-                                   source, target).superop, source, target)
-    z = {key: (c + c.conj().T) / 2.0
-         for key, c in to_choi(Channel(source, target, sup)).blocks.items()}
-    z_norm = max(float(np.linalg.norm(c, 2)) for c in z.values())
-    eps = 0.5 * max(base_choi.min_eigenvalue(), 0.0) / z_norm
-    blocks = {key: base_choi.blocks[key] + eps * z[key] for key in z}
+    z = _null_projection(z, source, target)
+    z_norm = max(float(np.abs(np.linalg.eigvalsh(c)).max()) for c in z.values())
+    eps = 0.5 * min(float(e.eigenvalues[0]) for e in source.state.block_eigs) / z_norm
+    d_s, m = source.state.density.blocks, target.algebra.block_dims
+    blocks = {(j, k): _kron(np.eye(m[j]), d_s[k].T) + eps * c for (j, k), c in z.items()}
     return choi_to_channel(
         ChoiMatrix(source.algebra, target.algebra, blocks), source, target)
 

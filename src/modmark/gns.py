@@ -198,13 +198,15 @@ class ModularData:
 
     def d_power_stack(self, zs) -> np.ndarray:
         """D**z for each z in zs, as block-diagonal carrier matrices stacked
-        along a leading axis, shape (len(zs), c, c); cached per exponent tuple.
+        along a leading axis, shape (len(zs), c, c).  Only the last tuple's
+        stack is cached: the one reuse is the gns pass's second call when
+        source is target.
 
         The spectral powers V diag(exp(z log w)) V^+ of every block and every
         z in one batched product; z = 0 gives the identity exactly, and every
         z must satisfy |Re z| <= Z_MAX.  This is the one place the powers are
-        formed: `d_power_blocks`, and through it `omega`, `delta_power` and
-        `modular_flow`, read them from here.
+        formed: `d_power_blocks` (and through it `omega`, `delta_power` and
+        `modular_flow`) and `modular_smear` read them from here.
         """
         zs = tuple(zs)
         self._check_range(max(zs, key=lambda z: abs(complex(z).real), default=0))
@@ -215,7 +217,7 @@ class ModularData:
             hit = (v * np.exp(z[:, None] * logw)[:, None, :]) @ v.conj().T
             hit[z == 0] = np.eye(len(logw))
             hit.flags.writeable = False
-            self._power_cache[zs] = hit
+            self._power_cache = {zs: hit}
         return hit
 
     def d_power_blocks(self, z: complex) -> list[np.ndarray]:
@@ -251,7 +253,9 @@ class ModularData:
         """Trapezoidal quadrature of integral f(t) sigma_t(x) dt over [-L, L].
 
         f is sampled on a uniform grid of spacing ~step; no adaptive scheme.
-        A normalized kernel concentrating at t = 0 reproduces x in the limit.
+        Each sigma_t(x) is D^{it} x D^{-it}, the powers of the whole +-it grid
+        taken from one `d_power_stack` call.  A normalized kernel
+        concentrating at t = 0 reproduces x in the limit.
         """
         if x.parent != self.algebra:
             raise ShapeMismatch("element does not live on the state's algebra")
@@ -265,15 +269,12 @@ class ModularData:
         fs = np.asarray([float(f(t)) for t in ts])
         if not np.all(np.isfinite(fs)):
             raise BadQuadrature("kernel samples must be finite")
+        powers = self.d_power_stack(tuple(1j * ts) + tuple(-1j * ts))
+        ends = np.cumsum(self.algebra.block_dims)
         out = []
-        for e, b in zip(self.d_eig, x.blocks):
-            lam = e.eigenvalues
-            v = e.eigenvectors
-            bt = v.conj().T @ b @ v
-            phases = np.exp(1j * np.outer(ts, np.log(lam)))  # (m, n)
-            batch = phases[:, :, None] * bt[None, :, :] * phases.conj()[:, None, :]
-            block = np.trapezoid(fs[:, None, None] * batch, ts, axis=0)
-            out.append(v @ block @ v.conj().T)
+        for e, n, b in zip(ends, self.algebra.block_dims, x.blocks):
+            p = powers[:, e - n:e, e - n:e]  # D^{it}, then D^{-it}, on block k
+            out.append(np.trapezoid(fs[:, None, None] * (p[:m] @ b @ p[m:]), ts, axis=0))
         return AlgebraElement(self.algebra, out)
 
 

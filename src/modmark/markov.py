@@ -180,15 +180,12 @@ class ChoiMatrix:
     target: BlockAlgebra
     blocks: dict[tuple[int, int], np.ndarray]
 
-    def min_eigenvalue(self, tol: float | None = None) -> float:
-        """Smallest eigenvalue of the blocks' Hermitian parts: eigvalsh, or
-        with tol `linalg.certified_value(h, tol, "min_eig")` for the verdict
-        lambda_min >= -tol, which from `linalg.LANCZOS_MIN_DIM` on reads 0.0
-        for a block with a Cholesky factor and an upper bound for one that
-        factors only with tol added."""
-        if tol is None:
-            return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2.0)[0])
-                       for b in self.blocks.values())
+    def min_eigenvalue(self, tol: float) -> float:
+        """Smallest eigenvalue of the blocks' Hermitian parts, taken by
+        `linalg.certified_value(h, tol, "min_eig")` for the verdict
+        lambda_min >= -tol: eigvalsh below `linalg.LANCZOS_MIN_DIM`, and from
+        it on 0.0 for a block with a Cholesky factor and an upper bound for
+        one that factors only with tol added."""
         return min(certified_value((b + b.conj().T) / 2.0, tol, "min_eig")
                    for b in self.blocks.values())
 

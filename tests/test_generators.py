@@ -244,6 +244,10 @@ def _system_pair(src_dims, tgt_dims, seed):
     return src, System(random_faithful_state(BlockAlgebra(tgt_dims), seed + 1, 0.05))
 
 
+def _choi_min_eigenvalue(ch):
+    return min(float(np.linalg.eigvalsh(b)[0]) for b in to_choi(ch).blocks.values())
+
+
 class TestSpUcpLarge:
     """Sizes where the former alternating-projection solver stalled, and
     where the former dense affine-system projection cost seconds."""
@@ -258,13 +262,21 @@ class TestSpUcpLarge:
         mc = check_markov(ch)
         for key in ("unital", "cp", "state"):
             assert mc.residuals[key] <= 1e-10, key
-        lam_base = to_choi(state_to_scalar(src, tgt)).min_eigenvalue()
-        assert to_choi(ch).min_eigenvalue() >= 0.4 * lam_base
+        lam_base = _choi_min_eigenvalue(state_to_scalar(src, tgt))
+        assert _choi_min_eigenvalue(ch) >= 0.4 * lam_base
         assert mc.residuals["modular"] > 1e-3
         thm_ii, _ = verify_modular_symmetry(ch, require_markov=False)
         assert thm_ii > 1e-6
         again = sp_ucp(src, tgt, 51)
         assert np.array_equal(ch.superop, again.superop)
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_keeps_half_the_gap(self, n):
+        # eps = lambda_min / (2 |Z|_op) with lambda_min the smallest source
+        # density eigenvalue: no Choi eigenvalue falls below half of it
+        sys = System(random_faithful_state(BlockAlgebra((n,)), 53, 0.05))
+        lam_min = min(float(e.eigenvalues[0]) for e in sys.state.block_eigs)
+        assert _choi_min_eigenvalue(sp_ucp(sys, sys, 54)) >= 0.5 * lam_min * (1 - 1e-12)
 
     @pytest.mark.parametrize("dims", [(6,), (8,), (2, 2, 2), (3, 3)])
     def test_build_unflagged(self, dims):

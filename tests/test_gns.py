@@ -229,6 +229,22 @@ class TestModularSmear:
         assert abs(out.blocks[0][0, 1] - expected) <= 1e-9
         assert abs(out.blocks[0][1, 0]) <= 1e-15
 
+    def test_multi_block_against_the_flow(self):
+        # the trapezoid of sigma_t(x) with each sigma_t taken by modular_flow
+        alg = BlockAlgebra((2, 3, 1))
+        md = ModularData(random_faithful_state(alg, 23, 0.05))
+        x = random_element(alg, 24)
+
+        def f(t):
+            return math.exp(-t * t / 2.0)
+
+        out = md.modular_smear(x, f, half_width=3.0, step=0.1)
+        ts = np.linspace(-3.0, 3.0, 61)
+        flows = [md.modular_flow(t, x) for t in ts]
+        for k, block in enumerate(out.blocks):
+            ref = np.trapezoid([f(t) * fl.blocks[k] for t, fl in zip(ts, flows)], ts, axis=0)
+            assert np.max(np.abs(block - ref)) <= 1e-13
+
     def test_bad_quadrature(self, md):
         x = random_element(M2, 1)
         with pytest.raises(BadQuadrature):
@@ -237,6 +253,21 @@ class TestModularSmear:
             md.modular_smear(x, lambda t: float("nan"), half_width=1.0, step=0.1)
         with pytest.raises(BadQuadrature):
             md.modular_smear(x, lambda t: 1.0, half_width=-1.0, step=0.1)
+
+
+class TestPowerCache:
+    def test_flow_sweep_keeps_the_last_tuple_only(self):
+        md = ModularData(random_faithful_state(BlockAlgebra((4,)), 61, 0.05))
+        zs = (0.5, 1.0, 0.3j, -0.5, -1.0, -0.3j)
+        before = md.d_power_stack(zs)
+        # a repeated tuple is served from the cache, as the gns pass's
+        # second call is when source is target
+        assert md.d_power_stack(zs) is before
+        x = random_element(md.algebra, 62)
+        for t in np.linspace(-5.0, 5.0, 2000):
+            md.modular_flow(t, x)
+        assert len(md._power_cache) <= 1
+        assert np.array_equal(md.d_power_stack(zs), before)
 
 
 @dataclass
