@@ -52,16 +52,22 @@ match it to rounding, not bit for bit, and kadison_norm and markov_cp
 are bounds on the dense values, from below up to rounding.
 
 The sampled flow keys (eq32_t, thm_commute_z, thm_i_s) are maxima over
-their samples, all three from one stack of masks (`_flow_residuals`), and
-they bound-and-prune per family: a first pass brackets each masked matrix
-A by |A|_F >= |A|_op >= |A u|, u one power step from the largest column,
-and only a mask whose Frobenius bound reaches its family's top lower
-bound, within a relative slack of 1e-6, takes a norm.  The slack is ~1e7
-times the norm's rounding error at these sizes, so the mask holding the
-max always survives; LAPACK gives a matrix the same bits whatever its
-stack holds, so each max is the same float as over every mask of its
-family alone.  Pruning cuts how many norms are taken, and the Lanczos
-route how much each one costs.
+their samples, all three from one set of masks (`_flow_residuals`), and
+they bound-and-prune per family: only a mask whose upper bound on |A|_op
+reaches its family's best lower bound, within a relative slack of 1e-6,
+takes a norm.  The slack is ~1e7 times the norm's rounding error at these
+sizes, so the mask holding the max always survives.  The route depends on
+the gate `linalg.LANCZOS_MIN_DIM`.  Below it the masks form one stack,
+and a first pass brackets each masked matrix A by
+|A|_F >= |A|_op >= |A u|, u one power step from the largest column
+(`_masked_op_norm_maxima`).  From it on every |A|_F is bounded from one
+GEMM over |T_eig|^2, no masked copy formed (`_flow_bounds`), and each
+family's masks take their norms one at a time in descending bound order
+until a bound falls below the running max (`_bounded_maxima`), so each
+survivor is formed once.  LAPACK and the Lanczos kernel give a matrix the
+same bits whatever its stack holds, so on either route each max is the
+same float as over every mask of its family alone.  Pruning cuts how many
+norms are taken, and the Lanczos route how much each one costs.
 
 The gns_* keys alone stay out of the frame: they use the spectral powers,
 so they test the modular data the frame is built from.  Both endpoint
@@ -172,18 +178,24 @@ def verify_commute(ch: Channel, z_samples, s_values=DEFAULT_S_VALUES,
 # (~N eps) and the rounding of the bounds, so the mask holding the max
 # always reaches the SVD.
 _PRUNE_SLACK = 1e-6
-# Below this top lower bound every mask reaches the SVD: |A A^+ c|^2 in the
-# power step scales as the sixth power of the entries and loses bits to
-# underflow near 1e-51, the squared column norms near 1e-154.
+# Below this bound every mask reaches a norm: |A A^+ c|^2 in the power step
+# scales as the sixth power of the entries and loses bits to underflow near
+# 1e-51, the squared column norms and |T_eig|^2 near 1e-154.
 _PRUNE_FLOOR = 1e-40
 _TINY = np.finfo(float).tiny
+_EPS = float(np.finfo(float).eps)
+
+
+def _require_finite(base: np.ndarray) -> None:
+    """Refuses a non-finite base, before inf * 0 can warn in a product."""
+    if not np.isfinite(base).all():
+        raise ValueError("matrix entries must be finite")
 
 
 def _chunk_size(base: np.ndarray) -> int:
-    """Masks per stacked product under `linalg.STACK_ENTRIES`.  Refuses a
-    non-finite base, before inf * 0 can warn in a product."""
-    if not np.isfinite(base).all():
-        raise ValueError("matrix entries must be finite")
+    """Masks per stacked product under `linalg.STACK_ENTRIES`; refuses a
+    non-finite base."""
+    _require_finite(base)
     return stack_chunk(base.size)
 
 
@@ -283,32 +295,128 @@ def _masked_op_norm_maxima(base: np.ndarray, masks: Callable, counts,
     return maxima.tolist()
 
 
-def _flow_residuals(t_eig: np.ndarray, ch: Channel, commute=(), twist=()) -> list[float]:
-    """In one `_masked_op_norm_maxima` pass, each taken for the verdict
-    against its tol: max_z |T_eig * (exp(z w_s)[None, :] - exp(z w_t)[:, None])|
-    for each (z samples, tol) in commute, then
-    max_s |T_eig * (exp(-s w_t)[:, None] exp(s w_s)[None, :] - 1)| for each
-    (s values, tol) in twist.  Each endpoint state gives exp(z w) for every
-    exponent in one `delta_power_diagonals` call."""
-    fams = ([(list(zs), tol) for zs, tol in commute]
-            + [([float(s) for s in ss], tol) for ss, tol in twist])
-    counts = [len(f) for f, _ in fams]
-    n_commute = sum(counts[:len(commute)])
-    exps = [z for f, _ in fams for z in f]
-    d_s = ch.source.modular.delta_power_diagonals(exps)
-    d_t = ch.target.modular.delta_power_diagonals(
-        exps[:n_commute] + [-s for s in exps[n_commute:]])
-
+def _flow_masks(d_s: np.ndarray, d_t: np.ndarray, n_commute: int) -> Callable:
+    """masks(sel): a fresh complex stack of the flow masks sel, an ascending
+    index array into range(len(d_s)); mask i < n_commute is
+    d_s[i][None, :] - d_t[i][:, None], the rest d_s[i][None, :] d_t[i][:, None] - 1."""
     def masks(sel: np.ndarray) -> np.ndarray:
-        out = np.empty((len(sel), *t_eig.shape), dtype=np.complex128)
+        out = np.empty((len(sel), d_t.shape[1], d_s.shape[1]), dtype=np.complex128)
         cut = np.searchsorted(sel, n_commute)
         c, t = sel[:cut], sel[cut:]
         np.subtract(d_s[c, None, :], d_t[c, :, None], out=out[:cut])
         np.multiply(d_s[t, None, :], d_t[t, :, None], out=out[cut:])
         np.subtract(out[cut:], 1.0, out=out[cut:])
         return out
+    return masks
 
-    return _masked_op_norm_maxima(t_eig, masks, counts, [tol for _, tol in fams])
+
+def _flow_bounds(t_eig: np.ndarray, d_s: np.ndarray, d_t: np.ndarray, n_commute: int,
+                 w_s: np.ndarray, w_t: np.ndarray) -> np.ndarray:
+    """Upper bounds on |t_eig * m|_F for the masks m of
+    `_flow_masks(d_s, d_t, n_commute)`, none of them formed; w_s and w_t are
+    the frequencies behind the diagonals d_s and d_t.
+
+    With P = |t_eig|^2, |T * m|_F^2 = sum_ij P_ij |m_ij|^2 is, for a commute
+    mask d_s[j] - d_t[i],
+
+        colsum(P).|d_s|^2 + rowsum(P).|d_t|^2 - 2 Re(d_t^+ P d_s),
+
+    and for a twist mask d_t[i] d_s[j] - 1
+
+        (|d_t|^2)^T P |d_s|^2 + sum(P) - 2 Re(d_t^T P d_s),
+
+    every mask from one real GEMM of P with the stacked 1, |d_s|^2, Re d_s
+    and Im d_s.  On a flow-commuting T, P is O(1) only on Z = {(i, j) :
+    w_t[i] == w_s[j]}, where every commute mask is zero and the expansion
+    would cancel to its rounding: P is zeroed on Z, and the Z entries are
+    summed entrywise instead.  The expansion's rounding is at most
+    gamma_n (A + B) (Higham 2002, Accuracy and Stability of Numerical
+    Algorithms, section 3.1), n <= N_s + N_t + 3, with A the positive
+    terms (Z part included) and B the absolute cross terms, B <= the two
+    positive expansion terms by 2|a||b| <= |a|^2 + |b|^2.  Adding the
+    margin 4 (N_s + N_t) eps (A + B) makes each value an upper bound, up
+    to the relative rounding of the formed product.  A P that over- or
+    underflows gives inf, nan or values below `_PRUNE_FLOOR`, which prune
+    nothing."""
+    k, (n_t, n_s) = len(d_s), t_eig.shape
+    rows, cols = np.nonzero(w_t[:, None] == w_s[None, :])  # Z
+    com, tw = slice(None, n_commute), slice(n_commute, None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.abs(t_eig)
+        np.square(p, out=p)
+        p_z = p[rows, cols]
+        p[rows, cols] = 0.0
+        weights = np.concatenate([np.ones((1, n_s)), d_s.real ** 2 + d_s.imag ** 2,
+                                  d_s.real, d_s.imag])
+        q = (p @ weights.T).T  # (3k + 1, N_t)
+        del p
+        row_sum, q_abs, q_re, q_im = q[0], q[1:k + 1], q[k + 1:2 * k + 1], q[2 * k + 1:]
+        a_t = d_t.real ** 2 + d_t.imag ** 2
+        pos = np.empty(k)
+        pos[com] = q_abs[com].sum(axis=1) + a_t[com] @ row_sum
+        pos[tw] = (a_t[tw] * q_abs[tw]).sum(axis=1) + row_sum.sum()
+        re_cross = (d_t.real * q_re).sum(axis=1)
+        im_cross = (d_t.imag * q_im).sum(axis=1)
+        cross = np.concatenate([re_cross[com] + im_cross[com], re_cross[tw] - im_cross[tw]])
+        ds_z, dt_z = d_s[:, cols], d_t[:, rows]
+        m_z = np.concatenate([ds_z[com] - dt_z[com], ds_z[tw] * dt_z[tw] - 1.0])
+        z_part = (m_z.real ** 2 + m_z.imag ** 2) @ p_z
+        margin = 4.0 * (n_s + n_t) * _EPS * (2.0 * pos + z_part)
+        return np.sqrt(np.maximum(pos - 2.0 * cross + z_part + margin, 0.0))
+
+
+def _bounded_maxima(base: np.ndarray, masks: Callable, counts, tols,
+                    bounds: np.ndarray) -> list[float]:
+    """max(`certified_value`(base * m, tols[i])) over the masks m of each
+    family i, 0.0 for none, bit for bit, given an upper bound on each
+    |base * m|_F (`_flow_bounds`).  Family i is the next counts[i] masks,
+    and masks(sel) a fresh complex stack of the masks sel.
+
+    Each family's masks take their norms one at a time, each formed once by
+    `_masked_product`, in descending bound order, untrusted bounds (not
+    finite, or below `_PRUNE_FLOOR`) first.  The rest are skipped once a
+    trusted bound lies below the running max of the norms, by more than
+    `_PRUNE_SLACK` of each: such a mask cannot hold the max."""
+    trusted = np.isfinite(bounds) & (bounds >= _PRUNE_FLOOR)
+    maxima = []
+    for lo, hi, tol in zip(np.cumsum(counts) - counts, np.cumsum(counts), tols):
+        best = 0.0
+        for i in lo + np.argsort(-np.where(trusted[lo:hi], bounds[lo:hi], np.inf),
+                                 kind="stable"):
+            if trusted[i] and bounds[i] * (1.0 + _PRUNE_SLACK) < best * (1.0 - _PRUNE_SLACK):
+                break
+            prod = _masked_product(base, masks, np.array([i]))
+            best = max(best, certified_value(prod[0], tol))
+            del prod
+        maxima.append(best)
+    return maxima
+
+
+def _flow_residuals(t_eig: np.ndarray, ch: Channel, commute=(), twist=()) -> list[float]:
+    """Each taken for the verdict against its tol: max_z |T_eig * (exp(z w_s)[None, :]
+    - exp(z w_t)[:, None])| for each (z samples, tol) in commute, then
+    max_s |T_eig * (exp(-s w_t)[:, None] exp(s w_s)[None, :] - 1)| for each
+    (s values, tol) in twist.  Each endpoint state gives exp(z w) for every
+    exponent in one `delta_power_diagonals` call.
+
+    Below `linalg.LANCZOS_MIN_DIM` all masks go through one
+    `_masked_op_norm_maxima` pass; from it on each family is pruned by the
+    bounds of `_flow_bounds`, which form no masked copy, in `_bounded_maxima`."""
+    fams = ([(list(zs), tol) for zs, tol in commute]
+            + [([float(s) for s in ss], tol) for ss, tol in twist])
+    counts = [len(f) for f, _ in fams]
+    tols = [tol for _, tol in fams]
+    n_commute = sum(counts[:len(commute)])
+    exps = [z for f, _ in fams for z in f]
+    md_s, md_t = ch.source.modular, ch.target.modular
+    d_s = md_s.delta_power_diagonals(exps)
+    d_t = md_t.delta_power_diagonals(exps[:n_commute] + [-s for s in exps[n_commute:]])
+    masks = _flow_masks(d_s, d_t, n_commute)
+    if min(t_eig.shape) < linalg.LANCZOS_MIN_DIM:
+        return _masked_op_norm_maxima(t_eig, masks, counts, tols)
+    _require_finite(t_eig)
+    bounds = _flow_bounds(t_eig, d_s, d_t, n_commute, md_s.frequencies, md_t.frequencies)
+    return _bounded_maxima(t_eig, masks, counts, tols, bounds)
 
 
 def verify_modular_symmetry(ch: Channel,

@@ -1,8 +1,8 @@
-"""Mutants of the gns_* layer, of the symmetry pass and of the certificates
-of `linalg.certified_value`: are the stacked pass over both endpoint
-states, the one permuted conjugate behind thm_ii and thm_iii, and the
-Cholesky certificates behind kadison_norm and markov_cp wired so that a
-wrong piece shows?
+"""Mutants of the gns_* layer, of the symmetry pass, of the certificates
+of `linalg.certified_value` and of the flow-pass bounds: are the stacked
+pass over both endpoint states, the one permuted conjugate behind thm_ii
+and thm_iii, the Cholesky certificates behind kadison_norm and markov_cp
+and the one-GEMM mask bounds wired so that a wrong piece shows?
 
 Each mutant replaces one private piece of `verify` or `ModularData` by
 monkeypatching and runs `verify_channel`.  A gns_* mutant runs on a fixed
@@ -14,9 +14,13 @@ was.  A symmetry mutant runs on a corpus of positives and two sp_ucp
 channels and must flip each of its `must_flip` keys on some instance.  A
 certificate mutant runs `certified_value` on direct matrix cases above
 `linalg.LANCZOS_MIN_DIM` and must flip a verdict, change a value or change
-the number of dense fallbacks (full-size svd or eigvalsh calls) on one.
+the number of dense fallbacks (full-size svd or eigvalsh calls) on one.  A
+bound mutant edits the source of `verify._flow_bounds` and recompiles it,
+and the test of tests/test_oracles.py it names must then fail.
 """
 
+import inspect
+import textwrap
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +31,7 @@ from modmark.generators import GenSpec, build_channel, derive_seed
 from modmark.gns import ModularData
 from modmark.verify import verify_channel
 
+import test_oracles
 from test_oracles import SKEW_BROKEN_KEYS, SkewedPowers
 
 SPEC = GenSpec("state_to_scalar", (3, 1), 3, {"target_dims": [2]})
@@ -337,3 +342,82 @@ def test_certificate_mutant(name, monkeypatch):
         assert changed, f"certificate mutant {name} survives"
     else:
         assert not changed, f"'equivalent' mutant {name} changes {changed}"
+
+
+# ---------------------------------------------------------------------------
+# the flow-pass bound kernel, verify._flow_bounds
+# ---------------------------------------------------------------------------
+
+def _edited_bounds(edits):
+    """`verify._flow_bounds` recompiled from its source with each (old, new)
+    text edit applied; each old text must occur exactly once."""
+    source = textwrap.dedent(inspect.getsource(_flow_bounds))
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(vars(verify))
+    exec(compile(source, verify.__file__, "exec"), namespace)
+    return namespace["_flow_bounds"]
+
+
+_flow_bounds = verify._flow_bounds
+_SUM = "pos - 2.0 * cross + z_part + margin"
+
+
+def _killer(test_class, method, *args):
+    """A named test of test_oracles, run as a function: (its id, a call)."""
+    def run(monkeypatch):
+        test = getattr(test_class(), method)
+        if "monkeypatch" in inspect.signature(test).parameters:
+            return test(monkeypatch, *args)
+        return test(*args)
+    label = "-".join(a if isinstance(a, str) else test_oracles._case_id(a) for a in args)
+    return f"{test_class.__name__}::{method}" + (f"[{label}]" if label else ""), run
+
+
+@dataclass(frozen=True)
+class BoundMutant:
+    edits: tuple[tuple[str, str], ...]
+    killer: tuple[str, object]  # (test id, run(monkeypatch)) of the test that must fail
+
+
+BOUND_MUTANTS = {
+    "margin_dropped": BoundMutant(
+        ((_SUM, "pos - 2.0 * cross + z_part"),),
+        _killer(test_oracles.TestFlowBounds, "test_clustered_frequencies")),
+    "z_part_dropped": BoundMutant(
+        ((_SUM, "pos - 2.0 * cross + margin"),),
+        _killer(test_oracles.TestFlowBounds, "test_large_kinds", ("schur", (12,), {}))),
+    "cross_sign_flipped": BoundMutant(
+        ((_SUM, "pos + 2.0 * cross + z_part + margin"),),
+        _killer(test_oracles.TestFlowBounds, "test_large_kinds", ("sp_ucp", (12,), {}))),
+    # each mask class takes the other class's expansion
+    "commute_twist_swapped": BoundMutant(
+        (("pos[com] = q_abs[com].sum(axis=1) + a_t[com] @ row_sum",
+          "pos[com] = (a_t[com] * q_abs[com]).sum(axis=1) + row_sum.sum()"),
+         ("pos[tw] = (a_t[tw] * q_abs[tw]).sum(axis=1) + row_sum.sum()",
+          "pos[tw] = q_abs[tw].sum(axis=1) + a_t[tw] @ row_sum"),
+         ("re_cross[com] + im_cross[com], re_cross[tw] - im_cross[tw]",
+          "re_cross[com] - im_cross[com], re_cross[tw] + im_cross[tw]")),
+        _killer(test_oracles.TestFlowBounds, "test_large_kinds", ("sp_ucp", (12,), {}))),
+    # the Z entries counted twice, the expansion's cancelled copy with a
+    # margin from their O(1) weight: loose bounds that prune nothing
+    "p_unzeroed_on_z": BoundMutant(
+        (("        p[rows, cols] = 0.0\n", ""),),
+        _killer(test_oracles.TestBoundedRoute, "test_schur_16_prunes")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_MUTANTS))
+def test_bound_mutant(name, monkeypatch):
+    mutant = BOUND_MUTANTS[name]
+    test_id, run = mutant.killer
+    with pytest.MonkeyPatch.context() as mp:
+        run(mp)  # the killer passes on the unmutated kernel
+    monkeypatch.setattr(verify, "_flow_bounds", _edited_bounds(mutant.edits))
+    with pytest.MonkeyPatch.context() as mp:
+        try:
+            run(mp)
+        except AssertionError:
+            return
+    pytest.fail(f"bound mutant {name} survives {test_id}")

@@ -52,6 +52,7 @@ import scipy.sparse
 from modmark.algebra import (
     AlgebraElement,
     BlockAlgebra,
+    FaithfulState,
     element_from_coords,
     evaluate_state,
     matrix_units,
@@ -657,15 +658,21 @@ def test_stacked_flow_norms_bit_identical_off_the_class(src_dims, tgt_dims):
 # the three sampled families in one pass, and markov_modular's stack
 # ---------------------------------------------------------------------------
 
-def fused_flow(ch):
-    """(eq32_t, thm_commute_z, thm_i_s) from one `_flow_residuals` pass at
-    the report's tolerances."""
+def flow_families(ch):
+    """(commute, twist): the report's three sampled families at its
+    tolerances, with `Z_SAMPLES`."""
     tol = verify._tolerances(ch, DEFAULT_S_VALUES, Z_SAMPLES)
-    return verify._flow_residuals(
-        eigen_extension(ch), ch,
-        commute=[([1j * float(t) for t in DEFAULT_EQ32_T], tol["eq32_t"]),
-                 (Z_SAMPLES, tol["thm_commute_z"])],
-        twist=[(DEFAULT_S_VALUES, tol["thm_i_s"])])
+    return ([([1j * float(t) for t in DEFAULT_EQ32_T], tol["eq32_t"]),
+             (Z_SAMPLES, tol["thm_commute_z"])],
+            [(DEFAULT_S_VALUES, tol["thm_i_s"])])
+
+
+def fused_flow(ch, t_eig=None):
+    """(eq32_t, thm_commute_z, thm_i_s) from one `_flow_residuals` pass at
+    the report's tolerances, of t_eig (default `eigen_extension(ch)`)."""
+    commute, twist = flow_families(ch)
+    t_eig = eigen_extension(ch) if t_eig is None else t_eig
+    return verify._flow_residuals(t_eig, ch, commute=commute, twist=twist)
 
 
 def fused_and_alone(ch):
@@ -1204,6 +1211,168 @@ class TestLanczosRoute:
         finally:
             tracemalloc.stop()
         assert peak < 2 * t_eig.nbytes, peak / t_eig.nbytes
+
+
+# ---------------------------------------------------------------------------
+# flow-pass bounds from one GEMM, from linalg.LANCZOS_MIN_DIM on
+# ---------------------------------------------------------------------------
+
+def flow_mask_setup(ch):
+    """(masks, n_commute, d_s, d_t) of the `flow_families` masks, as
+    `verify._flow_residuals` forms them."""
+    commute, twist = flow_families(ch)
+    n_commute = sum(len(zs) for zs, _ in commute)
+    exps = [z for zs, _ in commute for z in zs] + [float(s) for ss, _ in twist for s in ss]
+    d_s = ch.source.modular.delta_power_diagonals(exps)
+    d_t = ch.target.modular.delta_power_diagonals(
+        exps[:n_commute] + [-s for s in exps[n_commute:]])
+    return verify._flow_masks(d_s, d_t, n_commute), n_commute, d_s, d_t
+
+
+def bounds_and_norms(ch, t_eig=None):
+    """(`verify._flow_bounds`, the Frobenius norm of each formed t_eig * m)
+    over the `flow_families` masks m, formed one at a time."""
+    t_eig = eigen_extension(ch) if t_eig is None else t_eig
+    masks, n_commute, d_s, d_t = flow_mask_setup(ch)
+    bounds = verify._flow_bounds(t_eig, d_s, d_t, n_commute, ch.source.modular.frequencies,
+                                 ch.target.modular.frequencies)
+    norms = np.array([np.linalg.norm(t_eig * masks(np.array([i]))[0])
+                      for i in range(len(d_s))])
+    return bounds, norms
+
+
+def assert_bounds_cover(ch, t_eig=None):
+    """Every bound at or above its formed product's Frobenius norm, to 1e-13
+    relative; returns (bounds, norms)."""
+    bounds, norms = bounds_and_norms(ch, t_eig)
+    assert np.all(bounds >= norms * (1.0 - 1e-13)), np.min(bounds / norms)
+    return bounds, norms
+
+
+def assert_bounds_tight(ch):
+    """`assert_bounds_cover`, and every bound within 1e-9 relative of the
+    norm: off the cancelling set Z the margin is ~(N_s + N_t) eps of the
+    positive terms, at most 9.2e-11 of the norm on the generated channels
+    up to n = 24."""
+    bounds, norms = assert_bounds_cover(ch)
+    assert np.all(bounds <= norms * (1.0 + 1e-9)), np.max(bounds / norms)
+
+
+def _clustered_channel(n=12, gap=1e-9, seed=7):
+    """x |-> w^+ x w on a density whose eigenvalues come in pairs ~gap
+    apart (relative), w swapping the eigenvectors of each pair: T_eig is
+    O(1) only where the frequencies differ by ~gap, so each mask's
+    expansion cancels to far below its rounding and the margin must carry
+    the bound."""
+    rng = np.random.default_rng(seed)
+    lam = np.repeat(np.linspace(1.0, 2.0, n // 2), 2) * (1.0 + gap * np.tile([0.0, 1.0], n // 2))
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    d = (u * (lam / lam.sum())) @ u.conj().T
+    sys = System(FaithfulState(AlgebraElement(BlockAlgebra((n,)), [(d + d.conj().T) / 2.0])))
+    v = sys.modular.d_eig[0].eigenvectors
+    swap = np.arange(n).reshape(-1, 2)[:, ::-1].ravel()
+    return channel_from_kraus([v[:, swap] @ v.conj().T], sys, sys)
+
+
+def _large_cases():
+    return [(kind, dims, {}) for kind in ("schur", "pinch", "block_expectation", "automorphism",
+                                          "convex", "state_to_scalar", "sp_ucp", "twirl")
+            for dims in [(12,), (16,), (8, 8), (24,)] if kind != "schur" or len(dims) == 1]
+
+
+class TestFlowBounds:
+    """`verify._flow_bounds` against the formed products it bounds."""
+
+    @pytest.mark.parametrize("case", CASES, ids=_case_id)
+    def test_cases(self, case):
+        assert_bounds_tight(_build(*case))
+
+    @pytest.mark.parametrize("src_dims,tgt_dims", OFF_CLASS_PAIRS + [((12,), (10,))])
+    def test_off_the_class(self, src_dims, tgt_dims):
+        assert_bounds_tight(_off_class_channel(src_dims, tgt_dims))
+
+    @pytest.mark.parametrize("case", _large_cases(), ids=_case_id)
+    def test_large_kinds(self, case):
+        assert_bounds_tight(_build(*case))
+
+    def test_clustered_frequencies(self):
+        # the expansion cancels on every mask: the margin is what keeps each
+        # value an upper bound, and it leaves each far above the norm
+        bounds, norms = assert_bounds_cover(_clustered_channel())
+        assert np.all(bounds > 100.0 * norms)
+
+    def test_zero_base(self):
+        ch = _build("pinch", (3,), {})
+        bounds, norms = assert_bounds_cover(ch, np.zeros_like(eigen_extension(ch)))
+        assert not bounds.any() and not norms.any()
+
+
+def record_masked_products(monkeypatch):
+    """The index arrays handed to `verify._masked_product`, in call order."""
+    seen = []
+    masked_product = verify._masked_product
+
+    def recording(base, masks, sel):
+        seen.append(np.asarray(sel).tolist())
+        return masked_product(base, masks, sel)
+
+    monkeypatch.setattr(verify, "_masked_product", recording)
+    return seen
+
+
+def every_mask_maxima(ch, t_eig):
+    """Each family's max of `certified_value` over every one of its masks,
+    each formed by `verify._masked_product`."""
+    commute, twist = flow_families(ch)
+    masks = flow_mask_setup(ch)[0]
+    out, start = [], 0
+    for samples, tol in commute + twist:
+        out.append(max((linalg.certified_value(
+            verify._masked_product(t_eig, masks, np.array([i]))[0], tol)
+            for i in range(start, start + len(samples))), default=0.0))
+        start += len(samples)
+    return out
+
+
+def assert_bounded_route(monkeypatch, ch, t_eig=None):
+    """The pass from `linalg.LANCZOS_MIN_DIM` on gives each family's max of
+    `certified_value` over every mask, with ==, and forms each mask at most
+    once, one at a time; returns the indices formed."""
+    t_eig = eigen_extension(ch) if t_eig is None else t_eig
+    assert min(t_eig.shape) >= linalg.LANCZOS_MIN_DIM
+    ref = every_mask_maxima(ch, t_eig)
+    seen = record_masked_products(monkeypatch)
+    assert fused_flow(ch, t_eig) == ref
+    assert all(len(sel) == 1 for sel in seen)
+    formed = [i for (i,) in seen]
+    assert len(formed) == len(set(formed)), formed
+    return formed
+
+
+def _route_cases():
+    return [(kind, dims, {}) for kind in ("schur", "pinch", "automorphism", "convex", "sp_ucp")
+            for dims in [(12,), (16,), (8, 8)] if kind != "schur" or len(dims) == 1]
+
+
+class TestBoundedRoute:
+    """`verify._bounded_maxima` through `_flow_residuals` against every mask."""
+
+    @pytest.mark.parametrize("case", _route_cases(), ids=_case_id)
+    def test_max_of_every_mask(self, monkeypatch, case):
+        assert_bounded_route(monkeypatch, _build(*case))
+
+    def test_schur_16_prunes(self, monkeypatch):
+        assert len(assert_bounded_route(monkeypatch, _build("schur", (16,), {}))) < 26
+
+    def test_clustered_frequencies_prune_nothing_wrongly(self, monkeypatch):
+        assert_bounded_route(monkeypatch, _clustered_channel())
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e200], ids=["tiny", "huge"])
+    def test_untrusted_bounds_prune_nothing(self, monkeypatch, scale):
+        # |T_eig|^2 underflows below the floor, or overflows to inf
+        ch = _build("schur", (12,), {})
+        formed = assert_bounded_route(monkeypatch, ch, scale * eigen_extension(ch))
+        assert sorted(formed) == list(range(26))
 
 
 # ---------------------------------------------------------------------------
