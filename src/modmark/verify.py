@@ -34,8 +34,9 @@ eigenvalue weights.  From N = 100 (`gns.FRAME_MIN_DIM`) G is applied by
 its Kronecker factors and never formed: X, and thm_iii's and
 markov_modular's column norms, which take Gram matrices instead of a
 product by G_s (`ModularData.frame_column_norms`).
-Below N = 100 (`linalg.LANCZOS_MIN_DIM`) the norms are stacked SVDs under
-a fixed cap on entries per call (`linalg.STACK_ENTRIES`).
+The masked copies are formed in stacks under a fixed cap on entries per
+call (`linalg.STACK_ENTRIES`), and below N = 100 (`linalg.LANCZOS_MIN_DIM`)
+each stack's norms are one stacked SVD.
 
 From N = 100 on, every norm, kadison_norm and markov_cp's Choi eigenvalues
 are taken by `linalg.certified_value` instead, each certified against its
@@ -53,21 +54,17 @@ are bounds on the dense values, from below up to rounding.
 
 The sampled flow keys (eq32_t, thm_commute_z, thm_i_s) are maxima over
 their samples, all three from one set of masks (`_flow_residuals`), and
-they bound-and-prune per family: only a mask whose upper bound on |A|_op
-reaches its family's best lower bound, within a relative slack of 1e-6,
-takes a norm.  The slack is ~1e7 times the norm's rounding error at these
-sizes, so the mask holding the max always survives.  The route depends on
-the gate `linalg.LANCZOS_MIN_DIM`.  Below it the masks form one stack,
-and a first pass brackets each masked matrix A by
-|A|_F >= |A|_op >= |A u|, u one power step from the largest column
-(`_masked_op_norm_maxima`).  From it on every |A|_F is bounded from one
-GEMM over |T_eig|^2, no masked copy formed (`_flow_bounds`), and each
-family's masks take their norms one at a time in descending bound order
-until a bound falls below the running max (`_bounded_maxima`), so each
-survivor is formed once.  LAPACK and the Lanczos kernel give a matrix the
-same bits whatever its stack holds, so on either route each max is the
-same float as over every mask of its family alone.  Pruning cuts how many
-norms are taken, and the Lanczos route how much each one costs.
+they bound-and-prune per family, by one route at every N.  Every |A|_F, A
+a masked copy of T_eig, is bounded from one GEMM over |T_eig|^2, no masked
+copy formed (`_flow_bounds`).  Two stacked norm calls follow
+(`_bounded_maxima`): each family's largest-bound mask, then every mask
+whose bound reaches its family's first norm within a relative slack of
+1e-6, so each mask is formed at most once.  The slack is ~1e7 times the
+norm's rounding error at these sizes, so the mask holding the max always
+survives.  LAPACK and the Lanczos kernel give a matrix the same bits
+whatever its stack holds, so each max is the same float as over every
+mask of its family alone.  Pruning cuts how many norms are taken, and the
+Lanczos route how much each one costs.
 
 The gns_* keys alone stay out of the frame: they use the spectral powers,
 so they test the modular data the frame is built from.  Both endpoint
@@ -178,11 +175,11 @@ def verify_commute(ch: Channel, z_samples, s_values=DEFAULT_S_VALUES,
 # (~N eps) and the rounding of the bounds, so the mask holding the max
 # always reaches the SVD.
 _PRUNE_SLACK = 1e-6
-# Below this bound every mask reaches a norm: |A A^+ c|^2 in the power step
-# scales as the sixth power of the entries and loses bits to underflow near
-# 1e-51, the squared column norms and |T_eig|^2 near 1e-154.
+# Below this bound a mask always takes a norm.  A bound is the root of sums
+# over |T_eig|^2, whose entries underflow from ~1e-154; from 1e-40 the sum
+# is at least 1e-80, and what underflow can drop from it (under 1e-307 per
+# weighted entry) lies far below its eps-relative margin.
 _PRUNE_FLOOR = 1e-40
-_TINY = np.finfo(float).tiny
 _EPS = float(np.finfo(float).eps)
 
 
@@ -229,70 +226,6 @@ def _masked_op_norms(base: np.ndarray, masks: Callable, tols) -> list[float]:
         norms += _stack_norms(prod, tols[lo:lo + step])
         del prod  # freed before the next chunk is built, not after
     return norms
-
-
-def _norm_bounds(prod: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(upper, lower) bounds on the operator norm of each matrix A of a stack:
-    |A|_F, and the larger of the largest column norm |c| and |A u|, u the
-    unit vector along A^+ c, one power step from that column."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan prune nothing
-        sq = np.abs(prod)
-        np.square(sq, out=sq)  # |A|^2 in place: no complex or view copies
-        col_sq = np.ones(prod.shape[-2]) @ sq
-        del sq
-        upper = np.sqrt(col_sq.sum(axis=-1))
-        rows = np.arange(len(prod))
-        best = col_sq.argmax(axis=-1)
-        r = prod[rows, :, best].conj()[:, None, :] @ prod  # (A^+ c)^+, a row each
-        v = r.conj().swapaxes(-1, -2)
-        w = prod @ v                                       # |A u| = |w| / |r|
-        r_sq = (r @ v)[:, 0, 0].real
-        w_sq = (w.conj().swapaxes(-1, -2) @ w)[:, 0, 0].real
-        a_u = np.sqrt(w_sq / np.maximum(r_sq, _TINY))
-    return upper, np.maximum(np.sqrt(col_sq[rows, best]), a_u)
-
-
-def _masked_op_norm_maxima(base: np.ndarray, masks: Callable, counts,
-                           tols) -> list[float]:
-    """max(`certified_value`(base * m, tols[i])) over the masks m of each family i,
-    0.0 for none, bit for bit, with only the masks that can hold a max
-    taking a norm.  Family i is the next counts[i] masks of one stack, and
-    masks(sel) is a fresh complex stack of the masks sel, an ascending
-    index array into range(sum(counts)).
-
-    A bound pass brackets each A = base * m by `_norm_bounds`, one call per
-    chunk.  A mask whose upper bound lies below its family's top lower
-    bound, by more than `_PRUNE_SLACK` of each, cannot hold that max.  The
-    last chunk's survivors move to its front in place and take their norms
-    there; earlier survivors are re-formed under the same cap, so one chunk
-    of masked copies is alive at a time."""
-    family = np.repeat(np.arange(len(counts)), counts)
-    total = len(family)
-    maxima = np.zeros(len(counts))
-    if total == 0:
-        return maxima.tolist()
-    tol = np.asarray(tols, dtype=float)[family]
-    step = _chunk_size(base)
-    upper, lower = np.empty(total), np.empty(total)
-    for lo in range(0, total, step):
-        prod = None  # the last chunk is freed before the next one is built
-        prod = _masked_product(base, masks, np.arange(lo, min(lo + step, total)))
-        upper[lo:lo + step], lower[lo:lo + step] = _norm_bounds(prod)
-    ends = np.cumsum(counts)
-    top = np.array([lower[a:b].max(initial=-np.inf) for a, b in zip(ends - counts, ends)])
-    top = (top * (1.0 - _PRUNE_SLACK))[family]
-    # non-finite or underflowing bounds prune nothing
-    trusted = (_PRUNE_FLOOR <= top) & (top < np.inf)
-    keep = np.flatnonzero(~(trusted & (upper * (1.0 + _PRUNE_SLACK) < top)))
-    held, rest = keep[keep >= lo], keep[keep < lo]
-    for dst, src in enumerate(held - lo):
-        if dst != src:
-            prod[dst] = prod[src]
-    np.maximum.at(maxima, family[held], _stack_norms(prod[:len(held)], tol[held]))
-    del prod
-    np.maximum.at(maxima, family[rest],
-                  _masked_op_norms(base, lambda sl: masks(rest[sl]), tol[rest]))
-    return maxima.tolist()
 
 
 def _flow_masks(d_s: np.ndarray, d_t: np.ndarray, n_commute: int) -> Callable:
@@ -370,26 +303,30 @@ def _bounded_maxima(base: np.ndarray, masks: Callable, counts, tols,
     """max(`certified_value`(base * m, tols[i])) over the masks m of each
     family i, 0.0 for none, bit for bit, given an upper bound on each
     |base * m|_F (`_flow_bounds`).  Family i is the next counts[i] masks,
-    and masks(sel) a fresh complex stack of the masks sel.
+    and masks(sel) a fresh complex stack of the masks sel, an ascending
+    index array.
 
-    Each family's masks take their norms one at a time, each formed once by
-    `_masked_product`, in descending bound order, untrusted bounds (not
-    finite, or below `_PRUNE_FLOOR`) first.  The rest are skipped once a
-    trusted bound lies below the running max of the norms, by more than
-    `_PRUNE_SLACK` of each: such a mask cannot hold the max."""
+    Two calls of `_masked_op_norms` take every norm.  The first takes each
+    family's largest-bound mask, untrusted bounds (not finite, or below
+    `_PRUNE_FLOOR`) counted as largest.  A mask whose trusted bound lies
+    below its family's first norm, by more than `_PRUNE_SLACK` of each,
+    cannot hold the max; the second call takes every other mask.  So each
+    mask is formed at most once, under the entry cap."""
+    family = np.repeat(np.arange(len(counts)), counts)
+    tol = np.asarray(tols, dtype=float)[family]
     trusted = np.isfinite(bounds) & (bounds >= _PRUNE_FLOOR)
-    maxima = []
-    for lo, hi, tol in zip(np.cumsum(counts) - counts, np.cumsum(counts), tols):
-        best = 0.0
-        for i in lo + np.argsort(-np.where(trusted[lo:hi], bounds[lo:hi], np.inf),
-                                 kind="stable"):
-            if trusted[i] and bounds[i] * (1.0 + _PRUNE_SLACK) < best * (1.0 - _PRUNE_SLACK):
-                break
-            prod = _masked_product(base, masks, np.array([i]))
-            best = max(best, certified_value(prod[0], tol))
-            del prod
-        maxima.append(best)
-    return maxima
+    order = np.where(trusted, bounds, np.inf)
+    ends = np.cumsum(counts)
+    first = np.array([lo + np.argmax(order[lo:hi]) for lo, hi in zip(ends - counts, ends)
+                      if hi > lo], dtype=np.intp)
+    maxima = np.zeros(len(counts))
+    maxima[family[first]] = _masked_op_norms(base, lambda sl: masks(first[sl]), tol[first])
+    keep = ~(trusted & (bounds * (1.0 + _PRUNE_SLACK) < maxima[family] * (1.0 - _PRUNE_SLACK)))
+    keep[first] = False
+    rest = np.flatnonzero(keep)
+    np.maximum.at(maxima, family[rest],
+                  _masked_op_norms(base, lambda sl: masks(rest[sl]), tol[rest]))
+    return maxima.tolist()
 
 
 def _flow_residuals(t_eig: np.ndarray, ch: Channel, commute=(), twist=()) -> list[float]:
@@ -397,11 +334,9 @@ def _flow_residuals(t_eig: np.ndarray, ch: Channel, commute=(), twist=()) -> lis
     - exp(z w_t)[:, None])| for each (z samples, tol) in commute, then
     max_s |T_eig * (exp(-s w_t)[:, None] exp(s w_s)[None, :] - 1)| for each
     (s values, tol) in twist.  Each endpoint state gives exp(z w) for every
-    exponent in one `delta_power_diagonals` call.
-
-    Below `linalg.LANCZOS_MIN_DIM` all masks go through one
-    `_masked_op_norm_maxima` pass; from it on each family is pruned by the
-    bounds of `_flow_bounds`, which form no masked copy, in `_bounded_maxima`."""
+    exponent in one `delta_power_diagonals` call, every mask is bounded by
+    `_flow_bounds`, which forms no masked copy, and each family is pruned by
+    those bounds in `_bounded_maxima`."""
     fams = ([(list(zs), tol) for zs, tol in commute]
             + [([float(s) for s in ss], tol) for ss, tol in twist])
     counts = [len(f) for f, _ in fams]
@@ -411,12 +346,9 @@ def _flow_residuals(t_eig: np.ndarray, ch: Channel, commute=(), twist=()) -> lis
     md_s, md_t = ch.source.modular, ch.target.modular
     d_s = md_s.delta_power_diagonals(exps)
     d_t = md_t.delta_power_diagonals(exps[:n_commute] + [-s for s in exps[n_commute:]])
-    masks = _flow_masks(d_s, d_t, n_commute)
-    if min(t_eig.shape) < linalg.LANCZOS_MIN_DIM:
-        return _masked_op_norm_maxima(t_eig, masks, counts, tols)
     _require_finite(t_eig)
     bounds = _flow_bounds(t_eig, d_s, d_t, n_commute, md_s.frequencies, md_t.frequencies)
-    return _bounded_maxima(t_eig, masks, counts, tols, bounds)
+    return _bounded_maxima(t_eig, _flow_masks(d_s, d_t, n_commute), counts, tols, bounds)
 
 
 def verify_modular_symmetry(ch: Channel,

@@ -1,8 +1,9 @@
 """Mutants of the gns_* layer, of the symmetry pass, of the certificates
-of `linalg.certified_value` and of the flow-pass bounds: are the stacked
-pass over both endpoint states, the one permuted conjugate behind thm_ii
-and thm_iii, the Cholesky certificates behind kadison_norm and markov_cp
-and the one-GEMM mask bounds wired so that a wrong piece shows?
+of `linalg.certified_value` and of the flow-pass bounds and their pruning
+rule: are the stacked pass over both endpoint states, the one permuted
+conjugate behind thm_ii and thm_iii, the Cholesky certificates behind
+kadison_norm and markov_cp, the one-GEMM mask bounds and the prune test
+wired so that a wrong piece shows?
 
 Each mutant replaces one private piece of `verify` or `ModularData` by
 monkeypatching and runs `verify_channel`.  A gns_* mutant runs on a fixed
@@ -16,7 +17,10 @@ certificate mutant runs `certified_value` on direct matrix cases above
 `linalg.LANCZOS_MIN_DIM` and must flip a verdict, change a value or change
 the number of dense fallbacks (full-size svd or eigvalsh calls) on one.  A
 bound mutant edits the source of `verify._flow_bounds` and recompiles it,
-and the test of tests/test_oracles.py it names must then fail.
+and the tests of tests/test_oracles.py it names must then fail.  A prune
+mutant does the same to `verify._bounded_maxima`; one listed as
+equivalent, with the argument why no value or count can move, must pass
+the tests it names instead.
 """
 
 import inspect
@@ -348,76 +352,150 @@ def test_certificate_mutant(name, monkeypatch):
 # the flow-pass bound kernel, verify._flow_bounds
 # ---------------------------------------------------------------------------
 
-def _edited_bounds(edits):
-    """`verify._flow_bounds` recompiled from its source with each (old, new)
+def _edited(function, edits):
+    """A `verify` function recompiled from its source with each (old, new)
     text edit applied; each old text must occur exactly once."""
-    source = textwrap.dedent(inspect.getsource(_flow_bounds))
+    source = textwrap.dedent(inspect.getsource(function))
     for old, new in edits:
         assert source.count(old) == 1, old
         source = source.replace(old, new)
     namespace = dict(vars(verify))
     exec(compile(source, verify.__file__, "exec"), namespace)
-    return namespace["_flow_bounds"]
+    return namespace[function.__name__]
 
 
 _flow_bounds = verify._flow_bounds
 _SUM = "pos - 2.0 * cross + z_part + margin"
 
 
+def _label(arg):
+    if arg is None or isinstance(arg, str):
+        return str(arg)
+    if all(isinstance(d, int) for d in arg):
+        return "x".join(map(str, arg))
+    return test_oracles._case_id(arg)
+
+
 def _killer(test_class, method, *args):
     """A named test of test_oracles, run as a function: (its id, a call)."""
     def run(monkeypatch):
         test = getattr(test_class(), method)
-        if "monkeypatch" in inspect.signature(test).parameters:
-            return test(monkeypatch, *args)
-        return test(*args)
-    label = "-".join(a if isinstance(a, str) else test_oracles._case_id(a) for a in args)
+        fixtures = {"monkeypatch": lambda: monkeypatch,
+                    "svd_shapes": lambda: test_oracles.record_svd_shapes(monkeypatch)}
+        return test(*[fixtures[p]() for p in inspect.signature(test).parameters
+                      if p in fixtures], *args)
+    label = "-".join(_label(a) for a in args)
     return f"{test_class.__name__}::{method}" + (f"[{label}]" if label else ""), run
 
 
 @dataclass(frozen=True)
-class BoundMutant:
+class SourceMutant:
+    """(old, new) text edits to a `verify` function's source, and the tests
+    that must fail under them; a mutant listed as equivalent, with why no
+    value or count can move, must pass those tests instead."""
     edits: tuple[tuple[str, str], ...]
-    killer: tuple[str, object]  # (test id, run(monkeypatch)) of the test that must fail
+    tests: tuple[tuple[str, object], ...]  # (test id, run(monkeypatch)) each
+    equivalent: str | None = None
 
 
 BOUND_MUTANTS = {
-    "margin_dropped": BoundMutant(
+    "margin_dropped": SourceMutant(
         ((_SUM, "pos - 2.0 * cross + z_part"),),
-        _killer(test_oracles.TestFlowBounds, "test_clustered_frequencies")),
-    "z_part_dropped": BoundMutant(
+        (_killer(test_oracles.TestFlowBounds, "test_clustered_frequencies"),)),
+    "z_part_dropped": SourceMutant(
         ((_SUM, "pos - 2.0 * cross + margin"),),
-        _killer(test_oracles.TestFlowBounds, "test_large_kinds", ("schur", (12,), {}))),
-    "cross_sign_flipped": BoundMutant(
+        (_killer(test_oracles.TestFlowBounds, "test_large_kinds", ("schur", (12,), {})),)),
+    "cross_sign_flipped": SourceMutant(
         ((_SUM, "pos + 2.0 * cross + z_part + margin"),),
-        _killer(test_oracles.TestFlowBounds, "test_large_kinds", ("sp_ucp", (12,), {}))),
+        (_killer(test_oracles.TestFlowBounds, "test_large_kinds", ("sp_ucp", (12,), {})),)),
     # each mask class takes the other class's expansion
-    "commute_twist_swapped": BoundMutant(
+    "commute_twist_swapped": SourceMutant(
         (("pos[com] = q_abs[com].sum(axis=1) + a_t[com] @ row_sum",
           "pos[com] = (a_t[com] * q_abs[com]).sum(axis=1) + row_sum.sum()"),
          ("pos[tw] = (a_t[tw] * q_abs[tw]).sum(axis=1) + row_sum.sum()",
           "pos[tw] = q_abs[tw].sum(axis=1) + a_t[tw] @ row_sum"),
          ("re_cross[com] + im_cross[com], re_cross[tw] - im_cross[tw]",
           "re_cross[com] - im_cross[com], re_cross[tw] + im_cross[tw]")),
-        _killer(test_oracles.TestFlowBounds, "test_large_kinds", ("sp_ucp", (12,), {}))),
+        (_killer(test_oracles.TestFlowBounds, "test_large_kinds", ("sp_ucp", (12,), {})),)),
     # the Z entries counted twice, the expansion's cancelled copy with a
     # margin from their O(1) weight: loose bounds that prune nothing
-    "p_unzeroed_on_z": BoundMutant(
+    "p_unzeroed_on_z": SourceMutant(
         (("        p[rows, cols] = 0.0\n", ""),),
-        _killer(test_oracles.TestBoundedRoute, "test_schur_16_prunes")),
+        (_killer(test_oracles.TestBoundedRoute, "test_schur_16_prunes"),
+         _killer(test_oracles.TestBoundedRoute, "test_schur_below_the_gate_prunes", (4,)),
+         _killer(test_oracles.TestBoundedRoute, "test_schur_below_the_gate_prunes", (8,)))),
 }
+
+
+def _assert_source_mutant(name, mutant, monkeypatch, function):
+    """Each of the mutant's tests passes on the unmutated function, and
+    fails, or for an equivalent mutant passes, with the edited function in
+    its place on `verify`."""
+    for _, run in mutant.tests:
+        with pytest.MonkeyPatch.context() as mp:
+            run(mp)
+    monkeypatch.setattr(verify, function.__name__, _edited(function, mutant.edits))
+    for test_id, run in mutant.tests:
+        with pytest.MonkeyPatch.context() as mp:
+            if mutant.equivalent is not None:
+                run(mp)
+                continue
+            try:
+                run(mp)
+            except AssertionError:
+                continue
+        pytest.fail(f"mutant {name} survives {test_id}")
 
 
 @pytest.mark.parametrize("name", sorted(BOUND_MUTANTS))
 def test_bound_mutant(name, monkeypatch):
-    mutant = BOUND_MUTANTS[name]
-    test_id, run = mutant.killer
-    with pytest.MonkeyPatch.context() as mp:
-        run(mp)  # the killer passes on the unmutated kernel
-    monkeypatch.setattr(verify, "_flow_bounds", _edited_bounds(mutant.edits))
-    with pytest.MonkeyPatch.context() as mp:
-        try:
-            run(mp)
-        except AssertionError:
-            return
-    pytest.fail(f"bound mutant {name} survives {test_id}")
+    _assert_source_mutant(name, BOUND_MUTANTS[name], monkeypatch, _flow_bounds)
+
+
+# ---------------------------------------------------------------------------
+# the pruning rule, verify._bounded_maxima
+# ---------------------------------------------------------------------------
+
+_bounded_maxima = verify._bounded_maxima
+_GUARD = "trusted = np.isfinite(bounds) & (bounds >= _PRUNE_FLOOR)"
+_PRUNE = "bounds * (1.0 + _PRUNE_SLACK) < maxima[family] * (1.0 - _PRUNE_SLACK)"
+
+
+def _pruned_max_killer(method, *args):
+    return _killer(test_oracles.TestPrunedMax, method, *args)
+
+
+PRUNE_MUTANTS = {
+    # every bound trusted: one below the floor prunes against a norm it does
+    # not bound
+    "floor_and_finiteness_dropped": SourceMutant(
+        ((_GUARD, "trusted = np.ones(len(bounds), dtype=bool)"),),
+        (_pruned_max_killer("test_untrusted_bounds_prune_nothing", "below_floor"),
+         _pruned_max_killer("test_untrusted_bounds_prune_nothing", "tiny"))),
+    "finiteness_dropped": SourceMutant(
+        ((_GUARD, "trusted = bounds >= _PRUNE_FLOOR"),),
+        (_pruned_max_killer("test_untrusted_bounds_prune_nothing", "huge"),
+         _pruned_max_killer("test_untrusted_bounds_prune_nothing", "power_step_overflow"),
+         _pruned_max_killer("test_equals_the_max_of_every_norm", "huge", None),
+         _pruned_max_killer("test_equals_the_max_of_every_norm", "power_step_overflow", None)),
+        equivalent="nan fails the floor test already, and an inf bound never lies below a "
+                   "norm, which `_masked_product` keeps finite: neither can prune"),
+    # the huge family's norm prunes every other family down to its first mask
+    "pruned_against_every_family": SourceMutant(
+        (("maxima[family] * (1.0 - _PRUNE_SLACK)", "maxima.max() * (1.0 - _PRUNE_SLACK)"),),
+        (_pruned_max_killer("test_families_are_pruned_apart", None),)),
+    "slack_dropped": SourceMutant(
+        ((_PRUNE, "bounds < maxima[family]"),),
+        (_pruned_max_killer("test_slack_boundary_prunes_one_mask"),)),
+    # each family's first mask formed and normed again in the second call
+    "first_mask_normed_twice": SourceMutant(
+        (("    keep[first] = False\n", ""),),
+        (_pruned_max_killer("test_dominant_mask_alone_reaches_the_svd"),
+         _killer(test_oracles.TestBoundedRoute, "test_schur_16_prunes"),
+         _killer(test_oracles.TestBoundedRoute, "test_schur_below_the_gate_prunes", (8,)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNE_MUTANTS))
+def test_prune_mutant(name, monkeypatch):
+    _assert_source_mutant(name, PRUNE_MUTANTS[name], monkeypatch, _bounded_maxima)

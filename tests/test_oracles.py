@@ -654,6 +654,19 @@ def test_stacked_flow_norms_bit_identical_off_the_class(src_dims, tgt_dims):
     assert_stacked_equals_per_sample(_off_class_channel(src_dims, tgt_dims))
 
 
+@pytest.mark.parametrize("dims", [(4,), (2, 3), (6,), (12,)], ids=lambda d: "x".join(map(str, d)))
+def test_eq32_t_is_even_in_t(dims):
+    # A(t) = U_t(t) T - T U_s(t) gives A(-t) = -U_t(-t) A(t) U_s(-t), a
+    # product with unitaries, so |A(-t)| = |A(t)| for any T: off the flow
+    # class too, where the values are O(1)
+    ch = _build("sp_ucp", dims, {})
+    t_eig = eigen_extension(ch)
+    for t in (1.0, 0.37, 5.0):
+        plus = oracle_commute_residual(t_eig, ch, [1j * t])
+        minus = oracle_commute_residual(t_eig, ch, [-1j * t])
+        assert plus > 1e-3 and abs(plus - minus) <= 1e-12 * plus, (t, plus, minus)
+
+
 # ---------------------------------------------------------------------------
 # the three sampled families in one pass, and markov_modular's stack
 # ---------------------------------------------------------------------------
@@ -749,20 +762,15 @@ class TestFusedFlowPass:
     @pytest.mark.parametrize("case", [("sp_ucp", (3,), {}), ("pinch", (2, 2), {}),
                                       ("twirl", (7,), {})], ids=_case_id)
     def test_one_chunk_takes_one_svd_call(self, monkeypatch, svd_shapes, case):
-        # where the 26 masks fit one chunk, each mask is formed once and the
-        # survivors of every family take one stacked SVD
-        formed = []
-        masked_product = verify._masked_product
-
-        def recording(base, masks, sel):
-            formed.append(len(sel))
-            return masked_product(base, masks, sel)
-
-        ch = _build(*case)
-        monkeypatch.setattr(verify, "_masked_product", recording)
-        fused_flow(ch)
-        assert formed == [26]
-        assert len(svd_shapes) == 1 and svd_shapes[0][0] >= 3
+        # where the 26 masks fit one chunk, each mask is formed at most once:
+        # the three families' largest-bound masks in one stacked SVD, then
+        # the survivors of every family in at most one more
+        seen = record_masked_products(monkeypatch)
+        fused_flow(_build(*case))
+        formed = [i for sel in seen for i in sel]
+        assert len(formed) == len(set(formed)) <= 26 and len(seen) <= 2
+        assert len(seen[0]) == 3
+        assert [k for k, _, _ in svd_shapes] == [len(sel) for sel in seen]
 
     def test_empty_families_give_zero(self):
         ch = _build("sp_ucp", (3,), {})
@@ -793,8 +801,7 @@ class TestFusedFlowPass:
 DENSE_GATE = 1 << 30
 
 
-@pytest.fixture
-def svd_shapes(monkeypatch):
+def record_svd_shapes(monkeypatch):
     """Shapes of the stacks handed to np.linalg.svd (`op_norm` goes through
     np.linalg.norm, which does not call the patched name)."""
     shapes = []
@@ -806,6 +813,11 @@ def svd_shapes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     return shapes
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    return record_svd_shapes(monkeypatch)
 
 
 class TestStackedNorms:
@@ -871,18 +883,28 @@ class TestStackedNorms:
         assert peak < 2 * per_call * t_eig.nbytes, peak / t_eig.nbytes
 
 
-def pruned_maxima(base, stacks):
-    """`verify._masked_op_norm_maxima` over explicit stacks of masks, one
-    family each, formed as one stack."""
+def frobenius_bounds(base, stack):
+    """|base * m|_F for each mask m of the stack: the bounds the synthetic
+    families are pruned by."""
+    return np.linalg.norm(base * stack, axis=(-2, -1))
+
+
+def pruned_maxima(base, stacks, bounds=None):
+    """`verify._bounded_maxima` over explicit stacks of masks, one family
+    each, with the given bounds (default `frobenius_bounds`) per stack."""
     stack = np.concatenate(stacks)
-    return verify._masked_op_norm_maxima(
+    if bounds is None:
+        bounds = [frobenius_bounds(base, m) for m in stacks]
+    return verify._bounded_maxima(
         base, lambda sel: np.array(stack[sel], dtype=np.complex128),
-        [len(m) for m in stacks], [1e-8] * len(stacks))
+        [len(m) for m in stacks], [1e-8] * len(stacks),
+        np.concatenate([np.broadcast_to(np.asarray(b, dtype=float), len(m))
+                        for b, m in zip(bounds, stacks)]))
 
 
-def pruned_max(base, stack):
+def pruned_max(base, stack, bounds=None):
     """The one-family case of `pruned_maxima`."""
-    return pruned_maxima(base, [stack])[0]
+    return pruned_maxima(base, [stack], None if bounds is None else [bounds])[0]
 
 
 def _unit_entry(n, i, value):
@@ -921,29 +943,48 @@ def _synthetic_families(n=6):
         # the same singular values, in different matrices
         "equal_norms": (ones, np.stack([m, m.T, m[::-1], np.exp(0.7j) * m, m.conj()])),
         "slack_boundary": _slack_family(n),
-        # rank one, a rounding apart: both reach the SVD
+        # rank one, a rounding apart: both take a norm
         "ulp_apart": (ones, np.stack([_unit_entry(n, 0, 1.0),
                                       _unit_entry(n, 1, np.nextafter(1.0, 2.0))])),
+        # the largest Frobenius bound on a mask that does not hold the max
         "dense_rank_one": (ones, np.stack([unit, unit * np.nextafter(1.0, 2.0),
                                            0.999 * m / np.linalg.norm(m, 2)])),
         "one_mask": (base, m[None]),
-        # bounds that underflow or overflow prune nothing
+        # untrusted bounds, which prune nothing (`SYNTHETIC_BOUNDS`)
         "below_floor": (base, 1e-50 * draw(3, n, n)),
         "tiny": (base, 1e-160 * draw(3, n, n)),
         "huge": (base, 1e200 * draw(3, n, n)),
-        # finite Frobenius bounds, power steps that overflow to inf (real
-        # entries, so no inf - inf turns them into nan)
         "power_step_overflow": (ones, draw(3, n, n).real
                                 * np.array([1e55, 1e60, 1e58])[:, None, None]),
     }
 
 
 SYNTHETIC = _synthetic_families()
+# The untrusted families' bounds, each below or beside their norms, as a
+# bound computation that under- or overflows gives them: zero (what
+# |T_eig|^2 reads at 1e-160), a value under `verify._PRUNE_FLOOR`, inf, and
+# the nan of an inf - inf.  Every other family takes `frobenius_bounds`.
+SYNTHETIC_BOUNDS = {"below_floor": 1e-50, "tiny": 0.0, "huge": np.inf,
+                    "power_step_overflow": np.nan}
+UNTRUSTED = ["all_zero", *SYNTHETIC_BOUNDS]
+
+
+def synthetic_max(name):
+    """`pruned_max` of one synthetic family at its bounds."""
+    return pruned_max(*SYNTHETIC[name], SYNTHETIC_BOUNDS.get(name))
+
+
+def synthetic_maxima(names):
+    """`pruned_maxima` of synthetic families on one base at their bounds."""
+    return pruned_maxima(SYNTHETIC[names[0]][0], [SYNTHETIC[k][1] for k in names],
+                         [SYNTHETIC_BOUNDS[k] if k in SYNTHETIC_BOUNDS
+                          else frobenius_bounds(*SYNTHETIC[k]) for k in names])
 
 
 class TestPrunedMax:
-    """The bound-and-prune max equals the max over every per-matrix
-    `op_norm`, compared with ==."""
+    """The bound-and-prune max equals the max over every per-matrix norm,
+    compared with ==: `op_norm` below `linalg.LANCZOS_MIN_DIM`, and each
+    mask's own `certified_value` from it on."""
 
     @pytest.mark.parametrize("name", sorted(SYNTHETIC))
     @pytest.mark.parametrize("per_call", [1, 2, None])
@@ -951,36 +992,30 @@ class TestPrunedMax:
         base, stack = SYNTHETIC[name]
         if per_call is not None:
             monkeypatch.setattr(linalg, "STACK_ENTRIES", per_call * base.size)
-        assert pruned_max(base, stack) == max(op_norm(base * m) for m in stack)
+        assert synthetic_max(name) == max(op_norm(base * m) for m in stack)
+
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC))
+    @pytest.mark.parametrize("per_call", [1, 2, None])
+    def test_equals_the_max_above_the_gate(self, monkeypatch, name, per_call):
+        # every norm a certified Lanczos value
+        monkeypatch.setattr(linalg, "LANCZOS_MIN_DIM", 1)
+        base, stack = SYNTHETIC[name]
+        if per_call is not None:
+            monkeypatch.setattr(linalg, "STACK_ENTRIES", per_call * base.size)
+        assert synthetic_max(name) == max(linalg.certified_value(base * m, 1e-8)
+                                          for m in stack)
 
     @pytest.mark.parametrize("per_call", [1, 2, None])
     def test_families_are_pruned_apart(self, monkeypatch, per_call):
-        # every synthetic family on one base in one stack: each keeps its
-        # own max, the huge and all-zero ones beside roundoff-sized ones
+        # every synthetic family on one base in one pass: each keeps its own
+        # max, the huge and all-zero ones beside roundoff-sized ones
         for base_name in ("ties", "equal_norms"):
             base = SYNTHETIC[base_name][0]
             names = sorted(k for k, (b, _) in SYNTHETIC.items() if b is base)
             if per_call is not None:
                 monkeypatch.setattr(linalg, "STACK_ENTRIES", per_call * base.size)
-            got = pruned_maxima(base, [SYNTHETIC[k][1] for k in names])
-            assert got == [max(op_norm(base * m) for m in SYNTHETIC[k][1]) for k in names]
-
-    def test_bounds_bracket_the_norm(self):
-        for name, (base, stack) in SYNTHETIC.items():
-            if name in ("huge", "tiny", "power_step_overflow"):
-                continue
-            prods = base * stack
-            upper, lower = verify._norm_bounds(prods)
-            norms = np.array([op_norm(p) for p in prods])
-            assert np.all(lower <= norms * (1 + 1e-12)), name
-            assert np.all(norms <= upper * (1 + 1e-12)), name
-
-    def test_power_step_is_exact_on_rank_one(self):
-        # all ones: every column has norm sqrt(n), the operator norm is n
-        n = 6
-        upper, lower = verify._norm_bounds(np.ones((1, n, n), dtype=np.complex128))
-        assert upper[0] == pytest.approx(n, rel=1e-15)
-        assert lower[0] == pytest.approx(n, rel=1e-15)
+            assert synthetic_maxima(names) == [
+                max(op_norm(base * m) for m in SYNTHETIC[k][1]) for k in names]
 
     def test_slack_boundary_prunes_one_mask(self, svd_shapes):
         base, stack = _slack_family()
@@ -992,12 +1027,10 @@ class TestPrunedMax:
         pruned_max(base, stack)
         assert svd_shapes == [(1, *base.shape)]
 
-    @pytest.mark.parametrize("name", ["all_zero", "below_floor", "tiny", "huge",
-                                      "power_step_overflow"])
+    @pytest.mark.parametrize("name", UNTRUSTED)
     def test_untrusted_bounds_prune_nothing(self, svd_shapes, name):
-        base, stack = SYNTHETIC[name]
-        pruned_max(base, stack)
-        assert sum(k for k, _, _ in svd_shapes) == len(stack)
+        synthetic_max(name)
+        assert sum(k for k, _, _ in svd_shapes) == len(SYNTHETIC[name][1])
 
 
 # ---------------------------------------------------------------------------
@@ -1214,7 +1247,7 @@ class TestLanczosRoute:
 
 
 # ---------------------------------------------------------------------------
-# flow-pass bounds from one GEMM, from linalg.LANCZOS_MIN_DIM on
+# flow-pass bounds from one GEMM, at every N
 # ---------------------------------------------------------------------------
 
 def flow_mask_setup(ch):
@@ -1308,15 +1341,20 @@ class TestFlowBounds:
 
 
 def record_masked_products(monkeypatch):
-    """The index arrays handed to `verify._masked_product`, in call order."""
+    """The index arrays of the flow masks formed, each stack's as
+    `verify._flow_masks` is called for it, in call order."""
     seen = []
-    masked_product = verify._masked_product
+    flow_masks = verify._flow_masks
 
-    def recording(base, masks, sel):
-        seen.append(np.asarray(sel).tolist())
-        return masked_product(base, masks, sel)
+    def recording(*args):
+        masks = flow_masks(*args)
 
-    monkeypatch.setattr(verify, "_masked_product", recording)
+        def recorded(sel):
+            seen.append(np.asarray(sel).tolist())
+            return masks(sel)
+        return recorded
+
+    monkeypatch.setattr(verify, "_flow_masks", recording)
     return seen
 
 
@@ -1335,16 +1373,15 @@ def every_mask_maxima(ch, t_eig):
 
 
 def assert_bounded_route(monkeypatch, ch, t_eig=None):
-    """The pass from `linalg.LANCZOS_MIN_DIM` on gives each family's max of
-    `certified_value` over every mask, with ==, and forms each mask at most
-    once, one at a time; returns the indices formed."""
+    """The flow pass gives each family's max of `certified_value` over every
+    mask, with ==, and forms each mask at most once, in stacks under the
+    entry cap; returns the indices formed."""
     t_eig = eigen_extension(ch) if t_eig is None else t_eig
-    assert min(t_eig.shape) >= linalg.LANCZOS_MIN_DIM
     ref = every_mask_maxima(ch, t_eig)
     seen = record_masked_products(monkeypatch)
     assert fused_flow(ch, t_eig) == ref
-    assert all(len(sel) == 1 for sel in seen)
-    formed = [i for (i,) in seen]
+    assert all(len(sel) <= linalg.stack_chunk(t_eig.size) for sel in seen)
+    formed = [i for sel in seen for i in sel]
     assert len(formed) == len(set(formed)), formed
     return formed
 
@@ -1363,6 +1400,10 @@ class TestBoundedRoute:
 
     def test_schur_16_prunes(self, monkeypatch):
         assert len(assert_bounded_route(monkeypatch, _build("schur", (16,), {}))) < 26
+
+    @pytest.mark.parametrize("dims", [(4,), (8,)], ids=lambda d: "x".join(map(str, d)))
+    def test_schur_below_the_gate_prunes(self, monkeypatch, dims):
+        assert len(assert_bounded_route(monkeypatch, _build("schur", dims, {}))) < 26
 
     def test_clustered_frequencies_prune_nothing_wrongly(self, monkeypatch):
         assert_bounded_route(monkeypatch, _clustered_channel())
