@@ -67,7 +67,7 @@ def as_cmatrix(a) -> np.ndarray:
 
 # Entries one stacked product or SVD call may hold (one matrix if a single
 # one is more), so the masked copies of a large family are never all held at
-# once: the verifier's flow norms and the flow membership check read it.
+# once: the verifier's flow norms alone read it.
 STACK_ENTRIES = 1 << 16
 
 

@@ -117,6 +117,27 @@ class TestVerify:
         assert set(doc) >= {"instance", "residuals", "tolerances", "verdicts"}
         assert doc["verdicts"]["thm_ii"] is True
 
+    @pytest.mark.parametrize("kind,dims,seed", [("sp_ucp", "2", "4"), ("sp_ucp", "2x2", "1"),
+                                                ("twirl", "3", "2")])
+    def test_gen_show_and_verify_print_one_markov_modular(self, tmp_path, capsys,
+                                                          kind, dims, seed):
+        # membership is one residual whatever verify's t samples are
+        path = tmp_path / "inst.json"
+        _, gen_out, _ = run(capsys, "gen", "--kind", kind, "--dims", dims, "--seed", seed,
+                            "-o", str(path))
+        _, show_out, _ = run(capsys, "show", str(path))
+        _, verify_out, _ = run(capsys, "verify", str(path))
+        _, json_out, _ = run(capsys, "verify", str(path), "--json")
+
+        def printed(out, label):
+            return [line.strip()[len(label):].split()[0]
+                    for line in out.splitlines() if line.strip().startswith(label)]
+
+        value = f"{json.loads(json_out)['residuals']['markov_modular']:.3e}"
+        assert printed(gen_out, "markov modular") == [value]
+        assert printed(show_out, "markov modular") == [value]
+        assert printed(verify_out, "markov_modular") == [value]
+
     def test_malformed_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"version": "1"}')

@@ -1,9 +1,10 @@
 """Mutants of the gns_* layer, of the symmetry pass, of the certificates
-of `linalg.certified_value` and of the flow-pass bounds and their pruning
-rule: are the stacked pass over both endpoint states, the one permuted
-conjugate behind thm_ii and thm_iii, the Cholesky certificates behind
-kadison_norm and markov_cp, the one-GEMM mask bounds and the prune test
-wired so that a wrong piece shows?
+of `linalg.certified_value`, of the flow-pass bounds and their pruning
+rule and of markov_modular's generator row: are the stacked pass over both
+endpoint states, the one permuted conjugate behind thm_ii and thm_iii, the
+Cholesky certificates behind kadison_norm and markov_cp, the one-GEMM mask
+bounds, the prune test and the masked column norms wired so that a wrong
+piece shows?
 
 Each mutant replaces one private piece of `verify` or `ModularData` by
 monkeypatching and runs `verify_channel`.  A gns_* mutant runs on a fixed
@@ -18,19 +19,21 @@ certificate mutant runs `certified_value` on direct matrix cases above
 the number of dense fallbacks (full-size svd or eigvalsh calls) on one.  A
 bound mutant edits the source of `verify._flow_bounds` and recompiles it,
 and the tests of tests/test_oracles.py it names must then fail.  A prune
-mutant does the same to `verify._bounded_maxima`; one listed as
-equivalent, with the argument why no value or count can move, must pass
-the tests it names instead.
+mutant does the same to `verify._bounded_maxima`, and a modular mutant to
+`markov.modular_commutation_residual`; one listed as equivalent, with the
+argument why no value or count can move, must pass the tests it names
+instead.
 """
 
 import inspect
+import sys
 import textwrap
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from modmark import linalg, verify
+from modmark import linalg, markov, verify
 from modmark.generators import GenSpec, build_channel, derive_seed
 from modmark.gns import ModularData
 from modmark.verify import verify_channel
@@ -353,14 +356,16 @@ def test_certificate_mutant(name, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _edited(function, edits):
-    """A `verify` function recompiled from its source with each (old, new)
-    text edit applied; each old text must occur exactly once."""
+    """A module-level function recompiled from its source, in its module's
+    namespace, with each (old, new) text edit applied; each old text must
+    occur exactly once."""
     source = textwrap.dedent(inspect.getsource(function))
     for old, new in edits:
         assert source.count(old) == 1, old
         source = source.replace(old, new)
-    namespace = dict(vars(verify))
-    exec(compile(source, verify.__file__, "exec"), namespace)
+    module = sys.modules[function.__module__]
+    namespace = dict(vars(module))
+    exec(compile(source, module.__file__, "exec"), namespace)
     return namespace[function.__name__]
 
 
@@ -390,7 +395,7 @@ def _killer(test_class, method, *args):
 
 @dataclass(frozen=True)
 class SourceMutant:
-    """(old, new) text edits to a `verify` function's source, and the tests
+    """(old, new) text edits to a function's source, and the tests
     that must fail under them; a mutant listed as equivalent, with why no
     value or count can move, must pass those tests instead."""
     edits: tuple[tuple[str, str], ...]
@@ -430,11 +435,15 @@ BOUND_MUTANTS = {
 def _assert_source_mutant(name, mutant, monkeypatch, function):
     """Each of the mutant's tests passes on the unmutated function, and
     fails, or for an equivalent mutant passes, with the edited function in
-    its place on `verify`."""
+    its place on every module that holds it: its own, and each that
+    imported it by name (test_oracles calls some kernels so)."""
     for _, run in mutant.tests:
         with pytest.MonkeyPatch.context() as mp:
             run(mp)
-    monkeypatch.setattr(verify, function.__name__, _edited(function, mutant.edits))
+    edited = _edited(function, mutant.edits)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get(function.__name__) is function:
+            monkeypatch.setattr(module, function.__name__, edited)
     for test_id, run in mutant.tests:
         with pytest.MonkeyPatch.context() as mp:
             if mutant.equivalent is not None:
@@ -499,3 +508,49 @@ PRUNE_MUTANTS = {
 @pytest.mark.parametrize("name", sorted(PRUNE_MUTANTS))
 def test_prune_mutant(name, monkeypatch):
     _assert_source_mutant(name, PRUNE_MUTANTS[name], monkeypatch, _bounded_maxima)
+
+
+# ---------------------------------------------------------------------------
+# markov_modular's generator row, markov.modular_commutation_residual
+# ---------------------------------------------------------------------------
+
+_modular = markov.modular_commutation_residual
+_GENERATOR_ROW = "(md_s.frequencies, md_t.frequencies)"
+_MASKED = "(a[None, :] - b[:, None]) * ch.eigen_superop"
+
+
+def _modular_killer(*case):
+    return _killer(test_oracles.TestFlowResidualOracles, "test_markov_modular", case)
+
+
+MODULAR_MUTANTS = {
+    # the mask w_s alone: nonzero where X is, for a map that keeps off-diagonal
+    # eigenframe entries (not pinch or state_to_scalar, whose X sits on w = 0)
+    "target_frequencies_dropped": SourceMutant(
+        ((_GENERATOR_ROW, "(md_s.frequencies, 0.0 * md_t.frequencies)"),),
+        (_modular_killer("schur", (3,), {}),
+         _modular_killer("automorphism", (2, 2), {}))),
+    # w_s - w_s: zero wherever X is supported if source and target share one
+    # algebra, so only a map between different algebras shows it
+    "source_frequencies_both_sides": SourceMutant(
+        ((_GENERATOR_ROW, "(md_s.frequencies, md_s.frequencies)"),),
+        (_modular_killer("state_to_scalar", (2,), {"target_dims": (1, 1, 1, 1)}),
+         _killer(test_oracles.TestFusedFlowPass, "test_markov_modular_off_the_class",
+                 (2,), (2,)))),
+    # column norms of mask * X itself, not of its product by G_s
+    "frame_product_dropped": SourceMutant(
+        ((f"md_s.frame_column_norms({_MASKED})", f"np.linalg.norm({_MASKED}, axis=-2)"),),
+        (_modular_killer("sp_ucp", (3,), {}),
+         _modular_killer("sp_ucp", (2, 2), {}))),
+    "mask_negated": SourceMutant(
+        (("(a[None, :] - b[:, None])", "(b[:, None] - a[None, :])"),),
+        (_killer(test_oracles.TestFusedFlowPass, "test_markov_modular_equals_per_mask",
+                 ("sp_ucp", (3,), {})),),
+        equivalent="b - a is exactly -(a - b), so each column of (mask * X) G_s is "
+                   "negated and keeps its norm to the bit"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULAR_MUTANTS))
+def test_modular_mutant(name, monkeypatch):
+    _assert_source_mutant(name, MODULAR_MUTANTS[name], monkeypatch, _modular)

@@ -77,7 +77,6 @@ from modmark import gns, linalg, verify
 from modmark.gns import Z_MAX, ModularData
 from modmark.linalg import matrix_power_from_eig
 from modmark.markov import (
-    DEFAULT_FLOW_SAMPLES,
     Channel,
     ChoiMatrix,
     System,
@@ -125,6 +124,8 @@ from modmark.verify import (
 
 DIMS = [(2,), (3,), (2, 2), (3, 1), (2, 2, 2)]
 Z_SAMPLES = sample_z(4)
+# t samples of the flow rows `modular_commutation_residual` adds on request
+FLOW_SAMPLES = (1.0, -1.0, 0.37, -0.37, 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +454,8 @@ def _cases():
                 continue
             cases.append((kind, dims, {}))
     cases.append(("state_to_scalar", (2,), {"target_dims": (3,)}))
+    # N_s = N_t, but the target's zero frequencies sit where the source's are not
+    cases.append(("state_to_scalar", (2,), {"target_dims": (1, 1, 1, 1)}))
     return cases
 
 
@@ -500,8 +503,9 @@ class TestFlowResidualOracles:
     def test_markov_modular(self, case):
         kind, dims, params = case
         ch = _build(kind, dims, params)
-        _assert_close(modular_commutation_residual(ch, DEFAULT_FLOW_SAMPLES),
-                      oracle_modular(ch, DEFAULT_FLOW_SAMPLES), kind)
+        _assert_close(modular_commutation_residual(ch), oracle_modular(ch, ()), kind)
+        _assert_close(modular_commutation_residual(ch, FLOW_SAMPLES),
+                      oracle_modular(ch, FLOW_SAMPLES), kind)
 
     def test_adjoint_residuals(self, case):
         kind, dims, params = case
@@ -553,7 +557,8 @@ def test_every_residual_off_the_class(src_dims, tgt_dims):
         (s_res, oracle_twist(t_mat, ch, DEFAULT_S_VALUES)),
         (thm_ii, oracle_conjugation(t_mat, ch)),
         (thm_iii, oracle_involution(t_mat, ch)),
-        (modular_commutation_residual(ch), oracle_modular(ch, DEFAULT_FLOW_SAMPLES)),
+        (modular_commutation_residual(ch), oracle_modular(ch, ())),
+        (modular_commutation_residual(ch, FLOW_SAMPLES), oracle_modular(ch, FLOW_SAMPLES)),
         (adjc, oracle_adjoint_consistency(ch)),
         (petz, oracle_petz_match(ch)),
         (kad, oracle_kadison(ch)),
@@ -680,6 +685,10 @@ def flow_families(ch):
             [(DEFAULT_S_VALUES, tol["thm_i_s"])])
 
 
+# masks in the `flow_families` pass: 3 + 16 + 4
+FLOW_MASKS = len(DEFAULT_EQ32_T) + len(Z_SAMPLES) + len(DEFAULT_S_VALUES)
+
+
 def fused_flow(ch, t_eig=None):
     """(eq32_t, thm_commute_z, thm_i_s) from one `_flow_residuals` pass at
     the report's tolerances, of t_eig (default `eigen_extension(ch)`)."""
@@ -700,10 +709,11 @@ def fused_and_alone(ch):
     return fused, alone
 
 
-def per_mask_modular(ch, t_samples=DEFAULT_FLOW_SAMPLES):
-    """`modular_commutation_residual` one mask at a time: the max over the
-    generator mask and each flow mask of the max column norm of
-    ((a - b) * X) G_s, through `frame_column_norms` (the dense product below
+def per_mask_modular(ch, t_samples=()):
+    """`modular_commutation_residual` rebuilt from its definition, so that a
+    later restructuring keeps its bits: the max over the generator mask and
+    each flow mask of the max column norm of ((a - b) * X) G_s, through
+    `frame_column_norms` (the dense product below
     `gns.FRAME_MIN_DIM`; `TestFactoredFrame` checks the factored norms
     against it)."""
     md_s, md_t = ch.source.modular, ch.target.modular
@@ -714,7 +724,7 @@ def per_mask_modular(ch, t_samples=DEFAULT_FLOW_SAMPLES):
                for a, b in pairs)
 
 
-# the 26 masks fit one 2^16-entry chunk at n = 7 (N = 49) and spill at n = 8
+# the FLOW_MASKS masks fit one 2^16-entry chunk at n = 7 (N = 49) and spill at n = 8
 # and 6x4x2; from n = 10 (N = 100) the survivors take Lanczos norms
 FUSED_SIZES = [(7,), (8,), (6, 4, 2), (10,), (12,)]
 FUSED_CASES = ([(kind, dims, {}) for kind in ("pinch", "twirl", "sp_ucp")
@@ -762,13 +772,13 @@ class TestFusedFlowPass:
     @pytest.mark.parametrize("case", [("sp_ucp", (3,), {}), ("pinch", (2, 2), {}),
                                       ("twirl", (7,), {})], ids=_case_id)
     def test_one_chunk_takes_one_svd_call(self, monkeypatch, svd_shapes, case):
-        # where the 26 masks fit one chunk, each mask is formed at most once:
+        # where the masks fit one chunk, each mask is formed at most once:
         # the three families' largest-bound masks in one stacked SVD, then
         # the survivors of every family in at most one more
         seen = record_masked_products(monkeypatch)
         fused_flow(_build(*case))
         formed = [i for sel in seen for i in sel]
-        assert len(formed) == len(set(formed)) <= 26 and len(seen) <= 2
+        assert len(formed) == len(set(formed)) <= FLOW_MASKS and len(seen) <= 2
         assert len(seen[0]) == 3
         assert [k for k, _, _ in svd_shapes] == [len(sel) for sel in seen]
 
@@ -781,15 +791,12 @@ class TestFusedFlowPass:
                        oracle_twist_residual(t_eig, ch, DEFAULT_S_VALUES)]
 
     @pytest.mark.parametrize("case", CASES + FUSED_CASES[:6], ids=_case_id)
-    def test_markov_modular_equals_per_mask(self, monkeypatch, case):
+    def test_markov_modular_equals_per_mask(self, case):
+        # the generator row alone, and with one or five flow rows beside it
         ch = _build(*case)
-        ref = per_mask_modular(ch)
-        assert modular_commutation_residual(ch) == ref
-        # chunks of 1, 2, 3 and 5 of the seven masks
-        for per_call in (1, 16, 24, 40):
-            monkeypatch.setattr(linalg, "STACK_ENTRIES", per_call * ch.eigen_superop.size)
-            assert modular_commutation_residual(ch) == ref
-            assert modular_commutation_residual(ch, (0.4,)) == per_mask_modular(ch, (0.4,))
+        for t_samples in ((), (0.4,), FLOW_SAMPLES):
+            assert (modular_commutation_residual(ch, t_samples)
+                    == per_mask_modular(ch, t_samples)), t_samples
 
     @pytest.mark.parametrize("src_dims,tgt_dims", FUSED_OFF_CLASS[:7])
     def test_markov_modular_off_the_class(self, src_dims, tgt_dims):
@@ -849,7 +856,7 @@ class TestStackedNorms:
             report = verify_channel(ch)
             # the pruned families may leave a chunk short of the cap
             assert max(k for k, _, _ in svd_shapes) <= per_call
-            # markov_modular stacks its masks under the same cap
+            # markov_modular takes no stack and reads the cap nowhere
             assert {k: report.residuals[k] for k in (*FLOW_KEYS, "markov_modular")} == {
                 k: ref.residuals[k] for k in (*FLOW_KEYS, "markov_modular")}
 
@@ -1399,11 +1406,11 @@ class TestBoundedRoute:
         assert_bounded_route(monkeypatch, _build(*case))
 
     def test_schur_16_prunes(self, monkeypatch):
-        assert len(assert_bounded_route(monkeypatch, _build("schur", (16,), {}))) < 26
+        assert len(assert_bounded_route(monkeypatch, _build("schur", (16,), {}))) < FLOW_MASKS
 
     @pytest.mark.parametrize("dims", [(4,), (8,)], ids=lambda d: "x".join(map(str, d)))
     def test_schur_below_the_gate_prunes(self, monkeypatch, dims):
-        assert len(assert_bounded_route(monkeypatch, _build("schur", dims, {}))) < 26
+        assert len(assert_bounded_route(monkeypatch, _build("schur", dims, {}))) < FLOW_MASKS
 
     def test_clustered_frequencies_prune_nothing_wrongly(self, monkeypatch):
         assert_bounded_route(monkeypatch, _clustered_channel())
@@ -1413,7 +1420,7 @@ class TestBoundedRoute:
         # |T_eig|^2 underflows below the floor, or overflows to inf
         ch = _build("schur", (12,), {})
         formed = assert_bounded_route(monkeypatch, ch, scale * eigen_extension(ch))
-        assert sorted(formed) == list(range(26))
+        assert sorted(formed) == list(range(FLOW_MASKS))
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,20 @@ class TestMembershipTolerances:
         assert precondition_defects(ch) == above
 
 
+class TestMembershipIsSampleFree:
+    """markov_modular is `check_markov`'s generator row: the report gives the
+    same float whatever t samples eq32_t takes."""
+
+    @pytest.mark.parametrize("kind,dims", [("sp_ucp", (2,)), ("sp_ucp", (2, 2)),
+                                           ("twirl", (3,)), ("state_to_scalar", (3, 1))])
+    def test_report_equals_check_markov(self, kind, dims):
+        ch = build_channel(GenSpec(kind, dims, seed=4)).channel
+        want = check_markov(ch).residuals["modular"]
+        for ts in [(1.0,), (0.37, 5.0), (1.0, -1.0, 0.37, -0.37, 5.0, -5.0), (0.0, 2.5)]:
+            report = verify_channel(ch, t_samples=ts)
+            assert report.residuals["markov_modular"] == want, ts
+
+
 class TestFlowToleranceWiring:
     """Each sampled key's tolerance takes the condition scale of its own
     samples: thm_commute_z kappa**max|Re z|, the real-power keys kappa**max|s|;
