@@ -10,9 +10,9 @@ start vector, comes from a fixed seed.
 `certified_value` is the one kernel for the package's large spectral values
 taken for a verdict: an operator norm, an operator norm's excess over 1, and
 a smallest Hermitian eigenvalue.  Below `LANCZOS_MIN_DIM` each is the dense
-LAPACK call.  From it on each is a Golub-Kahan-Lanczos Ritz value, and the
-verdict it gives is certified, by the Frobenius bound or by a Cholesky
-factor of a shifted matrix; a verdict neither settles takes the dense call.
+LAPACK call.  From it on a verdict is certified, by the Frobenius bound or
+a Golub-Kahan-Lanczos Ritz value, or by a Cholesky factor of a shifted
+matrix, and a verdict none settles takes the dense call.
 """
 
 from __future__ import annotations
@@ -221,13 +221,14 @@ def certified_value(a, tol: float, kind: str = "norm") -> float:
         "min_eig"  lambda_min of the Hermitian a, the verdict lambda_min >= -tol.
 
     Below `LANCZOS_MIN_DIM` in the smaller dimension it is the dense value:
-    `op_norm`, or `np.linalg.eigvalsh`.  From it on the value comes from the
-    Golub-Kahan-Lanczos Ritz value r (`_top_singular_value`), a lower bound
-    on a top singular value, and is returned only when a certificate settles
-    the verdict:
+    `op_norm`, or `np.linalg.eigvalsh`.  From it on a value is returned
+    only when a certificate settles the verdict; r is the Golub-Kahan-
+    Lanczos Ritz value (`_top_singular_value`), a lower bound on a top
+    singular value:
 
-    - "norm": r > tol is a certain fail and |a|_F <= tol, an upper bound, a
-      certain pass; the value is r.
+    - "norm": |a|_F <= tol, an upper bound, is a certain pass, taken before
+      any Lanczos step, and its value is |a|_F; else r > tol is a certain
+      fail, and its value is r.
     - "excess": r - 1 > tol is a certain fail, and a Cholesky factor of
       (1 + tol)^2 1 - a^+ a a certain pass; the value is max(0, r - 1).
     - "min_eig": a Cholesky factor of a itself certifies lambda_min >= 0,
@@ -240,9 +241,10 @@ def certified_value(a, tol: float, kind: str = "norm") -> float:
     eps times the scale (1 for "excess", |a|_F for "min_eig"): a tiny
     MODMARK_TOL goes dense.  Whatever no certificate settles takes the dense
     call, `np.linalg.svd` or `np.linalg.eigvalsh`, and its value.  So the
-    verdict is the dense route's; a certified value is a bound on the dense
-    one (a norm or excess from below, an eigenvalue from above), within
-    rounding of it when the top singular gap exceeds ~1e-7 relative.
+    verdict is the dense route's, and a certified value lies on its side of
+    the dense one: a norm's pass above it, a norm's fail or an excess below
+    it (within rounding when the top singular gap exceeds ~1e-7 relative),
+    an eigenvalue above it.
     """
     if kind not in ("norm", "excess", "min_eig"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -259,11 +261,14 @@ def certified_value(a, tol: float, kind: str = "norm") -> float:
             if _eig_above(a, -tol):
                 return _bottom_eigenvalue(a)
         return float(np.linalg.eigvalsh(a)[0])
-    ritz = _top_singular_value(a)
     if kind == "norm":
-        if ritz > tol or frob(a) <= tol:
-            return ritz
-        return float(np.linalg.svd(a, compute_uv=False)[0])
+        with np.errstate(over="ignore"):  # inf on huge entries: no pass
+            upper = frob(a)
+        if upper <= tol:
+            return upper
+        ritz = _top_singular_value(a)
+        return ritz if ritz > tol else float(np.linalg.svd(a, compute_uv=False)[0])
+    ritz = _top_singular_value(a)
     if ritz - 1.0 > tol or (tol > CHOLESKY_MARGIN * max(a.shape) * _EPS
                             and _norm_below(a, 1.0 + tol)):
         return max(0.0, ritz - 1.0)

@@ -38,33 +38,34 @@ The masked copies are formed in stacks under a fixed cap on entries per
 call (`linalg.STACK_ENTRIES`), and below N = 100 (`linalg.LANCZOS_MIN_DIM`)
 each stack's norms are one stacked SVD.
 
-From N = 100 on, every norm, kadison_norm and markov_cp's Choi eigenvalues
-are taken by `linalg.certified_value` instead, each certified against its
-key's tolerance.  A norm's Golub-Kahan-Lanczos Ritz value r is a lower
-bound on |A|_op and |A|_F an upper bound, so r > tol is a certain fail and
-|A|_F <= tol a certain pass.  kadison_norm is max(0, r - 1), r the Ritz
-value of T_eig, and a Cholesky factor of (1 + tol)^2 1 - T^+ T certifies
-its pass.  A Choi block that has a Cholesky factor keeps markov_cp at its
-Hermiticity defect; one that factors only with its tolerance tau added
-gives the Lanczos upper bound |C|_F - r' on lambda_min, r' the Ritz value
-of |C|_F 1 - C.  A verdict no certificate settles takes the dense SVD or
-eigvalsh.  Verdicts are those of the dense route; the residual values
-match it to rounding, not bit for bit, and kadison_norm and markov_cp
-are bounds on the dense values, from below up to rounding.
+Every value is the end of its certified bracket on the side of its
+verdict.  A certified pass reads the upper bound that proves it, a certain
+fail from N = 100 on its Ritz lower bound, and a straddle the dense value,
+so verdicts are those of the dense route.  From N = 100 on, every norm, kadison_norm and
+markov_cp's Choi eigenvalues are taken by `linalg.certified_value`: a norm
+with |A|_F <= tol reads |A|_F, with no Lanczos step, and one whose
+Golub-Kahan-Lanczos Ritz value r exceeds tol reads r.  kadison_norm is
+max(0, r - 1), r the Ritz value of T_eig, and a Cholesky factor of
+(1 + tol)^2 1 - T^+ T certifies its pass.  A Choi block that has a Cholesky
+factor keeps markov_cp at its Hermiticity defect; one that factors only
+with its tolerance tau added gives the Lanczos upper bound |C|_F - r' on
+lambda_min, r' the Ritz value of |C|_F 1 - C.  Below N = 100 thm_ii and the
+adjoint pair keep their dense SVDs.
 
 The sampled flow keys (eq32_t, thm_commute_z, thm_i_s) are maxima over
-their samples, all three from one set of masks (`_flow_residuals`), and
-they bound-and-prune per family, by one route at every N.  Every |A|_F, A
-a masked copy of T_eig, is bounded from one GEMM over |T_eig|^2, no masked
-copy formed (`_flow_bounds`).  Two stacked norm calls follow
-(`_bounded_maxima`): each family's largest-bound mask, then every mask
-whose bound reaches its family's first norm within a relative slack of
-1e-6, so each mask is formed at most once.  The slack is ~1e7 times the
-norm's rounding error at these sizes, so the mask holding the max always
-survives.  LAPACK and the Lanczos kernel give a matrix the same bits
-whatever its stack holds, so each max is the same float as over every
-mask of its family alone.  Pruning cuts how many norms are taken, and the
-Lanczos route how much each one costs.
+their samples, all three from one set of masks (`_flow_residuals`), by one
+route at every N.  Every |A|_F, A a masked copy of T_eig, is bounded from
+one GEMM over |T_eig|^2, no masked copy formed (`_flow_bounds`).  A family
+whose bounds are all trusted and at most its tolerance is a certain pass
+and reads its largest bound (`_bounded_maxima`).  Every other family
+bound-and-prunes by two stacked norm calls: each family's largest-bound
+mask, then every mask whose bound reaches its family's first norm within a
+relative slack of 1e-6, so each mask is formed at most once.  The slack is
+~1e7 times the norm's rounding error at these sizes, so the mask holding
+the max always survives.  LAPACK and the Lanczos kernel give a matrix the
+same bits whatever its stack holds, so each such max is the same float as
+over every mask of its family alone.  On the positive kinds a pass read
+off a bound is up to ~7 times the dense norm, which is roundoff.
 
 The gns_* keys alone stay out of the frame: they use the spectral powers,
 so they test the modular data the frame is built from.  Both endpoint
@@ -303,32 +304,40 @@ def _flow_bounds(t_eig: np.ndarray, d_s: np.ndarray, d_t: np.ndarray, n_commute:
 
 def _bounded_maxima(base: np.ndarray, masks: Callable, counts, tols,
                     bounds: np.ndarray) -> list[float]:
-    """max(`certified_value`(base * m, tols[i])) over the masks m of each
-    family i, 0.0 for none, bit for bit, given an upper bound on each
+    """Each family i's max over its masks m of |base * m|_op, taken for the
+    verdict against tols[i], 0.0 for none, given an upper bound on each
     |base * m|_F (`_flow_bounds`).  Family i is the next counts[i] masks,
     and masks(sel) a fresh complex stack of the masks sel, an ascending
     index array.
 
-    Two calls of `_masked_op_norms` take every norm.  The first takes each
-    family's largest-bound mask, untrusted bounds (not finite, or below
-    `_PRUNE_FLOOR`) counted as largest.  A mask whose trusted bound lies
-    below its family's first norm, by more than `_PRUNE_SLACK` of each,
-    cannot hold the max; the second call takes every other mask.  So each
-    mask is formed at most once, under the entry cap."""
+    A family whose bounds are all trusted (finite, and at least
+    `_PRUNE_FLOOR`) and at most its tolerance is a certain pass: its value
+    is its largest bound, and none of its masks is formed.  Every other
+    family takes max(`certified_value`(base * m, tols[i])), bit for bit, by
+    two calls of `_masked_op_norms`.  The first takes each family's
+    largest-bound mask, untrusted bounds counted as largest.  A mask whose
+    trusted bound lies below its family's first norm, by more than
+    `_PRUNE_SLACK` of each, cannot hold the max; the second call takes
+    every other mask.  So each mask is formed at most once, under the entry
+    cap, and a call with no masks is not made."""
     family = np.repeat(np.arange(len(counts)), counts)
     tol = np.asarray(tols, dtype=float)[family]
     trusted = np.isfinite(bounds) & (bounds >= _PRUNE_FLOOR)
     order = np.where(trusted, bounds, np.inf)
-    ends = np.cumsum(counts)
-    first = np.array([lo + np.argmax(order[lo:hi]) for lo, hi in zip(ends - counts, ends)
-                      if hi > lo], dtype=np.intp)
     maxima = np.zeros(len(counts))
-    maxima[family[first]] = _masked_op_norms(base, lambda sl: masks(first[sl]), tol[first])
+    np.maximum.at(maxima, family, order)
+    certified = maxima <= tols  # an empty family too, at 0.0
+    ends = np.cumsum(counts)
+    first = np.array([lo + np.argmax(order[lo:hi]) for lo, hi, done
+                      in zip(ends - counts, ends, certified) if not done], dtype=np.intp)
+    if len(first):
+        maxima[family[first]] = _masked_op_norms(base, lambda sl: masks(first[sl]), tol[first])
     keep = ~(trusted & (bounds * (1.0 + _PRUNE_SLACK) < maxima[family] * (1.0 - _PRUNE_SLACK)))
     keep[first] = False
-    rest = np.flatnonzero(keep)
-    np.maximum.at(maxima, family[rest],
-                  _masked_op_norms(base, lambda sl: masks(rest[sl]), tol[rest]))
+    rest = np.flatnonzero(keep & ~certified[family])
+    if len(rest):
+        np.maximum.at(maxima, family[rest],
+                      _masked_op_norms(base, lambda sl: masks(rest[sl]), tol[rest]))
     return maxima.tolist()
 
 
@@ -338,8 +347,8 @@ def _flow_residuals(t_eig: np.ndarray, ch: Channel, commute=(), twist=()) -> lis
     max_s |T_eig * (exp(-s w_t)[:, None] exp(s w_s)[None, :] - 1)| for each
     (s values, tol) in twist.  Each endpoint state gives exp(z w) for every
     exponent in one `delta_power_diagonals` call, every mask is bounded by
-    `_flow_bounds`, which forms no masked copy, and each family is pruned by
-    those bounds in `_bounded_maxima`."""
+    `_flow_bounds`, which forms no masked copy, and each family is certified
+    or pruned by those bounds in `_bounded_maxima`."""
     fams = ([(list(zs), tol) for zs, tol in commute]
             + [([float(s) for s in ss], tol) for ss, tol in twist])
     counts = [len(f) for f, _ in fams]
@@ -683,8 +692,8 @@ def verify_channel(ch: Channel, *, kind: str | None = None,
     mc = check_markov(ch)
     t_eig = eigen_extension(ch)
     md_s, md_t = ch.source.modular, ch.target.modular
-    # the norms take their tolerances: from linalg.LANCZOS_MIN_DIM on, a
-    # norm's route depends on whether a certificate settles the verdict
+    # the norms take their tolerances: a certified pass reads the bound that
+    # proves it, and from linalg.LANCZOS_MIN_DIM on a fail its Ritz value
     tol = _tolerances(ch, s_values, z_samples)
 
     residuals: dict[str, float] = {

@@ -2,9 +2,9 @@
 of `linalg.certified_value`, of the flow-pass bounds and their pruning
 rule and of markov_modular's generator row: are the stacked pass over both
 endpoint states, the one permuted conjugate behind thm_ii and thm_iii, the
-Cholesky certificates behind kadison_norm and markov_cp, the one-GEMM mask
-bounds, the prune test and the masked column norms wired so that a wrong
-piece shows?
+Cholesky certificates behind kadison_norm and markov_cp, the Frobenius and
+Ritz bracket of a norm, the one-GEMM mask bounds, the certify-and-prune
+rule and the masked column norms wired so that a wrong piece shows?
 
 Each mutant replaces one private piece of `verify` or `ModularData` by
 monkeypatching and runs `verify_channel`.  A gns_* mutant runs on a fixed
@@ -19,7 +19,8 @@ certificate mutant runs `certified_value` on direct matrix cases above
 the number of dense fallbacks (full-size svd or eigvalsh calls) on one.  A
 bound mutant edits the source of `verify._flow_bounds` and recompiles it,
 and the tests of tests/test_oracles.py it names must then fail.  A prune
-mutant does the same to `verify._bounded_maxima`, and a modular mutant to
+mutant does the same to `verify._bounded_maxima`, a norm mutant to
+`linalg.certified_value` and a modular mutant to
 `markov.modular_commutation_residual`; one listed as equivalent, with the
 argument why no value or count can move, must pass the tests it names
 instead.
@@ -404,9 +405,13 @@ class SourceMutant:
 
 
 BOUND_MUTANTS = {
+    # the clustered channel's expansion cancels: a bound below its norm, and
+    # at or below the tolerance it certifies a pass that reads low
     "margin_dropped": SourceMutant(
         ((_SUM, "pos - 2.0 * cross + z_part"),),
-        (_killer(test_oracles.TestFlowBounds, "test_clustered_frequencies"),)),
+        (_killer(test_oracles.TestFlowBounds, "test_clustered_frequencies"),
+         _killer(test_oracles.TestBoundedRoute,
+                 "test_clustered_frequencies_prune_nothing_wrongly"))),
     "z_part_dropped": SourceMutant(
         ((_SUM, "pos - 2.0 * cross + margin"),),
         (_killer(test_oracles.TestFlowBounds, "test_large_kinds", ("schur", (12,), {})),)),
@@ -423,7 +428,8 @@ BOUND_MUTANTS = {
           "re_cross[com] - im_cross[com], re_cross[tw] + im_cross[tw]")),
         (_killer(test_oracles.TestFlowBounds, "test_large_kinds", ("sp_ucp", (12,), {})),)),
     # the Z entries counted twice, the expansion's cancelled copy with a
-    # margin from their O(1) weight: loose bounds that prune nothing
+    # margin from their O(1) weight: loose bounds that certify no family
+    # of a positive, so its masks are formed
     "p_unzeroed_on_z": SourceMutant(
         (("        p[rows, cols] = 0.0\n", ""),),
         (_killer(test_oracles.TestBoundedRoute, "test_schur_16_prunes"),
@@ -468,6 +474,7 @@ def test_bound_mutant(name, monkeypatch):
 _bounded_maxima = verify._bounded_maxima
 _GUARD = "trusted = np.isfinite(bounds) & (bounds >= _PRUNE_FLOOR)"
 _PRUNE = "bounds * (1.0 + _PRUNE_SLACK) < maxima[family] * (1.0 - _PRUNE_SLACK)"
+_FAMILY_MAX = "maxima = np.zeros(len(counts))\n    np.maximum.at(maxima, family, order)"
 
 
 def _pruned_max_killer(method, *args):
@@ -497,17 +504,68 @@ PRUNE_MUTANTS = {
         ((_PRUNE, "bounds < maxima[family]"),),
         (_pruned_max_killer("test_slack_boundary_prunes_one_mask"),)),
     # each family's first mask formed and normed again in the second call
+    # (a certified family forms none: the killers are families that fail)
     "first_mask_normed_twice": SourceMutant(
         (("    keep[first] = False\n", ""),),
         (_pruned_max_killer("test_dominant_mask_alone_reaches_the_svd"),
-         _killer(test_oracles.TestBoundedRoute, "test_schur_16_prunes"),
-         _killer(test_oracles.TestBoundedRoute, "test_schur_below_the_gate_prunes", (8,)))),
+         _killer(test_oracles.TestBoundedRoute, "test_max_of_every_mask",
+                 ("sp_ucp", (12,), {})),
+         _killer(test_oracles.TestBoundedRoute, "test_max_of_every_mask",
+                 ("sp_ucp", (8, 8), {})))),
+    # the certificate read off the raw bounds: one below the floor (an
+    # underflowed |T_eig|^2) certifies a pass under the norm it does not bound
+    "untrusted_bound_certifies": SourceMutant(
+        (("np.maximum.at(maxima, family, order)", "np.maximum.at(maxima, family, bounds)"),),
+        (_pruned_max_killer("test_untrusted_bounds_never_certify", "below_floor"),
+         _pruned_max_killer("test_untrusted_bounds_never_certify", "tiny"))),
+    # a family certified by, and reading, its smallest bound
+    "family_min_bound": SourceMutant(
+        ((_FAMILY_MAX, "maxima = np.full(len(counts), np.inf)\n"
+                       "    np.minimum.at(maxima, family, order)"),),
+        (_pruned_max_killer("test_certified_family_takes_its_largest_bound", "ties"),
+         _pruned_max_killer("test_certified_family_takes_its_largest_bound", "one_dominant"))),
+    # each family certified against the tolerance of the family before it
+    "another_family_tolerance": SourceMutant(
+        (("certified = maxima <= tols", "certified = maxima <= np.roll(tols, 1)"),),
+        (_pruned_max_killer("test_each_family_against_its_own_tolerance"),)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PRUNE_MUTANTS))
 def test_prune_mutant(name, monkeypatch):
     _assert_source_mutant(name, PRUNE_MUTANTS[name], monkeypatch, _bounded_maxima)
+
+
+# ---------------------------------------------------------------------------
+# the "norm" kind of linalg.certified_value from linalg.LANCZOS_MIN_DIM on
+# ---------------------------------------------------------------------------
+
+_certified_value = linalg.certified_value
+_NORM_FAIL = "return ritz if ritz > tol else float(np.linalg.svd(a, compute_uv=False)[0])"
+
+
+def _bracket_killer(method):
+    return _killer(test_oracles.TestLanczosRoute, method)
+
+
+NORM_MUTANTS = {
+    # a certain pass reads the Ritz value, and a certain fail |a|_F
+    "ritz_and_frobenius_swapped": SourceMutant(
+        (("            return upper\n", "            return _top_singular_value(a)\n"),
+         (_NORM_FAIL, _NORM_FAIL.replace("return ritz if", "return upper if"))),
+        (_bracket_killer("test_bracket_certifies_or_takes_the_svd"),
+         _bracket_killer("test_only_the_straddling_mask_takes_the_svd"))),
+    # a Ritz value at or below tol taken as a pass, with no SVD
+    "straddle_skips_the_svd": SourceMutant(
+        ((_NORM_FAIL, "return ritz"),),
+        (_bracket_killer("test_bracket_certifies_or_takes_the_svd"),
+         _bracket_killer("test_only_the_straddling_mask_takes_the_svd"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORM_MUTANTS))
+def test_norm_mutant(name, monkeypatch):
+    _assert_source_mutant(name, NORM_MUTANTS[name], monkeypatch, _certified_value)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,13 @@ Gram matrix instead of the two rank-one deflations, and the twirl's
 frequency buckets chained by a Python loop.  They are kept here only, so
 that a check is never the code it checks.  `delta_power_superop`, Delta^z
 carried back from the eigenframe, lives here too because only tests read it.
-The flow families and the adjoint pair keep their per-sample `op_norm`
-loops, one mask and one product each, as the bit-for-bit oracles of the
-stacked, chunked SVDs in `verify`, and of the bound-and-prune max of the
-sampled families, which synthetic families (ties, zeros, one dominant mask,
-equal norms, the slack boundary, bounds that underflow or overflow) check
-too.  Four one-line compositions that only tests call are helpers here:
+The flow families, thm_ii and the adjoint pair keep their per-sample
+`op_norm` loops, one mask and one product each, as the oracles of the
+stacked, chunked SVDs in `verify` and of the certify, bound and prune max of
+the sampled families: bit for bit on a fail, and the lower end of a pass,
+which reads the bound that certifies it (`assert_verdict_side`).
+Synthetic families (ties, zeros, one dominant mask, equal norms, the slack
+boundary, bounds that underflow or overflow) check the max too.  Four one-line compositions that only tests call are helpers here:
 `gns_embed` (x D^{1/2}), `apply_S` (J Delta^{1/2}), `commutator` and
 `star_preservation_residual`, which the per-unit star loop checks.
 The instance files have one more: a hand-written encoder (sorted keys,
@@ -607,18 +608,72 @@ def test_sp_ucp_breaks_the_flow(dims):
 # ---------------------------------------------------------------------------
 
 FLOW_KEYS = ("eq32_t", "thm_i_s", "thm_commute_z", "adjoint_consistency", "petz_match")
+# the keys whose pass reads the upper bound that certifies it: a family's
+# largest one-GEMM bound at every N, and |A|_F from `linalg.LANCZOS_MIN_DIM`
+# on; a fail keeps its value
+MOVED_KEYS = ("eq32_t", "thm_commute_z", "thm_i_s", "thm_ii", "adjoint_consistency",
+              "petz_match")
+# how far below the dense SVD's norm of the same matrix a pass may read: a
+# one-GEMM bound covers its formed product's norm to this relative rounding
+# (`assert_bounds_cover`), and |A|_F >= |A|_op
+PASS_RTOL = 1e-13
 
 
-def assert_stacked_equals_per_sample(ch):
-    """Every stacked family against its per-sample oracle, compared with ==."""
+def assert_verdict_side(got, dense, tol, lanczos=False):
+    """A residual taken for its verdict against tol, beside dense, the dense
+    SVD's norm of the same matrix (for a family, the max over its masks).
+    A fail reads dense bit for bit, or its Ritz value within 1e-13 relative
+    where it takes the Lanczos route (lanczos); a pass lies in
+    [dense (1 - PASS_RTOL), tol]."""
+    if dense <= tol:
+        assert dense * (1.0 - PASS_RTOL) <= got <= tol, (got, dense, tol)
+    elif lanczos:
+        assert abs(got - dense) <= 1e-13 * dense, (got, dense, tol)
+    else:
+        assert got == dense, (got, dense, tol)
+
+
+def dense_moved_keys(ch):
+    """The `MOVED_KEYS` of `verify_channel(ch)` by the dense SVD, each the
+    norm of the matrix the report bounds, one mask and one `op_norm` at a
+    time."""
     t_eig = eigen_extension(ch)
+    flipped = t_eig.conj()[adjoint_index(ch.target.algebra)][:, adjoint_index(ch.source.algebra)]
+    adjc, petz = oracle_adjoint_pair(ch)
+    return {"eq32_t": oracle_commute_residual(t_eig, ch, [1j * float(t) for t in DEFAULT_EQ32_T]),
+            "thm_commute_z": oracle_commute_residual(t_eig, ch, sample_z(0)),
+            "thm_i_s": oracle_twist_residual(t_eig, ch, DEFAULT_S_VALUES),
+            "thm_ii": op_norm(flipped - t_eig),
+            "adjoint_consistency": adjc, "petz_match": petz}
+
+
+def assert_report_on_verdict_side(ch, report):
+    """Each `MOVED_KEYS` value of report, `verify_channel(ch)` at its
+    default samples, on the side of its verdict of `dense_moved_keys`."""
+    lanczos = min(eigen_extension(ch).shape) >= linalg.LANCZOS_MIN_DIM
+    for key, dense in dense_moved_keys(ch).items():
+        assert_verdict_side(report.residuals[key], dense, report.tolerances[key], lanczos)
+
+
+def assert_stacked_on_verdict_side(ch):
+    """Every stacked family against its per-sample oracle, on the side of
+    its verdict (`assert_verdict_side`); below `linalg.LANCZOS_MIN_DIM` the
+    adjoint pair keeps its stacked SVD, equal to the oracle with ==."""
+    t_eig = eigen_extension(ch)
+    tol = verify._tolerances(ch, DEFAULT_S_VALUES, Z_SAMPLES)
+    lanczos = min(t_eig.shape) >= linalg.LANCZOS_MIN_DIM
     eq32 = [1j * float(t) for t in DEFAULT_EQ32_T]
-    assert (verify_crucial(ch, DEFAULT_EQ32_T, require_markov=False)
-            == oracle_commute_residual(t_eig, ch, eq32))
-    assert verify_commute(ch, Z_SAMPLES, DEFAULT_S_VALUES, require_markov=False) == (
-        oracle_commute_residual(t_eig, ch, Z_SAMPLES),
-        oracle_twist_residual(t_eig, ch, DEFAULT_S_VALUES))
-    assert verify_adjoint(ch, require_markov=False)[:2] == oracle_adjoint_pair(ch)
+    z_res, s_res = verify_commute(ch, Z_SAMPLES, DEFAULT_S_VALUES, require_markov=False)
+    adjoint = verify_adjoint(ch, require_markov=False)[:2]
+    for got, dense, key in [
+            (verify_crucial(ch, DEFAULT_EQ32_T, require_markov=False),
+             oracle_commute_residual(t_eig, ch, eq32), "eq32_t"),
+            (z_res, oracle_commute_residual(t_eig, ch, Z_SAMPLES), "thm_commute_z"),
+            (s_res, oracle_twist_residual(t_eig, ch, DEFAULT_S_VALUES), "thm_i_s"),
+            *zip(adjoint, oracle_adjoint_pair(ch), ("adjoint_consistency", "petz_match"))]:
+        assert_verdict_side(got, dense, tol[key], lanczos)
+    if not lanczos:
+        assert adjoint == oracle_adjoint_pair(ch)
 
 
 WIRING_T = (0.3, -2.0, 4.0)
@@ -630,15 +685,18 @@ WIRING_Z = sample_z(7, 5)
                          ids=_case_id)
 def test_report_takes_the_sampled_keys_over_its_samples(case):
     """eq32_t, thm_commute_z and thm_i_s in the report are the per-sample
-    maxima over exactly the samples verify_channel was given."""
+    maxima over exactly the samples verify_channel was given, on the side
+    of their verdicts."""
     ch = _build(*case)
     report = verify_channel(ch, t_samples=WIRING_T, s_values=WIRING_S,
-                            z_samples=WIRING_Z).residuals
+                            z_samples=WIRING_Z)
     t_eig = eigen_extension(ch)
     eq32 = [1j * t for t in WIRING_T]
-    assert report["eq32_t"] == oracle_commute_residual(t_eig, ch, eq32)
-    assert report["thm_commute_z"] == oracle_commute_residual(t_eig, ch, WIRING_Z)
-    assert report["thm_i_s"] == oracle_twist_residual(t_eig, ch, WIRING_S)
+    for key, dense in [("eq32_t", oracle_commute_residual(t_eig, ch, eq32)),
+                       ("thm_commute_z", oracle_commute_residual(t_eig, ch, WIRING_Z)),
+                       ("thm_i_s", oracle_twist_residual(t_eig, ch, WIRING_S))]:
+        assert_verdict_side(report.residuals[key], dense, report.tolerances[key])
+    report = report.residuals
     if case[0] == "sp_ucp":
         # off the class the samples matter: Re z alone, or the first sample
         # alone, gives another value
@@ -651,12 +709,12 @@ def test_report_takes_the_sampled_keys_over_its_samples(case):
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_stacked_flow_norms_bit_identical(case):
-    assert_stacked_equals_per_sample(_build(*case))
+    assert_stacked_on_verdict_side(_build(*case))
 
 
 @pytest.mark.parametrize("src_dims,tgt_dims", OFF_CLASS_PAIRS)
 def test_stacked_flow_norms_bit_identical_off_the_class(src_dims, tgt_dims):
-    assert_stacked_equals_per_sample(_off_class_channel(src_dims, tgt_dims))
+    assert_stacked_on_verdict_side(_off_class_channel(src_dims, tgt_dims))
 
 
 @pytest.mark.parametrize("dims", [(4,), (2, 3), (6,), (12,)], ids=lambda d: "x".join(map(str, d)))
@@ -736,8 +794,11 @@ FUSED_OFF_CLASS = OFF_CLASS_PAIRS + [((7,), (7,)), ((8,), (6, 4, 2)), ((10,), (1
 
 class TestFusedFlowPass:
     """The families of one `_flow_residuals` pass against one pass each,
-    and against the per-sample oracle below `linalg.LANCZOS_MIN_DIM`, with ==;
-    the entry cap splits the stack anywhere without moving a bit."""
+    and against the per-sample oracle, on the side of their verdicts: a
+    fail with ==, a pass in [dense - rounding, tol], where a certified
+    pass is its family's largest bound, and the bounds come from one GEMM
+    whose width is the pass's.  The entry cap splits the stack anywhere
+    without moving a bit."""
 
     @staticmethod
     def assert_fused_equals_alone(monkeypatch, ch):
@@ -746,15 +807,20 @@ class TestFusedFlowPass:
             if per_call is not None:
                 monkeypatch.setattr(linalg, "STACK_ENTRIES",
                                     per_call * eigen_extension(ch).size)
-            fused, alone = fused_and_alone(ch)
-            ref = ref or fused
-            assert fused == alone == ref, per_call
-        if min(eigen_extension(ch).shape) < linalg.LANCZOS_MIN_DIM:
-            t_eig = eigen_extension(ch)
-            assert ref == [
-                oracle_commute_residual(t_eig, ch, [1j * float(t) for t in DEFAULT_EQ32_T]),
-                oracle_commute_residual(t_eig, ch, Z_SAMPLES),
-                oracle_twist_residual(t_eig, ch, DEFAULT_S_VALUES)]
+            ref = ref or fused_and_alone(ch)
+            assert fused_and_alone(ch) == ref, per_call
+        ref, alone = ref
+        t_eig = eigen_extension(ch)
+        commute, twist = flow_families(ch)
+        lanczos = min(t_eig.shape) >= linalg.LANCZOS_MIN_DIM
+        dense = [oracle_commute_residual(t_eig, ch, [1j * float(t) for t in DEFAULT_EQ32_T]),
+                 oracle_commute_residual(t_eig, ch, Z_SAMPLES),
+                 oracle_twist_residual(t_eig, ch, DEFAULT_S_VALUES)]
+        for got, one, norm, (_, tol) in zip(ref, alone, dense, commute + twist):
+            assert_verdict_side(got, norm, tol, lanczos)
+            assert_verdict_side(one, norm, tol, lanczos)
+            if norm > tol:
+                assert got == one
 
     @pytest.mark.parametrize("case", CASES + FUSED_CASES, ids=_case_id)
     def test_generated(self, monkeypatch, case):
@@ -773,14 +839,18 @@ class TestFusedFlowPass:
                                       ("twirl", (7,), {})], ids=_case_id)
     def test_one_chunk_takes_one_svd_call(self, monkeypatch, svd_shapes, case):
         # where the masks fit one chunk, each mask is formed at most once:
-        # the three families' largest-bound masks in one stacked SVD, then
-        # the survivors of every family in at most one more
+        # the failing families' largest-bound masks in one stacked SVD, then
+        # their survivors in at most one more; on a positive every family
+        # is a certified pass, which forms no mask and takes no SVD
         seen = record_masked_products(monkeypatch)
         fused_flow(_build(*case))
         formed = [i for sel in seen for i in sel]
         assert len(formed) == len(set(formed)) <= FLOW_MASKS and len(seen) <= 2
-        assert len(seen[0]) == 3
         assert [k for k, _, _ in svd_shapes] == [len(sel) for sel in seen]
+        if case[0] == "sp_ucp":
+            assert len(seen[0]) == 3
+        else:
+            assert seen == [] and svd_shapes == []
 
     def test_empty_families_give_zero(self):
         ch = _build("sp_ucp", (3,), {})
@@ -870,24 +940,25 @@ class TestStackedNorms:
         monkeypatch.setattr(linalg, "LANCZOS_MIN_DIM", DENSE_GATE)
         ch = _build(*case)
         verify_channel(ch)
-        for k, rows, cols in svd_shapes:
-            assert k * rows * cols <= linalg.STACK_ENTRIES or k == 1
-        assert max(k for k, _, _ in svd_shapes) <= per_call
-        # eq32_t, thm_commute_z, thm_i_s and the adjoint pair, at most one row
-        # each: the sampled families SVD only the masks that can hold their max
-        rows = sum(k for k, _, _ in svd_shapes)
-        every_mask = len(DEFAULT_EQ32_T) + len(sample_z(0)) + len(DEFAULT_S_VALUES) + 2
-        assert rows < every_mask if case[0] == "schur" else rows <= every_mask
-        assert_stacked_equals_per_sample(ch)
-        # the masks of one chunk are alive at a time, not those of the family
+        # eq32_t, thm_commute_z and thm_i_s are certified passes, which take
+        # no SVD: the adjoint pair's two rows are all there are
+        assert sum(k for k, _, _ in svd_shapes) == 2
+        assert_stacked_on_verdict_side(ch)
+        # at tolerance 0 no family is certified, so its masks are formed, in
+        # chunks under the cap, and those of one chunk are alive at a time,
+        # not those of the family
         t_eig = eigen_extension(ch)
+        svd_shapes.clear()
         tracemalloc.start()
         try:
-            verify._flow_residuals(t_eig, ch, commute=[(sample_z(0), 1e-8)])[0]
+            verify._flow_residuals(t_eig, ch, commute=[(sample_z(0), 0.0)])[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 * per_call * t_eig.nbytes, peak / t_eig.nbytes
+        assert svd_shapes and max(k for k, _, _ in svd_shapes) <= per_call
+        for k, rows, cols in svd_shapes:
+            assert k * rows * cols <= linalg.STACK_ENTRIES or k == 1
 
 
 def frobenius_bounds(base, stack):
@@ -896,15 +967,17 @@ def frobenius_bounds(base, stack):
     return np.linalg.norm(base * stack, axis=(-2, -1))
 
 
-def pruned_maxima(base, stacks, bounds=None):
+def pruned_maxima(base, stacks, bounds=None, tols=None):
     """`verify._bounded_maxima` over explicit stacks of masks, one family
-    each, with the given bounds (default `frobenius_bounds`) per stack."""
+    each, with the given bounds (default `frobenius_bounds`) and
+    tolerances (default 1e-8, which certifies none of the trusted
+    families) per stack."""
     stack = np.concatenate(stacks)
     if bounds is None:
         bounds = [frobenius_bounds(base, m) for m in stacks]
     return verify._bounded_maxima(
         base, lambda sel: np.array(stack[sel], dtype=np.complex128),
-        [len(m) for m in stacks], [1e-8] * len(stacks),
+        [len(m) for m in stacks], [1e-8] * len(stacks) if tols is None else tols,
         np.concatenate([np.broadcast_to(np.asarray(b, dtype=float), len(m))
                         for b, m in zip(bounds, stacks)]))
 
@@ -974,6 +1047,10 @@ SYNTHETIC = _synthetic_families()
 SYNTHETIC_BOUNDS = {"below_floor": 1e-50, "tiny": 0.0, "huge": np.inf,
                     "power_step_overflow": np.nan}
 UNTRUSTED = ["all_zero", *SYNTHETIC_BOUNDS]
+# the families whose bounds are all trusted, so that a tolerance at or above
+# the largest one certifies them
+CERTIFIABLE = sorted(k for k, (b, m) in SYNTHETIC.items() if k not in SYNTHETIC_BOUNDS
+                     and frobenius_bounds(b, m).min() >= verify._PRUNE_FLOOR)
 
 
 def synthetic_max(name):
@@ -1038,6 +1115,42 @@ class TestPrunedMax:
     def test_untrusted_bounds_prune_nothing(self, svd_shapes, name):
         synthetic_max(name)
         assert sum(k for k, _, _ in svd_shapes) == len(SYNTHETIC[name][1])
+
+    @pytest.mark.parametrize("name", CERTIFIABLE)
+    def test_certified_family_takes_its_largest_bound(self, svd_shapes, name):
+        # a tolerance at the largest bound certifies the family: that bound,
+        # on the verdict side of the dense max, and no mask formed; one ulp
+        # below it, the family takes its norms
+        base, stack = SYNTHETIC[name]
+        bounds = frobenius_bounds(base, stack)
+        tol = float(bounds.max())
+        got = pruned_maxima(base, [stack], tols=[tol])[0]
+        assert svd_shapes == []
+        assert got == tol
+        assert_verdict_side(got, max(op_norm(base * m) for m in stack), tol)
+        assert pruned_maxima(base, [stack], tols=[np.nextafter(tol, 0.0)])[0] == max(
+            op_norm(base * m) for m in stack)
+        assert svd_shapes
+
+    @pytest.mark.parametrize("name", UNTRUSTED)
+    def test_untrusted_bounds_never_certify(self, svd_shapes, name):
+        # whatever the tolerance, every mask of the family takes its norm
+        base, stack = SYNTHETIC[name]
+        bounds = [SYNTHETIC_BOUNDS[name]] if name in SYNTHETIC_BOUNDS else None
+        assert pruned_maxima(base, [stack], bounds, tols=[1e300])[0] == max(
+            op_norm(base * m) for m in stack)
+        assert sum(k for k, _, _ in svd_shapes) == len(stack)
+
+    def test_each_family_against_its_own_tolerance(self, svd_shapes):
+        # one family certified by its tolerance beside one that fails its
+        # own: the first reads its largest bound, the second its norm, from
+        # its dominant mask alone
+        base = SYNTHETIC["ties"][0]
+        stacks = [SYNTHETIC["ties"][1], SYNTHETIC["one_dominant"][1]]
+        tol = float(frobenius_bounds(base, stacks[0]).max())
+        assert pruned_maxima(base, stacks, tols=[tol, 1e-8]) == [
+            tol, max(op_norm(base * m) for m in stacks[1])]
+        assert svd_shapes == [(1, *base.shape)]
 
 
 # ---------------------------------------------------------------------------
@@ -1161,6 +1274,23 @@ def _parity_cases():
     return cases + [("sp_ucp", (12,), {}), ("sp_ucp", (16,), {})]
 
 
+def _bracket_id(channel):
+    if len(channel) == 3:
+        return _case_id(channel)
+    return "random-" + "-to-".join("x".join(map(str, d)) for d in channel)
+
+
+@pytest.mark.parametrize("channel", [*CASES, *OFF_CLASS_PAIRS, *_parity_cases()],
+                         ids=_bracket_id)
+def test_moved_keys_on_the_verdict_side(channel):
+    # every value a certified pass moves lies in [dense - rounding, tol],
+    # and every fail is the dense value (below `linalg.LANCZOS_MIN_DIM`, bit
+    # for bit) or its Ritz value: on the generated channels, on random
+    # superoperators, and on the verify-large kinds at n = 12, 16 and 8x8
+    ch = _off_class_channel(*channel) if len(channel) == 2 else _build(*channel)
+    assert_report_on_verdict_side(ch, verify_channel(ch))
+
+
 def _kraus_channel(n, seed=91):
     """x |-> sum_i p_i u_i^+ x u_i for random unitaries: unital and cp, but
     it moves the state and breaks the flow."""
@@ -1186,6 +1316,10 @@ class TestLanczosRoute:
 
     @staticmethod
     def assert_same_report(monkeypatch, svd_shapes, ch, kind=None):
+        """Verdicts identical; the `BOUND_KEYS` within `RITZ_ROUNDING`, the
+        `MOVED_KEYS` on the side of their verdicts of the dense route's
+        values (a certified flow family reads the same bound on both), and
+        every other key within 1e-13 relative."""
         lanczos = verify_channel(ch, kind=kind)
         # the flow families make no stacked SVD call: every one is a B_k
         assert svd_shapes and all(len(sh) == 2 for sh in svd_shapes)
@@ -1196,6 +1330,8 @@ class TestLanczosRoute:
             got = lanczos.residuals[key]
             if key in BOUND_KEYS:
                 assert got <= ref + RITZ_ROUNDING and abs(got - ref) <= 1e-14, (key, got, ref)
+            elif key in MOVED_KEYS:
+                assert_verdict_side(got, ref, dense.tolerances[key], lanczos=True)
             else:
                 assert abs(got - ref) <= 1e-13 * ref, key
         return dense
@@ -1213,11 +1349,14 @@ class TestLanczosRoute:
         a = LANCZOS_CASES["sp_ucp-12"]
         ritz, upper = _top_singular_value(a), frob(a)
         assert ritz < upper
-        # a certain fail (ritz > tol) and a certain pass (|a|_F <= tol)
-        for tol in (0.5 * ritz, upper):
-            svd_shapes.clear()
-            assert linalg.certified_value(a, tol) == ritz
-            assert a.shape not in svd_shapes
+        # a certain fail (ritz > tol) reads its Ritz value
+        svd_shapes.clear()
+        assert linalg.certified_value(a, 0.5 * ritz) == ritz
+        assert a.shape not in svd_shapes
+        # a certain pass (|a|_F <= tol) reads |a|_F, and takes no Lanczos step
+        svd_shapes.clear()
+        assert linalg.certified_value(a, upper) == upper
+        assert svd_shapes == []
         # a straddling bracket: one dense SVD, and its value
         ref = np.linalg.svd(a, compute_uv=False)[0]
         svd_shapes.clear()
@@ -1232,8 +1371,7 @@ class TestLanczosRoute:
         stack = np.stack([a, 0.5 * a, 0.25 * a])
         ritz, upper = _top_singular_value(a), frob(a)
         tols = (0.5 * ritz, 0.5 * np.sqrt(ritz * upper), 0.25 * upper)
-        ref = [ritz, np.linalg.svd(0.5 * a, compute_uv=False)[0],
-               _top_singular_value(0.25 * a)]
+        ref = [ritz, np.linalg.svd(0.5 * a, compute_uv=False)[0], frob(0.25 * a)]
         svd_shapes.clear()
         norms = verify._masked_op_norms(
             base, lambda sl: np.array(stack[sl], dtype=np.complex128), tols)
@@ -1241,12 +1379,13 @@ class TestLanczosRoute:
         assert norms == ref
 
     def test_chunks_stay_within_the_entry_budget(self, svd_shapes):
-        # on the Lanczos route too, one chunk of masked copies is alive at a time
+        # on the Lanczos route too, one chunk of masked copies is alive at a
+        # time; at tolerance 0 no family is certified, so its masks are formed
         ch = _build("schur", (16,), {})
         t_eig = eigen_extension(ch)
         tracemalloc.start()
         try:
-            verify._flow_residuals(t_eig, ch, commute=[(sample_z(0), 1e-8)])[0]
+            verify._flow_residuals(t_eig, ch, commute=[(sample_z(0), 0.0)])[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1365,31 +1504,50 @@ def record_masked_products(monkeypatch):
     return seen
 
 
-def every_mask_maxima(ch, t_eig):
-    """Each family's max of `certified_value` over every one of its masks,
-    each formed by `verify._masked_product`."""
+def every_mask_maxima(ch, t_eig, norm=None):
+    """Each family's max of norm(a, tol) (default `certified_value`) over
+    the product a of every one of its masks, each formed by
+    `verify._masked_product`."""
+    norm = norm or linalg.certified_value
     commute, twist = flow_families(ch)
     masks = flow_mask_setup(ch)[0]
     out, start = [], 0
     for samples, tol in commute + twist:
-        out.append(max((linalg.certified_value(
-            verify._masked_product(t_eig, masks, np.array([i]))[0], tol)
-            for i in range(start, start + len(samples))), default=0.0))
+        out.append(max((norm(verify._masked_product(t_eig, masks, np.array([i]))[0], tol)
+                        for i in range(start, start + len(samples))), default=0.0))
         start += len(samples)
     return out
 
 
 def assert_bounded_route(monkeypatch, ch, t_eig=None):
-    """The flow pass gives each family's max of `certified_value` over every
-    mask, with ==, and forms each mask at most once, in stacks under the
-    entry cap; returns the indices formed."""
+    """The flow pass against every mask of each family.  A family whose
+    `verify._flow_bounds` are all trusted and at most its tolerance reads
+    its largest bound, on the side of its verdict of the dense max, and
+    forms no mask; every other family reads the max of `certified_value`
+    over every mask, with ==.  Each mask is formed at most once, in stacks
+    under the entry cap; returns the indices formed."""
     t_eig = eigen_extension(ch) if t_eig is None else t_eig
+    commute, twist = flow_families(ch)
+    masks, n_commute, d_s, d_t = flow_mask_setup(ch)
+    bounds = verify._flow_bounds(t_eig, d_s, d_t, n_commute, ch.source.modular.frequencies,
+                                 ch.target.modular.frequencies)
     ref = every_mask_maxima(ch, t_eig)
+    dense = every_mask_maxima(ch, t_eig, lambda a, tol: op_norm(a))
     seen = record_masked_products(monkeypatch)
-    assert fused_flow(ch, t_eig) == ref
+    got = fused_flow(ch, t_eig)
     assert all(len(sel) <= linalg.stack_chunk(t_eig.size) for sel in seen)
     formed = [i for sel in seen for i in sel]
     assert len(formed) == len(set(formed)), formed
+    start = 0
+    for value, want, norm, (samples, tol) in zip(got, ref, dense, commute + twist):
+        family = bounds[start:start + len(samples)]
+        if np.all(np.isfinite(family) & (family >= verify._PRUNE_FLOOR)) and family.max() <= tol:
+            assert value == family.max()
+            assert_verdict_side(value, norm, tol)
+            assert not set(formed) & set(range(start, start + len(samples)))
+        else:
+            assert value == want
+        start += len(samples)
     return formed
 
 
@@ -1406,11 +1564,12 @@ class TestBoundedRoute:
         assert_bounded_route(monkeypatch, _build(*case))
 
     def test_schur_16_prunes(self, monkeypatch):
-        assert len(assert_bounded_route(monkeypatch, _build("schur", (16,), {}))) < FLOW_MASKS
+        # every family a certified pass: no mask formed
+        assert assert_bounded_route(monkeypatch, _build("schur", (16,), {})) == []
 
     @pytest.mark.parametrize("dims", [(4,), (8,)], ids=lambda d: "x".join(map(str, d)))
     def test_schur_below_the_gate_prunes(self, monkeypatch, dims):
-        assert len(assert_bounded_route(monkeypatch, _build("schur", dims, {}))) < FLOW_MASKS
+        assert assert_bounded_route(monkeypatch, _build("schur", dims, {})) == []
 
     def test_clustered_frequencies_prune_nothing_wrongly(self, monkeypatch):
         assert_bounded_route(monkeypatch, _clustered_channel())
@@ -1494,15 +1653,20 @@ class TestFactoredFrame:
                                     np.linalg.norm(x @ g_s, axis=0))
 
     @staticmethod
-    def assert_same_report(factored, dense, bound_keys=()):
+    def assert_same_report(factored, dense, bound_keys=(), own_passes=()):
         """Verdicts and tolerances identical; the `bound_keys` held to
-        `TestLanczosRoute`'s bound, every other key to the frame's."""
+        `TestLanczosRoute`'s bound, a pass of the `own_passes` keys left to
+        each route's own dense values (`assert_report_on_verdict_side`:
+        each reads a bound of its own frame's roundoff), every other value
+        to the frame's."""
         assert factored.verdicts == dense.verdicts
         assert factored.tolerances == dense.tolerances
         for key, ref in dense.residuals.items():
             got = factored.residuals[key]
             if key in bound_keys:
                 assert got <= ref + RITZ_ROUNDING and abs(got - ref) <= 1e-14, (key, got, ref)
+            elif key in own_passes and dense.verdicts[key]:
+                continue
             elif ref > 1e-8:
                 assert abs(got - ref) <= 1e-12 * ref, (key, got, ref)
             else:
@@ -1514,9 +1678,14 @@ class TestFactoredFrame:
     @pytest.mark.parametrize("case", _parity_cases(), ids=_case_id)
     def test_same_verdicts_and_residuals(self, monkeypatch, case):
         kind = case[0]
+        # test_moved_keys_on_the_verdict_side holds the factored report's
+        # passes to its dense values, and this test the dense frame's
         factored = verify_channel(_build(*case), kind=kind)
         monkeypatch.setattr(gns, "FRAME_MIN_DIM", DENSE_GATE)
-        self.assert_same_report(factored, verify_channel(_build(*case), kind=kind))
+        ch = _build(*case)
+        dense = verify_channel(ch, kind=kind)
+        assert_report_on_verdict_side(ch, dense)
+        self.assert_same_report(factored, dense, own_passes=MOVED_KEYS)
 
     @pytest.mark.parametrize("case", [("schur", (24,), {}), ("block_expectation", (12, 12), {})],
                              ids=_case_id)
