@@ -42,7 +42,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, FaithfulState
 from .errors import BadQuadrature, PowerRangeExceeded, ShapeMismatch
-from .linalg import block_diag, require_positive_definite
+from .linalg import EIG_CONTRACT_RTOL, block_diag, require_positive_definite
 
 # Cap on |Re z| for the complex powers Delta^z and D^z: beyond it no
 # residual tolerance vouches for the result, so the call refuses.
@@ -54,6 +54,7 @@ Z_MAX = 2.0
 # 2.7 against 1.6 ms at N = 256; below the gate the dense products keep
 # their bits.
 FRAME_MIN_DIM = 100
+_EPS = float(np.finfo(float).eps)
 
 
 def _sandwich_columns(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,6 +163,21 @@ class ModularData:
             norms = np.sqrt(np.maximum(sq, 0.0))
             out[..., off:off + n * n] = norms.swapaxes(-1, -2).reshape(*lead, n * n)
         return out
+
+    def column_norm_bound(self, m: np.ndarray) -> float:
+        """An upper bound on the largest of `frame_column_norms(m)`, m a
+        matrix, from |m|_F alone: column j of m G is m g_j, whose norm is at
+        most |m|_op |G| <= |m|_F |G|, with no product by G formed.
+
+        G is block-diagonal with blocks V^T kron V^+, so |G| = max |V|^2,
+        and `herm_eig`'s contract |V^+ V - 1|_F <= EIG_CONTRACT_RTOL n gives
+        |V|^2 <= 1 + EIG_CONTRACT_RTOL n.  The factor 1 + 4 (N + n^2) eps
+        covers the rounding of |m|_F and of the column norms (~n^2 eps
+        relative, see `frame_column_norms`).  inf where |m|_F overflows."""
+        n, size = max(self.algebra.block_dims), self.algebra.coord_dim
+        margin = (1.0 + EIG_CONTRACT_RTOL * n) * (1.0 + 4.0 * (size + n * n) * _EPS)
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(m)) * margin
 
     @cached_property
     def lambda_a(self) -> np.ndarray:

@@ -203,6 +203,13 @@ def _eig_above(h: np.ndarray, floor: float) -> bool:
     return _has_cholesky(shifted)
 
 
+def _frob_or_inf(a: np.ndarray) -> float:
+    """|a|_F, or inf where its sum of squares overflows: a bound that then
+    certifies nothing."""
+    with np.errstate(over="ignore"):
+        return frob(a)
+
+
 def _bottom_eigenvalue(h: np.ndarray) -> float:
     """An upper bound on lambda_min of Hermitian h: |h|_F - r, r the Lanczos
     Ritz value of the positive semidefinite |h|_F 1 - h, whose top singular
@@ -239,12 +246,13 @@ def certified_value(a, tol: float, kind: str = "norm") -> float:
 
     The Cholesky steps are taken only when tol exceeds `CHOLESKY_MARGIN` N
     eps times the scale (1 for "excess", |a|_F for "min_eig"): a tiny
-    MODMARK_TOL goes dense.  Whatever no certificate settles takes the dense
-    call, `np.linalg.svd` or `np.linalg.eigvalsh`, and its value.  So the
-    verdict is the dense route's, and a certified value lies on its side of
-    the dense one: a norm's pass above it, a norm's fail or an excess below
-    it (within rounding when the top singular gap exceeds ~1e-7 relative),
-    an eigenvalue above it.
+    MODMARK_TOL goes dense, and so does an |a|_F that overflows to inf.
+    Whatever no certificate settles takes the dense call, `np.linalg.svd`
+    or `np.linalg.eigvalsh`, and its value.  So the verdict is the dense
+    route's, and a certified value lies on its side of the dense one: a
+    norm's pass above it, a norm's fail or an excess below it (within
+    rounding when the top singular gap exceeds ~1e-7 relative), an
+    eigenvalue above it.
     """
     if kind not in ("norm", "excess", "min_eig"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -255,15 +263,14 @@ def certified_value(a, tol: float, kind: str = "norm") -> float:
         return max(0.0, norm - 1.0) if kind == "excess" else norm
     a = as_cmatrix(a)
     if kind == "min_eig":
-        if tol > CHOLESKY_MARGIN * len(a) * _EPS * frob(a):
+        if tol > CHOLESKY_MARGIN * len(a) * _EPS * _frob_or_inf(a):
             if _eig_above(a, 0.0):
                 return 0.0
             if _eig_above(a, -tol):
                 return _bottom_eigenvalue(a)
         return float(np.linalg.eigvalsh(a)[0])
     if kind == "norm":
-        with np.errstate(over="ignore"):  # inf on huge entries: no pass
-            upper = frob(a)
+        upper = _frob_or_inf(a)
         if upper <= tol:
             return upper
         ritz = _top_singular_value(a)

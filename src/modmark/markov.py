@@ -20,7 +20,10 @@ The cp residual reads each Choi block's smallest eigenvalue for its verdict
 certified value (`linalg.certified_value`): 0.0 for a block with a Cholesky
 factor, a Lanczos upper bound for one that factors only with the
 tolerance tau added, and eigvalsh otherwise; so the residual is at or below
-the dense one up to rounding, with the dense verdict.
+the dense one up to rounding, with the dense verdict.  From the same gate
+the modular residual's pass reads |M|_F times a bound on |G_s|, M the
+masked X, which bounds its every column norm (`_modular_residual`); a fail
+takes the exact column norms of `modular_commutation_residual`.
 
 Orientation, fixed package-wide: a channel maps its source algebra into its
 target algebra, state compatibility means target_state(ch(x)) = source_state(x),
@@ -53,6 +56,7 @@ from .errors import (
     NotStatePreserving,
     ShapeMismatch,
 )
+from . import linalg
 from .gns import ModularData
 from .linalg import as_cmatrix, certified_value, tolerance_factor
 
@@ -348,13 +352,31 @@ def membership_tolerances(ch: Channel) -> dict[str, float]:
             "modular": tau * modular_tolerance_scale(ch)}
 
 
+def _modular_residual(ch: Channel, tol: float) -> float:
+    """`modular_commutation_residual(ch)` taken for its verdict against tol.
+    From `linalg.LANCZOS_MIN_DIM` on, the mask's product with X is first
+    bounded by its Frobenius norm (`ModularData.column_norm_bound`): at most
+    tol, it is a certain pass and the value, with no column norm taken."""
+    x = ch.eigen_superop
+    if min(x.shape) >= linalg.LANCZOS_MIN_DIM:
+        md_s, md_t = ch.source.modular, ch.target.modular
+        upper = md_s.column_norm_bound(
+            (md_s.frequencies[None, :] - md_t.frequencies[:, None]) * x)
+        if upper <= tol:
+            return upper
+    return modular_commutation_residual(ch)
+
+
 def check_markov(ch: Channel) -> MarkovCheck:
     """Report the four membership residuals (unital, cp = max(0, -min Choi
     eigenvalue, Choi hermiticity defect), state, modular) against
-    `membership_tolerances`; never raises on failure."""
+    `membership_tolerances`; never raises on failure.  Each is taken for its
+    verdict: from `linalg.LANCZOS_MIN_DIM` on a certified cp or modular pass
+    reads the bound that proves it (`cp_min_eigenvalue`, `_modular_residual`)."""
+    tol = membership_tolerances(ch)
     residuals = _preconditions(ch)
-    residuals["modular"] = modular_commutation_residual(ch)
-    return MarkovCheck(residuals, membership_tolerances(ch))
+    residuals["modular"] = _modular_residual(ch, tol["modular"])
+    return MarkovCheck(residuals, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ come from one adjoint-permuted conjugate of it in one symmetry pass
 (`_symmetry_residuals`), and both adjoint keys are norms of X^+ times
 eigenvalue weights.  From N = 100 (`gns.FRAME_MIN_DIM`) G is applied by
 its Kronecker factors and never formed: X, and thm_iii's and
-markov_modular's column norms, which take Gram matrices instead of a
+markov_modular's exact column norms, which take Gram matrices instead of a
 product by G_s (`ModularData.frame_column_norms`).
 The masked copies are formed in stacks under a fixed cap on entries per
 call (`linalg.STACK_ENTRIES`), and below N = 100 (`linalg.LANCZOS_MIN_DIM`)
@@ -41,16 +41,27 @@ each stack's norms are one stacked SVD.
 Every value is the end of its certified bracket on the side of its
 verdict.  A certified pass reads the upper bound that proves it, a certain
 fail from N = 100 on its Ritz lower bound, and a straddle the dense value,
-so verdicts are those of the dense route.  From N = 100 on, every norm, kadison_norm and
-markov_cp's Choi eigenvalues are taken by `linalg.certified_value`: a norm
-with |A|_F <= tol reads |A|_F, with no Lanczos step, and one whose
-Golub-Kahan-Lanczos Ritz value r exceeds tol reads r.  kadison_norm is
-max(0, r - 1), r the Ritz value of T_eig, and a Cholesky factor of
-(1 + tol)^2 1 - T^+ T certifies its pass.  A Choi block that has a Cholesky
-factor keeps markov_cp at its Hermiticity defect; one that factors only
-with its tolerance tau added gives the Lanczos upper bound |C|_F - r' on
-lambda_min, r' the Ritz value of |C|_F 1 - C.  Below N = 100 thm_ii and the
-adjoint pair keep their dense SVDs.
+so verdicts are those of the dense route.  From N = 100 on, each key first
+tries an O(N^2) certificate, and a key it does not settle takes the route
+below it, bit for bit:
+- a norm (thm_ii, and the adjoint pair by sqrt(sum |X|^2 W^2) with no
+  masked copy) with |A|_F <= tol reads |A|_F; else `linalg.certified_value`
+  reads a Golub-Kahan-Lanczos Ritz value r > tol, or the dense SVD;
+- a max column norm of M G_s (thm_iii, markov_modular) with
+  |M|_F |G_s| <= tol reads that bound (`ModularData.column_norm_bound`),
+  with no product by G_s; else the exact column norms;
+- kadison_norm reads max(0, u - 1) when u - 1 <= tol, u the sector bound
+  max_omega |T_omega| + |T_eig off the sectors|_F over the equal-frequency
+  sectors of T_eig (`_sector_bound`): a Markov map's T commutes with Delta,
+  so T_eig lives on them.  Else, as for a sector at the gate in both
+  dimensions, it is max(0, r - 1), with a Cholesky factor of
+  (1 + tol)^2 1 - T^+ T certifying a pass (`certified_value`, "excess").
+A Choi block that has a Cholesky factor keeps markov_cp at its Hermiticity
+defect; one that factors only with its tolerance tau added gives the
+Lanczos upper bound |C|_F - r' on lambda_min, r' the Ritz value of
+|C|_F 1 - C.  Below N = 100 thm_ii, the adjoint pair and kadison_norm
+keep their dense SVDs, and thm_iii and markov_modular their exact column
+norms.
 
 The sampled flow keys (eq32_t, thm_commute_z, thm_i_s) are maxima over
 their samples, all three from one set of masks (`_flow_residuals`), by one
@@ -247,6 +258,13 @@ def _flow_masks(d_s: np.ndarray, d_t: np.ndarray, n_commute: int) -> Callable:
     return masks
 
 
+def _equal_frequencies(w_s: np.ndarray, w_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z = {(i, j) : w_t[i] == w_s[j]}, as (rows, cols): where every flow
+    mask vanishes, the union of the equal-frequency sectors.  Row-major,
+    as np.nonzero orders them (a flat index is faster to find)."""
+    return np.divmod(np.flatnonzero(w_t[:, None] == w_s[None, :]), len(w_s))
+
+
 def _flow_bounds(t_eig: np.ndarray, d_s: np.ndarray, d_t: np.ndarray, n_commute: int,
                  w_s: np.ndarray, w_t: np.ndarray) -> np.ndarray:
     """Upper bounds on |t_eig * m|_F for the masks m of
@@ -276,7 +294,7 @@ def _flow_bounds(t_eig: np.ndarray, d_s: np.ndarray, d_t: np.ndarray, n_commute:
     underflows gives inf, nan or values below `_PRUNE_FLOOR`, which prune
     nothing."""
     k, (n_t, n_s) = len(d_s), t_eig.shape
-    rows, cols = np.nonzero(w_t[:, None] == w_s[None, :])  # Z
+    rows, cols = _equal_frequencies(w_s, w_t)
     com, tw = slice(None, n_commute), slice(n_commute, None)
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.abs(t_eig)
@@ -366,22 +384,22 @@ def _flow_residuals(t_eig: np.ndarray, ch: Channel, commute=(), twist=()) -> lis
 def verify_modular_symmetry(ch: Channel,
                             require_markov: bool = True) -> tuple[float, float]:
     """(conjugation intertwining residual, involution intertwining residual),
-    as `_symmetry_residuals` gives them at thm_ii's tolerance for
+    as `_symmetry_residuals` gives them, each at its own tolerance for
     `DEFAULT_S_VALUES`."""
     if require_markov:
         _ensure_markov(ch)
-    return _symmetry_residuals(eigen_extension(ch), ch, _tolerances(ch)["thm_ii"])
+    return _symmetry_residuals(eigen_extension(ch), ch, _tolerances(ch))
 
 
 def _symmetry_residuals(t_eig: np.ndarray, ch: Channel,
-                        tol: float) -> tuple[float, float]:
+                        tol: dict[str, float]) -> tuple[float, float]:
     """(thm_ii, thm_iii) from one adjoint-permuted conjugate P_t conj(T_eig) P_s.
 
     thm_ii, J_t T J_s = T, is an operator-norm statement: the linear matrix
     of the conjugate-linear composition is P_t conj(T) P_s, and the adjoint
     permutation P commutes with the frame, V^+ x^+ V = (V^+ x V)^+, so it
     applies to T_eig as to T.  The norm |P_t conj(T_eig) P_s - T_eig| is
-    taken for the verdict against tol (`certified_value`).
+    taken for the verdict against tol["thm_ii"] (`certified_value`).
 
     thm_iii, S_t T S_s = T, is checked on the embedded unit basis because S
     is conjugate-linear and determined there: the max over source matrix
@@ -394,19 +412,27 @@ def _symmetry_residuals(t_eig: np.ndarray, ch: Channel,
     last product leaves the frame.  On a flow-commuting T those weights are
     1 on T's support, which pairs equal frequencies, so swapping the two
     half powers changes nothing there; only a channel off the flow class
-    (kind sp_ucp) tells them apart.  The column norms through G_s are
-    `ModularData.frame_column_norms`.
+    (kind sp_ucp) tells them apart.  The max is taken for the verdict
+    against tol["thm_iii"]: from `linalg.LANCZOS_MIN_DIM` on, the defect's
+    `ModularData.column_norm_bound` at most that tolerance is a certain pass
+    and the value, with no product by G_s; otherwise the column norms
+    through G_s are `ModularData.frame_column_norms`.
     """
     md_s, md_t = ch.source.modular, ch.target.modular
     p_s = adjoint_index(ch.source.algebra)
     p_t = adjoint_index(ch.target.algebra)
     flipped = t_eig.conj()[p_t][:, p_s]
-    conjugation = certified_value(flipped - t_eig, tol)
-    lhs = (md_t.delta_power_diagonals([-0.5]).T
-           * flipped
-           * md_s.delta_power_diagonals([0.5]))
-    r_s = np.sqrt(md_s.lambda_b)
-    return conjugation, float(md_s.frame_column_norms((lhs - t_eig) * r_s[None, :]).max())
+    conjugation = certified_value(flipped - t_eig, tol["thm_ii"])
+    # (Delta_t^{-1/2} flipped Delta_s^{1/2} - T_eig) R_s, in one array
+    defect = md_t.delta_power_diagonals([-0.5]).T * flipped
+    defect *= md_s.delta_power_diagonals([0.5])
+    defect -= t_eig
+    defect *= np.sqrt(md_s.lambda_b)[None, :]
+    if min(defect.shape) >= linalg.LANCZOS_MIN_DIM:
+        upper = md_s.column_norm_bound(defect)
+        if upper <= tol["thm_iii"]:
+            return conjugation, upper
+    return conjugation, float(md_s.frame_column_norms(defect).max())
 
 
 def verify_adjoint(ch: Channel,
@@ -428,22 +454,103 @@ def _adjoint_residuals(t_eig: np.ndarray, ch: Channel,
     """The `verify_adjoint` triple, each taken for its verdict against tol.
     In the frame T^+, the adjoint channel ch* = D_s^{-1} ch^+(D_t .), its
     extension and the Petz form are all X^+ = `ch.eigen_superop`^+ weighted
-    by eigenvalues of row i (source) and column j (target).  |T| is 1 on the
-    class, so |T|_F cannot certify kadison_norm's |T| <= 1 + tol: from
-    `linalg.LANCZOS_MIN_DIM` on a Cholesky factor does (`certified_value`,
-    kind "excess")."""
+    by eigenvalues of row i (source) and column j (target).
+
+    From `linalg.LANCZOS_MIN_DIM` on each pair key first takes
+    |X^+ * W|_F = sqrt(sum |X|^2 W^2), entrywise: every term is
+    nonnegative, so nothing cancels, and no masked copy is formed.  At most
+    its tolerance, it is a certain pass and the key reads it; a key that
+    does not pass forms its masked copy for `certified_value`, bit for bit
+    as below the gate.  kadison_norm is `_norm_excess`."""
     md_s, md_t = ch.source.modular, ch.target.modular
-    x_h = ch.eigen_superop.conj().T
-    la_s, rb_s = md_s.lambda_a[:, None], np.sqrt(md_s.lambda_b)[:, None]
-    la_t, rb_t = md_t.lambda_a[None, :], np.sqrt(md_t.lambda_b)[None, :]
-    # T^+ minus the extension of ch*
-    consistency = rb_t / rb_s - (rb_s / la_s) * (la_t / rb_t)
-    # ch* minus the Petz form D_s^{-1/2} ch^+(D_t^{1/2} y D_t^{1/2}) D_s^{-1/2}
-    petz = la_t / la_s - np.sqrt(la_t) * rb_t / (np.sqrt(la_s) * rb_s)
-    adjc, petz_norm = _masked_op_norms(
-        x_h, lambda sl: np.array((consistency, petz)[sl], dtype=np.complex128),
-        (tol["adjoint_consistency"], tol["petz_match"]))
-    return adjc, petz_norm, certified_value(t_eig, tol["kadison_norm"], "excess")
+    x = ch.eigen_superop
+    # the weights in X's orientation, entry (j, i) for row i of X^+: the
+    # same float operations on each entry as in X^+'s own
+    la_s, rb_s = md_s.lambda_a[None, :], np.sqrt(md_s.lambda_b)[None, :]
+    la_t, rb_t = md_t.lambda_a[:, None], np.sqrt(md_t.lambda_b)[:, None]
+    weights = (
+        # T^+ minus the extension of ch*
+        rb_t / rb_s - (rb_s / la_s) * (la_t / rb_t),
+        # ch* minus the Petz form D_s^{-1/2} ch^+(D_t^{1/2} y D_t^{1/2}) D_s^{-1/2}
+        la_t / la_s - np.sqrt(la_t) * rb_t / (np.sqrt(la_s) * rb_s),
+    )
+    tols = (tol["adjoint_consistency"], tol["petz_match"])
+    pair = [np.inf, np.inf]
+    if min(x.shape) >= linalg.LANCZOS_MIN_DIM:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: no pass
+            p = x.real ** 2 + x.imag ** 2
+            pair = [float(np.sqrt(np.vdot(p, w * w))) for w in weights]
+    rest = [k for k in range(2) if not pair[k] <= tols[k]]
+    if rest:
+        norms = _masked_op_norms(
+            x.conj().T,
+            lambda sl: np.array([weights[k].T for k in rest[sl]], dtype=np.complex128),
+            [tols[k] for k in rest])
+        for k, norm in zip(rest, norms):
+            pair[k] = norm
+    return (*pair, _norm_excess(t_eig, md_s.frequencies, md_t.frequencies,
+                                tol["kadison_norm"]))
+
+
+def _sector_bound(t_eig: np.ndarray, w_s: np.ndarray, w_t: np.ndarray) -> float:
+    """An upper bound on |t_eig|_op from its equal-frequency sectors, or inf
+    where a sector reaches `linalg.LANCZOS_MIN_DIM` in both dimensions or
+    t_eig is not finite; w_s and w_t are the frequencies of its columns and
+    rows.
+
+    Sector omega is t_eig on the rows with w_t = omega and the columns with
+    w_s = omega, and the sectors tile Z (`_equal_frequencies`).  Permuted by
+    frequency, t_eig on Z is block-diagonal over the sectors, so with the
+    rest of t_eig, the part off Z,
+
+        |t_eig| <= max_omega |T_omega| + |t_eig off Z|_F
+
+    for any labels: float equality of frequencies sets only how tight it
+    is.  A sector with one row or one column is a vector, its norm the root
+    of its sum of |t_eig|^2 (one bincount over Z); every other sector, in
+    practice the zero-frequency one (sum n_k square), takes a dense SVD.
+    The factor 1 + 4 (N_s + N_t) eps covers the SVD's backward error
+    (p(n) eps |T_omega|, LAPACK Users' Guide section 4.9) and the rounding
+    of a vector sector's sum (gamma_m, m <= N_s + N_t; Higham 2002, section
+    3.1), and off Z the sum of N_s N_t terms gets gamma of its length."""
+    n_t, n_s = t_eig.shape
+    rows, cols = _equal_frequencies(w_s, w_t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = t_eig.real ** 2 + t_eig.imag ** 2
+        p_z = p[rows, cols]
+        p[rows, cols] = 0.0
+        off = float(np.sqrt(p.sum()))
+    freq, sector = np.unique(w_t[rows], return_inverse=True)
+    sq = np.bincount(sector, weights=p_z, minlength=len(freq))
+    if not (np.isfinite(off) and np.isfinite(sq).all()):
+        return np.inf
+    height = np.bincount(np.searchsorted(freq, w_t[np.unique(rows)]), minlength=len(freq))
+    width = np.bincount(np.searchsorted(freq, w_s[np.unique(cols)]), minlength=len(freq))
+    norms = np.sqrt(sq)
+    for k in np.flatnonzero((height > 1) & (width > 1)):
+        if min(height[k], width[k]) >= linalg.LANCZOS_MIN_DIM:
+            return np.inf
+        block = t_eig[np.ix_(w_t == freq[k], w_s == freq[k])]
+        norms[k] = np.linalg.svd(block, compute_uv=False)[0]
+    gamma = 4.0 * (n_s + n_t) * _EPS
+    return float((1.0 + gamma) * norms.max(initial=0.0) + (1.0 + gamma + n_s * n_t * _EPS) * off)
+
+
+def _norm_excess(t_eig: np.ndarray, w_s: np.ndarray, w_t: np.ndarray, tol: float) -> float:
+    """kadison_norm, max(0, |t_eig|_op - 1), taken for its verdict against
+    tol; w_s and w_t are the frequencies of t_eig's columns and rows.
+
+    A Markov map's T commutes with Delta, so T_eig lives on the
+    equal-frequency sectors, and Kadison-Schwarz gives |T| <= 1.  From
+    `linalg.LANCZOS_MIN_DIM` on, u = `_sector_bound` with u - 1 <= tol is
+    a certain pass and reads max(0, u - 1): no Gram matrix, Cholesky factor
+    or Lanczos step.  Otherwise, and below the gate, it is
+    `certified_value(t_eig, tol, "excess")`."""
+    if min(t_eig.shape) >= linalg.LANCZOS_MIN_DIM:
+        upper = _sector_bound(t_eig, w_s, w_t)
+        if upper - 1.0 <= tol:
+            return max(0.0, upper - 1.0)
+    return certified_value(t_eig, tol, "excess")
 
 
 def _omega_residual(t_eig: np.ndarray, ch: Channel) -> float:
@@ -705,7 +812,7 @@ def verify_channel(ch: Channel, *, kind: str | None = None,
         twist=[(s_values, tol["thm_i_s"])])
     residuals["eq32_t"] = eq32
     residuals["thm_i_s"] = twist
-    residuals["thm_ii"], residuals["thm_iii"] = _symmetry_residuals(t_eig, ch, tol["thm_ii"])
+    residuals["thm_ii"], residuals["thm_iii"] = _symmetry_residuals(t_eig, ch, tol)
     residuals["thm_commute_z"] = commute_z
     adjc, petz, kad = _adjoint_residuals(t_eig, ch, tol)
     residuals["adjoint_consistency"] = adjc

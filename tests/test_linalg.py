@@ -306,3 +306,13 @@ class TestCertifiedValue:
         monkeypatch.setattr(linalg, "LANCZOS_MIN_DIM", 1 << 30)
         assert certified_value(q, TOL, "excess") == max(0.0, op_norm(q) - 1.0)
         assert not dense_calls["cholesky"]
+
+    def test_min_eig_of_huge_entries_goes_dense(self, dense_calls):
+        # entries ~1e160: |h|_F overflows to inf, which certifies nothing,
+        # so the call takes eigvalsh with no overflow warning (pytest turns
+        # warnings into errors)
+        h = hermitian_with_spectrum(13, np.linspace(-1.0, 1.0, N_CERT)) * 1e160
+        got = certified_value(h, TOL, "min_eig")
+        assert got == float(np.linalg.eigvalsh(h)[0]) and got < -1e159
+        assert dense_calls["eigvalsh"].count((N_CERT, N_CERT)) == 2
+        assert not dense_calls["cholesky"]

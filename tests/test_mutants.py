@@ -1,10 +1,12 @@
 """Mutants of the gns_* layer, of the symmetry pass, of the certificates
 of `linalg.certified_value`, of the flow-pass bounds and their pruning
-rule and of markov_modular's generator row: are the stacked pass over both
+rule, of markov_modular's generator row and of kadison_norm's sector
+bound and the adjoint pair's weights: are the stacked pass over both
 endpoint states, the one permuted conjugate behind thm_ii and thm_iii, the
 Cholesky certificates behind kadison_norm and markov_cp, the Frobenius and
 Ritz bracket of a norm, the one-GEMM mask bounds, the certify-and-prune
-rule and the masked column norms wired so that a wrong piece shows?
+rule, the masked column norms, the sector bound and the eigenvalue weights
+wired so that a wrong piece shows?
 
 Each mutant replaces one private piece of `verify` or `ModularData` by
 monkeypatching and runs `verify_channel`.  A gns_* mutant runs on a fixed
@@ -20,10 +22,11 @@ the number of dense fallbacks (full-size svd or eigvalsh calls) on one.  A
 bound mutant edits the source of `verify._flow_bounds` and recompiles it,
 and the tests of tests/test_oracles.py it names must then fail.  A prune
 mutant does the same to `verify._bounded_maxima`, a norm mutant to
-`linalg.certified_value` and a modular mutant to
-`markov.modular_commutation_residual`; one listed as equivalent, with the
-argument why no value or count can move, must pass the tests it names
-instead.
+`linalg.certified_value`, a modular mutant to
+`markov.modular_commutation_residual` and a sector mutant to
+`verify._sector_bound` or `verify._adjoint_residuals`; one listed as
+equivalent, with the argument why no value or count can move, must pass
+the tests it names instead.
 """
 
 import inspect
@@ -375,7 +378,7 @@ _SUM = "pos - 2.0 * cross + z_part + margin"
 
 
 def _label(arg):
-    if arg is None or isinstance(arg, str):
+    if arg is None or isinstance(arg, (str, int, float)):
         return str(arg)
     if all(isinstance(d, int) for d in arg):
         return "x".join(map(str, arg))
@@ -612,3 +615,48 @@ MODULAR_MUTANTS = {
 @pytest.mark.parametrize("name", sorted(MODULAR_MUTANTS))
 def test_modular_mutant(name, monkeypatch):
     _assert_source_mutant(name, MODULAR_MUTANTS[name], monkeypatch, _modular)
+
+
+# ---------------------------------------------------------------------------
+# kadison_norm's sector bound, verify._sector_bound, and the adjoint pair's
+# eigenvalue weights, verify._adjoint_residuals
+# ---------------------------------------------------------------------------
+
+_OFF_TERM = " + (1.0 + gamma + n_s * n_t * _EPS) * off"
+_WEIGHTS = ("la_s, rb_s = md_s.lambda_a[None, :], np.sqrt(md_s.lambda_b)[None, :]",
+            "la_t, rb_t = md_t.lambda_a[:, None], np.sqrt(md_t.lambda_b)[:, None]")
+
+
+def _sector_killer(method, *args):
+    return _killer(test_oracles.TestSectorBound, method, *args)
+
+
+def _weights_killer(n, scale):
+    return _killer(test_oracles.TestAdjointWeights, "test_one_off_sector_entry", n, scale)
+
+
+# (the function edited, its mutant)
+SECTOR_MUTANTS = {
+    # the sectors alone: a T with its mass off them passes at |T| = 1 + 5e-4
+    "off_sector_term_dropped": (verify._sector_bound, SourceMutant(
+        ((_OFF_TERM, ""),),
+        (_sector_killer("test_off_sector_mass_counts"),))),
+    # a sector's largest entry for its norm: 1.01 U passes, its entries
+    # all below 1
+    "largest_entry_for_norm": (verify._sector_bound, SourceMutant(
+        (("np.linalg.svd(block, compute_uv=False)[0]", "np.abs(block).max()"),),
+        (_sector_killer("test_matrix_sector_takes_its_norm"),))),
+    # each weight reads lambda_b where it reads lambda_a and back: the same
+    # zeros on the sectors, and off them e^{-(w_t - w_s)/2} times the weight
+    # (at the killers' entry 0.05: a pair read at 2 tol reads 0.1 tol)
+    "adjoint_weights_la_rb_swapped": (verify._adjoint_residuals, SourceMutant(
+        tuple((old, old.replace("lambda_a", "LAMBDA").replace("lambda_b", "lambda_a")
+                      .replace("LAMBDA", "lambda_b")) for old in _WEIGHTS),
+        (_weights_killer(3, 2.0), _weights_killer(12, 2.0)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECTOR_MUTANTS))
+def test_sector_mutant(name, monkeypatch):
+    function, mutant = SECTOR_MUTANTS[name]
+    _assert_source_mutant(name, mutant, monkeypatch, function)

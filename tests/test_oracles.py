@@ -47,6 +47,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import scipy.linalg
 import scipy.sparse
 
@@ -291,14 +293,21 @@ def oracle_twist_residual(t_eig, ch, s_values):
     return res
 
 
-def oracle_adjoint_pair(ch):
-    """(adjoint_consistency, petz_match) as two separate `op_norm` calls."""
+def adjoint_pair_weights(ch):
+    """(X^+, the adjoint_consistency weights, the petz_match weights), each
+    weight matrix in X^+'s orientation."""
     md_s, md_t = ch.source.modular, ch.target.modular
     x_h = ch.eigen_superop.conj().T
     la_s, rb_s = md_s.lambda_a[:, None], np.sqrt(md_s.lambda_b)[:, None]
     la_t, rb_t = md_t.lambda_a[None, :], np.sqrt(md_t.lambda_b)[None, :]
     consistency = rb_t / rb_s - (rb_s / la_s) * (la_t / rb_t)
     petz = la_t / la_s - np.sqrt(la_t) * rb_t / (np.sqrt(la_s) * rb_s)
+    return x_h, consistency, petz
+
+
+def oracle_adjoint_pair(ch):
+    """(adjoint_consistency, petz_match) as two separate `op_norm` calls."""
+    x_h, consistency, petz = adjoint_pair_weights(ch)
     return op_norm(x_h * consistency), op_norm(x_h * petz)
 
 
@@ -609,10 +618,11 @@ def test_sp_ucp_breaks_the_flow(dims):
 
 FLOW_KEYS = ("eq32_t", "thm_i_s", "thm_commute_z", "adjoint_consistency", "petz_match")
 # the keys whose pass reads the upper bound that certifies it: a family's
-# largest one-GEMM bound at every N, and |A|_F from `linalg.LANCZOS_MIN_DIM`
-# on; a fail keeps its value
+# largest one-GEMM bound at every N, and from `linalg.LANCZOS_MIN_DIM` on
+# |A|_F (thm_ii, the adjoint pair), the sector bound (kadison_norm) or |M|_F
+# times the frame's margin (markov_modular, thm_iii); a fail keeps its value
 MOVED_KEYS = ("eq32_t", "thm_commute_z", "thm_i_s", "thm_ii", "adjoint_consistency",
-              "petz_match")
+              "petz_match", "kadison_norm", "markov_modular", "thm_iii")
 # how far below the dense SVD's norm of the same matrix a pass may read: a
 # one-GEMM bound covers its formed product's norm to this relative rounding
 # (`assert_bounds_cover`), and |A|_F >= |A|_op
@@ -633,10 +643,23 @@ def assert_verdict_side(got, dense, tol, lanczos=False):
         assert got == dense, (got, dense, tol)
 
 
+def involution_column_norm(t_eig, ch):
+    """thm_iii rebuilt from its definition (`verify._symmetry_residuals`):
+    the max column norm of (Delta_t^{-1/2} P_t conj(T_eig) P_s
+    Delta_s^{1/2} - T_eig) R_s through G_s, by `frame_column_norms`."""
+    md_s, md_t = ch.source.modular, ch.target.modular
+    flipped = t_eig.conj()[adjoint_index(ch.target.algebra)][:, adjoint_index(ch.source.algebra)]
+    lhs = (md_t.delta_power_diagonals([-0.5]).T * flipped
+           * md_s.delta_power_diagonals([0.5]))
+    defect = (lhs - t_eig) * np.sqrt(md_s.lambda_b)[None, :]
+    return float(md_s.frame_column_norms(defect).max())
+
+
 def dense_moved_keys(ch):
-    """The `MOVED_KEYS` of `verify_channel(ch)` by the dense SVD, each the
-    norm of the matrix the report bounds, one mask and one `op_norm` at a
-    time."""
+    """The `MOVED_KEYS` of `verify_channel(ch)` by the dense routes, each
+    the value of the matrix the report bounds: one mask and one `op_norm` at
+    a time, the dense excess of T_eig, and the exact column norms of
+    markov_modular and thm_iii."""
     t_eig = eigen_extension(ch)
     flipped = t_eig.conj()[adjoint_index(ch.target.algebra)][:, adjoint_index(ch.source.algebra)]
     adjc, petz = oracle_adjoint_pair(ch)
@@ -644,7 +667,10 @@ def dense_moved_keys(ch):
             "thm_commute_z": oracle_commute_residual(t_eig, ch, sample_z(0)),
             "thm_i_s": oracle_twist_residual(t_eig, ch, DEFAULT_S_VALUES),
             "thm_ii": op_norm(flipped - t_eig),
-            "adjoint_consistency": adjc, "petz_match": petz}
+            "adjoint_consistency": adjc, "petz_match": petz,
+            "kadison_norm": max(0.0, op_norm(t_eig) - 1.0),
+            "markov_modular": per_mask_modular(ch),
+            "thm_iii": involution_column_norm(t_eig, ch)}
 
 
 def assert_report_on_verdict_side(ch, report):
@@ -1303,9 +1329,10 @@ def _kraus_channel(n, seed=91):
     return channel_from_kraus(kraus, sys, sys)
 
 
-# kadison_norm and markov_cp are certified bounds from the gate on, not
-# norms within rounding: a Ritz value below |T|, an eigenvalue bound above
-# lambda_min, so each may read below the dense value
+# markov_cp and a kadison_norm fail are certified bounds from the gate on,
+# not values within rounding: a Ritz value below |T|, an eigenvalue bound
+# above lambda_min, so each may read below the dense value (a kadison_norm
+# pass is a `MOVED_KEYS` bracket instead)
 BOUND_KEYS = ("kadison_norm", "markov_cp")
 # how far a Ritz value may lie above the SVD's value of the same matrix
 RITZ_ROUNDING = 16 * np.finfo(float).eps
@@ -1316,10 +1343,11 @@ class TestLanczosRoute:
 
     @staticmethod
     def assert_same_report(monkeypatch, svd_shapes, ch, kind=None):
-        """Verdicts identical; the `BOUND_KEYS` within `RITZ_ROUNDING`, the
-        `MOVED_KEYS` on the side of their verdicts of the dense route's
-        values (a certified flow family reads the same bound on both), and
-        every other key within 1e-13 relative."""
+        """Verdicts identical; the `MOVED_KEYS` on the side of their
+        verdicts of the dense route's values (a certified flow family reads
+        the same bound on both), except a `BOUND_KEYS` value that is not a
+        moved pass, which is within `RITZ_ROUNDING`; every other key within
+        1e-13 relative."""
         lanczos = verify_channel(ch, kind=kind)
         # the flow families make no stacked SVD call: every one is a B_k
         assert svd_shapes and all(len(sh) == 2 for sh in svd_shapes)
@@ -1328,7 +1356,7 @@ class TestLanczosRoute:
         assert lanczos.verdicts == dense.verdicts
         for key, ref in dense.residuals.items():
             got = lanczos.residuals[key]
-            if key in BOUND_KEYS:
+            if key in BOUND_KEYS and not (key in MOVED_KEYS and dense.verdicts[key]):
                 assert got <= ref + RITZ_ROUNDING and abs(got - ref) <= 1e-14, (key, got, ref)
             elif key in MOVED_KEYS:
                 assert_verdict_side(got, ref, dense.tolerances[key], lanczos=True)
@@ -1390,6 +1418,209 @@ class TestLanczosRoute:
         finally:
             tracemalloc.stop()
         assert peak < 2 * t_eig.nbytes, peak / t_eig.nbytes
+
+
+# ---------------------------------------------------------------------------
+# the sector and Frobenius certificates from linalg.LANCZOS_MIN_DIM on
+# ---------------------------------------------------------------------------
+
+SECTOR_N = 120  # above linalg.LANCZOS_MIN_DIM
+SECTOR_TOL = 1e-10  # kadison_norm's pinned tolerance
+
+
+def labelled_matrix(seed, n_t, n_s, labels, off_scale):
+    """(T, w_s, w_t): frequencies 0.37 k for k drawn from range(labels), so
+    ties are exact equalities, and T random complex on their equal-frequency
+    set Z and off_scale times random complex off it."""
+    rng = np.random.default_rng(seed)
+    w_s = 0.37 * rng.integers(0, labels, n_s)
+    w_t = 0.37 * rng.integers(0, labels, n_t)
+    t = rng.standard_normal((n_t, n_s)) + 1j * rng.standard_normal((n_t, n_s))
+    return np.where(w_t[:, None] == w_s[None, :], t, off_scale * t), w_s, w_t
+
+
+def unit_sectors(n=SECTOR_N):
+    """(T, w): distinct frequencies, so every sector is one diagonal entry,
+    and T = 1 on them."""
+    return np.eye(n, dtype=np.complex128), 0.37 * np.arange(n)
+
+
+class TestSectorBound:
+    """`verify._sector_bound` and kadison_norm's `_norm_excess` on direct
+    matrices; `frame_column_norms`' bound on random block-unitary frames."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_t=st.integers(1, 130), n_s=st.integers(1, 130),
+           labels=st.integers(1, 60), off_scale=st.sampled_from([0.0, 1e-9, 1.0]))
+    def test_bounds_the_operator_norm(self, seed, n_t, n_s, labels, off_scale):
+        t, w_s, w_t = labelled_matrix(seed, n_t, n_s, labels, off_scale)
+        upper, norm = verify._sector_bound(t, w_s, w_t), np.linalg.norm(t, 2)
+        assert upper >= norm, (upper, norm)
+        if off_scale == 0.0 and np.isfinite(upper):
+            # on Z alone it is the largest sector norm, to its margin
+            assert upper <= norm * (1.0 + 1e-12), (upper, norm)
+
+    def test_a_sector_at_the_gate_certifies_nothing(self):
+        # one frequency: a single SECTOR_N x SECTOR_N sector
+        t = _unitary_matrix(21, SECTOR_N)
+        w = np.zeros(SECTOR_N)
+        assert verify._sector_bound(t, w, w) == np.inf
+        assert verify._norm_excess(t, w, w, SECTOR_TOL) == linalg.certified_value(
+            t, SECTOR_TOL, "excess")
+
+    def test_non_finite_entries_certify_nothing(self):
+        t, w = unit_sectors()
+        for bad, where in ((np.nan, (0, 0)), (np.inf, (0, 1))):
+            u = t.copy()
+            u[where] = bad
+            assert verify._sector_bound(u, w, w) == np.inf
+            with pytest.raises(ValueError, match="finite"):
+                verify._norm_excess(u, w, w, SECTOR_TOL)
+
+    def test_pass_reads_the_sector_bound(self, monkeypatch):
+        # unitary sectors of every shape: a certain pass, with no Gram
+        # matrix, Cholesky factor or Lanczos step
+        w = 0.37 * np.concatenate([np.zeros(6), np.ones(3), np.arange(2, SECTOR_N - 7)])
+        t = np.eye(SECTOR_N, dtype=np.complex128)
+        t[:6, :6] = _unitary_matrix(22, 6)
+        t[6:9, 6:9] = _unitary_matrix(23, 3)
+        monkeypatch.setattr(linalg, "_top_singular_value", None)
+        monkeypatch.setattr(linalg, "_norm_below", None)
+        got = verify._norm_excess(t, w, w, SECTOR_TOL)
+        assert got == max(0.0, verify._sector_bound(t, w, w) - 1.0)
+        assert 0.0 < got <= 1e-12
+
+    def test_off_sector_mass_counts(self):
+        # unit sectors and one entry 1e-3 off them: |T| = 1 + 5e-4, a fail
+        # that the sectors alone would pass
+        t, w = unit_sectors()
+        t[0, 1] = 1e-3
+        got = verify._norm_excess(t, w, w, SECTOR_TOL)
+        assert got > SECTOR_TOL
+        assert got == linalg.certified_value(t, SECTOR_TOL, "excess")
+
+    def test_matrix_sector_takes_its_norm(self):
+        # a 4 x 4 zero-frequency sector 1.01 U, U unitary: every entry of it
+        # lies below 1 and its norm above 1 + tol
+        t, w = unit_sectors()
+        w[:4] = 0.0
+        t[:4, :4] = 1.01 * _unitary_matrix(24, 4)
+        assert np.abs(t[:4, :4]).max() < 1.0
+        got = verify._norm_excess(t, w, w, SECTOR_TOL)
+        assert got > SECTOR_TOL and abs(got - 0.01) <= 1e-14
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000),
+           dims=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+           rows=st.integers(1, 24), aligned=st.booleans())
+    def test_column_norm_bound(self, seed, dims, rows, aligned):
+        # |m|_F times the frame's margin bounds every column norm of m G,
+        # dense or factored; aligned, m = x g_j^+ puts its whole norm in
+        # column j, where the bound is tight but for the margin
+        md = ModularData(random_faithful_state(BlockAlgebra(tuple(dims)), seed, 0.05))
+        rng = np.random.default_rng(seed)
+        n = md.algebra.coord_dim
+        m = _random_matrix(rng, (rows, n))
+        if aligned:
+            m = np.outer(m[:, 0], md.frame[:, rng.integers(n)].conj())
+        upper = md.column_norm_bound(m)
+        assert upper >= md.frame_column_norms(m).max()
+        assert upper >= np.linalg.norm(m @ md.frame, axis=0).max()
+
+    def test_report_documents_above_the_gate(self):
+        # every value a certificate settles is a Python float, so the
+        # verdicts are bools and the report writes
+        ch = _build("schur", (12,), {})
+        report = verify_channel(ch, kind="schur")
+        assert all(type(v) is float for v in report.residuals.values())
+        assert all(type(v) is bool for v in report.verdicts.values())
+        assert json.loads(dumps_canonical(report_to_json(report)))["verdicts"] == report.verdicts
+
+
+def _unitary_matrix(seed, n):
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+
+def tracial_automorphism(n=12):
+    """An inner automorphism of M_n under its tracial state: every
+    frequency is 0, so T_eig is one n^2 x n^2 sector."""
+    sys = System(FaithfulState(AlgebraElement(BlockAlgebra((n,)), [np.eye(n) / n])))
+    return random_automorphism(sys, 5)
+
+
+def masked_adjoint_pair(ch, tols):
+    """The adjoint pair as `verify._masked_op_norms` takes it on X^+ with
+    `adjoint_pair_weights`, both masks formed."""
+    x_h, *masks = adjoint_pair_weights(ch)
+    return verify._masked_op_norms(
+        x_h, lambda sl: np.array(masks[sl], dtype=np.complex128), tols)
+
+
+class TestCertificateFallback:
+    """From the gate on, a key whose certificate settles nothing takes the
+    route it took before the certificates, bit for bit: a degenerate
+    spectrum (one sector at the gate) and a channel off the flow class."""
+
+    def test_tracial_state_keeps_the_excess_route(self):
+        ch = tracial_automorphism()
+        t_eig = eigen_extension(ch)
+        w_s, w_t = ch.source.modular.frequencies, ch.target.modular.frequencies
+        assert not w_s.any() and verify._sector_bound(t_eig, w_s, w_t) == np.inf
+        report = verify_channel(ch)
+        tol = report.tolerances["kadison_norm"]
+        assert report.residuals["kadison_norm"] == linalg.certified_value(t_eig, tol, "excess")
+        assert report.passed
+
+    def test_sp_ucp_16_keeps_its_routes(self):
+        ch = _build("sp_ucp", (16,), {})
+        t_eig = eigen_extension(ch)
+        w_s, w_t = ch.source.modular.frequencies, ch.target.modular.frequencies
+        report = verify_channel(ch, kind="sp_ucp")
+        tol = report.tolerances
+        # O(1) mass off the sectors: the bound settles nothing
+        assert verify._sector_bound(t_eig, w_s, w_t) - 1.0 > tol["kadison_norm"]
+        assert report.residuals["kadison_norm"] == linalg.certified_value(
+            t_eig, tol["kadison_norm"], "excess")
+        # the failing keys keep their exact routes
+        assert not report.verdicts["markov_modular"]
+        assert report.residuals["markov_modular"] == per_mask_modular(ch)
+        pair = ("adjoint_consistency", "petz_match")
+        assert not any(report.verdicts[k] for k in pair)
+        assert [report.residuals[k] for k in pair] == masked_adjoint_pair(
+            ch, [tol[k] for k in pair])
+        assert report.acceptable
+
+
+class TestAdjointWeights:
+    """adjoint_consistency and petz_match on a positive with one entry of X
+    moved off the sectors, where the weights of the two keys are far from
+    zero: each against its kron-product oracle, on both sides of its
+    tolerance."""
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_one_off_sector_entry(self, n, scale):
+        ch = _build("schur", (n,), {})
+        src, tgt = ch.source, ch.target
+        # the entry whose frequencies differ the most
+        gap = tgt.modular.frequencies[:, None] - src.modular.frequencies[None, :]
+        j, i = np.unravel_index(np.argmax(gap), gap.shape)
+        x = ch.eigen_superop.copy()
+        x[j, i] += 1.0
+        unit = Channel(src, tgt, from_eigenframe(x, src, tgt))
+        delta = scale * verify._tolerances(unit)["adjoint_consistency"] / (
+            oracle_adjoint_consistency(unit) - oracle_adjoint_consistency(ch))
+        x = ch.eigen_superop.copy()
+        x[j, i] += delta
+        moved = Channel(src, tgt, from_eigenframe(x, src, tgt))
+        report = verify_channel(moved)
+        for key, oracle in (("adjoint_consistency", oracle_adjoint_consistency),
+                            ("petz_match", oracle_petz_match)):
+            ref, tol = oracle(moved), report.tolerances[key]
+            assert abs(report.residuals[key] - ref) <= 1e-6 * ref, (key, report.residuals[key], ref)
+            assert report.verdicts[key] == (ref <= tol), key
+        assert report.verdicts["adjoint_consistency"] == (scale < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1654,19 +1885,19 @@ class TestFactoredFrame:
 
     @staticmethod
     def assert_same_report(factored, dense, bound_keys=(), own_passes=()):
-        """Verdicts and tolerances identical; the `bound_keys` held to
-        `TestLanczosRoute`'s bound, a pass of the `own_passes` keys left to
-        each route's own dense values (`assert_report_on_verdict_side`:
-        each reads a bound of its own frame's roundoff), every other value
-        to the frame's."""
+        """Verdicts and tolerances identical; a pass of the `own_passes`
+        keys left to each route's own dense values
+        (`assert_report_on_verdict_side`: each reads a bound of its own
+        frame's roundoff), the other `bound_keys` values held to
+        `TestLanczosRoute`'s bound, every other value to the frame's."""
         assert factored.verdicts == dense.verdicts
         assert factored.tolerances == dense.tolerances
         for key, ref in dense.residuals.items():
             got = factored.residuals[key]
-            if key in bound_keys:
-                assert got <= ref + RITZ_ROUNDING and abs(got - ref) <= 1e-14, (key, got, ref)
-            elif key in own_passes and dense.verdicts[key]:
+            if key in own_passes and dense.verdicts[key]:
                 continue
+            elif key in bound_keys:
+                assert got <= ref + RITZ_ROUNDING and abs(got - ref) <= 1e-14, (key, got, ref)
             elif ref > 1e-8:
                 assert abs(got - ref) <= 1e-12 * ref, (key, got, ref)
             else:
@@ -1690,15 +1921,18 @@ class TestFactoredFrame:
     @pytest.mark.parametrize("case", [("schur", (24,), {}), ("block_expectation", (12, 12), {})],
                              ids=_case_id)
     def test_n24_and_12x12_against_the_dense_route(self, monkeypatch, case):
-        # the factored frame and the certified kernel together, against
-        # both gates above N
+        # the factored frame and the certified kernels together, against
+        # both gates above N; the certified passes against the default
+        # route's own dense values
         kind = case[0]
-        default = verify_channel(_build(*case), kind=kind)
+        ch = _build(*case)
+        default = verify_channel(ch, kind=kind)
+        assert_report_on_verdict_side(ch, default)
         monkeypatch.setattr(gns, "FRAME_MIN_DIM", DENSE_GATE)
         monkeypatch.setattr(linalg, "LANCZOS_MIN_DIM", DENSE_GATE)
         dense = verify_channel(_build(*case), kind=kind)
         assert default.passed
-        self.assert_same_report(default, dense, BOUND_KEYS)
+        self.assert_same_report(default, dense, BOUND_KEYS, own_passes=MOVED_KEYS)
 
     @pytest.mark.parametrize("case", [c for c in _parity_cases() if c[0] != "sp_ucp"],
                              ids=_case_id)
