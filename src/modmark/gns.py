@@ -179,6 +179,12 @@ class ModularData:
         with np.errstate(over="ignore"):
             return float(np.linalg.norm(m)) * margin
 
+    def max_column_norm(self, m: np.ndarray, tol: float) -> float:
+        """The largest of `frame_column_norms(m)`, taken for the verdict
+        max <= tol: `column_norm_bound(m)` where that is at most tol."""
+        upper = self.column_norm_bound(m)
+        return upper if upper <= tol else float(self.frame_column_norms(m).max())
+
     @cached_property
     def lambda_a(self) -> np.ndarray:
         """lambda_a of eigenframe entry (a, b), column-stacked like coords."""

@@ -7,12 +7,12 @@ forbidden here: identical input bits give identical output bits, which is
 what makes verification reports reproducible.  The one draw, the Lanczos
 start vector, comes from a fixed seed.
 
-`certified_value` is the one kernel for the package's large spectral values
-taken for a verdict: an operator norm, an operator norm's excess over 1, and
-a smallest Hermitian eigenvalue.  Below `LANCZOS_MIN_DIM` each is the dense
-LAPACK call.  From it on a verdict is certified, by the Frobenius bound or
-a Golub-Kahan-Lanczos Ritz value, or by a Cholesky factor of a shifted
-matrix, and a verdict none settles takes the dense call.
+`certified_value` is the one kernel for the package's spectral values
+taken for a verdict: an operator norm, its excess over 1, and a smallest
+Hermitian eigenvalue.  A norm's Frobenius bound certifies a pass at every
+size; otherwise each value is the dense LAPACK call below
+`LANCZOS_MIN_DIM`, and from it on a Golub-Kahan-Lanczos Ritz value or a
+Cholesky factor of a shifted matrix certifies it, or the dense call.
 """
 
 from __future__ import annotations
@@ -227,15 +227,15 @@ def certified_value(a, tol: float, kind: str = "norm") -> float:
         "excess"   max(0, |a|_op - 1), the verdict excess <= tol;
         "min_eig"  lambda_min of the Hermitian a, the verdict lambda_min >= -tol.
 
-    Below `LANCZOS_MIN_DIM` in the smaller dimension it is the dense value:
-    `op_norm`, or `np.linalg.eigvalsh`.  From it on a value is returned
-    only when a certificate settles the verdict; r is the Golub-Kahan-
-    Lanczos Ritz value (`_top_singular_value`), a lower bound on a top
-    singular value:
+    At every size, "norm" first reads |a|_F <= tol, an upper bound, as a
+    certain pass, and its value is |a|_F.  Otherwise, below
+    `LANCZOS_MIN_DIM` in the smaller dimension, the value is the dense one:
+    `op_norm`, or `np.linalg.eigvalsh`.  From the gate on a value is
+    returned only when a certificate settles the verdict; r is the Golub-
+    Kahan-Lanczos Ritz value (`_top_singular_value`), a lower bound on a
+    top singular value:
 
-    - "norm": |a|_F <= tol, an upper bound, is a certain pass, taken before
-      any Lanczos step, and its value is |a|_F; else r > tol is a certain
-      fail, and its value is r.
+    - "norm": r > tol is a certain fail, and its value is r.
     - "excess": r - 1 > tol is a certain fail, and a Cholesky factor of
       (1 + tol)^2 1 - a^+ a a certain pass; the value is max(0, r - 1).
     - "min_eig": a Cholesky factor of a itself certifies lambda_min >= 0,
@@ -256,6 +256,11 @@ def certified_value(a, tol: float, kind: str = "norm") -> float:
     """
     if kind not in ("norm", "excess", "min_eig"):
         raise ValueError(f"unknown kind {kind!r}")
+    if kind == "norm":
+        a = as_cmatrix(a)
+        upper = _frob_or_inf(a)
+        if upper <= tol:
+            return upper
     if min(np.shape(a)) < LANCZOS_MIN_DIM:
         if kind == "min_eig":
             return float(np.linalg.eigvalsh(a)[0])
@@ -269,13 +274,9 @@ def certified_value(a, tol: float, kind: str = "norm") -> float:
             if _eig_above(a, -tol):
                 return _bottom_eigenvalue(a)
         return float(np.linalg.eigvalsh(a)[0])
-    if kind == "norm":
-        upper = _frob_or_inf(a)
-        if upper <= tol:
-            return upper
-        ritz = _top_singular_value(a)
-        return ritz if ritz > tol else float(np.linalg.svd(a, compute_uv=False)[0])
     ritz = _top_singular_value(a)
+    if kind == "norm":
+        return ritz if ritz > tol else float(np.linalg.svd(a, compute_uv=False)[0])
     if ritz - 1.0 > tol or (tol > CHOLESKY_MARGIN * max(a.shape) * _EPS
                             and _norm_below(a, 1.0 + tol)):
         return max(0.0, ritz - 1.0)

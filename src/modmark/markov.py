@@ -16,14 +16,13 @@ superoperator is ever built.  Both apply G through the `gns` frame
 helpers, by its Kronecker factors from N = 100 on.
 
 The cp residual reads each Choi block's smallest eigenvalue for its verdict
-(`cp_min_eigenvalue`).  From `linalg.LANCZOS_MIN_DIM` on that is a
-certified value (`linalg.certified_value`): 0.0 for a block with a Cholesky
-factor, a Lanczos upper bound for one that factors only with the
-tolerance tau added, and eigvalsh otherwise; so the residual is at or below
-the dense one up to rounding, with the dense verdict.  From the same gate
-the modular residual's pass reads |M|_F times a bound on |G_s|, M the
-masked X, which bounds its every column norm (`_modular_residual`); a fail
-takes the exact column norms of `modular_commutation_residual`.
+(`cp_min_eigenvalue`) through `linalg.certified_value`: eigvalsh for a small
+block, and for a large one 0.0 where it has a Cholesky factor, a Lanczos
+upper bound where it factors only with the tolerance tau added, and
+eigvalsh otherwise; so the residual is at or below the dense one up to
+rounding, with the dense verdict.  The modular residual's pass reads
+|M|_F times a bound on |G_s|, M the masked X, at every size, and a fail
+the exact column norms of the same M (`ModularData.max_column_norm`).
 
 Orientation, fixed package-wide: a channel maps its source algebra into its
 target algebra, state compatibility means target_state(ch(x)) = source_state(x),
@@ -56,7 +55,6 @@ from .errors import (
     NotStatePreserving,
     ShapeMismatch,
 )
-from . import linalg
 from .gns import ModularData
 from .linalg import as_cmatrix, certified_value, tolerance_factor
 
@@ -189,9 +187,9 @@ class ChoiMatrix:
     def min_eigenvalue(self, tol: float) -> float:
         """Smallest eigenvalue of the blocks' Hermitian parts, taken by
         `linalg.certified_value(h, tol, "min_eig")` for the verdict
-        lambda_min >= -tol: eigvalsh below `linalg.LANCZOS_MIN_DIM`, and from
-        it on 0.0 for a block with a Cholesky factor and an upper bound for
-        one that factors only with tol added."""
+        lambda_min >= -tol: eigvalsh for a small block, and for a large one
+        0.0 where it has a Cholesky factor and an upper bound where it
+        factors only with tol added."""
         return min(certified_value((b + b.conj().T) / 2.0, tol, "min_eig")
                    for b in self.blocks.values())
 
@@ -261,8 +259,8 @@ def state_residual(ch: Channel) -> float:
 
 def cp_min_eigenvalue(ch: Channel) -> tuple[float, float]:
     """(min Choi eigenvalue, Choi hermiticity defect), the eigenvalue taken
-    for the cp verdict against its `membership_tolerances` entry: from
-    `linalg.LANCZOS_MIN_DIM` on a certified value (`ChoiMatrix.min_eigenvalue`)."""
+    for the cp verdict against its `membership_tolerances` entry, as
+    `ChoiMatrix.min_eigenvalue` certifies it."""
     choi = to_choi(ch)
     return choi.min_eigenvalue(_membership_tau()), choi.hermiticity_defect()
 
@@ -286,6 +284,16 @@ def precondition_defects(ch: Channel) -> dict[str, float]:
     return {name: res for name, res in _preconditions(ch).items() if res > tol[name]}
 
 
+def _commutation_defects(ch: Channel, t_samples=()):
+    """X = `ch.eigen_superop` masked by the generator row w_s - w_t, then by
+    the flow row exp(it w_s) - exp(it w_t) of each t, one at a time."""
+    md_s, md_t = ch.source.modular, ch.target.modular
+    zs = [1j * float(t) for t in t_samples]
+    rows = [(md_s.frequencies, md_t.frequencies),
+            *zip(md_s.delta_power_diagonals(zs), md_t.delta_power_diagonals(zs))]
+    return ((a[None, :] - b[:, None]) * ch.eigen_superop for a, b in rows)
+
+
 def modular_commutation_residual(ch: Channel, t_samples=()) -> float:
     """Flow compatibility in its generator form: ch([log D_source, x]) =
     [log D_target, ch(x)] over the unit basis, the finite-dimensional
@@ -293,23 +301,17 @@ def modular_commutation_residual(ch: Channel, t_samples=()) -> float:
 
     With X = `ch.eigen_superop` the defect is X masked by w_s - w_t, and its
     value on a matrix unit is the matching column of (mask * X) G_s: one
-    masked product and one `frame_column_norms` call (a product by G_s
-    below `gns.FRAME_MIN_DIM`, Gram matrices of the factored route from it
-    on), whose max column norm is returned.
+    masked product and one `frame_column_norms` call, whose max column norm
+    is returned; `check_markov` takes the same product for its verdict.
 
-    Each t in the optional t_samples adds the flow row at t, the mask
-    exp(it w_s) - exp(it w_t), one mask at a time, and the max runs over
-    every row.  No library path passes samples; the rows remain because the
-    benchmark's traced probe times this call with its t grid, and the test
-    oracles check them.  The per-unit spectral calculus that checks this
-    kernel independently lives in the test oracles.
+    Each t in the optional t_samples adds the flow row at t, and the max
+    runs over every row.  No library path passes samples; the rows remain
+    because the benchmark's traced probe times this call with its t grid.
+    The per-unit spectral calculus that checks this kernel independently
+    lives in the test oracles.
     """
-    md_s, md_t = ch.source.modular, ch.target.modular
-    zs = [1j * float(t) for t in t_samples]
-    rows = [(md_s.frequencies, md_t.frequencies),
-            *zip(md_s.delta_power_diagonals(zs), md_t.delta_power_diagonals(zs))]
-    return max(float(md_s.frame_column_norms((a[None, :] - b[:, None]) * ch.eigen_superop).max())
-               for a, b in rows)
+    return max(float(ch.source.modular.frame_column_norms(m).max())
+               for m in _commutation_defects(ch, t_samples))
 
 
 @dataclass
@@ -352,30 +354,17 @@ def membership_tolerances(ch: Channel) -> dict[str, float]:
             "modular": tau * modular_tolerance_scale(ch)}
 
 
-def _modular_residual(ch: Channel, tol: float) -> float:
-    """`modular_commutation_residual(ch)` taken for its verdict against tol.
-    From `linalg.LANCZOS_MIN_DIM` on, the mask's product with X is first
-    bounded by its Frobenius norm (`ModularData.column_norm_bound`): at most
-    tol, it is a certain pass and the value, with no column norm taken."""
-    x = ch.eigen_superop
-    if min(x.shape) >= linalg.LANCZOS_MIN_DIM:
-        md_s, md_t = ch.source.modular, ch.target.modular
-        upper = md_s.column_norm_bound(
-            (md_s.frequencies[None, :] - md_t.frequencies[:, None]) * x)
-        if upper <= tol:
-            return upper
-    return modular_commutation_residual(ch)
-
-
 def check_markov(ch: Channel) -> MarkovCheck:
     """Report the four membership residuals (unital, cp = max(0, -min Choi
     eigenvalue, Choi hermiticity defect), state, modular) against
     `membership_tolerances`; never raises on failure.  Each is taken for its
-    verdict: from `linalg.LANCZOS_MIN_DIM` on a certified cp or modular pass
-    reads the bound that proves it (`cp_min_eigenvalue`, `_modular_residual`)."""
+    verdict, and a certified pass reads the bound that proves it: cp by
+    `cp_min_eigenvalue`, and modular, `modular_commutation_residual(ch)`, by
+    `ModularData.max_column_norm` of its one masked product."""
     tol = membership_tolerances(ch)
     residuals = _preconditions(ch)
-    residuals["modular"] = _modular_residual(ch, tol["modular"])
+    residuals["modular"] = ch.source.modular.max_column_norm(
+        next(_commutation_defects(ch)), tol["modular"])
     return MarkovCheck(residuals, tol)
 
 

@@ -35,33 +35,34 @@ its Kronecker factors and never formed: X, and thm_iii's and
 markov_modular's exact column norms, which take Gram matrices instead of a
 product by G_s (`ModularData.frame_column_norms`).
 The masked copies are formed in stacks under a fixed cap on entries per
-call (`linalg.STACK_ENTRIES`), and below N = 100 (`linalg.LANCZOS_MIN_DIM`)
-each stack's norms are one stacked SVD.
+call (`linalg.STACK_ENTRIES`), and below `linalg.LANCZOS_MIN_DIM` each
+stack's norms are one stacked SVD.
 
 Every value is the end of its certified bracket on the side of its
 verdict.  A certified pass reads the upper bound that proves it, a certain
-fail from N = 100 on its Ritz lower bound, and a straddle the dense value,
-so verdicts are those of the dense route.  From N = 100 on, each key first
-tries an O(N^2) certificate, and a key it does not settle takes the route
-below it, bit for bit:
+fail below N = 100 (`linalg.LANCZOS_MIN_DIM`) its dense value and from it
+on its Ritz lower bound, and a straddle the dense value, so verdicts are
+those of the dense route.  Each key takes one route at every N: first an
+O(N^2) certificate, and a key it does not settle takes its fallback:
 - a norm (thm_ii, and the adjoint pair by sqrt(sum |X|^2 W^2) with no
   masked copy) with |A|_F <= tol reads |A|_F; else `linalg.certified_value`
-  reads a Golub-Kahan-Lanczos Ritz value r > tol, or the dense SVD;
+  reads the dense SVD below the gate, and from it on a Golub-Kahan-Lanczos
+  Ritz value r > tol, or the dense SVD;
 - a max column norm of M G_s (thm_iii, markov_modular) with
-  |M|_F |G_s| <= tol reads that bound (`ModularData.column_norm_bound`),
-  with no product by G_s; else the exact column norms;
+  |M|_F |G_s| <= tol reads that bound (`ModularData.max_column_norm`),
+  with no product by G_s; else the exact column norms of the same M;
 - kadison_norm reads max(0, u - 1) when u - 1 <= tol, u the sector bound
   max_omega |T_omega| + |T_eig off the sectors|_F over the equal-frequency
-  sectors of T_eig (`_sector_bound`): a Markov map's T commutes with Delta,
-  so T_eig lives on them.  Else, as for a sector at the gate in both
-  dimensions, it is max(0, r - 1), with a Cholesky factor of
-  (1 + tol)^2 1 - T^+ T certifying a pass (`certified_value`, "excess").
-A Choi block that has a Cholesky factor keeps markov_cp at its Hermiticity
-defect; one that factors only with its tolerance tau added gives the
+  sectors of T_eig (`_sector_bound`, `_norm_excess`): a Markov map's T
+  commutes with Delta, so T_eig lives on them.  Else, as for a sector at
+  the gate in both dimensions, it is `certified_value(T_eig, tol,
+  "excess")`: the dense excess below the gate, and from it on
+  max(0, r - 1), with a Cholesky factor of (1 + tol)^2 1 - T^+ T
+  certifying a pass.
+A large Choi block that has a Cholesky factor keeps markov_cp at its
+Hermiticity defect; one that factors only with tau added gives the
 Lanczos upper bound |C|_F - r' on lambda_min, r' the Ritz value of
-|C|_F 1 - C.  Below N = 100 thm_ii, the adjoint pair and kadison_norm
-keep their dense SVDs, and thm_iii and markov_modular their exact column
-norms.
+|C|_F 1 - C.
 
 The sampled flow keys (eq32_t, thm_commute_z, thm_i_s) are maxima over
 their samples, all three from one set of masks (`_flow_residuals`), by one
@@ -94,6 +95,7 @@ are kept as test oracles.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -204,13 +206,6 @@ def _require_finite(base: np.ndarray) -> None:
         raise ValueError("matrix entries must be finite")
 
 
-def _chunk_size(base: np.ndarray) -> int:
-    """Masks per stacked product under `linalg.STACK_ENTRIES`; refuses a
-    non-finite base."""
-    _require_finite(base)
-    return stack_chunk(base.size)
-
-
 def _masked_product(base: np.ndarray, masks: Callable, sel) -> np.ndarray:
     """base * masks(sel), formed in the fresh mask stack that masks(sel)
     returns; refuses non-finite entries.  base is the left operand: complex
@@ -234,7 +229,8 @@ def _masked_op_norms(base: np.ndarray, masks: Callable, tols) -> list[float]:
     """`certified_value(base * m, tol)` for the masks m and their tolerances in
     tols, in stacks under the entry cap.  masks(sel) is a fresh complex
     stack of the masks sel, a slice of range(len(tols))."""
-    step = _chunk_size(base)
+    _require_finite(base)
+    step = stack_chunk(base.size)
     norms: list[float] = []
     for lo in range(0, len(tols), step):
         prod = _masked_product(base, masks, slice(lo, lo + step))
@@ -258,18 +254,30 @@ def _flow_masks(d_s: np.ndarray, d_t: np.ndarray, n_commute: int) -> Callable:
     return masks
 
 
-def _equal_frequencies(w_s: np.ndarray, w_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Z = {(i, j) : w_t[i] == w_s[j]}, as (rows, cols): where every flow
-    mask vanishes, the union of the equal-frequency sectors.  Row-major,
-    as np.nonzero orders them (a flat index is faster to find)."""
-    return np.divmod(np.flatnonzero(w_t[:, None] == w_s[None, :]), len(w_s))
+_SectorSplit = namedtuple("_SectorSplit", "w_s w_t rows cols on off")
 
 
-def _flow_bounds(t_eig: np.ndarray, d_s: np.ndarray, d_t: np.ndarray, n_commute: int,
-                 w_s: np.ndarray, w_t: np.ndarray) -> np.ndarray:
+def _sector_split(t_eig: np.ndarray, w_s: np.ndarray, w_t: np.ndarray) -> _SectorSplit:
+    """P = |t_eig|^2 split at Z = {(i, j) : w_t[i] == w_s[j]}, the union of
+    the equal-frequency sectors, where every flow mask vanishes, for
+    `_flow_bounds` and `_sector_bound`: Z as (rows, cols), row-major as
+    np.nonzero orders it, P on Z in that order, and P zeroed on Z; w_s and
+    w_t are the frequencies of t_eig's columns and rows.  An overflow reads
+    inf, with no warning: neither consumer certifies from it."""
+    rows, cols = np.divmod(np.flatnonzero(w_t[:, None] == w_s[None, :]), len(w_s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.abs(t_eig)
+        np.square(p, out=p)
+    on = p[rows, cols]
+    p[rows, cols] = 0.0
+    return _SectorSplit(w_s, w_t, rows, cols, on, p)
+
+
+def _flow_bounds(split: _SectorSplit, d_s: np.ndarray, d_t: np.ndarray,
+                 n_commute: int) -> np.ndarray:
     """Upper bounds on |t_eig * m|_F for the masks m of
-    `_flow_masks(d_s, d_t, n_commute)`, none of them formed; w_s and w_t are
-    the frequencies behind the diagonals d_s and d_t.
+    `_flow_masks(d_s, d_t, n_commute)`, none of them formed, from t_eig's
+    `_sector_split`, whose frequencies are those behind d_s and d_t.
 
     With P = |t_eig|^2, |T * m|_F^2 = sum_ij P_ij |m_ij|^2 is, for a commute
     mask d_s[j] - d_t[i],
@@ -283,8 +291,8 @@ def _flow_bounds(t_eig: np.ndarray, d_s: np.ndarray, d_t: np.ndarray, n_commute:
     every mask from one real GEMM of P with the stacked 1, |d_s|^2, Re d_s
     and Im d_s.  On a flow-commuting T, P is O(1) only on Z = {(i, j) :
     w_t[i] == w_s[j]}, where every commute mask is zero and the expansion
-    would cancel to its rounding: P is zeroed on Z, and the Z entries are
-    summed entrywise instead.  The expansion's rounding is at most
+    would cancel to its rounding: the GEMM takes P off Z, and the Z entries
+    are summed entrywise instead.  The expansion's rounding is at most
     gamma_n (A + B) (Higham 2002, Accuracy and Stability of Numerical
     Algorithms, section 3.1), n <= N_s + N_t + 3, with A the positive
     terms (Z part included) and B the absolute cross terms, B <= the two
@@ -293,18 +301,12 @@ def _flow_bounds(t_eig: np.ndarray, d_s: np.ndarray, d_t: np.ndarray, n_commute:
     to the relative rounding of the formed product.  A P that over- or
     underflows gives inf, nan or values below `_PRUNE_FLOOR`, which prune
     nothing."""
-    k, (n_t, n_s) = len(d_s), t_eig.shape
-    rows, cols = _equal_frequencies(w_s, w_t)
+    k, (n_t, n_s) = len(d_s), split.off.shape
     com, tw = slice(None, n_commute), slice(n_commute, None)
     with np.errstate(over="ignore", invalid="ignore"):
-        p = np.abs(t_eig)
-        np.square(p, out=p)
-        p_z = p[rows, cols]
-        p[rows, cols] = 0.0
         weights = np.concatenate([np.ones((1, n_s)), d_s.real ** 2 + d_s.imag ** 2,
                                   d_s.real, d_s.imag])
-        q = (p @ weights.T).T  # (3k + 1, N_t)
-        del p
+        q = (split.off @ weights.T).T  # (3k + 1, N_t)
         row_sum, q_abs, q_re, q_im = q[0], q[1:k + 1], q[k + 1:2 * k + 1], q[2 * k + 1:]
         a_t = d_t.real ** 2 + d_t.imag ** 2
         pos = np.empty(k)
@@ -313,9 +315,9 @@ def _flow_bounds(t_eig: np.ndarray, d_s: np.ndarray, d_t: np.ndarray, n_commute:
         re_cross = (d_t.real * q_re).sum(axis=1)
         im_cross = (d_t.imag * q_im).sum(axis=1)
         cross = np.concatenate([re_cross[com] + im_cross[com], re_cross[tw] - im_cross[tw]])
-        ds_z, dt_z = d_s[:, cols], d_t[:, rows]
+        ds_z, dt_z = d_s[:, split.cols], d_t[:, split.rows]
         m_z = np.concatenate([ds_z[com] - dt_z[com], ds_z[tw] * dt_z[tw] - 1.0])
-        z_part = (m_z.real ** 2 + m_z.imag ** 2) @ p_z
+        z_part = (m_z.real ** 2 + m_z.imag ** 2) @ split.on
         margin = 4.0 * (n_s + n_t) * _EPS * (2.0 * pos + z_part)
         return np.sqrt(np.maximum(pos - 2.0 * cross + z_part + margin, 0.0))
 
@@ -359,14 +361,16 @@ def _bounded_maxima(base: np.ndarray, masks: Callable, counts, tols,
     return maxima.tolist()
 
 
-def _flow_residuals(t_eig: np.ndarray, ch: Channel, commute=(), twist=()) -> list[float]:
+def _flow_residuals(t_eig: np.ndarray, ch: Channel, commute=(), twist=(),
+                    split: _SectorSplit | None = None) -> list[float]:
     """Each taken for the verdict against its tol: max_z |T_eig * (exp(z w_s)[None, :]
     - exp(z w_t)[:, None])| for each (z samples, tol) in commute, then
     max_s |T_eig * (exp(-s w_t)[:, None] exp(s w_s)[None, :] - 1)| for each
     (s values, tol) in twist.  Each endpoint state gives exp(z w) for every
     exponent in one `delta_power_diagonals` call, every mask is bounded by
-    `_flow_bounds`, which forms no masked copy, and each family is certified
-    or pruned by those bounds in `_bounded_maxima`."""
+    `_flow_bounds` from t_eig's split (`_sector_split`, formed here unless
+    given), which forms no masked copy, and each family is certified or
+    pruned by those bounds in `_bounded_maxima`."""
     fams = ([(list(zs), tol) for zs, tol in commute]
             + [([float(s) for s in ss], tol) for ss, tol in twist])
     counts = [len(f) for f, _ in fams]
@@ -377,7 +381,8 @@ def _flow_residuals(t_eig: np.ndarray, ch: Channel, commute=(), twist=()) -> lis
     d_s = md_s.delta_power_diagonals(exps)
     d_t = md_t.delta_power_diagonals(exps[:n_commute] + [-s for s in exps[n_commute:]])
     _require_finite(t_eig)
-    bounds = _flow_bounds(t_eig, d_s, d_t, n_commute, md_s.frequencies, md_t.frequencies)
+    split = split or _sector_split(t_eig, md_s.frequencies, md_t.frequencies)
+    bounds = _flow_bounds(split, d_s, d_t, n_commute)
     return _bounded_maxima(t_eig, _flow_masks(d_s, d_t, n_commute), counts, tols, bounds)
 
 
@@ -413,10 +418,10 @@ def _symmetry_residuals(t_eig: np.ndarray, ch: Channel,
     1 on T's support, which pairs equal frequencies, so swapping the two
     half powers changes nothing there; only a channel off the flow class
     (kind sp_ucp) tells them apart.  The max is taken for the verdict
-    against tol["thm_iii"]: from `linalg.LANCZOS_MIN_DIM` on, the defect's
-    `ModularData.column_norm_bound` at most that tolerance is a certain pass
-    and the value, with no product by G_s; otherwise the column norms
-    through G_s are `ModularData.frame_column_norms`.
+    against tol["thm_iii"] by `ModularData.max_column_norm`: the defect's
+    `column_norm_bound` at most that tolerance is a certain pass and the
+    value, with no product by G_s; otherwise it is the max of the column
+    norms through G_s, `frame_column_norms`.
     """
     md_s, md_t = ch.source.modular, ch.target.modular
     p_s = adjoint_index(ch.source.algebra)
@@ -428,11 +433,7 @@ def _symmetry_residuals(t_eig: np.ndarray, ch: Channel,
     defect *= md_s.delta_power_diagonals([0.5])
     defect -= t_eig
     defect *= np.sqrt(md_s.lambda_b)[None, :]
-    if min(defect.shape) >= linalg.LANCZOS_MIN_DIM:
-        upper = md_s.column_norm_bound(defect)
-        if upper <= tol["thm_iii"]:
-            return conjugation, upper
-    return conjugation, float(md_s.frame_column_norms(defect).max())
+    return conjugation, md_s.max_column_norm(defect, tol["thm_iii"])
 
 
 def verify_adjoint(ch: Channel,
@@ -449,19 +450,19 @@ def verify_adjoint(ch: Channel,
     return _adjoint_residuals(eigen_extension(ch), ch, _tolerances(ch))
 
 
-def _adjoint_residuals(t_eig: np.ndarray, ch: Channel,
-                       tol: dict[str, float]) -> tuple[float, float, float]:
+def _adjoint_residuals(t_eig: np.ndarray, ch: Channel, tol: dict[str, float],
+                       split: _SectorSplit | None = None) -> tuple[float, float, float]:
     """The `verify_adjoint` triple, each taken for its verdict against tol.
     In the frame T^+, the adjoint channel ch* = D_s^{-1} ch^+(D_t .), its
     extension and the Petz form are all X^+ = `ch.eigen_superop`^+ weighted
     by eigenvalues of row i (source) and column j (target).
 
-    From `linalg.LANCZOS_MIN_DIM` on each pair key first takes
-    |X^+ * W|_F = sqrt(sum |X|^2 W^2), entrywise: every term is
-    nonnegative, so nothing cancels, and no masked copy is formed.  At most
-    its tolerance, it is a certain pass and the key reads it; a key that
-    does not pass forms its masked copy for `certified_value`, bit for bit
-    as below the gate.  kadison_norm is `_norm_excess`."""
+    Each pair key first takes |X^+ * W|_F = sqrt(sum |X|^2 W^2), entrywise:
+    every term is nonnegative, so nothing cancels, and no masked copy is
+    formed.  At most its tolerance, it is a certain pass and the key reads
+    it; a key that does not pass forms its masked copy for its norm
+    (`_masked_op_norms`).  kadison_norm is `_norm_excess`, on t_eig's split
+    (`_sector_split`, formed here unless given)."""
     md_s, md_t = ch.source.modular, ch.target.modular
     x = ch.eigen_superop
     # the weights in X's orientation, entry (j, i) for row i of X^+: the
@@ -475,11 +476,9 @@ def _adjoint_residuals(t_eig: np.ndarray, ch: Channel,
         la_t / la_s - np.sqrt(la_t) * rb_t / (np.sqrt(la_s) * rb_s),
     )
     tols = (tol["adjoint_consistency"], tol["petz_match"])
-    pair = [np.inf, np.inf]
-    if min(x.shape) >= linalg.LANCZOS_MIN_DIM:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: no pass
-            p = x.real ** 2 + x.imag ** 2
-            pair = [float(np.sqrt(np.vdot(p, w * w))) for w in weights]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: no pass
+        p = x.real ** 2 + x.imag ** 2
+        pair = [float(np.sqrt(np.vdot(p, w * w))) for w in weights]
     rest = [k for k in range(2) if not pair[k] <= tols[k]]
     if rest:
         norms = _masked_op_norms(
@@ -488,20 +487,20 @@ def _adjoint_residuals(t_eig: np.ndarray, ch: Channel,
             [tols[k] for k in rest])
         for k, norm in zip(rest, norms):
             pair[k] = norm
-    return (*pair, _norm_excess(t_eig, md_s.frequencies, md_t.frequencies,
-                                tol["kadison_norm"]))
+    split = split or _sector_split(t_eig, md_s.frequencies, md_t.frequencies)
+    return (*pair, _norm_excess(t_eig, split, tol["kadison_norm"]))
 
 
-def _sector_bound(t_eig: np.ndarray, w_s: np.ndarray, w_t: np.ndarray) -> float:
-    """An upper bound on |t_eig|_op from its equal-frequency sectors, or inf
-    where a sector reaches `linalg.LANCZOS_MIN_DIM` in both dimensions or
-    t_eig is not finite; w_s and w_t are the frequencies of its columns and
-    rows.
+def _sector_bound(t_eig: np.ndarray, split: _SectorSplit, tol: float) -> float:
+    """An upper bound on |t_eig|_op from its equal-frequency sectors, given
+    its `_sector_split`; inf where t_eig is not finite, where the term off
+    the sectors alone exceeds tol (no sector is then looked at), or where a
+    sector reaches `linalg.LANCZOS_MIN_DIM` in both dimensions.
 
     Sector omega is t_eig on the rows with w_t = omega and the columns with
-    w_s = omega, and the sectors tile Z (`_equal_frequencies`).  Permuted by
-    frequency, t_eig on Z is block-diagonal over the sectors, so with the
-    rest of t_eig, the part off Z,
+    w_s = omega, and the sectors tile Z.  Permuted by frequency, t_eig on Z
+    is block-diagonal over the sectors, so with the rest of t_eig, the part
+    off Z,
 
         |t_eig| <= max_omega |T_omega| + |t_eig off Z|_F
 
@@ -514,42 +513,44 @@ def _sector_bound(t_eig: np.ndarray, w_s: np.ndarray, w_t: np.ndarray) -> float:
     of a vector sector's sum (gamma_m, m <= N_s + N_t; Higham 2002, section
     3.1), and off Z the sum of N_s N_t terms gets gamma of its length."""
     n_t, n_s = t_eig.shape
-    rows, cols = _equal_frequencies(w_s, w_t)
+    gamma = 4.0 * (n_s + n_t) * _EPS
     with np.errstate(over="ignore", invalid="ignore"):
-        p = t_eig.real ** 2 + t_eig.imag ** 2
-        p_z = p[rows, cols]
-        p[rows, cols] = 0.0
-        off = float(np.sqrt(p.sum()))
-    freq, sector = np.unique(w_t[rows], return_inverse=True)
-    sq = np.bincount(sector, weights=p_z, minlength=len(freq))
-    if not (np.isfinite(off) and np.isfinite(sq).all()):
+        off = (1.0 + gamma + n_s * n_t * _EPS) * float(np.sqrt(split.off.sum()))
+    if not off <= tol:  # nan too
         return np.inf
-    height = np.bincount(np.searchsorted(freq, w_t[np.unique(rows)]), minlength=len(freq))
-    width = np.bincount(np.searchsorted(freq, w_s[np.unique(cols)]), minlength=len(freq))
+    w_s, w_t, rows, cols = split.w_s, split.w_t, split.rows, split.cols
+    freq, sector = np.unique(w_t[rows], return_inverse=True)
+    sq = np.bincount(sector, weights=split.on, minlength=len(freq))
+    if not np.isfinite(sq).all():
+        return np.inf
+    # the rows and columns of the sectors: those that meet Z
+    meet_t, meet_s = np.bincount(rows, minlength=n_t) > 0, np.bincount(cols, minlength=n_s) > 0
+    height = np.bincount(np.searchsorted(freq, w_t[meet_t]), minlength=len(freq))
+    width = np.bincount(np.searchsorted(freq, w_s[meet_s]), minlength=len(freq))
     norms = np.sqrt(sq)
     for k in np.flatnonzero((height > 1) & (width > 1)):
         if min(height[k], width[k]) >= linalg.LANCZOS_MIN_DIM:
             return np.inf
         block = t_eig[np.ix_(w_t == freq[k], w_s == freq[k])]
         norms[k] = np.linalg.svd(block, compute_uv=False)[0]
-    gamma = 4.0 * (n_s + n_t) * _EPS
-    return float((1.0 + gamma) * norms.max(initial=0.0) + (1.0 + gamma + n_s * n_t * _EPS) * off)
+    return float((1.0 + gamma) * norms.max(initial=0.0) + off)
 
 
-def _norm_excess(t_eig: np.ndarray, w_s: np.ndarray, w_t: np.ndarray, tol: float) -> float:
+def _norm_excess(t_eig: np.ndarray, split: _SectorSplit, tol: float) -> float:
     """kadison_norm, max(0, |t_eig|_op - 1), taken for its verdict against
-    tol; w_s and w_t are the frequencies of t_eig's columns and rows.
+    tol, given t_eig's `_sector_split`.
 
     A Markov map's T commutes with Delta, so T_eig lives on the
-    equal-frequency sectors, and Kadison-Schwarz gives |T| <= 1.  From
-    `linalg.LANCZOS_MIN_DIM` on, u = `_sector_bound` with u - 1 <= tol is
-    a certain pass and reads max(0, u - 1): no Gram matrix, Cholesky factor
-    or Lanczos step.  Otherwise, and below the gate, it is
-    `certified_value(t_eig, tol, "excess")`."""
-    if min(t_eig.shape) >= linalg.LANCZOS_MIN_DIM:
-        upper = _sector_bound(t_eig, w_s, w_t)
-        if upper - 1.0 <= tol:
-            return max(0.0, upper - 1.0)
+    equal-frequency sectors, and Kadison-Schwarz gives |T| <= 1.  u =
+    `_sector_bound` with u - 1 <= tol is a certain pass and reads
+    max(0, u - 1): no Gram matrix, Cholesky factor or Lanczos step.
+    Otherwise it is `certified_value(t_eig, tol, "excess")`, also when the
+    term off the sectors alone exceeds tol: a unital T has <Omega_t, T
+    Omega_s> = 1 on its zero-frequency sector, so |T_0| >= 1 and u - 1 >
+    tol, and no sector is looked at (kind sp_ucp)."""
+    upper = _sector_bound(t_eig, split, tol)
+    if upper - 1.0 <= tol:
+        return max(0.0, upper - 1.0)
     return certified_value(t_eig, tol, "excess")
 
 
@@ -799,9 +800,11 @@ def verify_channel(ch: Channel, *, kind: str | None = None,
     mc = check_markov(ch)
     t_eig = eigen_extension(ch)
     md_s, md_t = ch.source.modular, ch.target.modular
-    # the norms take their tolerances: a certified pass reads the bound that
-    # proves it, and from linalg.LANCZOS_MIN_DIM on a fail its Ritz value
+    # each key first tries its certificate, whose pass reads the bound that
+    # proves it; |T_eig|^2 is split at the equal-frequency sectors once, for
+    # the flow bounds and kadison_norm's sector bound
     tol = _tolerances(ch, s_values, z_samples)
+    split = _sector_split(t_eig, md_s.frequencies, md_t.frequencies)
 
     residuals: dict[str, float] = {
         "markov_" + k: v for k, v in mc.residuals.items()}
@@ -809,12 +812,12 @@ def verify_channel(ch: Channel, *, kind: str | None = None,
         t_eig, ch,
         commute=[([1j * float(t) for t in t_samples], tol["eq32_t"]),
                  (z_samples, tol["thm_commute_z"])],
-        twist=[(s_values, tol["thm_i_s"])])
+        twist=[(s_values, tol["thm_i_s"])], split=split)
     residuals["eq32_t"] = eq32
     residuals["thm_i_s"] = twist
     residuals["thm_ii"], residuals["thm_iii"] = _symmetry_residuals(t_eig, ch, tol)
     residuals["thm_commute_z"] = commute_z
-    adjc, petz, kad = _adjoint_residuals(t_eig, ch, tol)
+    adjc, petz, kad = _adjoint_residuals(t_eig, ch, tol, split)
     residuals["adjoint_consistency"] = adjc
     residuals["petz_match"] = petz
     residuals["kadison_norm"] = kad

@@ -407,37 +407,39 @@ class SourceMutant:
     equivalent: str | None = None
 
 
+# (the function edited, its mutant): the bound kernel, and the split of
+# |T_eig|^2 at the equal-frequency set Z that it shares with the sector bound
 BOUND_MUTANTS = {
     # the clustered channel's expansion cancels: a bound below its norm, and
     # at or below the tolerance it certifies a pass that reads low
-    "margin_dropped": SourceMutant(
+    "margin_dropped": (_flow_bounds, SourceMutant(
         ((_SUM, "pos - 2.0 * cross + z_part"),),
         (_killer(test_oracles.TestFlowBounds, "test_clustered_frequencies"),
          _killer(test_oracles.TestBoundedRoute,
-                 "test_clustered_frequencies_prune_nothing_wrongly"))),
-    "z_part_dropped": SourceMutant(
+                 "test_clustered_frequencies_prune_nothing_wrongly")))),
+    "z_part_dropped": (_flow_bounds, SourceMutant(
         ((_SUM, "pos - 2.0 * cross + margin"),),
-        (_killer(test_oracles.TestFlowBounds, "test_large_kinds", ("schur", (12,), {})),)),
-    "cross_sign_flipped": SourceMutant(
+        (_killer(test_oracles.TestFlowBounds, "test_large_kinds", ("schur", (12,), {})),))),
+    "cross_sign_flipped": (_flow_bounds, SourceMutant(
         ((_SUM, "pos + 2.0 * cross + z_part + margin"),),
-        (_killer(test_oracles.TestFlowBounds, "test_large_kinds", ("sp_ucp", (12,), {})),)),
+        (_killer(test_oracles.TestFlowBounds, "test_large_kinds", ("sp_ucp", (12,), {})),))),
     # each mask class takes the other class's expansion
-    "commute_twist_swapped": SourceMutant(
+    "commute_twist_swapped": (_flow_bounds, SourceMutant(
         (("pos[com] = q_abs[com].sum(axis=1) + a_t[com] @ row_sum",
           "pos[com] = (a_t[com] * q_abs[com]).sum(axis=1) + row_sum.sum()"),
          ("pos[tw] = (a_t[tw] * q_abs[tw]).sum(axis=1) + row_sum.sum()",
           "pos[tw] = q_abs[tw].sum(axis=1) + a_t[tw] @ row_sum"),
          ("re_cross[com] + im_cross[com], re_cross[tw] - im_cross[tw]",
           "re_cross[com] - im_cross[com], re_cross[tw] + im_cross[tw]")),
-        (_killer(test_oracles.TestFlowBounds, "test_large_kinds", ("sp_ucp", (12,), {})),)),
+        (_killer(test_oracles.TestFlowBounds, "test_large_kinds", ("sp_ucp", (12,), {})),))),
     # the Z entries counted twice, the expansion's cancelled copy with a
     # margin from their O(1) weight: loose bounds that certify no family
     # of a positive, so its masks are formed
-    "p_unzeroed_on_z": SourceMutant(
-        (("        p[rows, cols] = 0.0\n", ""),),
+    "p_unzeroed_on_z": (verify._sector_split, SourceMutant(
+        (("    p[rows, cols] = 0.0\n", ""),),
         (_killer(test_oracles.TestBoundedRoute, "test_schur_16_prunes"),
          _killer(test_oracles.TestBoundedRoute, "test_schur_below_the_gate_prunes", (4,)),
-         _killer(test_oracles.TestBoundedRoute, "test_schur_below_the_gate_prunes", (8,)))),
+         _killer(test_oracles.TestBoundedRoute, "test_schur_below_the_gate_prunes", (8,))))),
 }
 
 
@@ -467,7 +469,8 @@ def _assert_source_mutant(name, mutant, monkeypatch, function):
 
 @pytest.mark.parametrize("name", sorted(BOUND_MUTANTS))
 def test_bound_mutant(name, monkeypatch):
-    _assert_source_mutant(name, BOUND_MUTANTS[name], monkeypatch, _flow_bounds)
+    function, mutant = BOUND_MUTANTS[name]
+    _assert_source_mutant(name, mutant, monkeypatch, function)
 
 
 # ---------------------------------------------------------------------------
@@ -575,46 +578,48 @@ def test_norm_mutant(name, monkeypatch):
 # markov_modular's generator row, markov.modular_commutation_residual
 # ---------------------------------------------------------------------------
 
-_modular = markov.modular_commutation_residual
+_defects = markov._commutation_defects
 _GENERATOR_ROW = "(md_s.frequencies, md_t.frequencies)"
-_MASKED = "(a[None, :] - b[:, None]) * ch.eigen_superop"
 
 
 def _modular_killer(*case):
     return _killer(test_oracles.TestFlowResidualOracles, "test_markov_modular", case)
 
 
+# (the function edited, its mutant): the masked rows, which `check_markov`
+# takes too, or the exact column norms over them
 MODULAR_MUTANTS = {
     # the mask w_s alone: nonzero where X is, for a map that keeps off-diagonal
     # eigenframe entries (not pinch or state_to_scalar, whose X sits on w = 0)
-    "target_frequencies_dropped": SourceMutant(
+    "target_frequencies_dropped": (_defects, SourceMutant(
         ((_GENERATOR_ROW, "(md_s.frequencies, 0.0 * md_t.frequencies)"),),
         (_modular_killer("schur", (3,), {}),
-         _modular_killer("automorphism", (2, 2), {}))),
+         _modular_killer("automorphism", (2, 2), {})))),
     # w_s - w_s: zero wherever X is supported if source and target share one
     # algebra, so only a map between different algebras shows it
-    "source_frequencies_both_sides": SourceMutant(
+    "source_frequencies_both_sides": (_defects, SourceMutant(
         ((_GENERATOR_ROW, "(md_s.frequencies, md_s.frequencies)"),),
         (_modular_killer("state_to_scalar", (2,), {"target_dims": (1, 1, 1, 1)}),
          _killer(test_oracles.TestFusedFlowPass, "test_markov_modular_off_the_class",
-                 (2,), (2,)))),
+                 (2,), (2,))))),
     # column norms of mask * X itself, not of its product by G_s
-    "frame_product_dropped": SourceMutant(
-        ((f"md_s.frame_column_norms({_MASKED})", f"np.linalg.norm({_MASKED}, axis=-2)"),),
+    "frame_product_dropped": (markov.modular_commutation_residual, SourceMutant(
+        (("ch.source.modular.frame_column_norms(m)", "np.linalg.norm(m, axis=-2)"),),
         (_modular_killer("sp_ucp", (3,), {}),
-         _modular_killer("sp_ucp", (2, 2), {}))),
-    "mask_negated": SourceMutant(
+         _modular_killer("sp_ucp", (2, 2), {})))),
+    "mask_negated": (_defects, SourceMutant(
         (("(a[None, :] - b[:, None])", "(b[:, None] - a[None, :])"),),
         (_killer(test_oracles.TestFusedFlowPass, "test_markov_modular_equals_per_mask",
                  ("sp_ucp", (3,), {})),),
         equivalent="b - a is exactly -(a - b), so each column of (mask * X) G_s is "
-                   "negated and keeps its norm to the bit"),
+                   "negated, keeps its norm to the bit, and |mask * X|_F too")),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MODULAR_MUTANTS))
 def test_modular_mutant(name, monkeypatch):
-    _assert_source_mutant(name, MODULAR_MUTANTS[name], monkeypatch, _modular)
+    function, mutant = MODULAR_MUTANTS[name]
+    _assert_source_mutant(name, mutant, monkeypatch, function)
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +627,7 @@ def test_modular_mutant(name, monkeypatch):
 # eigenvalue weights, verify._adjoint_residuals
 # ---------------------------------------------------------------------------
 
-_OFF_TERM = " + (1.0 + gamma + n_s * n_t * _EPS) * off"
+_OFF_TERM = "off = (1.0 + gamma + n_s * n_t * _EPS) * float(np.sqrt(split.off.sum()))"
 _WEIGHTS = ("la_s, rb_s = md_s.lambda_a[None, :], np.sqrt(md_s.lambda_b)[None, :]",
             "la_t, rb_t = md_t.lambda_a[:, None], np.sqrt(md_t.lambda_b)[:, None]")
 
@@ -639,20 +644,23 @@ def _weights_killer(n, scale):
 SECTOR_MUTANTS = {
     # the sectors alone: a T with its mass off them passes at |T| = 1 + 5e-4
     "off_sector_term_dropped": (verify._sector_bound, SourceMutant(
-        ((_OFF_TERM, ""),),
-        (_sector_killer("test_off_sector_mass_counts"),))),
+        ((_OFF_TERM, "off = 0.0"),),
+        (_sector_killer("test_off_sector_mass_counts"),
+         _sector_killer("test_off_sector_mass_counts", 16)))),
     # a sector's largest entry for its norm: 1.01 U passes, its entries
     # all below 1
     "largest_entry_for_norm": (verify._sector_bound, SourceMutant(
         (("np.linalg.svd(block, compute_uv=False)[0]", "np.abs(block).max()"),),
-        (_sector_killer("test_matrix_sector_takes_its_norm"),))),
+        (_sector_killer("test_matrix_sector_takes_its_norm"),
+         _sector_killer("test_matrix_sector_takes_its_norm", 16)))),
     # each weight reads lambda_b where it reads lambda_a and back: the same
     # zeros on the sectors, and off them e^{-(w_t - w_s)/2} times the weight
-    # (at the killers' entry 0.05: a pair read at 2 tol reads 0.1 tol)
+    # (at the killers' entry 0.05: a pair read at 2 tol reads 0.1 tol, one
+    # read at 0.5 tol on its sqrt(sum |X|^2 W^2) certificate 0.025 tol)
     "adjoint_weights_la_rb_swapped": (verify._adjoint_residuals, SourceMutant(
         tuple((old, old.replace("lambda_a", "LAMBDA").replace("lambda_b", "lambda_a")
                       .replace("LAMBDA", "lambda_b")) for old in _WEIGHTS),
-        (_weights_killer(3, 2.0), _weights_killer(12, 2.0)))),
+        (_weights_killer(3, 0.5), _weights_killer(3, 2.0), _weights_killer(12, 2.0)))),
 }
 
 

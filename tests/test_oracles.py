@@ -86,6 +86,7 @@ from modmark.markov import (
     ac_adjoint,
     adjoint_index,
     channel_from_kraus,
+    check_markov,
     choi_to_channel,
     eigen_extension,
     from_eigenframe,
@@ -513,9 +514,16 @@ class TestFlowResidualOracles:
     def test_markov_modular(self, case):
         kind, dims, params = case
         ch = _build(kind, dims, params)
-        _assert_close(modular_commutation_residual(ch), oracle_modular(ch, ()), kind)
+        exact = modular_commutation_residual(ch)
+        _assert_close(exact, oracle_modular(ch, ()), kind)
         _assert_close(modular_commutation_residual(ch, FLOW_SAMPLES),
                       oracle_modular(ch, FLOW_SAMPLES), kind)
+        # check_markov takes the same generator row for its verdict: the
+        # oracle's verdict, a pass on its column-norm bound, a fail exact
+        mc = check_markov(ch)
+        tol = mc.tolerances["modular"]
+        assert mc.verdicts["modular"] == (oracle_modular(ch, ()) <= tol)
+        assert_verdict_side(mc.residuals["modular"], exact, tol)
 
     def test_adjoint_residuals(self, case):
         kind, dims, params = case
@@ -683,8 +691,9 @@ def assert_report_on_verdict_side(ch, report):
 
 def assert_stacked_on_verdict_side(ch):
     """Every stacked family against its per-sample oracle, on the side of
-    its verdict (`assert_verdict_side`); below `linalg.LANCZOS_MIN_DIM` the
-    adjoint pair keeps its stacked SVD, equal to the oracle with ==."""
+    its verdict (`assert_verdict_side`): a pass in [dense - rounding, tol],
+    where the adjoint pair's reads sqrt(sum |X|^2 W^2), and a fail with ==
+    below `linalg.LANCZOS_MIN_DIM`, the pair's from its stacked SVD."""
     t_eig = eigen_extension(ch)
     tol = verify._tolerances(ch, DEFAULT_S_VALUES, Z_SAMPLES)
     lanczos = min(t_eig.shape) >= linalg.LANCZOS_MIN_DIM
@@ -698,8 +707,6 @@ def assert_stacked_on_verdict_side(ch):
             (s_res, oracle_twist_residual(t_eig, ch, DEFAULT_S_VALUES), "thm_i_s"),
             *zip(adjoint, oracle_adjoint_pair(ch), ("adjoint_consistency", "petz_match"))]:
         assert_verdict_side(got, dense, tol[key], lanczos)
-    if not lanczos:
-        assert adjoint == oracle_adjoint_pair(ch)
 
 
 WIRING_T = (0.3, -2.0, 4.0)
@@ -950,8 +957,12 @@ class TestStackedNorms:
             monkeypatch.setattr(linalg, "STACK_ENTRIES", per_call * size)
             svd_shapes.clear()
             report = verify_channel(ch)
-            # the pruned families may leave a chunk short of the cap
-            assert max(k for k, _, _ in svd_shapes) <= per_call
+            # a stacked SVD (3-d) stays under the cap, and the pruned
+            # families may leave a chunk short of it; kadison_norm's sector
+            # SVDs take one 2-d matrix each and read no cap
+            stacks = [shape[0] for shape in svd_shapes if len(shape) == 3]
+            assert all(k <= per_call for k in stacks)
+            assert bool(stacks) == (case[0] == "sp_ucp")
             # markov_modular takes no stack and reads the cap nowhere
             assert {k: report.residuals[k] for k in (*FLOW_KEYS, "markov_modular")} == {
                 k: ref.residuals[k] for k in (*FLOW_KEYS, "markov_modular")}
@@ -966,9 +977,10 @@ class TestStackedNorms:
         monkeypatch.setattr(linalg, "LANCZOS_MIN_DIM", DENSE_GATE)
         ch = _build(*case)
         verify_channel(ch)
-        # eq32_t, thm_commute_z and thm_i_s are certified passes, which take
-        # no SVD: the adjoint pair's two rows are all there are
-        assert sum(k for k, _, _ in svd_shapes) == 2
+        # eq32_t, thm_commute_z and thm_i_s are certified passes, and so is
+        # the adjoint pair on sqrt(sum |X|^2 W^2): no stacked SVD; the one
+        # SVD is kadison_norm's zero-frequency sector, sum n_k = 16 square
+        assert svd_shapes == [(16, 16)]
         assert_stacked_on_verdict_side(ch)
         # at tolerance 0 no family is certified, so its masks are formed, in
         # chunks under the cap, and those of one chunk are alive at a time,
@@ -1445,6 +1457,17 @@ def unit_sectors(n=SECTOR_N):
     return np.eye(n, dtype=np.complex128), 0.37 * np.arange(n)
 
 
+def sector_bound(t, w_s, w_t):
+    """`verify._sector_bound` of t, with no tolerance to cut it short, from
+    its split at the column and row frequencies w_s and w_t."""
+    return verify._sector_bound(t, verify._sector_split(t, w_s, w_t), np.inf)
+
+
+def norm_excess(t, w_s, w_t, tol):
+    """kadison_norm's `verify._norm_excess` of t at the frequencies w_s, w_t."""
+    return verify._norm_excess(t, verify._sector_split(t, w_s, w_t), tol)
+
+
 class TestSectorBound:
     """`verify._sector_bound` and kadison_norm's `_norm_excess` on direct
     matrices; `frame_column_norms`' bound on random block-unitary frames."""
@@ -1454,7 +1477,7 @@ class TestSectorBound:
            labels=st.integers(1, 60), off_scale=st.sampled_from([0.0, 1e-9, 1.0]))
     def test_bounds_the_operator_norm(self, seed, n_t, n_s, labels, off_scale):
         t, w_s, w_t = labelled_matrix(seed, n_t, n_s, labels, off_scale)
-        upper, norm = verify._sector_bound(t, w_s, w_t), np.linalg.norm(t, 2)
+        upper, norm = sector_bound(t, w_s, w_t), np.linalg.norm(t, 2)
         assert upper >= norm, (upper, norm)
         if off_scale == 0.0 and np.isfinite(upper):
             # on Z alone it is the largest sector norm, to its margin
@@ -1464,8 +1487,8 @@ class TestSectorBound:
         # one frequency: a single SECTOR_N x SECTOR_N sector
         t = _unitary_matrix(21, SECTOR_N)
         w = np.zeros(SECTOR_N)
-        assert verify._sector_bound(t, w, w) == np.inf
-        assert verify._norm_excess(t, w, w, SECTOR_TOL) == linalg.certified_value(
+        assert sector_bound(t, w, w) == np.inf
+        assert norm_excess(t, w, w, SECTOR_TOL) == linalg.certified_value(
             t, SECTOR_TOL, "excess")
 
     def test_non_finite_entries_certify_nothing(self):
@@ -1473,9 +1496,9 @@ class TestSectorBound:
         for bad, where in ((np.nan, (0, 0)), (np.inf, (0, 1))):
             u = t.copy()
             u[where] = bad
-            assert verify._sector_bound(u, w, w) == np.inf
+            assert sector_bound(u, w, w) == np.inf
             with pytest.raises(ValueError, match="finite"):
-                verify._norm_excess(u, w, w, SECTOR_TOL)
+                norm_excess(u, w, w, SECTOR_TOL)
 
     def test_pass_reads_the_sector_bound(self, monkeypatch):
         # unitary sectors of every shape: a certain pass, with no Gram
@@ -1486,27 +1509,27 @@ class TestSectorBound:
         t[6:9, 6:9] = _unitary_matrix(23, 3)
         monkeypatch.setattr(linalg, "_top_singular_value", None)
         monkeypatch.setattr(linalg, "_norm_below", None)
-        got = verify._norm_excess(t, w, w, SECTOR_TOL)
-        assert got == max(0.0, verify._sector_bound(t, w, w) - 1.0)
+        got = norm_excess(t, w, w, SECTOR_TOL)
+        assert got == max(0.0, sector_bound(t, w, w) - 1.0)
         assert 0.0 < got <= 1e-12
 
-    def test_off_sector_mass_counts(self):
+    def test_off_sector_mass_counts(self, n=SECTOR_N):
         # unit sectors and one entry 1e-3 off them: |T| = 1 + 5e-4, a fail
         # that the sectors alone would pass
-        t, w = unit_sectors()
+        t, w = unit_sectors(n)
         t[0, 1] = 1e-3
-        got = verify._norm_excess(t, w, w, SECTOR_TOL)
+        got = norm_excess(t, w, w, SECTOR_TOL)
         assert got > SECTOR_TOL
         assert got == linalg.certified_value(t, SECTOR_TOL, "excess")
 
-    def test_matrix_sector_takes_its_norm(self):
+    def test_matrix_sector_takes_its_norm(self, n=SECTOR_N):
         # a 4 x 4 zero-frequency sector 1.01 U, U unitary: every entry of it
         # lies below 1 and its norm above 1 + tol
-        t, w = unit_sectors()
+        t, w = unit_sectors(n)
         w[:4] = 0.0
         t[:4, :4] = 1.01 * _unitary_matrix(24, 4)
         assert np.abs(t[:4, :4]).max() < 1.0
-        got = verify._norm_excess(t, w, w, SECTOR_TOL)
+        got = norm_excess(t, w, w, SECTOR_TOL)
         assert got > SECTOR_TOL and abs(got - 0.01) <= 1e-14
 
     @settings(max_examples=30, deadline=None)
@@ -1566,7 +1589,7 @@ class TestCertificateFallback:
         ch = tracial_automorphism()
         t_eig = eigen_extension(ch)
         w_s, w_t = ch.source.modular.frequencies, ch.target.modular.frequencies
-        assert not w_s.any() and verify._sector_bound(t_eig, w_s, w_t) == np.inf
+        assert not w_s.any() and sector_bound(t_eig, w_s, w_t) == np.inf
         report = verify_channel(ch)
         tol = report.tolerances["kadison_norm"]
         assert report.residuals["kadison_norm"] == linalg.certified_value(t_eig, tol, "excess")
@@ -1579,7 +1602,7 @@ class TestCertificateFallback:
         report = verify_channel(ch, kind="sp_ucp")
         tol = report.tolerances
         # O(1) mass off the sectors: the bound settles nothing
-        assert verify._sector_bound(t_eig, w_s, w_t) - 1.0 > tol["kadison_norm"]
+        assert sector_bound(t_eig, w_s, w_t) - 1.0 > tol["kadison_norm"]
         assert report.residuals["kadison_norm"] == linalg.certified_value(
             t_eig, tol["kadison_norm"], "excess")
         # the failing keys keep their exact routes
@@ -1590,6 +1613,23 @@ class TestCertificateFallback:
         assert [report.residuals[k] for k in pair] == masked_adjoint_pair(
             ch, [tol[k] for k in pair])
         assert report.acceptable
+
+    @pytest.mark.parametrize("dims", [(3,), (2, 2), (16,)], ids=lambda d: "x".join(map(str, d)))
+    def test_sp_ucp_skips_the_sectors(self, svd_shapes, dims):
+        # |T_eig off Z|_F alone exceeds the tolerance, and a unital T has
+        # |T_0| >= 1: the sector bound is not formed (no sector SVD), and
+        # kadison_norm is the excess route's value, bit for bit
+        ch = _build("sp_ucp", dims, {})
+        t_eig = eigen_extension(ch)
+        split = sector_split(ch, t_eig)
+        tol = verify._tolerances(ch)["kadison_norm"]
+        assert verify._sector_bound(t_eig, split, np.inf) - 1.0 > tol
+        assert svd_shapes  # formed in full, the bound takes its sector SVDs
+        svd_shapes.clear()
+        assert verify._sector_bound(t_eig, split, tol) == np.inf
+        assert svd_shapes == []
+        report = verify_channel(ch, kind="sp_ucp")
+        assert report.residuals["kadison_norm"] == linalg.certified_value(t_eig, tol, "excess")
 
 
 class TestAdjointWeights:
@@ -1639,13 +1679,18 @@ def flow_mask_setup(ch):
     return verify._flow_masks(d_s, d_t, n_commute), n_commute, d_s, d_t
 
 
+def sector_split(ch, t_eig):
+    """`verify._sector_split` of t_eig at ch's frequencies."""
+    return verify._sector_split(t_eig, ch.source.modular.frequencies,
+                                ch.target.modular.frequencies)
+
+
 def bounds_and_norms(ch, t_eig=None):
     """(`verify._flow_bounds`, the Frobenius norm of each formed t_eig * m)
     over the `flow_families` masks m, formed one at a time."""
     t_eig = eigen_extension(ch) if t_eig is None else t_eig
     masks, n_commute, d_s, d_t = flow_mask_setup(ch)
-    bounds = verify._flow_bounds(t_eig, d_s, d_t, n_commute, ch.source.modular.frequencies,
-                                 ch.target.modular.frequencies)
+    bounds = verify._flow_bounds(sector_split(ch, t_eig), d_s, d_t, n_commute)
     norms = np.array([np.linalg.norm(t_eig * masks(np.array([i]))[0])
                       for i in range(len(d_s))])
     return bounds, norms
@@ -1760,8 +1805,7 @@ def assert_bounded_route(monkeypatch, ch, t_eig=None):
     t_eig = eigen_extension(ch) if t_eig is None else t_eig
     commute, twist = flow_families(ch)
     masks, n_commute, d_s, d_t = flow_mask_setup(ch)
-    bounds = verify._flow_bounds(t_eig, d_s, d_t, n_commute, ch.source.modular.frequencies,
-                                 ch.target.modular.frequencies)
+    bounds = verify._flow_bounds(sector_split(ch, t_eig), d_s, d_t, n_commute)
     ref = every_mask_maxima(ch, t_eig)
     dense = every_mask_maxima(ch, t_eig, lambda a, tol: op_norm(a))
     seen = record_masked_products(monkeypatch)
