@@ -137,8 +137,7 @@ class ModularData:
         return self._by_block(m, 1, _sandwich_rows, factors)
 
     def frame_column_norms(self, m: np.ndarray) -> np.ndarray:
-        """Euclidean norms of the columns of m G, for a matrix m or a stack
-        of them, shape (..., N).
+        """Euclidean norms of the columns of m G, m a matrix with N columns.
 
         Factored, no product by G is formed.  Row r of column (a, c) of
         block k is (conj(V) R_r V^T)_ac, R_r row r of m's block-k columns
@@ -150,18 +149,17 @@ class ModularData:
         ~n_k^2 eps relative; rounding can take a small squared norm below
         zero, which reads 0."""
         if not self.factored:
-            return np.linalg.norm(m @ self.frame, axis=-2)
-        lead, rows = m.shape[:-2], m.shape[-2]
-        out = np.empty(m.shape[:-2] + m.shape[-1:])
+            return np.linalg.norm(m @ self.frame, axis=0)
+        rows = len(m)
+        out = np.empty(m.shape[1])
         for off, e in zip(self.algebra.coord_offsets, self.d_eig):
             n, v = e.dim, e.eigenvectors
-            piece = m[..., off:off + n * n].reshape(-1, n)  # [(s, r, q), p] = R_r[p, q]
-            y = (piece @ v.conj().T).reshape(-1, rows, n, n)  # [s, r, q, a] = (Y_a)_rq
-            y = np.ascontiguousarray(y.transpose(0, 3, 2, 1))  # [s, a, q, r]
-            gram = y @ y.conj().swapaxes(-1, -2)  # [s, a, q, q'] = H_a
-            sq = np.einsum("sack,ck->sac", v @ gram, v.conj()).real  # [s, a, c]
-            norms = np.sqrt(np.maximum(sq, 0.0))
-            out[..., off:off + n * n] = norms.swapaxes(-1, -2).reshape(*lead, n * n)
+            piece = m[:, off:off + n * n].reshape(-1, n)  # [(r, q), p] = R_r[p, q]
+            y = (piece @ v.conj().T).reshape(rows, n, n)  # [r, q, a] = (Y_a)_rq
+            y = np.ascontiguousarray(y.transpose(2, 1, 0))  # [a, q, r]
+            gram = y @ y.conj().swapaxes(-1, -2)  # [a, q, q'] = H_a
+            sq = np.einsum("ack,ck->ac", v @ gram, v.conj()).real  # [a, c]
+            out[off:off + n * n] = np.sqrt(np.maximum(sq, 0.0)).T.reshape(n * n)
         return out
 
     def column_norm_bound(self, m: np.ndarray) -> float:

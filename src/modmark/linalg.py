@@ -65,17 +65,6 @@ def as_cmatrix(a) -> np.ndarray:
     return arr
 
 
-# Entries one stacked product or SVD call may hold (one matrix if a single
-# one is more), so the masked copies of a large family are never all held at
-# once: the verifier's flow norms alone read it.
-STACK_ENTRIES = 1 << 16
-
-
-def stack_chunk(matrix_entries: int) -> int:
-    """Matrices per stacked call under `STACK_ENTRIES`, at least one."""
-    return max(1, STACK_ENTRIES // matrix_entries)
-
-
 def frob(a: np.ndarray) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(a))

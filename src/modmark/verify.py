@@ -34,9 +34,8 @@ eigenvalue weights.  From N = 100 (`gns.FRAME_MIN_DIM`) G is applied by
 its Kronecker factors and never formed: X, and thm_iii's and
 markov_modular's exact column norms, which take Gram matrices instead of a
 product by G_s (`ModularData.frame_column_norms`).
-The masked copies are formed in stacks under a fixed cap on entries per
-call (`linalg.STACK_ENTRIES`), and below `linalg.LANCZOS_MIN_DIM` each
-stack's norms are one stacked SVD.
+A masked copy is formed only for its norm, one at a time, by one helper
+(`_masked_norm`): below `linalg.LANCZOS_MIN_DIM` its value is one SVD.
 
 Every value is the end of its certified bracket on the side of its
 verdict.  A certified pass reads the upper bound that proves it, a certain
@@ -70,14 +69,13 @@ route at every N.  Every |A|_F, A a masked copy of T_eig, is bounded from
 one GEMM over |T_eig|^2, no masked copy formed (`_flow_bounds`).  A family
 whose bounds are all trusted and at most its tolerance is a certain pass
 and reads its largest bound (`_bounded_maxima`).  Every other family
-bound-and-prunes by two stacked norm calls: each family's largest-bound
-mask, then every mask whose bound reaches its family's first norm within a
-relative slack of 1e-6, so each mask is formed at most once.  The slack is
-~1e7 times the norm's rounding error at these sizes, so the mask holding
-the max always survives.  LAPACK and the Lanczos kernel give a matrix the
-same bits whatever its stack holds, so each such max is the same float as
-over every mask of its family alone.  On the positive kinds a pass read
-off a bound is up to ~7 times the dense norm, which is roundoff.
+bound-and-prunes: it takes the norms of its masks in order of decreasing
+bound, and stops at the first bound below the running max by a relative
+slack of 1e-6, so each mask is formed at most once.  The slack is ~1e7
+times the norm's rounding error at these sizes, so the mask holding the
+max is always normed, and each such max is the same float as over every
+mask of its family.  On the positive kinds a pass read off a bound is up
+to ~7 times the dense norm, which is roundoff.
 
 The gns_* keys alone stay out of the frame: they use the spectral powers,
 so they test the modular data the frame is built from.  Both endpoint
@@ -105,7 +103,7 @@ from .errors import NotMarkov
 from . import linalg
 from .generators import BuildResult, GenSpec, build_channel, derive_seed
 from .gns import ModularData
-from .linalg import certified_value, power_condition_scale, stack_chunk, tolerance_factor
+from .linalg import certified_value, power_condition_scale, tolerance_factor
 from .markov import Channel, adjoint_index, check_markov, eigen_extension
 from .serialize import genspec_to_json
 
@@ -206,52 +204,18 @@ def _require_finite(base: np.ndarray) -> None:
         raise ValueError("matrix entries must be finite")
 
 
-def _masked_product(base: np.ndarray, masks: Callable, sel) -> np.ndarray:
-    """base * masks(sel), formed in the fresh mask stack that masks(sel)
-    returns; refuses non-finite entries.  base is the left operand: complex
-    products with FMA are not commutative bit for bit."""
-    prod = masks(sel)
-    np.multiply(base, prod, out=prod)
-    if not np.isfinite(prod).all():
-        raise ValueError("matrix entries must be finite")
-    return prod
-
-
-def _stack_norms(prod: np.ndarray, tols) -> list[float]:
-    """`certified_value(a, tol)` for each matrix a of a stack and its
-    tolerance; below `linalg.LANCZOS_MIN_DIM` one stacked SVD."""
-    if min(prod.shape[-2:]) < linalg.LANCZOS_MIN_DIM:
-        return np.linalg.svd(prod, compute_uv=False)[:, 0].tolist()
-    return [certified_value(a, tol) for a, tol in zip(prod, tols)]
-
-
-def _masked_op_norms(base: np.ndarray, masks: Callable, tols) -> list[float]:
-    """`certified_value(base * m, tol)` for the masks m and their tolerances in
-    tols, in stacks under the entry cap.  masks(sel) is a fresh complex
-    stack of the masks sel, a slice of range(len(tols))."""
+def _masked_norm(base: np.ndarray, mask: np.ndarray, tol: float) -> float:
+    """|base * mask|_op taken for the verdict against tol, the product
+    formed in place of the fresh complex mask; refuses non-finite entries.
+    base is the left operand: complex products with FMA are not commutative
+    bit for bit.  Below `linalg.LANCZOS_MIN_DIM` it is the dense SVD's
+    value, from it on `certified_value`."""
     _require_finite(base)
-    step = stack_chunk(base.size)
-    norms: list[float] = []
-    for lo in range(0, len(tols), step):
-        prod = _masked_product(base, masks, slice(lo, lo + step))
-        norms += _stack_norms(prod, tols[lo:lo + step])
-        del prod  # freed before the next chunk is built, not after
-    return norms
-
-
-def _flow_masks(d_s: np.ndarray, d_t: np.ndarray, n_commute: int) -> Callable:
-    """masks(sel): a fresh complex stack of the flow masks sel, an ascending
-    index array into range(len(d_s)); mask i < n_commute is
-    d_s[i][None, :] - d_t[i][:, None], the rest d_s[i][None, :] d_t[i][:, None] - 1."""
-    def masks(sel: np.ndarray) -> np.ndarray:
-        out = np.empty((len(sel), d_t.shape[1], d_s.shape[1]), dtype=np.complex128)
-        cut = np.searchsorted(sel, n_commute)
-        c, t = sel[:cut], sel[cut:]
-        np.subtract(d_s[c, None, :], d_t[c, :, None], out=out[:cut])
-        np.multiply(d_s[t, None, :], d_t[t, :, None], out=out[cut:])
-        np.subtract(out[cut:], 1.0, out=out[cut:])
-        return out
-    return masks
+    prod = np.multiply(base, mask, out=mask)
+    _require_finite(prod)
+    if min(prod.shape) < linalg.LANCZOS_MIN_DIM:
+        return float(np.linalg.svd(prod, compute_uv=False)[0])
+    return certified_value(prod, tol)
 
 
 _SectorSplit = namedtuple("_SectorSplit", "w_s w_t rows cols on off")
@@ -275,9 +239,10 @@ def _sector_split(t_eig: np.ndarray, w_s: np.ndarray, w_t: np.ndarray) -> _Secto
 
 def _flow_bounds(split: _SectorSplit, d_s: np.ndarray, d_t: np.ndarray,
                  n_commute: int) -> np.ndarray:
-    """Upper bounds on |t_eig * m|_F for the masks m of
-    `_flow_masks(d_s, d_t, n_commute)`, none of them formed, from t_eig's
-    `_sector_split`, whose frequencies are those behind d_s and d_t.
+    """Upper bounds on |t_eig * m|_F for the flow masks m, none of them
+    formed, from t_eig's `_sector_split`, whose frequencies are those behind
+    d_s and d_t: mask i < n_commute is d_s[i][None, :] - d_t[i][:, None],
+    the rest d_s[i][None, :] d_t[i][:, None] - 1.
 
     With P = |t_eig|^2, |T * m|_F^2 = sum_ij P_ij |m_ij|^2 is, for a commute
     mask d_s[j] - d_t[i],
@@ -322,43 +287,38 @@ def _flow_bounds(split: _SectorSplit, d_s: np.ndarray, d_t: np.ndarray,
         return np.sqrt(np.maximum(pos - 2.0 * cross + z_part + margin, 0.0))
 
 
-def _bounded_maxima(base: np.ndarray, masks: Callable, counts, tols,
+def _bounded_maxima(base: np.ndarray, mask: Callable, counts, tols,
                     bounds: np.ndarray) -> list[float]:
     """Each family i's max over its masks m of |base * m|_op, taken for the
     verdict against tols[i], 0.0 for none, given an upper bound on each
     |base * m|_F (`_flow_bounds`).  Family i is the next counts[i] masks,
-    and masks(sel) a fresh complex stack of the masks sel, an ascending
-    index array.
+    and mask(j) a fresh complex copy of mask j.
 
     A family whose bounds are all trusted (finite, and at least
     `_PRUNE_FLOOR`) and at most its tolerance is a certain pass: its value
     is its largest bound, and none of its masks is formed.  Every other
-    family takes max(`certified_value`(base * m, tols[i])), bit for bit, by
-    two calls of `_masked_op_norms`.  The first takes each family's
-    largest-bound mask, untrusted bounds counted as largest.  A mask whose
-    trusted bound lies below its family's first norm, by more than
-    `_PRUNE_SLACK` of each, cannot hold the max; the second call takes
-    every other mask.  So each mask is formed at most once, under the entry
-    cap, and a call with no masks is not made."""
-    family = np.repeat(np.arange(len(counts)), counts)
-    tol = np.asarray(tols, dtype=float)[family]
+    family takes max(`certified_value`(base * m, tols[i])), bit for bit:
+    it visits its masks in order of decreasing bound, untrusted bounds
+    first, each by `_masked_norm`, and stops at the first trusted bound that
+    lies below the running max by more than `_PRUNE_SLACK` of each.  That
+    mask and every later one cannot hold the max, so each mask is formed at
+    most once, one at a time."""
     trusted = np.isfinite(bounds) & (bounds >= _PRUNE_FLOOR)
     order = np.where(trusted, bounds, np.inf)
-    maxima = np.zeros(len(counts))
-    np.maximum.at(maxima, family, order)
-    certified = maxima <= tols  # an empty family too, at 0.0
-    ends = np.cumsum(counts)
-    first = np.array([lo + np.argmax(order[lo:hi]) for lo, hi, done
-                      in zip(ends - counts, ends, certified) if not done], dtype=np.intp)
-    if len(first):
-        maxima[family[first]] = _masked_op_norms(base, lambda sl: masks(first[sl]), tol[first])
-    keep = ~(trusted & (bounds * (1.0 + _PRUNE_SLACK) < maxima[family] * (1.0 - _PRUNE_SLACK)))
-    keep[first] = False
-    rest = np.flatnonzero(keep & ~certified[family])
-    if len(rest):
-        np.maximum.at(maxima, family[rest],
-                      _masked_op_norms(base, lambda sl: masks(rest[sl]), tol[rest]))
-    return maxima.tolist()
+    maxima, lo = [], 0
+    for count, tol in zip(counts, tols):
+        fam, lo = slice(lo, lo + count), lo + count
+        top = order[fam].max(initial=0.0)
+        if top <= tol:  # an empty family too, at 0.0
+            maxima.append(float(top))
+            continue
+        best = 0.0
+        for j in fam.start + np.argsort(-order[fam], kind="stable"):
+            if order[j] * (1.0 + _PRUNE_SLACK) < best * (1.0 - _PRUNE_SLACK):
+                break
+            best = max(best, _masked_norm(base, mask(j), tol))
+        maxima.append(best)
+    return maxima
 
 
 def _flow_residuals(t_eig: np.ndarray, ch: Channel, commute=(), twist=(),
@@ -370,7 +330,8 @@ def _flow_residuals(t_eig: np.ndarray, ch: Channel, commute=(), twist=(),
     exponent in one `delta_power_diagonals` call, every mask is bounded by
     `_flow_bounds` from t_eig's split (`_sector_split`, formed here unless
     given), which forms no masked copy, and each family is certified or
-    pruned by those bounds in `_bounded_maxima`."""
+    pruned by those bounds in `_bounded_maxima`, which forms a mask, one at
+    a time, only for its norm."""
     fams = ([(list(zs), tol) for zs, tol in commute]
             + [([float(s) for s in ss], tol) for ss, tol in twist])
     counts = [len(f) for f, _ in fams]
@@ -383,7 +344,13 @@ def _flow_residuals(t_eig: np.ndarray, ch: Channel, commute=(), twist=(),
     _require_finite(t_eig)
     split = split or _sector_split(t_eig, md_s.frequencies, md_t.frequencies)
     bounds = _flow_bounds(split, d_s, d_t, n_commute)
-    return _bounded_maxima(t_eig, _flow_masks(d_s, d_t, n_commute), counts, tols, bounds)
+
+    def mask(i: int) -> np.ndarray:
+        if i < n_commute:
+            return np.subtract(d_s[i][None, :], d_t[i][:, None])
+        out = np.multiply(d_s[i][None, :], d_t[i][:, None])
+        return np.subtract(out, 1.0, out=out)
+    return _bounded_maxima(t_eig, mask, counts, tols, bounds)
 
 
 def verify_modular_symmetry(ch: Channel,
@@ -460,8 +427,8 @@ def _adjoint_residuals(t_eig: np.ndarray, ch: Channel, tol: dict[str, float],
     Each pair key first takes |X^+ * W|_F = sqrt(sum |X|^2 W^2), entrywise:
     every term is nonnegative, so nothing cancels, and no masked copy is
     formed.  At most its tolerance, it is a certain pass and the key reads
-    it; a key that does not pass forms its masked copy for its norm
-    (`_masked_op_norms`).  kadison_norm is `_norm_excess`, on t_eig's split
+    it; a key that does not pass forms its one masked copy for its norm
+    (`_masked_norm`).  kadison_norm is `_norm_excess`, on t_eig's split
     (`_sector_split`, formed here unless given)."""
     md_s, md_t = ch.source.modular, ch.target.modular
     x = ch.eigen_superop
@@ -479,14 +446,9 @@ def _adjoint_residuals(t_eig: np.ndarray, ch: Channel, tol: dict[str, float],
     with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: no pass
         p = x.real ** 2 + x.imag ** 2
         pair = [float(np.sqrt(np.vdot(p, w * w))) for w in weights]
-    rest = [k for k in range(2) if not pair[k] <= tols[k]]
-    if rest:
-        norms = _masked_op_norms(
-            x.conj().T,
-            lambda sl: np.array([weights[k].T for k in rest[sl]], dtype=np.complex128),
-            [tols[k] for k in rest])
-        for k, norm in zip(rest, norms):
-            pair[k] = norm
+    for k in range(2):
+        if not pair[k] <= tols[k]:
+            pair[k] = _masked_norm(x.conj().T, weights[k].T.astype(np.complex128), tols[k])
     split = split or _sector_split(t_eig, md_s.frequencies, md_t.frequencies)
     return (*pair, _norm_excess(t_eig, split, tol["kadison_norm"]))
 

@@ -479,14 +479,18 @@ def test_bound_mutant(name, monkeypatch):
 
 _bounded_maxima = verify._bounded_maxima
 _GUARD = "trusted = np.isfinite(bounds) & (bounds >= _PRUNE_FLOOR)"
-_PRUNE = "bounds * (1.0 + _PRUNE_SLACK) < maxima[family] * (1.0 - _PRUNE_SLACK)"
-_FAMILY_MAX = "maxima = np.zeros(len(counts))\n    np.maximum.at(maxima, family, order)"
+_PRUNE = "order[j] * (1.0 + _PRUNE_SLACK) < best * (1.0 - _PRUNE_SLACK)"
+_FAMILY_TOP = "top = order[fam].max(initial=0.0)"
+_VISIT = 'np.argsort(-order[fam], kind="stable")'
 
 
 def _pruned_max_killer(method, *args):
     return _killer(test_oracles.TestPrunedMax, method, *args)
 
 
+# Masks are formed one at a time, each family's in order of decreasing
+# bound, so there is no second pass to norm a family's first mask again in:
+# the "first_mask_normed_twice" mutant went out with that pass.
 PRUNE_MUTANTS = {
     # every bound trusted: one below the floor prunes against a norm it does
     # not bound
@@ -500,39 +504,37 @@ PRUNE_MUTANTS = {
          _pruned_max_killer("test_untrusted_bounds_prune_nothing", "power_step_overflow"),
          _pruned_max_killer("test_equals_the_max_of_every_norm", "huge", None),
          _pruned_max_killer("test_equals_the_max_of_every_norm", "power_step_overflow", None)),
-        equivalent="nan fails the floor test already, and an inf bound never lies below a "
-                   "norm, which `_masked_product` keeps finite: neither can prune"),
-    # the huge family's norm prunes every other family down to its first mask
+        equivalent="nan fails the floor test already, and an inf bound is visited first and "
+                   "never lies below a running max, which `_masked_norm` keeps finite: "
+                   "neither can prune"),
+    # the huge family's norm prunes every later family before its first mask
     "pruned_against_every_family": SourceMutant(
-        (("maxima[family] * (1.0 - _PRUNE_SLACK)", "maxima.max() * (1.0 - _PRUNE_SLACK)"),),
+        (("best * (1.0 - _PRUNE_SLACK)", "max([best, *maxima]) * (1.0 - _PRUNE_SLACK)"),),
         (_pruned_max_killer("test_families_are_pruned_apart", None),)),
     "slack_dropped": SourceMutant(
-        ((_PRUNE, "bounds < maxima[family]"),),
+        ((_PRUNE, "order[j] < best"),),
         (_pruned_max_killer("test_slack_boundary_prunes_one_mask"),)),
-    # each family's first mask formed and normed again in the second call
-    # (a certified family forms none: the killers are families that fail)
-    "first_mask_normed_twice": SourceMutant(
-        (("    keep[first] = False\n", ""),),
+    # the smallest bound visited first: the running max grows from the
+    # bottom, so nothing lies below it and every mask is formed
+    "ascending_visit_order": SourceMutant(
+        ((_VISIT, 'np.argsort(order[fam], kind="stable")'),),
         (_pruned_max_killer("test_dominant_mask_alone_reaches_the_svd"),
-         _killer(test_oracles.TestBoundedRoute, "test_max_of_every_mask",
-                 ("sp_ucp", (12,), {})),
-         _killer(test_oracles.TestBoundedRoute, "test_max_of_every_mask",
-                 ("sp_ucp", (8, 8), {})))),
+         _killer(test_oracles.TestFusedFlowPass, "test_each_formed_mask_takes_one_svd_call",
+                 ("sp_ucp", (3,), {})))),
     # the certificate read off the raw bounds: one below the floor (an
     # underflowed |T_eig|^2) certifies a pass under the norm it does not bound
     "untrusted_bound_certifies": SourceMutant(
-        (("np.maximum.at(maxima, family, order)", "np.maximum.at(maxima, family, bounds)"),),
+        ((_FAMILY_TOP, "top = bounds[fam].max(initial=0.0)"),),
         (_pruned_max_killer("test_untrusted_bounds_never_certify", "below_floor"),
          _pruned_max_killer("test_untrusted_bounds_never_certify", "tiny"))),
     # a family certified by, and reading, its smallest bound
     "family_min_bound": SourceMutant(
-        ((_FAMILY_MAX, "maxima = np.full(len(counts), np.inf)\n"
-                       "    np.minimum.at(maxima, family, order)"),),
+        ((_FAMILY_TOP, "top = order[fam].min(initial=np.inf)"),),
         (_pruned_max_killer("test_certified_family_takes_its_largest_bound", "ties"),
          _pruned_max_killer("test_certified_family_takes_its_largest_bound", "one_dominant"))),
-    # each family certified against the tolerance of the family before it
+    # each family taken against the tolerance of the family before it
     "another_family_tolerance": SourceMutant(
-        (("certified = maxima <= tols", "certified = maxima <= np.roll(tols, 1)"),),
+        (("zip(counts, tols)", "zip(counts, np.roll(tols, 1))"),),
         (_pruned_max_killer("test_each_family_against_its_own_tolerance"),)),
 }
 

@@ -21,8 +21,8 @@ that a check is never the code it checks.  `delta_power_superop`, Delta^z
 carried back from the eigenframe, lives here too because only tests read it.
 The flow families, thm_ii and the adjoint pair keep their per-sample
 `op_norm` loops, one mask and one product each, as the oracles of the
-stacked, chunked SVDs in `verify` and of the certify, bound and prune max of
-the sampled families: bit for bit on a fail, and the lower end of a pass,
+masked norms in `verify` and of the certify, bound and prune max of the
+sampled families: bit for bit on a fail, and the lower end of a pass,
 which reads the bound that certifies it (`assert_verdict_side`).
 Synthetic families (ties, zeros, one dominant mask, equal norms, the slack
 boundary, bounds that underflow or overflow) check the max too.  Four one-line compositions that only tests call are helpers here:
@@ -621,7 +621,7 @@ def test_sp_ucp_breaks_the_flow(dims):
 
 
 # ---------------------------------------------------------------------------
-# the flow families as stacked SVDs
+# the flow families against their per-sample oracles
 # ---------------------------------------------------------------------------
 
 FLOW_KEYS = ("eq32_t", "thm_i_s", "thm_commute_z", "adjoint_consistency", "petz_match")
@@ -690,10 +690,11 @@ def assert_report_on_verdict_side(ch, report):
 
 
 def assert_stacked_on_verdict_side(ch):
-    """Every stacked family against its per-sample oracle, on the side of
-    its verdict (`assert_verdict_side`): a pass in [dense - rounding, tol],
-    where the adjoint pair's reads sqrt(sum |X|^2 W^2), and a fail with ==
-    below `linalg.LANCZOS_MIN_DIM`, the pair's from its stacked SVD."""
+    """Every flow family and the adjoint pair against its per-sample
+    oracle, on the side of its verdict (`assert_verdict_side`): a pass in
+    [dense - rounding, tol], where the adjoint pair's reads
+    sqrt(sum |X|^2 W^2), and a fail with == below `linalg.LANCZOS_MIN_DIM`,
+    each from the SVD of its one masked copy."""
     t_eig = eigen_extension(ch)
     tol = verify._tolerances(ch, DEFAULT_S_VALUES, Z_SAMPLES)
     lanczos = min(t_eig.shape) >= linalg.LANCZOS_MIN_DIM
@@ -764,7 +765,7 @@ def test_eq32_t_is_even_in_t(dims):
 
 
 # ---------------------------------------------------------------------------
-# the three sampled families in one pass, and markov_modular's stack
+# the three sampled families in one pass, and markov_modular's rows
 # ---------------------------------------------------------------------------
 
 def flow_families(ch):
@@ -815,8 +816,8 @@ def per_mask_modular(ch, t_samples=()):
                for a, b in pairs)
 
 
-# the FLOW_MASKS masks fit one 2^16-entry chunk at n = 7 (N = 49) and spill at n = 8
-# and 6x4x2; from n = 10 (N = 100) the survivors take Lanczos norms
+# below `linalg.LANCZOS_MIN_DIM` at n = 7, 8 and 6x4x2, where a formed mask
+# takes one SVD; from n = 10 (N = 100) the survivors take Lanczos norms
 FUSED_SIZES = [(7,), (8,), (6, 4, 2), (10,), (12,)]
 FUSED_CASES = ([(kind, dims, {}) for kind in ("pinch", "twirl", "sp_ucp")
                 for dims in FUSED_SIZES]
@@ -830,19 +831,11 @@ class TestFusedFlowPass:
     and against the per-sample oracle, on the side of their verdicts: a
     fail with ==, a pass in [dense - rounding, tol], where a certified
     pass is its family's largest bound, and the bounds come from one GEMM
-    whose width is the pass's.  The entry cap splits the stack anywhere
-    without moving a bit."""
+    whose width is the pass's."""
 
     @staticmethod
-    def assert_fused_equals_alone(monkeypatch, ch):
-        ref = None
-        for per_call in (None, 1, 3, 16):
-            if per_call is not None:
-                monkeypatch.setattr(linalg, "STACK_ENTRIES",
-                                    per_call * eigen_extension(ch).size)
-            ref = ref or fused_and_alone(ch)
-            assert fused_and_alone(ch) == ref, per_call
-        ref, alone = ref
+    def assert_fused_equals_alone(ch):
+        ref, alone = fused_and_alone(ch)
         t_eig = eigen_extension(ch)
         commute, twist = flow_families(ch)
         lanczos = min(t_eig.shape) >= linalg.LANCZOS_MIN_DIM
@@ -856,12 +849,12 @@ class TestFusedFlowPass:
                 assert got == one
 
     @pytest.mark.parametrize("case", CASES + FUSED_CASES, ids=_case_id)
-    def test_generated(self, monkeypatch, case):
-        self.assert_fused_equals_alone(monkeypatch, _build(*case))
+    def test_generated(self, case):
+        self.assert_fused_equals_alone(_build(*case))
 
     @pytest.mark.parametrize("src_dims,tgt_dims", FUSED_OFF_CLASS)
-    def test_off_the_class(self, monkeypatch, src_dims, tgt_dims):
-        self.assert_fused_equals_alone(monkeypatch, _off_class_channel(src_dims, tgt_dims))
+    def test_off_the_class(self, src_dims, tgt_dims):
+        self.assert_fused_equals_alone(_off_class_channel(src_dims, tgt_dims))
 
     def test_report_takes_the_fused_pass(self):
         ch = _build("sp_ucp", (8,), {})
@@ -870,18 +863,23 @@ class TestFusedFlowPass:
 
     @pytest.mark.parametrize("case", [("sp_ucp", (3,), {}), ("pinch", (2, 2), {}),
                                       ("twirl", (7,), {})], ids=_case_id)
-    def test_one_chunk_takes_one_svd_call(self, monkeypatch, svd_shapes, case):
-        # where the masks fit one chunk, each mask is formed at most once:
-        # the failing families' largest-bound masks in one stacked SVD, then
-        # their survivors in at most one more; on a positive every family
-        # is a certified pass, which forms no mask and takes no SVD
+    def test_each_formed_mask_takes_one_svd_call(self, monkeypatch, svd_shapes, case):
+        # below the gate each mask is formed at most once and takes one SVD
+        # of its product; each failing family starts at its largest-bound
+        # mask, and on a positive every family is a certified pass, which
+        # forms no mask and takes no SVD
+        ch = _build(*case)
         seen = record_masked_products(monkeypatch)
-        fused_flow(_build(*case))
-        formed = [i for sel in seen for i in sel]
-        assert len(formed) == len(set(formed)) <= FLOW_MASKS and len(seen) <= 2
-        assert [k for k, _, _ in svd_shapes] == [len(sel) for sel in seen]
+        fused_flow(ch)
+        assert len(seen) == len(set(seen)) <= FLOW_MASKS
+        assert svd_shapes == [eigen_extension(ch).shape] * len(seen)
         if case[0] == "sp_ucp":
-            assert len(seen[0]) == 3
+            # every family fails, and forms its largest-bound mask first
+            bounds = bounds_and_norms(ch)[0]
+            commute, twist = flow_families(ch)
+            counts = np.array([len(samples) for samples, _ in commute + twist])
+            for lo, hi in zip(np.cumsum(counts) - counts, np.cumsum(counts)):
+                assert next(i for i in seen if lo <= i < hi) == lo + np.argmax(bounds[lo:hi])
         else:
             assert seen == [] and svd_shapes == []
 
@@ -946,45 +944,25 @@ class TestStackedNorms:
         with pytest.raises(ValueError, match="finite"):
             verify._flow_residuals(t_eig, ch, twist=[(DEFAULT_S_VALUES, 1e-8)])[0]
 
-    @pytest.mark.parametrize("case", [
-        ("schur", (3,), {}), ("pinch", (2, 2), {}), ("sp_ucp", (3, 1), {}),
-        ("state_to_scalar", (2,), {"target_dims": (3,)})], ids=_case_id)
-    def test_residuals_do_not_depend_on_the_split(self, monkeypatch, svd_shapes, case):
-        ch = _build(*case)
-        ref = verify_channel(ch)
-        size = eigen_extension(ch).size
-        for per_call in (1, 3, 16):
-            monkeypatch.setattr(linalg, "STACK_ENTRIES", per_call * size)
-            svd_shapes.clear()
-            report = verify_channel(ch)
-            # a stacked SVD (3-d) stays under the cap, and the pruned
-            # families may leave a chunk short of it; kadison_norm's sector
-            # SVDs take one 2-d matrix each and read no cap
-            stacks = [shape[0] for shape in svd_shapes if len(shape) == 3]
-            assert all(k <= per_call for k in stacks)
-            assert bool(stacks) == (case[0] == "sp_ucp")
-            # markov_modular takes no stack and reads the cap nowhere
-            assert {k: report.residuals[k] for k in (*FLOW_KEYS, "markov_modular")} == {
-                k: ref.residuals[k] for k in (*FLOW_KEYS, "markov_modular")}
-
-    @pytest.mark.parametrize("case,per_call", [
-        (("schur", (16,), {}), 1), (("pinch", (8, 8), {}), 4)],
-        ids=["schur-16", "pinch-8x8"])
-    def test_calls_stay_within_the_entry_budget(self, monkeypatch, svd_shapes, case,
-                                                per_call):
+    # peak bytes of a tolerance-0 pass per t_eig.nbytes: at pinch 8x8 the
+    # peak is `_flow_bounds`' arrays over the k flow masks and the |Z| = 368
+    # entries on the sectors, 2.87 t_eig.nbytes with or without a mask formed
+    @pytest.mark.parametrize("case,budget", [(("schur", (16,), {}), 2), (("pinch", (8, 8), {}), 3)],
+                             ids=["schur-16", "pinch-8x8"])
+    def test_calls_stay_within_the_entry_budget(self, monkeypatch, svd_shapes, case, budget):
         # these sizes take the Lanczos route by default; on the dense route
-        # the norms are the stacked SVDs counted here
+        # each formed mask takes one SVD, counted here
         monkeypatch.setattr(linalg, "LANCZOS_MIN_DIM", DENSE_GATE)
         ch = _build(*case)
         verify_channel(ch)
         # eq32_t, thm_commute_z and thm_i_s are certified passes, and so is
-        # the adjoint pair on sqrt(sum |X|^2 W^2): no stacked SVD; the one
+        # the adjoint pair on sqrt(sum |X|^2 W^2): no mask formed; the one
         # SVD is kadison_norm's zero-frequency sector, sum n_k = 16 square
         assert svd_shapes == [(16, 16)]
         assert_stacked_on_verdict_side(ch)
-        # at tolerance 0 no family is certified, so its masks are formed, in
-        # chunks under the cap, and those of one chunk are alive at a time,
-        # not those of the family
+        # at tolerance 0 no family is certified, so its masks are formed,
+        # one at a time: a single masked copy is alive at once, not those
+        # of the family
         t_eig = eigen_extension(ch)
         svd_shapes.clear()
         tracemalloc.start()
@@ -993,10 +971,9 @@ class TestStackedNorms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * per_call * t_eig.nbytes, peak / t_eig.nbytes
-        assert svd_shapes and max(k for k, _, _ in svd_shapes) <= per_call
-        for k, rows, cols in svd_shapes:
-            assert k * rows * cols <= linalg.STACK_ENTRIES or k == 1
+        assert peak < budget * t_eig.nbytes, peak / t_eig.nbytes
+        assert svd_shapes and set(svd_shapes) == {t_eig.shape}
+        assert len(svd_shapes) <= len(sample_z(0))
 
 
 def frobenius_bounds(base, stack):
@@ -1009,12 +986,12 @@ def pruned_maxima(base, stacks, bounds=None, tols=None):
     """`verify._bounded_maxima` over explicit stacks of masks, one family
     each, with the given bounds (default `frobenius_bounds`) and
     tolerances (default 1e-8, which certifies none of the trusted
-    families) per stack."""
+    families) per stack; each mask is handed over as a fresh copy."""
     stack = np.concatenate(stacks)
     if bounds is None:
         bounds = [frobenius_bounds(base, m) for m in stacks]
     return verify._bounded_maxima(
-        base, lambda sel: np.array(stack[sel], dtype=np.complex128),
+        base, lambda j: np.array(stack[j], dtype=np.complex128),
         [len(m) for m in stacks], [1e-8] * len(stacks) if tols is None else tols,
         np.concatenate([np.broadcast_to(np.asarray(b, dtype=float), len(m))
                         for b, m in zip(bounds, stacks)]))
@@ -1096,63 +1073,78 @@ def synthetic_max(name):
     return pruned_max(*SYNTHETIC[name], SYNTHETIC_BOUNDS.get(name))
 
 
-def synthetic_maxima(names):
-    """`pruned_maxima` of synthetic families on one base at their bounds."""
-    return pruned_maxima(SYNTHETIC[names[0]][0], [SYNTHETIC[k][1] for k in names],
-                         [SYNTHETIC_BOUNDS[k] if k in SYNTHETIC_BOUNDS
-                          else frobenius_bounds(*SYNTHETIC[k]) for k in names])
+def cut_families(names, per_family):
+    """The synthetic families on one base, each cut into consecutive
+    families of per_family masks (None: left whole), as (stacks, bounds)
+    at their bounds."""
+    stacks, bounds = [], []
+    for k in names:
+        base, stack = SYNTHETIC[k]
+        b = (np.broadcast_to(SYNTHETIC_BOUNDS[k], len(stack)) if k in SYNTHETIC_BOUNDS
+             else frobenius_bounds(base, stack))
+        step = per_family or len(stack)
+        for lo in range(0, len(stack), step):
+            stacks.append(stack[lo:lo + step])
+            bounds.append(b[lo:lo + step])
+    return stacks, bounds
+
+
+def cut_maxima(names, per_family):
+    """`pruned_maxima` of `cut_families(names, per_family)`, and the max of
+    `op_norm` over every mask of each cut family."""
+    base = SYNTHETIC[names[0]][0]
+    stacks, bounds = cut_families(names, per_family)
+    return (pruned_maxima(base, stacks, bounds),
+            [max(op_norm(base * m) for m in stack) for stack in stacks])
 
 
 class TestPrunedMax:
     """The bound-and-prune max equals the max over every per-matrix norm,
     compared with ==: `op_norm` below `linalg.LANCZOS_MIN_DIM`, and each
-    mask's own `certified_value` from it on."""
+    mask's own `certified_value` from it on.  A family cut into consecutive
+    families of per_family masks keeps, in each, that family's own max:
+    the running max and its prune stay inside one family."""
 
     @pytest.mark.parametrize("name", sorted(SYNTHETIC))
-    @pytest.mark.parametrize("per_call", [1, 2, None])
-    def test_equals_the_max_of_every_norm(self, monkeypatch, name, per_call):
-        base, stack = SYNTHETIC[name]
-        if per_call is not None:
-            monkeypatch.setattr(linalg, "STACK_ENTRIES", per_call * base.size)
-        assert synthetic_max(name) == max(op_norm(base * m) for m in stack)
+    @pytest.mark.parametrize("per_family", [1, 2, None])
+    def test_equals_the_max_of_every_norm(self, name, per_family):
+        got, want = cut_maxima([name], per_family)
+        assert got == want
 
     @pytest.mark.parametrize("name", sorted(SYNTHETIC))
-    @pytest.mark.parametrize("per_call", [1, 2, None])
-    def test_equals_the_max_above_the_gate(self, monkeypatch, name, per_call):
+    @pytest.mark.parametrize("per_family", [1, 2, None])
+    def test_equals_the_max_above_the_gate(self, monkeypatch, name, per_family):
         # every norm a certified Lanczos value
         monkeypatch.setattr(linalg, "LANCZOS_MIN_DIM", 1)
-        base, stack = SYNTHETIC[name]
-        if per_call is not None:
-            monkeypatch.setattr(linalg, "STACK_ENTRIES", per_call * base.size)
-        assert synthetic_max(name) == max(linalg.certified_value(base * m, 1e-8)
-                                          for m in stack)
+        base = SYNTHETIC[name][0]
+        stacks, bounds = cut_families([name], per_family)
+        assert pruned_maxima(base, stacks, bounds) == [
+            max(linalg.certified_value(base * m, 1e-8) for m in stack) for stack in stacks]
 
-    @pytest.mark.parametrize("per_call", [1, 2, None])
-    def test_families_are_pruned_apart(self, monkeypatch, per_call):
+    @pytest.mark.parametrize("per_family", [1, 2, None])
+    def test_families_are_pruned_apart(self, per_family):
         # every synthetic family on one base in one pass: each keeps its own
         # max, the huge and all-zero ones beside roundoff-sized ones
         for base_name in ("ties", "equal_norms"):
             base = SYNTHETIC[base_name][0]
             names = sorted(k for k, (b, _) in SYNTHETIC.items() if b is base)
-            if per_call is not None:
-                monkeypatch.setattr(linalg, "STACK_ENTRIES", per_call * base.size)
-            assert synthetic_maxima(names) == [
-                max(op_norm(base * m) for m in SYNTHETIC[k][1]) for k in names]
+            got, want = cut_maxima(names, per_family)
+            assert got == want
 
     def test_slack_boundary_prunes_one_mask(self, svd_shapes):
         base, stack = _slack_family()
         assert pruned_max(base, stack) == 1.0
-        assert sum(k for k, _, _ in svd_shapes) == 2
+        assert svd_shapes == [base.shape] * 2
 
     def test_dominant_mask_alone_reaches_the_svd(self, svd_shapes):
         base, stack = SYNTHETIC["one_dominant"]
         pruned_max(base, stack)
-        assert svd_shapes == [(1, *base.shape)]
+        assert svd_shapes == [base.shape]
 
     @pytest.mark.parametrize("name", UNTRUSTED)
     def test_untrusted_bounds_prune_nothing(self, svd_shapes, name):
         synthetic_max(name)
-        assert sum(k for k, _, _ in svd_shapes) == len(SYNTHETIC[name][1])
+        assert len(svd_shapes) == len(SYNTHETIC[name][1])
 
     @pytest.mark.parametrize("name", CERTIFIABLE)
     def test_certified_family_takes_its_largest_bound(self, svd_shapes, name):
@@ -1177,7 +1169,7 @@ class TestPrunedMax:
         bounds = [SYNTHETIC_BOUNDS[name]] if name in SYNTHETIC_BOUNDS else None
         assert pruned_maxima(base, [stack], bounds, tols=[1e300])[0] == max(
             op_norm(base * m) for m in stack)
-        assert sum(k for k, _, _ in svd_shapes) == len(stack)
+        assert len(svd_shapes) == len(stack)
 
     def test_each_family_against_its_own_tolerance(self, svd_shapes):
         # one family certified by its tolerance beside one that fails its
@@ -1188,7 +1180,7 @@ class TestPrunedMax:
         tol = float(frobenius_bounds(base, stacks[0]).max())
         assert pruned_maxima(base, stacks, tols=[tol, 1e-8]) == [
             tol, max(op_norm(base * m) for m in stacks[1])]
-        assert svd_shapes == [(1, *base.shape)]
+        assert svd_shapes == [base.shape]
 
 
 # ---------------------------------------------------------------------------
@@ -1361,8 +1353,9 @@ class TestLanczosRoute:
         moved pass, which is within `RITZ_ROUNDING`; every other key within
         1e-13 relative."""
         lanczos = verify_channel(ch, kind=kind)
-        # the flow families make no stacked SVD call: every one is a B_k
-        assert svd_shapes and all(len(sh) == 2 for sh in svd_shapes)
+        # no full-size SVD: every formed flow mask fails on its Ritz value,
+        # and every SVD is a B_k or a sector's
+        assert svd_shapes and eigen_extension(ch).shape not in svd_shapes
         monkeypatch.setattr(linalg, "LANCZOS_MIN_DIM", DENSE_GATE)
         dense = verify_channel(ch, kind=kind)
         assert lanczos.verdicts == dense.verdicts
@@ -1413,14 +1406,14 @@ class TestLanczosRoute:
         tols = (0.5 * ritz, 0.5 * np.sqrt(ritz * upper), 0.25 * upper)
         ref = [ritz, np.linalg.svd(0.5 * a, compute_uv=False)[0], frob(0.25 * a)]
         svd_shapes.clear()
-        norms = verify._masked_op_norms(
-            base, lambda sl: np.array(stack[sl], dtype=np.complex128), tols)
+        norms = [verify._masked_norm(base, np.array(m, dtype=np.complex128), tol)
+                 for m, tol in zip(stack, tols)]
         assert svd_shapes.count(a.shape) == 1
         assert norms == ref
 
-    def test_chunks_stay_within_the_entry_budget(self, svd_shapes):
-        # on the Lanczos route too, one chunk of masked copies is alive at a
-        # time; at tolerance 0 no family is certified, so its masks are formed
+    def test_masks_stay_within_the_memory_budget(self):
+        # on the Lanczos route too, one masked copy is alive at a time; at
+        # tolerance 0 no family is certified, so its masks are formed
         ch = _build("schur", (16,), {})
         t_eig = eigen_extension(ch)
         tracemalloc.start()
@@ -1573,11 +1566,11 @@ def tracial_automorphism(n=12):
 
 
 def masked_adjoint_pair(ch, tols):
-    """The adjoint pair as `verify._masked_op_norms` takes it on X^+ with
+    """The adjoint pair as `verify._masked_norm` takes it on X^+ with
     `adjoint_pair_weights`, both masks formed."""
     x_h, *masks = adjoint_pair_weights(ch)
-    return verify._masked_op_norms(
-        x_h, lambda sl: np.array(masks[sl], dtype=np.complex128), tols)
+    return [verify._masked_norm(x_h, np.array(m, dtype=np.complex128), tol)
+            for m, tol in zip(masks, tols)]
 
 
 class TestCertificateFallback:
@@ -1668,15 +1661,22 @@ class TestAdjointWeights:
 # ---------------------------------------------------------------------------
 
 def flow_mask_setup(ch):
-    """(masks, n_commute, d_s, d_t) of the `flow_families` masks, as
-    `verify._flow_residuals` forms them."""
+    """(mask, n_commute, d_s, d_t) of the `flow_families` masks, as
+    `verify._flow_residuals` forms them: mask(i) is the commute mask
+    d_s[i][None, :] - d_t[i][:, None] below n_commute, and the twist mask
+    d_s[i][None, :] d_t[i][:, None] - 1 from it on."""
     commute, twist = flow_families(ch)
     n_commute = sum(len(zs) for zs, _ in commute)
     exps = [z for zs, _ in commute for z in zs] + [float(s) for ss, _ in twist for s in ss]
     d_s = ch.source.modular.delta_power_diagonals(exps)
     d_t = ch.target.modular.delta_power_diagonals(
         exps[:n_commute] + [-s for s in exps[n_commute:]])
-    return verify._flow_masks(d_s, d_t, n_commute), n_commute, d_s, d_t
+
+    def mask(i):
+        if i < n_commute:
+            return d_s[i][None, :] - d_t[i][:, None]
+        return d_s[i][None, :] * d_t[i][:, None] - 1.0
+    return mask, n_commute, d_s, d_t
 
 
 def sector_split(ch, t_eig):
@@ -1689,10 +1689,9 @@ def bounds_and_norms(ch, t_eig=None):
     """(`verify._flow_bounds`, the Frobenius norm of each formed t_eig * m)
     over the `flow_families` masks m, formed one at a time."""
     t_eig = eigen_extension(ch) if t_eig is None else t_eig
-    masks, n_commute, d_s, d_t = flow_mask_setup(ch)
+    mask, n_commute, d_s, d_t = flow_mask_setup(ch)
     bounds = verify._flow_bounds(sector_split(ch, t_eig), d_s, d_t, n_commute)
-    norms = np.array([np.linalg.norm(t_eig * masks(np.array([i]))[0])
-                      for i in range(len(d_s))])
+    norms = np.array([np.linalg.norm(np.multiply(t_eig, mask(i))) for i in range(len(d_s))])
     return bounds, norms
 
 
@@ -1763,33 +1762,33 @@ class TestFlowBounds:
 
 
 def record_masked_products(monkeypatch):
-    """The index arrays of the flow masks formed, each stack's as
-    `verify._flow_masks` is called for it, in call order."""
+    """The indices of the masks that `verify._bounded_maxima` forms, in the
+    order it asks for them."""
     seen = []
-    flow_masks = verify._flow_masks
+    bounded_maxima = verify._bounded_maxima
 
-    def recording(*args):
-        masks = flow_masks(*args)
+    def recording(base, mask, *args):
+        def recorded(j):
+            seen.append(int(j))
+            return mask(j)
+        return bounded_maxima(base, recorded, *args)
 
-        def recorded(sel):
-            seen.append(np.asarray(sel).tolist())
-            return masks(sel)
-        return recorded
-
-    monkeypatch.setattr(verify, "_flow_masks", recording)
+    monkeypatch.setattr(verify, "_bounded_maxima", recording)
     return seen
 
 
 def every_mask_maxima(ch, t_eig, norm=None):
     """Each family's max of norm(a, tol) (default `certified_value`) over
-    the product a of every one of its masks, each formed by
-    `verify._masked_product`."""
+    the product a = t_eig * m of every one of its masks m.  np.multiply
+    keeps t_eig the left operand: numpy may evaluate `t_eig * mask(i)` in
+    the temporary's place as mask(i) * t_eig, and complex products with FMA
+    are not commutative bit for bit."""
     norm = norm or linalg.certified_value
     commute, twist = flow_families(ch)
-    masks = flow_mask_setup(ch)[0]
+    mask = flow_mask_setup(ch)[0]
     out, start = [], 0
     for samples, tol in commute + twist:
-        out.append(max((norm(verify._masked_product(t_eig, masks, np.array([i]))[0], tol)
+        out.append(max((norm(np.multiply(t_eig, mask(i)), tol)
                         for i in range(start, start + len(samples))), default=0.0))
         start += len(samples)
     return out
@@ -1800,18 +1799,16 @@ def assert_bounded_route(monkeypatch, ch, t_eig=None):
     `verify._flow_bounds` are all trusted and at most its tolerance reads
     its largest bound, on the side of its verdict of the dense max, and
     forms no mask; every other family reads the max of `certified_value`
-    over every mask, with ==.  Each mask is formed at most once, in stacks
-    under the entry cap; returns the indices formed."""
+    over every mask, with ==.  Each mask is formed at most once; returns
+    the indices formed."""
     t_eig = eigen_extension(ch) if t_eig is None else t_eig
     commute, twist = flow_families(ch)
-    masks, n_commute, d_s, d_t = flow_mask_setup(ch)
+    _, n_commute, d_s, d_t = flow_mask_setup(ch)
     bounds = verify._flow_bounds(sector_split(ch, t_eig), d_s, d_t, n_commute)
     ref = every_mask_maxima(ch, t_eig)
     dense = every_mask_maxima(ch, t_eig, lambda a, tol: op_norm(a))
-    seen = record_masked_products(monkeypatch)
+    formed = record_masked_products(monkeypatch)
     got = fused_flow(ch, t_eig)
-    assert all(len(sel) <= linalg.stack_chunk(t_eig.size) for sel in seen)
-    formed = [i for sel in seen for i in sel]
     assert len(formed) == len(set(formed)), formed
     start = 0
     for value, want, norm, (samples, tol) in zip(got, ref, dense, commute + twist):
@@ -1891,9 +1888,8 @@ class TestFactoredFrame:
         # each adjoint undoes its helper: G is unitary
         _assert_within_rounding(md.frame_left(md.frame_left(cols), adjoint=True), cols)
         _assert_within_rounding(md.frame_right(md.frame_right(rows, adjoint=True)), rows)
-        stack = _random_matrix(rng, (3, 6, n))
-        _assert_within_rounding(md.frame_column_norms(stack),
-                                np.linalg.norm(stack @ g, axis=-2))
+        for m in _random_matrix(rng, (3, 6, n)):
+            _assert_within_rounding(md.frame_column_norms(m), np.linalg.norm(m @ g, axis=0))
         _assert_within_rounding(md.frame_column_norms(rows), np.linalg.norm(rows @ g, axis=0))
 
     @pytest.mark.parametrize("dims", [(6, 4, 2), (9,), (2, 2, 2)], ids=lambda d: "x".join(map(str, d)))
