@@ -194,6 +194,11 @@ class ModularData:
         return np.concatenate([np.repeat(e.eigenvalues, e.dim) for e in self.d_eig])
 
     @cached_property
+    def carrier_logs(self) -> np.ndarray:
+        """log lambda_p over the carrier C^c, block by block."""
+        return np.log(np.concatenate([e.eigenvalues for e in self.d_eig]))
+
+    @cached_property
     def frequencies(self) -> np.ndarray:
         """Flow frequency log lambda_a - log lambda_b of entry (a, b)."""
         return np.log(self.lambda_a) - np.log(self.lambda_b)

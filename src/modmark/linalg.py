@@ -11,8 +11,9 @@ start vector, comes from a fixed seed.
 taken for a verdict: an operator norm, its excess over 1, and a smallest
 Hermitian eigenvalue.  A norm's Frobenius bound certifies a pass at every
 size; otherwise each value is the dense LAPACK call below
-`LANCZOS_MIN_DIM`, and from it on a Golub-Kahan-Lanczos Ritz value or a
-Cholesky factor of a shifted matrix certifies it, or the dense call.
+`LANCZOS_MIN_DIM`, and from it on a Golub-Kahan-Lanczos Ritz value (a
+norm) or a Cholesky factor (an excess, an eigenvalue) certifies it, or the
+dense call.
 """
 
 from __future__ import annotations
@@ -184,29 +185,11 @@ def _norm_below(a: np.ndarray, bound: float) -> bool:
     return _has_cholesky(h)
 
 
-def _eig_above(h: np.ndarray, floor: float) -> bool:
-    """lambda_min(h) > floor for Hermitian h, certified by a Cholesky factor
-    of h - floor 1."""
-    shifted = h.copy()
-    shifted[np.diag_indices_from(shifted)] -= floor
-    return _has_cholesky(shifted)
-
-
 def _frob_or_inf(a: np.ndarray) -> float:
     """|a|_F, or inf where its sum of squares overflows: a bound that then
     certifies nothing."""
     with np.errstate(over="ignore"):
         return frob(a)
-
-
-def _bottom_eigenvalue(h: np.ndarray) -> float:
-    """An upper bound on lambda_min of Hermitian h: |h|_F - r, r the Lanczos
-    Ritz value of the positive semidefinite |h|_F 1 - h, whose top singular
-    value is |h|_F - lambda_min."""
-    f = frob(h)
-    shifted = np.negative(h)
-    shifted[np.diag_indices_from(shifted)] += f
-    return f - _top_singular_value(shifted)
 
 
 def certified_value(a, tol: float, kind: str = "norm") -> float:
@@ -227,11 +210,11 @@ def certified_value(a, tol: float, kind: str = "norm") -> float:
     - "norm": r > tol is a certain fail, and its value is r.
     - "excess": r - 1 > tol is a certain fail, and a Cholesky factor of
       (1 + tol)^2 1 - a^+ a a certain pass; the value is max(0, r - 1).
-    - "min_eig": a Cholesky factor of a itself certifies lambda_min >= 0,
-      and the value is 0.0 (the verdict's residual max(0, -lambda_min) is
-      then 0); else a factor of a + tol 1 certifies lambda_min > -tol, and
-      the value is |a|_F - r', r' the Ritz value of |a|_F 1 - a, an upper
-      bound on lambda_min.
+    - "min_eig": a Cholesky factor of a certifies lambda_min >= 0, and the
+      value is 0.0, so the verdict's residual max(0, -lambda_min) is the
+      dense one, 0; any other block takes eigvalsh.  Its callers are the
+      Choi blocks that `markov.cp_min_eigenvalue`'s sector certificate
+      leaves to `ChoiMatrix.min_eigenvalue` (kind sp_ucp).
 
     The Cholesky steps are taken only when tol exceeds `CHOLESKY_MARGIN` N
     eps times the scale (1 for "excess", |a|_F for "min_eig"): a tiny
@@ -240,8 +223,7 @@ def certified_value(a, tol: float, kind: str = "norm") -> float:
     or `np.linalg.eigvalsh`, and its value.  So the verdict is the dense
     route's, and a certified value lies on its side of the dense one: a
     norm's pass above it, a norm's fail or an excess below it (within
-    rounding when the top singular gap exceeds ~1e-7 relative), an
-    eigenvalue above it.
+    rounding when the top singular gap exceeds ~1e-7 relative).
     """
     if kind not in ("norm", "excess", "min_eig"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -257,11 +239,8 @@ def certified_value(a, tol: float, kind: str = "norm") -> float:
         return max(0.0, norm - 1.0) if kind == "excess" else norm
     a = as_cmatrix(a)
     if kind == "min_eig":
-        if tol > CHOLESKY_MARGIN * len(a) * _EPS * _frob_or_inf(a):
-            if _eig_above(a, 0.0):
-                return 0.0
-            if _eig_above(a, -tol):
-                return _bottom_eigenvalue(a)
+        if tol > CHOLESKY_MARGIN * len(a) * _EPS * _frob_or_inf(a) and _has_cholesky(a):
+            return 0.0
         return float(np.linalg.eigvalsh(a)[0])
     ritz = _top_singular_value(a)
     if kind == "norm":

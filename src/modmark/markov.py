@@ -15,14 +15,22 @@ Channels meet the modular data only there: no multiplication
 superoperator is ever built.  Both apply G through the `gns` frame
 helpers, by its Kronecker factors from N = 100 on.
 
-The cp residual reads each Choi block's smallest eigenvalue for its verdict
-(`cp_min_eigenvalue`) through `linalg.certified_value`: eigvalsh for a small
-block, and for a large one 0.0 where it has a Cholesky factor, a Lanczos
-upper bound where it factors only with the tolerance tau added, and
-eigvalsh otherwise; so the residual is at or below the dense one up to
-rounding, with the dense verdict.  The modular residual's pass reads
-|M|_F times a bound on |G_s|, M the masked X, at every size, and a fail
-the exact column norms of the same M (`ModularData.max_column_norm`).
+The cp residual reads the smallest eigenvalue of the Choi matrix for its
+verdict (`cp_min_eigenvalue`).  Written in the density eigenframes the
+Choi matrix has entry X[(i, i'), (a, b)] at [(i, a), (i', b)], and a
+Markov map, which commutes with the modular flow, makes it block-diagonal
+over the level sets of l(i, a) = log mu_i - log lambda_a: the Choi form
+of covariance (Scutaru 1979, Holevo 1993).  So the route first reads
+Weyl's inequality over those sectors, the smallest sector eigenvalue less
+the Frobenius mass off the sectors, with the margins that make it a lower
+bound on the dense lambda_min; a certified pass reads that bound.  Every
+other case takes each Choi block's eigenvalue through
+`linalg.certified_value`: eigvalsh below `linalg.LANCZOS_MIN_DIM`, and
+from it on 0.0 where the block has a Cholesky factor, else eigvalsh.  So
+the residual is at or above the dense one up to rounding, with the dense
+verdict.  The modular residual's pass reads |M|_F times a bound on |G_s|,
+M the masked X, at every size, and a fail the exact column norms of the
+same M (`ModularData.max_column_norm`).
 
 Orientation, fixed package-wide: a channel maps its source algebra into its
 target algebra, state compatibility means target_state(ch(x)) = source_state(x),
@@ -36,8 +44,9 @@ how the verification layer exhibits that the condition carries force.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -56,10 +65,11 @@ from .errors import (
     ShapeMismatch,
 )
 from .gns import ModularData
-from .linalg import as_cmatrix, certified_value, tolerance_factor
+from .linalg import EIG_CONTRACT_RTOL, as_cmatrix, certified_value, tolerance_factor
 
 STATE_MATCH_ATOL = 1e-12
 MEMBERSHIP_TOL = 1e-9  # pinned, before the MODMARK_TOL factor
+_EPS = float(np.finfo(float).eps)
 
 
 class System:
@@ -188,14 +198,11 @@ class ChoiMatrix:
         """Smallest eigenvalue of the blocks' Hermitian parts, taken by
         `linalg.certified_value(h, tol, "min_eig")` for the verdict
         lambda_min >= -tol: eigvalsh for a small block, and for a large one
-        0.0 where it has a Cholesky factor and an upper bound where it
-        factors only with tol added."""
+        0.0 where it has a Cholesky factor, else eigvalsh.  The fallback of
+        `cp_min_eigenvalue`, for a map its sector certificate does not
+        settle."""
         return min(certified_value((b + b.conj().T) / 2.0, tol, "min_eig")
                    for b in self.blocks.values())
-
-    def hermiticity_defect(self) -> float:
-        return float(np.sqrt(sum(
-            np.linalg.norm(b - b.conj().T) ** 2 for b in self.blocks.values())))
 
 
 def _superop_blocks(ch: Channel) -> list[list[np.ndarray]]:
@@ -257,12 +264,177 @@ def state_residual(ch: Channel) -> float:
     return (dual.apply(ch.target.state.density) - ch.source.state.density).norm()
 
 
+@cache
+def _unit_table(alg: BlockAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """U[p, p'], the coordinate of the unit E_qq' of block k, for carrier
+    indices p and p' at rows q and q' of one block k (an entry across two
+    blocks is never read), and its diagonal; read-only, one per block
+    shape."""
+    dims = alg.block_dims
+    q = np.arange(alg.carrier_dim) - np.repeat(np.cumsum((0,) + dims[:-1]), dims)
+    table = ((np.repeat(alg.coord_offsets, dims) + q)[:, None]
+             + np.repeat(dims, dims)[:, None] * q[None, :])
+    diag = np.diagonal(table).copy()
+    table.flags.writeable = diag.flags.writeable = False
+    return table, diag
+
+
+@cache
+def _block_pairs(target: BlockAlgebra, source: BlockAlgebra) -> np.ndarray:
+    """The block pair j K_s + k of each Choi index (i, a) at i c_s + a, i on
+    block j of the target carrier and a on block k of the source's;
+    read-only, one per pair of block shapes."""
+    def blocks(alg):
+        return np.repeat(np.arange(alg.num_blocks), alg.block_dims)
+    pairs = (blocks(target)[:, None] * source.num_blocks + blocks(source)).ravel()
+    pairs.flags.writeable = False
+    return pairs
+
+
+def _frame_rounding(md: ModularData) -> float:
+    """A bound, relative in the Frobenius norm, on the rounding of one
+    product by the frame G or G^+ (Higham 2002, Accuracy and Stability of
+    Numerical Algorithms, section 3.5: |fl(AB) - AB| <= gamma_k |A||B|, k
+    the inner length, gamma_k <= 1.01 k eps).  Dense, an entry sums the n^2
+    nonzero terms of a block V^T kron V^+, whose entrywise absolute value
+    has norm at most |V|_F^2 <= 2n; by its factors, two GEMMs of inner
+    length n each multiply by a |V| of norm at most |V|_F <= sqrt(2n)."""
+    n = max(md.algebra.block_dims)
+    if md.factored:
+        return 2.0 * 1.01 * n * math.sqrt(2.0 * n) * _EPS
+    return 1.01 * n * n * 2.0 * n * _EPS
+
+
+def _choi_sectors(ch: Channel) -> tuple[tuple, list, float, int]:
+    """The groups of the eigenframe Choi matrix (`_sector_min_eigenvalue`):
+    (units, groups, off, size).  X[units] holds the Choi diagonals of
+    every block pair, X on the diagonal units; groups holds, per group size
+    above one, the X entries of those groups as (rows, cols), each indexed
+    [group, p, q]; off is |X off the groups|_F, its in-group entries zeroed
+    in a copy; size is the largest group's."""
+    x = ch.eigen_superop
+    alg_t, alg_s = ch.target.algebra, ch.source.algebra
+    (u_t, diag_t), (u_s, diag_s) = _unit_table(alg_t), _unit_table(alg_s)
+    log_t, log_s = ch.target.modular.carrier_logs, ch.source.modular.carrier_logs
+    # Choi index (i, a) at i c_s + a, i on the target carrier and a on the
+    # source's; sorted by block pair, then label, a group is a run
+    c_s = len(log_s)
+    label = (log_t[:, None] - log_s).ravel()
+    pairs = _block_pairs(alg_t, alg_s)
+    order = np.lexsort((label, pairs))
+    label, pairs = label[order], pairs[order]
+    new = np.empty(len(order), dtype=bool)
+    new[0] = True
+    np.not_equal(label[1:], label[:-1], out=new[1:])
+    new[1:] |= pairs[1:] != pairs[:-1]
+    starts = np.flatnonzero(new)
+    sizes = np.empty_like(starts)
+    sizes[:-1] = starts[1:] - starts[:-1]
+    sizes[-1] = len(order) - starts[-1]
+    units = diag_t[:, None], diag_s[None, :]
+    groups = []
+    for k in set(sizes.tolist()) - {1}:
+        i, a = np.divmod(order[starts[sizes == k][:, None] + np.arange(k)], c_s)
+        groups.append((u_t[i[:, :, None], i[:, None, :]], u_s[a[:, :, None], a[:, None, :]]))
+    rest = x.copy()
+    rest[units] = 0.0
+    for rows, cols in groups:
+        rest[rows, cols] = 0.0
+    return units, groups, math.sqrt(np.vdot(rest, rest).real), int(sizes.max())
+
+
+def _sector_min_eigenvalue(ch: Channel, tau: float) -> float | None:
+    """A lower bound on min(0, lambda_min) of the Hermitian part of the Choi
+    matrix, from its frequency sectors; None where it does not certify
+    lambda_min >= -tau.
+
+    Conjugating the channel by the density eigenvectors, x |-> V_t^+
+    ch(V_s x V_s^+) V_t, turns its superoperator into X = `ch.eigen_superop`
+    and its Choi block C of block pair (j, k) into C' = A^+ C A, A =
+    conj(V_s) kron V_t, with entry X[(i, i'), (a, b)] at [(i, a), (i', b)].
+    A channel that commutes with the flows has X on w_t(i, i') = w_s(a, b),
+    that is l(i, a) = l(i', b) with l(i, a) = log mu_i - log lambda_a (mu
+    the target's eigenvalues, lambda the source's), so C' is block-diagonal
+    over the groups of Choi indices that share their block pair and l.  Any
+    partition serves Weyl's inequality (Bhatia 1997, Matrix Analysis,
+    III.2), with H' the Hermitian part of C',
+
+        lambda_min(H') >= min_omega lambda_min(H'_omega) - |H' off the groups|_F,
+
+    so float equality of l sets only how tight it is.  A group of one index
+    is a diagonal entry Re X[(i, i), (a, a)], and every block pair's
+    diagonal is X on the diagonal units, read at once; a larger group (on a
+    generic state, one of n_k indices per diagonal block pair, where mu_i =
+    lambda_a) takes one batched eigvalsh per group size.  The mass off the
+    groups is sqrt(sum |X|^2) with the in-group entries zeroed, never a
+    difference of two sums, which cancels.
+
+    With m the smaller of the smallest diagonal entry and the larger groups'
+    smallest eigenvalue (a group's is at most its diagonal, so m errs only
+    low), the bound L = m - (1 + (N_s N_t + 3) eps) off - e covers the
+    rounding: of off's sum (gamma of its length, and 3 eps per squared
+    entry), and in e = (2 (r_s + r_t) + (4 g + 1) eps) |X|_F, of X itself,
+    r a frame product's (`_frame_rounding`, doubled for the second-order
+    terms), and eigvalsh's backward error on a group of at most g indices
+    with its Hermitian part formed (p(g) eps |H'_omega|, LAPACK Users'
+    Guide section 4.7, p(g) taken as 4 g).  V is unitary only to
+    `herm_eig`'s contract |V^+ V - 1|_F <= EIG_CONTRACT_RTOL n, so the
+    squared singular values of A lie in [s, 1 / s], s = (1 -
+    EIG_CONTRACT_RTOL n_s)(1 - EIG_CONTRACT_RTOL n_t), and by Ostrowski's
+    theorem (Horn and Johnson 2013, Matrix Analysis, 4.5.9) lambda_min(H) =
+    lambda_min(H') / theta with theta in that range.  So the value is
+    min(0, L / s), and the verdict's residual max(0, -value) is an upper
+    bound on the dense one.  No group is decomposed when even min(diagonal)
+    less off cannot certify (kind sp_ucp, whose off mass, ~0.03, exceeds
+    its lambda_min on most instances; at n = 3 and on some 2x2 ones it does
+    not, and the groups certify lambda_min >= 0); nothing is factored.  The
+    groups come from `_choi_sectors`.
+    """
+    x = ch.eigen_superop
+    units, groups, off, size = _choi_sectors(ch)
+    s = ((1.0 - EIG_CONTRACT_RTOL * max(ch.source.algebra.block_dims))
+         * (1.0 - EIG_CONTRACT_RTOL * max(ch.target.algebra.block_dims)))
+    off *= 1.0 + (x.size + 3) * _EPS
+    # a group's lambda_min is at most its smallest diagonal entry, so the
+    # smallest diagonal entry stands for the groups of one index
+    low = x[units].real.min()
+    if not (off - low) / s <= tau:  # nan too
+        return None
+    for rows, cols in groups:
+        c = x[rows, cols]
+        low = min(low, np.linalg.eigvalsh((c + c.conj().swapaxes(1, 2)) / 2.0)[:, 0].min())
+    err = (2.0 * (_frame_rounding(ch.source.modular) + _frame_rounding(ch.target.modular))
+           + (4 * size + 1) * _EPS) * math.sqrt(np.vdot(x, x).real)
+    value = float((low - off - err) / s)
+    return min(0.0, value) if -value <= tau else None
+
+
+def _hermiticity_defect(ch: Channel) -> float:
+    """|C - C^+|_F over the Choi blocks C of `to_choi(ch)`, none of them
+    formed: C as [i, a, i', b] is a transposed view of its superoperator
+    block, and each difference is formed once, in C order, with the bits of
+    C - C.conj().T."""
+    total = 0.0
+    for row in _superop_blocks(ch):
+        for sub in row:
+            choi = sub.transpose(1, 3, 0, 2)
+            d = np.conjugate(choi.transpose(2, 3, 0, 1), order="C")
+            np.subtract(choi, d, out=d)
+            total += np.linalg.norm(d) ** 2
+    return float(np.sqrt(total))
+
+
 def cp_min_eigenvalue(ch: Channel) -> tuple[float, float]:
     """(min Choi eigenvalue, Choi hermiticity defect), the eigenvalue taken
-    for the cp verdict against its `membership_tolerances` entry, as
-    `ChoiMatrix.min_eigenvalue` certifies it."""
-    choi = to_choi(ch)
-    return choi.min_eigenvalue(_membership_tau()), choi.hermiticity_defect()
+    for the cp verdict against its `membership_tolerances` entry: where the
+    sector certificate settles it, its lower bound on min(0, lambda_min)
+    (`_sector_min_eigenvalue`, no factor or Lanczos step), else
+    `ChoiMatrix.min_eigenvalue` of `to_choi(ch)`."""
+    tau = _membership_tau()
+    value = _sector_min_eigenvalue(ch, tau)
+    if value is None:
+        value = to_choi(ch).min_eigenvalue(tau)
+    return value, _hermiticity_defect(ch)
 
 
 def _preconditions(ch: Channel) -> dict[str, float]:
@@ -359,8 +531,10 @@ def check_markov(ch: Channel) -> MarkovCheck:
     eigenvalue, Choi hermiticity defect), state, modular) against
     `membership_tolerances`; never raises on failure.  Each is taken for its
     verdict, and a certified pass reads the bound that proves it: cp by
-    `cp_min_eigenvalue`, and modular, `modular_commutation_residual(ch)`, by
-    `ModularData.max_column_norm` of its one masked product."""
+    `cp_min_eigenvalue`, whose sector certificate reads `eigen_superop`
+    (cached here for the modular key), and modular,
+    `modular_commutation_residual(ch)`, by `ModularData.max_column_norm` of
+    its one masked product."""
     tol = membership_tolerances(ch)
     residuals = _preconditions(ch)
     residuals["modular"] = ch.source.modular.max_column_norm(

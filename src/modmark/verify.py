@@ -58,10 +58,13 @@ O(N^2) certificate, and a key it does not settle takes its fallback:
   "excess")`: the dense excess below the gate, and from it on
   max(0, r - 1), with a Cholesky factor of (1 + tol)^2 1 - T^+ T
   certifying a pass.
-A large Choi block that has a Cholesky factor keeps markov_cp at its
-Hermiticity defect; one that factors only with tau added gives the
-Lanczos upper bound |C|_F - r' on lambda_min, r' the Ritz value of
-|C|_F 1 - C.
+markov_cp passes on the frequency sectors of the eigenframe Choi matrix,
+whose entry [(i, a), (i', b)] is X[(i, i'), (a, b)]: a Markov map makes
+it block-diagonal over the groups of one label log mu_i - log lambda_a,
+and Weyl's inequality bounds lambda_min by the groups' less the mass off
+them (`markov.cp_min_eigenvalue`); a map that bound does not settle takes
+its Choi blocks, where a large one with a Cholesky factor keeps markov_cp
+at its Hermiticity defect.
 
 The sampled flow keys (eq32_t, thm_commute_z, thm_i_s) are maxima over
 their samples, all three from one set of masks (`_flow_residuals`), by one

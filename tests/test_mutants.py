@@ -1,12 +1,13 @@
 """Mutants of the gns_* layer, of the symmetry pass, of the certificates
 of `linalg.certified_value`, of the flow-pass bounds and their pruning
-rule, of markov_modular's generator row and of kadison_norm's sector
-bound and the adjoint pair's weights: are the stacked pass over both
-endpoint states, the one permuted conjugate behind thm_ii and thm_iii, the
-Cholesky certificates behind kadison_norm and markov_cp, the Frobenius and
-Ritz bracket of a norm, the one-GEMM mask bounds, the certify-and-prune
-rule, the masked column norms, the sector bound and the eigenvalue weights
-wired so that a wrong piece shows?
+rule, of markov_modular's generator row, of kadison_norm's sector bound
+and the adjoint pair's weights, and of the membership layer: are the
+stacked pass over both endpoint states, the one permuted conjugate behind
+thm_ii and thm_iii, the Cholesky certificates behind kadison_norm and
+sp_ucp's Choi blocks, the Frobenius and Ritz bracket of a norm, the
+one-GEMM mask bounds, the certify-and-prune rule, the masked column norms,
+the sector bound, the eigenvalue weights, markov_cp's Choi sectors, the
+Choi reshape and the trace dual wired so that a wrong piece shows?
 
 Each mutant replaces one private piece of `verify` or `ModularData` by
 monkeypatching and runs `verify_channel`.  A gns_* mutant runs on a fixed
@@ -23,9 +24,11 @@ bound mutant edits the source of `verify._flow_bounds` and recompiles it,
 and the tests of tests/test_oracles.py it names must then fail.  A prune
 mutant does the same to `verify._bounded_maxima`, a norm mutant to
 `linalg.certified_value`, a modular mutant to
-`markov.modular_commutation_residual` and a sector mutant to
-`verify._sector_bound` or `verify._adjoint_residuals`; one listed as
-equivalent, with the argument why no value or count can move, must pass
+`markov.modular_commutation_residual`, a sector mutant to
+`verify._sector_bound` or `verify._adjoint_residuals`, and a membership
+mutant to `markov._sector_min_eigenvalue`, `markov._choi_sectors`,
+`markov.to_choi` or `markov.trace_dual`; one listed as equivalent, with
+the argument why no verdict, or no value or count, can move, must pass
 the tests it names instead.
 """
 
@@ -42,6 +45,7 @@ from modmark.generators import GenSpec, build_channel, derive_seed
 from modmark.gns import ModularData
 from modmark.verify import verify_channel
 
+import test_markov
 import test_oracles
 from test_oracles import SKEW_BROKEN_KEYS, SkewedPowers
 
@@ -274,9 +278,9 @@ def _spectrum(lowest, count=5):
 
 
 # (matrix, kind): a contraction whose excess pass a factor certifies, one
-# whose Ritz value fails it, a positive definite, a rank-deficient and a
-# slightly negative Choi-like block (only the tol shift factors these two),
-# and one below -tol (dense)
+# whose Ritz value fails it, a positive definite Choi-like block (its
+# factor certifies), and a rank-deficient, a slightly negative and one
+# below -tol (no factor: dense)
 CERT_CASES = {
     "excess-pass": (_unitary(51), "excess"),
     "excess-fail": (_unitary(52) * (1.0 + 10 * CERT_TOL), "excess"),
@@ -309,8 +313,6 @@ def _certified_outcomes() -> dict[str, tuple[bool, float, int]]:
 
 
 _norm_below = linalg._norm_below
-_eig_above = linalg._eig_above
-_bottom_eigenvalue = linalg._bottom_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -321,18 +323,17 @@ class CertMutant:
     equivalent: str | None = None
 
 
+# The min_eig kind no longer factors a + tol 1 or takes a Lanczos bound of
+# lambda_min (no recorded suite reached either once markov_cp took its
+# sector certificate), so the mutants of those two steps, "tau_dropped" and
+# "bottom_sign_flipped", went out with them.
 CERT_MUTANTS = {
     # |T| <= 1 - tol asked of a contraction with |T| = 1: its factor fails
     "shift_one_minus_tol": CertMutant(
         "_norm_below", lambda a, bound: _norm_below(a, 2.0 - bound)),
-    # the Choi block itself factored twice: a rank-deficient or slightly
-    # negative block goes dense
-    "tau_dropped": CertMutant("_eig_above", lambda h, floor: _eig_above(h, 0.0)),
     # every factor taken as a success: no fallback, and a block below -tol
     # reads 0.0
     "failed_factor_skips_dense": CertMutant("_has_cholesky", lambda h: True),
-    "bottom_sign_flipped": CertMutant(
-        "_bottom_eigenvalue", lambda h: -_bottom_eigenvalue(h)),
 }
 
 
@@ -340,10 +341,10 @@ CERT_MUTANTS = {
 def test_certificate_mutant(name, monkeypatch):
     mutant = CERT_MUTANTS[name]
     before = _certified_outcomes()
-    # the unmutated kernel: only the case below the shift goes dense, and
-    # only it and the Ritz fail fail their verdicts
+    # the unmutated kernel: every min_eig case with no factor goes dense,
+    # and only the one below -tol and the Ritz fail fail their verdicts
     assert {case for case, (_, _, n_dense) in before.items() if n_dense} == {
-        "min-eig-below-shift"}
+        "min-eig-rank-deficient", "min-eig-inside-shift", "min-eig-below-shift"}
     assert {case for case, (ok, _, _) in before.items() if not ok} == {
         "excess-fail", "min-eig-below-shift"}
     monkeypatch.setattr(linalg, mutant.attribute, mutant.replacement)
@@ -669,4 +670,82 @@ SECTOR_MUTANTS = {
 @pytest.mark.parametrize("name", sorted(SECTOR_MUTANTS))
 def test_sector_mutant(name, monkeypatch):
     function, mutant = SECTOR_MUTANTS[name]
+    _assert_source_mutant(name, mutant, monkeypatch, function)
+
+
+# ---------------------------------------------------------------------------
+# the membership layer: markov_cp's sector certificate,
+# markov._sector_min_eigenvalue and the groups it reads (markov._choi_sectors),
+# the Choi reshape (markov.to_choi) and the trace dual (markov.trace_dual)
+# ---------------------------------------------------------------------------
+
+_OFF = "off *= 1.0 + (x.size + 3) * _EPS"
+_GROUP_EIG = "np.linalg.eigvalsh((c + c.conj().swapaxes(1, 2)) / 2.0)[:, 0].min()"
+_VALUE = "value = float((low - off - err) / s)"
+
+
+def _choi_killer(method, *args):
+    return _killer(test_oracles.TestChoiSectors, method, *args)
+
+
+_BRACKETS = tuple(_choi_killer("test_certified_pass_on_the_verdict_side", case)
+                  for case in (("identity", (4,), {}), ("schur", (16,), {}),
+                               ("pinch", (3, 3), {}), ("twirl", (2, 2), {})))
+
+# (the function edited, its mutant)
+MEMBERSHIP_MUTANTS = {
+    # the groups alone: an identity map with an off-group Hermitian pair of
+    # Choi entries 1e-3 (lambda_min <= -1e-3) reads a pass
+    "off_sector_term_dropped": (markov._sector_min_eigenvalue, SourceMutant(
+        ((_OFF, "off = 0.0"),),
+        (_choi_killer("test_off_group_mass_counts", 3),
+         _choi_killer("test_off_group_mass_counts", 16)))),
+    # a group of two or more indices read by its smallest diagonal entry:
+    # a Schur multiplier by an indefinite unit-diagonal c reads a pass
+    "group_read_by_its_diagonal": (markov._sector_min_eigenvalue, SourceMutant(
+        ((_GROUP_EIG, "np.diagonal(c, axis1=1, axis2=2).real.min()"),),
+        (_choi_killer("test_indefinite_sector_fails", 3),
+         _choi_killer("test_indefinite_sector_fails", 16)))),
+    "margin_dropped": (markov._sector_min_eigenvalue, SourceMutant(
+        ((_VALUE, "value = float(low - off - err)"),),
+        _BRACKETS,
+        equivalent="1 / s - 1 is ~1e-11 relative, and divides a value that is itself "
+                   "at the rounding level on every map the certificate passes; it covers "
+                   "a loss of unitarity of V that herm_eig's contract allows and eigh "
+                   "never comes near, so no pass can fall below its dense residual")),
+    "backward_error_dropped": (markov._sector_min_eigenvalue, SourceMutant(
+        ((_VALUE, "value = float((low - off) / s)"),),
+        _BRACKETS,
+        equivalent="e bounds the rounding of X and of each group's eigvalsh in the "
+                   "worst case, n^1.5 to n^3 eps |X|_F; their actual error stays near "
+                   "eps |X|_F, below the dense eigenvalue's own, so a pass without e "
+                   "still lies in the dense residual's rounding bracket")),
+    # the source's labels on the target side too: on two states the groups
+    # split wrongly, the measure-and-prepare map's rho_a entries land off
+    # them, and the certificate no longer settles its pass
+    "source_labels_both_sides": (markov._choi_sectors, SourceMutant(
+        (("log_t, log_s = ch.target.modular.carrier_logs, ch.source.modular.carrier_logs",
+          "log_t, log_s = ch.source.modular.carrier_logs, ch.source.modular.carrier_logs"),),
+        (_choi_killer("test_groups_across_two_states"),))),
+    # the source indices a and b swapped in the transpose: the partial
+    # transpose of the Choi block, whose spectrum is another (swapping both
+    # pairs instead gives C^T, with the same spectrum)
+    "to_choi_transpose_swapped": (markov.to_choi, SourceMutant(
+        (("sub.transpose(1, 3, 0, 2)", "sub.transpose(1, 2, 0, 3)"),),
+        (_killer(test_oracles.TestChoiOracle, "test_bit_identical_on_random_superop",
+                 (2, 2), (2, 2)),
+         _choi_killer("test_eigenframe_choi_has_the_dense_spectrum", ("automorphism", (4,), {})),
+         _choi_killer("test_eigenframe_choi_has_the_dense_spectrum", ("schur", (16,), {}))))),
+    # the transpose without the conjugate: a complex superoperator's dual
+    # misses the pairing, and its state residual the unit loop
+    "trace_dual_without_conj": (markov.trace_dual, SourceMutant(
+        (("ch.superop.conj().T", "ch.superop.T"),),
+        (_killer(test_markov.TestTraceDual, "test_duality_pairing_over_basis"),
+         _killer(test_oracles.TestStateBasisOracle, "test_matches_unit_loop_off_the_state")))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_MUTANTS))
+def test_membership_mutant(name, monkeypatch):
+    function, mutant = MEMBERSHIP_MUTANTS[name]
     _assert_source_mutant(name, mutant, monkeypatch, function)

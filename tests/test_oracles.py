@@ -76,7 +76,7 @@ from modmark.generators import (
     sp_ucp,
     state_to_scalar,
 )
-from modmark import gns, linalg, verify
+from modmark import gns, linalg, markov, verify
 from modmark.gns import Z_MAX, ModularData
 from modmark.linalg import matrix_power_from_eig
 from modmark.markov import (
@@ -88,9 +88,11 @@ from modmark.markov import (
     channel_from_kraus,
     check_markov,
     choi_to_channel,
+    cp_min_eigenvalue,
     eigen_extension,
     from_eigenframe,
     l2_extension,
+    membership_tolerances,
     modular_commutation_residual,
     petz_adjoint,
     state_residual,
@@ -626,11 +628,11 @@ def test_sp_ucp_breaks_the_flow(dims):
 
 FLOW_KEYS = ("eq32_t", "thm_i_s", "thm_commute_z", "adjoint_consistency", "petz_match")
 # the keys whose pass reads the upper bound that certifies it: a family's
-# largest one-GEMM bound at every N, and from `linalg.LANCZOS_MIN_DIM` on
-# |A|_F (thm_ii, the adjoint pair), the sector bound (kadison_norm) or |M|_F
-# times the frame's margin (markov_modular, thm_iii); a fail keeps its value
+# largest one-GEMM bound, |A|_F (thm_ii, the adjoint pair), the sector bound
+# (kadison_norm), |M|_F times the frame's margin (markov_modular, thm_iii)
+# or the Choi sector certificate (markov_cp); a fail keeps its value
 MOVED_KEYS = ("eq32_t", "thm_commute_z", "thm_i_s", "thm_ii", "adjoint_consistency",
-              "petz_match", "kadison_norm", "markov_modular", "thm_iii")
+              "petz_match", "kadison_norm", "markov_modular", "thm_iii", "markov_cp")
 # how far below the dense SVD's norm of the same matrix a pass may read: a
 # one-GEMM bound covers its formed product's norm to this relative rounding
 # (`assert_bounds_cover`), and |A|_F >= |A|_op
@@ -663,6 +665,15 @@ def involution_column_norm(t_eig, ch):
     return float(md_s.frame_column_norms(defect).max())
 
 
+def dense_cp_residual(ch):
+    """markov_cp by the dense route: max(0, -lambda_min, Hermiticity
+    defect) over the Choi blocks of `oracle_to_choi`, by eigvalsh."""
+    blocks = oracle_to_choi(ch).values()
+    lam = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2.0)[0]) for b in blocks)
+    herm = np.sqrt(sum(np.linalg.norm(b - b.conj().T) ** 2 for b in blocks))
+    return max(0.0, -lam, float(herm))
+
+
 def dense_moved_keys(ch):
     """The `MOVED_KEYS` of `verify_channel(ch)` by the dense routes, each
     the value of the matrix the report bounds: one mask and one `op_norm` at
@@ -678,7 +689,8 @@ def dense_moved_keys(ch):
             "adjoint_consistency": adjc, "petz_match": petz,
             "kadison_norm": max(0.0, op_norm(t_eig) - 1.0),
             "markov_modular": per_mask_modular(ch),
-            "thm_iii": involution_column_norm(t_eig, ch)}
+            "thm_iii": involution_column_norm(t_eig, ch),
+            "markov_cp": dense_cp_residual(ch)}
 
 
 def assert_report_on_verdict_side(ch, report):
@@ -689,7 +701,7 @@ def assert_report_on_verdict_side(ch, report):
         assert_verdict_side(report.residuals[key], dense, report.tolerances[key], lanczos)
 
 
-def assert_stacked_on_verdict_side(ch):
+def assert_flow_families_on_verdict_side(ch):
     """Every flow family and the adjoint pair against its per-sample
     oracle, on the side of its verdict (`assert_verdict_side`): a pass in
     [dense - rounding, tol], where the adjoint pair's reads
@@ -743,12 +755,12 @@ def test_report_takes_the_sampled_keys_over_its_samples(case):
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_stacked_flow_norms_bit_identical(case):
-    assert_stacked_on_verdict_side(_build(*case))
+    assert_flow_families_on_verdict_side(_build(*case))
 
 
 @pytest.mark.parametrize("src_dims,tgt_dims", OFF_CLASS_PAIRS)
 def test_stacked_flow_norms_bit_identical_off_the_class(src_dims, tgt_dims):
-    assert_stacked_on_verdict_side(_off_class_channel(src_dims, tgt_dims))
+    assert_flow_families_on_verdict_side(_off_class_channel(src_dims, tgt_dims))
 
 
 @pytest.mark.parametrize("dims", [(4,), (2, 3), (6,), (12,)], ids=lambda d: "x".join(map(str, d)))
@@ -949,7 +961,7 @@ class TestStackedNorms:
     # entries on the sectors, 2.87 t_eig.nbytes with or without a mask formed
     @pytest.mark.parametrize("case,budget", [(("schur", (16,), {}), 2), (("pinch", (8, 8), {}), 3)],
                              ids=["schur-16", "pinch-8x8"])
-    def test_calls_stay_within_the_entry_budget(self, monkeypatch, svd_shapes, case, budget):
+    def test_masks_formed_one_at_a_time(self, monkeypatch, svd_shapes, case, budget):
         # these sizes take the Lanczos route by default; on the dense route
         # each formed mask takes one SVD, counted here
         monkeypatch.setattr(linalg, "LANCZOS_MIN_DIM", DENSE_GATE)
@@ -959,7 +971,7 @@ class TestStackedNorms:
         # the adjoint pair on sqrt(sum |X|^2 W^2): no mask formed; the one
         # SVD is kadison_norm's zero-frequency sector, sum n_k = 16 square
         assert svd_shapes == [(16, 16)]
-        assert_stacked_on_verdict_side(ch)
+        assert_flow_families_on_verdict_side(ch)
         # at tolerance 0 no family is certified, so its masks are formed,
         # one at a time: a single masked copy is alive at once, not those
         # of the family
@@ -1333,11 +1345,11 @@ def _kraus_channel(n, seed=91):
     return channel_from_kraus(kraus, sys, sys)
 
 
-# markov_cp and a kadison_norm fail are certified bounds from the gate on,
-# not values within rounding: a Ritz value below |T|, an eigenvalue bound
-# above lambda_min, so each may read below the dense value (a kadison_norm
-# pass is a `MOVED_KEYS` bracket instead)
-BOUND_KEYS = ("kadison_norm", "markov_cp")
+# a kadison_norm fail is a certified bound from the gate on, not a value
+# within rounding: a Ritz value below |T|, so it may read below the dense
+# value (a kadison_norm pass is a `MOVED_KEYS` bracket instead; markov_cp
+# takes no Lanczos value)
+BOUND_KEYS = ("kadison_norm",)
 # how far a Ritz value may lie above the SVD's value of the same matrix
 RITZ_ROUNDING = 16 * np.finfo(float).eps
 
@@ -2042,6 +2054,197 @@ class TestChoiOracle:
         got = to_choi(ch).blocks
         for key in ref:
             assert got[key].tobytes() == ref[key].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# markov_cp on the frequency sectors of the eigenframe Choi matrix
+# ---------------------------------------------------------------------------
+
+def _sector_cases(dims_list, kinds=POSITIVE_KINDS + ("sp_ucp",)):
+    return [(kind, dims, {}) for dims in dims_list for kind in kinds
+            if kind != "schur" or len(dims) == 1]
+
+
+def eigenframe_choi_blocks(ch):
+    """The Choi blocks of ch conjugated by the density eigenvectors, read
+    off X = `ch.eigen_superop` entry by entry: [(i, a), (i', b)] of block
+    pair (j, k) is X at row i + m_j i' of target block j and column
+    a + n_k b of source block k."""
+    x = ch.eigen_superop
+    src, tgt = ch.source.algebra, ch.target.algebra
+    blocks = {}
+    for j, (m, r0) in enumerate(zip(tgt.block_dims, tgt.coord_offsets)):
+        for k, (n, c0) in enumerate(zip(src.block_dims, src.coord_offsets)):
+            i, a, i2, b = np.meshgrid(np.arange(m), np.arange(n), np.arange(m), np.arange(n),
+                                      indexing="ij")
+            blocks[(j, k)] = x[r0 + i + m * i2, c0 + a + n * b].reshape(m * n, m * n)
+    return blocks
+
+
+def in_group_mask(ch):
+    """True at the X entries [(i, i'), (a, b)] whose Choi indices (i, a) and
+    (i', b) share their label log mu_i - log lambda_a: both labels read
+    from each unit's carrier rows, one coordinate at a time."""
+    def rows(sys):
+        alg = sys.algebra
+        logs = np.concatenate([np.log(e.eigenvalues) for e in sys.modular.d_eig])
+        first, second = [], []
+        for n, start in zip(alg.block_dims, np.cumsum((0,) + alg.block_dims[:-1])):
+            for q2 in range(n):  # column stacking: E_qq2 at q + n q2
+                for q in range(n):
+                    first.append(logs[start + q])
+                    second.append(logs[start + q2])
+        return np.array(first), np.array(second)
+    (t1, t2), (s1, s2) = rows(ch.target), rows(ch.source)
+    return (t1[:, None] - s1[None, :]) == (t2[:, None] - s2[None, :])
+
+
+def cp_residual(value, herm):
+    return max(0.0, -value, herm)
+
+
+def blockwise_cp(ch):
+    """The cp route on the Choi blocks alone: every block through
+    `ChoiMatrix.min_eigenvalue`, and the Hermiticity defect as
+    |C - C.conj().T|_F over the formed blocks."""
+    choi = to_choi(ch)
+    herm = np.sqrt(sum(np.linalg.norm(b - b.conj().T) ** 2 for b in choi.blocks.values()))
+    return choi.min_eigenvalue(membership_tolerances(ch)["cp"]), herm
+
+
+class TestChoiSectors:
+    """The cp verdict's sector certificate (`markov._sector_min_eigenvalue`)
+    against the dense Choi route."""
+
+    @pytest.mark.parametrize("case", _sector_cases([(4,), (16,), (3, 3), (6, 4, 2)]),
+                             ids=_case_id)
+    def test_eigenframe_choi_has_the_dense_spectrum(self, case):
+        ch = _build(*case)
+        dense = to_choi(ch).blocks
+        for key, block in eigenframe_choi_blocks(ch).items():
+            got = scipy.linalg.eigvalsh((block + block.conj().T) / 2.0)
+            ref = scipy.linalg.eigvalsh((dense[key] + dense[key].conj().T) / 2.0)
+            # the frame's rounding, ~n^1.5 eps of |C|_F
+            assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.linalg.norm(ref)), key
+
+    @pytest.mark.parametrize("case", _sector_cases(
+        [(5,), (16,), (3, 3), (6, 4, 2)],
+        ("schur", "sp_ucp", "twirl", "automorphism", "state_to_scalar")), ids=_case_id)
+    def test_off_group_mass_is_the_split_identity(self, case):
+        ch = _build(*case)
+        x = ch.eigen_superop
+        md_s, md_t = ch.source.modular, ch.target.modular
+        mask = in_group_mask(ch)
+        # on these states the groups are the equal-frequency set Z
+        assert np.array_equal(mask, md_t.frequencies[:, None] == md_s.frequencies[None, :])
+        split = verify._sector_split(x, md_s.frequencies, md_t.frequencies)
+        ref = np.sqrt(split.off.sum())
+        off = markov._choi_sectors(ch)[2]
+        assert off == pytest.approx(ref, rel=1e-12, abs=1e-300)
+        assert off == pytest.approx(np.linalg.norm(np.where(mask, 0.0, x)), rel=1e-12, abs=1e-300)
+        if case[0] != "sp_ucp":
+            # roundoff: a difference of two sums would read ~1e-8 here
+            assert off <= 1e-13
+
+    @pytest.mark.parametrize("case", _sector_cases(
+        [(2,), (4,), (2, 2), (3, 1), (8,), (16,), (3, 3)], POSITIVE_KINDS), ids=_case_id)
+    def test_certified_pass_on_the_verdict_side(self, case):
+        ch = _build(*case)
+        tau = membership_tolerances(ch)["cp"]
+        value = markov._sector_min_eigenvalue(ch, tau)
+        assert value is not None
+        got = cp_residual(*cp_min_eigenvalue(ch))
+        assert check_markov(ch).residuals["cp"] == got
+        assert_verdict_side(got, dense_cp_residual(ch), tau)
+
+    @pytest.mark.parametrize("dims", [(3,), (2, 2, 2), (16,)], ids=lambda d: "x".join(map(str, d)))
+    def test_sp_ucp_keeps_its_route(self, monkeypatch, dims):
+        ch = _build("sp_ucp", dims, {})
+        blocks = blockwise_cp(ch)
+        stacked = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            stacked.append(np.ndim(a) > 2)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        got = cp_min_eigenvalue(ch)
+        assert got[1] == blocks[1] and cp_residual(*got) == cp_residual(*blocks)
+        if dims == (3,):
+            # here lambda_min exceeds the mass off the groups: the groups'
+            # eigvalsh certifies lambda_min >= 0, which reads 0.0
+            assert any(stacked) and got[0] == 0.0 < blocks[0]
+        else:
+            # the mass off the groups exceeds min(diagonal): no group is
+            # decomposed, and the value is the Choi blocks' own
+            assert not any(stacked) and got == blocks
+
+    def test_peak_memory(self):
+        ch = _build("schur", (16,), {})
+        x = ch.eigen_superop
+        tracemalloc.start()
+        try:
+            cp_min_eigenvalue(ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.nbytes, peak / x.nbytes
+
+    @staticmethod
+    def assert_dense_fail(ch):
+        """A map that is not cp: the certificate settles nothing, and the
+        verdict and value are the dense route's."""
+        tau = membership_tolerances(ch)["cp"]
+        assert markov._sector_min_eigenvalue(ch, tau) is None
+        got = cp_min_eigenvalue(ch)
+        assert got == blockwise_cp(ch) and got[0] < -tau
+        assert not check_markov(ch).verdicts["cp"]
+
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_off_group_mass_counts(self, n):
+        # the identity map, whose groups are PSD, plus a Hermitian pair of
+        # off-group Choi entries at [(0, 1), (1, 0)]: a principal 2 x 2
+        # minor [[0, eps], [eps, 0]], so lambda_min <= -eps
+        sys = System(random_faithful_state(BlockAlgebra((n,)), 61, 0.05))
+        x = np.eye(n * n, dtype=np.complex128)
+        eps = 1e-3
+        x[0 + n * 1, 1 + n * 0] += eps  # X[(i, i'), (a, b)] at [(i, a), (i', b)]
+        x[1 + n * 0, 0 + n * 1] += eps
+        ch = Channel(sys, sys, from_eigenframe(x, sys, sys))
+        assert markov._choi_sectors(ch)[2] >= eps
+        self.assert_dense_fail(ch)
+
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_indefinite_sector_fails(self, n):
+        # the Schur multiplier by a unit-diagonal c with lambda_min(c) < 0:
+        # its Choi matrix is c on the zero-label group and 0 elsewhere, so
+        # every diagonal entry is 0 or 1 and only the group's eigvalsh sees it
+        sys = System(random_faithful_state(BlockAlgebra((n,)), 62, 0.05))
+        c = np.full((n, n), 0.9)
+        c[0, 1] = c[1, 0] = -0.9
+        np.fill_diagonal(c, 1.0)
+        assert np.linalg.eigvalsh(c)[0] < -0.5
+        ch = Channel(sys, sys, from_eigenframe(np.diag(c.T.ravel()).astype(np.complex128),
+                                               sys, sys))
+        self.assert_dense_fail(ch)
+
+    def test_groups_across_two_states(self):
+        # measure and prepare, M_2 onto the tracial M_2: x |-> sum_a
+        # <a|x|a> rho_a with rho_0 = |+><+|, rho_1 = |-><-| in the
+        # eigenframes.  Every target label is equal, so each group is
+        # {(0, a), (1, a)}, and the Choi matrix is rho_0 (+) rho_1 over them
+        src = System(random_faithful_state(BlockAlgebra((2,)), 63, 0.05))
+        tgt = System(FaithfulState(AlgebraElement(BlockAlgebra((2,)), [np.eye(2) / 2])))
+        rho = [np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]])]
+        x = np.zeros((4, 4), dtype=np.complex128)
+        for a in range(2):
+            x[:, a + 2 * a] = rho[a].T.ravel()  # column stacking: (i, i') at i + 2 i'
+        ch = Channel(src, tgt, from_eigenframe(x, src, tgt))
+        tau = membership_tolerances(ch)["cp"]
+        assert markov._choi_sectors(ch)[2] <= 1e-15
+        assert markov._sector_min_eigenvalue(ch, tau) is not None
+        assert_verdict_side(cp_residual(*cp_min_eigenvalue(ch)), dense_cp_residual(ch), tau)
 
 
 class TestStateBasisOracle:
