@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedInstance, ModmarkError, NoConvergence, ShapeMismatch
+from .errors import MalformedInstance, ModmarkError, NoConvergence, NoFittingDims, ShapeMismatch
 from .generators import KINDS, GenSpec, build_channel, derive_seed
 from .gns import Z_MAX
 from .linalg import base_tolerance
@@ -42,9 +42,10 @@ from .serialize import (
 )
 from .verify import (
     DEFAULT_EQ32_T,
+    EXPECTED_FAIL_BY_KIND,
+    POSITIVE_KINDS,
     SuiteConfig,
     SuiteResult,
-    compatible_dims,
     run_suite,
     sample_z,
     verify_channel,
@@ -228,13 +229,11 @@ def cmd_verify(args) -> int:
     if isinstance(loaded, int):
         return loaded
     ch, metadata, _ = loaded
-    kind = None
     genspec = metadata.get("genspec")
-    if isinstance(genspec, dict):
-        try:
-            kind = genspec_from_json(genspec).kind
-        except MalformedInstance:
-            kind = None
+    try:  # a genspec that is not an object is malformed too
+        kind = genspec_from_json(genspec).kind
+    except MalformedInstance:
+        kind = None
     seed = metadata.get("seed")
     sample_seed = seed if isinstance(seed, int) else 0
     report = verify_channel(
@@ -284,7 +283,7 @@ def _run_suite_to_files(config: SuiteConfig, out_dir: Path) -> SuiteResult:
 
 
 def cmd_suite(args) -> int:
-    kinds = None
+    kinds = POSITIVE_KINDS
     if args.kinds:
         try:
             kinds = tuple(_canonical_kind(k) for k in args.kinds.split(","))
@@ -294,24 +293,16 @@ def cmd_suite(args) -> int:
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    config_kwargs = dict(
-        trials=args.trials,
-        seed=args.seed,
-        dims_list=args.dims,
-        min_gap=args.min_gap,
-    )
-    if kinds:
-        config_kwargs["kinds"] = kinds
-    config = SuiteConfig(**config_kwargs)
-    for kind in config.kinds[:config.trials]:
-        if not any(compatible_dims(kind, dims) for dims in config.dims_list):
-            text = ",".join("x".join(map(str, dims)) for dims in config.dims_list)
-            print(f"error: kind {kind} fits none of the dims {text}", file=sys.stderr)
-            return EXIT_USAGE
-    if args.out:
-        result = _run_suite_to_files(config, Path(args.out))
-    else:
-        result = run_suite(config)
+    config = SuiteConfig(trials=args.trials, seed=args.seed, dims_list=args.dims,
+                         kinds=kinds, min_gap=args.min_gap)
+    try:
+        if args.out:
+            result = _run_suite_to_files(config, Path(args.out))
+        else:
+            result = run_suite(config)
+    except NoFittingDims as exc:  # refused before the first trial
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.json:
         print(dumps_canonical(suite_result_to_json(result)), end="")
     else:
@@ -323,7 +314,8 @@ def cmd_suite(args) -> int:
         for key, value in sorted(summary["max_residuals"].items()):
             print(f"{key:24s} {value:13.3e}")
         if summary["expected_failures"]:
-            print("expected failures (flow-dependent checks on sp_ucp instances):")
+            print(f"expected failures (flow-dependent checks on "
+                  f"{', '.join(EXPECTED_FAIL_BY_KIND)} instances):")
             for item in summary["expected_failures"]:
                 print(f"  {item['instance']} {item['check']} "
                       f"residual {item['residual']:.3e}")

@@ -55,3 +55,7 @@ class BadWeights(ModmarkError):
 
 class MalformedInstance(ModmarkError):
     """Instance file does not parse against the JSON schema."""
+
+
+class NoFittingDims(ModmarkError, ValueError):
+    """A suite kind fits none of the suite's block dims."""

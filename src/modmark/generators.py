@@ -1,6 +1,13 @@
 """Instance factory: faithful states and channels for the verification suites.
 
-Every generator except `sp_ucp` produces channels passing all four membership
+`KIND_SPECS` is the one table of kinds.  Each row holds the kind's builder
+from the seeded source system and its `GenSpec`, the params it reads
+besides `min_gap`, whether its channels commute with the modular flow, and
+whether it needs a single block.  `build_channel` is a lookup in it, and
+`KINDS`, `verify.POSITIVE_KINDS`, `verify.EXPECTED_FAIL_BY_KIND` and the
+suite's choice of dims are read from it.
+
+Every kind but `sp_ucp` produces channels passing all four membership
 residuals by construction.  Apart from `identity`, `state_to_scalar` and the
 `convex` mixes, each is an entrywise (Schur) multiplier in the density
 eigenframe, C_k[a, b] on entry (a, b) of block k: a unit-diagonal psd matrix
@@ -11,17 +18,10 @@ unitary diagonal in the eigenbasis, which is a state-preserving inner
 automorphism (`automorphism`), and the equal-frequency mask (`twirl`).
 `sp_ucp` deliberately produces the other thing: unital completely positive
 state-compatible channels that generically fail the flow condition, which is
-what the negative suites feed on.  It does so in closed form on the Choi
-blocks, stepping from the strictly interior state-to-scalar Choi collection
-1_{m_j} kron D_k^T, whose smallest eigenvalue is the smallest source
-density eigenvalue, along a seeded direction in the null space of the
-unital and state conditions, sized so the smallest Choi eigenvalue keeps at
-least half its gap.  That null space is {Z : Z u = 0, d^+ Z = 0},
-u = coords(1_source) and d = coords(D_target), and the projection onto it
-is two rank-one deflations, each a partial trace and a kron on the blocks.
-It has dimension (T - 1)(S - 1) in the coordinate dims T, S, so an algebra
-C on either side leaves no free direction and the state-to-scalar channel
-is returned.  The `twirl` kind twirls the `sp_ucp` channel of its own spec.
+what the negative suites feed on, in closed form on the Choi blocks (a
+seeded step from the state-to-scalar channel, derived at `sp_ucp`).  The
+`twirl` kind twirls the `sp_ucp` channel of its own spec: the two builders
+draw the same seed stream.
 
 Determinism: each generator is a pure function of its seed; sub-streams are
 derived through SeedSequence so reports reproduce bit-for-bit.
@@ -29,6 +29,7 @@ derived through SeedSequence so reports reproduce bit-for-bit.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -51,18 +52,6 @@ from .markov import (
     from_eigenframe,
     identity_channel,
     precondition_defects,
-)
-
-KINDS = (
-    "identity",
-    "schur",
-    "pinch",
-    "block_expectation",
-    "state_to_scalar",
-    "automorphism",
-    "twirl",
-    "sp_ucp",
-    "convex",
 )
 
 DEFAULT_MIN_GAP = 0.05
@@ -351,8 +340,7 @@ class GenSpec:
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}; known: {KINDS}")
+        kind_spec(self.kind)
         self.dims = tuple(int(n) for n in self.dims)
 
 
@@ -362,58 +350,84 @@ class BuildResult:
     flags: tuple[str, ...] = ()
 
 
-def _source_system(spec: GenSpec) -> System:
-    min_gap = float(spec.params.get("min_gap", DEFAULT_MIN_GAP))
-    state = random_faithful_state(BlockAlgebra(spec.dims),
-                                  derive_seed(spec.seed, 1), min_gap)
-    return System(state)
+def _build_schur(sys: System, spec: GenSpec) -> Channel:
+    c = spec.params.get("c")
+    if c is None:
+        c = random_unit_diagonal_psd(spec.dims[0], derive_seed(spec.seed, 2))
+    return schur_channel(sys, np.asarray(c, dtype=np.complex128))
+
+
+def _build_state_to_scalar(sys: System, spec: GenSpec) -> Channel:
+    tdims = tuple(int(n) for n in spec.params.get("target_dims", spec.dims))
+    tstate = random_faithful_state(BlockAlgebra(tdims), derive_seed(spec.seed, 4),
+                                   float(spec.params.get("min_gap", DEFAULT_MIN_GAP)))
+    return state_to_scalar(sys, System(tstate))
+
+
+def _build_convex(sys: System, spec: GenSpec) -> Channel:
+    parts = [identity_channel(sys), state_to_scalar(sys, sys),
+             random_automorphism(sys, derive_seed(spec.seed, 7))]
+    raw = np.random.default_rng(derive_seed(spec.seed, 8)).uniform(0.1, 1.0, size=len(parts))
+    return convex_combine(parts, raw / raw.sum())
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """One row of `KIND_SPECS`: the builder from the source system and the
+    spec, the params read besides `min_gap`, whether the channels commute
+    with the modular flow, and whether they need a single block."""
+
+    build: Callable[[System, GenSpec], Channel]
+    params: tuple[str, ...] = ()
+    flow_compatible: bool = True
+    single_block: bool = False
+
+    def fits(self, dims: tuple[int, ...]) -> bool:
+        return len(dims) == 1 or not self.single_block
+
+
+KIND_SPECS = {
+    "identity": KindSpec(lambda sys, spec: identity_channel(sys)),
+    "schur": KindSpec(_build_schur, params=("c",), single_block=True),
+    "pinch": KindSpec(lambda sys, spec: pinch_channel(sys)),
+    "block_expectation": KindSpec(
+        lambda sys, spec: random_partition_expectation(sys, derive_seed(spec.seed, 3))),
+    "state_to_scalar": KindSpec(_build_state_to_scalar, params=("target_dims",)),
+    "automorphism": KindSpec(
+        lambda sys, spec: random_automorphism(sys, derive_seed(spec.seed, 5))),
+    "twirl": KindSpec(
+        lambda sys, spec: modular_twirl(sp_ucp(sys, sys, derive_seed(spec.seed, 6)))),
+    "sp_ucp": KindSpec(lambda sys, spec: sp_ucp(sys, sys, derive_seed(spec.seed, 6)),
+                       flow_compatible=False),
+    "convex": KindSpec(_build_convex),
+}
+KINDS = tuple(KIND_SPECS)
+
+
+def kind_spec(kind: str) -> KindSpec:
+    """`KIND_SPECS[kind]`; an unknown kind, hashable or not, is a ValueError."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}; known: {KINDS}")
+    return KIND_SPECS[kind]
 
 
 def build_channel(spec: GenSpec) -> BuildResult:
-    """Materialize a GenSpec, each kind one way.  Params: `min_gap` (every
-    kind), `c` (`schur`), `target_dims` (`state_to_scalar`), no other (a
-    ValueError).  Errors of the generators and of the numerical routines
-    under them (NoConvergence from an eigensolver, say) propagate."""
-    accepted = ("min_gap",) + {"schur": ("c",), "state_to_scalar": ("target_dims",)}.get(
-        spec.kind, ())
+    """Materialize a GenSpec by its kind's row of `KIND_SPECS`; a param other
+    than `min_gap` and the kind's own is a ValueError.  Errors of the builders
+    and the numerical routines under them (NoConvergence, say) propagate."""
+    kind = kind_spec(spec.kind)
+    accepted = ("min_gap",) + kind.params
     unknown = [key for key in spec.params if key not in accepted]
     if unknown:
         raise ValueError(f"kind {spec.kind!r} takes no param {unknown[0]!r}; accepted: {accepted}")
-    sys = _source_system(spec)
-    if spec.kind == "identity":
-        ch = identity_channel(sys)
-    elif spec.kind == "schur":
-        c = spec.params.get("c")
-        if c is None:
-            c = random_unit_diagonal_psd(spec.dims[0], derive_seed(spec.seed, 2))
-        ch = schur_channel(sys, np.asarray(c, dtype=np.complex128))
-    elif spec.kind == "pinch":
-        ch = pinch_channel(sys)
-    elif spec.kind == "block_expectation":
-        ch = random_partition_expectation(sys, derive_seed(spec.seed, 3))
-    elif spec.kind == "state_to_scalar":
-        tdims = tuple(int(n) for n in spec.params.get("target_dims", spec.dims))
-        tstate = random_faithful_state(
-            BlockAlgebra(tdims), derive_seed(spec.seed, 4),
-            float(spec.params.get("min_gap", DEFAULT_MIN_GAP)))
-        ch = state_to_scalar(sys, System(tstate))
-    elif spec.kind == "automorphism":
-        ch = random_automorphism(sys, derive_seed(spec.seed, 5))
-    elif spec.kind == "twirl":
-        ch = modular_twirl(sp_ucp(sys, sys, derive_seed(spec.seed, 6)))
-    elif spec.kind == "sp_ucp":
-        ch = sp_ucp(sys, sys, derive_seed(spec.seed, 6))
-    else:  # "convex", the last of KINDS (GenSpec refuses any other)
-        parts = [identity_channel(sys), state_to_scalar(sys, sys),
-                 random_automorphism(sys, derive_seed(spec.seed, 7))]
-        raw = np.random.default_rng(derive_seed(spec.seed, 8)).uniform(
-            0.1, 1.0, size=len(parts))
-        ch = convex_combine(parts, raw / raw.sum())
-    return BuildResult(channel=ch)
+    state = random_faithful_state(BlockAlgebra(spec.dims), derive_seed(spec.seed, 1),
+                                  float(spec.params.get("min_gap", DEFAULT_MIN_GAP)))
+    return BuildResult(channel=kind.build(System(state), spec))
 
 
 __all__ = [
     "KINDS",
+    "KIND_SPECS",
     "GenSpec",
     "BuildResult",
     "derive_seed",

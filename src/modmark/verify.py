@@ -18,9 +18,9 @@ keys, fixed as the report schema:
     gns_*          modular axioms of the endpoint states themselves, both
                    states in one stacked pass through the spectral powers D^z
 
-Instances that fail the flow condition on purpose (kind sp_ucp) are expected
-to fail exactly the flow-dependent keys; those failures are reported in an
-expected section and do not count against a suite run.
+A kind that is not flow-compatible in `generators.KIND_SPECS` (`sp_ucp`) is
+expected to fail exactly the flow-dependent keys, reported in an expected
+section that does not count against a suite run.
 
 Every residual is computed in the density eigenframes G (`gns`), where
 multiplying by D^p on the left (right) is the diagonal lambda_a^p
@@ -102,9 +102,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotMarkov
+from .errors import NoFittingDims, NotMarkov
 from . import linalg
-from .generators import BuildResult, GenSpec, build_channel, derive_seed
+from .generators import KIND_SPECS, BuildResult, GenSpec, build_channel, derive_seed, kind_spec
 from .gns import ModularData
 from .linalg import certified_value, power_condition_scale, tolerance_factor
 from .markov import Channel, adjoint_index, check_markov, eigen_extension
@@ -117,18 +117,16 @@ DEFAULT_EQ32_T = (1.0, 0.37, 5.0)
 DEFAULT_S_VALUES = (1.0, -1.0, 0.5, -0.5)
 DEFAULT_Z_COUNT = 16
 
-POSITIVE_KINDS = ("identity", "schur", "pinch", "block_expectation",
-                  "state_to_scalar", "automorphism", "twirl", "convex")
-
 # Flow-dependent keys: exactly the identities that need the channel to
-# intertwine the flows, so deliberately non-commuting instances are expected
-# to fail these and only these.
+# intertwine the flows, so a kind that is not flow-compatible is expected to
+# fail these and only these.
 FLOW_DEPENDENT_KEYS = frozenset({
     "markov_modular", "eq32_t", "thm_i_s", "thm_commute_z", "thm_ii",
     "adjoint_consistency", "petz_match",
 })
-
-EXPECTED_FAIL_BY_KIND = {"sp_ucp": FLOW_DEPENDENT_KEYS}
+POSITIVE_KINDS = tuple(kind for kind, spec in KIND_SPECS.items() if spec.flow_compatible)
+EXPECTED_FAIL_BY_KIND = {kind: FLOW_DEPENDENT_KEYS for kind, spec in KIND_SPECS.items()
+                         if not spec.flow_compatible}
 
 # Pinned verdict tolerances: value = pinned base, scaled at report time by
 # the MODMARK_TOL factor and by the recorded condition scale.  The markov_*
@@ -283,8 +281,10 @@ def _flow_bounds(split: _SectorSplit, d_s: np.ndarray, d_t: np.ndarray,
         re_cross = (d_t.real * q_re).sum(axis=1)
         im_cross = (d_t.imag * q_im).sum(axis=1)
         cross = np.concatenate([re_cross[com] + im_cross[com], re_cross[tw] - im_cross[tw]])
-        ds_z, dt_z = d_s[:, split.cols], d_t[:, split.rows]
-        m_z = np.concatenate([ds_z[com] - dt_z[com], ds_z[tw] * dt_z[tw] - 1.0])
+        m_z = np.take(d_s, split.cols, axis=1)  # C order: updated in place, no copies
+        m_z[com] -= np.take(d_t[com], split.rows, axis=1)
+        m_z[tw] *= np.take(d_t[tw], split.rows, axis=1)
+        m_z[tw] -= 1.0
         z_part = (m_z.real ** 2 + m_z.imag ** 2) @ split.on
         margin = 4.0 * (n_s + n_t) * _EPS * (2.0 * pos + z_part)
         return np.sqrt(np.maximum(pos - 2.0 * cross + z_part + margin, 0.0))
@@ -831,39 +831,31 @@ class SuiteResult:
         return not self.summary.get("unexpected_failures")
 
 
-def compatible_dims(kind: str, dims: tuple[int, ...]) -> bool:
-    """Whether the suite may draw `dims` for `kind` (schur needs one block)."""
-    if kind == "schur":
-        return len(dims) == 1
-    return True
-
-
-def _pick_dims(kind: str, index: int, config: SuiteConfig) -> tuple[int, ...]:
-    dims_list = config.dims_list
-    start = (index // len(config.kinds)) % len(dims_list)
-    for step in range(len(dims_list)):
-        dims = dims_list[(start + step) % len(dims_list)]
-        if compatible_dims(kind, dims):
-            return dims
-    raise ValueError(f"no dims in {dims_list} compatible with kind {kind!r}")
-
-
 def run_suite(config: SuiteConfig,
               on_instance: Callable[[BuildResult, VerificationReport], None]
               | None = None) -> SuiteResult:
     """Generate, verify, and summarize `trials` instances.
 
     Deterministic per (config, seed): instance seeds, sample draws, and
-    report assembly order are all derived from the config seed.  If given,
-    `on_instance(built, report)` sees each built channel with its report,
-    in trial order, before the channel is dropped.
+    report assembly order are all derived from the config seed.  Trial i
+    draws kind i mod K (K kinds) on the first dims its kind fits, from
+    round i // K's turn of the dims list on.  A kind that runs and fits none
+    of the dims is refused before the first trial (NoFittingDims).  If
+    given, `on_instance(built, report)` sees each built channel with its
+    report, in trial order, before the channel is dropped.
     """
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
+    for kind in config.kinds[:config.trials]:
+        if not any(map(kind_spec(kind).fits, config.dims_list)):
+            text = ",".join("x".join(map(str, dims)) for dims in config.dims_list)
+            raise NoFittingDims(f"kind {kind} fits none of the dims {text}")
     reports = []
     for i in range(config.trials):
         kind = config.kinds[i % len(config.kinds)]
-        dims = _pick_dims(kind, i, config)
+        turn = (i // len(config.kinds)) % len(config.dims_list)
+        dims = next(filter(KIND_SPECS[kind].fits,
+                           config.dims_list[turn:] + config.dims_list[:turn]))
         spec = GenSpec(kind, dims, seed=derive_seed(config.seed, i),
                        params={"min_gap": config.min_gap})
         built = build_channel(spec)
@@ -891,17 +883,16 @@ def _summarize(reports: list[VerificationReport]) -> dict:
     keys = sorted({k for r in reports for k in r.residuals})
     max_res = {k: max((r.residuals[k] for r in reports if k in r.residuals),
                       default=0.0) for k in keys}
-    unexpected = [{"instance": r.instance_id, "check": k,
-                   "residual": r.residuals[k], "tolerance": r.tolerances[k]}
-                  for r in reports for k in r.unexpected_failures]
-    expected = [{"instance": r.instance_id, "check": k,
+
+    def failures(which: str) -> list[dict]:
+        return [{"instance": r.instance_id, "check": k,
                  "residual": r.residuals[k], "tolerance": r.tolerances[k]}
-                for r in reports for k in r.expected_failures]
+                for r in reports for k in getattr(r, which)]
     return {
         "instances": len(reports),
         "max_residuals": max_res,
-        "unexpected_failures": unexpected,
-        "expected_failures": expected,
+        "unexpected_failures": failures("unexpected_failures"),
+        "expected_failures": failures("expected_failures"),
         "flagged": [r.instance_id for r in reports if r.flags],
     }
 
@@ -924,6 +915,5 @@ __all__ = [
     "verify_channel",
     "SuiteConfig",
     "SuiteResult",
-    "compatible_dims",
     "run_suite",
 ]

@@ -9,7 +9,7 @@ import pytest
 
 import modmark
 from modmark.cli import main
-from modmark.generators import KINDS, GenSpec, build_channel
+from modmark.generators import KIND_SPECS, KINDS, GenSpec, build_channel
 from modmark.serialize import (
     dumps_canonical,
     genspec_from_json,
@@ -18,6 +18,7 @@ from modmark.serialize import (
     matrix_from_json,
     read_instance,
 )
+from modmark.verify import EXPECTED_FAIL_BY_KIND, POSITIVE_KINDS
 from test_oracles import matrix_to_json
 
 
@@ -411,6 +412,22 @@ class TestSuite:
         assert err == "error: kind schur fits none of the dims 2x2\n"
         assert not out_dir.exists()
 
+    def test_only_the_dims_refusal_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # run_suite refuses before the first trial, and that refusal alone
+        # maps to exit 2: a ValueError inside a trial propagates
+        import modmark.verify as verify
+
+        def refuse(spec):
+            raise ValueError("refused inside a trial")
+
+        monkeypatch.setattr(verify, "build_channel", refuse)
+        code, _, err = run(capsys, "suite", "--kinds", "identity,schur", "--dims", "2x2")
+        assert code == 2 and err == "error: kind schur fits none of the dims 2x2\n"
+        out_dir = tmp_path / "DIR"
+        with pytest.raises(ValueError, match="inside a trial"):
+            main(["suite", "--trials", "1", "--dims", "2", "--out", str(out_dir)])
+        assert not out_dir.exists()
+
     def test_kind_without_fitting_dims_that_never_runs(self, capsys):
         # one trial runs identity only; the refusal names kinds that would run
         code, _, _ = run(capsys, "suite", "--trials", "1", "--kinds", "identity,schur",
@@ -509,17 +526,39 @@ class TestShow:
         assert out_v1.splitlines()[1:] == out.splitlines()[1:]
 
 
-# Drives every command over every kind in one fresh interpreter, then lists
-# the scipy modules it holds.  The library is numpy only; scipy is for tests.
+class TestKindTable:
+    def test_pins_suite_bytes_and_cli_messages(self):
+        # suite bytes follow the kinds' order, the dims each kind fits, the
+        # expected-failure lists and each kind's params; the CLI prints the
+        # params tuple as is
+        assert KINDS == ("identity", "schur", "pinch", "block_expectation",
+                         "state_to_scalar", "automorphism", "twirl", "sp_ucp", "convex")
+        assert POSITIVE_KINDS == ("identity", "schur", "pinch", "block_expectation",
+                                  "state_to_scalar", "automorphism", "twirl", "convex")
+        assert [kind for kind in KINDS if not KIND_SPECS[kind].fits((2, 2))] == ["schur"]
+        assert EXPECTED_FAIL_BY_KIND == {"sp_ucp": frozenset({
+            "markov_modular", "eq32_t", "thm_i_s", "thm_commute_z", "thm_ii",
+            "adjoint_consistency", "petz_match"})}
+        accepted = {"schur": "('min_gap', 'c')", "state_to_scalar": "('min_gap', 'target_dims')"}
+        for kind in KINDS:
+            with pytest.raises(ValueError) as exc:
+                build_channel(GenSpec(kind, (2,), params={"min_gap": 0.1, "bogus": 1}))
+            assert str(exc.value) == (f"kind {kind!r} takes no param 'bogus'; accepted: "
+                                      f"{accepted.get(kind, repr(('min_gap',)))}")
+
+
+# Drives every command over every kind on every dims it fits in one fresh
+# interpreter, then lists the scipy modules it holds.  The library is numpy
+# only; scipy is for tests.
 CLI_RUN = """
 import json, sys
 from modmark.cli import main
-from modmark.generators import KINDS
+from modmark.generators import KIND_SPECS, KINDS
 out = sys.argv[1]
 codes = {}
-for kind in KINDS:
+for kind, spec in KIND_SPECS.items():
     for dims in ("3", "2x2"):
-        if kind == "schur" and dims == "2x2":
+        if not spec.fits(tuple(map(int, dims.split("x")))):
             continue
         path = f"{out}/{kind}-{dims}.json"
         codes[path] = [main(["gen", "--kind", kind, "--dims", dims, "--seed", "3",
@@ -546,8 +585,9 @@ class TestRuntimeImports:
         assert result["scipy"] == []
         codes = result["codes"]
         assert codes.pop("suite") == 0
-        assert len(codes) == 2 * len(KINDS) - 1
+        assert len(codes) == sum(spec.fits(dims) for spec in KIND_SPECS.values()
+                                 for dims in ((3,), (2, 2)))
         for path, (gen, verify, show) in codes.items():
-            negative = Path(path).name.startswith("sp_ucp")
+            negative = not KIND_SPECS[Path(path).stem.rsplit("-", 1)[0]].flow_compatible
             assert (gen, verify, show) == (0, 1 if negative else 0, 0), path
         assert len(list((tmp_path / "suite").glob("*.json"))) == 2 * len(KINDS)

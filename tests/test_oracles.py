@@ -64,6 +64,7 @@ from modmark.algebra import (
 )
 from modmark.errors import MalformedInstance, PowerRangeExceeded
 from modmark.generators import (
+    KIND_SPECS,
     TWIRL_FREQ_TOL,
     GenSpec,
     _bucket_ids,
@@ -755,6 +756,8 @@ def test_report_takes_the_sampled_keys_over_its_samples(case):
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_stacked_flow_norms_bit_identical(case):
+    # the name predates the one-masked-copy route: each flow family and the
+    # adjoint pair on the side of its verdict, one masked copy at a time
     assert_flow_families_on_verdict_side(_build(*case))
 
 
@@ -940,7 +943,7 @@ def svd_shapes(monkeypatch):
     return record_svd_shapes(monkeypatch)
 
 
-class TestStackedNorms:
+class TestOneMaskedCopyAtATime:
     def test_empty_samples_give_zero(self):
         ch = _build("schur", (3,), {})
         assert verify_crucial(ch, (), require_markov=False) == 0.0
@@ -986,6 +989,22 @@ class TestStackedNorms:
         assert peak < budget * t_eig.nbytes, peak / t_eig.nbytes
         assert svd_shapes and set(svd_shapes) == {t_eig.shape}
         assert len(svd_shapes) <= len(sample_z(0))
+
+    def test_bounds_build_the_masks_on_z_in_one_buffer(self, svd_shapes):
+        # a certified pass forms no mask, so `_flow_bounds` sets the peak:
+        # with the k x |Z| masks on the sectors (k = 16, |Z| = 368) built in
+        # one buffer it read 2.15 t_eig.nbytes, with their parts gathered
+        # into separate copies first 2.87
+        ch = _build("pinch", (8, 8), {})
+        t_eig = eigen_extension(ch)
+        tracemalloc.start()
+        try:
+            verify._flow_residuals(t_eig, ch, commute=[(sample_z(0), 1e-8)])[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * t_eig.nbytes, peak / t_eig.nbytes
+        assert svd_shapes == []
 
 
 def frobenius_bounds(base, stack):
@@ -1312,7 +1331,7 @@ class TestLanczosKernel:
 def _parity_cases():
     cases = [(kind, dims, {}) for kind in ("schur", "pinch", "block_expectation",
                                             "automorphism", "convex", "state_to_scalar")
-             for dims in [(12,), (16,), (8, 8)] if kind != "schur" or len(dims) == 1]
+             for dims in [(12,), (16,), (8, 8)] if KIND_SPECS[kind].fits(dims)]
     return cases + [("sp_ucp", (12,), {}), ("sp_ucp", (16,), {})]
 
 
@@ -1743,7 +1762,7 @@ def _clustered_channel(n=12, gap=1e-9, seed=7):
 def _large_cases():
     return [(kind, dims, {}) for kind in ("schur", "pinch", "block_expectation", "automorphism",
                                           "convex", "state_to_scalar", "sp_ucp", "twirl")
-            for dims in [(12,), (16,), (8, 8), (24,)] if kind != "schur" or len(dims) == 1]
+            for dims in [(12,), (16,), (8, 8), (24,)] if KIND_SPECS[kind].fits(dims)]
 
 
 class TestFlowBounds:
@@ -1837,7 +1856,7 @@ def assert_bounded_route(monkeypatch, ch, t_eig=None):
 
 def _route_cases():
     return [(kind, dims, {}) for kind in ("schur", "pinch", "automorphism", "convex", "sp_ucp")
-            for dims in [(12,), (16,), (8, 8)] if kind != "schur" or len(dims) == 1]
+            for dims in [(12,), (16,), (8, 8)] if KIND_SPECS[kind].fits(dims)]
 
 
 class TestBoundedRoute:
@@ -2062,7 +2081,7 @@ class TestChoiOracle:
 
 def _sector_cases(dims_list, kinds=POSITIVE_KINDS + ("sp_ucp",)):
     return [(kind, dims, {}) for dims in dims_list for kind in kinds
-            if kind != "schur" or len(dims) == 1]
+            if KIND_SPECS[kind].fits(dims)]
 
 
 def eigenframe_choi_blocks(ch):
