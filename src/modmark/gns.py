@@ -42,7 +42,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, FaithfulState
 from .errors import BadQuadrature, PowerRangeExceeded, ShapeMismatch
-from .linalg import EIG_CONTRACT_RTOL, block_diag, require_positive_definite
+from .linalg import EIG_CONTRACT_RTOL, block_diag, require_positive_definite, settle
 
 # Cap on |Re z| for the complex powers Delta^z and D^z: beyond it no
 # residual tolerance vouches for the result, so the call refuses.
@@ -178,10 +178,10 @@ class ModularData:
             return float(np.linalg.norm(m)) * margin
 
     def max_column_norm(self, m: np.ndarray, tol: float) -> float:
-        """The largest of `frame_column_norms(m)`, taken for the verdict
-        max <= tol: `column_norm_bound(m)` where that is at most tol."""
-        upper = self.column_norm_bound(m)
-        return upper if upper <= tol else float(self.frame_column_norms(m).max())
+        """The largest of `frame_column_norms(m)`, read for the verdict max <= tol
+        by `linalg.settle` from `column_norm_bound(m)`, the exact max its fallback."""
+        return settle(tol, [lambda: (-np.inf, self.column_norm_bound(m))],
+                      lambda: float(self.frame_column_norms(m).max()))
 
     @cached_property
     def lambda_a(self) -> np.ndarray:

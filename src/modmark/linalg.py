@@ -7,13 +7,12 @@ forbidden here: identical input bits give identical output bits, which is
 what makes verification reports reproducible.  The one draw, the Lanczos
 start vector, comes from a fixed seed.
 
-`certified_value` is the one kernel for the package's spectral values
-taken for a verdict: an operator norm, its excess over 1, and a smallest
-Hermitian eigenvalue.  A norm's Frobenius bound certifies a pass at every
-size; otherwise each value is the dense LAPACK call below
-`LANCZOS_MIN_DIM`, and from it on a Golub-Kahan-Lanczos Ritz value (a
-norm) or a Cholesky factor (an excess, an eigenvalue) certifies it, or the
-dense call.
+`settle` holds the one rule by which every certified key is read: the
+first of its bound formulas whose bracket settles the verdict gives the
+value, else its fallback does.  `certified_value` holds the spectral
+formulas of an operator norm, its excess over 1 and a smallest Hermitian
+eigenvalue: a Frobenius bound, and from `LANCZOS_MIN_DIM` on a
+Golub-Kahan-Lanczos Ritz value and Cholesky factors, before the dense call.
 """
 
 from __future__ import annotations
@@ -192,63 +191,87 @@ def _frob_or_inf(a: np.ndarray) -> float:
         return frob(a)
 
 
-def certified_value(a, tol: float, kind: str = "norm") -> float:
-    """A spectral value of a, taken for its verdict against tol; kind is
-
-        "norm"     |a|_op, the verdict |a|_op <= tol;
-        "excess"   max(0, |a|_op - 1), the verdict excess <= tol;
-        "min_eig"  lambda_min of the Hermitian a, the verdict lambda_min >= -tol.
-
-    At every size, "norm" first reads |a|_F <= tol, an upper bound, as a
-    certain pass, and its value is |a|_F.  Otherwise, below
-    `LANCZOS_MIN_DIM` in the smaller dimension, the value is the dense one:
-    `op_norm`, or `np.linalg.eigvalsh`.  From the gate on a value is
-    returned only when a certificate settles the verdict; r is the Golub-
-    Kahan-Lanczos Ritz value (`_top_singular_value`), a lower bound on a
-    top singular value:
-
-    - "norm": r > tol is a certain fail, and its value is r.
-    - "excess": r - 1 > tol is a certain fail, and a Cholesky factor of
-      (1 + tol)^2 1 - a^+ a a certain pass; the value is max(0, r - 1).
-    - "min_eig": a Cholesky factor of a certifies lambda_min >= 0, and the
-      value is 0.0, so the verdict's residual max(0, -lambda_min) is the
-      dense one, 0; any other block takes eigvalsh.  Its callers are the
-      Choi blocks that `markov.cp_min_eigenvalue`'s sector certificate
-      leaves to `ChoiMatrix.min_eigenvalue` (kind sp_ucp).
-
-    The Cholesky steps are taken only when tol exceeds `CHOLESKY_MARGIN` N
-    eps times the scale (1 for "excess", |a|_F for "min_eig"): a tiny
-    MODMARK_TOL goes dense, and so does an |a|_F that overflows to inf.
-    Whatever no certificate settles takes the dense call, `np.linalg.svd`
-    or `np.linalg.eigvalsh`, and its value.  So the verdict is the dense
-    route's, and a certified value lies on its side of the dense one: a
-    norm's pass above it, a norm's fail or an excess below it (within
-    rounding when the top singular gap exceeds ~1e-7 relative).
+def settle(tol: float, steps, dense) -> float:
+    """A residual's value read for its verdict residual <= tol: the one
+    rule of every certified key.  steps are lazy bound formulas, called in
+    order; each returns a bracket (lo, hi) with lo <= residual <= hi (-inf
+    or inf for a missing end), or None where it does not apply.  The first
+    bracket that does not straddle tol settles the key: hi <= tol is a
+    certain pass and reads hi, lo > tol a certain fail and reads lo.  A
+    straddle, lo <= tol < hi, and a nan end settle nothing (a nan never
+    passes), and the next step is called.  A key no step settles reads
+    dense(), the fallback, which runs only then.  So the verdict is the
+    fallback's, a pass reads at or above it and a fail at or below.
     """
-    if kind not in ("norm", "excess", "min_eig"):
+    for step in steps:
+        bracket = step()
+        if bracket is not None:
+            lo, hi = bracket
+            if hi <= tol:
+                return hi
+            if lo > tol:
+                return lo
+    return dense()
+
+
+def certified_value(a, tol: float, kind: str = "norm") -> float:
+    """A spectral value of a, read by `settle` for its verdict against tol;
+    kind is "norm", |a|_op with the verdict |a|_op <= tol; "masked", the
+    same for a masked copy whose caller's bound on |a|_F did not pass (no
+    Frobenius step below the gate); "excess", max(0, |a|_op - 1) <= tol; or
+    "min_eig", lambda_min >= -tol of the Hermitian a, settled as
+    -lambda_min <= tol.
+
+    The steps, r the Golub-Kahan-Lanczos Ritz value (`_top_singular_value`),
+    a lower bound on |a|_op, from `LANCZOS_MIN_DIM` on in the smaller
+    dimension (the gate):
+    - a norm: |a|_F, an upper bound (inf where it overflows), then r;
+    - "excess" from the gate: max(0, r - 1), then a Cholesky factor of
+      (1 + tol)^2 1 - a^+ a, which certifies |a|_op < 1 + tol.  Its pass
+      reads max(0, r - 1), the lower end of its bracket: the one pass that
+      does not read its upper end, which keeps every recorded report's bits;
+    - "min_eig" from the gate: a Cholesky factor of a, which certifies
+      lambda_min > 0 and reads 0.0, the dense residual max(0, -lambda_min)
+      (sp_ucp's Choi blocks, which `markov.cp_min_eigenvalue`'s sector
+      certificate leaves to `ChoiMatrix.min_eigenvalue`).
+    A Cholesky step applies only when tol exceeds `CHOLESKY_MARGIN` N eps
+    times the scale (1 for "excess", |a|_F for "min_eig"), so a tiny
+    MODMARK_TOL or an overflowing |a|_F goes dense.  The fallback is the
+    dense `np.linalg.svd` or `np.linalg.eigvalsh`; a Ritz value is within
+    rounding of it when the top singular gap exceeds ~1e-7 relative.
+    """
+    if kind not in ("norm", "masked", "excess", "min_eig"):
         raise ValueError(f"unknown kind {kind!r}")
-    if kind == "norm":
-        a = as_cmatrix(a)
-        upper = _frob_or_inf(a)
-        if upper <= tol:
-            return upper
-    if min(np.shape(a)) < LANCZOS_MIN_DIM:
-        if kind == "min_eig":
-            return float(np.linalg.eigvalsh(a)[0])
-        norm = op_norm(a)
-        return max(0.0, norm - 1.0) if kind == "excess" else norm
     a = as_cmatrix(a)
+    large = min(a.shape) >= LANCZOS_MIN_DIM
     if kind == "min_eig":
-        if tol > CHOLESKY_MARGIN * len(a) * _EPS * _frob_or_inf(a) and _has_cholesky(a):
-            return 0.0
-        return float(np.linalg.eigvalsh(a)[0])
-    ritz = _top_singular_value(a)
-    if kind == "norm":
-        return ritz if ritz > tol else float(np.linalg.svd(a, compute_uv=False)[0])
-    if ritz - 1.0 > tol or (tol > CHOLESKY_MARGIN * max(a.shape) * _EPS
-                            and _norm_below(a, 1.0 + tol)):
-        return max(0.0, ritz - 1.0)
-    return max(0.0, float(np.linalg.svd(a, compute_uv=False)[0]) - 1.0)
+        def factor():
+            factored = tol > CHOLESKY_MARGIN * len(a) * _EPS * _frob_or_inf(a) and _has_cholesky(a)
+            return (-np.inf, 0.0) if factored else None
+        return -settle(tol, [factor] if large else [], lambda: -float(np.linalg.eigvalsh(a)[0]))
+
+    def top() -> float:
+        return float(np.linalg.svd(a, compute_uv=False)[0])
+
+    if kind == "excess":
+        steps = []
+        if large:
+            low = max(0.0, _top_singular_value(a) - 1.0)
+
+            def factor():  # its pass reads the lower end, as above
+                below = tol > CHOLESKY_MARGIN * max(a.shape) * _EPS and _norm_below(a, 1.0 + tol)
+                return (low, low) if below else None
+            steps = [lambda: (low, np.inf), factor]
+        return settle(tol, steps, lambda: max(0.0, top() - 1.0))
+
+    def frobenius():
+        return -np.inf, _frob_or_inf(a)
+
+    def ritz():
+        return _top_singular_value(a), np.inf
+    if large:
+        return settle(tol, [frobenius, ritz], top)
+    return settle(tol, [frobenius] if kind == "norm" else [], top)
 
 
 def block_diag(*mats) -> np.ndarray:

@@ -15,22 +15,17 @@ Channels meet the modular data only there: no multiplication
 superoperator is ever built.  Both apply G through the `gns` frame
 helpers, by its Kronecker factors from N = 100 on.
 
-The cp residual reads the smallest eigenvalue of the Choi matrix for its
-verdict (`cp_min_eigenvalue`).  Written in the density eigenframes the
-Choi matrix has entry X[(i, i'), (a, b)] at [(i, a), (i', b)], and a
-Markov map, which commutes with the modular flow, makes it block-diagonal
-over the level sets of l(i, a) = log mu_i - log lambda_a: the Choi form
-of covariance (Scutaru 1979, Holevo 1993).  So the route first reads
-Weyl's inequality over those sectors, the smallest sector eigenvalue less
-the Frobenius mass off the sectors, with the margins that make it a lower
-bound on the dense lambda_min; a certified pass reads that bound.  Every
-other case takes each Choi block's eigenvalue through
-`linalg.certified_value`: eigvalsh below `linalg.LANCZOS_MIN_DIM`, and
-from it on 0.0 where the block has a Cholesky factor, else eigvalsh.  So
-the residual is at or above the dense one up to rounding, with the dense
-verdict.  The modular residual's pass reads |M|_F times a bound on |G_s|,
-M the masked X, at every size, and a fail the exact column norms of the
-same M (`ModularData.max_column_norm`).
+Both certified membership keys are read by `linalg.settle`'s rule.  The
+cp residual's bound is on the smallest eigenvalue of the Choi matrix
+(`cp_min_eigenvalue`): written in the density eigenframes its entry
+[(i, a), (i', b)] is X[(i, i'), (a, b)], and a Markov map, which commutes
+with the modular flow, makes it block-diagonal over the level sets of
+l(i, a) = log mu_i - log lambda_a, the Choi form of covariance (Scutaru
+1979, Holevo 1993); Weyl's inequality over those sectors, with margins,
+bounds the dense lambda_min.  Its fallback takes each Choi block through
+`linalg.certified_value`.  The modular residual's bound is |M|_F times a
+bound on |G_s|, M the masked X, and its fallback the exact column norms
+of the same M (`ModularData.max_column_norm`).
 
 Orientation, fixed package-wide: a channel maps its source algebra into its
 target algebra, state compatibility means target_state(ch(x)) = source_state(x),
@@ -65,7 +60,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .gns import ModularData
-from .linalg import EIG_CONTRACT_RTOL, as_cmatrix, certified_value, tolerance_factor
+from .linalg import EIG_CONTRACT_RTOL, as_cmatrix, certified_value, settle, tolerance_factor
 
 STATE_MATCH_ATOL = 1e-12
 MEMBERSHIP_TOL = 1e-9  # pinned, before the MODMARK_TOL factor
@@ -195,12 +190,9 @@ class ChoiMatrix:
     blocks: dict[tuple[int, int], np.ndarray]
 
     def min_eigenvalue(self, tol: float) -> float:
-        """Smallest eigenvalue of the blocks' Hermitian parts, taken by
+        """Smallest eigenvalue of the blocks' Hermitian parts, each read by
         `linalg.certified_value(h, tol, "min_eig")` for the verdict
-        lambda_min >= -tol: eigvalsh for a small block, and for a large one
-        0.0 where it has a Cholesky factor, else eigvalsh.  The fallback of
-        `cp_min_eigenvalue`, for a map its sector certificate does not
-        settle."""
+        lambda_min >= -tol: the fallback of `cp_min_eigenvalue`."""
         return min(certified_value((b + b.conj().T) / 2.0, tol, "min_eig")
                    for b in self.blocks.values())
 
@@ -343,10 +335,11 @@ def _choi_sectors(ch: Channel) -> tuple[tuple, list, float, int]:
     return units, groups, math.sqrt(np.vdot(rest, rest).real), int(sizes.max())
 
 
-def _sector_min_eigenvalue(ch: Channel, tau: float) -> float | None:
-    """A lower bound on min(0, lambda_min) of the Hermitian part of the Choi
-    matrix, from its frequency sectors; None where it does not certify
-    lambda_min >= -tau.
+def _sector_min_eigenvalue(ch: Channel, tau: float) -> tuple[float, float] | None:
+    """A bracket (-inf, hi) on -lambda_min of the Hermitian part of the Choi
+    matrix from its frequency sectors, for `linalg.settle`: hi =
+    max(-L / s, 0), L / s a lower bound on lambda_min (below); None where
+    even its first term cannot certify lambda_min >= -tau.
 
     Conjugating the channel by the density eigenvectors, x |-> V_t^+
     ch(V_s x V_s^+) V_t, turns its superoperator into X = `ch.eigen_superop`
@@ -382,9 +375,10 @@ def _sector_min_eigenvalue(ch: Channel, tau: float) -> float | None:
     squared singular values of A lie in [s, 1 / s], s = (1 -
     EIG_CONTRACT_RTOL n_s)(1 - EIG_CONTRACT_RTOL n_t), and by Ostrowski's
     theorem (Horn and Johnson 2013, Matrix Analysis, 4.5.9) lambda_min(H) =
-    lambda_min(H') / theta with theta in that range.  So the value is
-    min(0, L / s), and the verdict's residual max(0, -value) is an upper
-    bound on the dense one.  No group is decomposed when even min(diagonal)
+    lambda_min(H') / theta with theta in that range.  So hi is
+    max(-L / s, 0), and a pass that reads it puts the verdict's residual
+    max(0, -lambda_min) at an upper bound on the dense one.  No group is
+    decomposed, and None is returned, when even min(diagonal)
     less off cannot certify (kind sp_ucp, whose off mass, ~0.03, exceeds
     its lambda_min on most instances; at n = 3 and on some 2x2 ones it does
     not, and the groups certify lambda_min >= 0); nothing is factored.  The
@@ -406,7 +400,7 @@ def _sector_min_eigenvalue(ch: Channel, tau: float) -> float | None:
     err = (2.0 * (_frame_rounding(ch.source.modular) + _frame_rounding(ch.target.modular))
            + (4 * size + 1) * _EPS) * math.sqrt(np.vdot(x, x).real)
     value = float((low - off - err) / s)
-    return min(0.0, value) if -value <= tau else None
+    return -np.inf, max(-value, 0.0)  # a nan value keeps its nan
 
 
 def _hermiticity_defect(ch: Channel) -> float:
@@ -425,15 +419,14 @@ def _hermiticity_defect(ch: Channel) -> float:
 
 
 def cp_min_eigenvalue(ch: Channel) -> tuple[float, float]:
-    """(min Choi eigenvalue, Choi hermiticity defect), the eigenvalue taken
-    for the cp verdict against its `membership_tolerances` entry: where the
-    sector certificate settles it, its lower bound on min(0, lambda_min)
-    (`_sector_min_eigenvalue`, no factor or Lanczos step), else
-    `ChoiMatrix.min_eigenvalue` of `to_choi(ch)`."""
+    """(min Choi eigenvalue, Choi hermiticity defect), the eigenvalue read
+    by `linalg.settle` for the cp verdict -lambda_min <= tau, its
+    `membership_tolerances` entry: the sector certificate's lower bound on
+    min(0, lambda_min) (`_sector_min_eigenvalue`, no factor or Lanczos
+    step), with `ChoiMatrix.min_eigenvalue` of `to_choi(ch)` its fallback."""
     tau = _membership_tau()
-    value = _sector_min_eigenvalue(ch, tau)
-    if value is None:
-        value = to_choi(ch).min_eigenvalue(tau)
+    value = -settle(tau, [lambda: _sector_min_eigenvalue(ch, tau)],
+                    lambda: -to_choi(ch).min_eigenvalue(tau))
     return value, _hermiticity_defect(ch)
 
 
@@ -530,7 +523,7 @@ def check_markov(ch: Channel) -> MarkovCheck:
     """Report the four membership residuals (unital, cp = max(0, -min Choi
     eigenvalue, Choi hermiticity defect), state, modular) against
     `membership_tolerances`; never raises on failure.  Each is taken for its
-    verdict, and a certified pass reads the bound that proves it: cp by
+    verdict, by `linalg.settle`'s rule: cp by
     `cp_min_eigenvalue`, whose sector certificate reads `eigen_superop`
     (cached here for the modular key), and modular,
     `modular_commutation_residual(ch)`, by `ModularData.max_column_norm` of

@@ -35,50 +35,41 @@ its Kronecker factors and never formed: X, and thm_iii's and
 markov_modular's exact column norms, which take Gram matrices instead of a
 product by G_s (`ModularData.frame_column_norms`).
 A masked copy is formed only for its norm, one at a time, by one helper
-(`_masked_norm`): below `linalg.LANCZOS_MIN_DIM` its value is one SVD.
+(`_masked_norm`).
 
-Every value is the end of its certified bracket on the side of its
-verdict.  A certified pass reads the upper bound that proves it, a certain
-fail below N = 100 (`linalg.LANCZOS_MIN_DIM`) its dense value and from it
-on its Ritz lower bound, and a straddle the dense value, so verdicts are
-those of the dense route.  Each key takes one route at every N: first an
-O(N^2) certificate, and a key it does not settle takes its fallback:
-- a norm (thm_ii, and the adjoint pair by sqrt(sum |X|^2 W^2) with no
-  masked copy) with |A|_F <= tol reads |A|_F; else `linalg.certified_value`
-  reads the dense SVD below the gate, and from it on a Golub-Kahan-Lanczos
-  Ritz value r > tol, or the dense SVD;
-- a max column norm of M G_s (thm_iii, markov_modular) with
-  |M|_F |G_s| <= tol reads that bound (`ModularData.max_column_norm`),
-  with no product by G_s; else the exact column norms of the same M;
-- kadison_norm reads max(0, u - 1) when u - 1 <= tol, u the sector bound
-  max_omega |T_omega| + |T_eig off the sectors|_F over the equal-frequency
-  sectors of T_eig (`_sector_bound`, `_norm_excess`): a Markov map's T
-  commutes with Delta, so T_eig lives on them.  Else, as for a sector at
-  the gate in both dimensions, it is `certified_value(T_eig, tol,
-  "excess")`: the dense excess below the gate, and from it on
-  max(0, r - 1), with a Cholesky factor of (1 + tol)^2 1 - T^+ T
-  certifying a pass.
-markov_cp passes on the frequency sectors of the eigenframe Choi matrix,
-whose entry [(i, a), (i', b)] is X[(i, i'), (a, b)]: a Markov map makes
-it block-diagonal over the groups of one label log mu_i - log lambda_a,
-and Weyl's inequality bounds lambda_min by the groups' less the mass off
-them (`markov.cp_min_eigenvalue`); a map that bound does not settle takes
-its Choi blocks, where a large one with a Cholesky factor keeps markov_cp
-at its Hermiticity defect.
+Every certified key is read by one rule, `linalg.settle`: the key's bound
+formulas in order, each a bracket on its residual; the first that does not
+straddle the tolerance gives the value, its upper end on a pass and its
+lower end on a fail, and a key none settles reads its fallback, so the
+verdicts are those of the dense route.  Each key's O(N^2) bound, which
+forms no masked copy, and then its fallback:
+- thm_ii: |A|_F, then `linalg.certified_value` (from
+  `linalg.LANCZOS_MIN_DIM` on a Ritz value, then the dense SVD);
+- the adjoint pair: sqrt(sum |X|^2 W^2), then its masked copy's norm;
+- the flow families: each one's largest bound (`_flow_bounds`), then
+  bound-and-prune over its masked copies (`_bounded_maxima`);
+- thm_iii and markov_modular, a max column norm of M G_s: |M|_F |G_s|,
+  then the exact column norms (`ModularData.max_column_norm`);
+- kadison_norm: max(0, u - 1), u = max_omega |T_omega| + |T_eig off the
+  sectors|_F over the equal-frequency sectors of T_eig (`_sector_bound`;
+  a Markov map's T commutes with Delta, so T_eig lives on them), then
+  `certified_value(T_eig, tol, "excess")`;
+- markov_cp: Weyl's inequality over the groups of one label log mu_i -
+  log lambda_a of the eigenframe Choi matrix, whose entry [(i, a), (i', b)]
+  is X[(i, i'), (a, b)] and which a Markov map makes block-diagonal over
+  them, then the Choi blocks (`markov.cp_min_eigenvalue`).
 
 The sampled flow keys (eq32_t, thm_commute_z, thm_i_s) are maxima over
 their samples, all three from one set of masks (`_flow_residuals`), by one
 route at every N.  Every |A|_F, A a masked copy of T_eig, is bounded from
 one GEMM over |T_eig|^2, no masked copy formed (`_flow_bounds`).  A family
-whose bounds are all trusted and at most its tolerance is a certain pass
-and reads its largest bound (`_bounded_maxima`).  Every other family
-bound-and-prunes: it takes the norms of its masks in order of decreasing
-bound, and stops at the first bound below the running max by a relative
-slack of 1e-6, so each mask is formed at most once.  The slack is ~1e7
-times the norm's rounding error at these sizes, so the mask holding the
-max is always normed, and each such max is the same float as over every
-mask of its family.  On the positive kinds a pass read off a bound is up
-to ~7 times the dense norm, which is roundoff.
+its largest bound does not settle takes the norms of its masks in order of
+decreasing bound, and stops at the first bound below the running max by a
+relative slack of 1e-6, so each mask is formed at most once.  The slack is
+~1e7 times the norm's rounding error at these sizes, so the mask holding
+the max is always normed, and each such max is the same float as over
+every mask of its family.  On the positive kinds a pass read off a bound
+is up to ~7 times the dense norm, which is roundoff.
 
 The gns_* keys alone stay out of the frame: they use the spectral powers,
 so they test the modular data the frame is built from.  Both endpoint
@@ -106,7 +97,7 @@ from .errors import NoFittingDims, NotMarkov
 from . import linalg
 from .generators import KIND_SPECS, BuildResult, GenSpec, build_channel, derive_seed, kind_spec
 from .gns import ModularData
-from .linalg import certified_value, power_condition_scale, tolerance_factor
+from .linalg import certified_value, power_condition_scale, settle, tolerance_factor
 from .markov import Channel, adjoint_index, check_markov, eigen_extension
 from .serialize import genspec_to_json
 
@@ -209,14 +200,12 @@ def _masked_norm(base: np.ndarray, mask: np.ndarray, tol: float) -> float:
     """|base * mask|_op taken for the verdict against tol, the product
     formed in place of the fresh complex mask; refuses non-finite entries.
     base is the left operand: complex products with FMA are not commutative
-    bit for bit.  Below `linalg.LANCZOS_MIN_DIM` it is the dense SVD's
-    value, from it on `certified_value`."""
+    bit for bit.  Its callers' bounds on |A|_F did not pass, so it is
+    `certified_value`'s "masked" kind."""
     _require_finite(base)
     prod = np.multiply(base, mask, out=mask)
     _require_finite(prod)
-    if min(prod.shape) < linalg.LANCZOS_MIN_DIM:
-        return float(np.linalg.svd(prod, compute_uv=False)[0])
-    return certified_value(prod, tol)
+    return certified_value(prod, tol, "masked")
 
 
 _SectorSplit = namedtuple("_SectorSplit", "w_s w_t rows cols on off")
@@ -297,30 +286,30 @@ def _bounded_maxima(base: np.ndarray, mask: Callable, counts, tols,
     |base * m|_F (`_flow_bounds`).  Family i is the next counts[i] masks,
     and mask(j) a fresh complex copy of mask j.
 
-    A family whose bounds are all trusted (finite, and at least
-    `_PRUNE_FLOOR`) and at most its tolerance is a certain pass: its value
-    is its largest bound, and none of its masks is formed.  Every other
-    family takes max(`certified_value`(base * m, tols[i])), bit for bit:
-    it visits its masks in order of decreasing bound, untrusted bounds
-    first, each by `_masked_norm`, and stops at the first trusted bound that
-    lies below the running max by more than `_PRUNE_SLACK` of each.  That
-    mask and every later one cannot hold the max, so each mask is formed at
-    most once, one at a time."""
+    Each family is settled (`linalg.settle`) by its largest bound, an
+    untrusted one (not finite, or below `_PRUNE_FLOOR`) read as inf: a pass
+    forms none of its masks, and an empty family reads 0.0.  The fallback
+    is max(`certified_value`(base * m, tols[i])), bit for bit: it visits the
+    masks in order of decreasing bound, untrusted bounds first, each by
+    `_masked_norm`, and stops at the first trusted bound that lies below
+    the running max by more than `_PRUNE_SLACK` of each.  That mask and
+    every later one cannot hold the max, so each mask is formed at most
+    once, one at a time."""
     trusted = np.isfinite(bounds) & (bounds >= _PRUNE_FLOOR)
     order = np.where(trusted, bounds, np.inf)
     maxima, lo = [], 0
     for count, tol in zip(counts, tols):
         fam, lo = slice(lo, lo + count), lo + count
-        top = order[fam].max(initial=0.0)
-        if top <= tol:  # an empty family too, at 0.0
-            maxima.append(float(top))
-            continue
-        best = 0.0
-        for j in fam.start + np.argsort(-order[fam], kind="stable"):
-            if order[j] * (1.0 + _PRUNE_SLACK) < best * (1.0 - _PRUNE_SLACK):
-                break
-            best = max(best, _masked_norm(base, mask(j), tol))
-        maxima.append(best)
+
+        def pruned() -> float:
+            best = 0.0
+            for j in fam.start + np.argsort(-order[fam], kind="stable"):
+                if order[j] * (1.0 + _PRUNE_SLACK) < best * (1.0 - _PRUNE_SLACK):
+                    break
+                best = max(best, _masked_norm(base, mask(j), tol))
+            return best
+        bracket = (-np.inf, order[fam].max(initial=0.0))
+        maxima.append(float(settle(tol, [lambda: bracket], pruned)))
     return maxima
 
 
@@ -332,7 +321,7 @@ def _flow_residuals(t_eig: np.ndarray, ch: Channel, commute=(), twist=(),
     (s values, tol) in twist.  Each endpoint state gives exp(z w) for every
     exponent in one `delta_power_diagonals` call, every mask is bounded by
     `_flow_bounds` from t_eig's split (`_sector_split`, formed here unless
-    given), which forms no masked copy, and each family is certified or
+    given), which forms no masked copy, and each family is settled or
     pruned by those bounds in `_bounded_maxima`, which forms a mask, one at
     a time, only for its norm."""
     fams = ([(list(zs), tol) for zs, tol in commute]
@@ -387,11 +376,8 @@ def _symmetry_residuals(t_eig: np.ndarray, ch: Channel,
     last product leaves the frame.  On a flow-commuting T those weights are
     1 on T's support, which pairs equal frequencies, so swapping the two
     half powers changes nothing there; only a channel off the flow class
-    (kind sp_ucp) tells them apart.  The max is taken for the verdict
-    against tol["thm_iii"] by `ModularData.max_column_norm`: the defect's
-    `column_norm_bound` at most that tolerance is a certain pass and the
-    value, with no product by G_s; otherwise it is the max of the column
-    norms through G_s, `frame_column_norms`.
+    (kind sp_ucp) tells them apart.  The max is read for the verdict
+    against tol["thm_iii"] by `ModularData.max_column_norm`.
     """
     md_s, md_t = ch.source.modular, ch.target.modular
     p_s = adjoint_index(ch.source.algebra)
@@ -427,12 +413,12 @@ def _adjoint_residuals(t_eig: np.ndarray, ch: Channel, tol: dict[str, float],
     extension and the Petz form are all X^+ = `ch.eigen_superop`^+ weighted
     by eigenvalues of row i (source) and column j (target).
 
-    Each pair key first takes |X^+ * W|_F = sqrt(sum |X|^2 W^2), entrywise:
-    every term is nonnegative, so nothing cancels, and no masked copy is
-    formed.  At most its tolerance, it is a certain pass and the key reads
-    it; a key that does not pass forms its one masked copy for its norm
-    (`_masked_norm`).  kadison_norm is `_norm_excess`, on t_eig's split
-    (`_sector_split`, formed here unless given)."""
+    Each pair key is settled (`linalg.settle`) by |X^+ * W|_F =
+    sqrt(sum |X|^2 W^2), entrywise: every term is nonnegative, so nothing
+    cancels, and no masked copy is formed.  A key it does not settle forms
+    its one masked copy for its norm (`_masked_norm`).  kadison_norm is
+    `_norm_excess`, on t_eig's split (`_sector_split`, formed here unless
+    given)."""
     md_s, md_t = ch.source.modular, ch.target.modular
     x = ch.eigen_superop
     # the weights in X's orientation, entry (j, i) for row i of X^+: the
@@ -448,10 +434,10 @@ def _adjoint_residuals(t_eig: np.ndarray, ch: Channel, tol: dict[str, float],
     tols = (tol["adjoint_consistency"], tol["petz_match"])
     with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: no pass
         p = x.real ** 2 + x.imag ** 2
-        pair = [float(np.sqrt(np.vdot(p, w * w))) for w in weights]
-    for k in range(2):
-        if not pair[k] <= tols[k]:
-            pair[k] = _masked_norm(x.conj().T, weights[k].T.astype(np.complex128), tols[k])
+        upper = [float(np.sqrt(np.vdot(p, w * w))) for w in weights]
+    pair = [settle(t, [lambda: (-np.inf, u)],
+                   lambda: _masked_norm(x.conj().T, w.T.astype(np.complex128), t))
+            for u, w, t in zip(upper, weights, tols)]
     split = split or _sector_split(t_eig, md_s.frequencies, md_t.frequencies)
     return (*pair, _norm_excess(t_eig, split, tol["kadison_norm"]))
 
@@ -506,17 +492,15 @@ def _norm_excess(t_eig: np.ndarray, split: _SectorSplit, tol: float) -> float:
     tol, given t_eig's `_sector_split`.
 
     A Markov map's T commutes with Delta, so T_eig lives on the
-    equal-frequency sectors, and Kadison-Schwarz gives |T| <= 1.  u =
-    `_sector_bound` with u - 1 <= tol is a certain pass and reads
-    max(0, u - 1): no Gram matrix, Cholesky factor or Lanczos step.
-    Otherwise it is `certified_value(t_eig, tol, "excess")`, also when the
-    term off the sectors alone exceeds tol: a unital T has <Omega_t, T
-    Omega_s> = 1 on its zero-frequency sector, so |T_0| >= 1 and u - 1 >
-    tol, and no sector is looked at (kind sp_ucp)."""
-    upper = _sector_bound(t_eig, split, tol)
-    if upper - 1.0 <= tol:
-        return max(0.0, upper - 1.0)
-    return certified_value(t_eig, tol, "excess")
+    equal-frequency sectors, and Kadison-Schwarz gives |T| <= 1.  The key
+    is settled (`linalg.settle`) by max(0, u - 1), u = `_sector_bound`,
+    with no Gram matrix, Cholesky factor or Lanczos step, and its fallback
+    is `certified_value(t_eig, tol, "excess")`.  A unital T has <Omega_t, T
+    Omega_s> = 1 on its zero-frequency sector, so |T_0| >= 1, and where the
+    term off the sectors alone exceeds tol no sector is looked at (sp_ucp)."""
+    # max(x, 0.0) keeps a nan x, which then settles nothing
+    return settle(tol, [lambda: (-np.inf, max(_sector_bound(t_eig, split, tol) - 1.0, 0.0))],
+                  lambda: certified_value(t_eig, tol, "excess"))
 
 
 def _omega_residual(t_eig: np.ndarray, ch: Channel) -> float:
@@ -765,9 +749,8 @@ def verify_channel(ch: Channel, *, kind: str | None = None,
     mc = check_markov(ch)
     t_eig = eigen_extension(ch)
     md_s, md_t = ch.source.modular, ch.target.modular
-    # each key first tries its certificate, whose pass reads the bound that
-    # proves it; |T_eig|^2 is split at the equal-frequency sectors once, for
-    # the flow bounds and kadison_norm's sector bound
+    # |T_eig|^2 split at the equal-frequency sectors once, for the flow
+    # bounds and kadison_norm's sector bound
     tol = _tolerances(ch, s_values, z_samples)
     split = _sector_split(t_eig, md_s.frequencies, md_t.frequencies)
 

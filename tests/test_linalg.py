@@ -183,6 +183,68 @@ class TestTolerance:
 
 
 # ---------------------------------------------------------------------------
+# settle: the one rule that reads a certified value off its brackets
+# ---------------------------------------------------------------------------
+
+class TestSettle:
+    """`linalg.settle` on direct brackets at tolerance 1, with a fallback
+    that reads 7.0 and records its calls."""
+
+    @staticmethod
+    def settle(*brackets):
+        calls = []
+
+        def dense():
+            calls.append("dense")
+            return 7.0
+
+        def step(bracket):
+            def call():
+                calls.append(bracket)
+                return bracket
+            return call
+        return linalg.settle(1.0, [step(b) for b in brackets], dense), calls
+
+    def test_a_pass_reads_the_upper_end(self):
+        assert self.settle((0.25, 0.5))[0] == 0.5
+        assert self.settle((-np.inf, 0.75))[0] == 0.75
+
+    def test_a_fail_reads_the_lower_end(self):
+        assert self.settle((2.0, 3.0))[0] == 2.0
+        assert self.settle((1.5, np.inf))[0] == 1.5
+
+    def test_a_bound_at_the_tolerance_passes(self):
+        assert self.settle((0.5, 1.0)) == (1.0, [(0.5, 1.0)])
+
+    def test_a_lower_end_at_the_tolerance_straddles(self):
+        assert self.settle((1.0, 2.0)) == (7.0, [(1.0, 2.0), "dense"])
+
+    NAN_BRACKETS = {"both": (np.nan, np.nan), "upper": (-np.inf, np.nan),
+                    "upper-only": (0.5, np.nan)}
+
+    @pytest.mark.parametrize("name", sorted(NAN_BRACKETS))
+    def test_a_nan_never_passes(self, name):
+        bracket = self.NAN_BRACKETS[name]
+        assert self.settle(bracket, (-np.inf, 0.5))[0] == 0.5
+        assert self.settle(bracket) == (7.0, [bracket, "dense"])
+
+    def test_a_nan_upper_end_keeps_a_certain_fail(self):
+        assert self.settle((2.0, np.nan))[0] == 2.0
+
+    def test_a_straddle_takes_the_next_step(self):
+        got, calls = self.settle((0.5, 2.0), None, (0.0, 0.75), (0.1, 0.2))
+        assert got == 0.75 and calls == [(0.5, 2.0), None, (0.0, 0.75)]
+
+    def test_a_straddle_that_no_step_settles_reads_the_fallback(self):
+        assert self.settle((0.5, 2.0), (-np.inf, np.inf), None) == (
+            7.0, [(0.5, 2.0), (-np.inf, np.inf), None, "dense"])
+        assert self.settle() == (7.0, ["dense"])
+
+    def test_no_step_after_the_settling_one_runs(self):
+        assert self.settle((2.0, 3.0), (0.0, 0.5)) == (2.0, [(2.0, 3.0)])
+
+
+# ---------------------------------------------------------------------------
 # certified_value: the Lanczos value and its certificate, or the dense call
 # ---------------------------------------------------------------------------
 
@@ -225,6 +287,16 @@ class TestCertifiedValue:
         assert certified_value(a, TOL) == op_norm(a)
         assert certified_value(a, TOL, "excess") == max(0.0, op_norm(a) - 1.0)
         assert certified_value(h, TOL, "min_eig") == float(np.linalg.eigvalsh(h)[0])
+
+    def test_masked_takes_no_frobenius_step_below_the_gate(self):
+        # |a|_F <= tol certifies a norm; a masked copy's caller has bounded
+        # |a|_F already, so below the gate it takes the SVD, and from the
+        # gate on it reads |a|_F like a norm
+        a = random_unitary(14, 60) * 0.5
+        assert certified_value(a, 10.0) == frob(a) > op_norm(a)
+        assert certified_value(a, 10.0, "masked") == op_norm(a)
+        q = random_unitary(15, N_CERT) * 0.5
+        assert certified_value(q, 10.0, "masked") == certified_value(q, 10.0) == frob(q)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):

@@ -1,10 +1,12 @@
 """Mutants of the gns_* layer, of the symmetry pass, of the certificates
-of `linalg.certified_value`, of the flow-pass bounds and their pruning
-rule, of markov_modular's generator row, of kadison_norm's sector bound
-and the adjoint pair's weights, and of the membership layer: are the
+of `linalg.certified_value`, of the rule every certified key is read by
+(`linalg.settle`), of the flow masks, of the flow-pass bounds and their
+pruning rule, of markov_modular's generator row, of kadison_norm's sector
+bound and the adjoint pair's weights, and of the membership layer: are the
 stacked pass over both endpoint states, the one permuted conjugate behind
 thm_ii and thm_iii, the Cholesky certificates behind kadison_norm and
-sp_ucp's Choi blocks, the Frobenius and Ritz bracket of a norm, the
+sp_ucp's Choi blocks, the Frobenius and Ritz bracket of a norm, the rule
+that reads a value off its brackets, the commute and twist masks, the
 one-GEMM mask bounds, the certify-and-prune rule, the masked column norms,
 the sector bound, the eigenvalue weights, markov_cp's Choi sectors, the
 Choi reshape and the trace dual wired so that a wrong piece shows?
@@ -23,7 +25,9 @@ the number of dense fallbacks (full-size svd or eigvalsh calls) on one.  A
 bound mutant edits the source of `verify._flow_bounds` and recompiles it,
 and the tests of tests/test_oracles.py it names must then fail.  A prune
 mutant does the same to `verify._bounded_maxima`, a norm mutant to
-`linalg.certified_value`, a modular mutant to
+`linalg.certified_value`, a settle mutant to `linalg.settle` (its killers
+in tests/test_linalg.py and tests/test_oracles.py), a flow mutant to
+`verify._flow_residuals`, a modular mutant to
 `markov.modular_commutation_residual`, a sector mutant to
 `verify._sector_bound` or `verify._adjoint_residuals`, and a membership
 mutant to `markov._sector_min_eigenvalue`, `markov._choi_sectors`,
@@ -45,6 +49,7 @@ from modmark.generators import GenSpec, build_channel, derive_seed
 from modmark.gns import ModularData
 from modmark.verify import verify_channel
 
+import test_linalg
 import test_markov
 import test_oracles
 from test_oracles import SKEW_BROKEN_KEYS, SkewedPowers
@@ -481,7 +486,7 @@ def test_bound_mutant(name, monkeypatch):
 _bounded_maxima = verify._bounded_maxima
 _GUARD = "trusted = np.isfinite(bounds) & (bounds >= _PRUNE_FLOOR)"
 _PRUNE = "order[j] * (1.0 + _PRUNE_SLACK) < best * (1.0 - _PRUNE_SLACK)"
-_FAMILY_TOP = "top = order[fam].max(initial=0.0)"
+_FAMILY_TOP = "order[fam].max(initial=0.0)"
 _VISIT = 'np.argsort(-order[fam], kind="stable")'
 
 
@@ -525,12 +530,12 @@ PRUNE_MUTANTS = {
     # the certificate read off the raw bounds: one below the floor (an
     # underflowed |T_eig|^2) certifies a pass under the norm it does not bound
     "untrusted_bound_certifies": SourceMutant(
-        ((_FAMILY_TOP, "top = bounds[fam].max(initial=0.0)"),),
+        ((_FAMILY_TOP, "bounds[fam].max(initial=0.0)"),),
         (_pruned_max_killer("test_untrusted_bounds_never_certify", "below_floor"),
          _pruned_max_killer("test_untrusted_bounds_never_certify", "tiny"))),
     # a family certified by, and reading, its smallest bound
     "family_min_bound": SourceMutant(
-        ((_FAMILY_TOP, "top = order[fam].min(initial=np.inf)"),),
+        ((_FAMILY_TOP, "order[fam].min(initial=np.inf)"),),
         (_pruned_max_killer("test_certified_family_takes_its_largest_bound", "ties"),
          _pruned_max_killer("test_certified_family_takes_its_largest_bound", "one_dominant"))),
     # each family taken against the tolerance of the family before it
@@ -550,7 +555,8 @@ def test_prune_mutant(name, monkeypatch):
 # ---------------------------------------------------------------------------
 
 _certified_value = linalg.certified_value
-_NORM_FAIL = "return ritz if ritz > tol else float(np.linalg.svd(a, compute_uv=False)[0])"
+_FROBENIUS_STEP = "return -np.inf, _frob_or_inf(a)"
+_RITZ_STEP = "return _top_singular_value(a), np.inf"
 
 
 def _bracket_killer(method):
@@ -560,13 +566,14 @@ def _bracket_killer(method):
 NORM_MUTANTS = {
     # a certain pass reads the Ritz value, and a certain fail |a|_F
     "ritz_and_frobenius_swapped": SourceMutant(
-        (("            return upper\n", "            return _top_singular_value(a)\n"),
-         (_NORM_FAIL, _NORM_FAIL.replace("return ritz if", "return upper if"))),
+        ((_FROBENIUS_STEP, "return -np.inf, _top_singular_value(a)"),
+         (_RITZ_STEP, "return _frob_or_inf(a), np.inf")),
         (_bracket_killer("test_bracket_certifies_or_takes_the_svd"),
          _bracket_killer("test_only_the_straddling_mask_takes_the_svd"))),
-    # a Ritz value at or below tol taken as a pass, with no SVD
+    # a Ritz value at or below tol taken as a pass, with no SVD: the Ritz
+    # step's bracket closed at its lower end
     "straddle_skips_the_svd": SourceMutant(
-        ((_NORM_FAIL, "return ritz"),),
+        ((_RITZ_STEP, "return _top_singular_value(a), _top_singular_value(a)"),),
         (_bracket_killer("test_bracket_certifies_or_takes_the_svd"),
          _bracket_killer("test_only_the_straddling_mask_takes_the_svd"))),
 }
@@ -575,6 +582,103 @@ NORM_MUTANTS = {
 @pytest.mark.parametrize("name", sorted(NORM_MUTANTS))
 def test_norm_mutant(name, monkeypatch):
     _assert_source_mutant(name, NORM_MUTANTS[name], monkeypatch, _certified_value)
+
+
+# ---------------------------------------------------------------------------
+# the rule every certified key is read by, linalg.settle
+# ---------------------------------------------------------------------------
+
+_settle = linalg.settle
+
+
+def _settle_killer(method, *args):
+    return _killer(test_linalg.TestSettle, method, *args)
+
+
+# Each killer runs `settle` through the module that calls it: TestSettle on
+# direct brackets, and a TestLanczosRoute or TestPrunedMax case through
+# `certified_value` or `_bounded_maxima`.
+SETTLE_MUTANTS = {
+    # a Frobenius pass reads -inf, and a family's certified pass too
+    "pass_reads_lo": SourceMutant(
+        (("return hi", "return lo"),),
+        (_settle_killer("test_a_pass_reads_the_upper_end"),
+         _bracket_killer("test_bracket_certifies_or_takes_the_svd"))),
+    # a Ritz fail reads inf
+    "fail_reads_hi": SourceMutant(
+        (("return lo", "return hi"),),
+        (_settle_killer("test_a_fail_reads_the_lower_end"),
+         _bracket_killer("test_bracket_certifies_or_takes_the_svd"))),
+    # a bound equal to the tolerance no longer certifies: the family at its
+    # largest bound forms its masks
+    "strict_pass_test": SourceMutant(
+        (("if hi <= tol:", "if hi < tol:"),),
+        (_settle_killer("test_a_bound_at_the_tolerance_passes"),
+         _killer(test_oracles.TestPrunedMax, "test_certified_family_takes_its_largest_bound",
+                 "ties"))),
+    "nan_passes": SourceMutant(
+        (("if hi <= tol:", "if not hi > tol:"),),
+        (_settle_killer("test_a_nan_never_passes", "both"),
+         _settle_killer("test_a_nan_never_passes", "upper"))),
+    # a straddle reads its upper end, and no later step or fallback runs
+    "straddle_reads_its_upper_end": SourceMutant(
+        (("            if lo > tol:\n                return lo\n",
+          "            return lo if lo > tol else hi\n"),),
+        (_settle_killer("test_a_straddle_takes_the_next_step"),
+         _settle_killer("test_a_straddle_that_no_step_settles_reads_the_fallback"),
+         _bracket_killer("test_bracket_certifies_or_takes_the_svd"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SETTLE_MUTANTS))
+def test_settle_mutant(name, monkeypatch):
+    _assert_source_mutant(name, SETTLE_MUTANTS[name], monkeypatch, _settle)
+
+
+# ---------------------------------------------------------------------------
+# the flow masks, verify._flow_residuals
+# ---------------------------------------------------------------------------
+
+_flow_residuals = verify._flow_residuals
+_COMMUTE_MASK = "np.subtract(d_s[i][None, :], d_t[i][:, None])"
+_TWIST_MASK = "np.multiply(d_s[i][None, :], d_t[i][:, None])"
+
+
+def _fused_killer(method, *args):
+    return _killer(test_oracles.TestFusedFlowPass, method, *args)
+
+
+# The bounds take d_s and d_t from the same two lines, so a mutant of
+# d_t's exponents moves the masks and their bounds together, while one of
+# a mask alone leaves the bounds on the unmutated masks: a positive's
+# families still pass on those, and only a family that forms its masks
+# (sp_ucp) shows it.
+FLOW_MUTANTS = {
+    # Delta_t^{+s} T Delta_s^{s} - T: a positive's twist no longer vanishes
+    "twist_target_exponent_plus_s": SourceMutant(
+        (("[-s for s in exps[n_commute:]]", "[s for s in exps[n_commute:]]"),),
+        (_killer(test_oracles.TestFlowResidualOracles, "test_flow_residuals",
+                 ("schur", (3,), {})),
+         _fused_killer("test_generated", ("sp_ucp", (3,), {})))),
+    # T Delta_s^{s} - T: the twist mask without its target weight
+    "twist_mask_without_target_weight": SourceMutant(
+        ((_TWIST_MASK, "np.multiply(d_s[i][None, :], np.ones_like(d_t[i])[:, None])"),),
+        (_killer(test_oracles.TestFlowResidualOracles, "test_flow_residuals",
+                 ("sp_ucp", (3,), {})),
+         _fused_killer("test_generated", ("sp_ucp", (3,), {})))),
+    # -A for A: |-A| = |A| in exact arithmetic, but the SVD of a negated
+    # matrix is not its bits, so a failing family's value moves in its
+    # last bits, and the fail tests compare with ==
+    "commute_mask_negated": SourceMutant(
+        ((_COMMUTE_MASK, "np.subtract(d_t[i][:, None], d_s[i][None, :])"),),
+        (_fused_killer("test_generated", ("sp_ucp", (3,), {})),
+         _fused_killer("test_off_the_class", (2, 2), (2, 2)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_MUTANTS))
+def test_flow_mutant(name, monkeypatch):
+    _assert_source_mutant(name, FLOW_MUTANTS[name], monkeypatch, _flow_residuals)
 
 
 # ---------------------------------------------------------------------------
