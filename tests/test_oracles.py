@@ -762,7 +762,8 @@ def test_stacked_flow_norms_bit_identical(case):
 
 
 @pytest.mark.parametrize("src_dims,tgt_dims", OFF_CLASS_PAIRS)
-def test_flow_families_and_adjoint_pair_on_their_verdict_side_off_the_class(src_dims, tgt_dims):
+def test_stacked_flow_norms_bit_identical_off_the_class(src_dims, tgt_dims):
+    # the same check as above, off the flow class; the name is kept as well
     assert_flow_families_on_verdict_side(_off_class_channel(src_dims, tgt_dims))
 
 
