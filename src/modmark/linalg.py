@@ -201,7 +201,10 @@ def settle(tol: float, steps, dense) -> float:
     straddle, lo <= tol < hi, and a nan end settle nothing (a nan never
     passes), and the next step is called.  A key no step settles reads
     dense(), the fallback, which runs only then.  So the verdict is the
-    fallback's, a pass reads at or above it and a fail at or below.
+    fallback's, a fail reads at or below it, and a pass at or above, but
+    for the excess's Cholesky step (`certified_value`): it proves (lo, tol)
+    and returns (lo, lo), its pass reading lo, so a record of brackets must
+    take it as (lo, tol), the one hi that is not an upper bound.
     """
     for step in steps:
         bracket = step()
@@ -227,13 +230,11 @@ def certified_value(a, tol: float, kind: str = "norm") -> float:
     dimension (the gate):
     - a norm: |a|_F, an upper bound (inf where it overflows), then r;
     - "excess" from the gate: max(0, r - 1), then a Cholesky factor of
-      (1 + tol)^2 1 - a^+ a, which certifies |a|_op < 1 + tol.  Its pass
-      reads max(0, r - 1), the lower end of its bracket: the one pass that
-      does not read its upper end, which keeps every recorded report's bits;
+      (1 + tol)^2 1 - a^+ a, which certifies |a|_op < 1 + tol and returns
+      (lo, lo), `settle`'s one narrow bracket, to keep the recorded bits;
     - "min_eig" from the gate: a Cholesky factor of a, which certifies
-      lambda_min > 0 and reads 0.0, the dense residual max(0, -lambda_min)
-      (sp_ucp's Choi blocks, which `markov.cp_min_eigenvalue`'s sector
-      certificate leaves to `ChoiMatrix.min_eigenvalue`).
+      lambda_min > 0 and reads 0.0 (the sp_ucp Choi blocks that the sector
+      certificate of `markov.cp_min_eigenvalue` leaves to this route).
     A Cholesky step applies only when tol exceeds `CHOLESKY_MARGIN` N eps
     times the scale (1 for "excess", |a|_F for "min_eig"), so a tiny
     MODMARK_TOL or an overflowing |a|_F goes dense.  The fallback is the
@@ -258,7 +259,7 @@ def certified_value(a, tol: float, kind: str = "norm") -> float:
         if large:
             low = max(0.0, _top_singular_value(a) - 1.0)
 
-            def factor():  # its pass reads the lower end, as above
+            def factor():  # returns (lo, lo): its pass reads lo, as above
                 below = tol > CHOLESKY_MARGIN * max(a.shape) * _EPS and _norm_below(a, 1.0 + tol)
                 return (low, low) if below else None
             steps = [lambda: (low, np.inf), factor]

@@ -291,10 +291,9 @@ def _bounded_maxima(base: np.ndarray, mask: Callable, counts, tols,
     forms none of its masks, and an empty family reads 0.0.  The fallback
     is max(`certified_value`(base * m, tols[i])), bit for bit: it visits the
     masks in order of decreasing bound, untrusted bounds first, each by
-    `_masked_norm`, and stops at the first trusted bound that lies below
-    the running max by more than `_PRUNE_SLACK` of each.  That mask and
-    every later one cannot hold the max, so each mask is formed at most
-    once, one at a time."""
+    `_masked_norm`, and stops at the first trusted bound below the running
+    max by more than `_PRUNE_SLACK` of each: neither that mask nor a later
+    one can hold the max, so each is formed at most once, one at a time."""
     trusted = np.isfinite(bounds) & (bounds >= _PRUNE_FLOOR)
     order = np.where(trusted, bounds, np.inf)
     maxima, lo = [], 0

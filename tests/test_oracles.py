@@ -2171,8 +2171,8 @@ class TestChoiSectors:
     def test_certified_pass_on_the_verdict_side(self, case):
         ch = _build(*case)
         tau = membership_tolerances(ch)["cp"]
-        value = markov._sector_min_eigenvalue(ch, tau)
-        assert value is not None
+        bracket = markov._sector_min_eigenvalue(ch, tau)
+        assert bracket is not None and bracket[1] <= tau
         got = cp_residual(*cp_min_eigenvalue(ch))
         assert check_markov(ch).residuals["cp"] == got
         assert_verdict_side(got, dense_cp_residual(ch), tau)
@@ -2264,7 +2264,8 @@ class TestChoiSectors:
         ch = Channel(src, tgt, from_eigenframe(x, src, tgt))
         tau = membership_tolerances(ch)["cp"]
         assert markov._choi_sectors(ch)[2] <= 1e-15
-        assert markov._sector_min_eigenvalue(ch, tau) is not None
+        bracket = markov._sector_min_eigenvalue(ch, tau)
+        assert bracket is not None and bracket[1] <= tau
         assert_verdict_side(cp_residual(*cp_min_eigenvalue(ch)), dense_cp_residual(ch), tau)
 
 
