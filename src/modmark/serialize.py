@@ -19,7 +19,11 @@ Instance schema (version "2"; version "1" is still read):
 
 Suite and report documents hold no matrices and stay version "1".  Every
 document is written as `json.dumps(doc, sort_keys=True, indent=2)` plus a
-newline, so identical runs produce byte-identical files and reports.  Binary
+newline, so identical runs produce byte-identical files and reports.
+`dumps_canonical` keeps that text byte for byte without running the json
+module's character-by-character escaper over the base64 payloads, which
+never need escaping: it dumps the document with each long string of that
+kind replaced by a placeholder, and splices the strings back in.  Binary
 matrices reload bit-identically; nested-list matrices do too, because Python
 writes floats with repr (shortest round trip).
 
@@ -233,9 +237,65 @@ def instance_from_json(obj) -> tuple[Channel, dict]:
     return channel_from_json(obj["channel"]), dict(metadata)
 
 
+# A string at least this long that JSON writes unescaped is spliced into the
+# text, not passed through the json module's escaper.
+_SPLICE_MIN = 256
+_PLACEHOLDER = "\x00"
+_PLACEHOLDER_TEXT = json.dumps(_PLACEHOLDER)
+
+
+def _needs_no_escape(text: str) -> bool:
+    """Whether JSON writes `text` as it is between its quotes: ASCII, no `"`
+    or `\\`, and no character below 0x20 or equal to 0x7f."""
+    if not text.isascii() or '"' in text or "\\" in text:
+        return False
+    codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return bool(codes.min() >= 0x20 and codes.max() < 0x7F)
+
+
+def _skeleton(obj, payloads: list):
+    """`obj` with each long string that needs no escaping replaced by the
+    placeholder, those strings appended to `payloads` in the order
+    `json.dumps(sort_keys=True)` writes them.  A module-level function that
+    takes the list: a recursive nested closure would be a reference cycle
+    that keeps every payload alive until the cyclic GC runs."""
+    if isinstance(obj, str):
+        if len(obj) >= _SPLICE_MIN and _needs_no_escape(obj):
+            payloads.append(obj)
+            return _PLACEHOLDER
+        return obj
+    if isinstance(obj, dict):
+        return {k: _skeleton(v, payloads) for k, v in sorted(obj.items())}
+    if isinstance(obj, (list, tuple)):
+        return [_skeleton(v, payloads) for v in obj]
+    return obj
+
+
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: sorted keys, repr floats, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text: byte for byte
+    `json.dumps(obj, sort_keys=True, indent=2)` plus a newline (sorted keys,
+    repr floats, ASCII escapes).
+
+    The json module's escaper scans a string character by character, and an
+    instance's base64 payloads (1.4 MB at n = 16) never need escaping.  So
+    the document is dumped with each such long string replaced by a
+    placeholder, and the payloads are spliced back between their quotes.
+    A document the walk cannot sort, or whose text holds the placeholder
+    anywhere else (a short "\\x00" value or key), is dumped plainly, and so
+    raises what `json.dumps` raises."""
+    payloads: list = []
+    try:
+        skeleton = _skeleton(obj, payloads)
+    except (TypeError, RecursionError):  # keys that do not sort, a cycle
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    parts = json.dumps(skeleton, sort_keys=True, indent=2).split(_PLACEHOLDER_TEXT)
+    if len(parts) != len(payloads) + 1:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    out = [parts[0]]
+    for payload, part in zip(payloads, parts[1:]):
+        out += ('"', payload, '"', part)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_instance(path, ch: Channel, metadata: dict | None = None) -> None:

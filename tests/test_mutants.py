@@ -2,14 +2,15 @@
 of `linalg.certified_value`, of the rule every certified key is read by
 (`linalg.settle`), of the flow masks, of the flow-pass bounds and their
 pruning rule, of markov_modular's generator row, of kadison_norm's sector
-bound and the adjoint pair's weights, and of the membership layer: are the
-stacked pass over both endpoint states, the one permuted conjugate behind
-thm_ii and thm_iii, the Cholesky certificates behind kadison_norm and
-sp_ucp's Choi blocks, the Frobenius and Ritz bracket of a norm, the rule
+bound and the adjoint pair's weights, of the membership layer, and of the
+canonical JSON writer: are the stacked pass over both endpoint states, the
+one permuted conjugate behind thm_ii and thm_iii, the Cholesky certificates
+behind kadison_norm and sp_ucp's Choi blocks, the Frobenius and Ritz bracket of a norm, the rule
 that reads a value off its brackets, the commute and twist masks, the
 one-GEMM mask bounds, the certify-and-prune rule, the masked column norms,
 the sector bound, the eigenvalue weights, markov_cp's Choi sectors, the
-Choi reshape and the trace dual wired so that a wrong piece shows?
+Choi reshape, the trace dual, and the writer's escape guards, placeholder
+count and payload order wired so that a wrong piece shows?
 
 Each mutant replaces one private piece of `verify` or `ModularData` by
 monkeypatching and runs `verify_channel`.  A gns_* mutant runs on a fixed
@@ -29,11 +30,14 @@ mutant does the same to `verify._bounded_maxima`, a norm mutant to
 in tests/test_linalg.py and tests/test_oracles.py), a flow mutant to
 `verify._flow_residuals`, a modular mutant to
 `markov.modular_commutation_residual`, a sector mutant to
-`verify._sector_bound` or `verify._adjoint_residuals`, and a membership
+`verify._sector_bound` or `verify._adjoint_residuals`, a membership
 mutant to `markov._sector_min_eigenvalue`, `markov._choi_sectors`,
-`markov.to_choi` or `markov.trace_dual`; one listed as equivalent, with
-the argument why no verdict, or no value or count, can move, must pass
-the tests it names instead.
+`markov.to_choi` or `markov.trace_dual`, and a writer mutant to
+`serialize._needs_no_escape`, `serialize._skeleton` or
+`serialize.dumps_canonical` (its killers are `TestWriterOracle` cases,
+which compare the text with a hand-written encoder); one listed as
+equivalent, with the argument why no verdict, or no value or count, can
+move, must pass the tests it names instead.
 """
 
 import inspect
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from modmark import linalg, markov, verify
+from modmark import linalg, markov, serialize, verify
 from modmark.generators import GenSpec, build_channel, derive_seed
 from modmark.gns import ModularData
 from modmark.verify import verify_channel
@@ -852,4 +856,50 @@ MEMBERSHIP_MUTANTS = {
 @pytest.mark.parametrize("name", sorted(MEMBERSHIP_MUTANTS))
 def test_membership_mutant(name, monkeypatch):
     function, mutant = MEMBERSHIP_MUTANTS[name]
+    _assert_source_mutant(name, mutant, monkeypatch, function)
+
+
+# ---------------------------------------------------------------------------
+# the canonical writer: serialize._needs_no_escape, which picks the strings
+# that are spliced, serialize._skeleton, which collects them, and the splice
+# in serialize.dumps_canonical
+# ---------------------------------------------------------------------------
+
+def _writer_killer(method, *args):
+    return _killer(test_oracles.TestWriterOracle, method, *args)
+
+
+def _edge_killer(name):
+    return _writer_killer("test_edge_docs", name)
+
+
+# (the function edited, its mutant)
+WRITER_MUTANTS = {
+    # a long string with a '"' or '\' spliced raw: the text no longer parses
+    "quote_backslash_guard_dropped": (serialize._needs_no_escape, SourceMutant(
+        ((r""" or '"' in text or "\\" in text""", ""),),
+        (_edge_killer("long_quote"), _edge_killer("long_backslash")))),
+    # control characters and DEL spliced raw, not as \u00XX escapes
+    "control_guard_dropped": (serialize._needs_no_escape, SourceMutant(
+        (("return bool(codes.min() >= 0x20 and codes.max() < 0x7F)", "return True"),),
+        (_edge_killer("long_nul"), _edge_killer("long_unit_separator"),
+         _edge_killer("long_delete")))),
+    # a short "\x00" elsewhere adds a placeholder's text: the payloads land
+    # on the wrong ones and the text after the last is dropped
+    "placeholder_count_fallback_removed": (serialize.dumps_canonical, SourceMutant(
+        (("if len(parts) != len(payloads) + 1:", "if False:"),),
+        (_edge_killer("short_nul_beside_payload"),
+         _edge_killer("short_nul_key_beside_payload")))),
+    # payloads collected in insertion order: an instance's "superop" is
+    # inserted after the "target" densities but written before them
+    "payloads_in_insertion_order": (serialize._skeleton, SourceMutant(
+        (("sorted(obj.items())", "obj.items()"),),
+        (_edge_killer("int_key_payloads"),
+         _writer_killer("test_instance_docs", ("schur", (16,), {}))))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_MUTANTS))
+def test_writer_mutant(name, monkeypatch):
+    function, mutant = WRITER_MUTANTS[name]
     _assert_source_mutant(name, mutant, monkeypatch, function)

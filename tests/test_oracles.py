@@ -30,7 +30,8 @@ boundary, bounds that underflow or overflow) check the max too.  Four one-line c
 `star_preservation_residual`, which the per-unit star loop checks.
 The instance files have one more: a hand-written encoder (sorted keys,
 two-space indent, repr floats, ASCII escapes) is the oracle of
-`dumps_canonical`, which is the json module's; the nested-list reader is
+`dumps_canonical`, which splices long strings that need no escaping into the
+json module's text of the rest; the nested-list reader is
 checked against literal matrices and messages, and `matrix_to_json`, the
 version "1" writer, lives here because only tests write that format.  The
 modular axioms of a state keep their per-vector route, one `AlgebraElement`
@@ -42,7 +43,9 @@ superoperators here and is the bit-for-bit oracle of the library's numpy
 `sp_ucp` oracle.
 """
 
+import gc
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -104,6 +107,7 @@ from modmark.markov import (
 )
 from modmark.linalg import _top_singular_value, block_diag, frob, op_norm
 from modmark.serialize import (
+    _SPLICE_MIN,
     dumps_canonical,
     instance_from_json,
     instance_to_json,
@@ -3026,7 +3030,8 @@ def oracle_dumps(obj):
 
 FILE_CASES = [("pinch", (1,), {}), ("schur", (2,), {}), ("convex", (3, 1), {}),
               ("pinch", (2, 2, 2), {}), ("schur", (8,), {}), ("convex", (6, 4, 2), {}),
-              ("state_to_scalar", (2,), {"target_dims": (3,)})]
+              ("state_to_scalar", (2,), {"target_dims": (3,)}),
+              ("schur", (16,), {}), ("pinch", (8, 8), {})]
 
 
 def _file_instance(kind, dims, params):
@@ -3067,6 +3072,10 @@ def _v1_doc(ch, metadata):
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                -1.7976931348623157e308, 2.2250738585072014e-308, 1e-17, 1.0 / 3.0, 1e16]
 
+# base64 text of three distinct lengths above the splice length
+_PAYLOADS = [matrix_to_binary(np.random.default_rng(9).standard_normal((k, k)))["data"]
+             for k in (5, 6, 7)]
+
 EDGE_DOCS = {
     "extreme_floats": [[[x, -x] for x in EDGE_FLOATS]],
     "non_finite": {"m": [[[float("nan"), 1.0]], [[float("inf"), -float("inf")]]]},
@@ -3083,7 +3092,36 @@ EDGE_DOCS = {
     "int_keys": {"outer": {2: [[1.0]], 1: [[2.0]]}},
     "single": [[1.0]],
     "row_vector": [[[0.5, -0.25, 1e-300]]],
+    # strings at and above the splice length: each with one character the
+    # escaper must see, so none is spliced
+    **{f"long_{name}": {"p": "A" * (_SPLICE_MIN - 1) + ch, "q": "B" * 2 * _SPLICE_MIN + ch}
+       for name, ch in [("quote", '"'), ("backslash", "\\"), ("nul", "\x00"),
+                        ("unit_separator", "\x1f"), ("delete", "\x7f"),
+                        ("non_ascii", "\u00e9"), ("lone_surrogate", "\ud800")]},
+    # spliced payloads: at the splice length and one short of it, under
+    # int keys inserted out of order, inside tuples, and bare
+    "at_splice_length": {"b": _PAYLOADS[0][:_SPLICE_MIN], "a": _PAYLOADS[1][:_SPLICE_MIN - 1]},
+    "int_key_payloads": {2: _PAYLOADS[0], 1: _PAYLOADS[1], 10: [_PAYLOADS[2]]},
+    "tuple_payloads": {"t": (_PAYLOADS[0], (1.5, _PAYLOADS[1]))},
+    "bare_payload": _PAYLOADS[0],
+    # a short "\x00" writes the placeholder's text: the count check falls back
+    "short_nul_beside_payload": {"b": "\x00", "a": _PAYLOADS[0]},
+    "short_nul_key_beside_payload": {"\x00": 1, "a": _PAYLOADS[0]},
+    # sorting the keys raises, as in json.dumps
+    "mixed_type_keys": {1: _PAYLOADS[0], "a": _PAYLOADS[1]},
 }
+
+
+def _written(dumps, doc):
+    """dumps(doc), or the type and message of the TypeError it raises."""
+    try:
+        return dumps(doc)
+    except TypeError as exc:
+        return type(exc), str(exc)
+
+
+def _json_dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 class TestWriterOracle:
@@ -3104,9 +3142,28 @@ class TestWriterOracle:
 
     @pytest.mark.parametrize("name", sorted(EDGE_DOCS))
     def test_edge_docs(self, name):
-        doc = EDGE_DOCS[name]
-        assert dumps_canonical(doc) == oracle_dumps(doc)
-        assert dumps_canonical({"k": [doc, {"x": doc}]}) == oracle_dumps({"k": [doc, {"x": doc}]})
+        for doc in (EDGE_DOCS[name], {"k": [EDGE_DOCS[name], {"x": EDGE_DOCS[name]}]}):
+            want = _written(oracle_dumps, doc)
+            assert _written(dumps_canonical, doc) == want
+            if isinstance(want, tuple):
+                assert _written(_json_dumps, doc) == want
+
+    def test_payloads_are_released(self):
+        """No reference to a payload outlives the call, even with the cyclic
+        GC off: the walk keeps no cycle alive."""
+        doc = _file_doc("schur", (16,), {})
+        payload = doc["channel"]["superop"]["data"]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = sys.getrefcount(payload)
+            text = dumps_canonical(doc)
+            after = sys.getrefcount(payload)
+        finally:
+            if enabled:
+                gc.enable()
+        assert payload in text
+        assert after == before
 
     def test_random_arrays_any_depth(self):
         rng = np.random.default_rng(8)
