@@ -4,15 +4,14 @@ Hermitian eigendecomposition, spectral matrix powers A**z = V exp(z ln w) V^+,
 operator norms, block-diagonal assembly, and the MODMARK_TOL factor that
 scales every pinned residual tolerance in the package.  All randomness is
 forbidden here: identical input bits give identical output bits, which is
-what makes verification reports reproducible.  The one draw, the Lanczos
-start vector, comes from a fixed seed.
+what makes verification reports reproducible.
 
 `settle` holds the one rule by which every certified key is read: the
 first of its bound formulas whose bracket settles the verdict gives the
 value, else its fallback does.  `certified_value` holds the spectral
 formulas of an operator norm, its excess over 1 and a smallest Hermitian
-eigenvalue: a Frobenius bound, and from `LANCZOS_MIN_DIM` on a
-Golub-Kahan-Lanczos Ritz value and Cholesky factors, before the dense call.
+eigenvalue: a Frobenius bound, and from `CERTIFY_MIN_DIM` on an O(N^2)
+lower bound on the norm and Cholesky factors, before the dense call.
 """
 
 from __future__ import annotations
@@ -75,96 +74,19 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(as_cmatrix(a), 2))
 
 
-# The Lanczos top singular value stops once it moves by at most this much,
-# relative, in one step.
-_GKL_RTOL = 1e-14
-_GKL_SEED = 0
-# A matrix whose largest real or imaginary part lies outside this range is
-# first scaled by a power of two, so that no squared norm of a step under-
-# or overflows.
-_GKL_SAFE = (1e-100, 1e100)
-
-
-def _reorthogonalize(x: np.ndarray, basis: np.ndarray) -> None:
-    """Remove from x, in place and twice over, its components along the
-    orthonormal rows of basis."""
-    for _ in range(2):
-        x -= basis.T @ (basis @ x.conj()).conj()
-
-
-def _top_singular_value(a: np.ndarray) -> float:
-    """Largest singular value of a finite 2-d complex matrix by Golub-Kahan-
-    Lanczos bidiagonalisation (Golub & Kahan 1965).
-
-    Both Lanczos bases are reorthogonalised in full, twice a step, and the
-    start vector comes from a fixed seed, so equal bits in give equal bits
-    out.  The value returned, the top singular value of the k x k bidiagonal
-    B_k, is a Ritz value: a certified lower bound on |a|_op = s_1 up to
-    rounding.  The iteration stops when it moves by at most `_GKL_RTOL`
-    relative, on breakdown (a zero alpha or beta: the Krylov space is
-    invariant), or after min(m, n) steps.  The stop looks at one step's move
-    only, so when the top two singular values lie closer than ~1e-7
-    relative it can fire before they are split: the value then lies in
-    [s_2, s_1], not within rounding of s_1 (at N = 100 and gaps 1e-8 to
-    1e-10 it fell 0.07 to 0.64 of the gap below s_1, by matrix).  It is
-    within rounding of the SVD only when the top gap exceeds ~1e-7
-    relative; a verdict taken from it stays certain either way, since a
-    lower bound above tol is a fail.  a^+ u is formed as (u^+ a)^+, with no
-    copy of a^+, and the bases and B grow by doubling.  Entries far from 1 are scaled first
-    (`_GKL_SAFE`).
-    """
-    parts = a.ravel(order="K").view(np.float64)  # no copy, C or F order
-    top = max(parts.max(initial=0.0), -parts.min(initial=0.0))
-    if top and not _GKL_SAFE[0] <= top <= _GKL_SAFE[1]:
-        scale = np.ldexp(1.0, -np.frexp(top)[1])  # exact both ways
-        return _top_singular_value(a * scale) / scale
-    m, n = a.shape
-    steps = min(m, n)
-    v = np.random.default_rng(_GKL_SEED).standard_normal(2 * n).view(np.complex128)
-    v /= np.sqrt(np.vdot(v, v).real)
-    size = min(steps, 16)
-    vs = np.empty((size, n), dtype=np.complex128)
-    us = np.empty((size, m), dtype=np.complex128)
-    bid = np.zeros((size, size))
-    ritz = beta = 0.0
-    for k in range(steps):
-        if k == size:
-            size = min(2 * size, steps)
-            vs = np.concatenate([vs, np.empty((size - k, n), dtype=np.complex128)])
-            us = np.concatenate([us, np.empty((size - k, m), dtype=np.complex128)])
-            bid = np.pad(bid, (0, size - k))
-        vs[k] = v
-        u = a @ v
-        if k:
-            bid[k - 1, k] = beta
-            u -= beta * us[k - 1]
-            _reorthogonalize(u, us[:k])
-        alpha = np.sqrt(np.vdot(u, u).real)
-        bid[k, k] = alpha
-        prev, ritz = ritz, float(np.linalg.svd(bid[:k + 1, :k + 1], compute_uv=False)[0])
-        if alpha == 0.0 or ritz - prev <= _GKL_RTOL * ritz or k + 1 == steps:
-            return ritz
-        us[k] = u = u / alpha
-        w = (u.conj() @ a).conj()
-        w -= alpha * v
-        _reorthogonalize(w, vs[:k + 1])
-        beta = np.sqrt(np.vdot(w, w).real)
-        if beta == 0.0:
-            return ritz
-        v = w / beta
-    return ritz
-
-
-# From this size on, in both dimensions, `certified_value` takes the Lanczos
-# route.  On masked flow products, one BLAS thread, the Lanczos kernel took
-# 0.52-0.62 ms against 0.40-0.48 ms for the SVD at N = 64, and 0.70-1.02
-# against 1.35-1.46 ms at N = 100.
-LANCZOS_MIN_DIM = 100
+# From this size on, in both dimensions, `certified_value` tries its O(N^2)
+# fail step and its Cholesky factors before the dense call.  The step costs
+# less at every N (masked sp_ucp flow products, one BLAS thread: 0.07 against
+# 0.55 ms for the SVD at N = 64, 0.08 against 1.57 ms at N = 100), but its
+# fail reads below the SVD's value; below 100 an SVD costs at most ~0.6 ms,
+# and every value keeps the dense route's bits.
+CERTIFY_MIN_DIM = 100
 # A Cholesky factor certifies a verdict only when the tolerance it is taken
 # for exceeds this many times N eps the matrix's scale: below that, the
 # rounding of the Gram matrix and of the factor could decide it.
 CHOLESKY_MARGIN = 16.0
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _has_cholesky(h: np.ndarray) -> bool:
@@ -189,6 +111,32 @@ def _frob_or_inf(a: np.ndarray) -> float:
     certifies nothing."""
     with np.errstate(over="ignore"):
         return frob(a)
+
+
+def _norm_lower_bound(a: np.ndarray) -> float | None:
+    """b = (1 - 4 (m + n) eps) max(max row norm, max column norm, |a y| / |y|)
+    <= |a|_op in O(mn), y = a^+ a_j for a_j the heaviest column (one power
+    step; Kuczynski & Wozniakowski 1992, Higham 1992); the factor covers
+    rounding.  The sums of squares are taken on the float64 view of a, in
+    any layout, and a^+ a_j as (a_j^+ a)^+: no m x n temporary, no copy of
+    a^+.  None where a sum overflows, which bounds nothing; 0 where every
+    sum lies below the smallest normal float, where underflow could round
+    one up."""
+    m, n = a.shape
+    parts = a[..., None].view(np.float64)  # (m, n, 2), real and imaginary parts
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        rows = np.einsum("ijk,ijk->i", parts, parts)
+        cols = np.einsum("ijk,ijk->j", parts, parts)
+        j = int(np.argmax(cols))
+        top = max(float(rows.max()), float(cols[j]))
+        if not top < np.inf:
+            return None
+        if top < _TINY:
+            return 0.0
+        y = ((a[:, j].conj() / np.sqrt(cols[j])) @ a).conj()
+        power = float(np.linalg.norm(a @ (y / np.linalg.norm(y))))
+    b = (1.0 - 4.0 * (m + n) * _EPS) * np.fmax(np.sqrt(top), power)  # drops a nan power
+    return float(b) if b < np.inf else None
 
 
 def settle(tol: float, steps, dense) -> float:
@@ -225,26 +173,27 @@ def certified_value(a, tol: float, kind: str = "norm") -> float:
     "min_eig", lambda_min >= -tol of the Hermitian a, settled as
     -lambda_min <= tol.
 
-    The steps, r the Golub-Kahan-Lanczos Ritz value (`_top_singular_value`),
-    a lower bound on |a|_op, from `LANCZOS_MIN_DIM` on in the smaller
-    dimension (the gate):
-    - a norm: |a|_F, an upper bound (inf where it overflows), then r;
-    - "excess" from the gate: max(0, r - 1), then a Cholesky factor of
-      (1 + tol)^2 1 - a^+ a, which certifies |a|_op < 1 + tol and returns
-      (lo, lo), `settle`'s one narrow bracket, to keep the recorded bits;
+    The steps, b the O(N^2) lower bound on |a|_op (`_norm_lower_bound`),
+    from `CERTIFY_MIN_DIM` on in the smaller dimension (the gate):
+    - a norm: |a|_F, an upper bound (inf where it overflows), then the fail
+      step (b, inf) from the gate;
+    - "excess" from the gate: the fail step (lo, inf), lo = max(0, b - 1),
+      which, where it straddles, a Cholesky factor of (1 + tol)^2 1 - a^+ a
+      closes to (lo, lo), `settle`'s one narrow bracket: it certifies
+      |a|_op < 1 + tol, and its pass reads the same lo;
     - "min_eig" from the gate: a Cholesky factor of a, which certifies
       lambda_min > 0 and reads 0.0 (the sp_ucp Choi blocks that the sector
       certificate of `markov.cp_min_eigenvalue` leaves to this route).
-    A Cholesky step applies only when tol exceeds `CHOLESKY_MARGIN` N eps
-    times the scale (1 for "excess", |a|_F for "min_eig"), so a tiny
-    MODMARK_TOL or an overflowing |a|_F goes dense.  The fallback is the
-    dense `np.linalg.svd` or `np.linalg.eigvalsh`; a Ritz value is within
-    rounding of it when the top singular gap exceeds ~1e-7 relative.
+    A fail step whose sums overflow settles nothing, and takes no Cholesky
+    factor.  A Cholesky step applies only when tol exceeds
+    `CHOLESKY_MARGIN` N eps times the scale (1 for "excess", |a|_F for
+    "min_eig"), so a tiny MODMARK_TOL or an overflowing |a|_F goes dense.
+    The fallback is the dense `np.linalg.svd` or `np.linalg.eigvalsh`.
     """
     if kind not in ("norm", "masked", "excess", "min_eig"):
         raise ValueError(f"unknown kind {kind!r}")
     a = as_cmatrix(a)
-    large = min(a.shape) >= LANCZOS_MIN_DIM
+    large = min(a.shape) >= CERTIFY_MIN_DIM
     if kind == "min_eig":
         def factor():
             factored = tol > CHOLESKY_MARGIN * len(a) * _EPS * _frob_or_inf(a) and _has_cholesky(a)
@@ -255,23 +204,24 @@ def certified_value(a, tol: float, kind: str = "norm") -> float:
         return float(np.linalg.svd(a, compute_uv=False)[0])
 
     if kind == "excess":
-        steps = []
-        if large:
-            low = max(0.0, _top_singular_value(a) - 1.0)
-
-            def factor():  # returns (lo, lo): its pass reads lo, as above
-                below = tol > CHOLESKY_MARGIN * max(a.shape) * _EPS and _norm_below(a, 1.0 + tol)
-                return (low, low) if below else None
-            steps = [lambda: (low, np.inf), factor]
-        return settle(tol, steps, lambda: max(0.0, top() - 1.0))
+        def fail_or_factor():  # (lo, lo) where the factor certifies: its pass reads lo
+            b = _norm_lower_bound(a)
+            if b is None:
+                return None
+            lo = max(0.0, b - 1.0)
+            below = (lo <= tol and tol > CHOLESKY_MARGIN * max(a.shape) * _EPS
+                     and _norm_below(a, 1.0 + tol))
+            return (lo, lo) if below else (lo, np.inf)
+        return settle(tol, [fail_or_factor] if large else [], lambda: max(0.0, top() - 1.0))
 
     def frobenius():
         return -np.inf, _frob_or_inf(a)
 
-    def ritz():
-        return _top_singular_value(a), np.inf
+    def fail():
+        b = _norm_lower_bound(a)
+        return None if b is None else (b, np.inf)
     if large:
-        return settle(tol, [frobenius, ritz], top)
+        return settle(tol, [frobenius, fail], top)
     return settle(tol, [frobenius] if kind == "norm" else [], top)
 
 

@@ -422,8 +422,8 @@ def cp_min_eigenvalue(ch: Channel) -> tuple[float, float]:
     """(min Choi eigenvalue, Choi hermiticity defect), the eigenvalue read
     by `linalg.settle` for the cp verdict -lambda_min <= tau, its
     `membership_tolerances` entry: the sector certificate's lower bound on
-    min(0, lambda_min) (`_sector_min_eigenvalue`, no factor or Lanczos
-    step), with `ChoiMatrix.min_eigenvalue` of `to_choi(ch)` its fallback."""
+    min(0, lambda_min) (`_sector_min_eigenvalue`, no Cholesky factor),
+    with `ChoiMatrix.min_eigenvalue` of `to_choi(ch)` its fallback."""
     tau = _membership_tau()
     value = -settle(tau, [lambda: _sector_min_eigenvalue(ch, tau)],
                     lambda: -to_choi(ch).min_eigenvalue(tau))

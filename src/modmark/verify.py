@@ -44,7 +44,7 @@ lower end on a fail, and a key none settles reads its fallback, so the
 verdicts are those of the dense route.  Each key's O(N^2) bound, which
 forms no masked copy, and then its fallback:
 - thm_ii: |A|_F, then `linalg.certified_value` (from
-  `linalg.LANCZOS_MIN_DIM` on a Ritz value, then the dense SVD);
+  `linalg.CERTIFY_MIN_DIM` on an O(N^2) lower bound, then the dense SVD);
 - the adjoint pair: sqrt(sum |X|^2 W^2), then its masked copy's norm;
 - the flow families: each one's largest bound (`_flow_bounds`), then
   bound-and-prune over its masked copies (`_bounded_maxima`);
@@ -445,7 +445,7 @@ def _sector_bound(t_eig: np.ndarray, split: _SectorSplit, tol: float) -> float:
     """An upper bound on |t_eig|_op from its equal-frequency sectors, given
     its `_sector_split`; inf where t_eig is not finite, where the term off
     the sectors alone exceeds tol (no sector is then looked at), or where a
-    sector reaches `linalg.LANCZOS_MIN_DIM` in both dimensions.
+    sector reaches `linalg.CERTIFY_MIN_DIM` in both dimensions.
 
     Sector omega is t_eig on the rows with w_t = omega and the columns with
     w_s = omega, and the sectors tile Z.  Permuted by frequency, t_eig on Z
@@ -479,7 +479,7 @@ def _sector_bound(t_eig: np.ndarray, split: _SectorSplit, tol: float) -> float:
     width = np.bincount(np.searchsorted(freq, w_s[meet_s]), minlength=len(freq))
     norms = np.sqrt(sq)
     for k in np.flatnonzero((height > 1) & (width > 1)):
-        if min(height[k], width[k]) >= linalg.LANCZOS_MIN_DIM:
+        if min(height[k], width[k]) >= linalg.CERTIFY_MIN_DIM:
             return np.inf
         block = t_eig[np.ix_(w_t == freq[k], w_s == freq[k])]
         norms[k] = np.linalg.svd(block, compute_uv=False)[0]
@@ -493,7 +493,7 @@ def _norm_excess(t_eig: np.ndarray, split: _SectorSplit, tol: float) -> float:
     A Markov map's T commutes with Delta, so T_eig lives on the
     equal-frequency sectors, and Kadison-Schwarz gives |T| <= 1.  The key
     is settled (`linalg.settle`) by max(0, u - 1), u = `_sector_bound`,
-    with no Gram matrix, Cholesky factor or Lanczos step, and its fallback
+    with no Gram matrix or Cholesky factor, and its fallback
     is `certified_value(t_eig, tol, "excess")`.  A unital T has <Omega_t, T
     Omega_s> = 1 on its zero-frequency sector, so |T_0| >= 1, and where the
     term off the sectors alone exceeds tol no sector is looked at (sp_ucp)."""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from modmark import linalg
 from modmark.errors import NonHermitian, NotPositiveDefinite
 from modmark.linalg import (
-    _top_singular_value,
+    _norm_lower_bound,
     base_tolerance,
     block_diag,
     certified_value,
@@ -245,7 +245,8 @@ class TestSettle:
 
 
 # ---------------------------------------------------------------------------
-# certified_value: the Lanczos value and its certificate, or the dense call
+# certified_value: the O(N^2) fail step, the Cholesky certificates, or the
+# dense call
 # ---------------------------------------------------------------------------
 
 def random_unitary(seed, n):
@@ -277,7 +278,7 @@ def dense_calls(monkeypatch):
 
 
 TOL = 1e-9
-N_CERT = 120  # above linalg.LANCZOS_MIN_DIM
+N_CERT = 120  # above linalg.CERTIFY_MIN_DIM
 
 
 class TestCertifiedValue:
@@ -303,35 +304,33 @@ class TestCertifiedValue:
             certified_value(np.eye(3), TOL, "max_eig")
 
     def test_excess_pass_certified_by_a_factor(self, dense_calls):
-        # |Q| = 1: the Ritz value is 1 to rounding, and (1 + tol)^2 1 - Q^+ Q
-        # factors
+        # |Q| = 1: the fail step's bound lies below 1, so its lo is 0, and
+        # (1 + tol)^2 1 - Q^+ Q factors: the pass reads that lo
         q = random_unitary(3, N_CERT)
         got = certified_value(q, TOL, "excess")
-        assert got == max(0.0, _top_singular_value(q) - 1.0) and got <= 1e-14
+        assert got == max(0.0, _norm_lower_bound(q) - 1.0) == 0.0
         assert (N_CERT, N_CERT) in dense_calls["cholesky"]
         assert (N_CERT, N_CERT) not in dense_calls["svd"]
 
     def test_excess_fail_from_the_ritz_value(self, dense_calls):
+        # the name is kept: the fail reads the fail step's lo, max(0, b - 1)
+        # for b the O(N^2) lower bound on the norm, at or below the dense
+        # excess and within twice the bound's rounding factor 4 (m + n) eps
+        # of it (the row norms of q carry their own rounding)
         q = random_unitary(4, N_CERT) * (1.0 + 10 * TOL)
         got = certified_value(q, TOL, "excess")
-        assert got > TOL and abs(got - 10 * TOL) <= 1e-14
+        dense = op_norm(q) - 1.0
+        assert TOL < got <= dense and dense - got <= 16 * N_CERT * np.finfo(float).eps
         assert not dense_calls["cholesky"] and (N_CERT, N_CERT) not in dense_calls["svd"]
 
     def test_excess_straddle_takes_the_svd(self, dense_calls):
-        # |a| = 1 + 2 tol along a right singular vector orthogonal to the
-        # Lanczos start vector: the Krylov space never meets it, so the Ritz
-        # value settles at s_2 < 1 and the factor fails: the dense SVD decides
+        # |a| = 1 + 2 tol, and no row, column or power step from a column
+        # reaches 1 (the spread spectrum below it weighs them down): the fail
+        # step's lo is 0, and the factor fails, so the dense SVD decides
         n = N_CERT
-        start = np.random.default_rng(linalg._GKL_SEED).standard_normal(2 * n).view(np.complex128)
-        rng = np.random.default_rng(5)
-        top = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        top -= start * (np.vdot(start, top) / np.vdot(start, start))
-        basis = np.column_stack([top, rng.standard_normal((n, n - 1))
-                                 + 1j * rng.standard_normal((n, n - 1))])
-        v = np.linalg.qr(basis)[0]
         s = np.concatenate([[1.0 + 2 * TOL], np.linspace(0.5, 1.0 - 1e-6, n - 1)])
-        a = (random_unitary(6, n) * s) @ v.conj().T
-        assert _top_singular_value(a) <= 1.0
+        a = (random_unitary(6, n) * s) @ random_unitary(5, n).conj().T
+        assert _norm_lower_bound(a) <= 1.0
         dense_calls["svd"].clear()
         got = certified_value(a, TOL, "excess")
         assert dense_calls["svd"].count((n, n)) == 1
@@ -358,7 +357,7 @@ class TestCertifiedValue:
     def test_min_eig_inside_the_shift_is_an_upper_bound(self, dense_calls, lam):
         # rank-deficient or slightly negative, within tol of 0: h has no
         # factor, and the value is the dense one (no shifted factor or
-        # Lanczos bound is taken)
+        # lower bound on lambda_min is taken)
         w = np.concatenate([[lam] * 5, np.linspace(0.2, 1.0, N_CERT - 5)])
         h = hermitian_with_spectrum(10, w)
         got = certified_value(h, TOL, "min_eig")
@@ -375,7 +374,7 @@ class TestCertifiedValue:
 
     def test_gate_is_read_at_call_time(self, monkeypatch, dense_calls):
         q = random_unitary(12, N_CERT)
-        monkeypatch.setattr(linalg, "LANCZOS_MIN_DIM", 1 << 30)
+        monkeypatch.setattr(linalg, "CERTIFY_MIN_DIM", 1 << 30)
         assert certified_value(q, TOL, "excess") == max(0.0, op_norm(q) - 1.0)
         assert not dense_calls["cholesky"]
 

@@ -5,7 +5,7 @@ pruning rule, of markov_modular's generator row, of kadison_norm's sector
 bound and the adjoint pair's weights, of the membership layer, and of the
 canonical JSON writer: are the stacked pass over both endpoint states, the
 one permuted conjugate behind thm_ii and thm_iii, the Cholesky certificates
-behind kadison_norm and sp_ucp's Choi blocks, the Frobenius and Ritz bracket of a norm, the rule
+behind kadison_norm and sp_ucp's Choi blocks, the Frobenius and fail-step bracket of a norm, the rule
 that reads a value off its brackets, the commute and twist masks, the
 one-GEMM mask bounds, the certify-and-prune rule, the masked column norms,
 the sector bound, the eigenvalue weights, markov_cp's Choi sectors, the
@@ -21,7 +21,7 @@ move, and then the test holds it to that: every gns_* verdict stays as it
 was.  A symmetry mutant runs on a corpus of positives and two sp_ucp
 channels and must flip each of its `must_flip` keys on some instance.  A
 certificate mutant runs `certified_value` on direct matrix cases above
-`linalg.LANCZOS_MIN_DIM` and must flip a verdict, change a value or change
+`linalg.CERTIFY_MIN_DIM` and must flip a verdict, change a value or change
 the number of dense fallbacks (full-size svd or eigvalsh calls) on one.  A
 bound mutant edits the source of `verify._flow_bounds` and recompiles it,
 and the tests of tests/test_oracles.py it names must then fail.  A prune
@@ -267,7 +267,7 @@ def test_symmetry_mutant(name, monkeypatch):
 # ---------------------------------------------------------------------------
 
 CERT_TOL = 1e-9
-CERT_N = 120  # above linalg.LANCZOS_MIN_DIM
+CERT_N = 120  # above linalg.CERTIFY_MIN_DIM
 
 
 def _unitary(seed, n=CERT_N):
@@ -287,7 +287,7 @@ def _spectrum(lowest, count=5):
 
 
 # (matrix, kind): a contraction whose excess pass a factor certifies, one
-# whose Ritz value fails it, a positive definite Choi-like block (its
+# whose fail step's lower bound fails it, a positive definite Choi-like block (its
 # factor certifies), and a rank-deficient, a slightly negative and one
 # below -tol (no factor: dense)
 CERT_CASES = {
@@ -332,7 +332,7 @@ class CertMutant:
     equivalent: str | None = None
 
 
-# The min_eig kind no longer factors a + tol 1 or takes a Lanczos bound of
+# The min_eig kind no longer factors a + tol 1 or takes a lower bound on
 # lambda_min (no recorded suite reached either once markov_cp took its
 # sector certificate), so the mutants of those two steps, "tau_dropped" and
 # "bottom_sign_flipped", went out with them.
@@ -351,7 +351,7 @@ def test_certificate_mutant(name, monkeypatch):
     mutant = CERT_MUTANTS[name]
     before = _certified_outcomes()
     # the unmutated kernel: every min_eig case with no factor goes dense,
-    # and only the one below -tol and the Ritz fail fail their verdicts
+    # and only the one below -tol and the excess fail fail their verdicts
     assert {case for case, (_, _, n_dense) in before.items() if n_dense} == {
         "min-eig-rank-deficient", "min-eig-inside-shift", "min-eig-below-shift"}
     assert {case for case, (ok, _, _) in before.items() if not ok} == {
@@ -555,31 +555,40 @@ def test_prune_mutant(name, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the "norm" kind of linalg.certified_value from linalg.LANCZOS_MIN_DIM on
+# the "norm" kind of linalg.certified_value from linalg.CERTIFY_MIN_DIM on
 # ---------------------------------------------------------------------------
 
 _certified_value = linalg.certified_value
 _FROBENIUS_STEP = "return -np.inf, _frob_or_inf(a)"
-_RITZ_STEP = "return _top_singular_value(a), np.inf"
+_FAIL_STEP = "return None if b is None else (b, np.inf)"
 
 
 def _bracket_killer(method):
     return _killer(test_oracles.TestLanczosRoute, method)
 
 
+_BRACKET_KILLERS = (_bracket_killer("test_bracket_certifies_or_takes_the_svd"),
+                    _bracket_killer("test_only_the_straddling_mask_takes_the_svd"))
+
+# The names of the first two are kept from the Ritz step the fail step
+# replaced: they swap and close its bracket the same way.
 NORM_MUTANTS = {
-    # a certain pass reads the Ritz value, and a certain fail |a|_F
+    # a certain pass reads the fail step's lower bound, and a certain fail
+    # |a|_F
     "ritz_and_frobenius_swapped": SourceMutant(
-        ((_FROBENIUS_STEP, "return -np.inf, _top_singular_value(a)"),
-         (_RITZ_STEP, "return _frob_or_inf(a), np.inf")),
-        (_bracket_killer("test_bracket_certifies_or_takes_the_svd"),
-         _bracket_killer("test_only_the_straddling_mask_takes_the_svd"))),
-    # a Ritz value at or below tol taken as a pass, with no SVD: the Ritz
+        ((_FROBENIUS_STEP, "return -np.inf, _norm_lower_bound(a)"),
+         (_FAIL_STEP, "return _frob_or_inf(a), np.inf")),
+        _BRACKET_KILLERS),
+    # a lower bound at or below tol taken as a pass, with no SVD: the fail
     # step's bracket closed at its lower end
     "straddle_skips_the_svd": SourceMutant(
-        ((_RITZ_STEP, "return _top_singular_value(a), _top_singular_value(a)"),),
-        (_bracket_killer("test_bracket_certifies_or_takes_the_svd"),
-         _bracket_killer("test_only_the_straddling_mask_takes_the_svd"))),
+        ((_FAIL_STEP, "return None if b is None else (b, b)"),),
+        _BRACKET_KILLERS),
+    # |a|_F, an upper bound, as the fail step's lo: a straddle with
+    # s_1 < tol < |a|_F reads a fail where the dense verdict is a pass
+    "upper_bound_as_fail_lo": SourceMutant(
+        ((_FAIL_STEP, "return None if b is None else (_frob_or_inf(a), np.inf)"),),
+        _BRACKET_KILLERS),
 }
 
 
@@ -608,7 +617,7 @@ SETTLE_MUTANTS = {
         (("return hi", "return lo"),),
         (_settle_killer("test_a_pass_reads_the_upper_end"),
          _bracket_killer("test_bracket_certifies_or_takes_the_svd"))),
-    # a Ritz fail reads inf
+    # a fail on the fail step reads inf
     "fail_reads_hi": SourceMutant(
         (("return lo", "return hi"),),
         (_settle_killer("test_a_fail_reads_the_lower_end"),

@@ -105,7 +105,7 @@ from modmark.markov import (
     to_choi,
     trace_dual,
 )
-from modmark.linalg import _top_singular_value, block_diag, frob, op_norm
+from modmark.linalg import _norm_lower_bound, block_diag, frob, op_norm
 from modmark.serialize import (
     _SPLICE_MIN,
     dumps_canonical,
@@ -635,7 +635,8 @@ FLOW_KEYS = ("eq32_t", "thm_i_s", "thm_commute_z", "adjoint_consistency", "petz_
 # the keys whose pass reads the upper bound that certifies it: a family's
 # largest one-GEMM bound, |A|_F (thm_ii, the adjoint pair), the sector bound
 # (kadison_norm), |M|_F times the frame's margin (markov_modular, thm_iii)
-# or the Choi sector certificate (markov_cp); a fail keeps its value
+# or the Choi sector certificate (markov_cp); a fail keeps its value below
+# `linalg.CERTIFY_MIN_DIM`, and from it on reads a certified lower bound
 MOVED_KEYS = ("eq32_t", "thm_commute_z", "thm_i_s", "thm_ii", "adjoint_consistency",
               "petz_match", "kadison_norm", "markov_modular", "thm_iii", "markov_cp")
 # how far below the dense SVD's norm of the same matrix a pass may read: a
@@ -644,18 +645,28 @@ MOVED_KEYS = ("eq32_t", "thm_commute_z", "thm_i_s", "thm_ii", "adjoint_consisten
 PASS_RTOL = 1e-13
 
 
-def assert_verdict_side(got, dense, tol, lanczos=False):
+def assert_verdict_side(got, dense, tol, large=False, lower=None):
     """A residual taken for its verdict against tol, beside dense, the dense
     SVD's norm of the same matrix (for a family, the max over its masks).
-    A fail reads dense bit for bit, or its Ritz value within 1e-13 relative
-    where it takes the Lanczos route (lanczos); a pass lies in
-    [dense (1 - PASS_RTOL), tol]."""
+    A fail reads dense bit for bit, or where it takes the fail step of
+    `linalg.certified_value` (large) a certified lower bound in
+    (tol, dense]; a pass lies in [dense (1 - PASS_RTOL), tol], or reads
+    lower, at or below dense, where the excess's Cholesky step certifies
+    it (`excess_fail_lo`)."""
     if dense <= tol:
-        assert dense * (1.0 - PASS_RTOL) <= got <= tol, (got, dense, tol)
-    elif lanczos:
-        assert abs(got - dense) <= 1e-13 * dense, (got, dense, tol)
+        assert (dense * (1.0 - PASS_RTOL) <= got <= tol
+                or lower is not None and got == lower <= dense), (got, dense, tol, lower)
+    elif large:
+        assert tol < got <= dense, (got, dense, tol)
     else:
         assert got == dense, (got, dense, tol)
+
+
+def excess_fail_lo(t_eig):
+    """max(0, b - 1), b = `linalg._norm_lower_bound(t_eig)`: from
+    `linalg.CERTIFY_MIN_DIM` on, the lo of kadison_norm's fail step, which
+    a pass its Cholesky step certifies reads too."""
+    return max(0.0, _norm_lower_bound(t_eig) - 1.0)
 
 
 def involution_column_norm(t_eig, ch):
@@ -701,20 +712,24 @@ def dense_moved_keys(ch):
 def assert_report_on_verdict_side(ch, report):
     """Each `MOVED_KEYS` value of report, `verify_channel(ch)` at its
     default samples, on the side of its verdict of `dense_moved_keys`."""
-    lanczos = min(eigen_extension(ch).shape) >= linalg.LANCZOS_MIN_DIM
+    t_eig = eigen_extension(ch)
+    large = min(t_eig.shape) >= linalg.CERTIFY_MIN_DIM
+    lower = {"kadison_norm": excess_fail_lo(t_eig)} if large else {}
     for key, dense in dense_moved_keys(ch).items():
-        assert_verdict_side(report.residuals[key], dense, report.tolerances[key], lanczos)
+        assert_verdict_side(report.residuals[key], dense, report.tolerances[key], large,
+                            lower.get(key))
 
 
 def assert_flow_families_on_verdict_side(ch):
     """Every flow family and the adjoint pair against its per-sample
     oracle, on the side of its verdict (`assert_verdict_side`): a pass in
     [dense - rounding, tol], where the adjoint pair's reads
-    sqrt(sum |X|^2 W^2), and a fail with == below `linalg.LANCZOS_MIN_DIM`,
-    each from the SVD of its one masked copy."""
+    sqrt(sum |X|^2 W^2), and a fail with == below `linalg.CERTIFY_MIN_DIM`,
+    each from the SVD of its one masked copy, and in (tol, dense] from it
+    on."""
     t_eig = eigen_extension(ch)
     tol = verify._tolerances(ch, DEFAULT_S_VALUES, Z_SAMPLES)
-    lanczos = min(t_eig.shape) >= linalg.LANCZOS_MIN_DIM
+    large = min(t_eig.shape) >= linalg.CERTIFY_MIN_DIM
     eq32 = [1j * float(t) for t in DEFAULT_EQ32_T]
     z_res, s_res = verify_commute(ch, Z_SAMPLES, DEFAULT_S_VALUES, require_markov=False)
     adjoint = verify_adjoint(ch, require_markov=False)[:2]
@@ -724,7 +739,7 @@ def assert_flow_families_on_verdict_side(ch):
             (z_res, oracle_commute_residual(t_eig, ch, Z_SAMPLES), "thm_commute_z"),
             (s_res, oracle_twist_residual(t_eig, ch, DEFAULT_S_VALUES), "thm_i_s"),
             *zip(adjoint, oracle_adjoint_pair(ch), ("adjoint_consistency", "petz_match"))]:
-        assert_verdict_side(got, dense, tol[key], lanczos)
+        assert_verdict_side(got, dense, tol[key], large)
 
 
 WIRING_T = (0.3, -2.0, 4.0)
@@ -836,8 +851,9 @@ def per_mask_modular(ch, t_samples=()):
                for a, b in pairs)
 
 
-# below `linalg.LANCZOS_MIN_DIM` at n = 7, 8 and 6x4x2, where a formed mask
-# takes one SVD; from n = 10 (N = 100) the survivors take Lanczos norms
+# below `linalg.CERTIFY_MIN_DIM` at n = 7, 8 and 6x4x2, where a formed mask
+# takes one SVD; from n = 10 (N = 100) a failing survivor reads its lower
+# bound
 FUSED_SIZES = [(7,), (8,), (6, 4, 2), (10,), (12,)]
 FUSED_CASES = ([(kind, dims, {}) for kind in ("pinch", "twirl", "sp_ucp")
                 for dims in FUSED_SIZES]
@@ -849,7 +865,8 @@ FUSED_OFF_CLASS = OFF_CLASS_PAIRS + [((7,), (7,)), ((8,), (6, 4, 2)), ((10,), (1
 class TestFusedFlowPass:
     """The families of one `_flow_residuals` pass against one pass each,
     and against the per-sample oracle, on the side of their verdicts: a
-    fail with ==, a pass in [dense - rounding, tol], where a certified
+    fail with == below the gate and in (tol, dense] from it on, and with ==
+    between the two passes; a pass in [dense - rounding, tol], where a certified
     pass is its family's largest bound, and the bounds come from one GEMM
     whose width is the pass's."""
 
@@ -858,13 +875,13 @@ class TestFusedFlowPass:
         ref, alone = fused_and_alone(ch)
         t_eig = eigen_extension(ch)
         commute, twist = flow_families(ch)
-        lanczos = min(t_eig.shape) >= linalg.LANCZOS_MIN_DIM
+        large = min(t_eig.shape) >= linalg.CERTIFY_MIN_DIM
         dense = [oracle_commute_residual(t_eig, ch, [1j * float(t) for t in DEFAULT_EQ32_T]),
                  oracle_commute_residual(t_eig, ch, Z_SAMPLES),
                  oracle_twist_residual(t_eig, ch, DEFAULT_S_VALUES)]
         for got, one, norm, (_, tol) in zip(ref, alone, dense, commute + twist):
-            assert_verdict_side(got, norm, tol, lanczos)
-            assert_verdict_side(one, norm, tol, lanczos)
+            assert_verdict_side(got, norm, tol, large)
+            assert_verdict_side(one, norm, tol, large)
             if norm > tol:
                 assert got == one
 
@@ -925,7 +942,7 @@ class TestFusedFlowPass:
         assert modular_commutation_residual(ch) == per_mask_modular(ch)
 
 
-# a `linalg.LANCZOS_MIN_DIM` above every size: every flow norm is dense
+# a `linalg.CERTIFY_MIN_DIM` above every size: every norm is dense
 DENSE_GATE = 1 << 30
 
 
@@ -970,9 +987,9 @@ class TestOneMaskedCopyAtATime:
     @pytest.mark.parametrize("case,budget", [(("schur", (16,), {}), 2), (("pinch", (8, 8), {}), 3)],
                              ids=["schur-16", "pinch-8x8"])
     def test_masks_formed_one_at_a_time(self, monkeypatch, svd_shapes, case, budget):
-        # these sizes take the Lanczos route by default; on the dense route
+        # these sizes take the fail step by default; on the dense route
         # each formed mask takes one SVD, counted here
-        monkeypatch.setattr(linalg, "LANCZOS_MIN_DIM", DENSE_GATE)
+        monkeypatch.setattr(linalg, "CERTIFY_MIN_DIM", DENSE_GATE)
         ch = _build(*case)
         verify_channel(ch)
         # eq32_t, thm_commute_z and thm_i_s are certified passes, and so is
@@ -1136,7 +1153,7 @@ def cut_maxima(names, per_family):
 
 class TestPrunedMax:
     """The bound-and-prune max equals the max over every per-matrix norm,
-    compared with ==: `op_norm` below `linalg.LANCZOS_MIN_DIM`, and each
+    compared with ==: `op_norm` below `linalg.CERTIFY_MIN_DIM`, and each
     mask's own `certified_value` from it on.  A family cut into consecutive
     families of per_family masks keeps, in each, that family's own max:
     the running max and its prune stay inside one family."""
@@ -1150,8 +1167,8 @@ class TestPrunedMax:
     @pytest.mark.parametrize("name", sorted(SYNTHETIC))
     @pytest.mark.parametrize("per_family", [1, 2, None])
     def test_equals_the_max_above_the_gate(self, monkeypatch, name, per_family):
-        # every norm a certified Lanczos value
-        monkeypatch.setattr(linalg, "LANCZOS_MIN_DIM", 1)
+        # every norm read by `certified_value` from its gate on
+        monkeypatch.setattr(linalg, "CERTIFY_MIN_DIM", 1)
         base = SYNTHETIC[name][0]
         stacks, bounds = cut_families([name], per_family)
         assert pruned_maxima(base, stacks, bounds) == [
@@ -1220,7 +1237,7 @@ class TestPrunedMax:
 
 
 # ---------------------------------------------------------------------------
-# norms from linalg.LANCZOS_MIN_DIM on: the Lanczos kernel, certified verdicts
+# norms from linalg.CERTIFY_MIN_DIM on: the O(N^2) fail step, certified verdicts
 # ---------------------------------------------------------------------------
 
 def _masked_flow_product(ch, sample=0):
@@ -1231,7 +1248,7 @@ def _masked_flow_product(ch, sample=0):
     return eigen_extension(ch) * mask
 
 
-def _lanczos_cases():
+def _gate_cases():
     """Flow products at N = 100-576: roundoff-level ones from positives, O(1)
     ones from a flow-breaking channel and from random superoperators."""
     cases = {f"{kind}-{'x'.join(map(str, dims))}": _masked_flow_product(_build(kind, dims, {}))
@@ -1244,89 +1261,113 @@ def _lanczos_cases():
     return cases
 
 
-LANCZOS_CASES = _lanczos_cases()
+GATE_CASES = _gate_cases()
 
 
 class TestLanczosKernel:
-    """`linalg._top_singular_value` against the dense singular values."""
+    """`linalg._norm_lower_bound`, the fail step of `certified_value`,
+    against the dense singular values.  The class and test names are kept
+    from the Golub-Kahan-Lanczos kernel the step replaced, whose ids the
+    recorded test floor holds; each test says what it now checks."""
 
     @staticmethod
-    def assert_matches(a, got):
+    def assert_below(a, got):
+        """got is a lower bound on s_1, by the SVD and by scipy's svdvals."""
         for ref in (np.linalg.svd(a, compute_uv=False)[0], scipy.linalg.svdvals(a)[0]):
-            assert abs(got - ref) <= 1e-13 * ref, (got, ref)
+            assert 0.0 <= got <= ref, (got, ref)
 
-    @pytest.mark.parametrize("name", sorted(LANCZOS_CASES))
+    @pytest.mark.parametrize("name", sorted(GATE_CASES))
     def test_matches_the_svd(self, name):
-        a = LANCZOS_CASES[name]
-        got = _top_singular_value(a)
-        self.assert_matches(a, got)
+        # at or below the SVD's s_1, and above 0.9 s_1 on these products
+        # (0.93-1.0); the same bits on a second call
+        a = GATE_CASES[name]
+        got = _norm_lower_bound(a)
+        self.assert_below(a, got)
+        assert got >= 0.9 * np.linalg.svd(a, compute_uv=False)[0]
         # positives give roundoff-level products, the rest O(1) ones
         assert (got < 1e-12) == (name.split("-")[0] in ("pinch", "schur", "automorphism"))
-        assert _top_singular_value(a) == got
+        assert _norm_lower_bound(a) == got
 
     def test_rank_one(self):
+        # one power step from any column of x y^+ lands on y: s_1 to rounding
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal(100) + 1j, rng.standard_normal(150) - 2j
         a = np.outer(x, y.conj())
-        self.assert_matches(a, _top_singular_value(a))
+        got = _norm_lower_bound(a)
+        self.assert_below(a, got)
+        assert got >= (1.0 - 1e-12) * np.linalg.norm(x) * np.linalg.norm(y)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
-    def test_tiny_and_huge_entries(self, scale):
-        # squared norms of such steps would under- or overflow unscaled
-        a = scale * LANCZOS_CASES["random-10"]
-        self.assert_matches(a, _top_singular_value(a))
+    def test_tiny_and_huge_entries(self, monkeypatch, scale):
+        # the sums of squares overflow (no bound: None) or fall below the
+        # smallest normal float (the bound 0, which settles nothing); either
+        # way each kind reads the dense route's value, and no floating-point
+        # warning escapes (pytest turns warnings into errors)
+        a = scale * GATE_CASES["random-10"]
+        assert _norm_lower_bound(a) == (None if scale > 1.0 else 0.0)
+        tol = 0.5 * np.linalg.svd(a, compute_uv=False)[0]
+        got = [linalg.certified_value(a, tol, kind) for kind in ("norm", "excess")]
+        monkeypatch.setattr(linalg, "CERTIFY_MIN_DIM", DENSE_GATE)
+        assert got == [linalg.certified_value(a, tol, kind) for kind in ("norm", "excess")]
 
     def test_zero_matrix_breaks_down_at_step_one(self, svd_shapes):
-        assert _top_singular_value(np.zeros((100, 120), dtype=np.complex128)) == 0.0
-        assert svd_shapes == [(1, 1)]
+        # the name is kept: the zero matrix's bound is 0, with no SVD
+        assert _norm_lower_bound(np.zeros((100, 120), dtype=np.complex128)) == 0.0
+        assert svd_shapes == []
 
     def test_unitary_repeated_top_value(self):
+        # every row and column norm of a unitary is 1, and so is s_1: the
+        # bound reads 1 to its rounding factor, in memory order C or F, and
+        # on a strided view of every other column
         rng = np.random.default_rng(4)
         q = np.linalg.qr(rng.standard_normal((128, 128))
                          + 1j * rng.standard_normal((128, 128)))[0]
-        assert abs(_top_singular_value(q) - 1.0) <= 1e-13
-        self.assert_matches(q, _top_singular_value(q))
-        # the scale check reads the entries in memory order, C or F
-        self.assert_matches(q, _top_singular_value(np.asfortranarray(q)))
-        self.assert_matches(q[:, ::2], _top_singular_value(q[:, ::2]))
+        for a in (q, np.asfortranarray(q), q[:, ::2]):
+            got = _norm_lower_bound(a)
+            self.assert_below(a, got)
+            assert got >= 1.0 - 1e-12
 
     @pytest.mark.parametrize("n", [100, 128])
     def test_reaches_the_step_cap(self, svd_shapes, n):
-        # ones on the diagonal and above: the spectrum of B^T B crowds at its
-        # ends, and the top Ritz value moves at every step up to N
+        # the name is kept: the ones-bidiagonal, whose top Ritz value moved
+        # at every step up to N, is read by one power step above 0.85 s_1
+        # (0.89 here; row and column norms sqrt 2, s_1 near 2), with no SVD
         a = (np.eye(n) + np.eye(n, k=1)).astype(np.complex128)
-        got = _top_singular_value(a)
-        assert svd_shapes == [(k, k) for k in range(1, n + 1)]
-        self.assert_matches(a, got)
+        got = _norm_lower_bound(a)
+        assert svd_shapes == []
+        self.assert_below(a, got)
+        assert got >= 0.85 * np.linalg.svd(a, compute_uv=False)[0] > np.sqrt(2.0)
 
     def test_converges_well_before_the_cap(self, svd_shapes):
-        _top_singular_value(LANCZOS_CASES["schur-24"])
-        assert len(svd_shapes) < 40
+        # the name is kept: the step does not iterate, and takes no SVD
+        a = GATE_CASES["schur-24"]
+        got = _norm_lower_bound(a)
+        assert svd_shapes == []
+        self.assert_below(a, got)
 
     @pytest.mark.parametrize("gap", [1e-8, 1e-9, 1e-10])
     def test_near_degenerate_top_pair(self, gap):
-        # s_1 = 1, s_2 = 1 - gap and the rest <= 0.99: the stop test can fire
-        # before the top pair is split, so the value is only bracketed by
-        # [s_2, s_1], and `certified_value` must still give the dense verdict for a
-        # tolerance inside the gap
+        # s_1 = 1, s_2 = 1 - gap and the rest <= 0.99: the bound lies below
+        # s_1, so a tolerance inside the gap is a straddle, and
+        # `certified_value` must still give the dense verdict
         rng = np.random.default_rng(5)
         u, v = (np.linalg.qr(rng.standard_normal((100, 100))
                              + 1j * rng.standard_normal((100, 100)))[0] for _ in range(2))
         s = np.concatenate([[1.0, 1.0 - gap], rng.uniform(0.0, 0.99, 98)])
         a = (u * s) @ v.conj().T
         dense = np.linalg.svd(a, compute_uv=False)
-        got = _top_singular_value(a)
-        assert dense[1] - 1e-14 <= got <= dense[0] + 1e-14, (got, dense[:2])
+        assert _norm_lower_bound(a) <= dense[0]
         for frac in (0.1, 0.5, 0.9):
             tol = 1.0 - frac * gap
             assert (linalg.certified_value(a, tol) > tol) == (dense[0] > tol), frac
 
     def test_no_full_size_temporaries(self):
-        # the bases grow with the steps, and a^+ u is formed without a^+
-        a = LANCZOS_CASES["random-24"]
+        # the sums of squares are taken on a float64 view, and a^+ a_j is
+        # formed without a^+
+        a = GATE_CASES["random-24"]
         tracemalloc.start()
         try:
-            _top_singular_value(a)
+            _norm_lower_bound(a)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1349,10 +1390,11 @@ def _bracket_id(channel):
 @pytest.mark.parametrize("channel", [*CASES, *OFF_CLASS_PAIRS, *_parity_cases()],
                          ids=_bracket_id)
 def test_moved_keys_on_the_verdict_side(channel):
-    # every value a certified pass moves lies in [dense - rounding, tol],
-    # and every fail is the dense value (below `linalg.LANCZOS_MIN_DIM`, bit
-    # for bit) or its Ritz value: on the generated channels, on random
-    # superoperators, and on the verify-large kinds at n = 12, 16 and 8x8
+    # every value a certified pass moves lies in [dense - rounding, tol]
+    # (or reads the excess's fail-step lo), and every fail is the dense
+    # value below `linalg.CERTIFY_MIN_DIM`, bit for bit, and a certified
+    # lower bound in (tol, dense] from it on: on the generated channels, on
+    # random superoperators, and on the verify-large kinds at n = 12, 16, 8x8
     ch = _off_class_channel(*channel) if len(channel) == 2 else _build(*channel)
     assert_report_on_verdict_side(ch, verify_channel(ch))
 
@@ -1369,38 +1411,36 @@ def _kraus_channel(n, seed=91):
     return channel_from_kraus(kraus, sys, sys)
 
 
-# a kadison_norm fail is a certified bound from the gate on, not a value
-# within rounding: a Ritz value below |T|, so it may read below the dense
-# value (a kadison_norm pass is a `MOVED_KEYS` bracket instead; markov_cp
-# takes no Lanczos value)
+# the keys `TestFactoredFrame` holds, against a route with both gates out of
+# reach, to `assert_verdict_side`: from the gate on a fail reads a certified
+# lower bound, not the dense value to rounding
 BOUND_KEYS = ("kadison_norm",)
-# how far a Ritz value may lie above the SVD's value of the same matrix
-RITZ_ROUNDING = 16 * np.finfo(float).eps
 
 
 class TestLanczosRoute:
-    """verify_channel from `linalg.LANCZOS_MIN_DIM` on against the dense route."""
+    """verify_channel from `linalg.CERTIFY_MIN_DIM` on against the dense
+    route: the gate's fail step and Cholesky factors, under the name kept
+    from the Golub-Kahan-Lanczos kernel the fail step replaced."""
 
     @staticmethod
     def assert_same_report(monkeypatch, svd_shapes, ch, kind=None):
-        """Verdicts identical; the `MOVED_KEYS` on the side of their
-        verdicts of the dense route's values (a certified flow family reads
-        the same bound on both), except a `BOUND_KEYS` value that is not a
-        moved pass, which is within `RITZ_ROUNDING`; every other key within
-        1e-13 relative."""
-        lanczos = verify_channel(ch, kind=kind)
-        # no full-size SVD: every formed flow mask fails on its Ritz value,
-        # and every SVD is a B_k or a sector's
-        assert svd_shapes and eigen_extension(ch).shape not in svd_shapes
-        monkeypatch.setattr(linalg, "LANCZOS_MIN_DIM", DENSE_GATE)
+        """Verdicts and failure lists identical; the `MOVED_KEYS` on the
+        side of their verdicts of the dense route's values
+        (`assert_verdict_side`: a fail in (tol, dense], a pass in
+        [dense - rounding, tol] or on the excess's fail-step lo); every
+        other key within 1e-13 relative."""
+        certified = verify_channel(ch, kind=kind)
+        # no full-size SVD: every formed mask that fails reads its lower bound
+        assert eigen_extension(ch).shape not in svd_shapes
+        lower = {"kadison_norm": excess_fail_lo(eigen_extension(ch))}
+        monkeypatch.setattr(linalg, "CERTIFY_MIN_DIM", DENSE_GATE)
         dense = verify_channel(ch, kind=kind)
-        assert lanczos.verdicts == dense.verdicts
+        assert certified.verdicts == dense.verdicts
+        assert certified.failed_keys == dense.failed_keys
         for key, ref in dense.residuals.items():
-            got = lanczos.residuals[key]
-            if key in BOUND_KEYS and not (key in MOVED_KEYS and dense.verdicts[key]):
-                assert got <= ref + RITZ_ROUNDING and abs(got - ref) <= 1e-14, (key, got, ref)
-            elif key in MOVED_KEYS:
-                assert_verdict_side(got, ref, dense.tolerances[key], lanczos=True)
+            got = certified.residuals[key]
+            if key in MOVED_KEYS:
+                assert_verdict_side(got, ref, dense.tolerances[key], True, lower.get(key))
             else:
                 assert abs(got - ref) <= 1e-13 * ref, key
         return dense
@@ -1414,33 +1454,36 @@ class TestLanczosRoute:
         report = self.assert_same_report(monkeypatch, svd_shapes, _kraus_channel(12))
         assert {"eq32_t", "thm_commute_z", "thm_i_s", "thm_ii"} <= set(report.failed_keys)
 
-    def test_bracket_certifies_or_takes_the_svd(self, svd_shapes):
-        a = LANCZOS_CASES["sp_ucp-12"]
-        ritz, upper = _top_singular_value(a), frob(a)
-        assert ritz < upper
-        # a certain fail (ritz > tol) reads its Ritz value
+    def test_bracket_certifies_or_takes_the_svd(self, monkeypatch, svd_shapes):
+        a = GATE_CASES["sp_ucp-12"]
+        low, upper = _norm_lower_bound(a), frob(a)
+        ref = np.linalg.svd(a, compute_uv=False)[0]
+        assert low < ref < upper
+        # a certain fail (low > tol) reads its lower bound, with no SVD
         svd_shapes.clear()
-        assert linalg.certified_value(a, 0.5 * ritz) == ritz
+        assert linalg.certified_value(a, 0.5 * low) == low
         assert a.shape not in svd_shapes
-        # a certain pass (|a|_F <= tol) reads |a|_F, and takes no Lanczos step
+        # a straddling bracket, s_1 < tol < |a|_F: one dense SVD, and its
+        # value, a pass
+        svd_shapes.clear()
+        assert linalg.certified_value(a, np.sqrt(ref * upper)) == ref
+        assert svd_shapes.count(a.shape) == 1
+        # a certain pass (|a|_F <= tol) reads |a|_F, and takes no fail step
+        monkeypatch.setattr(linalg, "_norm_lower_bound", None)
         svd_shapes.clear()
         assert linalg.certified_value(a, upper) == upper
         assert svd_shapes == []
-        # a straddling bracket: one dense SVD, and its value
-        ref = np.linalg.svd(a, compute_uv=False)[0]
-        svd_shapes.clear()
-        assert linalg.certified_value(a, np.sqrt(ritz * upper)) == ref
-        assert svd_shapes.count(a.shape) == 1
 
     def test_only_the_straddling_mask_takes_the_svd(self, svd_shapes):
-        # three masks of one family, their tolerances below the Ritz value,
-        # inside the bracket and at the Frobenius bound
-        a = LANCZOS_CASES["sp_ucp-12"]
+        # three masks of one family, their tolerances below the lower bound,
+        # inside the bracket above s_1 and at the Frobenius bound
+        a = GATE_CASES["sp_ucp-12"]
         base = np.ones_like(a)
         stack = np.stack([a, 0.5 * a, 0.25 * a])
-        ritz, upper = _top_singular_value(a), frob(a)
-        tols = (0.5 * ritz, 0.5 * np.sqrt(ritz * upper), 0.25 * upper)
-        ref = [ritz, np.linalg.svd(0.5 * a, compute_uv=False)[0], frob(0.25 * a)]
+        low, upper = _norm_lower_bound(a), frob(a)
+        top = np.linalg.svd(a, compute_uv=False)[0]
+        tols = (0.5 * low, 0.5 * np.sqrt(top * upper), 0.25 * upper)
+        ref = [low, np.linalg.svd(0.5 * a, compute_uv=False)[0], frob(0.25 * a)]
         svd_shapes.clear()
         norms = [verify._masked_norm(base, np.array(m, dtype=np.complex128), tol)
                  for m, tol in zip(stack, tols)]
@@ -1448,7 +1491,7 @@ class TestLanczosRoute:
         assert norms == ref
 
     def test_masks_stay_within_the_memory_budget(self):
-        # on the Lanczos route too, one masked copy is alive at a time; at
+        # from the gate on too, one masked copy is alive at a time; at
         # tolerance 0 no family is certified, so its masks are formed
         ch = _build("schur", (16,), {})
         t_eig = eigen_extension(ch)
@@ -1462,10 +1505,10 @@ class TestLanczosRoute:
 
 
 # ---------------------------------------------------------------------------
-# the sector and Frobenius certificates from linalg.LANCZOS_MIN_DIM on
+# the sector and Frobenius certificates from linalg.CERTIFY_MIN_DIM on
 # ---------------------------------------------------------------------------
 
-SECTOR_N = 120  # above linalg.LANCZOS_MIN_DIM
+SECTOR_N = 120  # above linalg.CERTIFY_MIN_DIM
 SECTOR_TOL = 1e-10  # kadison_norm's pinned tolerance
 
 
@@ -1531,12 +1574,12 @@ class TestSectorBound:
 
     def test_pass_reads_the_sector_bound(self, monkeypatch):
         # unitary sectors of every shape: a certain pass, with no Gram
-        # matrix, Cholesky factor or Lanczos step
+        # matrix, Cholesky factor or fail step
         w = 0.37 * np.concatenate([np.zeros(6), np.ones(3), np.arange(2, SECTOR_N - 7)])
         t = np.eye(SECTOR_N, dtype=np.complex128)
         t[:6, :6] = _unitary_matrix(22, 6)
         t[6:9, 6:9] = _unitary_matrix(23, 3)
-        monkeypatch.setattr(linalg, "_top_singular_value", None)
+        monkeypatch.setattr(linalg, "_norm_lower_bound", None)
         monkeypatch.setattr(linalg, "_norm_below", None)
         got = norm_excess(t, w, w, SECTOR_TOL)
         assert got == max(0.0, sector_bound(t, w, w) - 1.0)
@@ -1559,7 +1602,11 @@ class TestSectorBound:
         t[:4, :4] = 1.01 * _unitary_matrix(24, 4)
         assert np.abs(t[:4, :4]).max() < 1.0
         got = norm_excess(t, w, w, SECTOR_TOL)
-        assert got > SECTOR_TOL and abs(got - 0.01) <= 1e-14
+        # the dense excess below the gate, and from it on the fail step's
+        # lo, within twice its rounding factor 4 (m + n) eps of it
+        dense = op_norm(t) - 1.0
+        assert abs(dense - 0.01) <= 1e-14
+        assert SECTOR_TOL < got <= dense and dense - got <= 16 * n * np.finfo(float).eps
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000),
@@ -1965,7 +2012,8 @@ class TestFactoredFrame:
         keys left to each route's own dense values
         (`assert_report_on_verdict_side`: each reads a bound of its own
         frame's roundoff), the other `bound_keys` values held to
-        `TestLanczosRoute`'s bound, every other value to the frame's."""
+        `assert_verdict_side`'s (tol, dense] if a fail, every other value
+        to the frame's."""
         assert factored.verdicts == dense.verdicts
         assert factored.tolerances == dense.tolerances
         for key, ref in dense.residuals.items():
@@ -1973,7 +2021,7 @@ class TestFactoredFrame:
             if key in own_passes and dense.verdicts[key]:
                 continue
             elif key in bound_keys:
-                assert got <= ref + RITZ_ROUNDING and abs(got - ref) <= 1e-14, (key, got, ref)
+                assert_verdict_side(got, ref, dense.tolerances[key], True)
             elif ref > 1e-8:
                 assert abs(got - ref) <= 1e-12 * ref, (key, got, ref)
             else:
@@ -2005,7 +2053,7 @@ class TestFactoredFrame:
         default = verify_channel(ch, kind=kind)
         assert_report_on_verdict_side(ch, default)
         monkeypatch.setattr(gns, "FRAME_MIN_DIM", DENSE_GATE)
-        monkeypatch.setattr(linalg, "LANCZOS_MIN_DIM", DENSE_GATE)
+        monkeypatch.setattr(linalg, "CERTIFY_MIN_DIM", DENSE_GATE)
         dense = verify_channel(_build(*case), kind=kind)
         assert default.passed
         self.assert_same_report(default, dense, BOUND_KEYS, own_passes=MOVED_KEYS)
