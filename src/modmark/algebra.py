@@ -143,10 +143,11 @@ class FaithfulState:
 
     The density D must be Hermitian positive definite blockwise (that is the
     faithfulness) with total trace one.  The per-block eigendecompositions are
-    computed once at construction and reused by the modular machinery.
+    computed once at construction and reused by the modular machinery, and
+    so is kappa, the global eigenvalue ratio lambda_max / lambda_min.
     """
 
-    __slots__ = ("parent", "density", "block_eigs")
+    __slots__ = ("parent", "density", "block_eigs", "kappa")
 
     def __init__(self, density: AlgebraElement):
         eigs = [herm_eig(b) for b in density.blocks]
@@ -162,13 +163,7 @@ class FaithfulState:
         self.parent = density.parent
         self.density = density
         self.block_eigs: list[HermEig] = eigs
-
-    @property
-    def kappa(self) -> float:
-        """Global eigenvalue ratio lambda_max / lambda_min of the density."""
-        lam_max = max(float(e.eigenvalues[-1]) for e in self.block_eigs)
-        lam_min = min(float(e.eigenvalues[0]) for e in self.block_eigs)
-        return lam_max / lam_min
+        self.kappa = lam_max / lam_min
 
     def __call__(self, x: AlgebraElement) -> complex:
         return evaluate_state(self, x)

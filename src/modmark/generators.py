@@ -55,7 +55,6 @@ from .markov import (
 )
 
 DEFAULT_MIN_GAP = 0.05
-TWIRL_FREQ_TOL = 1e-9
 
 
 def derive_seed(*parts: int) -> int:
@@ -75,7 +74,11 @@ def random_faithful_state(alg: BlockAlgebra, seed: int,
     Draws G G^+ per block, normalizes the total trace to one, and when the
     global ratio lambda_min/lambda_max falls below min_gap shifts the whole
     density toward the tracial state by exactly the amount restoring the
-    ratio (a shift, not a resample, so one seed gives one state).
+    ratio (a shift, not a resample, so one seed gives one state).  The
+    shift pins lambda_min/lambda_max = min_gap exactly, so +-log(1/min_gap)
+    is a frequency of every shifted state: two states drawn apart, such as
+    the two ends of `state_to_scalar`, share it in exact arithmetic and
+    differ in its last bits once their spectra are computed.
     """
     if not 0.0 <= min_gap < 1.0:
         raise ValueError(f"min_gap must be in [0, 1), got {min_gap}")
@@ -209,17 +212,6 @@ def random_automorphism(sys: System, seed: int) -> Channel:
 # twirl: projection onto the flow-commuting class
 # ---------------------------------------------------------------------------
 
-def _bucket_ids(values: np.ndarray, tol: float) -> np.ndarray:
-    """Cluster reals by chaining gaps <= tol (merging is the conservative
-    choice: collisions keep a larger subspace): in sorted order a new id
-    starts at every gap above tol."""
-    order = np.argsort(values, kind="stable")
-    ranked = values[order]
-    ids = np.empty(len(values), dtype=np.int64)
-    ids[order] = np.cumsum(np.diff(ranked, prepend=ranked[:1]) > tol)
-    return ids
-
-
 def modular_twirl(ch: Channel) -> Channel:
     """Project a unital cp state-compatible channel onto the flow-commuting class.
 
@@ -230,16 +222,16 @@ def modular_twirl(ch: Channel) -> Channel:
     keeps the rest.  That frequency-matching mask is applied directly (the
     long-time average itself is a test oracle, not the production path).
     Idempotent; fixes channels already flow-commuting; preserves unitality,
-    complete positivity, and state compatibility.  Frequencies closer than
-    TWIRL_FREQ_TOL count as equal.
+    complete positivity, and state compatibility.  Two frequencies are
+    equal when they share their label, `ch.frequency_labels`: the one
+    labelling, `gns.frequency_labels` chaining sorted gaps at
+    `gns.label_radius`, which the verifier's sectors read too.
     """
     bad = precondition_defects(ch)
     if bad:
         raise PreconditionFailed(f"twirl preconditions failed: {bad}")
-    w_s, w_t = ch.source.modular.frequencies, ch.target.modular.frequencies
-    ids = _bucket_ids(np.concatenate([w_t, w_s]), TWIRL_FREQ_TOL)
-    ids_t, ids_s = ids[:len(w_t)], ids[len(w_t):]
-    mask = ids_t[:, None] == ids_s[None, :]
+    labels_t, labels_s = ch.frequency_labels
+    mask = labels_t[:, None] == labels_s[None, :]
     return Channel(ch.source, ch.target,
                    from_eigenframe(ch.eigen_superop * mask, ch.source, ch.target))
 
@@ -444,5 +436,4 @@ __all__ = [
     "build_channel",
     "convex_combine",
     "DEFAULT_MIN_GAP",
-    "TWIRL_FREQ_TOL",
 ]

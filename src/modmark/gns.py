@@ -27,7 +27,8 @@ N = sum n_k^2 = `FRAME_MIN_DIM` these multiply by the dense N x N frame
 (`ModularData.frame`); from it on they apply G by its Kronecker factors,
 vec(A X B) = (B^T kron A) vec(X) (Van Loan 2000, "The ubiquitous Kronecker
 product"): two GEMMs per block on (N n, n) reshapes, O(N n^3) where the
-dense product is O(N^3), and no N x N frame is formed.
+dense product is O(N^3), and no N x N frame is formed.  Which frequencies
+are equal is decided here alone: `frequency_labels` at `label_radius`.
 
 All of it is numpy: the module imports no scipy.  The independent
 logm/expm route for the unitary flow, the analytic-vector check, is a test
@@ -55,6 +56,31 @@ Z_MAX = 2.0
 # their bits.
 FRAME_MIN_DIM = 100
 _EPS = float(np.finfo(float).eps)
+
+
+def label_radius(*states: FaithfulState) -> float:
+    """r = 4 EIG_CONTRACT_RTOL sum kappa, the radius of `frequency_labels`
+    for the frequencies, or the Choi labels log mu_i - log lambda_a, of the
+    given states.  eigh is backward stable, so by Weyl's inequality each
+    eigenvalue lies within ~n eps lambda_max of its exact value, inside the
+    EIG_CONTRACT_RTOL of `herm_eig`'s contract, and each log lambda within
+    EIG_CONTRACT_RTOL kappa of its own: values equal in exact arithmetic,
+    of one state or two, lie within r of each other once computed (Davis
+    and Kahan 1970, "The rotation of eigenvectors by a perturbation. III")."""
+    return 4.0 * EIG_CONTRACT_RTOL * sum(s.kappa for s in states)
+
+
+def frequency_labels(values: np.ndarray, radius: float) -> np.ndarray:
+    """Integer labels 0, 1, ... of reals, in ascending order of value: in
+    sorted order a new label starts at every gap above radius, so values
+    chained by gaps of at most radius share one (merging is the safe side:
+    every sector bound holds for any labels, and only the twirl keeps a
+    larger class).  A value's label is the number of label starts at or
+    below it.  The one rule by which the package takes two frequencies as
+    equal: the sector split, the Choi groups and the twirl read its labels
+    at `label_radius`."""
+    ranked = np.sort(values)
+    return np.searchsorted(ranked[1:][np.diff(ranked) > radius], values, side="right")
 
 
 def _sandwich_columns(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -306,4 +332,6 @@ class ModularData:
 __all__ = [
     "ModularData",
     "Z_MAX",
+    "frequency_labels",
+    "label_radius",
 ]

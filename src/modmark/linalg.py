@@ -107,10 +107,13 @@ def _norm_below(a: np.ndarray, bound: float) -> bool:
 
 
 def _frob_or_inf(a: np.ndarray) -> float:
-    """|a|_F, or inf where its sum of squares overflows: a bound that then
+    """|a|_F, or inf where its sum of squares overflows, or lies below the
+    smallest normal float while a is nonzero, where underflow could have
+    dropped every square (as in `_norm_lower_bound`): a bound that then
     certifies nothing."""
-    with np.errstate(over="ignore"):
-        return frob(a)
+    with np.errstate(over="ignore", under="ignore"):
+        norm = frob(a)
+    return np.inf if norm * norm < _TINY and a.any() else norm
 
 
 def _norm_lower_bound(a: np.ndarray) -> float | None:
@@ -175,7 +178,8 @@ def certified_value(a, tol: float, kind: str = "norm") -> float:
 
     The steps, b the O(N^2) lower bound on |a|_op (`_norm_lower_bound`),
     from `CERTIFY_MIN_DIM` on in the smaller dimension (the gate):
-    - a norm: |a|_F, an upper bound (inf where it overflows), then the fail
+    - a norm: |a|_F, an upper bound (inf where it overflows or underflows,
+      `_frob_or_inf`), then the fail
       step (b, inf) from the gate;
     - "excess" from the gate: the fail step (lo, inf), lo = max(0, b - 1),
       which, where it straddles, a Cholesky factor of (1 + tol)^2 1 - a^+ a

@@ -21,8 +21,9 @@ cp residual's bound is on the smallest eigenvalue of the Choi matrix
 [(i, a), (i', b)] is X[(i, i'), (a, b)], and a Markov map, which commutes
 with the modular flow, makes it block-diagonal over the level sets of
 l(i, a) = log mu_i - log lambda_a, the Choi form of covariance (Scutaru
-1979, Holevo 1993); Weyl's inequality over those sectors, with margins,
-bounds the dense lambda_min.  Its fallback takes each Choi block through
+1979, Holevo 1993), taken by the one frequency labelling of `gns`;
+Weyl's inequality over those sectors, with margins, bounds the dense
+lambda_min.  Its fallback takes each Choi block through
 `linalg.certified_value`.  The modular residual's bound is |M|_F times a
 bound on |G_s|, M the masked X, and its fallback the exact column norms
 of the same M (`ModularData.max_column_norm`).
@@ -59,7 +60,7 @@ from .errors import (
     NotStatePreserving,
     ShapeMismatch,
 )
-from .gns import ModularData
+from .gns import ModularData, frequency_labels, label_radius
 from .linalg import EIG_CONTRACT_RTOL, as_cmatrix, certified_value, settle, tolerance_factor
 
 STATE_MATCH_ATOL = 1e-12
@@ -126,6 +127,16 @@ class Channel:
         always computed from `superop` whatever built the channel."""
         return self.source.modular.frame_right(
             self.target.modular.frame_left(self.superop), adjoint=True)
+
+    @cached_property
+    def frequency_labels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(target, source) labels of the frequencies of X's rows and
+        columns: one `gns.frequency_labels` call over both ends at their
+        `label_radius`, which the sector split and the twirl read."""
+        w_t, w_s = self.target.modular.frequencies, self.source.modular.frequencies
+        labels = frequency_labels(np.concatenate([w_t, w_s]),
+                                  label_radius(self.source.state, self.target.state))
+        return labels[:len(w_t)], labels[len(w_t):]
 
     def __repr__(self):
         return (f"Channel({self.source.algebra.block_dims} -> "
@@ -298,31 +309,29 @@ def _frame_rounding(md: ModularData) -> float:
 
 
 def _choi_sectors(ch: Channel) -> tuple[tuple, list, float, int]:
-    """The groups of the eigenframe Choi matrix (`_sector_min_eigenvalue`):
-    (units, groups, off, size).  X[units] holds the Choi diagonals of
-    every block pair, X on the diagonal units; groups holds, per group size
-    above one, the X entries of those groups as (rows, cols), each indexed
-    [group, p, q]; off is |X off the groups|_F, its in-group entries zeroed
-    in a copy; size is the largest group's."""
+    """The groups of the eigenframe Choi matrix (`_sector_min_eigenvalue`),
+    the runs of one block pair and one label of l(i, a) = log mu_i - log
+    lambda_a (`gns.frequency_labels` at `gns.label_radius`), sorted on one
+    integer key: (units, groups, off, size).  X[units] holds the Choi
+    diagonals of every block pair, X on the diagonal units; groups holds,
+    per group size above one, the X entries of those groups as (rows,
+    cols), each indexed [group, p, q]; off is |X off the groups|_F, its
+    in-group entries zeroed in a copy; size is the largest group's."""
     x = ch.eigen_superop
     alg_t, alg_s = ch.target.algebra, ch.source.algebra
     (u_t, diag_t), (u_s, diag_s) = _unit_table(alg_t), _unit_table(alg_s)
     log_t, log_s = ch.target.modular.carrier_logs, ch.source.modular.carrier_logs
     # Choi index (i, a) at i c_s + a, i on the target carrier and a on the
-    # source's; sorted by block pair, then label, a group is a run
+    # source's; one integer key, block pair then label: a group is the
+    # indices of one key, in index order, and each key's count its size
     c_s = len(log_s)
-    label = (log_t[:, None] - log_s).ravel()
-    pairs = _block_pairs(alg_t, alg_s)
-    order = np.lexsort((label, pairs))
-    label, pairs = label[order], pairs[order]
-    new = np.empty(len(order), dtype=bool)
-    new[0] = True
-    np.not_equal(label[1:], label[:-1], out=new[1:])
-    new[1:] |= pairs[1:] != pairs[:-1]
-    starts = np.flatnonzero(new)
-    sizes = np.empty_like(starts)
-    sizes[:-1] = starts[1:] - starts[:-1]
-    sizes[-1] = len(order) - starts[-1]
+    label = frequency_labels((log_t[:, None] - log_s).ravel(),
+                             label_radius(ch.source.state, ch.target.state))
+    key = _block_pairs(alg_t, alg_s) * len(label) + label
+    order = np.argsort(key, kind="stable")
+    sizes = np.bincount(key)
+    sizes = sizes[sizes > 0]
+    starts = np.cumsum(sizes) - sizes
     units = diag_t[:, None], diag_s[None, :]
     groups = []
     for k in set(sizes.tolist()) - {1}:
@@ -354,13 +363,16 @@ def _sector_min_eigenvalue(ch: Channel, tau: float) -> tuple[float, float] | Non
 
         lambda_min(H') >= min_omega lambda_min(H'_omega) - |H' off the groups|_F,
 
-    so float equality of l sets only how tight it is.  A group of one index
-    is a diagonal entry Re X[(i, i), (a, a)], and every block pair's
-    diagonal is X on the diagonal units, read at once; a larger group (on a
-    generic state, one of n_k indices per diagonal block pair, where mu_i =
-    lambda_a) takes one batched eigvalsh per group size.  The mass off the
-    groups is sqrt(sum |X|^2) with the in-group entries zeroed, never a
-    difference of two sums, which cancels.
+    so the labelling of l sets only how tight it is: the groups share the
+    label of l by the one labelling, `gns.frequency_labels` at
+    `gns.label_radius` of the two states, so values of l equal in exact
+    arithmetic share a group however the two spectra were computed.  A
+    group of one index is a diagonal entry Re X[(i, i), (a, a)], and every
+    block pair's diagonal is X on the diagonal units, read at once; a
+    larger group (on a generic state, one of n_k indices per diagonal block
+    pair, where mu_i = lambda_a) takes one batched eigvalsh per group size.
+    The mass off the groups is sqrt(sum |X|^2) with the in-group entries
+    zeroed, never a difference of two sums, which cancels.
 
     With m the smaller of the smallest diagonal entry and the larger groups'
     smallest eigenvalue (a group's is at most its diagonal, so m errs only

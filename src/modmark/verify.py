@@ -51,8 +51,9 @@ forms no masked copy, and then its fallback:
 - thm_iii and markov_modular, a max column norm of M G_s: |M|_F |G_s|,
   then the exact column norms (`ModularData.max_column_norm`);
 - kadison_norm: max(0, u - 1), u = max_omega |T_omega| + |T_eig off the
-  sectors|_F over the equal-frequency sectors of T_eig (`_sector_bound`;
-  a Markov map's T commutes with Delta, so T_eig lives on them), then
+  sectors|_F over the equal-frequency sectors of T_eig, those of one
+  label of `Channel.frequency_labels` (`_sector_bound`; a Markov map's T
+  commutes with Delta, so T_eig lives on them), then
   `certified_value(T_eig, tol, "excess")`;
 - markov_cp: Weyl's inequality over the groups of one label log mu_i -
   log lambda_a of the eigenframe Choi matrix, whose entry [(i, a), (i', b)]
@@ -208,31 +209,34 @@ def _masked_norm(base: np.ndarray, mask: np.ndarray, tol: float) -> float:
     return certified_value(prod, tol, "masked")
 
 
-_SectorSplit = namedtuple("_SectorSplit", "w_s w_t rows cols on off")
+_SectorSplit = namedtuple("_SectorSplit", "labels_t labels_s rows cols on off")
 
 
-def _sector_split(t_eig: np.ndarray, w_s: np.ndarray, w_t: np.ndarray) -> _SectorSplit:
-    """P = |t_eig|^2 split at Z = {(i, j) : w_t[i] == w_s[j]}, the union of
-    the equal-frequency sectors, where every flow mask vanishes, for
-    `_flow_bounds` and `_sector_bound`: Z as (rows, cols), row-major as
-    np.nonzero orders it, P on Z in that order, and P zeroed on Z; w_s and
-    w_t are the frequencies of t_eig's columns and rows.  An overflow reads
+def _sector_split(t_eig: np.ndarray, labels: tuple[np.ndarray, np.ndarray]) -> _SectorSplit:
+    """P = |t_eig|^2 split at Z = {(i, j) : labels_t[i] == labels_s[j]},
+    the union of the equal-frequency sectors, where every flow mask
+    vanishes, for `_flow_bounds` and `_sector_bound`: Z as (rows, cols),
+    row-major as np.nonzero orders it, P on Z in that order, and P zeroed
+    on Z; (labels_t, labels_s) = labels, those of t_eig's rows and columns
+    by the one labelling (`Channel.frequency_labels`).  An overflow reads
     inf, with no warning: neither consumer certifies from it."""
-    rows, cols = np.divmod(np.flatnonzero(w_t[:, None] == w_s[None, :]), len(w_s))
+    labels_t, labels_s = labels
+    rows, cols = np.divmod(np.flatnonzero(labels_t[:, None] == labels_s[None, :]), len(labels_s))
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.abs(t_eig)
         np.square(p, out=p)
     on = p[rows, cols]
     p[rows, cols] = 0.0
-    return _SectorSplit(w_s, w_t, rows, cols, on, p)
+    return _SectorSplit(labels_t, labels_s, rows, cols, on, p)
 
 
 def _flow_bounds(split: _SectorSplit, d_s: np.ndarray, d_t: np.ndarray,
                  n_commute: int) -> np.ndarray:
     """Upper bounds on |t_eig * m|_F for the flow masks m, none of them
-    formed, from t_eig's `_sector_split`, whose frequencies are those behind
-    d_s and d_t: mask i < n_commute is d_s[i][None, :] - d_t[i][:, None],
-    the rest d_s[i][None, :] d_t[i][:, None] - 1.
+    formed, from t_eig's `_sector_split`, whose labels are those of the
+    frequencies behind d_s and d_t: mask i < n_commute is
+    d_s[i][None, :] - d_t[i][:, None], the rest
+    d_s[i][None, :] d_t[i][:, None] - 1.
 
     With P = |t_eig|^2, |T * m|_F^2 = sum_ij P_ij |m_ij|^2 is, for a commute
     mask d_s[j] - d_t[i],
@@ -244,10 +248,11 @@ def _flow_bounds(split: _SectorSplit, d_s: np.ndarray, d_t: np.ndarray,
         (|d_t|^2)^T P |d_s|^2 + sum(P) - 2 Re(d_t^T P d_s),
 
     every mask from one real GEMM of P with the stacked 1, |d_s|^2, Re d_s
-    and Im d_s.  On a flow-commuting T, P is O(1) only on Z = {(i, j) :
-    w_t[i] == w_s[j]}, where every commute mask is zero and the expansion
-    would cancel to its rounding: the GEMM takes P off Z, and the Z entries
-    are summed entrywise instead.  The expansion's rounding is at most
+    and Im d_s.  On a flow-commuting T, P is O(1) only on Z, the pairs of
+    equal frequency labels, where every commute mask is zero, or as small
+    as the labelling radius lets it be, and the expansion would cancel to
+    its rounding: the GEMM takes P off Z, and the Z entries are summed
+    entrywise instead.  The expansion's rounding is at most
     gamma_n (A + B) (Higham 2002, Accuracy and Stability of Numerical
     Algorithms, section 3.1), n <= N_s + N_t + 3, with A the positive
     terms (Z part included) and B the absolute cross terms, B <= the two
@@ -333,7 +338,7 @@ def _flow_residuals(t_eig: np.ndarray, ch: Channel, commute=(), twist=(),
     d_s = md_s.delta_power_diagonals(exps)
     d_t = md_t.delta_power_diagonals(exps[:n_commute] + [-s for s in exps[n_commute:]])
     _require_finite(t_eig)
-    split = split or _sector_split(t_eig, md_s.frequencies, md_t.frequencies)
+    split = split or _sector_split(t_eig, ch.frequency_labels)
     bounds = _flow_bounds(split, d_s, d_t, n_commute)
 
     def mask(i: int) -> np.ndarray:
@@ -437,7 +442,7 @@ def _adjoint_residuals(t_eig: np.ndarray, ch: Channel, tol: dict[str, float],
     pair = [settle(t, [lambda: (-np.inf, u)],
                    lambda: _masked_norm(x.conj().T, w.T.astype(np.complex128), t))
             for u, w, t in zip(upper, weights, tols)]
-    split = split or _sector_split(t_eig, md_s.frequencies, md_t.frequencies)
+    split = split or _sector_split(t_eig, ch.frequency_labels)
     return (*pair, _norm_excess(t_eig, split, tol["kadison_norm"]))
 
 
@@ -447,41 +452,39 @@ def _sector_bound(t_eig: np.ndarray, split: _SectorSplit, tol: float) -> float:
     the sectors alone exceeds tol (no sector is then looked at), or where a
     sector reaches `linalg.CERTIFY_MIN_DIM` in both dimensions.
 
-    Sector omega is t_eig on the rows with w_t = omega and the columns with
-    w_s = omega, and the sectors tile Z.  Permuted by frequency, t_eig on Z
-    is block-diagonal over the sectors, so with the rest of t_eig, the part
-    off Z,
+    Sector k is t_eig on the rows and the columns of frequency label k (the
+    one labelling, `gns.frequency_labels` at `gns.label_radius`), and the
+    sectors tile Z.  Permuted by label, t_eig on Z is block-diagonal over
+    the sectors, so with the rest of t_eig, the part off Z,
 
-        |t_eig| <= max_omega |T_omega| + |t_eig off Z|_F
+        |t_eig| <= max_k |T_k| + |t_eig off Z|_F
 
-    for any labels: float equality of frequencies sets only how tight it
-    is.  A sector with one row or one column is a vector, its norm the root
-    of its sum of |t_eig|^2 (one bincount over Z); every other sector, in
-    practice the zero-frequency one (sum n_k square), takes a dense SVD.
-    The factor 1 + 4 (N_s + N_t) eps covers the SVD's backward error
-    (p(n) eps |T_omega|, LAPACK Users' Guide section 4.9) and the rounding
-    of a vector sector's sum (gamma_m, m <= N_s + N_t; Higham 2002, section
-    3.1), and off Z the sum of N_s N_t terms gets gamma of its length."""
+    for any labels: the labelling sets only how tight it is.  A sector with
+    one row or one column is a vector, its norm the root of its sum of
+    |t_eig|^2 (one bincount over Z on the integer labels); every other
+    sector, in practice the zero-frequency one (sum n_k square), takes a
+    dense SVD.  The factor 1 + 4 (N_s + N_t) eps covers the SVD's backward
+    error (p(n) eps |T_k|, LAPACK Users' Guide section 4.9) and the
+    rounding of a vector sector's sum (gamma_m, m <= N_s + N_t; Higham
+    2002, section 3.1), and off Z the sum of N_s N_t terms gets gamma of
+    its length."""
     n_t, n_s = t_eig.shape
     gamma = 4.0 * (n_s + n_t) * _EPS
     with np.errstate(over="ignore", invalid="ignore"):
         off = (1.0 + gamma + n_s * n_t * _EPS) * float(np.sqrt(split.off.sum()))
     if not off <= tol:  # nan too
         return np.inf
-    w_s, w_t, rows, cols = split.w_s, split.w_t, split.rows, split.cols
-    freq, sector = np.unique(w_t[rows], return_inverse=True)
-    sq = np.bincount(sector, weights=split.on, minlength=len(freq))
+    labels_t, labels_s = split.labels_t, split.labels_s
+    count = 1 + max(labels_t.max(), labels_s.max())
+    sq = np.bincount(labels_t[split.rows], weights=split.on, minlength=count)
     if not np.isfinite(sq).all():
         return np.inf
-    # the rows and columns of the sectors: those that meet Z
-    meet_t, meet_s = np.bincount(rows, minlength=n_t) > 0, np.bincount(cols, minlength=n_s) > 0
-    height = np.bincount(np.searchsorted(freq, w_t[meet_t]), minlength=len(freq))
-    width = np.bincount(np.searchsorted(freq, w_s[meet_s]), minlength=len(freq))
+    height, width = np.bincount(labels_t, minlength=count), np.bincount(labels_s, minlength=count)
     norms = np.sqrt(sq)
     for k in np.flatnonzero((height > 1) & (width > 1)):
         if min(height[k], width[k]) >= linalg.CERTIFY_MIN_DIM:
             return np.inf
-        block = t_eig[np.ix_(w_t == freq[k], w_s == freq[k])]
+        block = t_eig[np.ix_(labels_t == k, labels_s == k)]
         norms[k] = np.linalg.svd(block, compute_uv=False)[0]
     return float((1.0 + gamma) * norms.max(initial=0.0) + off)
 
@@ -751,7 +754,7 @@ def verify_channel(ch: Channel, *, kind: str | None = None,
     # |T_eig|^2 split at the equal-frequency sectors once, for the flow
     # bounds and kadison_norm's sector bound
     tol = _tolerances(ch, s_values, z_samples)
-    split = _sector_split(t_eig, md_s.frequencies, md_t.frequencies)
+    split = _sector_split(t_eig, ch.frequency_labels)
 
     residuals: dict[str, float] = {
         "markov_" + k: v for k, v in mc.residuals.items()}

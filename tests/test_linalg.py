@@ -372,6 +372,18 @@ class TestCertifiedValue:
         assert dense_calls["eigvalsh"] == [(N_CERT, N_CERT)]
         assert got == float(np.linalg.eigvalsh(h)[0]) and got < -TOL
 
+    @pytest.mark.parametrize("n", [50, N_CERT])
+    def test_underflowing_frobenius_certifies_nothing(self, dense_calls, n):
+        # entries ~1e-300: every square underflows and |a|_F reads 0.0, which
+        # would certify a pass at tol = s_1 / 2; the step reads inf instead,
+        # and the call takes the SVD's fail, below the gate and from it on
+        rng = np.random.default_rng(16)
+        a = 1e-300 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        top = float(np.linalg.svd(a, compute_uv=False)[0])
+        assert frob(a) == 0.0 < top
+        assert certified_value(a, top / 2.0) == top
+        assert dense_calls["svd"].count((n, n)) == 2
+
     def test_gate_is_read_at_call_time(self, monkeypatch, dense_calls):
         q = random_unitary(12, N_CERT)
         monkeypatch.setattr(linalg, "CERTIFY_MIN_DIM", 1 << 30)

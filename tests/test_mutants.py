@@ -30,7 +30,10 @@ mutant does the same to `verify._bounded_maxima`, a norm mutant to
 in tests/test_linalg.py and tests/test_oracles.py), a flow mutant to
 `verify._flow_residuals`, a modular mutant to
 `markov.modular_commutation_residual`, a sector mutant to
-`verify._sector_bound` or `verify._adjoint_residuals`, a membership
+`verify._sector_bound`, `verify._adjoint_residuals` or the radius of the
+one frequency labelling, `gns.label_radius` (its killers the relabelled
+twins of tests/test_relabel.py and the twirl's membership in
+tests/test_generators.py), a membership
 mutant to `markov._sector_min_eigenvalue`, `markov._choi_sectors`,
 `markov.to_choi` or `markov.trace_dual`, and a writer mutant to
 `serialize._needs_no_escape`, `serialize._skeleton` or
@@ -48,14 +51,16 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from modmark import linalg, markov, serialize, verify
+from modmark import gns, linalg, markov, serialize, verify
 from modmark.generators import GenSpec, build_channel, derive_seed
 from modmark.gns import ModularData
 from modmark.verify import verify_channel
 
+import test_generators
 import test_linalg
 import test_markov
 import test_oracles
+import test_relabel
 from test_oracles import SKEW_BROKEN_KEYS, SkewedPowers
 
 SPEC = GenSpec("state_to_scalar", (3, 1), 3, {"target_dims": [2]})
@@ -743,8 +748,9 @@ def test_modular_mutant(name, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# kadison_norm's sector bound, verify._sector_bound, and the adjoint pair's
-# eigenvalue weights, verify._adjoint_residuals
+# kadison_norm's sector bound, verify._sector_bound, the adjoint pair's
+# eigenvalue weights, verify._adjoint_residuals, and the radius of the one
+# frequency labelling behind the sectors, gns.label_radius
 # ---------------------------------------------------------------------------
 
 _OFF_TERM = "off = (1.0 + gamma + n_s * n_t * _EPS) * float(np.sqrt(split.off.sum()))"
@@ -760,8 +766,29 @@ def _weights_killer(n, scale):
     return _killer(test_oracles.TestAdjointWeights, "test_one_off_sector_entry", n, scale)
 
 
+_RADIUS = "return 4.0 * EIG_CONTRACT_RTOL * sum(s.kappa for s in states)"
+
+
+def _relabel_killer(kind, dims):
+    return _killer(test_relabel.TestRelabelling, "test_same_verdicts_values_and_routes",
+                   (kind, dims, {}))
+
+
 # (the function edited, its mutant)
 SECTOR_MUTANTS = {
+    # the labelling radius of gns.frequency_labels at 0, exact float
+    # equality: a relabelled twin's equal frequencies, computed apart, split
+    # into sectors of their own, and its certificates fall back to SVDs
+    "label_radius_zero": (gns.label_radius, SourceMutant(
+        ((_RADIUS, "return 0.0"),),
+        (_relabel_killer("automorphism", (4,)), _relabel_killer("convex", (2, 2)),
+         _relabel_killer("block_expectation", (6, 4, 2))))),
+    # an over-wide radius merges distinct frequencies: the twirl keeps
+    # entries that couple them, and its output fails markov_modular
+    "label_radius_over_wide": (gns.label_radius, SourceMutant(
+        ((_RADIUS, "return 1.0"),),
+        (_killer(test_generators.TestModularTwirl, "test_projects_sp_ucp_onto_members"),
+         _killer(test_generators.TestSpUcp, "test_twirled_output_always_member")))),
     # the sectors alone: a T with its mass off them passes at |T| = 1 + 5e-4
     "off_sector_term_dropped": (verify._sector_bound, SourceMutant(
         ((_OFF_TERM, "off = 0.0"),),

@@ -15,8 +15,9 @@ per-unit star check, and the block expectation and automorphism as products
 of left and right multiplication superoperators, from spectral projections
 and a commuting unitary built here.  For the generators:
 `sp_ucp`'s step projected through the dense affine constraint system and its
-Gram matrix instead of the two rank-one deflations, and the twirl's
-frequency buckets chained by a Python loop.  They are kept here only, so
+Gram matrix instead of the two rank-one deflations, and the frequency
+labels (`gns.frequency_labels`, which the twirl, the sector split and the
+Choi groups read) chained by a Python loop.  They are kept here only, so
 that a check is never the code it checks.  `delta_power_superop`, Delta^z
 carried back from the eigenframe, lives here too because only tests read it.
 The flow families, thm_ii and the adjoint pair keep their per-sample
@@ -68,9 +69,7 @@ from modmark.algebra import (
 from modmark.errors import MalformedInstance, PowerRangeExceeded
 from modmark.generators import (
     KIND_SPECS,
-    TWIRL_FREQ_TOL,
     GenSpec,
-    _bucket_ids,
     _null_projection,
     build_channel,
     derive_seed,
@@ -81,7 +80,7 @@ from modmark.generators import (
     state_to_scalar,
 )
 from modmark import gns, linalg, markov, verify
-from modmark.gns import Z_MAX, ModularData
+from modmark.gns import Z_MAX, ModularData, frequency_labels, label_radius
 from modmark.linalg import matrix_power_from_eig
 from modmark.markov import (
     Channel,
@@ -1529,15 +1528,23 @@ def unit_sectors(n=SECTOR_N):
     return np.eye(n, dtype=np.complex128), 0.37 * np.arange(n)
 
 
+def exact_labels(w_s, w_t):
+    """(target, source) labels of the column and row frequencies w_s and
+    w_t by `frequency_labels` at radius 0: exact float equality, which the
+    direct matrices here, whose ties are exact, need."""
+    labels = frequency_labels(np.concatenate([w_t, w_s]), 0.0)
+    return labels[:len(w_t)], labels[len(w_t):]
+
+
 def sector_bound(t, w_s, w_t):
     """`verify._sector_bound` of t, with no tolerance to cut it short, from
     its split at the column and row frequencies w_s and w_t."""
-    return verify._sector_bound(t, verify._sector_split(t, w_s, w_t), np.inf)
+    return verify._sector_bound(t, verify._sector_split(t, exact_labels(w_s, w_t)), np.inf)
 
 
 def norm_excess(t, w_s, w_t, tol):
     """kadison_norm's `verify._norm_excess` of t at the frequencies w_s, w_t."""
-    return verify._norm_excess(t, verify._sector_split(t, w_s, w_t), tol)
+    return verify._norm_excess(t, verify._sector_split(t, exact_labels(w_s, w_t)), tol)
 
 
 class TestSectorBound:
@@ -1763,9 +1770,8 @@ def flow_mask_setup(ch):
 
 
 def sector_split(ch, t_eig):
-    """`verify._sector_split` of t_eig at ch's frequencies."""
-    return verify._sector_split(t_eig, ch.source.modular.frequencies,
-                                ch.target.modular.frequencies)
+    """`verify._sector_split` of t_eig at ch's frequency labels."""
+    return verify._sector_split(t_eig, ch.frequency_labels)
 
 
 def bounds_and_norms(ch, t_eig=None):
@@ -2155,20 +2161,27 @@ def eigenframe_choi_blocks(ch):
 
 def in_group_mask(ch):
     """True at the X entries [(i, i'), (a, b)] whose Choi indices (i, a) and
-    (i', b) share their label log mu_i - log lambda_a: both labels read
-    from each unit's carrier rows, one coordinate at a time."""
+    (i', b) share their label of log mu_i - log lambda_a: the labels of
+    every carrier pair by `loop_bucket_ids` at `label_radius` of the two
+    states, both indices read from each unit's carrier rows, one
+    coordinate at a time."""
     def rows(sys):
         alg = sys.algebra
-        logs = np.concatenate([np.log(e.eigenvalues) for e in sys.modular.d_eig])
         first, second = [], []
         for n, start in zip(alg.block_dims, np.cumsum((0,) + alg.block_dims[:-1])):
             for q2 in range(n):  # column stacking: E_qq2 at q + n q2
                 for q in range(n):
-                    first.append(logs[start + q])
-                    second.append(logs[start + q2])
+                    first.append(start + q)
+                    second.append(start + q2)
         return np.array(first), np.array(second)
+
+    def logs(sys):
+        return np.concatenate([np.log(e.eigenvalues) for e in sys.modular.d_eig])
+    ell = logs(ch.target)[:, None] - logs(ch.source)[None, :]
+    labels = loop_bucket_ids(ell.ravel(), label_radius(ch.source.state, ch.target.state))
+    labels = labels.reshape(ell.shape)
     (t1, t2), (s1, s2) = rows(ch.target), rows(ch.source)
-    return (t1[:, None] - s1[None, :]) == (t2[:, None] - s2[None, :])
+    return labels[t1[:, None], s1[None, :]] == labels[t2[:, None], s2[None, :]]
 
 
 def cp_residual(value, herm):
@@ -2205,11 +2218,13 @@ class TestChoiSectors:
     def test_off_group_mass_is_the_split_identity(self, case):
         ch = _build(*case)
         x = ch.eigen_superop
-        md_s, md_t = ch.source.modular, ch.target.modular
         mask = in_group_mask(ch)
-        # on these states the groups are the equal-frequency set Z
-        assert np.array_equal(mask, md_t.frequencies[:, None] == md_s.frequencies[None, :])
-        split = verify._sector_split(x, md_s.frequencies, md_t.frequencies)
+        # on these states the groups are the equal-label set Z, where the
+        # state_to_scalar frequencies +-log kappa of its two states, equal
+        # in exact arithmetic, differ in their last bits
+        labels_t, labels_s = ch.frequency_labels
+        assert np.array_equal(mask, labels_t[:, None] == labels_s[None, :])
+        split = verify._sector_split(x, ch.frequency_labels)
         ref = np.sqrt(split.off.sum())
         off = markov._choi_sectors(ch)[2]
         assert off == pytest.approx(ref, rel=1e-12, abs=1e-300)
@@ -2975,7 +2990,9 @@ class TestAffineSystem:
 
 
 class TestBucketIds:
-    TOL = TWIRL_FREQ_TOL
+    """`gns.frequency_labels`, the one labelling, against its loop at a
+    fixed radius."""
+    TOL = 1e-9
 
     @pytest.mark.parametrize("values", [
         [0.0, 0.0, 0.0],
@@ -2989,13 +3006,13 @@ class TestBucketIds:
     ])
     def test_matches_loop(self, values):
         v = np.array(values)
-        assert np.array_equal(_bucket_ids(v, self.TOL), loop_bucket_ids(v, self.TOL))
+        assert np.array_equal(frequency_labels(v, self.TOL), loop_bucket_ids(v, self.TOL))
 
     def test_chains_and_splits(self):
         under = np.array([0.0, 0.9e-9, 1.8e-9, 2.7e-9])
-        assert _bucket_ids(under, self.TOL).tolist() == [0, 0, 0, 0]
+        assert frequency_labels(under, self.TOL).tolist() == [0, 0, 0, 0]
         over = np.array([2.2e-9, 0.0, 1.1e-9])
-        assert _bucket_ids(over, self.TOL).tolist() == [2, 0, 1]
+        assert frequency_labels(over, self.TOL).tolist() == [2, 0, 1]
 
     def test_random_near_ties(self):
         rng = np.random.default_rng(111)
@@ -3003,7 +3020,7 @@ class TestBucketIds:
             n = int(rng.integers(1, 30))
             steps = rng.choice([0.0, 0.5, 0.999, 1.001, 2.0, 1e6], size=n) * self.TOL
             v = rng.permutation(rng.normal() + np.cumsum(steps))
-            assert np.array_equal(_bucket_ids(v, self.TOL), loop_bucket_ids(v, self.TOL))
+            assert np.array_equal(frequency_labels(v, self.TOL), loop_bucket_ids(v, self.TOL))
 
 
 # ---------------------------------------------------------------------------
