@@ -123,8 +123,10 @@ class AlgebraElement:
         return complex(sum(np.vdot(b, a) for a, b in zip(self.blocks, other.blocks)))
 
     def norm(self) -> float:
-        """Frobenius norm across all blocks."""
-        return float(np.sqrt(sum(np.linalg.norm(a) ** 2 for a in self.blocks)))
+        """Frobenius norm across all blocks; inf, with no warning, where a
+        square overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.sqrt(sum(np.linalg.norm(a) ** 2 for a in self.blocks)))
 
     def allclose(self, other, atol: float = 1e-12) -> bool:
         self._same_parent(other)

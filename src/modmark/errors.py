@@ -33,20 +33,14 @@ class EmptyKraus(ModmarkError):
     """A channel needs at least one Kraus operator."""
 
 
-class NotStatePreserving(ModmarkError):
-    """Channel does not carry the source state to the target state."""
-
-
 class NotMarkov(ModmarkError):
-    """Channel failed the unital / completely positive / state checks."""
+    """An operation refused a channel outside the class: raised only by
+    `markov.MarkovCheck.require`, naming each membership residual it
+    required that failed its verdict."""
 
 
 class BadSchurMatrix(ModmarkError):
     """Entrywise multiplier must be Hermitian psd with unit diagonal."""
-
-
-class PreconditionFailed(ModmarkError):
-    """Operation invoked on an input outside its contract."""
 
 
 class BadWeights(ModmarkError):

@@ -41,17 +41,18 @@ from .algebra import (
     FaithfulState,
     to_coords,
 )
-from .errors import BadSchurMatrix, PreconditionFailed, ShapeMismatch
+from .errors import BadSchurMatrix, ShapeMismatch
 from .linalg import PD_FLOOR_RTOL, block_diag
 from .markov import (
+    PRECONDITIONS,
     Channel,
     ChoiMatrix,
     System,
+    check_markov,
     choi_to_channel,
     convex_combine,
     from_eigenframe,
     identity_channel,
-    precondition_defects,
 )
 
 DEFAULT_MIN_GAP = 0.05
@@ -225,11 +226,11 @@ def modular_twirl(ch: Channel) -> Channel:
     complete positivity, and state compatibility.  Two frequencies are
     equal when they share their label, `ch.frequency_labels`: the one
     labelling, `gns.frequency_labels` chaining sorted gaps at
-    `gns.label_radius`, which the verifier's sectors read too.
+    `gns.label_radius`, which the verifier's sectors read too.  Refuses,
+    by `MarkovCheck.require`, a channel that fails a key of
+    `markov.PRECONDITIONS`.
     """
-    bad = precondition_defects(ch)
-    if bad:
-        raise PreconditionFailed(f"twirl preconditions failed: {bad}")
+    check_markov(ch).require("modular_twirl", PRECONDITIONS)
     labels_t, labels_s = ch.frequency_labels
     mask = labels_t[:, None] == labels_s[None, :]
     return Channel(ch.source, ch.target,

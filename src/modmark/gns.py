@@ -175,7 +175,8 @@ class ModularData:
         ~n_k^2 eps relative; rounding can take a small squared norm below
         zero, which reads 0."""
         if not self.factored:
-            return np.linalg.norm(m @ self.frame, axis=0)
+            with np.errstate(over="ignore"):  # an overflow reads inf
+                return np.linalg.norm(m @ self.frame, axis=0)
         rows = len(m)
         out = np.empty(m.shape[1])
         for off, e in zip(self.algebra.coord_offsets, self.d_eig):

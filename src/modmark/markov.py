@@ -53,18 +53,16 @@ from .algebra import (
     element_from_coords,
     to_coords,
 )
-from .errors import (
-    BadWeights,
-    EmptyKraus,
-    NotMarkov,
-    NotStatePreserving,
-    ShapeMismatch,
-)
+from .errors import BadWeights, EmptyKraus, NotMarkov, ShapeMismatch
 from .gns import ModularData, frequency_labels, label_radius
 from .linalg import EIG_CONTRACT_RTOL, as_cmatrix, certified_value, settle, tolerance_factor
 
 STATE_MATCH_ATOL = 1e-12
 MEMBERSHIP_TOL = 1e-9  # pinned, before the MODMARK_TOL factor
+# the residuals the GNS extension and the twirl require to pass: what makes
+# x Omega_s |-> ch(x) Omega_t a contraction (Kadison's Schwarz inequality)
+PRECONDITIONS = ("unital", "cp", "state")
+MEMBERSHIP_KEYS = (*PRECONDITIONS, "modular")
 _EPS = float(np.finfo(float).eps)
 
 
@@ -419,14 +417,15 @@ def _hermiticity_defect(ch: Channel) -> float:
     """|C - C^+|_F over the Choi blocks C of `to_choi(ch)`, none of them
     formed: C as [i, a, i', b] is a transposed view of its superoperator
     block, and each difference is formed once, in C order, with the bits of
-    C - C.conj().T."""
+    C - C.conj().T.  An overflow reads inf, with no warning."""
     total = 0.0
-    for row in _superop_blocks(ch):
-        for sub in row:
-            choi = sub.transpose(1, 3, 0, 2)
-            d = np.conjugate(choi.transpose(2, 3, 0, 1), order="C")
-            np.subtract(choi, d, out=d)
-            total += np.linalg.norm(d) ** 2
+    with np.errstate(over="ignore"):
+        for row in _superop_blocks(ch):
+            for sub in row:
+                choi = sub.transpose(1, 3, 0, 2)
+                d = np.conjugate(choi.transpose(2, 3, 0, 1), order="C")
+                np.subtract(choi, d, out=d)
+                total += np.linalg.norm(d) ** 2
     return float(np.sqrt(total))
 
 
@@ -440,25 +439,6 @@ def cp_min_eigenvalue(ch: Channel) -> tuple[float, float]:
     value = -settle(tau, [lambda: _sector_min_eigenvalue(ch, tau)],
                     lambda: -to_choi(ch).min_eigenvalue(tau))
     return value, _hermiticity_defect(ch)
-
-
-def _preconditions(ch: Channel) -> dict[str, float]:
-    """The unital, cp and state residuals, each computed once: what
-    `check_markov` reports and `precondition_defects` filters."""
-    mineig, herm = cp_min_eigenvalue(ch)
-    return {"unital": unitality_residual(ch), "cp": max(0.0, -mineig, herm),
-            "state": state_residual(ch)}
-
-
-def precondition_defects(ch: Channel) -> dict[str, float]:
-    """The unital, cp and state residuals of ch that exceed their tolerance.
-
-    These three are the shared precondition of the GNS extension and the
-    twirl; an empty dict means ch meets it.  The flow residual is not
-    computed.
-    """
-    tol = membership_tolerances(ch)
-    return {name: res for name, res in _preconditions(ch).items() if res > tol[name]}
 
 
 def _commutation_defects(ch: Channel, t_samples=()):
@@ -493,7 +473,10 @@ def modular_commutation_residual(ch: Channel, t_samples=()) -> float:
 
 @dataclass
 class MarkovCheck:
-    """Membership certificate: four residuals with per-item verdicts."""
+    """Membership certificate: the four residuals of `MEMBERSHIP_KEYS`
+    with their tolerances and per-key verdicts res <= tol (a nan residual
+    fails).  `require` is the one refusal of every operation that needs the
+    channel in the class."""
 
     residuals: dict[str, float]
     tolerances: dict[str, float]
@@ -506,6 +489,16 @@ class MarkovCheck:
     @property
     def passed(self) -> bool:
         return all(self.verdicts.values())
+
+    def require(self, operation: str, keys: tuple[str, ...]) -> None:
+        """Raise `NotMarkov` naming each residual among keys whose verdict
+        fails, with its value and tolerance; return None when all pass."""
+        verdicts = self.verdicts
+        failing = [k for k in keys if not verdicts[k]]
+        if failing:
+            raise NotMarkov(f"{operation} refuses a channel outside the class: " + ", ".join(
+                f"{k} residual {self.residuals[k]:.3e} (tolerance {self.tolerances[k]:.3e})"
+                for k in failing))
 
 
 def modular_tolerance_scale(ch: Channel) -> float:
@@ -523,27 +516,30 @@ def _membership_tau() -> float:
 def membership_tolerances(ch: Channel) -> dict[str, float]:
     """The one tolerance policy of the four membership residuals:
     `_membership_tau()`, and for `modular` also times
-    `modular_tolerance_scale(ch)`.  `check_markov`, `precondition_defects`,
-    `ac_adjoint` and the report's markov_* entries all read it, and
-    `cp_min_eigenvalue` its cp entry, without the modular scale."""
+    `modular_tolerance_scale(ch)`.  `check_markov`, and so every
+    `MarkovCheck.require` gate and the report's markov_* entries, reads it,
+    and `cp_min_eigenvalue` its cp entry, without the modular scale."""
     tau = _membership_tau()
     return {"unital": tau, "cp": tau, "state": tau,
             "modular": tau * modular_tolerance_scale(ch)}
 
 
 def check_markov(ch: Channel) -> MarkovCheck:
-    """Report the four membership residuals (unital, cp = max(0, -min Choi
-    eigenvalue, Choi hermiticity defect), state, modular) against
-    `membership_tolerances`; never raises on failure.  Each is taken for its
-    verdict, by `linalg.settle`'s rule: cp by
-    `cp_min_eigenvalue`, whose sector certificate reads `eigen_superop`
-    (cached here for the modular key), and modular,
-    `modular_commutation_residual(ch)`, by `ModularData.max_column_norm` of
-    its one masked product."""
+    """The one place that decides membership: the four residuals (unital,
+    cp = max(0, -min Choi eigenvalue, Choi hermiticity defect), state,
+    modular) against `membership_tolerances`, each computed once.  It never
+    raises on failure; an operation that needs the channel in the class
+    refuses it through `MarkovCheck.require`.  Each residual is taken for its
+    verdict, by `linalg.settle`'s rule: cp by `cp_min_eigenvalue`, whose
+    sector certificate reads `eigen_superop` (cached here for the modular
+    key), and modular, `modular_commutation_residual(ch)`, by
+    `ModularData.max_column_norm` of its one masked product."""
     tol = membership_tolerances(ch)
-    residuals = _preconditions(ch)
-    residuals["modular"] = ch.source.modular.max_column_norm(
-        next(_commutation_defects(ch)), tol["modular"])
+    mineig, herm = cp_min_eigenvalue(ch)
+    residuals = {"unital": unitality_residual(ch), "cp": max(0.0, -mineig, herm),
+                 "state": state_residual(ch),
+                 "modular": ch.source.modular.max_column_norm(
+                     next(_commutation_defects(ch)), tol["modular"])}
     return MarkovCheck(residuals, tol)
 
 
@@ -571,12 +567,9 @@ def ac_adjoint(ch: Channel) -> Channel:
     multiplication by D^p is lambda_a^p in the eigenframe, so there ch* is
     X^+ (X = `ch.eigen_superop`) weighted by lambda_a,t[j] / lambda_a,s[i]
     at row i (a source coordinate) and column j (a target coordinate).
+    Refuses, by `MarkovCheck.require`, a channel that fails the state key.
     """
-    res, tol = state_residual(ch), membership_tolerances(ch)["state"]
-    if res > tol:
-        raise NotStatePreserving(
-            f"state residual {res:.3e} exceeds {tol:.3e}; "
-            "the defining pairing has no compatible solution guarantee")
+    check_markov(ch).require("ac_adjoint", ("state",))
     md_s, md_t = ch.source.modular, ch.target.modular
     x_adj = ch.eigen_superop.conj().T * (md_t.lambda_a[None, :] / md_s.lambda_a[:, None])
     return Channel(ch.target, ch.source, from_eigenframe(x_adj, ch.target, ch.source))
@@ -601,17 +594,15 @@ def eigen_extension(ch: Channel) -> np.ndarray:
 
 def l2_extension(ch: Channel) -> np.ndarray:
     """The GNS-space operator T sending x Omega_source to ch(x) Omega_target,
-    as a matrix on column-stacked coordinates; requires unital + cp + state
-    residuals to pass.
+    as a matrix on column-stacked coordinates.  Refuses, by
+    `MarkovCheck.require`, a channel that fails a key of `PRECONDITIONS`.
 
     Those three are what bound the operator norm by one (positivity gives
     ch(x)^+ ch(x) <= ch(x^+ x) for unital cp maps, and state compatibility
     turns that into a norm bound between the GNS spaces); flow compatibility
     is *not* required for the extension to exist and contract.
     """
-    bad = precondition_defects(ch)
-    if bad:
-        raise NotMarkov(f"extension preconditions failed: {bad}; norm bound void")
+    check_markov(ch).require("l2_extension", PRECONDITIONS)
     return from_eigenframe(eigen_extension(ch), ch.source, ch.target)
 
 
@@ -682,7 +673,6 @@ __all__ = [
     "unitality_residual",
     "state_residual",
     "cp_min_eigenvalue",
-    "precondition_defects",
     "modular_commutation_residual",
     "check_markov",
     "membership_tolerances",
@@ -698,4 +688,6 @@ __all__ = [
     "tensor_system",
     "convex_combine",
     "MEMBERSHIP_TOL",
+    "MEMBERSHIP_KEYS",
+    "PRECONDITIONS",
 ]

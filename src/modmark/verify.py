@@ -94,12 +94,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoFittingDims, NotMarkov
+from .errors import NoFittingDims
 from . import linalg
 from .generators import KIND_SPECS, BuildResult, GenSpec, build_channel, derive_seed, kind_spec
 from .gns import ModularData
 from .linalg import certified_value, power_condition_scale, settle, tolerance_factor
-from .markov import Channel, adjoint_index, check_markov, eigen_extension
+from .markov import MEMBERSHIP_KEYS, Channel, adjoint_index, check_markov, eigen_extension
 from .serialize import genspec_to_json
 
 # A(t) = U_t(t) T - T U_s(t) has A(-t) = -U_t(-t) A(t) U_s(-t), a product
@@ -145,18 +145,12 @@ def sample_z(seed: int, count: int = DEFAULT_Z_COUNT) -> list[complex]:
     return [complex(a, b) for a, b in zip(re, im)]
 
 
-def _ensure_markov(ch: Channel) -> None:
-    mc = check_markov(ch)
-    if not mc.passed:
-        failing = {k: v for k, v in mc.residuals.items() if not mc.verdicts[k]}
-        raise NotMarkov(f"channel fails membership residuals {failing}")
-
-
 def verify_crucial(ch: Channel, t_samples=DEFAULT_EQ32_T,
                    require_markov: bool = True) -> float:
-    """Max residual of T U_source(t) = U_target(t) T over the sampled t."""
+    """Max residual of T U_source(t) = U_target(t) T over the sampled t;
+    require_markov refuses a channel outside the class (`MarkovCheck.require`)."""
     if require_markov:
-        _ensure_markov(ch)
+        check_markov(ch).require("verify_crucial", MEMBERSHIP_KEYS)
     return _flow_residuals(eigen_extension(ch), ch,
                            commute=[([1j * float(t) for t in t_samples],
                                      _tolerances(ch)["eq32_t"])])[0]
@@ -168,10 +162,11 @@ def verify_commute(ch: Channel, z_samples, s_values=DEFAULT_S_VALUES,
 
     First entry: max over sampled z of |T Delta_s^z - Delta_t^z T|.  Second:
     max over sampled real s of |Delta_t^{-s} T Delta_s^{s} - T|, the
-    twist-invariance form of the same identity.  Both in one flow pass.
+    twist-invariance form of the same identity.  Both in one flow pass;
+    require_markov refuses a channel outside the class (`MarkovCheck.require`).
     """
     if require_markov:
-        _ensure_markov(ch)
+        check_markov(ch).require("verify_commute", MEMBERSHIP_KEYS)
     z_samples, s_values = list(z_samples), list(s_values)
     tol = _tolerances(ch, s_values, z_samples)
     return tuple(_flow_residuals(eigen_extension(ch), ch,
@@ -353,9 +348,10 @@ def verify_modular_symmetry(ch: Channel,
                             require_markov: bool = True) -> tuple[float, float]:
     """(conjugation intertwining residual, involution intertwining residual),
     as `_symmetry_residuals` gives them, each at its own tolerance for
-    `DEFAULT_S_VALUES`."""
+    `DEFAULT_S_VALUES`; require_markov refuses a channel outside the class
+    (`MarkovCheck.require`)."""
     if require_markov:
-        _ensure_markov(ch)
+        check_markov(ch).require("verify_modular_symmetry", MEMBERSHIP_KEYS)
     return _symmetry_residuals(eigen_extension(ch), ch, _tolerances(ch))
 
 
@@ -403,10 +399,11 @@ def verify_adjoint(ch: Channel,
     adjoint consistency: |T^+ - T_{ch*}| with ch* the state-twisted adjoint.
     symmetric-form match: superoperator distance between the asymmetric
     adjoint and the symmetric (Petz) form; the two coincide exactly on
-    flow-commuting channels.  norm excess: max(0, |T|_op - 1).
+    flow-commuting channels.  norm excess: max(0, |T|_op - 1);
+    require_markov refuses a channel outside the class (`MarkovCheck.require`).
     """
     if require_markov:
-        _ensure_markov(ch)
+        check_markov(ch).require("verify_adjoint", MEMBERSHIP_KEYS)
     return _adjoint_residuals(eigen_extension(ch), ch, _tolerances(ch))
 
 
@@ -507,12 +504,14 @@ def _norm_excess(t_eig: np.ndarray, split: _SectorSplit, tol: float) -> float:
 
 def _omega_residual(t_eig: np.ndarray, ch: Channel) -> float:
     """|T Omega_s - Omega_t|; in the frame Omega = D^{1/2} is sqrt(lambda_a)
-    on the diagonal entries (a, a) and 0 elsewhere."""
+    on the diagonal entries (a, a) and 0 elsewhere.  An overflow reads inf,
+    with no warning."""
     def omega(md: ModularData) -> np.ndarray:
         diag = np.concatenate([np.eye(e.dim).ravel() for e in md.d_eig])
         return diag * np.sqrt(md.lambda_a)
-    return float(np.linalg.norm(
-        t_eig @ omega(ch.source.modular) - omega(ch.target.modular)))
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(
+            t_eig @ omega(ch.source.modular) - omega(ch.target.modular)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 import modmark
 from modmark.cli import main
 from modmark.generators import KIND_SPECS, KINDS, GenSpec, build_channel
+from modmark.markov import Channel
 from modmark.serialize import (
     dumps_canonical,
     genspec_from_json,
@@ -17,6 +18,7 @@ from modmark.serialize import (
     instance_to_json,
     matrix_from_json,
     read_instance,
+    write_instance,
 )
 from modmark.verify import EXPECTED_FAIL_BY_KIND, POSITIVE_KINDS
 from test_oracles import matrix_to_json
@@ -235,6 +237,34 @@ class TestBadToleranceEnv:
         code, out, err = run(capsys, "suite", "--trials", "1", "--out", str(out_dir))
         assert code == 2 and out == "" and not out_dir.exists()
         assert err == f"error: MODMARK_TOL must be a positive number, got {raw!r}\n"
+
+
+class TestGenRefusedPrecondition:
+    def test_twirl_at_a_tolerance_below_roundoff(self, tmp_path, capsys, monkeypatch):
+        # the twirl's input passes unital and state only to roundoff, ~1e-17:
+        # at 1e-20 its gate refuses it, naming both, and gen writes nothing
+        monkeypatch.setenv("MODMARK_TOL", "1e-20")
+        path = tmp_path / "twirl.json"
+        code, out, err = run(capsys, "gen", "--kind", "twirl", "--dims", "3", "-o", str(path))
+        assert code == 2 and out == "" and not path.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unital residual" in err and "state residual" in err
+
+
+class TestOverflowingInstance:
+    def test_verify_fails_every_markov_key_without_a_warning(self, tmp_path, capsys):
+        # a superoperator scaled by 1e200: the residuals' squares overflow,
+        # read inf with no RuntimeWarning (pytest makes any warning an
+        # error), and fail their verdicts
+        ch = build_channel(GenSpec("schur", (2,), 1)).channel
+        path = tmp_path / "big.json"
+        write_instance(path, Channel(ch.source, ch.target, ch.superop * 1e200), {"seed": 1})
+        code, out, err = run(capsys, "verify", str(path), "--json")
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        for key in ("markov_unital", "markov_cp", "markov_state", "markov_modular"):
+            assert report["residuals"][key] == float("inf")
+            assert report["verdicts"][key] is False
 
 
 class TestGenNoConvergence:

@@ -5,7 +5,7 @@ import pytest
 
 from modmark.algebra import AlgebraElement, BlockAlgebra, FaithfulState
 from modmark import generators
-from modmark.errors import BadSchurMatrix, PreconditionFailed, ShapeMismatch
+from modmark.errors import BadSchurMatrix, NotMarkov, ShapeMismatch
 from modmark.generators import (
     GenSpec,
     build_channel,
@@ -205,7 +205,7 @@ class TestModularTwirl:
         rng = np.random.default_rng(0)
         bogus = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         from modmark.markov import Channel
-        with pytest.raises(PreconditionFailed):
+        with pytest.raises(NotMarkov):
             modular_twirl(Channel(qubit, qubit, bogus))
 
     def test_frequencies_layout(self, qubit):

@@ -15,19 +15,23 @@ from modmark.algebra import (
 from modmark.errors import (
     EmptyKraus,
     NotMarkov,
-    NotStatePreserving,
     ShapeMismatch,
     BadWeights,
 )
 from modmark.generators import (
     GenSpec,
+    _eigen_diagonal_channel,
     build_channel,
+    modular_twirl,
     random_faithful_state,
     schur_channel,
+    sp_ucp,
     state_to_scalar,
 )
 from modmark.linalg import op_norm
 from modmark.markov import (
+    MEMBERSHIP_KEYS,
+    PRECONDITIONS,
     Channel,
     ChoiMatrix,
     System,
@@ -48,6 +52,13 @@ from modmark.markov import (
     tensor,
     tensor_element,
     tensor_system,
+)
+from modmark.verify import (
+    sample_z,
+    verify_adjoint,
+    verify_commute,
+    verify_crucial,
+    verify_modular_symmetry,
 )
 
 from test_oracles import star_preservation_residual
@@ -275,7 +286,7 @@ class TestAcAdjoint:
         h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
         ch = channel_from_kraus([np.outer(h[:, 0], h[:, 0]),
                                  np.outer(h[:, 1], h[:, 1])], qubit, qubit)
-        with pytest.raises(NotStatePreserving):
+        with pytest.raises(NotMarkov, match="state"):
             ac_adjoint(ch)
 
 
@@ -319,6 +330,83 @@ class TestL2Extension:
         lhs = l2_extension(schur).conj().T
         rhs = l2_extension(ac_adjoint(schur))
         assert np.linalg.norm(lhs - rhs) <= 1e-12
+
+
+def _eigenbasis_element(sys, weights):
+    """V diag(w) V^+ on each block, weights w on the carrier in the density's
+    ascending eigenbasis: an element that commutes with the density."""
+    ends = np.cumsum(sys.algebra.block_dims)[:-1]
+    return AlgebraElement(sys.algebra, [
+        (e.eigenvectors * w) @ e.eigenvectors.conj().T
+        for e, w in zip(sys.modular.d_eig, np.split(weights, ends))])
+
+
+def _rank_one(sys, image, density):
+    """x |-> Tr(density x) image."""
+    return Channel(sys, sys, np.outer(to_coords(image), to_coords(density).conj()))
+
+
+def one_hypothesis_off(off, dims, seed):
+    """A channel on rand_system(dims, seed) built to fail the membership key
+    off and to meet the other three:
+    - cp: the multiplier 1 + H in the density eigenbasis, H a seeded
+      zero-diagonal Hermitian matrix scaled to lambda_min(1 + H) = -1.5 on
+      every block of two or more rows;
+    - unital: x |-> phi(x) K, K > 0 diagonal in the eigenbasis, phi(K) = 1;
+    - state: x |-> psi(x) 1, psi != phi a state diagonal in the eigenbasis;
+    - modular: `sp_ucp`."""
+    sys = rand_system(dims, seed)
+    if off == "modular":
+        return sp_ucp(sys, sys, seed)
+    rng = np.random.default_rng(seed)
+    if off == "cp":
+        blocks = []
+        for n in sys.algebra.block_dims:
+            h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            h += h.conj().T
+            np.fill_diagonal(h, 0.0)
+            scale = 2.5 / -np.linalg.eigvalsh(h)[0] if n > 1 else 0.0
+            blocks.append(np.eye(n) + scale * h)
+        return _eigen_diagonal_channel(sys, blocks)
+    w = rng.uniform(0.5, 2.0, size=sys.algebra.carrier_dim)
+    if off == "unital":
+        lam = np.concatenate([e.eigenvalues for e in sys.modular.d_eig])
+        return _rank_one(sys, _eigenbasis_element(sys, w / (w @ lam)), sys.state.density)
+    return _rank_one(sys, sys.algebra.identity(), _eigenbasis_element(sys, w / w.sum()))
+
+
+# every gate on membership and the keys it requires
+REFUSAL_SITES = {
+    "l2_extension": (l2_extension, PRECONDITIONS),
+    "modular_twirl": (modular_twirl, PRECONDITIONS),
+    "ac_adjoint": (ac_adjoint, ("state",)),
+    "verify_crucial": (verify_crucial, MEMBERSHIP_KEYS),
+    "verify_commute": (lambda ch: verify_commute(ch, sample_z(0)), MEMBERSHIP_KEYS),
+    "verify_modular_symmetry": (verify_modular_symmetry, MEMBERSHIP_KEYS),
+    "verify_adjoint": (verify_adjoint, MEMBERSHIP_KEYS),
+}
+
+
+class TestRefusalTable:
+    """One hypothesis of the class off at a time: each gate refuses the
+    channel, by `NotMarkov` naming the failing key, exactly when that key
+    is among those it requires, and every other gate accepts it."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dims", [(3,), (2, 2), (6,), (3, 1), (4, 2)],
+                             ids=lambda d: "x".join(map(str, d)))
+    @pytest.mark.parametrize("off", MEMBERSHIP_KEYS)
+    def test_each_gate(self, off, dims, seed):
+        ch = one_hypothesis_off(off, dims, seed)
+        assert [k for k, ok in check_markov(ch).verdicts.items() if not ok] == [off]
+        for name, (gate, keys) in REFUSAL_SITES.items():
+            try:
+                gate(ch)
+                message = None
+            except NotMarkov as exc:
+                message = str(exc)
+            assert (message is not None) == (off in keys), (name, message)
+            assert message is None or f"{off} residual" in message, (name, message)
 
 
 BASE_CASE_DIMS = [(2,), (3,), (4,), (2, 2), (3, 1), (8,), (2, 2, 2), (16,), (8, 8),

@@ -9,7 +9,8 @@ behind kadison_norm and sp_ucp's Choi blocks, the Frobenius and fail-step bracke
 that reads a value off its brackets, the commute and twist masks, the
 one-GEMM mask bounds, the certify-and-prune rule, the masked column norms,
 the sector bound, the eigenvalue weights, markov_cp's Choi sectors, the
-Choi reshape, the trace dual, and the writer's escape guards, placeholder
+Choi reshape, the trace dual, the one refusal of a channel outside the
+class, and the writer's escape guards, placeholder
 count and payload order wired so that a wrong piece shows?
 
 Each mutant replaces one private piece of `verify` or `ModularData` by
@@ -35,7 +36,9 @@ one frequency labelling, `gns.label_radius` (its killers the relabelled
 twins of tests/test_relabel.py and the twirl's membership in
 tests/test_generators.py), a membership
 mutant to `markov._sector_min_eigenvalue`, `markov._choi_sectors`,
-`markov.to_choi` or `markov.trace_dual`, and a writer mutant to
+`markov.to_choi`, `markov.trace_dual` or the method
+`markov.MarkovCheck.require` (its killers rows of the refusal table in
+tests/test_markov.py), and a writer mutant to
 `serialize._needs_no_escape`, `serialize._skeleton` or
 `serialize.dumps_canonical` (its killers are `TestWriterOracle` cases,
 which compare the text with a hand-written encoder); one listed as
@@ -375,9 +378,9 @@ def test_certificate_mutant(name, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _edited(function, edits):
-    """A module-level function recompiled from its source, in its module's
-    namespace, with each (old, new) text edit applied; each old text must
-    occur exactly once."""
+    """A module-level function or a method recompiled from its source, in
+    its module's namespace, with each (old, new) text edit applied; each old
+    text must occur exactly once."""
     source = textwrap.dedent(inspect.getsource(function))
     for old, new in edits:
         assert source.count(old) == 1, old
@@ -462,14 +465,19 @@ def _assert_source_mutant(name, mutant, monkeypatch, function):
     """Each of the mutant's tests passes on the unmutated function, and
     fails, or for an equivalent mutant passes, with the edited function in
     its place on every module that holds it: its own, and each that
-    imported it by name (test_oracles calls some kernels so)."""
+    imported it by name (test_oracles calls some kernels so), or for a
+    method on its class."""
     for _, run in mutant.tests:
         with pytest.MonkeyPatch.context() as mp:
             run(mp)
     edited = _edited(function, mutant.edits)
-    for module in list(sys.modules.values()):
-        if getattr(module, "__dict__", {}).get(function.__name__) is function:
-            monkeypatch.setattr(module, function.__name__, edited)
+    holders = list(sys.modules.values())
+    if "." in function.__qualname__:
+        holders.append(getattr(sys.modules[function.__module__],
+                               function.__qualname__.rsplit(".", 1)[0]))
+    for holder in holders:
+        if getattr(holder, "__dict__", {}).get(function.__name__) is function:
+            monkeypatch.setattr(holder, function.__name__, edited)
     for test_id, run in mutant.tests:
         with pytest.MonkeyPatch.context() as mp:
             if mutant.equivalent is not None:
@@ -820,7 +828,8 @@ def test_sector_mutant(name, monkeypatch):
 # ---------------------------------------------------------------------------
 # the membership layer: markov_cp's sector certificate,
 # markov._sector_min_eigenvalue and the groups it reads (markov._choi_sectors),
-# the Choi reshape (markov.to_choi) and the trace dual (markov.trace_dual)
+# the Choi reshape (markov.to_choi), the trace dual (markov.trace_dual) and
+# the one refusal (markov.MarkovCheck.require)
 # ---------------------------------------------------------------------------
 
 _OFF = "off *= 1.0 + (x.size + 3) * _EPS"
@@ -835,6 +844,13 @@ def _choi_killer(method, *args):
 _BRACKETS = tuple(_choi_killer("test_certified_pass_on_the_verdict_side", case)
                   for case in (("identity", (4,), {}), ("schur", (16,), {}),
                                ("pinch", (3, 3), {}), ("twirl", (2, 2), {})))
+
+_FAILING = "failing = [k for k in keys if not verdicts[k]]"
+
+
+def _refusal_killer(off):
+    return _killer(test_markov.TestRefusalTable, "test_each_gate", off, (3,), 0)
+
 
 # (the function edited, its mutant)
 MEMBERSHIP_MUTANTS = {
@@ -880,6 +896,16 @@ MEMBERSHIP_MUTANTS = {
                  (2, 2), (2, 2)),
          _choi_killer("test_eigenframe_choi_has_the_dense_spectrum", ("automorphism", (4,), {})),
          _choi_killer("test_eigenframe_choi_has_the_dense_spectrum", ("schur", (16,), {}))))),
+    # every gate refuses on all four keys: l2_extension then refuses sp_ucp,
+    # which fails only the flow key it does not require
+    "require_checks_every_key": (markov.MarkovCheck.require, SourceMutant(
+        ((_FAILING, "failing = [k for k in verdicts if not verdicts[k]]"),),
+        (_refusal_killer("modular"),))),
+    # the last key required is never checked: l2_extension and the twirl
+    # accept a channel that fails only state, and ac_adjoint checks nothing
+    "require_drops_last_key": (markov.MarkovCheck.require, SourceMutant(
+        ((_FAILING, "failing = [k for k in keys[:-1] if not verdicts[k]]"),),
+        (_refusal_killer("state"),))),
     # the transpose without the conjugate: a complex superoperator's dual
     # misses the pairing, and its state residual the unit loop
     "trace_dual_without_conj": (markov.trace_dual, SourceMutant(

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import modmark.generators as gens
-import modmark.markov as markov
 from modmark.algebra import AlgebraElement, BlockAlgebra, FaithfulState
 from modmark.errors import NoConvergence, NotMarkov, PowerRangeExceeded
 from modmark.generators import (
@@ -16,7 +15,7 @@ from modmark.generators import (
     state_to_scalar,
 )
 from modmark.linalg import power_condition_scale, tolerance_factor
-from modmark.markov import System, check_markov, identity_channel, precondition_defects
+from modmark.markov import MEMBERSHIP_KEYS, MarkovCheck, System, check_markov, identity_channel
 from modmark.serialize import genspec_to_json, suite_result_to_json, dumps_canonical
 from modmark.verify import (
     PINNED_TOL,
@@ -305,7 +304,7 @@ class TestSampleZ:
 
 
 class TestMembershipTolerances:
-    """check_markov, precondition_defects and the report's markov_* entries
+    """check_markov, its `require` gate and the report's markov_* entries
     read one tolerance per membership residual: the same float, whatever
     MODMARK_TOL says."""
 
@@ -320,13 +319,15 @@ class TestMembershipTolerances:
         report = verify_channel(ch, kind="pinch", instance_id="pinch-3", seed=4)
         for k in ("unital", "cp", "state", "modular"):
             assert report.tolerances["markov_" + k] == tol[k]
-        # precondition_defects flags a residual exactly when it exceeds tol[k]
-        keys = ("unital", "cp", "state")
-        monkeypatch.setattr(markov, "_preconditions", lambda c: {k: tol[k] for k in keys})
-        assert precondition_defects(ch) == {}
-        above = {k: float(np.nextafter(tol[k], np.inf)) for k in keys}
-        monkeypatch.setattr(markov, "_preconditions", lambda c: dict(above))
-        assert precondition_defects(ch) == above
+        # require refuses a key exactly when its residual is not <= tol[k]:
+        # at tol[k] it passes, one ulp above and at nan it refuses, naming it
+        MarkovCheck(dict(tol), tol).require("test", MEMBERSHIP_KEYS)
+        for k in MEMBERSHIP_KEYS:
+            for bad in (float(np.nextafter(tol[k], np.inf)), float("nan")):
+                with pytest.raises(NotMarkov, match=f"{k} residual") as err:
+                    MarkovCheck({**tol, k: bad}, tol).require("test", MEMBERSHIP_KEYS)
+                assert all(f"{j} residual" not in str(err.value)
+                           for j in MEMBERSHIP_KEYS if j != k)
 
 
 class TestMembershipIsSampleFree:
