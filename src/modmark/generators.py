@@ -230,7 +230,7 @@ def modular_twirl(ch: Channel) -> Channel:
     by `MarkovCheck.require`, a channel that fails a key of
     `markov.PRECONDITIONS`.
     """
-    check_markov(ch).require("modular_twirl", PRECONDITIONS)
+    check_markov(ch, PRECONDITIONS).require("modular_twirl")
     labels_t, labels_s = ch.frequency_labels
     mask = labels_t[:, None] == labels_s[None, :]
     return Channel(ch.source, ch.target,

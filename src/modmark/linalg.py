@@ -10,8 +10,8 @@ what makes verification reports reproducible.
 first of its bound formulas whose bracket settles the verdict gives the
 value, else its fallback does.  `certified_value` holds the spectral
 formulas of an operator norm, its excess over 1 and a smallest Hermitian
-eigenvalue: a Frobenius bound, and from `CERTIFY_MIN_DIM` on an O(N^2)
-lower bound on the norm and Cholesky factors, before the dense call.
+eigenvalue, the same at every size: a Frobenius bound, an O(N^2) lower
+bound on the norm and Cholesky factors, before the dense call.
 """
 
 from __future__ import annotations
@@ -74,13 +74,6 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(as_cmatrix(a), 2))
 
 
-# From this size on, in both dimensions, `certified_value` tries its O(N^2)
-# fail step and its Cholesky factors before the dense call.  The step costs
-# less at every N (masked sp_ucp flow products, one BLAS thread: 0.07 against
-# 0.55 ms for the SVD at N = 64, 0.08 against 1.57 ms at N = 100), but its
-# fail reads below the SVD's value; below 100 an SVD costs at most ~0.6 ms,
-# and every value keeps the dense route's bits.
-CERTIFY_MIN_DIM = 100
 # A Cholesky factor certifies a verdict only when the tolerance it is taken
 # for exceeds this many times N eps the matrix's scale: below that, the
 # rounding of the Gram matrix and of the factor could decide it.
@@ -170,63 +163,54 @@ def settle(tol: float, steps, dense) -> float:
 
 def certified_value(a, tol: float, kind: str = "norm") -> float:
     """A spectral value of a, read by `settle` for its verdict against tol;
-    kind is "norm", |a|_op with the verdict |a|_op <= tol; "masked", the
-    same for a masked copy whose caller's bound on |a|_F did not pass (no
-    Frobenius step below the gate); "excess", max(0, |a|_op - 1) <= tol; or
-    "min_eig", lambda_min >= -tol of the Hermitian a, settled as
-    -lambda_min <= tol.
+    kind is "norm", |a|_op with the verdict |a|_op <= tol; "excess",
+    max(0, |a|_op - 1) <= tol; or "min_eig", lambda_min >= -tol of the
+    Hermitian a, settled as -lambda_min <= tol.
 
-    The steps, b the O(N^2) lower bound on |a|_op (`_norm_lower_bound`),
-    from `CERTIFY_MIN_DIM` on in the smaller dimension (the gate):
-    - a norm: |a|_F, an upper bound (inf where it overflows or underflows,
-      `_frob_or_inf`), then the fail
-      step (b, inf) from the gate;
-    - "excess" from the gate: the fail step (lo, inf), lo = max(0, b - 1),
-      which, where it straddles, a Cholesky factor of (1 + tol)^2 1 - a^+ a
-      closes to (lo, lo), `settle`'s one narrow bracket: it certifies
+    The steps, the same at every size, b the O(N^2) lower bound on |a|_op
+    (`_norm_lower_bound`):
+    - "norm": |a|_F, an upper bound (inf where it overflows or underflows,
+      `_frob_or_inf`), then the fail step (b, inf);
+    - "excess": the fail step (lo, inf), lo = max(0, b - 1), which, where
+      it straddles, a Cholesky factor of (1 + tol)^2 1 - a^+ a closes to
+      (lo, lo), `settle`'s one narrow bracket: it certifies
       |a|_op < 1 + tol, and its pass reads the same lo;
-    - "min_eig" from the gate: a Cholesky factor of a, which certifies
-      lambda_min > 0 and reads 0.0 (the sp_ucp Choi blocks that the sector
-      certificate of `markov.cp_min_eigenvalue` leaves to this route).
+    - "min_eig": a Cholesky factor of a, which certifies lambda_min > 0
+      and reads 0.0.
     A fail step whose sums overflow settles nothing, and takes no Cholesky
     factor.  A Cholesky step applies only when tol exceeds
     `CHOLESKY_MARGIN` N eps times the scale (1 for "excess", |a|_F for
     "min_eig"), so a tiny MODMARK_TOL or an overflowing |a|_F goes dense.
-    The fallback is the dense `np.linalg.svd` or `np.linalg.eigvalsh`.
+    The fallback is the dense `np.linalg.svd` or `np.linalg.eigvalsh`, so
+    a fail reads at or below the dense value.
     """
-    if kind not in ("norm", "masked", "excess", "min_eig"):
+    if kind not in ("norm", "excess", "min_eig"):
         raise ValueError(f"unknown kind {kind!r}")
     a = as_cmatrix(a)
-    large = min(a.shape) >= CERTIFY_MIN_DIM
     if kind == "min_eig":
         def factor():
             factored = tol > CHOLESKY_MARGIN * len(a) * _EPS * _frob_or_inf(a) and _has_cholesky(a)
             return (-np.inf, 0.0) if factored else None
-        return -settle(tol, [factor] if large else [], lambda: -float(np.linalg.eigvalsh(a)[0]))
+        return -settle(tol, [factor], lambda: -float(np.linalg.eigvalsh(a)[0]))
 
     def top() -> float:
         return float(np.linalg.svd(a, compute_uv=False)[0])
 
-    if kind == "excess":
-        def fail_or_factor():  # (lo, lo) where the factor certifies: its pass reads lo
-            b = _norm_lower_bound(a)
-            if b is None:
-                return None
-            lo = max(0.0, b - 1.0)
-            below = (lo <= tol and tol > CHOLESKY_MARGIN * max(a.shape) * _EPS
-                     and _norm_below(a, 1.0 + tol))
-            return (lo, lo) if below else (lo, np.inf)
-        return settle(tol, [fail_or_factor] if large else [], lambda: max(0.0, top() - 1.0))
-
-    def frobenius():
-        return -np.inf, _frob_or_inf(a)
-
     def fail():
         b = _norm_lower_bound(a)
         return None if b is None else (b, np.inf)
-    if large:
-        return settle(tol, [frobenius, fail], top)
-    return settle(tol, [frobenius] if kind == "norm" else [], top)
+    if kind == "norm":
+        return settle(tol, [lambda: (-np.inf, _frob_or_inf(a)), fail], top)
+
+    def fail_or_factor():  # (lo, lo) where the factor certifies: its pass reads lo
+        b = _norm_lower_bound(a)
+        if b is None:
+            return None
+        lo = max(0.0, b - 1.0)
+        below = (lo <= tol and tol > CHOLESKY_MARGIN * max(a.shape) * _EPS
+                 and _norm_below(a, 1.0 + tol))
+        return (lo, lo) if below else (lo, np.inf)
+    return settle(tol, [fail_or_factor], lambda: max(0.0, top() - 1.0))
 
 
 def block_diag(*mats) -> np.ndarray:

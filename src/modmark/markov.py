@@ -201,7 +201,9 @@ class ChoiMatrix:
     def min_eigenvalue(self, tol: float) -> float:
         """Smallest eigenvalue of the blocks' Hermitian parts, each read by
         `linalg.certified_value(h, tol, "min_eig")` for the verdict
-        lambda_min >= -tol: the fallback of `cp_min_eigenvalue`."""
+        lambda_min >= -tol: 0.0 for a block a Cholesky factor certifies
+        positive definite, else its `eigvalsh` value.  The fallback of
+        `cp_min_eigenvalue`."""
         return min(certified_value((b + b.conj().T) / 2.0, tol, "min_eig")
                    for b in self.blocks.values())
 
@@ -434,7 +436,8 @@ def cp_min_eigenvalue(ch: Channel) -> tuple[float, float]:
     by `linalg.settle` for the cp verdict -lambda_min <= tau, its
     `membership_tolerances` entry: the sector certificate's lower bound on
     min(0, lambda_min) (`_sector_min_eigenvalue`, no Cholesky factor),
-    with `ChoiMatrix.min_eigenvalue` of `to_choi(ch)` its fallback."""
+    with `ChoiMatrix.min_eigenvalue` of `to_choi(ch)` its fallback, where
+    each Choi block takes a Cholesky factor before `eigvalsh`."""
     tau = _membership_tau()
     value = -settle(tau, [lambda: _sector_min_eigenvalue(ch, tau)],
                     lambda: -to_choi(ch).min_eigenvalue(tau))
@@ -473,10 +476,10 @@ def modular_commutation_residual(ch: Channel, t_samples=()) -> float:
 
 @dataclass
 class MarkovCheck:
-    """Membership certificate: the four residuals of `MEMBERSHIP_KEYS`
-    with their tolerances and per-key verdicts res <= tol (a nan residual
-    fails).  `require` is the one refusal of every operation that needs the
-    channel in the class."""
+    """Membership certificate: the residuals of the keys it was asked for
+    (`check_markov`) with their tolerances and per-key verdicts res <= tol
+    (a nan residual fails).  `require` is the one refusal of every
+    operation that needs the channel in the class."""
 
     residuals: dict[str, float]
     tolerances: dict[str, float]
@@ -490,11 +493,10 @@ class MarkovCheck:
     def passed(self) -> bool:
         return all(self.verdicts.values())
 
-    def require(self, operation: str, keys: tuple[str, ...]) -> None:
-        """Raise `NotMarkov` naming each residual among keys whose verdict
-        fails, with its value and tolerance; return None when all pass."""
-        verdicts = self.verdicts
-        failing = [k for k in keys if not verdicts[k]]
+    def require(self, operation: str) -> None:
+        """Raise `NotMarkov` naming each residual held whose verdict fails,
+        with its value and tolerance; return None when all pass."""
+        failing = [k for k, ok in self.verdicts.items() if not ok]
         if failing:
             raise NotMarkov(f"{operation} refuses a channel outside the class: " + ", ".join(
                 f"{k} residual {self.residuals[k]:.3e} (tolerance {self.tolerances[k]:.3e})"
@@ -524,23 +526,27 @@ def membership_tolerances(ch: Channel) -> dict[str, float]:
             "modular": tau * modular_tolerance_scale(ch)}
 
 
-def check_markov(ch: Channel) -> MarkovCheck:
-    """The one place that decides membership: the four residuals (unital,
-    cp = max(0, -min Choi eigenvalue, Choi hermiticity defect), state,
-    modular) against `membership_tolerances`, each computed once.  It never
-    raises on failure; an operation that needs the channel in the class
-    refuses it through `MarkovCheck.require`.  Each residual is taken for its
+def check_markov(ch: Channel, keys: tuple[str, ...] = MEMBERSHIP_KEYS) -> MarkovCheck:
+    """The one place that decides membership: the residuals of keys, among
+    unital, cp = max(0, -min Choi eigenvalue, Choi hermiticity defect),
+    state and modular, against `membership_tolerances`, each computed once
+    and only when asked for.  It never raises on failure; an operation that
+    needs the channel in the class asks for the keys it needs and refuses
+    it through `MarkovCheck.require`.  Each residual is taken for its
     verdict, by `linalg.settle`'s rule: cp by `cp_min_eigenvalue`, whose
-    sector certificate reads `eigen_superop` (cached here for the modular
-    key), and modular, `modular_commutation_residual(ch)`, by
+    sector certificate reads `eigen_superop` (cached, and read again by
+    the modular key), and modular, `modular_commutation_residual(ch)`, by
     `ModularData.max_column_norm` of its one masked product."""
     tol = membership_tolerances(ch)
-    mineig, herm = cp_min_eigenvalue(ch)
-    residuals = {"unital": unitality_residual(ch), "cp": max(0.0, -mineig, herm),
-                 "state": state_residual(ch),
-                 "modular": ch.source.modular.max_column_norm(
-                     next(_commutation_defects(ch)), tol["modular"])}
-    return MarkovCheck(residuals, tol)
+
+    def cp() -> float:
+        mineig, herm = cp_min_eigenvalue(ch)
+        return max(0.0, -mineig, herm)
+    residual = {"unital": lambda: unitality_residual(ch), "cp": cp,
+                "state": lambda: state_residual(ch),
+                "modular": lambda: ch.source.modular.max_column_norm(
+                    next(_commutation_defects(ch)), tol["modular"])}
+    return MarkovCheck({k: residual[k]() for k in keys}, {k: tol[k] for k in keys})
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +575,7 @@ def ac_adjoint(ch: Channel) -> Channel:
     at row i (a source coordinate) and column j (a target coordinate).
     Refuses, by `MarkovCheck.require`, a channel that fails the state key.
     """
-    check_markov(ch).require("ac_adjoint", ("state",))
+    check_markov(ch, ("state",)).require("ac_adjoint")
     md_s, md_t = ch.source.modular, ch.target.modular
     x_adj = ch.eigen_superop.conj().T * (md_t.lambda_a[None, :] / md_s.lambda_a[:, None])
     return Channel(ch.target, ch.source, from_eigenframe(x_adj, ch.target, ch.source))
@@ -602,7 +608,7 @@ def l2_extension(ch: Channel) -> np.ndarray:
     turns that into a norm bound between the GNS spaces); flow compatibility
     is *not* required for the extension to exist and contract.
     """
-    check_markov(ch).require("l2_extension", PRECONDITIONS)
+    check_markov(ch, PRECONDITIONS).require("l2_extension")
     return from_eigenframe(eigen_extension(ch), ch.source, ch.target)
 
 

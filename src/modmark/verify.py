@@ -43,8 +43,8 @@ straddle the tolerance gives the value, its upper end on a pass and its
 lower end on a fail, and a key none settles reads its fallback, so the
 verdicts are those of the dense route.  Each key's O(N^2) bound, which
 forms no masked copy, and then its fallback:
-- thm_ii: |A|_F, then `linalg.certified_value` (from
-  `linalg.CERTIFY_MIN_DIM` on an O(N^2) lower bound, then the dense SVD);
+- thm_ii: |A|_F, then `linalg.certified_value` (an O(N^2) lower bound,
+  then the dense SVD);
 - the adjoint pair: sqrt(sum |X|^2 W^2), then its masked copy's norm;
 - the flow families: each one's largest bound (`_flow_bounds`), then
   bound-and-prune over its masked copies (`_bounded_maxima`);
@@ -95,11 +95,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoFittingDims
-from . import linalg
 from .generators import KIND_SPECS, BuildResult, GenSpec, build_channel, derive_seed, kind_spec
 from .gns import ModularData
 from .linalg import certified_value, power_condition_scale, settle, tolerance_factor
-from .markov import MEMBERSHIP_KEYS, Channel, adjoint_index, check_markov, eigen_extension
+from .markov import Channel, adjoint_index, check_markov, eigen_extension
 from .serialize import genspec_to_json
 
 # A(t) = U_t(t) T - T U_s(t) has A(-t) = -U_t(-t) A(t) U_s(-t), a product
@@ -150,7 +149,7 @@ def verify_crucial(ch: Channel, t_samples=DEFAULT_EQ32_T,
     """Max residual of T U_source(t) = U_target(t) T over the sampled t;
     require_markov refuses a channel outside the class (`MarkovCheck.require`)."""
     if require_markov:
-        check_markov(ch).require("verify_crucial", MEMBERSHIP_KEYS)
+        check_markov(ch).require("verify_crucial")
     return _flow_residuals(eigen_extension(ch), ch,
                            commute=[([1j * float(t) for t in t_samples],
                                      _tolerances(ch)["eq32_t"])])[0]
@@ -166,7 +165,7 @@ def verify_commute(ch: Channel, z_samples, s_values=DEFAULT_S_VALUES,
     require_markov refuses a channel outside the class (`MarkovCheck.require`).
     """
     if require_markov:
-        check_markov(ch).require("verify_commute", MEMBERSHIP_KEYS)
+        check_markov(ch).require("verify_commute")
     z_samples, s_values = list(z_samples), list(s_values)
     tol = _tolerances(ch, s_values, z_samples)
     return tuple(_flow_residuals(eigen_extension(ch), ch,
@@ -196,12 +195,12 @@ def _masked_norm(base: np.ndarray, mask: np.ndarray, tol: float) -> float:
     """|base * mask|_op taken for the verdict against tol, the product
     formed in place of the fresh complex mask; refuses non-finite entries.
     base is the left operand: complex products with FMA are not commutative
-    bit for bit.  Its callers' bounds on |A|_F did not pass, so it is
-    `certified_value`'s "masked" kind."""
+    bit for bit.  Its callers' bounds on |A|_F did not pass, but the formed
+    product's own |A|_F, the first step of `certified_value`, may."""
     _require_finite(base)
     prod = np.multiply(base, mask, out=mask)
     _require_finite(prod)
-    return certified_value(prod, tol, "masked")
+    return certified_value(prod, tol)
 
 
 _SectorSplit = namedtuple("_SectorSplit", "labels_t labels_s rows cols on off")
@@ -351,7 +350,7 @@ def verify_modular_symmetry(ch: Channel,
     `DEFAULT_S_VALUES`; require_markov refuses a channel outside the class
     (`MarkovCheck.require`)."""
     if require_markov:
-        check_markov(ch).require("verify_modular_symmetry", MEMBERSHIP_KEYS)
+        check_markov(ch).require("verify_modular_symmetry")
     return _symmetry_residuals(eigen_extension(ch), ch, _tolerances(ch))
 
 
@@ -403,7 +402,7 @@ def verify_adjoint(ch: Channel,
     require_markov refuses a channel outside the class (`MarkovCheck.require`).
     """
     if require_markov:
-        check_markov(ch).require("verify_adjoint", MEMBERSHIP_KEYS)
+        check_markov(ch).require("verify_adjoint")
     return _adjoint_residuals(eigen_extension(ch), ch, _tolerances(ch))
 
 
@@ -445,9 +444,8 @@ def _adjoint_residuals(t_eig: np.ndarray, ch: Channel, tol: dict[str, float],
 
 def _sector_bound(t_eig: np.ndarray, split: _SectorSplit, tol: float) -> float:
     """An upper bound on |t_eig|_op from its equal-frequency sectors, given
-    its `_sector_split`; inf where t_eig is not finite, where the term off
-    the sectors alone exceeds tol (no sector is then looked at), or where a
-    sector reaches `linalg.CERTIFY_MIN_DIM` in both dimensions.
+    its `_sector_split`; inf where t_eig is not finite, or where the term
+    off the sectors alone exceeds tol (no sector is then looked at).
 
     Sector k is t_eig on the rows and the columns of frequency label k (the
     one labelling, `gns.frequency_labels` at `gns.label_radius`), and the
@@ -479,8 +477,6 @@ def _sector_bound(t_eig: np.ndarray, split: _SectorSplit, tol: float) -> float:
     height, width = np.bincount(labels_t, minlength=count), np.bincount(labels_s, minlength=count)
     norms = np.sqrt(sq)
     for k in np.flatnonzero((height > 1) & (width > 1)):
-        if min(height[k], width[k]) >= linalg.CERTIFY_MIN_DIM:
-            return np.inf
         block = t_eig[np.ix_(labels_t == k, labels_s == k)]
         norms[k] = np.linalg.svd(block, compute_uv=False)[0]
     return float((1.0 + gamma) * norms.max(initial=0.0) + off)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modmark.algebra import AlgebraElement, BlockAlgebra, FaithfulState
-from modmark import generators
+from modmark import generators, markov
 from modmark.errors import BadSchurMatrix, NotMarkov, ShapeMismatch
 from modmark.generators import (
     GenSpec,
@@ -195,6 +195,18 @@ class TestModularTwirl:
         assert check_markov(rough).residuals["modular"] > 1e-3
         tw = modular_twirl(rough)
         assert check_markov(tw).passed
+
+    def test_gate_takes_no_modular_kernel(self, monkeypatch):
+        # its gate computes the three preconditions only: the flow key,
+        # which the twirl is there to establish, is not taken
+        sys = System(random_faithful_state(BlockAlgebra((3,)), 10, 0.05))
+        rough = sp_ucp(sys, sys, 4)
+
+        def unread(*args):
+            raise AssertionError("the gate takes the modular kernel")
+
+        monkeypatch.setattr(markov, "_commutation_defects", unread)
+        assert modular_twirl(rough).superop.shape == rough.superop.shape
 
     def test_idempotent(self):
         sys = System(random_faithful_state(M2, 11, 0.05))

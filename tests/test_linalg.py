@@ -261,8 +261,7 @@ def hermitian_with_spectrum(seed, w):
     return (h + h.conj().T) / 2.0
 
 
-@pytest.fixture
-def dense_calls(monkeypatch):
+def record_dense_calls(monkeypatch):
     """Shapes of the matrices handed to np.linalg.svd, eigvalsh and
     cholesky, by name: a full-size svd or eigvalsh is the dense fallback."""
     calls = {"svd": [], "eigvalsh": [], "cholesky": []}
@@ -277,27 +276,62 @@ def dense_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def dense_calls(monkeypatch):
+    return record_dense_calls(monkeypatch)
+
+
 TOL = 1e-9
-N_CERT = 120  # above linalg.CERTIFY_MIN_DIM
+N_CERT = 120
 
 
 class TestCertifiedValue:
-    def test_below_the_gate_the_dense_values(self):
+    def test_below_the_gate_the_dense_values(self, dense_calls):
+        # the name is kept from the size gate the steps once waited for: at
+        # N = 60 a failing norm and excess read the fail step's lower bound,
+        # and an indefinite min_eig, which has no factor, reads eigvalsh
         a = random_unitary(1, 60) * 1.5
         h = random_hermitian(2, 60)
-        assert certified_value(a, TOL) == op_norm(a)
-        assert certified_value(a, TOL, "excess") == max(0.0, op_norm(a) - 1.0)
+        b = _norm_lower_bound(a)
+        assert certified_value(a, TOL) == b and TOL < b <= op_norm(a)
+        assert certified_value(a, TOL, "excess") == b - 1.0
+        assert not dense_calls["svd"]
         assert certified_value(h, TOL, "min_eig") == float(np.linalg.eigvalsh(h)[0])
 
     def test_masked_takes_no_frobenius_step_below_the_gate(self):
-        # |a|_F <= tol certifies a norm; a masked copy's caller has bounded
-        # |a|_F already, so below the gate it takes the SVD, and from the
-        # gate on it reads |a|_F like a norm
-        a = random_unitary(14, 60) * 0.5
-        assert certified_value(a, 10.0) == frob(a) > op_norm(a)
-        assert certified_value(a, 10.0, "masked") == op_norm(a)
-        q = random_unitary(15, N_CERT) * 0.5
-        assert certified_value(q, 10.0, "masked") == certified_value(q, 10.0) == frob(q)
+        # the name is kept from the kind a masked copy once took: at every
+        # size |a|_F <= tol certifies a norm, and the pass reads |a|_F
+        for seed, n in ((14, 60), (15, N_CERT)):
+            a = random_unitary(seed, n) * 0.5
+            assert certified_value(a, 10.0) == frob(a) > op_norm(a)
+
+    @pytest.mark.parametrize("n", [9, 60])
+    def test_failing_norm_reads_the_lower_bound(self, dense_calls, n):
+        # the fail step at every size: below N = 100 too, a certain fail
+        # reads the O(N^2) lower bound and takes no SVD
+        a = random_unitary(17, n) * 1.5
+        b = _norm_lower_bound(a)
+        assert certified_value(a, TOL) == b and TOL < b <= op_norm(a)
+        assert not dense_calls["svd"]
+
+    @pytest.mark.parametrize("n", [9, 60])
+    def test_straddling_excess_closed_by_a_factor(self, dense_calls, n):
+        # |a| = 1 + tol / 2: the fail step's lo lies at or below tol, and a
+        # factor of (1 + tol)^2 1 - a^+ a closes the straddle; the pass
+        # reads lo, below the dense excess, and takes no SVD
+        s = np.concatenate([[1.0 + TOL / 2.0], np.linspace(0.5, 0.9, n - 1)])
+        a = (random_unitary(18, n) * s) @ random_unitary(19, n).conj().T
+        dense = float(np.linalg.svd(a, compute_uv=False)[0]) - 1.0
+        dense_calls["svd"].clear()
+        got = certified_value(a, TOL, "excess")
+        assert got == max(0.0, _norm_lower_bound(a) - 1.0) < dense <= TOL
+        assert dense_calls["cholesky"] == [(n, n)] and not dense_calls["svd"]
+
+    @pytest.mark.parametrize("n", [9, 60])
+    def test_positive_definite_min_eig_reads_zero(self, dense_calls, n):
+        h = hermitian_with_spectrum(20, np.linspace(1e-3, 1.0, n))
+        assert certified_value(h, TOL, "min_eig") == 0.0
+        assert dense_calls["cholesky"] == [(n, n)] and not dense_calls["eigvalsh"]
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
@@ -376,7 +410,8 @@ class TestCertifiedValue:
     def test_underflowing_frobenius_certifies_nothing(self, dense_calls, n):
         # entries ~1e-300: every square underflows and |a|_F reads 0.0, which
         # would certify a pass at tol = s_1 / 2; the step reads inf instead,
-        # and the call takes the SVD's fail, below the gate and from it on
+        # the fail step's sums underflow too, and the call takes the SVD's
+        # fail, at either size
         rng = np.random.default_rng(16)
         a = 1e-300 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         top = float(np.linalg.svd(a, compute_uv=False)[0])
@@ -385,10 +420,14 @@ class TestCertifiedValue:
         assert dense_calls["svd"].count((n, n)) == 2
 
     def test_gate_is_read_at_call_time(self, monkeypatch, dense_calls):
+        # the name is kept from the size gate: the steps are looked up at
+        # call time, so with the fail step and the factor patched away, as
+        # the dense reference of the oracle tests does, the value is dense
         q = random_unitary(12, N_CERT)
-        monkeypatch.setattr(linalg, "CERTIFY_MIN_DIM", 1 << 30)
+        monkeypatch.setattr(linalg, "_norm_lower_bound", lambda a: None)
+        monkeypatch.setattr(linalg, "_has_cholesky", lambda h: False)
         assert certified_value(q, TOL, "excess") == max(0.0, op_norm(q) - 1.0)
-        assert not dense_calls["cholesky"]
+        assert dense_calls["svd"] == [(N_CERT, N_CERT)] and not dense_calls["cholesky"]
 
     def test_min_eig_of_huge_entries_goes_dense(self, dense_calls):
         # entries ~1e160: |h|_F overflows to inf, which certifies nothing,

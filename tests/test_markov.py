@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from modmark import markov
+
 from modmark.algebra import (
     AlgebraElement,
     BlockAlgebra,
@@ -288,6 +290,16 @@ class TestAcAdjoint:
                                  np.outer(h[:, 1], h[:, 1])], qubit, qubit)
         with pytest.raises(NotMarkov, match="state"):
             ac_adjoint(ch)
+
+    def test_gate_computes_the_state_key_alone(self, monkeypatch, schur):
+        # the one key it refuses on: no Choi eigenvalue (markov_cp) and no
+        # masked product of the modular kernel (markov_modular) is taken
+        def unread(*args):
+            raise AssertionError("a residual the gate does not read")
+
+        monkeypatch.setattr(markov, "cp_min_eigenvalue", unread)
+        monkeypatch.setattr(markov, "_commutation_defects", unread)
+        assert np.linalg.norm(ac_adjoint(schur).superop - schur.superop) <= 1e-12
 
 
 class TestL2Extension:

@@ -21,8 +21,8 @@ or it is listed as equivalent, with the argument why no gns_* verdict can
 move, and then the test holds it to that: every gns_* verdict stays as it
 was.  A symmetry mutant runs on a corpus of positives and two sp_ucp
 channels and must flip each of its `must_flip` keys on some instance.  A
-certificate mutant runs `certified_value` on direct matrix cases above
-`linalg.CERTIFY_MIN_DIM` and must flip a verdict, change a value or change
+certificate mutant runs `certified_value` on direct 120 x 120 matrix
+cases and must flip a verdict, change a value or change
 the number of dense fallbacks (full-size svd or eigvalsh calls) on one.  A
 bound mutant edits the source of `verify._flow_bounds` and recompiles it,
 and the tests of tests/test_oracles.py it names must then fail.  A prune
@@ -36,8 +36,9 @@ one frequency labelling, `gns.label_radius` (its killers the relabelled
 twins of tests/test_relabel.py and the twirl's membership in
 tests/test_generators.py), a membership
 mutant to `markov._sector_min_eigenvalue`, `markov._choi_sectors`,
-`markov.to_choi`, `markov.trace_dual` or the method
-`markov.MarkovCheck.require` (its killers rows of the refusal table in
+`markov.to_choi`, `markov.trace_dual` or `markov.check_markov`, which
+holds the keys each gate asks for and so decides what `MarkovCheck.require`
+refuses on (its killers rows of the refusal table in
 tests/test_markov.py), and a writer mutant to
 `serialize._needs_no_escape`, `serialize._skeleton` or
 `serialize.dumps_canonical` (its killers are `TestWriterOracle` cases,
@@ -275,7 +276,7 @@ def test_symmetry_mutant(name, monkeypatch):
 # ---------------------------------------------------------------------------
 
 CERT_TOL = 1e-9
-CERT_N = 120  # above linalg.CERTIFY_MIN_DIM
+CERT_N = 120
 
 
 def _unitary(seed, n=CERT_N):
@@ -404,11 +405,12 @@ def _label(arg):
 
 
 def _killer(test_class, method, *args):
-    """A named test of test_oracles, run as a function: (its id, a call)."""
+    """A named test of a test module, run as a function: (its id, a call)."""
     def run(monkeypatch):
         test = getattr(test_class(), method)
         fixtures = {"monkeypatch": lambda: monkeypatch,
-                    "svd_shapes": lambda: test_oracles.record_svd_shapes(monkeypatch)}
+                    "svd_shapes": lambda: test_oracles.record_svd_shapes(monkeypatch),
+                    "dense_calls": lambda: test_linalg.record_dense_calls(monkeypatch)}
         return test(*[fixtures[p]() for p in inspect.signature(test).parameters
                       if p in fixtures], *args)
     label = "-".join(_label(a) for a in args)
@@ -568,11 +570,11 @@ def test_prune_mutant(name, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the "norm" kind of linalg.certified_value from linalg.CERTIFY_MIN_DIM on
+# the steps of linalg.certified_value, the same at every size
 # ---------------------------------------------------------------------------
 
 _certified_value = linalg.certified_value
-_FROBENIUS_STEP = "return -np.inf, _frob_or_inf(a)"
+_FROBENIUS_STEP = "lambda: (-np.inf, _frob_or_inf(a))"
 _FAIL_STEP = "return None if b is None else (b, np.inf)"
 
 
@@ -583,13 +585,30 @@ def _bracket_killer(method):
 _BRACKET_KILLERS = (_bracket_killer("test_bracket_certifies_or_takes_the_svd"),
                     _bracket_killer("test_only_the_straddling_mask_takes_the_svd"))
 
+
+def _step_killer(method, n):
+    return _killer(test_linalg.TestCertifiedValue, method, n)
+
+
+# below N = 100 the dense value, or for a norm its Frobenius pass: the
+# route every kind took while a size gate held its steps back
+_GATE = """    if min(a.shape) < 100:
+        if kind == "min_eig":
+            return float(np.linalg.eigvalsh(a)[0])
+        top = float(np.linalg.svd(a, compute_uv=False)[0])
+        if kind == "excess":
+            return max(0.0, top - 1.0)
+        frobenius = _frob_or_inf(a)
+        return frobenius if frobenius <= tol else top
+"""
+
 # The names of the first two are kept from the Ritz step the fail step
 # replaced: they swap and close its bracket the same way.
 NORM_MUTANTS = {
     # a certain pass reads the fail step's lower bound, and a certain fail
     # |a|_F
     "ritz_and_frobenius_swapped": SourceMutant(
-        ((_FROBENIUS_STEP, "return -np.inf, _norm_lower_bound(a)"),
+        ((_FROBENIUS_STEP, "lambda: (-np.inf, _norm_lower_bound(a))"),
          (_FAIL_STEP, "return _frob_or_inf(a), np.inf")),
         _BRACKET_KILLERS),
     # a lower bound at or below tol taken as a pass, with no SVD: the fail
@@ -602,6 +621,14 @@ NORM_MUTANTS = {
     "upper_bound_as_fail_lo": SourceMutant(
         ((_FAIL_STEP, "return None if b is None else (_frob_or_inf(a), np.inf)"),),
         _BRACKET_KILLERS),
+    # the steps run only from N = 100: below it a fail reads the SVD, and
+    # the factors certify nothing
+    "gate_restored": SourceMutant(
+        (("    a = as_cmatrix(a)\n", "    a = as_cmatrix(a)\n" + _GATE),),
+        tuple(_step_killer(method, n) for n in (9, 60)
+              for method in ("test_failing_norm_reads_the_lower_bound",
+                             "test_straddling_excess_closed_by_a_factor",
+                             "test_positive_definite_min_eig_reads_zero"))),
 }
 
 
@@ -829,7 +856,7 @@ def test_sector_mutant(name, monkeypatch):
 # the membership layer: markov_cp's sector certificate,
 # markov._sector_min_eigenvalue and the groups it reads (markov._choi_sectors),
 # the Choi reshape (markov.to_choi), the trace dual (markov.trace_dual) and
-# the one refusal (markov.MarkovCheck.require)
+# the keys each check holds for the one refusal (markov.check_markov)
 # ---------------------------------------------------------------------------
 
 _OFF = "off *= 1.0 + (x.size + 3) * _EPS"
@@ -845,7 +872,7 @@ _BRACKETS = tuple(_choi_killer("test_certified_pass_on_the_verdict_side", case)
                   for case in (("identity", (4,), {}), ("schur", (16,), {}),
                                ("pinch", (3, 3), {}), ("twirl", (2, 2), {})))
 
-_FAILING = "failing = [k for k in keys if not verdicts[k]]"
+_HELD = "return MarkovCheck({k: residual[k]() for k in keys}, {k: tol[k] for k in keys})"
 
 
 def _refusal_killer(off):
@@ -896,15 +923,18 @@ MEMBERSHIP_MUTANTS = {
                  (2, 2), (2, 2)),
          _choi_killer("test_eigenframe_choi_has_the_dense_spectrum", ("automorphism", (4,), {})),
          _choi_killer("test_eigenframe_choi_has_the_dense_spectrum", ("schur", (16,), {}))))),
-    # every gate refuses on all four keys: l2_extension then refuses sp_ucp,
-    # which fails only the flow key it does not require
-    "require_checks_every_key": (markov.MarkovCheck.require, SourceMutant(
-        ((_FAILING, "failing = [k for k in verdicts if not verdicts[k]]"),),
+    # every check holds all four keys, whatever its gate asks for: every
+    # gate refuses on all four, and l2_extension then refuses a channel
+    # that fails only the flow key it does not require
+    "require_checks_every_key": (markov.check_markov, SourceMutant(
+        ((_HELD, "return MarkovCheck({k: residual[k]() for k in MEMBERSHIP_KEYS}, tol)"),),
         (_refusal_killer("modular"),))),
-    # the last key required is never checked: l2_extension and the twirl
-    # accept a channel that fails only state, and ac_adjoint checks nothing
-    "require_drops_last_key": (markov.MarkovCheck.require, SourceMutant(
-        ((_FAILING, "failing = [k for k in keys[:-1] if not verdicts[k]]"),),
+    # the last key asked for is never computed, so never checked:
+    # l2_extension and the twirl accept a channel that fails only state,
+    # and ac_adjoint checks nothing
+    "require_drops_last_key": (markov.check_markov, SourceMutant(
+        ((_HELD, "return MarkovCheck({k: residual[k]() for k in keys[:-1]}, "
+                 "{k: tol[k] for k in keys[:-1]})"),),
         (_refusal_killer("state"),))),
     # the transpose without the conjugate: a complex superoperator's dual
     # misses the pairing, and its state residual the unit loop

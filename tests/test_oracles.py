@@ -498,7 +498,13 @@ def _case_id(case):
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 class TestFlowResidualOracles:
-    def test_flow_residuals(self, case):
+    """Each kernel against its oracle.  The certified keys are read on the
+    dense route (`dense_route`), so that sp_ucp's fails are compared with
+    the oracle's values to rounding; `test_moved_keys_on_the_verdict_side`
+    holds the default route's values to the same channels' dense ones."""
+
+    def test_flow_residuals(self, monkeypatch, case):
+        dense_route(monkeypatch)
         kind, dims, params = case
         ch = _build(kind, dims, params)
         t_mat = oracle_l2(ch)
@@ -509,7 +515,8 @@ class TestFlowResidualOracles:
         _assert_close(z_res, oracle_commute(t_mat, ch, Z_SAMPLES), kind)
         _assert_close(s_res, oracle_twist(t_mat, ch, DEFAULT_S_VALUES), kind)
 
-    def test_symmetry_residuals(self, case):
+    def test_symmetry_residuals(self, monkeypatch, case):
+        dense_route(monkeypatch)
         kind, dims, params = case
         ch = _build(kind, dims, params)
         t_mat = oracle_l2(ch)
@@ -531,7 +538,8 @@ class TestFlowResidualOracles:
         assert mc.verdicts["modular"] == (oracle_modular(ch, ()) <= tol)
         assert_verdict_side(mc.residuals["modular"], exact, tol)
 
-    def test_adjoint_residuals(self, case):
+    def test_adjoint_residuals(self, monkeypatch, case):
+        dense_route(monkeypatch)
         kind, dims, params = case
         ch = _build(kind, dims, params)
         adjc, petz, kad = verify_adjoint(ch, require_markov=False)
@@ -565,9 +573,11 @@ def _off_class_channel(src_dims, tgt_dims):
 
 
 @pytest.mark.parametrize("src_dims,tgt_dims", OFF_CLASS_PAIRS)
-def test_every_residual_off_the_class(src_dims, tgt_dims):
+def test_every_residual_off_the_class(monkeypatch, src_dims, tgt_dims):
     # a random superoperator is not star preserving, so unlike every
-    # generated channel it gives thm_iii (and all the others) O(1) values
+    # generated channel it gives thm_iii (and all the others) O(1) values;
+    # on the dense route, as in `TestFlowResidualOracles`
+    dense_route(monkeypatch)
     ch = _off_class_channel(src_dims, tgt_dims)
     src, tgt = ch.source, ch.target
     t_mat = oracle_l2(ch)
@@ -634,8 +644,8 @@ FLOW_KEYS = ("eq32_t", "thm_i_s", "thm_commute_z", "adjoint_consistency", "petz_
 # the keys whose pass reads the upper bound that certifies it: a family's
 # largest one-GEMM bound, |A|_F (thm_ii, the adjoint pair), the sector bound
 # (kadison_norm), |M|_F times the frame's margin (markov_modular, thm_iii)
-# or the Choi sector certificate (markov_cp); a fail keeps its value below
-# `linalg.CERTIFY_MIN_DIM`, and from it on reads a certified lower bound
+# or the Choi sector certificate (markov_cp); a fail reads a certified
+# lower bound, the fail step of `linalg.certified_value`
 MOVED_KEYS = ("eq32_t", "thm_commute_z", "thm_i_s", "thm_ii", "adjoint_consistency",
               "petz_match", "kadison_norm", "markov_modular", "thm_iii", "markov_cp")
 # how far below the dense SVD's norm of the same matrix a pass may read: a
@@ -644,27 +654,24 @@ MOVED_KEYS = ("eq32_t", "thm_commute_z", "thm_i_s", "thm_ii", "adjoint_consisten
 PASS_RTOL = 1e-13
 
 
-def assert_verdict_side(got, dense, tol, large=False, lower=None):
+def assert_verdict_side(got, dense, tol, lower=None):
     """A residual taken for its verdict against tol, beside dense, the dense
     SVD's norm of the same matrix (for a family, the max over its masks).
-    A fail reads dense bit for bit, or where it takes the fail step of
-    `linalg.certified_value` (large) a certified lower bound in
-    (tol, dense]; a pass lies in [dense (1 - PASS_RTOL), tol], or reads
-    lower, at or below dense, where the excess's Cholesky step certifies
-    it (`excess_fail_lo`)."""
+    A fail reads a certified lower bound in (tol, dense], the fail step of
+    `linalg.certified_value` or the dense value; a pass lies in
+    [dense (1 - PASS_RTOL), tol], or reads lower, at or below dense, where
+    the excess's Cholesky step certifies it (`excess_fail_lo`)."""
     if dense <= tol:
         assert (dense * (1.0 - PASS_RTOL) <= got <= tol
                 or lower is not None and got == lower <= dense), (got, dense, tol, lower)
-    elif large:
-        assert tol < got <= dense, (got, dense, tol)
     else:
-        assert got == dense, (got, dense, tol)
+        assert tol < got <= dense, (got, dense, tol)
 
 
 def excess_fail_lo(t_eig):
-    """max(0, b - 1), b = `linalg._norm_lower_bound(t_eig)`: from
-    `linalg.CERTIFY_MIN_DIM` on, the lo of kadison_norm's fail step, which
-    a pass its Cholesky step certifies reads too."""
+    """max(0, b - 1), b = `linalg._norm_lower_bound(t_eig)`: the lo of
+    kadison_norm's fail step, which a pass its Cholesky step certifies
+    reads too."""
     return max(0.0, _norm_lower_bound(t_eig) - 1.0)
 
 
@@ -711,24 +718,19 @@ def dense_moved_keys(ch):
 def assert_report_on_verdict_side(ch, report):
     """Each `MOVED_KEYS` value of report, `verify_channel(ch)` at its
     default samples, on the side of its verdict of `dense_moved_keys`."""
-    t_eig = eigen_extension(ch)
-    large = min(t_eig.shape) >= linalg.CERTIFY_MIN_DIM
-    lower = {"kadison_norm": excess_fail_lo(t_eig)} if large else {}
+    lower = {"kadison_norm": excess_fail_lo(eigen_extension(ch))}
     for key, dense in dense_moved_keys(ch).items():
-        assert_verdict_side(report.residuals[key], dense, report.tolerances[key], large,
-                            lower.get(key))
+        assert_verdict_side(report.residuals[key], dense, report.tolerances[key], lower.get(key))
 
 
 def assert_flow_families_on_verdict_side(ch):
     """Every flow family and the adjoint pair against its per-sample
     oracle, on the side of its verdict (`assert_verdict_side`): a pass in
     [dense - rounding, tol], where the adjoint pair's reads
-    sqrt(sum |X|^2 W^2), and a fail with == below `linalg.CERTIFY_MIN_DIM`,
-    each from the SVD of its one masked copy, and in (tol, dense] from it
-    on."""
+    sqrt(sum |X|^2 W^2), and a fail in (tol, dense], each from its one
+    masked copy."""
     t_eig = eigen_extension(ch)
     tol = verify._tolerances(ch, DEFAULT_S_VALUES, Z_SAMPLES)
-    large = min(t_eig.shape) >= linalg.CERTIFY_MIN_DIM
     eq32 = [1j * float(t) for t in DEFAULT_EQ32_T]
     z_res, s_res = verify_commute(ch, Z_SAMPLES, DEFAULT_S_VALUES, require_markov=False)
     adjoint = verify_adjoint(ch, require_markov=False)[:2]
@@ -738,7 +740,7 @@ def assert_flow_families_on_verdict_side(ch):
             (z_res, oracle_commute_residual(t_eig, ch, Z_SAMPLES), "thm_commute_z"),
             (s_res, oracle_twist_residual(t_eig, ch, DEFAULT_S_VALUES), "thm_i_s"),
             *zip(adjoint, oracle_adjoint_pair(ch), ("adjoint_consistency", "petz_match"))]:
-        assert_verdict_side(got, dense, tol[key], large)
+        assert_verdict_side(got, dense, tol[key])
 
 
 WIRING_T = (0.3, -2.0, 4.0)
@@ -850,9 +852,8 @@ def per_mask_modular(ch, t_samples=()):
                for a, b in pairs)
 
 
-# below `linalg.CERTIFY_MIN_DIM` at n = 7, 8 and 6x4x2, where a formed mask
-# takes one SVD; from n = 10 (N = 100) a failing survivor reads its lower
-# bound
+# N < 100 at n = 7, 8 and 6x4x2, and N >= 100 from n = 10: at every size a
+# failing survivor reads its lower bound
 FUSED_SIZES = [(7,), (8,), (6, 4, 2), (10,), (12,)]
 FUSED_CASES = ([(kind, dims, {}) for kind in ("pinch", "twirl", "sp_ucp")
                 for dims in FUSED_SIZES]
@@ -864,33 +865,38 @@ FUSED_OFF_CLASS = OFF_CLASS_PAIRS + [((7,), (7,)), ((8,), (6, 4, 2)), ((10,), (1
 class TestFusedFlowPass:
     """The families of one `_flow_residuals` pass against one pass each,
     and against the per-sample oracle, on the side of their verdicts: a
-    fail with == below the gate and in (tol, dense] from it on, and with ==
-    between the two passes; a pass in [dense - rounding, tol], where a certified
+    fail in (tol, dense], the oracle's value on the dense route, and with
+    == between the two passes; a pass in [dense - rounding, tol], where a certified
     pass is its family's largest bound, and the bounds come from one GEMM
     whose width is the pass's."""
 
     @staticmethod
-    def assert_fused_equals_alone(ch):
-        ref, alone = fused_and_alone(ch)
+    def assert_fused_equals_alone(monkeypatch, ch):
+        """On the default route, and then on the dense one (`dense_route`),
+        where a fail is the oracle's value bit for bit."""
         t_eig = eigen_extension(ch)
         commute, twist = flow_families(ch)
-        large = min(t_eig.shape) >= linalg.CERTIFY_MIN_DIM
         dense = [oracle_commute_residual(t_eig, ch, [1j * float(t) for t in DEFAULT_EQ32_T]),
                  oracle_commute_residual(t_eig, ch, Z_SAMPLES),
                  oracle_twist_residual(t_eig, ch, DEFAULT_S_VALUES)]
-        for got, one, norm, (_, tol) in zip(ref, alone, dense, commute + twist):
-            assert_verdict_side(got, norm, tol, large)
-            assert_verdict_side(one, norm, tol, large)
-            if norm > tol:
-                assert got == one
+        for route in ("default", "dense"):
+            if route == "dense":
+                dense_route(monkeypatch)
+            ref, alone = fused_and_alone(ch)
+            for got, one, norm, (_, tol) in zip(ref, alone, dense, commute + twist):
+                assert_verdict_side(got, norm, tol)
+                assert_verdict_side(one, norm, tol)
+                if norm > tol:
+                    assert got == one
+                    assert route == "default" or got == norm
 
     @pytest.mark.parametrize("case", CASES + FUSED_CASES, ids=_case_id)
-    def test_generated(self, case):
-        self.assert_fused_equals_alone(_build(*case))
+    def test_generated(self, monkeypatch, case):
+        self.assert_fused_equals_alone(monkeypatch, _build(*case))
 
     @pytest.mark.parametrize("src_dims,tgt_dims", FUSED_OFF_CLASS)
-    def test_off_the_class(self, src_dims, tgt_dims):
-        self.assert_fused_equals_alone(_off_class_channel(src_dims, tgt_dims))
+    def test_off_the_class(self, monkeypatch, src_dims, tgt_dims):
+        self.assert_fused_equals_alone(monkeypatch, _off_class_channel(src_dims, tgt_dims))
 
     def test_report_takes_the_fused_pass(self):
         ch = _build("sp_ucp", (8,), {})
@@ -900,15 +906,17 @@ class TestFusedFlowPass:
     @pytest.mark.parametrize("case", [("sp_ucp", (3,), {}), ("pinch", (2, 2), {}),
                                       ("twirl", (7,), {})], ids=_case_id)
     def test_each_formed_mask_takes_one_svd_call(self, monkeypatch, svd_shapes, case):
-        # below the gate each mask is formed at most once and takes one SVD
-        # of its product; each failing family starts at its largest-bound
-        # mask, and on a positive every family is a certified pass, which
-        # forms no mask and takes no SVD
+        # the name is kept from the SVD a formed mask took below N = 100:
+        # each mask is formed at most once and takes one fail step of its
+        # product, and no SVD; each failing family starts at its
+        # largest-bound mask, and on a positive every family is a certified
+        # pass, which forms no mask and takes no step
         ch = _build(*case)
         seen = record_masked_products(monkeypatch)
+        steps = record_lower_bounds(monkeypatch)
         fused_flow(ch)
         assert len(seen) == len(set(seen)) <= FLOW_MASKS
-        assert svd_shapes == [eigen_extension(ch).shape] * len(seen)
+        assert steps == [eigen_extension(ch).shape] * len(seen) and svd_shapes == []
         if case[0] == "sp_ucp":
             # every family fails, and forms its largest-bound mask first
             bounds = bounds_and_norms(ch)[0]
@@ -924,8 +932,9 @@ class TestFusedFlowPass:
         t_eig = eigen_extension(ch)
         got = verify._flow_residuals(t_eig, ch, commute=[([], 1e-8), (Z_SAMPLES, 1e-8)],
                                      twist=[((), 1e-8), (DEFAULT_S_VALUES, 1e-8)])
-        assert got == [0.0, oracle_commute_residual(t_eig, ch, Z_SAMPLES), 0.0,
-                       oracle_twist_residual(t_eig, ch, DEFAULT_S_VALUES)]
+        assert got[0] == got[2] == 0.0
+        assert_verdict_side(got[1], oracle_commute_residual(t_eig, ch, Z_SAMPLES), 1e-8)
+        assert_verdict_side(got[3], oracle_twist_residual(t_eig, ch, DEFAULT_S_VALUES), 1e-8)
 
     @pytest.mark.parametrize("case", CASES + FUSED_CASES[:6], ids=_case_id)
     def test_markov_modular_equals_per_mask(self, case):
@@ -941,8 +950,17 @@ class TestFusedFlowPass:
         assert modular_commutation_residual(ch) == per_mask_modular(ch)
 
 
-# a `linalg.CERTIFY_MIN_DIM` above every size: every norm is dense
+# a `gns.FRAME_MIN_DIM` above every size: the frame is formed densely
 DENSE_GATE = 1 << 30
+
+
+def dense_route(monkeypatch):
+    """`linalg.certified_value` with no fail step and no Cholesky factor:
+    a norm that its Frobenius step does not pass takes the SVD, and an
+    excess or a smallest eigenvalue the SVD or eigvalsh, the dense
+    reference the certified routes are held to."""
+    monkeypatch.setattr(linalg, "_norm_lower_bound", lambda a: None)
+    monkeypatch.setattr(linalg, "_has_cholesky", lambda h: False)
 
 
 def record_svd_shapes(monkeypatch):
@@ -962,6 +980,20 @@ def record_svd_shapes(monkeypatch):
 @pytest.fixture
 def svd_shapes(monkeypatch):
     return record_svd_shapes(monkeypatch)
+
+
+def record_lower_bounds(monkeypatch):
+    """Shapes of the matrices handed to `linalg._norm_lower_bound`, the
+    fail step of `linalg.certified_value`."""
+    shapes = []
+    lower_bound = linalg._norm_lower_bound
+
+    def recording(a):
+        shapes.append(a.shape)
+        return lower_bound(a)
+
+    monkeypatch.setattr(linalg, "_norm_lower_bound", recording)
+    return shapes
 
 
 class TestOneMaskedCopyAtATime:
@@ -986,9 +1018,9 @@ class TestOneMaskedCopyAtATime:
     @pytest.mark.parametrize("case,budget", [(("schur", (16,), {}), 2), (("pinch", (8, 8), {}), 3)],
                              ids=["schur-16", "pinch-8x8"])
     def test_masks_formed_one_at_a_time(self, monkeypatch, svd_shapes, case, budget):
-        # these sizes take the fail step by default; on the dense route
+        # a formed mask takes the fail step by default; on the dense route
         # each formed mask takes one SVD, counted here
-        monkeypatch.setattr(linalg, "CERTIFY_MIN_DIM", DENSE_GATE)
+        dense_route(monkeypatch)
         ch = _build(*case)
         verify_channel(ch)
         # eq32_t, thm_commute_z and thm_i_s are certified passes, and so is
@@ -1143,35 +1175,37 @@ def cut_families(names, per_family):
 
 def cut_maxima(names, per_family):
     """`pruned_maxima` of `cut_families(names, per_family)`, and the max of
-    `op_norm` over every mask of each cut family."""
+    `certified_value` at their tolerance 1e-8 over every mask of each cut
+    family."""
     base = SYNTHETIC[names[0]][0]
     stacks, bounds = cut_families(names, per_family)
     return (pruned_maxima(base, stacks, bounds),
-            [max(op_norm(base * m) for m in stack) for stack in stacks])
+            [max(linalg.certified_value(base * m, 1e-8) for m in stack) for stack in stacks])
 
 
 class TestPrunedMax:
-    """The bound-and-prune max equals the max over every per-matrix norm,
-    compared with ==: `op_norm` below `linalg.CERTIFY_MIN_DIM`, and each
-    mask's own `certified_value` from it on.  A family cut into consecutive
-    families of per_family masks keeps, in each, that family's own max:
-    the running max and its prune stay inside one family."""
+    """The bound-and-prune max equals the max over every mask's own
+    `certified_value`, compared with ==, on the default route, where a
+    failing mask reads its fail step's lower bound, and on the dense one,
+    where it takes its SVD.  Which masks are formed is counted
+    (`record_masked_products`).  A family cut into consecutive families of
+    per_family masks keeps, in each, that family's own max: the running max
+    and its prune stay inside one family."""
 
     @pytest.mark.parametrize("name", sorted(SYNTHETIC))
     @pytest.mark.parametrize("per_family", [1, 2, None])
-    def test_equals_the_max_of_every_norm(self, name, per_family):
+    def test_equals_the_max_of_every_norm(self, monkeypatch, name, per_family):
+        dense_route(monkeypatch)
         got, want = cut_maxima([name], per_family)
         assert got == want
 
     @pytest.mark.parametrize("name", sorted(SYNTHETIC))
     @pytest.mark.parametrize("per_family", [1, 2, None])
-    def test_equals_the_max_above_the_gate(self, monkeypatch, name, per_family):
-        # every norm read by `certified_value` from its gate on
-        monkeypatch.setattr(linalg, "CERTIFY_MIN_DIM", 1)
-        base = SYNTHETIC[name][0]
-        stacks, bounds = cut_families([name], per_family)
-        assert pruned_maxima(base, stacks, bounds) == [
-            max(linalg.certified_value(base * m, 1e-8) for m in stack) for stack in stacks]
+    def test_equals_the_max_above_the_gate(self, name, per_family):
+        # the name is kept from the size gate the fail step once waited
+        # for: the default route, at N = 6
+        got, want = cut_maxima([name], per_family)
+        assert got == want
 
     @pytest.mark.parametrize("per_family", [1, 2, None])
     def test_families_are_pruned_apart(self, per_family):
@@ -1183,60 +1217,72 @@ class TestPrunedMax:
             got, want = cut_maxima(names, per_family)
             assert got == want
 
-    def test_slack_boundary_prunes_one_mask(self, svd_shapes):
+    def test_slack_boundary_prunes_one_mask(self, monkeypatch):
+        # the first mask reads its lower bound, 1 to its rounding factor;
+        # the second, 1.9 slack below, is formed, the third is not
         base, stack = _slack_family()
-        assert pruned_max(base, stack) == 1.0
-        assert svd_shapes == [base.shape] * 2
+        seen = record_masked_products(monkeypatch)
+        assert pruned_max(base, stack) == _norm_lower_bound(base * stack[0])
+        assert seen == [0, 1]
 
-    def test_dominant_mask_alone_reaches_the_svd(self, svd_shapes):
+    def test_dominant_mask_alone_reaches_the_svd(self, monkeypatch):
+        # the name is kept: the dominant mask alone is formed, and its fail
+        # step gives the max
         base, stack = SYNTHETIC["one_dominant"]
-        pruned_max(base, stack)
-        assert svd_shapes == [base.shape]
+        seen = record_masked_products(monkeypatch)
+        assert pruned_max(base, stack) == linalg.certified_value(base * stack[3], 1e-8)
+        assert seen == [3]
 
     @pytest.mark.parametrize("name", UNTRUSTED)
-    def test_untrusted_bounds_prune_nothing(self, svd_shapes, name):
+    def test_untrusted_bounds_prune_nothing(self, monkeypatch, name):
+        seen = record_masked_products(monkeypatch)
         synthetic_max(name)
-        assert len(svd_shapes) == len(SYNTHETIC[name][1])
+        assert sorted(seen) == list(range(len(SYNTHETIC[name][1])))
 
     @pytest.mark.parametrize("name", CERTIFIABLE)
-    def test_certified_family_takes_its_largest_bound(self, svd_shapes, name):
+    def test_certified_family_takes_its_largest_bound(self, monkeypatch, name):
         # a tolerance at the largest bound certifies the family: that bound,
         # on the verdict side of the dense max, and no mask formed; one ulp
-        # below it, the family takes its norms
+        # below it, the family takes its masks' certified values
         base, stack = SYNTHETIC[name]
         bounds = frobenius_bounds(base, stack)
         tol = float(bounds.max())
+        seen = record_masked_products(monkeypatch)
         got = pruned_maxima(base, [stack], tols=[tol])[0]
-        assert svd_shapes == []
+        assert seen == []
         assert got == tol
         assert_verdict_side(got, max(op_norm(base * m) for m in stack), tol)
-        assert pruned_maxima(base, [stack], tols=[np.nextafter(tol, 0.0)])[0] == max(
-            op_norm(base * m) for m in stack)
-        assert svd_shapes
+        below = np.nextafter(tol, 0.0)
+        assert pruned_maxima(base, [stack], tols=[below])[0] == max(
+            linalg.certified_value(base * m, below) for m in stack)
+        assert seen
 
     @pytest.mark.parametrize("name", UNTRUSTED)
-    def test_untrusted_bounds_never_certify(self, svd_shapes, name):
-        # whatever the tolerance, every mask of the family takes its norm
+    def test_untrusted_bounds_never_certify(self, monkeypatch, name):
+        # whatever the tolerance, every mask of the family is formed and
+        # read
         base, stack = SYNTHETIC[name]
         bounds = [SYNTHETIC_BOUNDS[name]] if name in SYNTHETIC_BOUNDS else None
+        seen = record_masked_products(monkeypatch)
         assert pruned_maxima(base, [stack], bounds, tols=[1e300])[0] == max(
-            op_norm(base * m) for m in stack)
-        assert len(svd_shapes) == len(stack)
+            linalg.certified_value(base * m, 1e300) for m in stack)
+        assert sorted(seen) == list(range(len(stack)))
 
-    def test_each_family_against_its_own_tolerance(self, svd_shapes):
+    def test_each_family_against_its_own_tolerance(self, monkeypatch):
         # one family certified by its tolerance beside one that fails its
-        # own: the first reads its largest bound, the second its norm, from
-        # its dominant mask alone
+        # own: the first reads its largest bound, the second its dominant
+        # mask's value, from that mask alone
         base = SYNTHETIC["ties"][0]
         stacks = [SYNTHETIC["ties"][1], SYNTHETIC["one_dominant"][1]]
         tol = float(frobenius_bounds(base, stacks[0]).max())
+        seen = record_masked_products(monkeypatch)
         assert pruned_maxima(base, stacks, tols=[tol, 1e-8]) == [
-            tol, max(op_norm(base * m) for m in stacks[1])]
-        assert svd_shapes == [base.shape]
+            tol, linalg.certified_value(base * stacks[1][3], 1e-8)]
+        assert seen == [len(stacks[0]) + 3]
 
 
 # ---------------------------------------------------------------------------
-# norms from linalg.CERTIFY_MIN_DIM on: the O(N^2) fail step, certified verdicts
+# norms by the O(N^2) fail step and certified verdicts, from N = 100
 # ---------------------------------------------------------------------------
 
 def _masked_flow_product(ch, sample=0):
@@ -1306,7 +1352,7 @@ class TestLanczosKernel:
         assert _norm_lower_bound(a) == (None if scale > 1.0 else 0.0)
         tol = 0.5 * np.linalg.svd(a, compute_uv=False)[0]
         got = [linalg.certified_value(a, tol, kind) for kind in ("norm", "excess")]
-        monkeypatch.setattr(linalg, "CERTIFY_MIN_DIM", DENSE_GATE)
+        dense_route(monkeypatch)
         assert got == [linalg.certified_value(a, tol, kind) for kind in ("norm", "excess")]
 
     def test_zero_matrix_breaks_down_at_step_one(self, svd_shapes):
@@ -1390,10 +1436,9 @@ def _bracket_id(channel):
                          ids=_bracket_id)
 def test_moved_keys_on_the_verdict_side(channel):
     # every value a certified pass moves lies in [dense - rounding, tol]
-    # (or reads the excess's fail-step lo), and every fail is the dense
-    # value below `linalg.CERTIFY_MIN_DIM`, bit for bit, and a certified
-    # lower bound in (tol, dense] from it on: on the generated channels, on
-    # random superoperators, and on the verify-large kinds at n = 12, 16, 8x8
+    # (or reads the excess's fail-step lo), and every fail is a certified
+    # lower bound in (tol, dense]: on the generated channels, on random
+    # superoperators, and on the verify-large kinds at n = 12, 16, 8x8
     ch = _off_class_channel(*channel) if len(channel) == 2 else _build(*channel)
     assert_report_on_verdict_side(ch, verify_channel(ch))
 
@@ -1410,16 +1455,16 @@ def _kraus_channel(n, seed=91):
     return channel_from_kraus(kraus, sys, sys)
 
 
-# the keys `TestFactoredFrame` holds, against a route with both gates out of
-# reach, to `assert_verdict_side`: from the gate on a fail reads a certified
+# the keys `TestFactoredFrame` holds, against the dense frame and the dense
+# route (`dense_route`), to `assert_verdict_side`: a fail reads a certified
 # lower bound, not the dense value to rounding
 BOUND_KEYS = ("kadison_norm",)
 
 
 class TestLanczosRoute:
-    """verify_channel from `linalg.CERTIFY_MIN_DIM` on against the dense
-    route: the gate's fail step and Cholesky factors, under the name kept
-    from the Golub-Kahan-Lanczos kernel the fail step replaced."""
+    """verify_channel from N = 100 on against the dense route
+    (`dense_route`): the fail step and Cholesky factors, under the name
+    kept from the Golub-Kahan-Lanczos kernel the fail step replaced."""
 
     @staticmethod
     def assert_same_report(monkeypatch, svd_shapes, ch, kind=None):
@@ -1432,14 +1477,14 @@ class TestLanczosRoute:
         # no full-size SVD: every formed mask that fails reads its lower bound
         assert eigen_extension(ch).shape not in svd_shapes
         lower = {"kadison_norm": excess_fail_lo(eigen_extension(ch))}
-        monkeypatch.setattr(linalg, "CERTIFY_MIN_DIM", DENSE_GATE)
+        dense_route(monkeypatch)
         dense = verify_channel(ch, kind=kind)
         assert certified.verdicts == dense.verdicts
         assert certified.failed_keys == dense.failed_keys
         for key, ref in dense.residuals.items():
             got = certified.residuals[key]
             if key in MOVED_KEYS:
-                assert_verdict_side(got, ref, dense.tolerances[key], True, lower.get(key))
+                assert_verdict_side(got, ref, dense.tolerances[key], lower.get(key))
             else:
                 assert abs(got - ref) <= 1e-13 * ref, key
         return dense
@@ -1490,7 +1535,7 @@ class TestLanczosRoute:
         assert norms == ref
 
     def test_masks_stay_within_the_memory_budget(self):
-        # from the gate on too, one masked copy is alive at a time; at
+        # at N = 256 too, one masked copy is alive at a time; at
         # tolerance 0 no family is certified, so its masks are formed
         ch = _build("schur", (16,), {})
         t_eig = eigen_extension(ch)
@@ -1504,10 +1549,10 @@ class TestLanczosRoute:
 
 
 # ---------------------------------------------------------------------------
-# the sector and Frobenius certificates from linalg.CERTIFY_MIN_DIM on
+# the sector and Frobenius certificates at N = 120
 # ---------------------------------------------------------------------------
 
-SECTOR_N = 120  # above linalg.CERTIFY_MIN_DIM
+SECTOR_N = 120
 SECTOR_TOL = 1e-10  # kadison_norm's pinned tolerance
 
 
@@ -1563,12 +1608,15 @@ class TestSectorBound:
             assert upper <= norm * (1.0 + 1e-12), (upper, norm)
 
     def test_a_sector_at_the_gate_certifies_nothing(self):
-        # one frequency: a single SECTOR_N x SECTOR_N sector
+        # the name is kept from the size cut the sectors once had: one
+        # frequency gives a single SECTOR_N x SECTOR_N sector, which takes
+        # its SVD like any other, and a unitary's excess passes on the
+        # bound, (1 + 4 (N_s + N_t) eps) |t| to rounding
         t = _unitary_matrix(21, SECTOR_N)
         w = np.zeros(SECTOR_N)
-        assert sector_bound(t, w, w) == np.inf
-        assert norm_excess(t, w, w, SECTOR_TOL) == linalg.certified_value(
-            t, SECTOR_TOL, "excess")
+        upper = sector_bound(t, w, w)
+        assert op_norm(t) <= upper <= (1.0 + 16 * SECTOR_N * np.finfo(float).eps) * op_norm(t)
+        assert norm_excess(t, w, w, SECTOR_TOL) == max(upper - 1.0, 0.0) <= SECTOR_TOL
 
     def test_non_finite_entries_certify_nothing(self):
         t, w = unit_sectors()
@@ -1609,8 +1657,8 @@ class TestSectorBound:
         t[:4, :4] = 1.01 * _unitary_matrix(24, 4)
         assert np.abs(t[:4, :4]).max() < 1.0
         got = norm_excess(t, w, w, SECTOR_TOL)
-        # the dense excess below the gate, and from it on the fail step's
-        # lo, within twice its rounding factor 4 (m + n) eps of it
+        # the fail step's lo, within twice its rounding factor 4 (m + n) eps
+        # of the dense excess
         dense = op_norm(t) - 1.0
         assert abs(dense - 0.01) <= 1e-14
         assert SECTOR_TOL < got <= dense and dense - got <= 16 * n * np.finfo(float).eps
@@ -1664,18 +1712,20 @@ def masked_adjoint_pair(ch, tols):
 
 
 class TestCertificateFallback:
-    """From the gate on, a key whose certificate settles nothing takes the
-    route it took before the certificates, bit for bit: a degenerate
-    spectrum (one sector at the gate) and a channel off the flow class."""
+    """A key whose certificate settles nothing takes its fallback, bit for
+    bit (a channel off the flow class); a degenerate spectrum, whose
+    indices all share one sector, is settled by that sector's SVD."""
 
     def test_tracial_state_keeps_the_excess_route(self):
+        # the name is kept from the size cut the sectors once had: the one
+        # 144 x 144 sector takes its SVD, and kadison_norm passes on it
         ch = tracial_automorphism()
         t_eig = eigen_extension(ch)
         w_s, w_t = ch.source.modular.frequencies, ch.target.modular.frequencies
-        assert not w_s.any() and sector_bound(t_eig, w_s, w_t) == np.inf
+        upper = sector_bound(t_eig, w_s, w_t)
+        assert not w_s.any() and upper < np.inf
         report = verify_channel(ch)
-        tol = report.tolerances["kadison_norm"]
-        assert report.residuals["kadison_norm"] == linalg.certified_value(t_eig, tol, "excess")
+        assert report.residuals["kadison_norm"] == max(upper - 1.0, 0.0)
         assert report.passed
 
     def test_sp_ucp_16_keeps_its_routes(self):
@@ -2027,7 +2077,7 @@ class TestFactoredFrame:
             if key in own_passes and dense.verdicts[key]:
                 continue
             elif key in bound_keys:
-                assert_verdict_side(got, ref, dense.tolerances[key], True)
+                assert_verdict_side(got, ref, dense.tolerances[key])
             elif ref > 1e-8:
                 assert abs(got - ref) <= 1e-12 * ref, (key, got, ref)
             else:
@@ -2059,7 +2109,7 @@ class TestFactoredFrame:
         default = verify_channel(ch, kind=kind)
         assert_report_on_verdict_side(ch, default)
         monkeypatch.setattr(gns, "FRAME_MIN_DIM", DENSE_GATE)
-        monkeypatch.setattr(linalg, "CERTIFY_MIN_DIM", DENSE_GATE)
+        dense_route(monkeypatch)
         dense = verify_channel(_build(*case), kind=kind)
         assert default.passed
         self.assert_same_report(default, dense, BOUND_KEYS, own_passes=MOVED_KEYS)
@@ -2260,8 +2310,11 @@ class TestChoiSectors:
         assert got[1] == blocks[1] and cp_residual(*got) == cp_residual(*blocks)
         if dims == (3,):
             # here lambda_min exceeds the mass off the groups: the groups'
-            # eigvalsh certifies lambda_min >= 0, which reads 0.0
-            assert any(stacked) and got[0] == 0.0 < blocks[0]
+            # eigvalsh certifies lambda_min >= 0, which reads 0.0, as the
+            # Choi blocks' Cholesky factors do; their eigvalsh is positive
+            assert any(stacked) and got[0] == 0.0 == blocks[0]
+            dense_route(monkeypatch)
+            assert blockwise_cp(ch)[0] > 0.0
         else:
             # the mass off the groups exceeds min(diagonal): no group is
             # decomposed, and the value is the Choi blocks' own

@@ -20,9 +20,10 @@ give
 - the same dense values, to rounding: `dense_moved_keys` of
   tests/test_oracles.py for the keys whose report value may be a bound,
   the report's own value for the rest;
-- no more SVD calls in `verify_channel` than the original: a split that
-  missed an equality would lose a certificate, and the twin would take the
-  dense routes.
+- no more calls past the certificates in `verify_channel` than the
+  original, SVDs, fail steps and Cholesky factors (`record_routes`): a
+  split that missed an equality would lose a certificate, and the twin
+  would take those routes.
 
 markov_modular and thm_iii are maxima over the source's matrix units, which
 the relabelling moves to other elements: off the flow class they change, so
@@ -32,7 +33,7 @@ their values are compared only where both pass.
 import numpy as np
 import pytest
 
-from modmark import verify
+from modmark import linalg, verify
 from modmark.algebra import AlgebraElement, FaithfulState
 from modmark.generators import KIND_SPECS, GenSpec, build_channel
 from modmark.linalg import block_diag
@@ -84,6 +85,19 @@ def relabel(ch, seed):
                    compose(ch, channel_from_kraus([u], source, ch.source)))
 
 
+def record_routes(monkeypatch):
+    """One entry per call past the certificates: an SVD (its shape, by
+    `record_svd_shapes`), a fail step (`linalg._norm_lower_bound`) or a
+    Cholesky factor (`linalg._has_cholesky`), by name."""
+    calls = record_svd_shapes(monkeypatch)
+    for name in ("_norm_lower_bound", "_has_cholesky"):
+        def recording(a, _name=name, _original=getattr(linalg, name)):
+            calls.append(_name)
+            return _original(a)
+        monkeypatch.setattr(linalg, name, recording)
+    return calls
+
+
 def dense_values(ch, report):
     """Each key's dense value: `dense_moved_keys` where the report may read
     a bound, the report's value elsewhere."""
@@ -96,12 +110,12 @@ class TestRelabelling:
         kind, dims, params = case
         ch = build_channel(GenSpec(kind, dims, 0, params)).channel
         twin = relabel(ch, 1)
-        shapes = record_svd_shapes(monkeypatch)
+        routes = record_routes(monkeypatch)
         report = verify_channel(ch, kind=kind)
-        calls = len(shapes)
-        shapes.clear()
+        calls = len(routes)
+        routes.clear()
         moved = verify_channel(twin, kind=kind)
-        assert len(shapes) <= calls, (len(shapes), calls)
+        assert len(routes) <= calls, (routes, calls)
         assert moved.verdicts == report.verdicts
         assert moved.failed_keys == report.failed_keys
         assert moved.expected_failures == report.expected_failures

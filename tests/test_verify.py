@@ -321,11 +321,11 @@ class TestMembershipTolerances:
             assert report.tolerances["markov_" + k] == tol[k]
         # require refuses a key exactly when its residual is not <= tol[k]:
         # at tol[k] it passes, one ulp above and at nan it refuses, naming it
-        MarkovCheck(dict(tol), tol).require("test", MEMBERSHIP_KEYS)
+        MarkovCheck(dict(tol), tol).require("test")
         for k in MEMBERSHIP_KEYS:
             for bad in (float(np.nextafter(tol[k], np.inf)), float("nan")):
                 with pytest.raises(NotMarkov, match=f"{k} residual") as err:
-                    MarkovCheck({**tol, k: bad}, tol).require("test", MEMBERSHIP_KEYS)
+                    MarkovCheck({**tol, k: bad}, tol).require("test")
                 assert all(f"{j} residual" not in str(err.value)
                            for j in MEMBERSHIP_KEYS if j != k)
 
