@@ -22,13 +22,15 @@ V_k^T kron V_k^+ instead: there left and right multiplication by D^p are
 the diagonals lambda_a^p and lambda_b^p of entry (a, b), and Delta^z is the
 diagonal exp(z omega), omega = log lambda_a - log lambda_b being the flow
 frequency.  Matrices move into and out of the frame through
-`ModularData.frame_left`, `frame_right` and `frame_column_norms`.  Below
-N = sum n_k^2 = `FRAME_MIN_DIM` these multiply by the dense N x N frame
+`ModularData.frame_left` and `frame_right`.  Below N = sum n_k^2 =
+`FRAME_MIN_DIM` these multiply by the dense N x N frame
 (`ModularData.frame`); from it on they apply G by its Kronecker factors,
 vec(A X B) = (B^T kron A) vec(X) (Van Loan 2000, "The ubiquitous Kronecker
 product"): two GEMMs per block on (N n, n) reshapes, O(N n^3) where the
-dense product is O(N^3), and no N x N frame is formed.  Which frequencies
-are equal is decided here alone: `frequency_labels` at `label_radius`.
+dense product is O(N^3), and no N x N frame is formed.  G is unitary to
+`herm_eig`'s contract, so an operator norm read in the frame is the norm
+in coordinates, and no norm takes a product by G.  Which frequencies are
+equal is decided here alone: `frequency_labels` at `label_radius`.
 
 All of it is numpy: the module imports no scipy.  The independent
 logm/expm route for the unitary flow, the analytic-vector check, is a test
@@ -43,7 +45,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, FaithfulState
 from .errors import BadQuadrature, PowerRangeExceeded, ShapeMismatch
-from .linalg import EIG_CONTRACT_RTOL, block_diag, require_positive_definite, settle
+from .linalg import EIG_CONTRACT_RTOL, block_diag, require_positive_definite
 
 # Cap on |Re z| for the complex powers Delta^z and D^z: beyond it no
 # residual tolerance vouches for the result, so the call refuses.
@@ -55,7 +57,6 @@ Z_MAX = 2.0
 # 2.7 against 1.6 ms at N = 256; below the gate the dense products keep
 # their bits.
 FRAME_MIN_DIM = 100
-_EPS = float(np.finfo(float).eps)
 
 
 def label_radius(*states: FaithfulState) -> float:
@@ -161,54 +162,6 @@ class ModularData:
             return m @ (self.frame.conj().T if adjoint else self.frame)
         factors = (lambda v: (v.T, v.conj())) if adjoint else (lambda v: (v.conj(), v.T))
         return self._by_block(m, 1, _sandwich_rows, factors)
-
-    def frame_column_norms(self, m: np.ndarray) -> np.ndarray:
-        """Euclidean norms of the columns of m G, m a matrix with N columns.
-
-        Factored, no product by G is formed.  Row r of column (a, c) of
-        block k is (conj(V) R_r V^T)_ac, R_r row r of m's block-k columns
-        read column-stacked.  With Y_a the matrix of the rows
-        e_a^T conj(V) R_r (one GEMM for every a) and H_a = Y_a^T conj(Y_a)
-        its Gram matrix over the rows, the squared norm is (V H_a V^+)_cc.
-        Over c these sum to |Y_a|_F^2 (V is unitary), and their rounding is
-        ~n_k eps |Y_a|_F^2, so the largest column norm is accurate to
-        ~n_k^2 eps relative; rounding can take a small squared norm below
-        zero, which reads 0."""
-        if not self.factored:
-            with np.errstate(over="ignore"):  # an overflow reads inf
-                return np.linalg.norm(m @ self.frame, axis=0)
-        rows = len(m)
-        out = np.empty(m.shape[1])
-        for off, e in zip(self.algebra.coord_offsets, self.d_eig):
-            n, v = e.dim, e.eigenvectors
-            piece = m[:, off:off + n * n].reshape(-1, n)  # [(r, q), p] = R_r[p, q]
-            y = (piece @ v.conj().T).reshape(rows, n, n)  # [r, q, a] = (Y_a)_rq
-            y = np.ascontiguousarray(y.transpose(2, 1, 0))  # [a, q, r]
-            gram = y @ y.conj().swapaxes(-1, -2)  # [a, q, q'] = H_a
-            sq = np.einsum("ack,ck->ac", v @ gram, v.conj()).real  # [a, c]
-            out[off:off + n * n] = np.sqrt(np.maximum(sq, 0.0)).T.reshape(n * n)
-        return out
-
-    def column_norm_bound(self, m: np.ndarray) -> float:
-        """An upper bound on the largest of `frame_column_norms(m)`, m a
-        matrix, from |m|_F alone: column j of m G is m g_j, whose norm is at
-        most |m|_op |G| <= |m|_F |G|, with no product by G formed.
-
-        G is block-diagonal with blocks V^T kron V^+, so |G| = max |V|^2,
-        and `herm_eig`'s contract |V^+ V - 1|_F <= EIG_CONTRACT_RTOL n gives
-        |V|^2 <= 1 + EIG_CONTRACT_RTOL n.  The factor 1 + 4 (N + n^2) eps
-        covers the rounding of |m|_F and of the column norms (~n^2 eps
-        relative, see `frame_column_norms`).  inf where |m|_F overflows."""
-        n, size = max(self.algebra.block_dims), self.algebra.coord_dim
-        margin = (1.0 + EIG_CONTRACT_RTOL * n) * (1.0 + 4.0 * (size + n * n) * _EPS)
-        with np.errstate(over="ignore"):
-            return float(np.linalg.norm(m)) * margin
-
-    def max_column_norm(self, m: np.ndarray, tol: float) -> float:
-        """The largest of `frame_column_norms(m)`, read for the verdict max <= tol
-        by `linalg.settle` from `column_norm_bound(m)`, the exact max its fallback."""
-        return settle(tol, [lambda: (-np.inf, self.column_norm_bound(m))],
-                      lambda: float(self.frame_column_norms(m).max()))
 
     @cached_property
     def lambda_a(self) -> np.ndarray:

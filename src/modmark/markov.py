@@ -24,9 +24,9 @@ l(i, a) = log mu_i - log lambda_a, the Choi form of covariance (Scutaru
 1979, Holevo 1993), taken by the one frequency labelling of `gns`;
 Weyl's inequality over those sectors, with margins, bounds the dense
 lambda_min.  Its fallback takes each Choi block through
-`linalg.certified_value`.  The modular residual's bound is |M|_F times a
-bound on |G_s|, M the masked X, and its fallback the exact column norms
-of the same M (`ModularData.max_column_norm`).
+`linalg.certified_value`.  The modular residual is |M|_op, M the masked
+X: the frames are unitary, so it is the defect map's norm on coordinates,
+read by `certified_value` like every norm key, with no frame product.
 
 Orientation, fixed package-wide: a channel maps its source algebra into its
 target algebra, state compatibility means target_state(ch(x)) = source_state(x),
@@ -55,7 +55,8 @@ from .algebra import (
 )
 from .errors import BadWeights, EmptyKraus, NotMarkov, ShapeMismatch
 from .gns import ModularData, frequency_labels, label_radius
-from .linalg import EIG_CONTRACT_RTOL, as_cmatrix, certified_value, settle, tolerance_factor
+from .linalg import (EIG_CONTRACT_RTOL, as_cmatrix, certified_value, op_norm, settle,
+                     tolerance_factor)
 
 STATE_MATCH_ATOL = 1e-12
 MEMBERSHIP_TOL = 1e-9  # pinned, before the MODMARK_TOL factor
@@ -459,10 +460,11 @@ def modular_commutation_residual(ch: Channel, t_samples=()) -> float:
     [log D_target, ch(x)] over the unit basis, the finite-dimensional
     statement of ch o sigma_t^source = sigma_t^target o ch for every t.
 
-    With X = `ch.eigen_superop` the defect is X masked by w_s - w_t, and its
-    value on a matrix unit is the matching column of (mask * X) G_s: one
-    masked product and one `frame_column_norms` call, whose max column norm
-    is returned; `check_markov` takes the same product for its verdict.
+    With X = `ch.eigen_superop` the defect is M = X masked by w_s - w_t,
+    the defect map x |-> ch([log D_s, x]) - [log D_t, ch(x)] in the density
+    eigenframes; both frames are unitary, so its operator norm is |M|_op,
+    returned dense (the SVD).  `check_markov` reads the same M for its
+    verdict by `linalg.certified_value`.
 
     Each t in the optional t_samples adds the flow row at t, and the max
     runs over every row.  No library path passes samples; the rows remain
@@ -470,8 +472,7 @@ def modular_commutation_residual(ch: Channel, t_samples=()) -> float:
     The per-unit spectral calculus that checks this kernel independently
     lives in the test oracles.
     """
-    return max(float(ch.source.modular.frame_column_norms(m).max())
-               for m in _commutation_defects(ch, t_samples))
+    return max(op_norm(m) for m in _commutation_defects(ch, t_samples))
 
 
 @dataclass
@@ -535,8 +536,9 @@ def check_markov(ch: Channel, keys: tuple[str, ...] = MEMBERSHIP_KEYS) -> Markov
     it through `MarkovCheck.require`.  Each residual is taken for its
     verdict, by `linalg.settle`'s rule: cp by `cp_min_eigenvalue`, whose
     sector certificate reads `eigen_superop` (cached, and read again by
-    the modular key), and modular, `modular_commutation_residual(ch)`, by
-    `ModularData.max_column_norm` of its one masked product."""
+    the modular key), and modular, the generator row of
+    `modular_commutation_residual(ch)`, by `certified_value` of its one
+    masked product."""
     tol = membership_tolerances(ch)
 
     def cp() -> float:
@@ -544,8 +546,8 @@ def check_markov(ch: Channel, keys: tuple[str, ...] = MEMBERSHIP_KEYS) -> Markov
         return max(0.0, -mineig, herm)
     residual = {"unital": lambda: unitality_residual(ch), "cp": cp,
                 "state": lambda: state_residual(ch),
-                "modular": lambda: ch.source.modular.max_column_norm(
-                    next(_commutation_defects(ch)), tol["modular"])}
+                "modular": lambda: certified_value(next(_commutation_defects(ch)),
+                                                   tol["modular"])}
     return MarkovCheck({k: residual[k]() for k in keys}, {k: tol[k] for k in keys})
 
 

@@ -9,7 +9,7 @@ keys, fixed as the report schema:
     eq32_t         |T U_s(t) - U_t(t) T|  over sampled t (unitary flow level)
     thm_i_s        |Delta_t^{-s} T Delta_s^{s} - T|  over sampled real s
     thm_ii         |J_t T J_s - T|  (conjugation intertwining)
-    thm_iii        S_t T S_s = T on the embedded unit basis
+    thm_iii        |S_t T S_s - T|  on the embedded algebra x Omega_source
     thm_commute_z  |T Delta_s^{z} - Delta_t^{z} T|  over sampled complex z
     kadison_norm   max(0, |T|_op - 1)
     omega_map      |T Omega_source - Omega_target|
@@ -30,12 +30,12 @@ T_eig = G_t T G_s^+ is a diagonal reweighting of it (`eigen_extension`).
 The flow keys are norms of masked copies of T_eig, thm_ii and thm_iii
 come from one adjoint-permuted conjugate of it in one symmetry pass
 (`_symmetry_residuals`), and both adjoint keys are norms of X^+ times
-eigenvalue weights.  From N = 100 (`gns.FRAME_MIN_DIM`) G is applied by
-its Kronecker factors and never formed: X, and thm_iii's and
-markov_modular's exact column norms, which take Gram matrices instead of a
-product by G_s (`ModularData.frame_column_norms`).
-A masked copy is formed only for its norm, one at a time, by one helper
-(`_masked_norm`).
+eigenvalue weights.  G is unitary, so every key, thm_iii and
+markov_modular included, is an operator norm read in the frame, and it
+keeps its value when an instance is relabelled by unitaries.  G is used
+only to form X, from N = 100 (`gns.FRAME_MIN_DIM`) by its Kronecker
+factors.  A masked copy is formed only for its norm, one at a time, by one
+helper (`_masked_norm`).
 
 Every certified key is read by one rule, `linalg.settle`: the key's bound
 formulas in order, each a bracket on its residual; the first that does not
@@ -43,13 +43,11 @@ straddle the tolerance gives the value, its upper end on a pass and its
 lower end on a fail, and a key none settles reads its fallback, so the
 verdicts are those of the dense route.  Each key's O(N^2) bound, which
 forms no masked copy, and then its fallback:
-- thm_ii: |A|_F, then `linalg.certified_value` (an O(N^2) lower bound,
-  then the dense SVD);
+- thm_ii, thm_iii and markov_modular: |A|_F, then
+  `linalg.certified_value` (an O(N^2) lower bound, then the dense SVD);
 - the adjoint pair: sqrt(sum |X|^2 W^2), then its masked copy's norm;
 - the flow families: each one's largest bound (`_flow_bounds`), then
   bound-and-prune over its masked copies (`_bounded_maxima`);
-- thm_iii and markov_modular, a max column norm of M G_s: |M|_F |G_s|,
-  then the exact column norms (`ModularData.max_column_norm`);
 - kadison_norm: max(0, u - 1), u = max_omega |T_omega| + |T_eig off the
   sectors|_F over the equal-frequency sectors of T_eig, those of one
   label of `Channel.frequency_labels` (`_sector_bound`; a Markov map's T
@@ -364,31 +362,31 @@ def _symmetry_residuals(t_eig: np.ndarray, ch: Channel,
     applies to T_eig as to T.  The norm |P_t conj(T_eig) P_s - T_eig| is
     taken for the verdict against tol["thm_ii"] (`certified_value`).
 
-    thm_iii, S_t T S_s = T, is checked on the embedded unit basis because S
-    is conjugate-linear and determined there: the max over source matrix
-    units E of |S_t T S_s (E Omega) - T (E Omega)|.  With A = Delta^{1/2},
-    S v = P conj(A v), so the defect is the max column norm of
-    (P_t conj(A_t T P_s) A_s - T) R_s, R_s the right multiplication by
-    D_s^{1/2}.  In the eigenframes A is the diagonal exp(w/2), P A = A^{-1} P
-    and R_s is sqrt(lambda_b) on entry (a, b), so the same permuted
-    conjugate is reweighted by Delta_t^{-1/2} and Delta_s^{1/2} and only the
-    last product leaves the frame.  On a flow-commuting T those weights are
-    1 on T's support, which pairs equal frequencies, so swapping the two
+    thm_iii, S_t T S_s = T, is the operator norm of the defect map x |->
+    (S_t T S_s - T)(x Omega), linear because S_t T S_s composes two
+    conjugate-linear maps around a linear one.  With A = Delta^{1/2},
+    S v = P conj(A v), so its matrix is (P_t conj(A_t T P_s) A_s - T) R_s,
+    R_s the right multiplication by D_s^{1/2}.  In the eigenframes, unitary,
+    A is the diagonal exp(w/2), P A = A^{-1} P and R_s is sqrt(lambda_b) on
+    entry (a, b), so the same permuted conjugate is reweighted by
+    Delta_t^{-1/2} and Delta_s^{1/2}.  On a flow-commuting T those weights
+    are 1 on T's support, which pairs equal frequencies, so swapping the two
     half powers changes nothing there; only a channel off the flow class
-    (kind sp_ucp) tells them apart.  The max is read for the verdict
-    against tol["thm_iii"] by `ModularData.max_column_norm`.
+    (kind sp_ucp) tells them apart.  The norm is taken for the verdict
+    against tol["thm_iii"] (`certified_value`).  The conjugate is gathered
+    in C order, so that neither norm copies its matrix.
     """
     md_s, md_t = ch.source.modular, ch.target.modular
     p_s = adjoint_index(ch.source.algebra)
     p_t = adjoint_index(ch.target.algebra)
-    flipped = t_eig.conj()[p_t][:, p_s]
+    flipped = t_eig[p_t[:, None], p_s].conj()
     conjugation = certified_value(flipped - t_eig, tol["thm_ii"])
     # (Delta_t^{-1/2} flipped Delta_s^{1/2} - T_eig) R_s, in one array
     defect = md_t.delta_power_diagonals([-0.5]).T * flipped
     defect *= md_s.delta_power_diagonals([0.5])
     defect -= t_eig
     defect *= np.sqrt(md_s.lambda_b)[None, :]
-    return conjugation, md_s.max_column_norm(defect, tol["thm_iii"])
+    return conjugation, certified_value(defect, tol["thm_iii"])
 
 
 def verify_adjoint(ch: Channel,

@@ -10,7 +10,7 @@ import pytest
 import modmark
 from modmark.cli import main
 from modmark.generators import KIND_SPECS, KINDS, GenSpec, build_channel
-from modmark.markov import Channel
+from modmark.markov import Channel, modular_commutation_residual
 from modmark.serialize import (
     dumps_canonical,
     genspec_from_json,
@@ -253,9 +253,11 @@ class TestGenRefusedPrecondition:
 
 class TestOverflowingInstance:
     def test_verify_fails_every_markov_key_without_a_warning(self, tmp_path, capsys):
-        # a superoperator scaled by 1e200: the residuals' squares overflow,
-        # read inf with no RuntimeWarning (pytest makes any warning an
-        # error), and fail their verdicts
+        # a superoperator scaled by 1e200: every markov_* key fails with no
+        # RuntimeWarning (pytest makes any warning an error).  The squares
+        # of unital, cp and state overflow and read inf; markov_modular's
+        # norm is finite (~1e185), and its bounds overflowing, it reads the
+        # dense SVD of its masked product
         ch = build_channel(GenSpec("schur", (2,), 1)).channel
         path = tmp_path / "big.json"
         write_instance(path, Channel(ch.source, ch.target, ch.superop * 1e200), {"seed": 1})
@@ -263,8 +265,12 @@ class TestOverflowingInstance:
         assert code == 1 and err == ""
         report = json.loads(out)
         for key in ("markov_unital", "markov_cp", "markov_state", "markov_modular"):
-            assert report["residuals"][key] == float("inf")
             assert report["verdicts"][key] is False
+        for key in ("markov_unital", "markov_cp", "markov_state"):
+            assert report["residuals"][key] == float("inf")
+        modular = report["residuals"]["markov_modular"]
+        assert 1e180 < modular < float("inf")
+        assert modular == modular_commutation_residual(read_instance(path)[0])
 
 
 class TestGenNoConvergence:

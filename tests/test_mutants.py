@@ -7,7 +7,7 @@ canonical JSON writer: are the stacked pass over both endpoint states, the
 one permuted conjugate behind thm_ii and thm_iii, the Cholesky certificates
 behind kadison_norm and sp_ucp's Choi blocks, the Frobenius and fail-step bracket of a norm, the rule
 that reads a value off its brackets, the commute and twist masks, the
-one-GEMM mask bounds, the certify-and-prune rule, the masked column norms,
+one-GEMM mask bounds, the certify-and-prune rule, markov_modular's masked rows,
 the sector bound, the eigenvalue weights, markov_cp's Choi sectors, the
 Choi reshape, the trace dual, the one refusal of a channel outside the
 class, and the writer's escape guards, placeholder
@@ -747,7 +747,7 @@ def _modular_killer(*case):
 
 
 # (the function edited, its mutant): the masked rows, which `check_markov`
-# takes too, or the exact column norms over them
+# takes too, or the operator norm read of them
 MODULAR_MUTANTS = {
     # the mask w_s alone: nonzero where X is, for a map that keeps off-diagonal
     # eigenframe entries (not pinch or state_to_scalar, whose X sits on w = 0)
@@ -762,17 +762,24 @@ MODULAR_MUTANTS = {
         (_modular_killer("state_to_scalar", (2,), {"target_dims": (1, 1, 1, 1)}),
          _killer(test_oracles.TestFusedFlowPass, "test_markov_modular_off_the_class",
                  (2,), (2,))))),
-    # column norms of mask * X itself, not of its product by G_s
-    "frame_product_dropped": (markov.modular_commutation_residual, SourceMutant(
-        (("ch.source.modular.frame_column_norms(m)", "np.linalg.norm(m, axis=-2)"),),
+    # the mask on the coordinate superoperator, not on its eigenframe
+    # matrix G_t S G_s^+: the frame products dropped
+    "frame_product_dropped": (_defects, SourceMutant(
+        (("* ch.eigen_superop", "* ch.superop"),),
+        (_modular_killer("sp_ucp", (3,), {}),
+         _modular_killer("sp_ucp", (2, 2), {})))),
+    # the largest column norm of the mask times X, the unit-basis maximum
+    # the key once read, in place of its operator norm
+    "column_norm_read": (markov.modular_commutation_residual, SourceMutant(
+        (("op_norm(m)", "float(np.linalg.norm(m, axis=0).max())"),),
         (_modular_killer("sp_ucp", (3,), {}),
          _modular_killer("sp_ucp", (2, 2), {})))),
     "mask_negated": (_defects, SourceMutant(
         (("(a[None, :] - b[:, None])", "(b[:, None] - a[None, :])"),),
         (_killer(test_oracles.TestFusedFlowPass, "test_markov_modular_equals_per_mask",
                  ("sp_ucp", (3,), {})),),
-        equivalent="b - a is exactly -(a - b), so each column of (mask * X) G_s is "
-                   "negated, keeps its norm to the bit, and |mask * X|_F too")),
+        equivalent="b - a is exactly -(a - b), so mask * X is negated, and its "
+                   "singular values and |mask * X|_F keep their bits")),
 }
 
 

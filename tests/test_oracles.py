@@ -337,15 +337,17 @@ def oracle_conjugation(t_mat, ch):
 
 
 def oracle_involution(t_mat, ch):
+    """|x |-> (S_t T S_s - T)(x Omega_s)|_op, a linear map: the operator
+    norm of its per-unit defect coordinates stacked as columns."""
     md_s, md_t = ch.source.modular, ch.target.modular
     tgt = ch.target.algebra
-    res = 0.0
+    cols = []
     for unit in matrix_units(ch.source.algebra):
         xi = gns_embed(md_s, unit)
         mid = element_from_coords(tgt, t_mat @ to_coords(apply_S(md_s, xi)))
         rhs = element_from_coords(tgt, t_mat @ to_coords(xi))
-        res = max(res, (apply_S(md_t, mid) - rhs).norm())
-    return res
+        cols.append(to_coords(apply_S(md_t, mid) - rhs))
+    return op_norm(np.stack(cols, axis=1))
 
 
 def commutator(x, y):
@@ -359,16 +361,19 @@ def _log_density(md):
 
 
 def oracle_modular(ch, t_samples):
+    """The operator norm of x |-> ch([log D_s, x]) - [log D_t, ch(x)],
+    and of x |-> ch(sigma_t^s(x)) - sigma_t^t(ch(x)) for each t, the max
+    over these maps: each one's per-unit defect coordinates stacked as
+    columns."""
     md_s, md_t = ch.source.modular, ch.target.modular
     log_s, log_t = _log_density(md_s), _log_density(md_t)
-    res = 0.0
+    rows = [[] for _ in range(1 + len(t_samples))]
     for unit, img in zip(matrix_units(ch.source.algebra), unit_images(ch)):
-        gen = ch.apply(commutator(log_s, unit)) - commutator(log_t, img)
-        res = max(res, gen.norm())
-        for t in t_samples:
-            flow = ch.apply(md_s.modular_flow(t, unit)) - md_t.modular_flow(t, img)
-            res = max(res, flow.norm())
-    return res
+        rows[0].append(to_coords(ch.apply(commutator(log_s, unit)) - commutator(log_t, img)))
+        for row, t in zip(rows[1:], t_samples):
+            row.append(to_coords(ch.apply(md_s.modular_flow(t, unit))
+                                 - md_t.modular_flow(t, img)))
+    return max(op_norm(np.stack(cols, axis=1)) for cols in rows)
 
 
 def oracle_to_choi(ch):
@@ -532,7 +537,7 @@ class TestFlowResidualOracles:
         _assert_close(modular_commutation_residual(ch, FLOW_SAMPLES),
                       oracle_modular(ch, FLOW_SAMPLES), kind)
         # check_markov takes the same generator row for its verdict: the
-        # oracle's verdict, a pass on its column-norm bound, a fail exact
+        # oracle's verdict, a pass read off |M|_F, a fail off a lower bound
         mc = check_markov(ch)
         tol = mc.tolerances["modular"]
         assert mc.verdicts["modular"] == (oracle_modular(ch, ()) <= tol)
@@ -642,10 +647,10 @@ def test_sp_ucp_breaks_the_flow(dims):
 
 FLOW_KEYS = ("eq32_t", "thm_i_s", "thm_commute_z", "adjoint_consistency", "petz_match")
 # the keys whose pass reads the upper bound that certifies it: a family's
-# largest one-GEMM bound, |A|_F (thm_ii, the adjoint pair), the sector bound
-# (kadison_norm), |M|_F times the frame's margin (markov_modular, thm_iii)
-# or the Choi sector certificate (markov_cp); a fail reads a certified
-# lower bound, the fail step of `linalg.certified_value`
+# largest one-GEMM bound, |A|_F (thm_ii, thm_iii, markov_modular, the
+# adjoint pair), the sector bound (kadison_norm) or the Choi sector
+# certificate (markov_cp); a fail reads a certified lower bound, the fail
+# step of `linalg.certified_value`
 MOVED_KEYS = ("eq32_t", "thm_commute_z", "thm_i_s", "thm_ii", "adjoint_consistency",
               "petz_match", "kadison_norm", "markov_modular", "thm_iii", "markov_cp")
 # how far below the dense SVD's norm of the same matrix a pass may read: a
@@ -675,16 +680,16 @@ def excess_fail_lo(t_eig):
     return max(0.0, _norm_lower_bound(t_eig) - 1.0)
 
 
-def involution_column_norm(t_eig, ch):
+def involution_norm(t_eig, ch):
     """thm_iii rebuilt from its definition (`verify._symmetry_residuals`):
-    the max column norm of (Delta_t^{-1/2} P_t conj(T_eig) P_s
-    Delta_s^{1/2} - T_eig) R_s through G_s, by `frame_column_norms`."""
+    the dense operator norm of (Delta_t^{-1/2} P_t conj(T_eig) P_s
+    Delta_s^{1/2} - T_eig) R_s."""
     md_s, md_t = ch.source.modular, ch.target.modular
     flipped = t_eig.conj()[adjoint_index(ch.target.algebra)][:, adjoint_index(ch.source.algebra)]
     lhs = (md_t.delta_power_diagonals([-0.5]).T * flipped
            * md_s.delta_power_diagonals([0.5]))
     defect = (lhs - t_eig) * np.sqrt(md_s.lambda_b)[None, :]
-    return float(md_s.frame_column_norms(defect).max())
+    return float(np.linalg.norm(defect, 2))
 
 
 def dense_cp_residual(ch):
@@ -699,8 +704,8 @@ def dense_cp_residual(ch):
 def dense_moved_keys(ch):
     """The `MOVED_KEYS` of `verify_channel(ch)` by the dense routes, each
     the value of the matrix the report bounds: one mask and one `op_norm` at
-    a time, the dense excess of T_eig, and the exact column norms of
-    markov_modular and thm_iii."""
+    a time, the dense excess of T_eig, and the dense norms of
+    markov_modular's and thm_iii's matrices."""
     t_eig = eigen_extension(ch)
     flipped = t_eig.conj()[adjoint_index(ch.target.algebra)][:, adjoint_index(ch.source.algebra)]
     adjc, petz = oracle_adjoint_pair(ch)
@@ -711,7 +716,7 @@ def dense_moved_keys(ch):
             "adjoint_consistency": adjc, "petz_match": petz,
             "kadison_norm": max(0.0, op_norm(t_eig) - 1.0),
             "markov_modular": per_mask_modular(ch),
-            "thm_iii": involution_column_norm(t_eig, ch),
+            "thm_iii": involution_norm(t_eig, ch),
             "markov_cp": dense_cp_residual(ch)}
 
 
@@ -840,15 +845,12 @@ def fused_and_alone(ch):
 def per_mask_modular(ch, t_samples=()):
     """`modular_commutation_residual` rebuilt from its definition, so that a
     later restructuring keeps its bits: the max over the generator mask and
-    each flow mask of the max column norm of ((a - b) * X) G_s, through
-    `frame_column_norms` (the dense product below
-    `gns.FRAME_MIN_DIM`; `TestFactoredFrame` checks the factored norms
-    against it)."""
+    each flow mask of the dense operator norm of (a - b) * X."""
     md_s, md_t = ch.source.modular, ch.target.modular
     zs = [1j * float(t) for t in t_samples]
     pairs = [(md_s.frequencies, md_t.frequencies),
              *zip(md_s.delta_power_diagonals(zs), md_t.delta_power_diagonals(zs))]
-    return max(float(md_s.frame_column_norms((a[None, :] - b[:, None]) * ch.eigen_superop).max())
+    return max(float(np.linalg.norm((a[None, :] - b[:, None]) * ch.eigen_superop, 2))
                for a, b in pairs)
 
 
@@ -1058,6 +1060,22 @@ class TestOneMaskedCopyAtATime:
             tracemalloc.stop()
         assert peak < 2.5 * t_eig.nbytes, peak / t_eig.nbytes
         assert svd_shapes == []
+
+    def test_symmetry_pass_gathers_in_c_order(self):
+        # the permuted conjugate gathered in C order: with its column
+        # gather transposed (strides (16, 16 N)) the defect inherits that
+        # order, and both `defect -= t_eig` and `certified_value`'s
+        # `as_cmatrix` copy it; 3.02 t_eig.nbytes that way, 2.52 in C order
+        ch = _build("pinch", (8, 8), {})
+        t_eig, tol = eigen_extension(ch), verify._tolerances(ch)
+        verify._symmetry_residuals(t_eig, ch, tol)  # the cached spectra
+        tracemalloc.start()
+        try:
+            verify._symmetry_residuals(t_eig, ch, tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * t_eig.nbytes, peak / t_eig.nbytes
 
 
 def frobenius_bounds(base, stack):
@@ -1594,7 +1612,7 @@ def norm_excess(t, w_s, w_t, tol):
 
 class TestSectorBound:
     """`verify._sector_bound` and kadison_norm's `_norm_excess` on direct
-    matrices; `frame_column_norms`' bound on random block-unitary frames."""
+    matrices; a norm read in random block-unitary frames."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), n_t=st.integers(1, 130), n_s=st.integers(1, 130),
@@ -1668,18 +1686,23 @@ class TestSectorBound:
            dims=st.lists(st.integers(1, 12), min_size=1, max_size=3),
            rows=st.integers(1, 24), aligned=st.booleans())
     def test_column_norm_bound(self, seed, dims, rows, aligned):
-        # |m|_F times the frame's margin bounds every column norm of m G,
-        # dense or factored; aligned, m = x g_j^+ puts its whole norm in
-        # column j, where the bound is tight but for the margin
+        # the name is kept from the column-norm bound the frame once had:
+        # G is unitary, so the norm read in the frame, as markov_modular
+        # and thm_iii read theirs, is |m G|_op with the dense frame, and
+        # `certified_value` settles it on the side of that value; aligned,
+        # m = x g_j^+ puts its whole norm in one column of m G, rank one
         md = ModularData(random_faithful_state(BlockAlgebra(tuple(dims)), seed, 0.05))
         rng = np.random.default_rng(seed)
         n = md.algebra.coord_dim
         m = _random_matrix(rng, (rows, n))
         if aligned:
             m = np.outer(m[:, 0], md.frame[:, rng.integers(n)].conj())
-        upper = md.column_norm_bound(m)
-        assert upper >= md.frame_column_norms(m).max()
-        assert upper >= np.linalg.norm(m @ md.frame, axis=0).max()
+        dense = np.linalg.norm(m @ md.frame, 2)
+        assert abs(np.linalg.norm(m, 2) - dense) <= 1e-12 * dense
+        for tol in (0.5 * dense, 2.0 * dense):
+            got = linalg.certified_value(m, tol)
+            assert (dense * (1.0 - 1e-12) <= got <= tol if dense <= tol
+                    else tol < got <= dense * (1.0 + 1e-12)), (got, dense, tol)
 
     def test_report_documents_above_the_gate(self):
         # every value a certificate settles is a Python float, so the
@@ -1738,9 +1761,12 @@ class TestCertificateFallback:
         assert sector_bound(t_eig, w_s, w_t) - 1.0 > tol["kadison_norm"]
         assert report.residuals["kadison_norm"] == linalg.certified_value(
             t_eig, tol["kadison_norm"], "excess")
-        # the failing keys keep their exact routes
+        # the failing keys keep their routes: markov_modular the fail
+        # step of its one masked product
         assert not report.verdicts["markov_modular"]
-        assert report.residuals["markov_modular"] == per_mask_modular(ch)
+        m = (w_s[None, :] - w_t[:, None]) * ch.eigen_superop
+        assert report.residuals["markov_modular"] == linalg.certified_value(
+            m, tol["markov_modular"])
         pair = ("adjoint_consistency", "petz_match")
         assert not any(report.verdicts[k] for k in pair)
         assert [report.residuals[k] for k in pair] == masked_adjoint_pair(
@@ -2005,10 +2031,15 @@ def _assert_within_rounding(got, ref):
     assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
 
 
+def _assert_norms_agree(got, ref):
+    """Two operator norms of one map, to the SVD's rounding at these sizes."""
+    assert abs(got - ref) <= 1e-12 * max(1.0, ref), (got, ref)
+
+
 class TestFactoredFrame:
-    """`ModularData.frame_left`, `frame_right` and `frame_column_norms`
-    against products with the dense frame, and the verify path from
-    `gns.FRAME_MIN_DIM` on against the dense route."""
+    """`ModularData.frame_left` and `frame_right` against products with
+    the dense frame, and the verify path from `gns.FRAME_MIN_DIM` on
+    against the dense route."""
 
     @pytest.mark.parametrize("dims", [(1,), (2,), (3, 1), (1, 1, 1), (2, 2, 2), (1, 4, 1),
                                       (6, 4, 2), (12,), (8, 8), (9, 5, 1)],
@@ -2027,9 +2058,9 @@ class TestFactoredFrame:
         # each adjoint undoes its helper: G is unitary
         _assert_within_rounding(md.frame_left(md.frame_left(cols), adjoint=True), cols)
         _assert_within_rounding(md.frame_right(md.frame_right(rows, adjoint=True)), rows)
-        for m in _random_matrix(rng, (3, 6, n)):
-            _assert_within_rounding(md.frame_column_norms(m), np.linalg.norm(m @ g, axis=0))
-        _assert_within_rounding(md.frame_column_norms(rows), np.linalg.norm(rows @ g, axis=0))
+        # and keeps every operator norm, so no norm needs the product
+        for m in [*_random_matrix(rng, (3, 6, n)), rows]:
+            _assert_norms_agree(np.linalg.norm(m, 2), np.linalg.norm(m @ g, 2))
 
     @pytest.mark.parametrize("dims", [(6, 4, 2), (9,), (2, 2, 2)], ids=lambda d: "x".join(map(str, d)))
     def test_below_the_gate_the_dense_products(self, dims):
@@ -2042,7 +2073,7 @@ class TestFactoredFrame:
         assert np.array_equal(md.frame_left(cols, adjoint=True), g.conj().T @ cols)
         assert np.array_equal(md.frame_right(rows), rows @ g)
         assert np.array_equal(md.frame_right(rows, adjoint=True), rows @ g.conj().T)
-        assert np.array_equal(md.frame_column_norms(rows), np.linalg.norm(rows @ g, axis=-2))
+        _assert_norms_agree(np.linalg.norm(rows, 2), np.linalg.norm(rows @ g, 2))
 
     @pytest.mark.parametrize("src_dims,tgt_dims", [((16,), (2,)), ((12,), (8, 8)),
                                                    ((2,), (12,)), ((10, 1), (1, 1, 10))])
@@ -2058,9 +2089,9 @@ class TestFactoredFrame:
             x = ch.eigen_superop
             _assert_within_rounding(x, g_t @ ch.superop @ g_s.conj().T)
             _assert_within_rounding(from_eigenframe(x, src, tgt), ch.superop)
-            # the column norms of markov_modular and thm_iii, through G_s
-            _assert_within_rounding(src.modular.frame_column_norms(x),
-                                    np.linalg.norm(x @ g_s, axis=0))
+            # markov_modular is |M G_s|_op with the dense frame
+            m = (src.modular.frequencies[None, :] - tgt.modular.frequencies[:, None]) * x
+            _assert_norms_agree(modular_commutation_residual(ch), np.linalg.norm(m @ g_s, 2))
 
     @staticmethod
     def assert_same_report(factored, dense, bound_keys=(), own_passes=()):
